@@ -39,7 +39,6 @@ from .series import (
     pow1p,
     qpoch_series,
     rphis_series,
-    series_arith,
 )
 from .jfraction import (
     JFraction,

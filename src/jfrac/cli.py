@@ -26,15 +26,7 @@ from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
 from .motzkin import PathWeights, path_weight_sum
 from .scalar import PrecisionContext, rat
-from .theorems import (
-    identity_ids,
-    report_record,
-    run_suite,
-    suite_document,
-    theorem_ids,
-    verify_identity,
-    verify_theorem,
-)
+from .theorems import identity_ids, report_record, run_suite, suite_document, theorem_ids
 
 _CONFIG_KEYS = {
     "precision_bits": int,
@@ -310,55 +302,27 @@ def _match_ids(patterns, strict):
     return [cid for cid in ids if cid in set(matched)]
 
 
-def _case_overrides(cid, args, explicit, cfg):
-    params = _parse_params(args.params) if getattr(args, "params", None) else {}
-    if "seed" in explicit and cid in ("classical_generic", "ogf_variant"):
-        params = {**params, "seed": cfg.seed}
-    kwargs = {}
-    if params:
-        kwargs["params"] = params
-    if cid in theorem_ids():
-        if getattr(args, "s", None) is not None:
-            kwargs["s"] = rat(args.s)
-        if getattr(args, "t", None) is not None:
-            kwargs["t"] = rat(args.t)
-        if "N" in explicit:
-            kwargs["N"] = cfg.N
-        if getattr(args, "tolerance", None) is not None:
-            kwargs["tolerance"] = rat(args.tolerance)
-    return kwargs
+def _rat_flag(args, name):
+    text = getattr(args, name, None)
+    if text is None:
+        return None
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParams(f"bad --{name} value {text!r}: {exc}")
 
 
 def _run_cases(patterns, args, cfg, explicit, ctx):
-    matched = _match_ids(patterns, args.strict)
-    override_flags = (
-        getattr(args, "params", None)
-        or getattr(args, "s", None) is not None
-        or getattr(args, "t", None) is not None
-        or getattr(args, "tolerance", None) is not None
-        or "N" in explicit
-        or "seed" in explicit
+    return run_suite(
+        _match_ids(patterns, args.strict),
+        ctx,
+        params=_parse_params(getattr(args, "params", None)),
+        seed=cfg.seed if "seed" in explicit else None,
+        s=_rat_flag(args, "s"),
+        t=_rat_flag(args, "t"),
+        N=cfg.N if "N" in explicit else None,
+        tolerance=_rat_flag(args, "tolerance"),
     )
-    if not override_flags:
-        reports = []
-        for pattern in patterns:
-            for report in run_suite(pattern, ctx=ctx):
-                reports.append(report)
-        seen = set()
-        unique = []
-        for report in sorted(reports, key=lambda r: r.id):
-            if report.id not in seen:
-                seen.add(report.id)
-                unique.append(report)
-        return unique
-    reports = []
-    for cid in matched:
-        kwargs = _case_overrides(cid, args, explicit, cfg)
-        if cid in theorem_ids():
-            reports.append(verify_theorem(cid, ctx=ctx, **kwargs))
-        else:
-            reports.append(verify_identity(cid, ctx=ctx, **kwargs))
-    return reports
 
 
 def _print_reports(reports, cfg, ctx, out):

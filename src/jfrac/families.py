@@ -214,8 +214,9 @@ class FamilySpec:
     is the closed form of lambda_1...lambda_n when the source states one.
     moment_fn, tableau_entry_fn, q_series_fn, q_tilde_series_fn are the
     exact counterparts (tableau_entry_fn(i, n) is H_{i,n} in tableau
-    indexing).  The alt_* slots carry second printed forms used only by
-    equivalence tests.
+    indexing).  translated_q0_fn(s, t, ctx) is Q_0 under the family's own
+    q-translation in closed form (t != 0).  The alt_* slots carry second
+    printed forms used only by equivalence tests.
     """
 
     id: str
@@ -230,6 +231,7 @@ class FamilySpec:
     tableau_entry_fn: object = None
     q_series_fn: object = None
     q_tilde_series_fn: object = None
+    translated_q0_fn: object = None
     alt_q_fn: object = None
     alt_q_series_fn: object = None
     alt_q_tilde_fn: object = None
@@ -307,12 +309,18 @@ def _require_q(q):
     _require(0 < q < 1, f"need 0 < q < 1, got q = {q}")
 
 
-def _no_unit(v, q, label, count=40):
-    # v q^m = 1 for small m would put a zero in a recurrence denominator
-    p = v
-    for m in range(1, count + 1):
-        p = p * q
-        if p == 1:
+def _no_unit(v, q, label):
+    # v q^m = 1 for some m >= 0 would put a zero in a recurrence denominator.
+    # With 0 < q = r/s < 1 in lowest terms that means v = s^m / r^m exactly;
+    # the size of v's numerator fixes m up to float rounding, so three exact
+    # comparisons decide it for every m, however close q is to 1.
+    v = F(v)
+    if v < 1:
+        return
+    r, s = F(q).numerator, F(q).denominator
+    guess = round(math.log(v.numerator) / math.log(s))
+    for m in (guess - 1, guess, guess + 1):
+        if m >= 0 and v.numerator == s ** m and v.denominator == r ** m:
             raise InvalidParams(f"{label} * q^{m} equals 1")
 
 
@@ -708,6 +716,14 @@ def _make_little_q_jacobi(params):
             pref = ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j)) * tv ** j
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
+    def translated_q0_fn(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            return eval_rphis(
+                [ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx
+            )
+
     def q_series_fn(j, degree):
         body = rphis_series(
             [F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, degree
@@ -738,6 +754,7 @@ def _make_little_q_jacobi(params):
         moment_fn=moment_fn,
         q_series_fn=q_series_fn,
         q_tilde_series_fn=q_tilde_series_fn,
+        translated_q0_fn=translated_q0_fn,
         alt_q_fn=alt_q_fn,
         alt_q_series_fn=alt_q_series_fn,
         notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
@@ -848,37 +865,35 @@ def _make_big_q_jacobi(params):
         # 2phi2 companion form; the second denominator parameter carries t
         with ctx.workprec():
             tv = ctx.number(t)
-            qv = ctx.number(q)
-            a1 = ctx.number(a) * qv ** (j + 1)
-            a2 = ctx.number(a * b / c) * qv ** (j + 1)
-            b1 = ctx.number(a * b) * qv ** (2 * j + 2)
-            b2 = -ctx.number(a) * tv * qv ** (j + 1)
-            z = -tv * ctx.number(c) * qv ** (j + 1)
-            term = mpmath.mpf(1)
-            total = mpmath.mpf(0)
-            qn = mpmath.mpf(1)
-            tol = ctx.mpf(ctx.rel_tolerance)
-            small = 0
-            used = 0
-            for n in range(ctx.max_terms):
-                total += term
-                used = n + 1
-                if abs(term) < tol * max(abs(total), mpmath.mpf(1)):
-                    small += 1
-                    if small >= ctx.consecutive_small:
-                        break
-                else:
-                    small = 0
-                top = term * z * (1 - a1 * qn) * (1 - a2 * qn) * (-qn)
-                bottom = (1 - qv * qn) * (1 - b1 * qn) * (1 - b2 * qn)
-                term = top / bottom
-                qn = qn * qv
+            inner = eval_rphis(
+                [a * q ** (j + 1), a * b / c * q ** (j + 1)],
+                [a * b * q ** (2 * j + 2), -a * q ** (j + 1) * tv],
+                q,
+                -c * q ** (j + 1) * tv,
+                ctx,
+            )
             pref = (
                 ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
                 * tv ** j
                 * q_pochhammer_inf(-a * q ** (j + 1) * tv, q, ctx)
             )
-            return SeriesValue(pref * total, used, abs(pref * term))
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    def translated_q0_fn(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            inner = eval_rphis(
+                [ctx.number(a * q), ctx.number(a * b * q / c), -sv / tv],
+                [ctx.number(a * b * q * q), -ctx.number(a * q) * sv],
+                q,
+                ctx.number(q * c) * tv,
+                ctx,
+            )
+            pref = q_pochhammer_inf(-ctx.number(a * q) * sv, q, ctx) / q_pochhammer_inf(
+                ctx.number(a * q) * tv, q, ctx
+            )
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     def q_tilde_series_fn(j, degree):
         body = qpoch_series(-1, q, degree) * rphis_series(
@@ -902,6 +917,7 @@ def _make_big_q_jacobi(params):
         moment_fn=moment_fn,
         q_series_fn=q_series_fn,
         q_tilde_series_fn=q_tilde_series_fn,
+        translated_q0_fn=translated_q0_fn,
         alt_q_tilde_fn=alt_q_tilde_fn,
         notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
     )
@@ -934,6 +950,14 @@ def _make_al_salam_carlitz(params):
             )
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
+    def translated_q0_fn(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            inner = eval_rphis([0, -sv / tv], [-sv], q, ctx.number(a) * tv, ctx)
+            pref = q_pochhammer_inf(-sv, q, ctx) / q_pochhammer_inf(tv, q, ctx)
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
     def q_series_fn(n, degree):
         body = inv_qpoch_series(1, q, degree) * inv_qpoch_series(a, q, degree)
         return _monomial_times(n, degree, body, 1 / _qp(q, q, n))
@@ -949,39 +973,37 @@ def _make_al_salam_carlitz(params):
         weight_fn=weight_fn,
         moment_fn=lambda n: rogers_szego_poly(n, a, q),
         q_series_fn=q_series_fn,
+        translated_q0_fn=translated_q0_fn,
         notes="Moments are the Rogers-Szego polynomials h_n(a;q); the addition formula also has a non-commutative form.",
     )
 
 
-def _qultra_term_factor(beta, q, j, k):
+def _qultra_coef(beta, q):
     # coefficient of I_{j+2k+1} in the Q_j Bessel sum; beta = 0 is the
     # confluent limit with sign (-1)^k
-    if beta == 0:
-        return (
-            F(-1) ** k
-            * F(q) ** (k * (k + 1) // 2)
-            * _qp(q ** (j + 1), q, k)
-            / _qp(q, q, k)
-        )
-    return (
-        F(beta) ** k
-        * _qp(q / beta, q, k)
-        * _qp(q ** (j + 1), q, k)
-        / (_qp(q, q, k) * _qp(beta * q ** (j + 1), q, k))
-    )
+    def coef(j, k):
+        if beta == 0:
+            factor = (
+                F(-1) ** k
+                * F(q) ** (k * (k + 1) // 2)
+                * _qp(q ** (j + 1), q, k)
+                / _qp(q, q, k)
+            )
+        else:
+            factor = (
+                F(beta) ** k
+                * _qp(q / beta, q, k)
+                * _qp(q ** (j + 1), q, k)
+                / (_qp(q, q, k) * _qp(beta * q ** (j + 1), q, k))
+            )
+        return factor * (j + 2 * k + 1)
+
+    return coef
 
 
-def _qultra_series(beta, q, j, degree):
-    coeffs = [F(0)] * (degree + 1)
-    for k in range(0, (degree - j) // 2 + 1):
-        r = _qultra_term_factor(beta, q, j, k) * (j + 2 * k + 1)
-        for i in range(0, (degree - j - 2 * k) // 2 + 1):
-            M = j + 2 * k + 2 * i
-            coeffs[M] += r / (F(4) ** (k + i) * factorial(i) * factorial(j + 2 * k + 1 + i))
-    return PowerSeries(coeffs, degree)
+def _bessel_sum_q_fn(coef, step):
+    """Q_j(t) = 2^{j+1}/t * sum_k coef(j, k) I_{j+step*k+1}(t), numerically."""
 
-
-def _qultra_q_fn_factory(beta, q):
     def q_fn(j, t, ctx):
         with ctx.workprec():
             tv = ctx.number(t)
@@ -993,8 +1015,7 @@ def _qultra_q_fn_factory(beta, q):
             used = 0
             tol = ctx.mpf(ctx.rel_tolerance)
             for k in range(ctx.max_terms):
-                r = _qultra_term_factor(beta, q, j, k) * (j + 2 * k + 1)
-                term = ctx.number(r) * bessel_i(j + 2 * k + 1, tv, ctx).value
+                term = ctx.number(coef(j, k)) * bessel_i(j + step * k + 1, tv, ctx).value
                 total += term
                 used = k + 1
                 last = abs(term)
@@ -1004,10 +1025,22 @@ def _qultra_q_fn_factory(beta, q):
                         break
                 else:
                     small = 0
-            value = mpmath.mpf(2) ** (j + 1) / tv * total
-            return SeriesValue(value, used, abs(mpmath.mpf(2) ** (j + 1) / tv) * last)
+            pref = mpmath.mpf(2) ** (j + 1) / tv
+            return SeriesValue(pref * total, used, abs(pref) * last)
 
     return q_fn
+
+
+def _bessel_sum_series(coef, step, j, degree):
+    """The same Bessel sum as an exact series: 2^{j+1}/t * I_nu(t) with
+    nu = j + step*k + 1 contributes t^{nu-1+2i} / (2^{step*k} 4^i i! (nu+i)!)."""
+    coeffs = [F(0)] * (degree + 1)
+    for k in range(0, (degree - j) // step + 1):
+        nu = j + step * k + 1
+        r = coef(j, k) / F(2) ** (step * k)
+        for i in range(0, (degree - nu + 1) // 2 + 1):
+            coeffs[nu - 1 + 2 * i] += r / (F(4) ** i * factorial(i) * factorial(nu + i))
+    return PowerSeries(coeffs, degree)
 
 
 def _make_q_ultraspherical(params):
@@ -1031,15 +1064,16 @@ def _make_q_ultraspherical(params):
             / (F(4) ** n * _qp(beta, q, n) * _qp(q * beta, q, n))
         )
 
+    coef = _qultra_coef(beta, q)
     return FamilySpec(
         id="q_ultraspherical",
         params=params,
         b_fn=lambda n: F(0),
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=_qultra_q_fn_factory(beta, q),
+        q_fn=_bessel_sum_q_fn(coef, 2),
         weight_fn=weight_fn,
-        q_series_fn=lambda j, degree: _qultra_series(beta, q, j, degree),
+        q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
         notes="Addition formula is over the ordinary shift; Q_j is a modified-Bessel sum.",
     )
 
@@ -1047,6 +1081,7 @@ def _make_q_ultraspherical(params):
 def _make_q_ultraspherical_beta0(params):
     q = params["q"]
     _require_q(q)
+    coef = _qultra_coef(F(0), q)
 
     return FamilySpec(
         id="q_ultraspherical_beta0",
@@ -1054,9 +1089,9 @@ def _make_q_ultraspherical_beta0(params):
         b_fn=lambda n: F(0),
         lambda_fn=lambda j: (1 - F(q) ** j) / 4,
         translation=Classical(),
-        q_fn=_qultra_q_fn_factory(F(0), q),
+        q_fn=_bessel_sum_q_fn(coef, 2),
         weight_fn=lambda n: _qp(q, q, n) / F(4) ** n,
-        q_series_fn=lambda j, degree: _qultra_series(F(0), q, j, degree),
+        q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
     )
 
 
@@ -1125,39 +1160,8 @@ def _make_askey_wilson_slice(params):
             / (F(4) ** n * _qp(a * q, q, 2 * n) * _qp(a * q * q, q, 2 * n))
         )
 
-    def q_series_fn(m, degree):
-        coeffs = [F(0)] * (degree + 1)
-        for n in range(0, degree - m + 1):
-            r = _aw_term_factor(a, q, m, n) / F(2) ** n
-            for i in range(0, (degree - m - n) // 2 + 1):
-                M = m + n + 2 * i
-                coeffs[M] += r / (F(4) ** i * factorial(i) * factorial(m + n + 1 + i))
-        return PowerSeries(coeffs, degree)
-
-    def q_fn(m, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            if tv == 0:
-                return SeriesValue(mpmath.mpf(1 if m == 0 else 0), 1, mpmath.mpf(0))
-            total = mpmath.mpf(0)
-            last = mpmath.mpf(0)
-            small = 0
-            used = 0
-            tol = ctx.mpf(ctx.rel_tolerance)
-            for n in range(ctx.max_terms):
-                r = _aw_term_factor(a, q, m, n)
-                term = ctx.number(r) * bessel_i(n + m + 1, tv, ctx).value
-                total += term
-                used = n + 1
-                last = abs(term)
-                if last < tol * max(abs(total), mpmath.mpf(1)):
-                    small += 1
-                    if small >= ctx.consecutive_small:
-                        break
-                else:
-                    small = 0
-            pref = mpmath.mpf(2) ** (m + 1) / tv
-            return SeriesValue(pref * total, used, abs(pref) * last)
+    def coef(m, n):
+        return _aw_term_factor(a, q, m, n)
 
     return FamilySpec(
         id="askey_wilson_slice",
@@ -1165,9 +1169,9 @@ def _make_askey_wilson_slice(params):
         b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
+        q_fn=_bessel_sum_q_fn(coef, 1),
         weight_fn=weight_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
         notes="One-parameter slice of the four-parameter family; recurrence data is rational in (a, q).",
     )
 
@@ -1268,9 +1272,12 @@ def _make_meixner_moments(params):
     beta, c, x = params["beta"], params["c"], params["x"]
     _require(beta > 1, f"meixner_moments needs beta > 1, got {beta}")
     _require(0 < c < 1, f"meixner_moments needs 0 < c < 1, got {c}")
-    for n in range(1, 41):
-        _require(x != n - 1, f"meixner_moments degenerates at x = {n - 1}")
-        _require(beta + x != 1 - n, "meixner_moments degenerates at beta + x = 1 - n")
+    # lambda_n vanishes at x = n - 1 or beta + x = 1 - n for some n >= 1
+    _require(not (x >= 0 and x.denominator == 1), f"meixner_moments degenerates at x = {x}")
+    _require(
+        not (beta + x <= 0 and (beta + x).denominator == 1),
+        "meixner_moments degenerates at beta + x = 1 - n",
+    )
     w = (1 - c) / c
 
     def tableau_entry_fn(i, N):

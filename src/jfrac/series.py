@@ -175,21 +175,6 @@ class PowerSeries:
         return f"PowerSeries([{shown}], degree={self.truncation_degree})"
 
 
-def series_arith(a, b, op):
-    """Dispatch helper: op is one of add, mul, scale (scale: b is a scalar)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        if not isinstance(b, PowerSeries):
-            raise TypeError("mul expects two series; use scale for a scalar factor")
-        return a * b
-    if op == "scale":
-        if isinstance(b, PowerSeries):
-            raise TypeError("scale expects a scalar second operand")
-        return a * b
-    raise ValueError(f"unknown series op {op!r}")
-
-
 def exp_series(c, degree):
     """Taylor series of exp(c t)."""
     c = _as_ring(c)

@@ -9,13 +9,13 @@ exact equality.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
 
 import mpmath
 
-from .errors import InvalidParams, JfracError, UnknownTheorem
+from .errors import InvalidParams, UnknownTheorem
 from .families import (
     chebyshev_u,
     cq_ultraspherical_poly,
@@ -26,20 +26,11 @@ from .families import (
     jacobi_poly,
     make_affine,
     make_family,
-    q_function,
-    q_tilde_function,
 )
 from .jfraction import JFraction, det_bareiss, tableau_from_jfraction
-from .scalar import (
-    PrecisionContext,
-    binom,
-    factorial,
-    pochhammer,
-    q_pochhammer,
-    rat,
-)
+from .scalar import PrecisionContext, factorial, pochhammer, q_pochhammer, rat
 from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
-from .translation import Classical, NonCommutative, QTranslation, translate_eval, translate_series
+from .translation import Classical, NonCommutative, translate_eval, translate_series
 
 F = Fraction
 
@@ -52,21 +43,22 @@ class VerificationReport:
 
     ``lhs``/``rhs_partial`` are high-precision numbers in numeric mode and
     None in exact mode, where ``n_terms`` counts coefficients (or instances)
-    compared and ``abs_error`` is the largest exact deviation found.
+    compared and ``abs_error`` is the largest exact deviation found.  A case
+    that raised is reported in mode "error" with the message in ``params``.
     """
 
     id: str
     params: dict
-    s: object
-    t: object
-    lhs: object
-    rhs_partial: object
-    n_terms: int
-    abs_error: object
-    rel_error: object
-    tail_estimate: object
-    passed: bool
-    mode: str
+    s: object = None
+    t: object = None
+    lhs: object = None
+    rhs_partial: object = None
+    n_terms: int = 0
+    abs_error: object = None
+    rel_error: object = None
+    tail_estimate: object = None
+    passed: bool = False
+    mode: str = "error"
 
 
 @dataclass
@@ -74,80 +66,85 @@ class TheoremCase:
     """Executable pieces of one addition formula."""
 
     id: str
-    family: object
-    kind: object
-    lhs_eval: object  # (s, t, ctx) -> SeriesValue
     rhs_weight: object  # n -> scalar, weight(0) = 1
-    rhs_left_fn: object  # (n, t, ctx) -> SeriesValue
-    rhs_right_fn: object  # (n, s, ctx) -> SeriesValue
-    mode: str
+    mode: str = "numeric"
+    lhs_eval: object = None  # (s, t, ctx) -> SeriesValue
+    rhs_left_fn: object = None  # (n, t, ctx) -> SeriesValue
+    rhs_right_fn: object = None  # (n, s, ctx) -> SeriesValue
     rhs_prefactor: object = None  # optional (s, t, ctx) -> scalar
-    exact_check: object = None  # ctx -> (passed, n_checked, max_dev, extra)
+    exact_check: object = None  # () -> (passed, n_checked, max_dev)
 
 
 # ---------------------------------------------------------------------------
-# numeric engine
+# report constructors, summation engine, exact comparator
 
-def _numeric_report(case, params, s, t, N, tolerance, ctx):
+def _exact_report(id, params, passed, n_checked, max_dev):
+    return VerificationReport(
+        id, params, n_terms=n_checked, abs_error=max_dev, passed=passed, mode="exact"
+    )
+
+
+def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=None, t=None):
     with ctx.workprec():
-        lhs = case.lhs_eval(s, t, ctx).value
-        total = mpmath.mpf(0)
-        last = mpmath.mpf(0)
-        for n in range(N + 1):
-            w = ctx.number(case.rhs_weight(n))
-            lf = case.rhs_left_fn(n, t, ctx).value
-            rf = case.rhs_right_fn(n, s, ctx).value
-            term = w * lf * rf
-            total = total + term
-            last = abs(term)
-        if case.rhs_prefactor is not None:
-            pref = case.rhs_prefactor(s, t, ctx)
-            total = pref * total
-            last = abs(pref) * last
         abs_error = abs(lhs - total)
         denom = abs(lhs)
         rel_error = abs_error / denom if denom > 0 else abs_error
         passed = rel_error <= ctx.number(tolerance)
     return VerificationReport(
-        id=case.id,
-        params=params,
-        s=s,
-        t=t,
-        lhs=lhs,
-        rhs_partial=total,
-        n_terms=N + 1,
-        abs_error=abs_error,
-        rel_error=rel_error,
-        tail_estimate=last,
-        passed=passed,
-        mode="numeric",
+        id, params, s, t, lhs, total, n_terms, abs_error, rel_error, last, passed, "numeric"
     )
 
 
-def _exact_report(case, params, ctx):
-    passed, n_checked, max_dev, extra = case.exact_check(ctx)
-    if extra:
-        params = {**params, **extra}
-    return VerificationReport(
-        id=case.id,
-        params=params,
-        s=None,
-        t=None,
-        lhs=None,
-        rhs_partial=None,
-        n_terms=n_checked,
-        abs_error=max_dev,
-        rel_error=None,
-        tail_estimate=None,
-        passed=passed,
-        mode="exact",
+def _partial_sum(N, term, pref=None):
+    """Sum term(0), ..., term(N) in order; returns the total and |term(N)|,
+    both times ``pref`` when one is given.  Call under a workprec."""
+    total = mpmath.mpf(0)
+    last = mpmath.mpf(0)
+    for n in range(N + 1):
+        value = term(n)
+        total = total + value
+        last = abs(value)
+    if pref is not None:
+        total = pref * total
+        last = abs(pref) * last
+    return total, last
+
+
+def _compare(pairs):
+    """Exact comparison of (lhs, rhs) pairs: (passed, checked, max_dev)."""
+    passed = True
+    checked = 0
+    max_dev = F(0)
+    for lhs, rhs in pairs:
+        checked += 1
+        if lhs != rhs:
+            passed = False
+            max_dev = max(max_dev, abs(lhs - rhs))
+    return passed, checked, max_dev
+
+
+def _bilinear_check(lhs, weight, rows, degree):
+    """Coefficient form of Q_0(t+s) = sum_n w_n Q_n(t) Q_n(s).
+
+    ``lhs`` maps (i, j) to the coefficient of t^i s^j on the left (missing
+    keys are zero); the right side is sum_{n <= min(i, j)} w_n c_n(i) c_n(j)
+    with c_n = rows[n].  Every i + j <= degree is compared.
+    """
+    w = [weight(n) for n in range(degree + 1)]
+    return _compare(
+        (
+            lhs.get((i, j), F(0)),
+            sum((w[n] * rows[n][i] * rows[n][j] for n in range(min(i, j) + 1)), F(0)),
+        )
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
     )
 
 
 # ---------------------------------------------------------------------------
-# theorem case builders
+# theorem case builders: (case id, merged params) -> TheoremCase
 
-def _case_conf_hyp_1f1(params):
+def _conf_hyp_1f1(cid, params):
     alpha, beta = params["alpha"], params["beta"]
     if alpha + beta <= -1:
         raise InvalidParams("conf_hyp_1f1 needs alpha + beta > -1")
@@ -174,19 +171,10 @@ def _case_conf_hyp_1f1(params):
             inner = eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], vv, ctx)
             return SeriesValue(vv ** n * inner.value, inner.terms_used, inner.tail_bound)
 
-    return TheoremCase(
-        id="conf_hyp_1f1",
-        family=None,
-        kind=Classical(),
-        lhs_eval=lhs,
-        rhs_weight=weight,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="numeric",
-    )
+    return TheoremCase(cid, weight, lhs_eval=lhs, rhs_left_fn=factor, rhs_right_fn=factor)
 
 
-def _case_bessel_plus(params):
+def _bessel_plus(cid, params):
     nu = params["nu"]
     if nu <= 0:
         raise InvalidParams("bessel_plus needs nu > 0")
@@ -210,252 +198,69 @@ def _case_bessel_plus(params):
             return ctx.gamma(nu + 1) / mpmath.power(xy / 2, ctx.number(nu))
 
     return TheoremCase(
-        id="bessel_plus",
-        family=None,
-        kind=Classical(),
-        lhs_eval=lhs,
-        rhs_weight=weight,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="numeric",
-        rhs_prefactor=prefactor,
+        cid, weight, lhs_eval=lhs, rhs_left_fn=factor, rhs_right_fn=factor, rhs_prefactor=prefactor
     )
 
 
-def _qtrans_case(tid, family_id, params, alt_left=False):
-    spec = make_family(family_id, params)
-    kind = QTranslation(spec.params["q"])
-
-    def lhs(s, t, ctx):
-        return translate_eval(spec, kind, s, t, ctx)
-
-    left_fn = spec.alt_q_fn if alt_left else spec.q_fn
-
-    def left(n, t, ctx):
-        return left_fn(n, t, ctx)
-
-    def right(n, s, ctx):
-        return q_tilde_function(spec, n, s, ctx)
-
-    return TheoremCase(
-        id=tid,
-        family=spec,
-        kind=kind,
-        lhs_eval=lhs,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=left,
-        rhs_right_fn=right,
-        mode="numeric",
-    )
-
-
-def _case_little_qj(params):
-    return _qtrans_case("little_qj", "little_q_jacobi", params)
-
-
-def _case_little_qj_alt(params):
-    return _qtrans_case("little_qj_alt", "little_q_jacobi", params, alt_left=True)
-
-
-def _case_big_qj(params):
-    return _qtrans_case("big_qj", "big_q_jacobi", params)
-
-
-def _case_asc_qtrans(params):
-    return _qtrans_case("asc_qtrans", "al_salam_carlitz", params)
-
-
-def _self_dual_case(tid, family_id, params):
-    # addition formula over the ordinary shift with Q_n on both sides
-    fparams = {k: v for k, v in params.items() if k != "degree"}
-    spec = make_family(family_id, fparams)
-
-    def lhs(s, t, ctx):
-        return translate_eval(spec, Classical(), s, t, ctx)
-
-    def factor(n, v, ctx):
-        return q_function(spec, n, v, ctx)
-
-    return TheoremCase(
-        id=tid,
-        family=spec,
-        kind=Classical(),
-        lhs_eval=lhs,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="numeric",
-    )
-
-
-def _case_q_ultra(params):
-    return _self_dual_case("q_ultra", "q_ultraspherical", params)
-
-
-def _case_q_ultra_beta0(params):
-    return _self_dual_case("q_ultra_beta0", "q_ultraspherical_beta0", params)
-
-
-def _case_askey_wilson(params):
-    return _self_dual_case("askey_wilson", "askey_wilson_slice", params)
-
-
-def _case_mp_moments(params):
-    spec = make_family(
-        "meixner_pollaczek_moments",
-        {"lam": params["lam"], "x": params["x"], "phi_over_pi": params["phi_over_pi"]},
-    )
-
-    def lhs(s, t, ctx):
-        return translate_eval(spec, Classical(), s, t, ctx)
-
-    def factor(n, v, ctx):
-        return q_function(spec, n, v, ctx)
-
-    return TheoremCase(
-        id="mp_moments",
-        family=spec,
-        kind=Classical(),
-        lhs_eval=lhs,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="numeric",
-    )
-
-
-def _case_affine(params):
+def _affine_pair(params):
+    """(base family, its affine image) from base/base_*/a/b parameters."""
     base_params = {k[5:]: v for k, v in params.items() if k.startswith("base_")}
     base = make_family(params["base"], base_params)
-    spec = make_affine(base, params["a"], params["b"])
-
-    def lhs(s, t, ctx):
-        return translate_eval(spec, spec.translation, s, t, ctx)
-
-    def factor(n, v, ctx):
-        return q_function(spec, n, v, ctx)
-
-    return TheoremCase(
-        id="affine",
-        family=spec,
-        kind=spec.translation,
-        lhs_eval=lhs,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="numeric",
-    )
+    return base, make_affine(base, params["a"], params["b"])
 
 
-def _bivariate_exact_check(spec, degree):
-    # coefficient-level form of Q_0(t+s) = sum_n w_n Q_n(t) Q_n(s)
-    weights = [spec.weight_fn(n) for n in range(degree + 1)]
-    rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
-    c0 = rows[0]
-    checked = 0
-    mismatches = 0
-    max_dev = F(0)
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            lhs = c0[i + j] * binom(i + j, i)
-            rhs = sum(
-                (weights[n] * rows[n][i] * rows[n][j] for n in range(min(i, j) + 1)),
-                F(0),
-            )
-            checked += 1
-            if lhs != rhs:
-                mismatches += 1
-                dev = abs(lhs - rhs)
-                if dev > max_dev:
-                    max_dev = dev
-    return mismatches == 0, checked, max_dev, None
+def _family_case(family, left="q_fn", right="q_fn"):
+    """A family's own addition formula.
+
+    ``family`` is a family id, or a function of the case parameters that
+    builds the spec.  Numerically the left side is Q_0 translated under the
+    family's kind and the right side sums w_n left_n(t) right_n(s).  A case
+    with a ``degree`` parameter checks the same formula exactly, on the
+    coefficient tables of the family's Q-series.
+    """
+
+    def build(cid, params):
+        if callable(family):
+            spec = family(params)
+        else:
+            spec = make_family(family, {k: v for k, v in params.items() if k != "degree"})
+        if "degree" in params:
+            degree = params["degree"]
+
+            def check():
+                rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
+                lhs = translate_series(rows[0], spec.translation, degree)
+                return _bilinear_check(lhs, spec.weight_fn, rows, degree)
+
+            return TheoremCase(cid, spec.weight_fn, mode="exact", exact_check=check)
+
+        def lhs(s, t, ctx):
+            return translate_eval(spec, spec.translation, s, t, ctx)
+
+        return TheoremCase(
+            cid,
+            spec.weight_fn,
+            lhs_eval=lhs,
+            rhs_left_fn=getattr(spec, left),
+            rhs_right_fn=getattr(spec, right),
+        )
+
+    return build
 
 
-def _moments_exact_case(tid, family_id, params):
-    degree = params["degree"]
-    fparams = {k: v for k, v in params.items() if k != "degree"}
-    spec = make_family(family_id, fparams)
+def _asc_noncomm(cid, params):
+    q, degree = params["q"], params["degree"]
+    spec = make_family("al_salam_carlitz", {"a": params["a"], "q": q})
 
-    def check(ctx):
-        return _bivariate_exact_check(spec, degree)
-
-    def factor(n, v, ctx):
-        return q_function(spec, n, v, ctx)
-
-    return TheoremCase(
-        id=tid,
-        family=spec,
-        kind=Classical(),
-        lhs_eval=None,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=factor,
-        rhs_right_fn=factor,
-        mode="exact",
-        exact_check=check,
-    )
-
-
-def _case_hermite_moments(params):
-    return _moments_exact_case("hermite_moments", "hermite_moments", params)
-
-
-def _case_laguerre_moments(params):
-    return _moments_exact_case("laguerre_moments", "laguerre_moments", params)
-
-
-def _case_meixner_moments(params):
-    return _moments_exact_case("meixner_moments", "meixner_moments", params)
-
-
-def _case_gegenbauer_moments(params):
-    return _moments_exact_case("gegenbauer_moments", "gegenbauer_moments", params)
-
-
-def _case_asc_noncomm(params):
-    a, q = params["a"], params["q"]
-    degree = params["degree"]
-    spec = make_family("al_salam_carlitz", {"a": a, "q": q})
-
-    def check(ctx):
+    def check():
+        # Q_n(t) = sum_m H[n][m] t^m / (q; q)_m, translated in the algebra st = q ts
         tab = family_tableau(spec, degree)
-        qq = [F(q_pochhammer(q, q, n)) for n in range(degree + 1)]
-        h0 = [tab.entry(0, n) / qq[n] for n in range(degree + 1)]
-        lhs_poly = translate_series(h0, NonCommutative(q), degree)
-        rhs = {}
-        for n in range(degree + 1):
-            w = spec.weight_fn(n)
-            for m in range(n, degree + 1):
-                cm = tab.entry(n, m) / qq[m]
-                if cm == 0:
-                    continue
-                for k in range(n, degree + 1 - m):
-                    ck = tab.entry(n, k) / qq[k]
-                    if ck != 0:
-                        rhs[(m, k)] = rhs.get((m, k), F(0)) + w * cm * ck
-        rhs = {key: v for key, v in rhs.items() if v != 0}
-        keys = set(lhs_poly.coeffs) | set(rhs)
-        mismatches = 0
-        max_dev = F(0)
-        for key in keys:
-            dev = abs(lhs_poly.coeffs.get(key, F(0)) - rhs.get(key, F(0)))
-            if dev != 0:
-                mismatches += 1
-                if dev > max_dev:
-                    max_dev = dev
-        checked = (degree + 1) * (degree + 2) // 2
-        return mismatches == 0, checked, max_dev, None
+        qq = [F(q_pochhammer(q, q, m)) for m in range(degree + 1)]
+        rows = [[h / d for h, d in zip(tab.row(n), qq)] for n in range(degree + 1)]
+        lhs = translate_series(rows[0], NonCommutative(q), degree)
+        return _bilinear_check(lhs.coeffs, spec.weight_fn, rows, degree)
 
-    return TheoremCase(
-        id="asc_noncomm",
-        family=spec,
-        kind=NonCommutative(q),
-        lhs_eval=None,
-        rhs_weight=spec.weight_fn,
-        rhs_left_fn=None,
-        rhs_right_fn=None,
-        mode="exact",
-        exact_check=check,
-    )
+    return TheoremCase(cid, spec.weight_fn, mode="exact", exact_check=check)
 
 
 def _random_jfraction(seed, depth):
@@ -468,377 +273,193 @@ def _random_jfraction(seed, depth):
     return JFraction(b, lam)
 
 
-def _case_classical_generic(params):
-    seed, degree = params["seed"], params["degree"]
-    jf = _random_jfraction(seed, degree)
+def _classical_generic(cid, params):
+    degree = params["degree"]
+    jf = _random_jfraction(params["seed"], degree)
 
-    def check(ctx):
+    def check():
         tab = tableau_from_jfraction(jf, degree)
-        h0 = [tab.entry(0, n) / F(factorial(n)) for n in range(degree + 1)]
-        lhs_table = translate_series(h0, Classical(), degree)
-        rhs = {}
-        for n in range(degree + 1):
-            w = jf.lambda_product(n)
-            for i in range(n, degree + 1):
-                ci = tab.entry(n, i) / F(factorial(i))
-                if ci == 0:
-                    continue
-                for j in range(n, degree + 1 - i):
-                    cj = tab.entry(n, j) / F(factorial(j))
-                    if cj != 0:
-                        rhs[(i, j)] = rhs.get((i, j), F(0)) + w * ci * cj
-        rhs = {key: v for key, v in rhs.items() if v != 0}
-        keys = set(lhs_table) | set(rhs)
-        mismatches = sum(
-            1 for key in keys if lhs_table.get(key, F(0)) != rhs.get(key, F(0))
-        )
-        max_dev = max(
-            (abs(lhs_table.get(key, F(0)) - rhs.get(key, F(0))) for key in keys),
-            default=F(0),
-        )
-        checked = (degree + 1) * (degree + 2) // 2
-        return mismatches == 0, checked, max_dev, None
+        rows = [
+            [h / F(factorial(i)) for i, h in enumerate(tab.row(n))] for n in range(degree + 1)
+        ]
+        lhs = translate_series(rows[0], Classical(), degree)
+        return _bilinear_check(lhs, jf.lambda_product, rows, degree)
 
-    return TheoremCase(
-        id="classical_generic",
-        family=None,
-        kind=Classical(),
-        lhs_eval=None,
-        rhs_weight=jf.lambda_product,
-        rhs_left_fn=None,
-        rhs_right_fn=None,
-        mode="exact",
-        exact_check=check,
-    )
+    return TheoremCase(cid, jf.lambda_product, mode="exact", exact_check=check)
 
 
-def _case_ogf_variant(params):
-    seed, degree = params["seed"], params["degree"]
-    jf = _random_jfraction(seed, degree)
+def _ogf_variant(cid, params):
+    degree = params["degree"]
+    jf = _random_jfraction(params["seed"], degree)
 
-    def check(ctx):
+    def check():
         tab = tableau_from_jfraction(jf, degree)
         # numerator x h_0(x); the divided difference spreads coefficient
         # c_{n+1} over every x^i y^j with i + j = n
-        p = [F(0)] + [tab.entry(0, n) for n in range(degree + 1)]
-        checked = 0
-        mismatches = 0
-        max_dev = F(0)
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                lhs = p[i + j + 1]
-                rhs = sum(
-                    (
-                        jf.lambda_product(n) * tab.entry(n, i) * tab.entry(n, j)
-                        for n in range(min(i, j) + 1)
-                    ),
-                    F(0),
-                )
-                checked += 1
-                if lhs != rhs:
-                    mismatches += 1
-                    dev = abs(lhs - rhs)
-                    if dev > max_dev:
-                        max_dev = dev
-        return mismatches == 0, checked, max_dev, None
+        p = (F(0),) + tab.row0
+        lhs = {(i, j): p[i + j + 1] for i in range(degree + 1) for j in range(degree + 1 - i)}
+        rows = [tab.row(n) for n in range(degree + 1)]
+        return _bilinear_check(lhs, jf.lambda_product, rows, degree)
 
-    return TheoremCase(
-        id="ogf_variant",
-        family=None,
-        kind=Classical(),
-        lhs_eval=None,
-        rhs_weight=jf.lambda_product,
-        rhs_left_fn=None,
-        rhs_right_fn=None,
-        mode="exact",
-        exact_check=check,
-    )
+    return TheoremCase(cid, jf.lambda_product, mode="exact", exact_check=check)
 
-
-_THEOREM_BUILDERS = {
-    "bessel_plus": _case_bessel_plus,
-    "conf_hyp_1f1": _case_conf_hyp_1f1,
-    "little_qj": _case_little_qj,
-    "little_qj_alt": _case_little_qj_alt,
-    "big_qj": _case_big_qj,
-    "asc_noncomm": _case_asc_noncomm,
-    "asc_qtrans": _case_asc_qtrans,
-    "q_ultra": _case_q_ultra,
-    "q_ultra_beta0": _case_q_ultra_beta0,
-    "askey_wilson": _case_askey_wilson,
-    "hermite_moments": _case_hermite_moments,
-    "laguerre_moments": _case_laguerre_moments,
-    "meixner_moments": _case_meixner_moments,
-    "mp_moments": _case_mp_moments,
-    "gegenbauer_moments": _case_gegenbauer_moments,
-    "affine": _case_affine,
-    "classical_generic": _case_classical_generic,
-    "ogf_variant": _case_ogf_variant,
-}
 
 _TOL30 = F(1, 10 ** 30)
 _TOL28 = F(1, 10 ** 28)
 
-_THEOREM_DEFAULTS = {
-    "bessel_plus": {
-        "params": {"nu": F(1, 2)},
-        "s": F(3, 10),
-        "t": F(1, 2),
-        "N": 25,
-        "tolerance": _TOL28,
-    },
-    "conf_hyp_1f1": {
-        "params": {"alpha": F(1, 2), "beta": F(1, 3)},
-        "s": F(1, 5),
-        "t": F(3, 10),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "little_qj": {
-        "params": {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        "s": F(1, 20),
-        "t": F(1, 10),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "little_qj_alt": {
-        "params": {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        "s": F(1, 20),
-        "t": F(1, 10),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "big_qj": {
-        "params": {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-        "s": F(1, 20),
-        "t": F(1, 10),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "asc_noncomm": {
-        "params": {"a": F(1, 3), "q": F(1, 2), "degree": 12},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "asc_qtrans": {
-        "params": {"a": F(1, 3), "q": F(1, 2)},
-        "s": F(1, 20),
-        "t": F(1, 10),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "q_ultra": {
-        "params": {"beta": F(1, 3), "q": F(1, 2)},
-        "s": F(1, 5),
-        "t": F(1, 5),
-        "N": 20,
-        "tolerance": _TOL28,
-    },
-    "q_ultra_beta0": {
-        "params": {"q": F(1, 2)},
-        "s": F(1, 5),
-        "t": F(1, 5),
-        "N": 20,
-        "tolerance": _TOL28,
-    },
-    "askey_wilson": {
-        "params": {"a": F(1, 3), "q": F(1, 2)},
-        "s": F(1, 5),
-        "t": F(1, 5),
-        "N": 20,
-        "tolerance": _TOL28,
-    },
-    "hermite_moments": {
-        "params": {"x": F(1), "degree": 12},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "laguerre_moments": {
-        "params": {"alpha": F(1, 2), "x": F(1, 2), "degree": 10},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "meixner_moments": {
-        "params": {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "mp_moments": {
-        "params": {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
-        "s": F(1, 10),
-        "t": F(1, 5),
-        "N": 25,
-        "tolerance": _TOL28,
-    },
-    "gegenbauer_moments": {
-        "params": {"nu": F(3, 2), "x": F(1, 2), "degree": 10},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "affine": {
-        "params": {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2)},
-        "s": F(1, 10),
-        "t": F(1, 5),
-        "N": 25,
-        "tolerance": _TOL30,
-    },
-    "classical_generic": {
-        "params": {"seed": 0, "degree": 12},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
-    "ogf_variant": {
-        "params": {"seed": 0, "degree": 12},
-        "s": None,
-        "t": None,
-        "N": None,
-        "tolerance": None,
-    },
+# id -> (builder, default params, default (s, t, N, tolerance)); exact
+# theorems have no numeric defaults.
+_THEOREMS = {
+    "affine": (
+        _family_case(lambda params: _affine_pair(params)[1]),
+        {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2)},
+        (F(1, 10), F(1, 5), 25, _TOL30),
+    ),
+    "asc_noncomm": (_asc_noncomm, {"a": F(1, 3), "q": F(1, 2), "degree": 12}, None),
+    "asc_qtrans": (
+        _family_case("al_salam_carlitz", right="q_tilde_fn"),
+        {"a": F(1, 3), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+    ),
+    "askey_wilson": (
+        _family_case("askey_wilson_slice"),
+        {"a": F(1, 3), "q": F(1, 2)},
+        (F(1, 5), F(1, 5), 20, _TOL28),
+    ),
+    "bessel_plus": (_bessel_plus, {"nu": F(1, 2)}, (F(3, 10), F(1, 2), 25, _TOL28)),
+    "big_qj": (
+        _family_case("big_q_jacobi", right="q_tilde_fn"),
+        {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+    ),
+    "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, None),
+    "conf_hyp_1f1": (
+        _conf_hyp_1f1,
+        {"alpha": F(1, 2), "beta": F(1, 3)},
+        (F(1, 5), F(3, 10), 25, _TOL30),
+    ),
+    "gegenbauer_moments": (
+        _family_case("gegenbauer_moments"),
+        {"nu": F(3, 2), "x": F(1, 2), "degree": 10},
+        None,
+    ),
+    "hermite_moments": (_family_case("hermite_moments"), {"x": F(1), "degree": 12}, None),
+    "laguerre_moments": (
+        _family_case("laguerre_moments"),
+        {"alpha": F(1, 2), "x": F(1, 2), "degree": 10},
+        None,
+    ),
+    "little_qj": (
+        _family_case("little_q_jacobi", right="q_tilde_fn"),
+        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+    ),
+    "little_qj_alt": (
+        _family_case("little_q_jacobi", left="alt_q_fn", right="q_tilde_fn"),
+        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+    ),
+    "meixner_moments": (
+        _family_case("meixner_moments"),
+        {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10},
+        None,
+    ),
+    "mp_moments": (
+        _family_case("meixner_pollaczek_moments"),
+        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
+        (F(1, 10), F(1, 5), 25, _TOL28),
+    ),
+    "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, None),
+    "q_ultra": (
+        _family_case("q_ultraspherical"),
+        {"beta": F(1, 3), "q": F(1, 2)},
+        (F(1, 5), F(1, 5), 20, _TOL28),
+    ),
+    "q_ultra_beta0": (
+        _family_case("q_ultraspherical_beta0"),
+        {"q": F(1, 2)},
+        (F(1, 5), F(1, 5), 20, _TOL28),
+    ),
 }
 
 
 # ---------------------------------------------------------------------------
-# identities
+# identities: (identity id, merged params, ctx) -> VerificationReport
 
-def _identity_numeric(iid, params, lhs, total, n_terms, last, tolerance, ctx):
-    with ctx.workprec():
-        abs_error = abs(lhs - total)
-        denom = abs(lhs)
-        rel_error = abs_error / denom if denom > 0 else abs_error
-        passed = rel_error <= ctx.number(tolerance)
-    return VerificationReport(
-        id=iid,
-        params=params,
-        s=None,
-        t=None,
-        lhs=lhs,
-        rhs_partial=total,
-        n_terms=n_terms,
-        abs_error=abs_error,
-        rel_error=rel_error,
-        tail_estimate=last,
-        passed=passed,
-        mode="numeric",
-    )
+def _hankel_det(mu, n):
+    return det_bareiss([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
 
 
-def _identity_exact(iid, params, passed, n_checked, max_dev):
-    return VerificationReport(
-        id=iid,
-        params=params,
-        s=None,
-        t=None,
-        lhs=None,
-        rhs_partial=None,
-        n_terms=n_checked,
-        abs_error=max_dev,
-        rel_error=None,
-        tail_estimate=None,
-        passed=passed,
-        mode="exact",
-    )
-
-
-def _identity_hermite_convolution(params, ctx):
+def _hermite_convolution(iid, params, ctx):
     m_max = params["m_max"]
-    xs = params["xs"]
-    checked = 0
-    mismatches = 0
-    max_dev = F(0)
-    for x in xs:
-        h = [hermite_poly(n, x) for n in range(2 * m_max + 1)]
-        for m in range(m_max + 1):
-            for n in range(m_max + 1):
-                lhs = h[m + n] / F(factorial(m) * factorial(n))
-                rhs = sum(
-                    (
-                        F(-2) ** k
-                        / F(factorial(k) * factorial(m - k) * factorial(n - k))
-                        * h[m - k]
-                        * h[n - k]
-                        for k in range(min(m, n) + 1)
-                    ),
-                    F(0),
-                )
-                checked += 1
-                if lhs != rhs:
-                    mismatches += 1
-                    max_dev = max(max_dev, abs(lhs - rhs))
-    return _identity_exact("hermite_convolution", params, mismatches == 0, checked, max_dev)
+
+    def pairs():
+        for x in params["xs"]:
+            h = [hermite_poly(n, x) for n in range(2 * m_max + 1)]
+            for m in range(m_max + 1):
+                for n in range(m_max + 1):
+                    rhs = sum(
+                        (
+                            F(-2) ** k
+                            / F(factorial(k) * factorial(m - k) * factorial(n - k))
+                            * h[m - k]
+                            * h[n - k]
+                            for k in range(min(m, n) + 1)
+                        ),
+                        F(0),
+                    )
+                    yield h[m + n] / F(factorial(m) * factorial(n)), rhs
+
+    return _exact_report(iid, params, *_compare(pairs()))
 
 
-def _identity_bessel_reduction(params, ctx):
+def _bessel_reduction(iid, params, ctx):
     mu, nu, z, N = params["mu"], params["nu"], params["z"], params["N"]
-    tolerance = params["tolerance"]
     with ctx.workprec():
         zv = ctx.number(z)
         lhs = mpmath.power(zv / 2, ctx.number(mu - nu)) * bessel_j(nu, zv, ctx).value
-        total = mpmath.mpf(0)
-        last = mpmath.mpf(0)
-        for n in range(N + 1):
+
+        def term(n):
             poch = pochhammer(mu - nu, n)
             if poch == 0:
-                last = mpmath.mpf(0)
-                continue
+                return mpmath.mpf(0)
             c = (
                 ctx.number((mu + 2 * n) * F(-1) ** n * poch / factorial(n))
                 * ctx.gamma(mu + n)
                 / ctx.gamma(nu + n + 1)
             )
-            term = c * bessel_j(mu + 2 * n, zv, ctx).value
-            total += term
-            last = abs(term)
-    return _identity_numeric(
-        "bessel_reduction", params, lhs, total, N + 1, last, tolerance, ctx
-    )
+            return c * bessel_j(mu + 2 * n, zv, ctx).value
+
+        total, last = _partial_sum(N, term)
+    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
 
 
-def _identity_plane_wave_ultra(params, ctx):
+def _plane_wave_ultra(iid, params, ctx):
     nu, x, y, N = params["nu"], params["x"], params["y"], params["N"]
-    tolerance = params["tolerance"]
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
         pref = ctx.gamma(nu) * mpmath.power(yv / 2, -ctx.number(nu))
-        total = mpmath.mpf(0)
-        last = mpmath.mpf(0)
-        for n in range(N + 1):
-            term = (
+
+        def term(n):
+            return (
                 ctx.number(nu + n)
                 * bessel_i(nu + n, yv, ctx).value
                 * ctx.number(gegenbauer_poly(n, nu, x))
             )
-            total += term
-            last = abs(term)
-        total = pref * total
-        last = abs(pref) * last
-    return _identity_numeric(
-        "plane_wave_ultra", params, lhs, total, N + 1, last, tolerance, ctx
-    )
+
+        total, last = _partial_sum(N, term, pref)
+    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
 
 
-def _identity_plane_wave_jacobi(params, ctx):
+def _plane_wave_jacobi(iid, params, ctx):
     alpha, beta, x, y, N = params["alpha"], params["beta"], params["x"], params["y"], params["N"]
-    tolerance = params["tolerance"]
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
-        total = mpmath.mpf(0)
-        last = mpmath.mpf(0)
-        for n in range(N + 1):
-            term = (
+
+        def term(n):
+            return (
                 ctx.gamma(alpha + beta + n + 1)
                 / ctx.gamma(alpha + beta + 2 * n + 1)
                 * (2 * yv) ** n
@@ -846,35 +467,26 @@ def _identity_plane_wave_jacobi(params, ctx):
                 * eval_pfq([beta + n + 1], [alpha + beta + 2 * n + 2], 2 * yv, ctx).value
                 * ctx.number(jacobi_poly(n, alpha, beta, x))
             )
-            total += term
-            last = abs(term)
-    return _identity_numeric(
-        "plane_wave_jacobi", params, lhs, total, N + 1, last, tolerance, ctx
-    )
+
+        total, last = _partial_sum(N, term)
+    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
 
 
-def _identity_plane_wave_cheby(params, ctx):
+def _plane_wave_cheby(iid, params, ctx):
     x, y, N = params["x"], params["y"], params["N"]
-    tolerance = params["tolerance"]
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
-        total = mpmath.mpf(0)
-        last = mpmath.mpf(0)
-        for n in range(N + 1):
-            term = (n + 1) * bessel_i(n + 1, yv, ctx).value * ctx.number(chebyshev_u(n, x))
-            total += term
-            last = abs(term)
-        total = 2 / yv * total
-        last = abs(2 / yv) * last
-    return _identity_numeric(
-        "plane_wave_cheby", params, lhs, total, N + 1, last, tolerance, ctx
-    )
+
+        def term(n):
+            return (n + 1) * bessel_i(n + 1, yv, ctx).value * ctx.number(chebyshev_u(n, x))
+
+        total, last = _partial_sum(N, term, 2 / yv)
+    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
 
 
-def _identity_bessel_1f1_link(params, ctx):
+def _bessel_1f1_link(iid, params, ctx):
     nu, x = params["nu"], params["x"]
-    tolerance = params["tolerance"]
     with ctx.workprec():
         xv = ctx.number(x)
         inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)
@@ -884,126 +496,100 @@ def _identity_bessel_1f1_link(params, ctx):
             * mpmath.power(2 / xv, ctx.number(nu))
             * bessel_i(nu, xv, ctx).value
         )
-    return _identity_numeric(
-        "bessel_1f1_link", params, lhs, rhs, inner.terms_used, mpmath.mpf(0), tolerance, ctx
+    return _numeric_report(
+        iid, params, lhs, rhs, inner.terms_used, mpmath.mpf(0), params["tolerance"], ctx
     )
 
 
-def _identity_hankel_gegenbauer(params, ctx):
+def _hankel_gegenbauer(iid, params, ctx):
     nu, x, n_max = params["nu"], params["x"], params["n_max"]
-    spec = make_family("gegenbauer_moments", {"nu": nu, "x": x})
-    mu = family_moments(spec, 2 * n_max)
+    mu = family_moments(make_family("gegenbauer_moments", {"nu": nu, "x": x}), 2 * n_max)
     half = F(1, 2)
-    checked = 0
-    mismatches = 0
-    max_dev = F(0)
-    for n in range(n_max + 1):
-        det = det_bareiss([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
-        closed = (x * x - 1) ** (n * (n + 1) // 2) / F(2) ** (n * n)
+
+    def closed(n):
+        value = (x * x - 1) ** (n * (n + 1) // 2) / F(2) ** (n * n)
         for r in range(1, n + 1):
-            closed *= (
+            value *= (
                 F(factorial(r))
                 * pochhammer(2 * nu, r - 1)
                 / (pochhammer(nu + half, r - 1) * pochhammer(nu + half, r))
             )
-        checked += 1
-        if det != closed:
-            mismatches += 1
-            max_dev = max(max_dev, abs(det - closed))
-    return _identity_exact("hankel_gegenbauer", params, mismatches == 0, checked, max_dev)
+        return value
+
+    pairs = ((_hankel_det(mu, n), closed(n)) for n in range(n_max + 1))
+    return _exact_report(iid, params, *_compare(pairs))
 
 
-def _identity_hankel_affine(params, ctx):
-    base_params = {k[5:]: v for k, v in params.items() if k.startswith("base_")}
-    base = make_family(params["base"], base_params)
-    spec = make_affine(base, params["a"], params["b"])
+def _hankel_affine(iid, params, ctx):
+    base, spec = _affine_pair(params)
     n_max = params["n_max"]
     mu_bar = family_moments(spec, 2 * n_max)
     mu_base = family_moments(base, 2 * n_max)
-    checked = 0
-    mismatches = 0
-    max_dev = F(0)
-    ratios = []
-    for n in range(n_max + 1):
-        det_bar = det_bareiss([[mu_bar[i + j] for j in range(n + 1)] for i in range(n + 1)])
-        det_base = det_bareiss([[mu_base[i + j] for j in range(n + 1)] for i in range(n + 1)])
-        expected = F(1)
-        for k in range(1, n + 1):
-            expected *= spec.weight_fn(k)
-        checked += 1
-        if det_bar != expected:
-            mismatches += 1
-            max_dev = max(max_dev, abs(det_bar - expected))
-        ratios.append(det_bar / det_base if det_base != 0 else None)
-    extra = {**params, "det_ratios": tuple(ratios)}
-    return _identity_exact("hankel_affine", extra, mismatches == 0, checked, max_dev)
+    dets = [_hankel_det(mu_bar, n) for n in range(n_max + 1)]
+    base_dets = [_hankel_det(mu_base, n) for n in range(n_max + 1)]
+    expected = [F(1)]
+    for k in range(1, n_max + 1):
+        expected.append(expected[-1] * spec.weight_fn(k))
+    ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets))
+    return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected)))
 
 
-def _identity_connection_rogers(params, ctx):
+def _connection_rogers(iid, params, ctx):
     beta, gamma, q, n_max = params["beta"], params["gamma"], params["q"], params["n_max"]
     xs = [F(k, 2) for k in range(n_max + 2)]
-    checked = 0
-    mismatches = 0
-    max_dev = F(0)
-    for n in range(n_max + 1):
-        for x in xs:
-            lhs = cq_ultraspherical_poly(n, x, gamma, q)
-            rhs = F(0)
-            for k in range(n // 2 + 1):
-                coef = (
-                    F(beta) ** k
-                    * F(q_pochhammer(gamma / beta, q, k))
-                    * F(q_pochhammer(gamma, q, n - k))
-                    / (
-                        F(q_pochhammer(q, q, k))
-                        * F(q_pochhammer(q * beta, q, n - k))
-                    )
-                    * (1 - beta * F(q) ** (n - 2 * k))
-                    / (1 - beta)
+
+    def rhs(n, x):
+        total = F(0)
+        for k in range(n // 2 + 1):
+            coef = (
+                F(beta) ** k
+                * F(q_pochhammer(gamma / beta, q, k))
+                * F(q_pochhammer(gamma, q, n - k))
+                / (
+                    F(q_pochhammer(q, q, k))
+                    * F(q_pochhammer(q * beta, q, n - k))
                 )
-                rhs += coef * cq_ultraspherical_poly(n - 2 * k, x, beta, q)
-            checked += 1
-            if lhs != rhs:
-                mismatches += 1
-                max_dev = max(max_dev, abs(lhs - rhs))
-    return _identity_exact("connection_rogers", params, mismatches == 0, checked, max_dev)
+                * (1 - beta * F(q) ** (n - 2 * k))
+                / (1 - beta)
+            )
+            total += coef * cq_ultraspherical_poly(n - 2 * k, x, beta, q)
+        return total
+
+    pairs = (
+        (cq_ultraspherical_poly(n, x, gamma, q), rhs(n, x)) for n in range(n_max + 1) for x in xs
+    )
+    return _exact_report(iid, params, *_compare(pairs))
 
 
-_IDENTITY_BUILDERS = {
-    "hermite_convolution": _identity_hermite_convolution,
-    "bessel_reduction": _identity_bessel_reduction,
-    "plane_wave_ultra": _identity_plane_wave_ultra,
-    "plane_wave_jacobi": _identity_plane_wave_jacobi,
-    "plane_wave_cheby": _identity_plane_wave_cheby,
-    "bessel_1f1_link": _identity_bessel_1f1_link,
-    "hankel_gegenbauer": _identity_hankel_gegenbauer,
-    "hankel_affine": _identity_hankel_affine,
-    "connection_rogers": _identity_connection_rogers,
-}
-
-_IDENTITY_DEFAULTS = {
-    "hermite_convolution": {"m_max": 8, "xs": (F(0), F(1), F(1, 2))},
-    "bessel_reduction": {"mu": F(1), "nu": F(2), "z": F(7, 10), "N": 25, "tolerance": _TOL28},
-    "plane_wave_ultra": {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
-    "plane_wave_jacobi": {
-        "alpha": F(1, 2),
-        "beta": F(1, 3),
-        "x": F(1, 2),
-        "y": F(2, 5),
-        "N": 25,
-        "tolerance": _TOL28,
-    },
-    "plane_wave_cheby": {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
-    "bessel_1f1_link": {"nu": F(3, 2), "x": F(2, 5), "tolerance": _TOL30},
-    "hankel_gegenbauer": {"nu": F(3, 2), "x": F(2), "n_max": 5},
-    "hankel_affine": {
-        "base": "laguerre",
-        "base_alpha": F(1, 2),
-        "a": F(3),
-        "b": F(2),
-        "n_max": 5,
-    },
-    "connection_rogers": {"beta": F(1, 3), "gamma": F(1, 4), "q": F(1, 2), "n_max": 8},
+# id -> (check, default params); numeric identities carry their N and tolerance
+_IDENTITIES = {
+    "bessel_1f1_link": (_bessel_1f1_link, {"nu": F(3, 2), "x": F(2, 5), "tolerance": _TOL30}),
+    "bessel_reduction": (
+        _bessel_reduction,
+        {"mu": F(1), "nu": F(2), "z": F(7, 10), "N": 25, "tolerance": _TOL28},
+    ),
+    "connection_rogers": (
+        _connection_rogers,
+        {"beta": F(1, 3), "gamma": F(1, 4), "q": F(1, 2), "n_max": 8},
+    ),
+    "hankel_affine": (
+        _hankel_affine,
+        {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2), "n_max": 5},
+    ),
+    "hankel_gegenbauer": (_hankel_gegenbauer, {"nu": F(3, 2), "x": F(2), "n_max": 5}),
+    "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}),
+    "plane_wave_cheby": (
+        _plane_wave_cheby,
+        {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+    ),
+    "plane_wave_jacobi": (
+        _plane_wave_jacobi,
+        {"alpha": F(1, 2), "beta": F(1, 3), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+    ),
+    "plane_wave_ultra": (
+        _plane_wave_ultra,
+        {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+    ),
 }
 
 
@@ -1011,107 +597,120 @@ _IDENTITY_DEFAULTS = {
 # public entry points
 
 def theorem_ids():
-    return sorted(_THEOREM_BUILDERS)
+    return sorted(_THEOREMS)
 
 
 def identity_ids():
-    return sorted(_IDENTITY_BUILDERS)
+    return sorted(_IDENTITIES)
+
+
+def _entry(table, id, what):
+    if id not in table:
+        raise UnknownTheorem(f"unknown {what} id {id!r}")
+    return table[id]
+
+
+def _coerce(base, value):
+    if isinstance(base, int) and not isinstance(base, bool) and not isinstance(base, F):
+        return int(value)
+    if isinstance(base, str):
+        return str(value)
+    if isinstance(base, tuple):
+        parts = value.split(",") if isinstance(value, str) else value
+        return tuple(rat(p) for p in parts)
+    return rat(value)
 
 
 def _merge_params(defaults, overrides):
-    if not overrides:
-        return dict(defaults)
     merged = dict(defaults)
-    for key, value in overrides.items():
+    for key, value in (overrides or {}).items():
         if key not in defaults:
             raise InvalidParams(f"unknown parameter {key!r}")
-        base = defaults[key]
-        if isinstance(base, int) and not isinstance(base, bool) and not isinstance(base, F):
-            merged[key] = int(value)
-        elif isinstance(base, str):
-            merged[key] = str(value)
-        elif isinstance(base, tuple):
-            if isinstance(value, str):
-                merged[key] = tuple(rat(p) for p in value.split(","))
-            else:
-                merged[key] = tuple(rat(p) for p in value)
-        else:
-            merged[key] = rat(value)
+        try:
+            merged[key] = _coerce(defaults[key], value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParams(f"bad value {value!r} for parameter {key!r}") from exc
     return merged
 
 
 def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
     """Check one addition formula; returns a VerificationReport."""
-    if id not in _THEOREM_BUILDERS:
-        raise UnknownTheorem(f"unknown theorem id {id!r}")
+    build, defaults, numeric = _entry(_THEOREMS, id, "theorem")
     ctx = ctx or PrecisionContext()
-    defaults = _THEOREM_DEFAULTS[id]
-    merged = _merge_params(defaults["params"], params)
-    case = _THEOREM_BUILDERS[id](merged)
+    merged = _merge_params(defaults, params)
+    case = build(id, merged)
     if case.mode == "exact":
-        return _exact_report(case, merged, ctx)
-    s = defaults["s"] if s is None else rat(s)
-    t = defaults["t"] if t is None else rat(t)
-    N = defaults["N"] if N is None else int(N)
-    tolerance = defaults["tolerance"] if tolerance is None else rat(tolerance)
-    return _numeric_report(case, merged, s, t, N, tolerance, ctx)
+        return _exact_report(id, merged, *case.exact_check())
+    s0, t0, N0, tolerance0 = numeric
+    s = s0 if s is None else rat(s)
+    t = t0 if t is None else rat(t)
+    N = N0 if N is None else int(N)
+    tolerance = tolerance0 if tolerance is None else rat(tolerance)
+    with ctx.workprec():
+        lhs = case.lhs_eval(s, t, ctx).value
+        pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
+
+        def term(n):
+            return (
+                ctx.number(case.rhs_weight(n))
+                * case.rhs_left_fn(n, t, ctx).value
+                * case.rhs_right_fn(n, s, ctx).value
+            )
+
+        total, last = _partial_sum(N, term, pref)
+    return _numeric_report(id, merged, lhs, total, N + 1, last, tolerance, ctx, s, t)
 
 
 def verify_identity(id, params=None, ctx=None):
     """Check one standalone identity; returns a VerificationReport."""
-    if id not in _IDENTITY_BUILDERS:
-        raise UnknownTheorem(f"unknown identity id {id!r}")
+    check, defaults = _entry(_IDENTITIES, id, "identity")
     ctx = ctx or PrecisionContext()
-    merged = _merge_params(_IDENTITY_DEFAULTS[id], params)
-    return _IDENTITY_BUILDERS[id](merged, ctx)
+    return check(id, _merge_params(defaults, params), ctx)
 
 
 def rhs_weight(id, n, params=None):
     """The weight sequence a theorem's right-hand side is summed against."""
-    if id not in _THEOREM_BUILDERS:
-        raise UnknownTheorem(f"unknown theorem id {id!r}")
-    merged = _merge_params(_THEOREM_DEFAULTS[id]["params"], params)
-    case = _THEOREM_BUILDERS[id](merged)
-    return case.rhs_weight(n)
+    build, defaults, _ = _entry(_THEOREMS, id, "theorem")
+    return build(id, _merge_params(defaults, params)).rhs_weight(n)
 
 
-def run_suite(pattern=None, ctx=None):
-    """Run every registered case (or those matching the glob pattern).
+def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=None, tolerance=None):
+    """Run every registered case, or those matching ``pattern`` (one glob or
+    a list of globs), in id order.
 
-    Failures are recorded in the returned reports rather than raised, so a
-    single broken case cannot hide the rest of the suite.
+    Each ``params`` entry goes to the matched cases whose defaults declare
+    that name, and a name that no matched case declares is rejected; ``seed``
+    goes to the cases that take one.  ``s``, ``t``, ``N`` and ``tolerance``
+    apply to the theorems.  Failures other than invalid parameters are
+    recorded in the returned reports rather than raised, so a single broken
+    case cannot hide the rest of the suite.
     """
     ctx = ctx or PrecisionContext()
-    all_ids = [(tid, "theorem") for tid in theorem_ids()] + [
-        (iid, "identity") for iid in identity_ids()
+    patterns = [pattern] if isinstance(pattern, str) else pattern
+    ids = [
+        cid
+        for cid in sorted(_THEOREMS.keys() | _IDENTITIES.keys())
+        if patterns is None or any(fnmatchcase(cid, p) for p in patterns)
     ]
-    all_ids.sort()
+    declared = {cid: (_THEOREMS.get(cid) or _IDENTITIES[cid])[1] for cid in ids}
+    overrides = dict(params or {})
+    for key in overrides:
+        if not any(key in names for names in declared.values()):
+            raise InvalidParams(f"unknown parameter {key!r}")
+    if seed is not None:
+        overrides["seed"] = seed
     reports = []
-    for cid, kind in all_ids:
-        if pattern is not None and not fnmatchcase(cid, pattern):
-            continue
+    for cid in ids:
+        own = {k: v for k, v in overrides.items() if k in declared[cid]}
         try:
-            if kind == "theorem":
-                reports.append(verify_theorem(cid, ctx=ctx))
+            if cid in _THEOREMS:
+                reports.append(verify_theorem(cid, own, s, t, N, ctx, tolerance))
             else:
-                reports.append(verify_identity(cid, ctx=ctx))
+                reports.append(verify_identity(cid, own, ctx))
+        except InvalidParams:
+            raise
         except Exception as exc:  # recorded, not raised
-            reports.append(
-                VerificationReport(
-                    id=cid,
-                    params={"error": f"{type(exc).__name__}: {exc}"},
-                    s=None,
-                    t=None,
-                    lhs=None,
-                    rhs_partial=None,
-                    n_terms=0,
-                    abs_error=None,
-                    rel_error=None,
-                    tail_estimate=None,
-                    passed=False,
-                    mode="error",
-                )
-            )
+            reports.append(VerificationReport(cid, {"error": f"{type(exc).__name__}: {exc}"}))
     return reports
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InvalidParams, Unsupported
-from .scalar import binom, factorial, q_binomial, q_pochhammer_inf
-from .series import SeriesValue, eval_rphis
+from .scalar import binom, factorial, q_binomial
+from .series import SeriesValue
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,8 @@ def _classical_sum(h_row, s, t, ctx, scale=1):
 
 
 def _translate_eval_family(f, kind, s, t, ctx, depth=80):
-    # closed translated forms where one is known; otherwise fall back to the
-    # series route over a numerically materialized tableau row
+    # the family's closed translated form where it carries one; otherwise
+    # the series route over a numerically materialized tableau row
     from .families import q_function
     from .jfraction import JFraction, tableau_from_jfraction
 
@@ -240,38 +240,9 @@ def _translate_eval_family(f, kind, s, t, ctx, depth=80):
             x = ctx.number(t) + ctx.number(s)
         return q_function(f, 0, x, ctx)
     if isinstance(kind, QTranslation):
-        p = f.params
-        q = kind.q
         with ctx.workprec():
-            tv = ctx.number(t)
-            sv = ctx.number(s)
-            if tv != 0 and f.id == "little_q_jacobi":
-                a, b = p["a"], p["b"]
-                return eval_rphis(
-                    [ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx
-                )
-            if tv != 0 and f.id == "big_q_jacobi":
-                a, b, c = p["a"], p["b"], p["c"]
-                inner = eval_rphis(
-                    [ctx.number(a * q), ctx.number(a * b * q / c), -sv / tv],
-                    [ctx.number(a * b * q * q), -ctx.number(a * q) * sv],
-                    q,
-                    ctx.number(q * c) * tv,
-                    ctx,
-                )
-                pref = q_pochhammer_inf(-ctx.number(a * q) * sv, q, ctx) / q_pochhammer_inf(
-                    ctx.number(a * q) * tv, q, ctx
-                )
-                return SeriesValue(
-                    pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound
-                )
-            if tv != 0 and f.id == "al_salam_carlitz":
-                a = p["a"]
-                inner = eval_rphis([0, -sv / tv], [-sv], q, ctx.number(a) * tv, ctx)
-                pref = q_pochhammer_inf(-sv, q, ctx) / q_pochhammer_inf(tv, q, ctx)
-                return SeriesValue(
-                    pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound
-                )
+            if f.translated_q0_fn is not None and kind == f.translation and ctx.number(t) != 0:
+                return f.translated_q0_fn(s, t, ctx)
             bs = [ctx.number(f.b_fn(n)) for n in range(depth)]
             lams = [ctx.number(f.lambda_fn(n)) for n in range(1, depth + 1)]
             row = list(tableau_from_jfraction(JFraction(bs, lams), depth - 1).row0)
@@ -284,7 +255,8 @@ def translate_eval(h_row, kind, s, t, ctx):
 
     ``h_row`` is either a family record or an indexable row of exact
     H_{0,n} coefficients (the tableau's row 0).  For a family the translated
-    value is computed through the closed forms bound to it where available.
+    value comes from its closed forms: Q_0 at t + s for the classical kinds,
+    and the family's ``translated_q0_fn`` under its own q-translation.
     For a plain row: Classical sums H_{0,n} (t+s)^n / n!; QTranslation sums
     H_{0,n} / (q;q)_n times the product (t+s)(t+sq)...(t+sq^{n-1});
     Affine(a, b, Classical) gives e^{-b(t+s)/a} times the classical sum at

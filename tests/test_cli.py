@@ -236,3 +236,65 @@ def test_missing_config_file(capsys):
     code, _, err = run(capsys, "verify", "--all", "--config", "/no/such/file")
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_params_go_to_the_cases_that_declare_them(capsys):
+    code, out, _ = run(capsys, "verify", "q_ultra*", "--params", "beta=1/2", "--format", "json")
+    assert code == 0
+    records = {rec["id"]: rec for rec in json.loads(out)}
+    assert sorted(records) == ["q_ultra", "q_ultra_beta0"]
+    assert records["q_ultra"]["params"] == {"beta": "1/2", "q": "1/2"}
+    # q_ultra_beta0 takes no beta and runs at its defaults
+    _, default_out, _ = run(capsys, "verify", "q_ultra_beta0", "--format", "json")
+    assert records["q_ultra_beta0"] == json.loads(default_out)[0]
+
+
+def test_verify_params_nobody_declares(capsys):
+    code, _, err = run(capsys, "verify", "q_ultra*", "--params", "bogus=1")
+    assert code == 2
+    assert "unknown parameter 'bogus'" in err
+
+
+def test_verify_seed_goes_to_the_seeded_cases(capsys):
+    code, out, _ = run(capsys, "verify", "classical_generic", "conf_hyp_1f1", "--seed", "7",
+                       "--format", "json")
+    assert code == 0
+    records = {rec["id"]: rec for rec in json.loads(out)}
+    assert records["classical_generic"]["params"]["seed"] == 7
+    assert "seed" not in records["conf_hyp_1f1"]["params"]
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        # a*b*q^45 = 1: a recurrence denominator vanishes past any short scan
+        ("little_q_jacobi", "a=35184372088832,b=1,q=1/2"),
+        # lambda_46 = 0 at the integer x = 45
+        ("meixner_moments", "beta=3,c=1/3,x=45"),
+    ],
+)
+def test_tableau_degenerate_family_is_invalid_input(capsys, family, params):
+    code, out, err = run(capsys, "tableau", "--family", family, "--params", params, "--N", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--N", "10"]])
+def test_verify_case_failure_is_recorded_with_or_without_overrides(capsys, extra):
+    # a term budget too small for any series: the case fails in its record,
+    # the run goes on, and overrides do not change how a failure surfaces
+    code, out, _ = run(capsys, "verify", "conf_hyp_1f1", "hermite_moments", "--max-terms", "5", *extra)
+    assert code == 3
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("FAIL conf_hyp_1f1 [error] NonConvergent:")
+    assert lines[1].startswith("PASS hermite_moments [exact]")
+
+
+def test_verify_bad_override_value(capsys):
+    code, _, err = run(capsys, "verify", "bessel_plus", "--params", "nu=abc")
+    assert code == 2
+    assert "error:" in err
+    code, _, err = run(capsys, "verify", "bessel_plus", "--s", "1/0")
+    assert code == 2
+    assert "error:" in err

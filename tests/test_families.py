@@ -336,6 +336,31 @@ def test_domain_checks():
         make_family("q_ultraspherical", {"beta": 1, "q": F(1, 2)})
 
 
+@pytest.mark.parametrize("m", [0, 1, 45, 3000])
+def test_unit_q_power_found_at_any_distance(m):
+    # q close to 1 and m far past any fixed scan length
+    q = F(999, 1000)
+    with pytest.raises(InvalidParams, match=rf"q\^{m} equals 1"):
+        make_family("little_q_jacobi", {"a": q ** -m, "b": 1, "q": q})
+    with pytest.raises(InvalidParams, match=rf"q\^{m} equals 1"):
+        make_family("askey_wilson_slice", {"a": q ** -m, "q": q})
+
+
+def test_near_unit_q_power_is_admissible():
+    q = F(999, 1000)
+    spec = make_family("little_q_jacobi", {"a": q ** -45 * F(1001, 1000), "b": 1, "q": q})
+    assert spec.lambda_fn(1) != 0
+
+
+def test_meixner_moments_rejects_every_integer_degeneracy():
+    for x in (0, 45, 10 ** 6):
+        with pytest.raises(InvalidParams):
+            make_family("meixner_moments", {"beta": 3, "c": F(1, 3), "x": x})
+    with pytest.raises(InvalidParams):
+        make_family("meixner_moments", {"beta": 3, "c": F(1, 3), "x": -10 ** 6})
+    make_family("meixner_moments", {"beta": 3, "c": F(1, 3), "x": F(91, 2)})
+
+
 def test_catalog_matches_builders():
     entries = catalog()
     assert len(entries) == 19

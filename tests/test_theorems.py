@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +22,10 @@ from jfrac.theorems import (
 )
 
 ctx = PrecisionContext()
+
+# `jfrac verify --all --format json` as produced by the release before the
+# verification layer was rewritten around one case table
+PINNED_RECORDS = Path(__file__).parent / "data" / "verify_all.json"
 
 NUMERIC_THEOREMS = [
     "affine",
@@ -223,3 +228,18 @@ def test_suite_document_is_deterministic():
     assert doc["suite_version"] == SUITE_VERSION
     assert len(doc["reports"]) == 27
     assert all(rep["pass"] for rep in doc["reports"])
+
+    # every case keeps its defaults and results across versions: exact
+    # records match field for field, numeric sums to a relative 1e-60
+    pinned = json.loads(PINNED_RECORDS.read_text())
+    assert [rep["id"] for rep in doc["reports"]] == [rep["id"] for rep in pinned]
+    for got, want in zip(doc["reports"], pinned):
+        for key in ("id", "mode", "params", "s", "t", "n_terms", "pass"):
+            assert got[key] == want[key], (want["id"], key)
+        if want["mode"] == "exact":
+            assert got == want
+            continue
+        with ctx.workprec():
+            for key in ("lhs", "rhs_partial"):
+                a, b = (mpmath.mpmathify(rec[key].replace(" ", "")) for rec in (got, want))
+                assert abs(a - b) <= abs(b) * mpmath.mpf(10) ** -60, (want["id"], key)
