@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from fractions import Fraction
@@ -24,7 +25,7 @@ import mpmath
 from .errors import InvalidParams, JfracError, NonRegular, UnknownTheorem
 from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
-from .motzkin import PathWeights, path_weight_sum
+from .motzkin import PathWeights, path_weight_sum_dp
 from .scalar import PrecisionContext, rat
 from .theorems import identity_ids, report_record, run_suite, suite_document, theorem_ids
 
@@ -165,15 +166,27 @@ def _print_tableau(tab, N, fmt, out):
             _emit(out, f"H[{i}][{n}] = {fmt_exact(v)}")
 
 
+@contextmanager
+def _invalid_input():
+    """A ValueError from the exact core (a negative size, too few
+    coefficients or moments) is invalid input: exit 2, no traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from None
+
+
 def _build_tableau(args, cfg):
     N = cfg.N if args.N is None else args.N
     if args.family:
         spec = make_family(args.family, _parse_params(args.params))
-        return family_tableau(spec, N), N
+        with _invalid_input():
+            return family_tableau(spec, N), N
     b = _rat_list(args.b, "b") if args.b else [Fraction(0)] * max(N, 1)
     lam = _rat_list(args.lam, "lambda") if args.lam else [Fraction(1)] * max(N, 1)
     jf = JFraction(tuple(b), tuple(lam))
-    return tableau_from_jfraction(jf, N), N
+    with _invalid_input():
+        return tableau_from_jfraction(jf, N), N
 
 
 def cmd_tableau(args, cfg, explicit, out):
@@ -186,7 +199,8 @@ def cmd_moments(args, cfg, explicit, out):
     N = cfg.N if args.N is None else args.N
     if args.family:
         spec = make_family(args.family, _parse_params(args.params))
-        mu = family_moments(spec, N)
+        with _invalid_input():
+            mu = family_moments(spec, N)
     else:
         tab, N = _build_tableau(args, cfg)
         mu = [tab.entry(0, n) for n in range(N + 1)]
@@ -202,7 +216,8 @@ def cmd_moments(args, cfg, explicit, out):
 
 def cmd_jfraction(args, cfg, explicit, out):
     mu = _rat_list(args.moments, "moments")
-    jf = jfraction_from_moments(mu, depth=args.depth)
+    with _invalid_input():
+        jf = jfraction_from_moments(mu, depth=args.depth)
     if cfg.format == "json":
         doc = {"b": [fmt_exact(v) for v in jf.b], "lambda": [fmt_exact(v) for v in jf.lam]}
         _emit(out, json.dumps(doc, indent=2))
@@ -219,10 +234,8 @@ def cmd_jfraction(args, cfg, explicit, out):
 
 def cmd_hankel(args, cfg, explicit, out):
     mu = _rat_list(args.moments, "moments")
-    try:
+    with _invalid_input():
         value = hankel(mu, args.kind, args.n, i=args.i)
-    except ValueError as exc:
-        raise InvalidParams(str(exc))
     if cfg.format == "json":
         doc = {"kind": args.kind, "n": args.n, "value": fmt_exact(value)}
         if args.i is not None:
@@ -240,10 +253,8 @@ def cmd_oracle(args, cfg, explicit, out):
     top = (args.steps + args.start + args.end) // 2
     b = b + [Fraction(0)] * max(0, top + 1 - len(b))
     lam = lam + [Fraction(0)] * max(0, top - len(lam))
-    try:
-        value = path_weight_sum(PathWeights(tuple(b), tuple(lam)), args.start, args.end, args.steps)
-    except ValueError as exc:
-        raise InvalidParams(str(exc))
+    with _invalid_input():
+        value = path_weight_sum_dp(PathWeights(tuple(b), tuple(lam)), args.start, args.end, args.steps)
     if cfg.format == "json":
         doc = {
             "from": args.start,

@@ -264,6 +264,8 @@ def family_tableau(spec, N, ctx=None):
 
 def family_moments(spec, N, ctx=None):
     """mu_0..mu_N, from the closed form when the family carries one."""
+    if N < 0:
+        raise ValueError(f"moment count N = {N} is negative")
     if spec.moment_fn is not None:
         return [spec.moment_fn(n) for n in range(N + 1)]
     return list(family_tableau(spec, N, ctx).row0)

@@ -13,7 +13,6 @@ the lambda-weighted convolution of two columns reproduces row 0.
 from fractions import Fraction
 
 from .errors import NonRegular
-from .series import PowerSeries
 
 
 class JFraction:
@@ -88,6 +87,8 @@ def tableau_from_jfraction(jf, N):
     Needs b_0..b_{N-1} and lambda_1..lambda_{N-1}; extra coefficients are
     ignored.
     """
+    if N < 0:
+        raise ValueError(f"tableau size N = {N} is negative")
     if N >= 1 and len(jf.b) < N:
         raise ValueError(f"need b_0..b_{N - 1} to fill {N} columns")
     if N >= 2 and len(jf.lam) < N - 1:
@@ -103,13 +104,18 @@ def tableau_from_jfraction(jf, N):
     return StieltjesTableau(H)
 
 
+def _exact(x):
+    # ints are promoted so that divisions stay exact
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def det_bareiss(rows):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Entries may be Fractions; the intermediate divisions are exact by the
     Sylvester identity, so no spurious blowup of numerators occurs.
     """
-    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    a = [[_exact(x) for x in row] for row in rows]
     m = len(a)
     if m == 0:
         return Fraction(1)
@@ -134,6 +140,43 @@ def det_bareiss(rows):
     return sign * a[m - 1][m - 1]
 
 
+def _mixed_moments(mu, rows, last):
+    """Mixed moments sigma[k][l] = L(P_k x^l) for k <= rows, k <= l <= last - k.
+
+    L is the functional L(x^l) = mu_l and P_k are its monic orthogonal
+    polynomials.  Row 0 is mu_0..mu_last; row k follows from the two rows
+    above it by
+
+        sigma[k][l] = sigma[k-1][l+1] - b_{k-1} sigma[k-1][l] - lambda_{k-1} sigma[k-2][l],
+
+    with b_n = sigma[n][n+1]/sigma[n][n] - sigma[n-1][n]/sigma[n-1][n-1] and
+    lambda_n = sigma[n][n]/sigma[n-1][n-1] (Gautschi's Chebyshev algorithm,
+    O(rows * last) operations).  Entries with l < k are orthogonality zeros
+    and are stored as 0.  Needs last >= 2 * rows.
+
+    Returns (sigma, singular): singular is the first k <= rows with
+    sigma[k][k] = 0, where the rows stop because P_{k+1} does not exist, or
+    None when every diagonal entry is nonzero.
+    """
+    sigma = [[_exact(m) for m in mu[: last + 1]]]
+    for k in range(rows + 1):
+        cur = sigma[k]
+        if cur[k] == 0:
+            return sigma, k
+        if k == rows:
+            break
+        b = cur[k + 1] / cur[k]
+        if k == 0:
+            nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
+        else:
+            prev = sigma[k - 1]
+            b -= prev[k] / prev[k - 1]
+            lam = cur[k] / prev[k - 1]
+            nxt = [cur[l + 1] - b * cur[l] - lam * prev[l] for l in range(k + 1, last - k)]
+        sigma.append([0] * (k + 1) + nxt)
+    return sigma, None
+
+
 def hankel(mu, kind, n, i=None):
     """Shifted Hankel determinants of a moment sequence.
 
@@ -141,77 +184,117 @@ def hankel(mu, kind, n, i=None):
     unshifted Hankel rows (mu_k .. mu_{k+i} for k = 0..i-1) and whose last
     row is (mu_n .. mu_{n+i}).  kind "D" is Delta(n, n), kind "chi" is
     Delta(n, n+1).
+
+    Expanding along the last row gives Delta(i, n) = D_{i-1} L(x^n P_i), and
+    D_{i-1} = sigma[0][0] ... sigma[i-1][i-1], so the value is read off the
+    mixed moments of ``_mixed_moments`` in O(i (n + i)) operations.  When a
+    leading minor D_k, k < i, vanishes, P_i is not defined and the value
+    comes from ``det_bareiss`` on the Hankel rows instead.
     """
     if kind == "D":
-        return hankel(mu, "Delta", n, i=n)
-    if kind == "chi":
-        return hankel(mu, "Delta", n + 1, i=n)
-    if kind != "Delta":
+        i = n
+    elif kind == "chi":
+        i, n = n, n + 1
+    elif kind != "Delta":
         raise ValueError(f"unknown Hankel kind {kind!r}")
-    if i is None:
+    elif i is None:
         raise ValueError("kind Delta needs the row index i")
     if i < 0 or n < i:
         raise ValueError("Delta(i, n) needs 0 <= i <= n")
     if n + i >= len(mu):
         raise ValueError(f"need moments through mu_{n + i}")
-    rows = [[mu[k + c] for c in range(i + 1)] for k in range(i)]
-    rows.append([mu[n + c] for c in range(i + 1)])
-    return det_bareiss(rows)
+    sigma, singular = _mixed_moments(mu, i, n + i)
+    if singular is not None and singular < i:
+        rows = [[mu[k + c] for c in range(i + 1)] for k in range(i)]
+        rows.append([mu[n + c] for c in range(i + 1)])
+        return det_bareiss(rows)
+    value = Fraction(1)
+    for k in range(i):
+        value = value * sigma[k][k]
+    return value * sigma[i][n]
 
 
 def jfraction_from_moments(mu, depth=None):
     """Recover b_0..b_{K-1}, lambda_1..lambda_K from mu_0..mu_M, K = M // 2.
 
-    Uses the Hankel-determinant formulas
+    The Hankel-determinant formulas
         lambda_n = D_{n-2} D_n / D_{n-1}^2,
         b_n = chi_n / D_n - chi_{n-1} / D_{n-1},
-    with D_{-1} = 1.  A vanishing D_n raises NonRegular with that index.
+    with D_{-1} = 1, become lambda_n = sigma[n][n] / sigma[n-1][n-1] and
+    b_n = sigma[n][n+1] / sigma[n][n] - sigma[n-1][n] / sigma[n-1][n-1] in
+    the mixed moments sigma[k][l] = L(P_k x^l), since D_n = D_{n-1} sigma[n][n]
+    and chi_n = D_{n-1} sigma[n][n+1].  That is the Chebyshev algorithm
+    (W. Gautschi, Orthogonal Polynomials: Computation and Approximation,
+    OUP 2004): O(K^2) operations where one determinant per D_n and chi_n
+    costs O(K^4).  A vanishing D_n, n <= K, raises NonRegular
+    with that index.
     """
     mu = list(mu)
     max_depth = (len(mu) - 1) // 2
     if depth is None:
         depth = max_depth
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     if depth > max_depth:
         raise ValueError(f"depth {depth} needs moments through mu_{2 * depth}")
-    D = [Fraction(1)]  # D[-1] stored at index 0; D[n] at index n+1
-    for n in range(depth + 1):
-        d = hankel(mu, "D", n)
-        if d == 0:
-            raise NonRegular(f"Hankel determinant D_{n} vanishes", index=n)
-        D.append(d)
-    chi = [hankel(mu, "chi", n) for n in range(depth)]
+    sigma, singular = _mixed_moments(mu, depth, 2 * depth)
+    if singular is not None:
+        raise NonRegular(f"Hankel determinant D_{singular} vanishes", index=singular)
     b = []
     for n in range(depth):
-        prev = chi[n - 1] / D[n] if n >= 1 else 0
-        b.append(chi[n] / D[n + 1] - prev)
-    lam = []
-    for n in range(1, depth + 1):
-        lam.append(D[n - 1] * D[n + 1] / (D[n] * D[n]))
+        prev = sigma[n - 1][n] / sigma[n - 1][n - 1] if n >= 1 else 0
+        b.append(sigma[n][n + 1] / sigma[n][n] - prev)
+    lam = [sigma[n][n] / sigma[n - 1][n - 1] for n in range(1, depth + 1)]
     return JFraction(b, lam)
+
+
+def _three_term(cur, prev, b, lam):
+    """(1 - b x) cur - lam x^2 prev, on coefficient lists of equal length."""
+    out = list(cur)
+    for k in range(1, len(out)):
+        if cur[k - 1] != 0:
+            out[k] -= b * cur[k - 1]
+        if k >= 2 and prev[k - 2] != 0:
+            out[k] -= lam * prev[k - 2]
+    return out
 
 
 def cf_series(jf, N):
     """Moments mu_0..mu_N from the continued fraction, by truncated series.
 
-    Evaluates 1/(1 - b_0 x - lambda_1 x^2 / (1 - b_1 x - ...)) bottom-up with
-    exact truncated series arithmetic.  Truncating the descent at level
-    floor(N/2) + 1 is enough because level m only influences degrees >= 2m.
-    This is an independent route to row 0 of the tableau.
+    Builds the numerator A_L and denominator B_L of the level-L convergent of
+    1/(1 - b_0 x - lambda_1 x^2 / (1 - b_1 x - ...)), L = floor(N/2) + 1, by
+    the three-term recurrence
+        A_{m+1} = (1 - b_m x) A_m - lambda_m x^2 A_{m-1}
+    (A_0 = 0, A_1 = 1; B likewise from B_0 = 1, B_1 = 1 - b_0 x; H. S. Wall,
+    Analytic Theory of Continued Fractions, 1948), and divides the series in
+    one pass: B_L has constant term 1, so mu_m = [x^m] A_L - sum_{k>=1}
+    [x^k] B_L mu_{m-k}.  O(N^2) operations.  The convergent agrees with the
+    fraction through degree 2L - 1 >= N, so lambda_L is not needed.  This is
+    an independent route to row 0 of the tableau.
     """
+    if N < 0:
+        raise ValueError(f"series degree N = {N} is negative")
     levels = N // 2 + 1
     if len(jf.b) < levels:
         raise ValueError(f"need b_0..b_{levels - 1} for degree {N}")
     if len(jf.lam) < N // 2:
         raise ValueError(f"need lambda_1..lambda_{N // 2} for degree {N}")
-    f = PowerSeries.one(N)
-    for m in range(levels - 1, -1, -1):
-        u = PowerSeries.term(jf.b[m], 1, N) if N >= 1 else PowerSeries.zero(N)
-        # lambda_{m+1} first matters at degree 2(m+1); at the deepest level
-        # that exceeds N, so a missing final lambda is fine
-        if m + 1 <= len(jf.lam) and 2 * (m + 1) <= N:
-            u = u + PowerSeries.term(jf.lam[m], 2, N) * f
-        f = (PowerSeries.one(N) - u).reciprocal()
-    return f.coefficients
+    zero = [Fraction(0)] * (N + 1)
+    one = [Fraction(1)] + zero[1:]
+    A_prev, A = zero, one
+    B_prev, B = one, _three_term(one, zero, jf.b[0], 0)
+    for m in range(1, levels):
+        A_prev, A = A, _three_term(A, A_prev, jf.b[m], jf.lam[m - 1])
+        B_prev, B = B, _three_term(B, B_prev, jf.b[m], jf.lam[m - 1])
+    mu = []
+    for m in range(N + 1):
+        acc = A[m]
+        for k in range(1, min(m, levels) + 1):
+            if B[k] != 0:
+                acc -= B[k] * mu[m - k]
+        mu.append(acc)
+    return tuple(mu)
 
 
 class MonicPolyTable:

@@ -645,6 +645,8 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
     s = s0 if s is None else rat(s)
     t = t0 if t is None else rat(t)
     N = N0 if N is None else int(N)
+    if N < 0:
+        raise InvalidParams(f"N = {N} is negative")
     tolerance = tolerance0 if tolerance is None else rat(tolerance)
     with ctx.workprec():
         lhs = case.lhs_eval(s, t, ctx).value

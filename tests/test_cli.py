@@ -298,3 +298,20 @@ def test_verify_bad_override_value(capsys):
     code, _, err = run(capsys, "verify", "bessel_plus", "--s", "1/0")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tableau", "--family", "hermite", "--N", "-2"],
+        ["moments", "--family", "hermite", "--N", "-3"],
+        ["jfraction", "--moments=1,0,1,0,2", "--depth", "-1"],
+        ["verify", "conf_hyp_1f1", "--N", "-1"],
+    ],
+)
+def test_negative_size_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "negative" in err
+

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jfrac.errors import NonRegular
+from jfrac.families import family_jfraction, family_moments, make_family
 from jfrac.jfraction import (
     JFraction,
     cf_series,
@@ -140,6 +141,99 @@ def test_cf_series_agrees_with_tableau():
         (F(1, 4), F(-2), F(3, 5), F(1), F(1), F(1), F(1), F(2), F(1), F(1)),
     )
     assert tuple(cf_series(jf, 10)) == tableau_from_jfraction(jf, 10).row0
+
+
+def test_cf_series_odd_degree_ignores_the_last_lambda():
+    # degree 5 reads b_0..b_2 and lambda_1..lambda_2 only
+    jf = JFraction((F(1), F(0), F(-2)), (F(3), F(1, 2)))
+    longer = JFraction(jf.b + (F(7), F(11)), jf.lam + (F(5), F(9)))
+    assert cf_series(jf, 5) == tableau_from_jfraction(longer, 5).row0
+    with pytest.raises(ValueError):
+        cf_series(JFraction(jf.b, jf.lam[:1]), 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda jf: tableau_from_jfraction(jf, -1),
+    lambda jf: cf_series(jf, -1),
+    lambda jf: jfraction_from_moments([F(1), F(0), F(1)], depth=-1),
+    lambda jf: jfraction_from_moments([]),
+])
+def test_negative_size_is_rejected(call):
+    with pytest.raises(ValueError):
+        call(const_jf(1, 1))
+
+
+# differential tests: the mixed-moment kernel against Bareiss determinants
+
+sparse_rational = st.one_of(st.just(F(0)), rational)
+
+
+def hankel_rows(mu, i, n):
+    rows = [[mu[k + c] for c in range(i + 1)] for k in range(i)]
+    return rows + [[mu[n + c] for c in range(i + 1)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_rational, min_size=1, max_size=11))
+def test_hankel_matches_bareiss(mu):
+    for i in range(len(mu)):
+        for n in range(i, len(mu) - i):
+            assert hankel(mu, "Delta", n, i=i) == det_bareiss(hankel_rows(mu, i, n))
+        if 2 * i < len(mu):
+            assert hankel(mu, "D", i) == det_bareiss(hankel_rows(mu, i, i))
+        if 2 * i + 1 < len(mu):
+            assert hankel(mu, "chi", i) == det_bareiss(hankel_rows(mu, i, i + 1))
+
+
+def test_hankel_singular_leading_minors():
+    mu = [F(0), F(1), F(0), F(1), F(0)]
+    assert [hankel(mu, "D", n) for n in range(3)] == [0, -1, 0]
+    assert hankel(mu, "chi", 1) == det_bareiss(hankel_rows(mu, 1, 2)) == 0
+    assert hankel(mu, "Delta", 3, i=1) == det_bareiss(hankel_rows(mu, 1, 3)) == -1
+    # D_1 = 0 under a nonzero D_0, then D_2 != 0 again
+    mu = [F(1), F(1), F(1), F(2), F(3)]
+    assert [hankel(mu, "D", n) for n in range(3)] == [1, 0, -1]
+    assert hankel(mu, "Delta", 2, i=2) == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_rational, min_size=1, max_size=11), st.data())
+def test_jfraction_from_moments_matches_bareiss(mu, data):
+    depth = data.draw(st.integers(0, (len(mu) - 1) // 2))
+    D = [det_bareiss(hankel_rows(mu, n, n)) for n in range(depth + 1)]
+    zeros = [n for n, d in enumerate(D) if d == 0]
+    if zeros:
+        with pytest.raises(NonRegular) as info:
+            jfraction_from_moments(mu, depth)
+        assert info.value.index == zeros[0]
+        assert str(info.value) == f"Hankel determinant D_{zeros[0]} vanishes"
+        return
+    chi = [det_bareiss(hankel_rows(mu, n, n + 1)) for n in range(depth)]
+    D = [F(1)] + D
+    jf = jfraction_from_moments(mu, depth)
+    assert jf.b == tuple(chi[n] / D[n + 1] - (chi[n - 1] / D[n] if n else 0) for n in range(depth))
+    assert jf.lam == tuple(D[n - 1] * D[n + 1] / D[n] ** 2 for n in range(1, depth + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(sparse_rational, min_size=12, max_size=12),
+    st.lists(nonzero_rational, min_size=12, max_size=12),
+)
+def test_cf_series_matches_tableau(b, lam):
+    jf = JFraction(tuple(b), tuple(lam))
+    for N in range(13):
+        short = JFraction(jf.b[: N // 2 + 1], jf.lam[: N // 2])
+        assert cf_series(short, N) == tableau_from_jfraction(jf, N).row0
+
+
+def test_inverse_and_series_at_degree_80():
+    # O(N^2) exact core: the quartic and cubic routes took minutes here
+    spec = make_family("little_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)})
+    mu = family_moments(spec, 80)
+    jf = jfraction_from_moments(mu, depth=40)
+    assert jf == family_jfraction(spec, 40)
+    assert list(cf_series(jf, 79)) == mu[:80]
 
 
 def test_monic_polys_hermite_like():
