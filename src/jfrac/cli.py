@@ -8,7 +8,8 @@ variable, then built-in defaults.  With a fixed seed the output of a
 verify or report run is byte-for-byte reproducible.
 
 Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
-3 at least one verification failed.
+3 at least one verification failed.  A size (--N, --depth, --steps, --from,
+--to) above MAX_SIZE is invalid input, rejected before any work.
 """
 
 import argparse
@@ -28,6 +29,12 @@ from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_j
 from .motzkin import PathWeights, path_weight_sum_dp
 from .scalar import PrecisionContext, rat
 from .theorems import identity_ids, report_record, run_suite, suite_document, theorem_ids
+
+# Largest accepted --N, --depth, --steps, --from or --to.  A tableau holds
+# (N+1)^2/2 rationals whose bit sizes grow like N^2 for the q-families, so
+# sizes near this bound already take minutes; far above it a typo such as
+# --N 1000000000 would allocate without bound.
+MAX_SIZE = 500
 
 _CONFIG_KEYS = {
     "precision_bits": int,
@@ -108,7 +115,13 @@ def resolve_config(args):
         if flag is not None:
             values[key] = flag
             explicit.add(key)
+    _check_size(values.get("N"), "--N")
     return RunConfig(**values), explicit
+
+
+def _check_size(value, flag):
+    if value is not None and value > MAX_SIZE:
+        raise InvalidParams(f"{flag} {value} is above the largest accepted size {MAX_SIZE}")
 
 
 def _rat_list(text, what):
@@ -215,6 +228,7 @@ def cmd_moments(args, cfg, explicit, out):
 
 
 def cmd_jfraction(args, cfg, explicit, out):
+    _check_size(args.depth, "--depth")
     mu = _rat_list(args.moments, "moments")
     with _invalid_input():
         jf = jfraction_from_moments(mu, depth=args.depth)
@@ -247,6 +261,8 @@ def cmd_hankel(args, cfg, explicit, out):
 
 
 def cmd_oracle(args, cfg, explicit, out):
+    for value, flag in ((args.steps, "--steps"), (args.start, "--from"), (args.end, "--to")):
+        _check_size(value, flag)
     b = _rat_list(args.b, "b") if args.b else []
     lam = _rat_list(args.lam, "lambda") if args.lam else []
     # steps at levels beyond the given lists carry weight zero

@@ -1336,6 +1336,8 @@ def _make_meixner_moments(params):
 def _make_meixner_pollaczek_moments(params):
     lam, x, phi_over_pi = params["lam"], params["x"], params["phi_over_pi"]
     _require(lam > 0, f"meixner_pollaczek_moments needs lam > 0, got {lam}")
+    # lambda_1 and the weights below are 0/0 at 2 lam = 1
+    _require(lam != F(1, 2), "meixner_pollaczek_moments needs lam != 1/2")
     _require(0 < phi_over_pi < 1, "phi must lie strictly between 0 and pi")
     ctx0 = PrecisionContext()
 
@@ -1572,7 +1574,7 @@ _BUILDERS = {
     "meixner_pollaczek_moments": (
         _make_meixner_pollaczek_moments,
         ("lam", "x", "phi_over_pi"),
-        "lam > 0, 0 < phi_over_pi < 1",
+        "lam > 0, lam != 1/2, 0 < phi_over_pi < 1",
     ),
     "gegenbauer_moments": (_make_gegenbauer_moments, ("nu", "x"), "nu > 1/2, x^2 != 1"),
     "derangement": (_make_derangement, ("alpha", "x"), "alpha > -1, x != 0"),
@@ -1596,7 +1598,12 @@ def make_family(id, params=None, **kw):
         raise InvalidParams(f"family {id} needs parameter(s) {', '.join(missing)}")
     if extra:
         raise InvalidParams(f"family {id} does not take parameter(s) {', '.join(extra)}")
-    coerced = {n: rat(given[n]) for n in names}
+    coerced = {}
+    for n in names:
+        try:
+            coerced[n] = rat(given[n])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidParams(f"family {id}: bad value {given[n]!r} for parameter {n}") from None
     return builder(coerced)
 
 
@@ -1631,11 +1638,28 @@ def make_affine(base, a, b):
                 w *= base.lambda_fn(k)
         return w * a ** (-2 * n)
 
+    # the base moments and tableau are built once and grown only to the
+    # largest n or N asked for; a larger tableau holds every smaller one
+    base_moments = []
+    base_tableau = None
+
+    def _base_tableau(N):
+        nonlocal base_tableau
+        if N < 0 or base_tableau is None or base_tableau.N < N:  # family_tableau rejects N < 0
+            base_tableau = family_tableau(base, N)
+        return base_tableau
+
     def moment_fn(n):
-        mus = family_moments(base, n)
+        if n < 0:
+            raise ValueError(f"moment index n = {n} is negative")
+        if n >= len(base_moments):
+            if base.moment_fn is None:
+                base_moments[:] = _base_tableau(n).row0[: n + 1]
+            else:
+                base_moments.extend(base.moment_fn(k) for k in range(len(base_moments), n + 1))
         total = F(0)
         for k in range(n + 1):
-            total += F(binom(n, k)) * (-b) ** (n - k) * mus[k]
+            total += F(binom(n, k)) * (-b) ** (n - k) * base_moments[k]
         return total * a ** (-n)
 
     def q_fn(j, t, ctx):
@@ -1651,7 +1675,7 @@ def make_affine(base, a, b):
         return body * a ** j
 
     def tableau_entry_fn(i, N):
-        tab = family_tableau(base, N)
+        tab = _base_tableau(N)
         total = F(0)
         for k in range(N - i + 1):
             total += F(binom(N, k)) * (-b) ** k * tab.entry(i, N - k)

@@ -5,8 +5,11 @@ mpmath at a precision chosen through :class:`PrecisionContext`.  Everything
 here is scalar; truncated power series live in :mod:`jfrac.series`.
 """
 
+import contextvars
+import functools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
@@ -155,6 +158,61 @@ class PrecisionContext:
             return mpmath.gamma(z)
 
 
+# ---------------------------------------------------------------------------
+# per-scope memo for the numeric leaves
+
+_memo = contextvars.ContextVar("jfrac_memo", default=None)
+_CTX_FIELDS = tuple(f.name for f in fields(PrecisionContext))
+
+
+@contextmanager
+def memo_scope():
+    """Within the block, :func:`memoised` functions reuse their results.
+
+    Every scope starts empty and is dropped on exit; a nested scope does not
+    see its parent's entries.  The verification entry points open one scope
+    per case, so no value outlives the case that computed it.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _memo_key(x):
+    if isinstance(x, PrecisionContext):
+        return PrecisionContext, tuple(getattr(x, name) for name in _CTX_FIELDS)
+    return type(x), x
+
+
+def memoised(fn):
+    """Reuse ``fn``'s result for equal positional arguments inside a
+    :func:`memo_scope`; outside one, or with keyword arguments, ``fn`` is
+    just called.
+
+    Arguments are keyed by type and value, so 1, Fraction(1) and mpf(1) stay
+    apart, and a PrecisionContext by its fields.  ``fn`` must be a pure
+    function of its arguments whose results callers do not mutate; then a
+    reused value is the very value a fresh call would return.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        memo = _memo.get()
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = (wrapper, tuple(_memo_key(a) for a in args))
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(*args)
+            return value
+
+    return wrapper
+
+
+@memoised
 def q_pochhammer_inf(a, q, ctx=None):
     """Infinite product (a; q)_inf for |q| < 1, evaluated to ctx precision.
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import PrecisionContext
+from .scalar import PrecisionContext, memoised
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -492,6 +492,7 @@ def _shift_one(nu):
     return _as_ring(nu) + 1 if isinstance(nu, _EXACT_TYPES) else nu + 1
 
 
+@memoised
 def _bessel(nu, z, sign, ctx):
     ctx = ctx or PrecisionContext()
     with ctx.workprec():

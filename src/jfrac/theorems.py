@@ -28,7 +28,7 @@ from .families import (
     make_family,
 )
 from .jfraction import JFraction, det_bareiss, tableau_from_jfraction
-from .scalar import PrecisionContext, factorial, pochhammer, q_pochhammer, rat
+from .scalar import PrecisionContext, factorial, memo_scope, pochhammer, q_pochhammer, rat
 from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
 from .translation import Classical, NonCommutative, translate_eval, translate_series
 
@@ -634,32 +634,37 @@ def _merge_params(defaults, overrides):
 
 
 def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
-    """Check one addition formula; returns a VerificationReport."""
+    """Check one addition formula; returns a VerificationReport.
+
+    The case runs in its own memo scope: a Bessel value or an infinite
+    q-product met twice within it is evaluated once."""
     build, defaults, numeric = _entry(_THEOREMS, id, "theorem")
     ctx = ctx or PrecisionContext()
     merged = _merge_params(defaults, params)
-    case = build(id, merged)
-    if case.mode == "exact":
-        return _exact_report(id, merged, *case.exact_check())
-    s0, t0, N0, tolerance0 = numeric
-    s = s0 if s is None else rat(s)
-    t = t0 if t is None else rat(t)
-    N = N0 if N is None else int(N)
-    if N < 0:
-        raise InvalidParams(f"N = {N} is negative")
-    tolerance = tolerance0 if tolerance is None else rat(tolerance)
-    with ctx.workprec():
-        lhs = case.lhs_eval(s, t, ctx).value
-        pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
+    with memo_scope():
+        case = build(id, merged)
+        if case.mode == "exact":
+            return _exact_report(id, merged, *case.exact_check())
+        s0, t0, N0, tolerance0 = numeric
+        s = s0 if s is None else rat(s)
+        t = t0 if t is None else rat(t)
+        N = N0 if N is None else int(N)
+        if N < 0:
+            raise InvalidParams(f"N = {N} is negative")
+        tolerance = tolerance0 if tolerance is None else rat(tolerance)
+        # a symmetric right-hand side at s = t is w_n Q_n(t)^2
+        same = case.rhs_left_fn is case.rhs_right_fn and s == t
+        with ctx.workprec():
+            lhs = case.lhs_eval(s, t, ctx).value
+            pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
 
-        def term(n):
-            return (
-                ctx.number(case.rhs_weight(n))
-                * case.rhs_left_fn(n, t, ctx).value
-                * case.rhs_right_fn(n, s, ctx).value
-            )
+            def term(n):
+                weight = ctx.number(case.rhs_weight(n))
+                left = case.rhs_left_fn(n, t, ctx).value
+                right = left if same else case.rhs_right_fn(n, s, ctx).value
+                return weight * left * right
 
-        total, last = _partial_sum(N, term, pref)
+            total, last = _partial_sum(N, term, pref)
     return _numeric_report(id, merged, lhs, total, N + 1, last, tolerance, ctx, s, t)
 
 
@@ -667,7 +672,8 @@ def verify_identity(id, params=None, ctx=None):
     """Check one standalone identity; returns a VerificationReport."""
     check, defaults = _entry(_IDENTITIES, id, "identity")
     ctx = ctx or PrecisionContext()
-    return check(id, _merge_params(defaults, params), ctx)
+    with memo_scope():
+        return check(id, _merge_params(defaults, params), ctx)
 
 
 def rhs_weight(id, n, params=None):

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jfrac.cli import main
+from jfrac.cli import MAX_SIZE, main
+from jfrac.families import catalog
 
 
 @pytest.fixture(autouse=True)
@@ -315,3 +320,69 @@ def test_negative_size_is_invalid_input(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "negative" in err
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tableau", "--family", "hermite", "--N", "1000000000"],
+        ["moments", "--family", "hermite", "--N", "1000000000"],
+        ["jfraction", "--moments=1,0,1,0,2", "--depth", "1000000000"],
+        ["verify", "conf_hyp_1f1", "--N", "1000000000"],
+        ["oracle", "--from", "0", "--to", "0", "--steps", "1000000000"],
+        ["tableau", "--family", "hermite", "--N", str(MAX_SIZE + 1)],
+    ],
+)
+def test_size_above_the_ceiling_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "largest accepted size" in err
+
+
+def test_size_at_the_ceiling_passes_the_check(capsys):
+    # rejected later, for too few moments, not for its size
+    code, _, err = run(capsys, "jfraction", "--moments=1,0,1,0,2", "--depth", str(MAX_SIZE))
+    assert code == 2
+    assert "largest accepted size" not in err
+
+
+_FAMILY_PARAMS = {entry.id: entry.param_names for entry in catalog()}
+_PARAM_VALUES = ["0", "1", "-1", "2", "-2", "1/2", "-1/2", "1/3", "1/4", "3/5", "4/5", "3", "x", "1/0"]
+
+
+@st.composite
+def _family_argv(draw):
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    argv = [draw(st.sampled_from(["tableau", "moments"])), "--family", family]
+    names = _FAMILY_PARAMS[family]
+    if names:
+        values = [draw(st.sampled_from(_PARAM_VALUES)) for _ in names]
+        argv += ["--params", ",".join(f"{n}={v}" for n, v in zip(names, values))]
+    argv += ["--N", str(draw(st.integers(min_value=-1, max_value=6)))]
+    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family_argv())
+def test_cli_fuzz_over_catalog_parameters(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping here is the traceback a user would see
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("hermite_moments", "x=1/0"),
+        ("laguerre", "alpha=x"),
+        # lambda_1 is 0/0 at lam = 1/2
+        ("meixner_pollaczek_moments", "lam=1/2,x=1/4,phi_over_pi=1/2"),
+    ],
+)
+def test_bad_family_parameter_is_invalid_input(capsys, family, params):
+    code, out, err = run(capsys, "tableau", "--family", family, "--params", params, "--N", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from jfrac import families
 from jfrac.errors import InvalidParams, Unsupported, UnsupportedTilde
 from jfrac.families import (
     catalog,
@@ -276,6 +278,46 @@ def test_affine_tableau_and_series_consistency():
     for i in range(5):
         for n in range(i, 9):
             assert tableau_closed_form(aff, i, n) == tab.entry(i, n)
+
+
+@pytest.mark.parametrize("closed_moments", [True, False])
+@pytest.mark.parametrize("base_id,params", [("laguerre", {"alpha": F(1, 2)}), ("hermite", {})])
+def test_affine_builds_its_base_data_once(monkeypatch, base_id, params, closed_moments):
+    # the base moments come from their closed form, or (closed_moments False)
+    # from the base tableau's first row
+    calls = []
+    base = make_family(base_id, params)
+    if closed_moments:
+        closed = base.moment_fn
+        base = dataclasses.replace(base, moment_fn=lambda n: calls.append(n) or closed(n))
+    else:
+        base = dataclasses.replace(base, moment_fn=None)
+    a, b = F(3), F(-1, 2)
+    sizes = list(range(13)) + list(range(12, -1, -1))  # grow, then reuse
+
+    # the binomial laws, on base data built afresh for every value
+    def moment(n):
+        mu = family_moments(base, n)
+        return sum(binom(n, k) * (-b) ** (n - k) * mu[k] for k in range(n + 1)) / a ** n
+
+    def entry(i, N):
+        tab = family_tableau(base, N)
+        return sum(binom(N, k) * (-b) ** k * tab.entry(i, N - k) for k in range(N - i + 1)) * a ** (i - N)
+
+    want_mu = [moment(n) for n in sizes]
+    want_h = [entry(i, N) for N in sizes for i in range(N + 1)]
+    calls.clear()
+    built = []
+    build = families.family_tableau
+    monkeypatch.setattr(
+        families, "family_tableau", lambda spec, N, ctx=None: built.append(N) or build(spec, N, ctx)
+    )
+    aff = make_affine(base, a, b)
+    assert [aff.moment_fn(n) for n in sizes] == want_mu
+    assert [aff.tableau_entry_fn(i, N) for N in sizes for i in range(N + 1)] == want_h
+    if closed_moments:
+        assert calls == list(range(13))  # each base moment once
+    assert built == sorted(set(built))  # the base tableau only grows
 
 
 def test_affine_rejects_bad_input():

@@ -9,6 +9,8 @@ from jfrac.scalar import (
     PrecisionContext,
     binom,
     factorial,
+    memo_scope,
+    memoised,
     pochhammer,
     q_binomial,
     q_int,
@@ -142,3 +144,36 @@ def test_q_pochhammer_inf_recurrence():
         full = q_pochhammer_inf(a, q, ctx)
         shifted = q_pochhammer_inf(a * q, q, ctx)
         assert abs(full - (1 - ctx.mpf(a)) * shifted) < mpmath.mpf(10) ** -70
+
+
+def test_memoised_reuses_a_value_only_inside_its_scope():
+    evaluations = []
+
+    @memoised
+    def square(x, ctx=None):
+        evaluations.append(x)
+        return x * x
+
+    ctx = PrecisionContext()
+    narrow = PrecisionContext(precision_bits=128)
+    square(3)
+    square(3)
+    assert len(evaluations) == 2  # no scope: every call evaluates
+    with memo_scope():
+        for _ in range(3):
+            square(3, ctx)
+        assert len(evaluations) == 3
+        # equal values of other types, and other precision settings, are
+        # other keys
+        square(F(3), ctx)
+        square(mpmath.mpf(3), ctx)
+        square(3, narrow)
+        assert len(evaluations) == 6
+        with memo_scope():
+            square(3, ctx)  # a nested scope starts empty
+        assert len(evaluations) == 7
+        square(3, ctx)
+        square(3, ctx=ctx)  # keyword calls are not memoised
+        assert len(evaluations) == 8
+    square(3, ctx)
+    assert len(evaluations) == 9

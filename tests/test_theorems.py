@@ -1,3 +1,4 @@
+import contextlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jfrac import series, theorems
 from jfrac.errors import InvalidParams, UnknownTheorem
-from jfrac.scalar import PrecisionContext
+from jfrac.scalar import PrecisionContext, memoised
 from jfrac.theorems import (
     SUITE_VERSION,
     identity_ids,
@@ -243,3 +245,48 @@ def test_suite_document_is_deterministic():
             for key in ("lhs", "rhs_partial"):
                 a, b = (mpmath.mpmathify(rec[key].replace(" ", "")) for rec in (got, want))
                 assert abs(a - b) <= abs(b) * mpmath.mpf(10) ** -60, (want["id"], key)
+
+
+def test_memo_lives_for_one_case(monkeypatch):
+    evaluations = 0
+    undecorated = series._bessel.__wrapped__
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return undecorated(*args)
+
+    monkeypatch.setattr(series, "_bessel", memoised(counted))
+
+    def evaluations_in(run):
+        before = evaluations
+        run()
+        return evaluations - before
+
+    def no_memo_left():
+        # outside every scope, each call evaluates afresh
+        return evaluations_in(lambda: [series.bessel_i(2, F(1, 3), ctx) for _ in range(2)]) == 2
+
+    # a second pass costs as much as the first: nothing outlives a case
+    first = evaluations_in(lambda: run_suite("askey_wilson", ctx=ctx))
+    assert no_memo_left()
+    assert evaluations_in(lambda: run_suite("askey_wilson", ctx=ctx)) == first
+    verify_theorem("q_ultra", ctx=ctx)
+    assert no_memo_left()
+    verify_identity("plane_wave_ultra", ctx=ctx)
+    assert no_memo_left()
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "memo_scope", contextlib.nullcontext)
+        assert evaluations_in(lambda: run_suite("askey_wilson", ctx=ctx)) > first
+
+
+def test_memo_changes_no_record(monkeypatch):
+    def records():
+        asymmetric = [verify_theorem(tid, s=F(1, 5), t=F(1, 4), ctx=ctx) for tid in ("q_ultra", "askey_wilson")]
+        return run_suite(ctx=ctx) + asymmetric
+
+    memoised_run = records()
+    assert all(report.passed for report in memoised_run)  # Q_n(s) is not Q_n(t) at s != t
+    monkeypatch.setattr(theorems, "memo_scope", contextlib.nullcontext)
+    # equal to the last bit, not within a tolerance
+    assert memoised_run == records()
