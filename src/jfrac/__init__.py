@@ -72,11 +72,13 @@ from .families import (
     family_jfraction,
     family_moments,
     family_tableau,
+    family_weights,
     make_affine,
     make_family,
     q_function,
     q_tilde_function,
     tableau_closed_form,
+    translate_q0,
 )
 from .theorems import (
     SUITE_VERSION,

@@ -9,7 +9,9 @@ verify or report run is byte-for-byte reproducible.
 
 Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 3 at least one verification failed.  A size (--N, --depth, --steps, --from,
---to) above MAX_SIZE is invalid input, rejected before any work.
+--to) above MAX_SIZE is invalid input, rejected before any work; so are a
+precision outside 1..MAX_PRECISION_BITS, a max_terms below 1 and a
+rel_tolerance that is not positive, however they are set.
 """
 
 import argparse
@@ -35,6 +37,11 @@ from .theorems import identity_ids, report_record, run_suite, suite_document, th
 # sizes near this bound already take minutes; far above it a typo such as
 # --N 1000000000 would allocate without bound.
 MAX_SIZE = 500
+
+# Largest accepted precision in bits.  `verify --all` takes about 0.7 s at
+# 256 bits and 45 s at 8192 (pure-Python mpmath); far above, a value such as
+# 1000000000 would allocate numbers of 125 MB each.
+MAX_PRECISION_BITS = 8192
 
 _CONFIG_KEYS = {
     "precision_bits": int,
@@ -86,7 +93,10 @@ def _parse_config_file(path):
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
                 raise InvalidParams(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError:
+                raise InvalidParams(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
 
 
@@ -116,7 +126,14 @@ def resolve_config(args):
             values[key] = flag
             explicit.add(key)
     _check_size(values.get("N"), "--N")
-    return RunConfig(**values), explicit
+    cfg = RunConfig(**values)
+    if not 1 <= cfg.precision_bits <= MAX_PRECISION_BITS:
+        raise InvalidParams(f"precision_bits {cfg.precision_bits} is outside 1..{MAX_PRECISION_BITS}")
+    if cfg.max_terms < 1:
+        raise InvalidParams(f"max_terms {cfg.max_terms} is below 1")
+    if not cfg.rel_tolerance > 0:  # NaN fails too
+        raise InvalidParams(f"rel_tolerance {cfg.rel_tolerance} is not positive")
+    return cfg, explicit
 
 
 def _check_size(value, flag):

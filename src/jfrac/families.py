@@ -4,7 +4,9 @@ Each family binds its monic three-term recurrence coefficients (b_n,
 lambda_n), its closed-form generating functions Q_j (and the twisted
 companion series for the q-translated families), exact moments and
 closed-form tableau entries where available, and the translation kind its
-addition formula lives over.
+addition formula lives over.  The addition formula's weights are derived,
+w_n = lambda_1...lambda_n, and most Q forms are declared once as a
+:class:`Term`, which yields both the numeric evaluator and the exact series.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -15,7 +17,7 @@ return high-precision complex numbers instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -46,7 +48,7 @@ from .series import (
     qpoch_series,
     rphis_series,
 )
-from .translation import Affine, Classical, NonCommutative, QTranslation
+from .translation import Affine, Classical, QTranslation
 
 F = Fraction
 
@@ -154,18 +156,6 @@ def _qp(a, q, n):
     return F(q_pochhammer(a, q, n))
 
 
-def _pfq_even_series(denom_param, c, degree):
-    """0F1(-; d; c t^2) as an exact series in t."""
-    coeffs = [F(0)] * (degree + 1)
-    term = F(1)
-    m = 0
-    while 2 * m <= degree:
-        coeffs[2 * m] = term
-        term = term * c / ((m + 1) * (denom_param + m))
-        m += 1
-    return PowerSeries(coeffs, degree)
-
-
 def _cos_half_series(degree):
     coeffs = [F(0)] * (degree + 1)
     term = F(1)
@@ -195,10 +185,111 @@ def _series_pow(p, n):
     return out
 
 
-def _monomial_times(j, degree, series, scale=1):
-    if j > degree:
-        raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
-    return PowerSeries.term(scale, j, degree) * series
+def _poly(coeffs, degree):
+    """sum_k coeffs[k] t^k, truncated at degree."""
+    return PowerSeries(list(coeffs)[: degree + 1], degree)
+
+
+def _at_exp_minus_one(p):
+    """sum_m p_m u^m at u = e^t - 1, as a series in t of the same degree.
+
+    u^m / m! = sum_n S(n, m) t^n / n!, with S the Stirling numbers of the
+    second kind, kept one row n at a time."""
+    out, row = [p[0]], [1]
+    for n in range(1, p.truncation_degree + 1):
+        prev = row + [0]
+        row = [0] + [m * prev[m] + prev[m - 1] for m in range(1, n + 1)]
+        out.append(sum(p[m] * factorial(m) * row[m] for m in range(1, n + 1)) / F(factorial(n)))
+    return PowerSeries(out, p.truncation_degree)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of Q_j
+
+@dataclass(frozen=True)
+class Term:
+    """One closed form of Q_j, the single source of both its evaluators:
+
+        Q_j(t) = c_j t^j * prod_c (c t; q)_inf / prod_d (d t; q)_inf
+                 * exp(e_1 t + e_2 t^2 + ...) * (1 - p t)^(-r_j) * F_j(z_j t^step)
+
+    c_j is 1 / kind.series_denominator(j), times q^C(j,2) for a twisted
+    companion.  ``hyper(j)`` returns F_j's (upper, lower, z_j); F_j is the
+    basic series r_phi_s in the kind's base q when it has one, pFq
+    otherwise.  Every factor after c_j t^j is optional.  With ``in_u`` the
+    form is written in u = e^t - 1 in place of t.  ``value`` builds the
+    parameters under the context's working precision, so an inexact family
+    may compute them there with mpmath.
+    """
+
+    kind: object
+    twist: bool = False
+    qpochs: tuple = ()  # the c's
+    inv_qpochs: tuple = ()  # the d's
+    exp: tuple = ()  # e_1, e_2, ...
+    power: tuple = None  # (p, j -> r_j)
+    hyper: object = None
+    step: int = 1
+    in_u: bool = False
+
+    def _coef(self, j):
+        c = 1 / self.kind.series_denominator(j)
+        return c * self.kind.q ** (j * (j - 1) // 2) if self.twist else c
+
+    def value(self, j, t, ctx):
+        """Q_j(t) as a SeriesValue, evaluated under ``ctx``."""
+        q = getattr(self.kind, "q", None)
+        with ctx.workprec():
+            tv = ctx.number(t)
+            if self.in_u:
+                tv = mpmath.exp(tv) - 1
+            if self.twist:
+                pref = ctx.number(self._coef(j)) * tv ** j
+            else:
+                pref = tv ** j / ctx.number(self.kind.series_denominator(j))
+            pref = pref / math.prod(q_pochhammer_inf(d * tv, q, ctx) for d in self.inv_qpochs)
+            pref = pref * math.prod(q_pochhammer_inf(c * tv, q, ctx) for c in self.qpochs)
+            if self.exp:
+                pref = pref * mpmath.exp(sum(ctx.number(e) * tv ** (k + 1) for k, e in enumerate(self.exp)))
+            if self.power is not None:
+                p, r = self.power
+                base = 1 - p * tv
+                if base <= 0:
+                    raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
+                pref = pref * mpmath.power(base, ctx.number(-r(j)))
+            if self.hyper is None:
+                return SeriesValue(pref, 1, mpmath.mpf(0))
+            upper, lower, z = self.hyper(j)
+            arg = z * tv ** self.step
+            inner = eval_pfq(upper, lower, arg, ctx) if q is None else eval_rphis(upper, lower, q, arg, ctx)
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    def series(self, j, degree):
+        """Q_j's exact Taylor coefficients in t through t^degree."""
+        if j > degree:
+            raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
+        q = getattr(self.kind, "q", None)
+        d = degree - j
+        body = PowerSeries.one(d)
+        for c in self.qpochs:
+            body = body * qpoch_series(c, q, d)
+        for c in self.inv_qpochs:
+            body = body * inv_qpoch_series(c, q, d)
+        if self.exp:
+            body = body * exp_of(_poly((0,) + self.exp, d))
+        if self.power is not None:
+            p, r = self.power
+            body = body * pow1p(_poly((0, -p), d), -r(j))
+        if self.hyper is not None:
+            upper, lower, z = self.hyper(j)
+            m = d // self.step
+            inner = pfq_series(upper, lower, m, z) if q is None else rphis_series(upper, lower, q, m, z)
+            spread = [0] * (d + 1)
+            spread[:: self.step] = inner
+            body = body * PowerSeries(spread, d)
+        c = self._coef(j)
+        out = PowerSeries([0] * j + [c * b for b in body], degree)
+        return _at_exp_minus_one(out) if self.in_u else out
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +300,15 @@ class FamilySpec:
     """A family bound to its exact data and closed-form evaluators.
 
     b_fn(n) and lambda_fn(n) give the monic recurrence coefficients (b_n for
-    n >= 0, lambda_n for n >= 1).  q_fn(j, t, ctx) evaluates Q_j(t);
-    q_tilde_fn evaluates the twisted companion where one exists.  weight_fn
-    is the closed form of lambda_1...lambda_n when the source states one.
-    moment_fn, tableau_entry_fn, q_series_fn, q_tilde_series_fn are the
-    exact counterparts (tableau_entry_fn(i, n) is H_{i,n} in tableau
-    indexing).  translated_q0_fn(s, t, ctx) is Q_0 under the family's own
-    q-translation in closed form (t != 0).  The alt_* slots carry second
-    printed forms used only by equivalence tests.
+    n >= 0, lambda_n for n >= 1); the weights w_n = lambda_1...lambda_n of
+    the addition formula follow from them (:func:`family_weights`).
+    q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
+    companion where one exists.  moment_fn, tableau_entry_fn, q_series_fn,
+    q_tilde_series_fn are the exact counterparts (tableau_entry_fn(i, n) is
+    H_{i,n} in tableau indexing).  Most families declare each Q form once as
+    a :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
+    t, ctx) is Q_0 under the family's own q-translation in closed form
+    (t != 0).  alt_q_fn is a second printed form of Q_j that a case runs.
     """
 
     id: str
@@ -226,31 +318,42 @@ class FamilySpec:
     translation: object
     q_fn: object = None
     q_tilde_fn: object = None
-    weight_fn: object = None
     moment_fn: object = None
     tableau_entry_fn: object = None
     q_series_fn: object = None
     q_tilde_series_fn: object = None
     translated_q0_fn: object = None
     alt_q_fn: object = None
-    alt_q_series_fn: object = None
-    alt_q_tilde_fn: object = None
     exact: bool = True
     notes: str = ""
 
     def series_denominator(self, n):
         """n-th normalizer of the Q-series: n! classically, (q;q)_n in q-land."""
-        kind = self.translation
-        if isinstance(kind, Affine):
-            kind = kind.inner
-        if isinstance(kind, (QTranslation, NonCommutative)):
-            return _qp(kind.q, kind.q, n)
-        return F(factorial(n))
+        return self.translation.series_denominator(n)
 
 
 def family_jfraction(spec, depth):
     """Materialize b_0..b_{depth-1}, lambda_1..lambda_depth."""
     return JFraction.from_functions(spec.b_fn, spec.lambda_fn, depth)
+
+
+def family_weights(spec):
+    """n -> w_n = lambda_1 ... lambda_n, the addition formula's weights.
+
+    Each product is taken once and kept, so reading w_0..w_N costs N
+    multiplications.  An inexact family multiplies under the default
+    context's working precision, the one its lambda_n are computed at.
+    """
+    ctx = PrecisionContext()
+    w = [F(1)]
+
+    def weight(n):
+        while len(w) <= n:
+            with ctx.workprec():
+                w.append(w[-1] * spec.lambda_fn(len(w)))
+        return w[n]
+
+    return weight
 
 
 def family_tableau(spec, N, ctx=None):
@@ -287,6 +390,27 @@ def q_tilde_function(spec, j, t, ctx=None):
     if j < 0:
         raise ValueError("Q_j needs j >= 0")
     return spec.q_tilde_fn(j, t, ctx)
+
+
+def translate_q0(spec, s, t, ctx):
+    """Q_0 translated by s under the family's own kind, from closed forms.
+
+    Classically, affine images included, that is Q_0(t + s).  Under a
+    q-translation it is ``translated_q0_fn`` for t != 0; at t = 0 the kind
+    sends x^n to q^C(n,2) s^n, which makes it the twisted companion
+    Q~_0(s).  Any other kind raises Unsupported.
+    """
+    kind = spec.translation
+    with ctx.workprec():
+        tv = ctx.number(t)
+        x = tv + ctx.number(s)
+    if isinstance(kind, Classical) or isinstance(kind, Affine) and isinstance(kind.inner, Classical):
+        return q_function(spec, 0, x, ctx)
+    if isinstance(kind, QTranslation) and spec.translated_q0_fn is not None:
+        if tv != 0:
+            return spec.translated_q0_fn(s, t, ctx)
+        return q_tilde_function(spec, 0, s, ctx)
+    raise Unsupported(f"family {spec.id} has no closed translated form under {kind!r}")
 
 
 def tableau_closed_form(spec, i, n):
@@ -353,34 +477,17 @@ def _make_ultraspherical(params):
         m = n // 2
         return F(pochhammer(F(1, 2), m)) / pochhammer(nu + 1, m)
 
-    def q_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            if tv == 0:
-                return SeriesValue(mpmath.mpf(1 if j == 0 else 0), 1, mpmath.mpf(0))
-            pref = (
-                mpmath.mpf(2) ** j
-                * ctx.gamma(nu + j + 1)
-                / (factorial(j) * mpmath.power(tv / 2, ctx.number(nu)))
-            )
-            inner = bessel_i(nu + j, tv, ctx)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_series_fn(j, degree):
-        return _monomial_times(
-            j, degree, _pfq_even_series(nu + j + 1, F(1, 4), degree), F(1, factorial(j))
-        )
-
+    q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
     return FamilySpec(
         id="ultraspherical",
         params=params,
         b_fn=lambda n: F(0),
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
+        q_fn=q.value,
         moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
-        notes="Q_j carries the Gamma/Bessel prefactor as printed; the exact series uses the equivalent 0F1 form.",
+        q_series_fn=q.series,
+        notes="Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form.",
     )
 
 
@@ -409,51 +516,22 @@ def _make_jacobi(params):
             )
         return total
 
-    def q_fn(i, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_pfq([beta + i + 1], [alpha + beta + 2 * i + 2], 2 * tv, ctx)
-            pref = tv ** i * mpmath.exp(-tv) / factorial(i)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def alt_q_fn(i, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_pfq([alpha + i + 1], [alpha + beta + 2 * i + 2], -2 * tv, ctx)
-            pref = tv ** i * mpmath.exp(tv) / factorial(i)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_series_fn(i, degree):
-        body = exp_series(1, degree) * pfq_series(
-            [alpha + i + 1], [alpha + beta + 2 * i + 2], degree, arg=-2
-        )
-        return _monomial_times(i, degree, body, F(1, factorial(i)))
-
+    q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
     return FamilySpec(
         id="jacobi",
         params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        alt_q_fn=alt_q_fn,
+        q_fn=q.value,
         moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
-        notes="Two printed 1F1 forms of Q_i; their agreement is a Kummer-transformation test.",
+        q_series_fn=q.series,
+        notes="Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t).",
     )
 
 
 def _make_hermite(params):
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            value = tv ** n / factorial(n) * mpmath.exp(tv * tv / 4)
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(n, degree):
-        return _monomial_times(
-            n, degree, exp_of(PowerSeries.term(F(1, 4), 2, degree)), F(1, factorial(n))
-        )
+    q = Term(Classical(), exp=(0, F(1, 4)))
 
     def moment_fn(n):
         if n % 2:
@@ -467,9 +545,9 @@ def _make_hermite(params):
         b_fn=lambda n: F(0),
         lambda_fn=lambda n: F(n, 2),
         translation=Classical(),
-        q_fn=q_fn,
+        q_fn=q.value,
         moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
     )
 
 
@@ -477,27 +555,16 @@ def _make_laguerre(params):
     alpha = params["alpha"]
     _require(alpha > -1, f"laguerre needs alpha > -1, got {alpha}")
 
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            if tv >= 1:
-                raise InvalidParams("laguerre Q_n closed form needs t < 1")
-            value = tv ** n / factorial(n) * mpmath.power(1 - tv, ctx.number(-alpha - n - 1))
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(n, degree):
-        body = pow1p(PowerSeries.term(F(-1), 1, degree), -(alpha + n + 1))
-        return _monomial_times(n, degree, body, F(1, factorial(n)))
-
+    q = Term(Classical(), power=(1, lambda n: alpha + n + 1))
     return FamilySpec(
         id="laguerre",
         params=params,
         b_fn=lambda n: 2 * n + alpha + 1,
         lambda_fn=lambda n: n * (alpha + n),
         translation=Classical(),
-        q_fn=q_fn,
+        q_fn=q.value,
         moment_fn=lambda n: pochhammer(alpha + 1, n),
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
     )
 
 
@@ -512,40 +579,17 @@ def _make_meixner(params):
     def lambda_fn(n):
         return n * (n + beta - 1) * c / (1 - c) ** 2
 
-    def _q0_series(degree, shift):
-        u = exp_series(1, degree) - 1
-        return pow1p(u * (-c / (1 - c)), -(beta + shift))
-
-    def moment_fn(n):
-        return _q0_series(n, 0)[n] * factorial(n)
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            et = mpmath.exp(tv)
-            base = 1 - ctx.number(c) * et
-            if base <= 0:
-                raise InvalidParams("meixner Q_n closed form needs c e^t < 1")
-            value = (
-                mpmath.power(ctx.number(1 - c) / base, ctx.number(beta + n))
-                * (et - 1) ** n
-                / factorial(n)
-            )
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(n, degree):
-        u = exp_series(1, degree) - 1
-        return _q0_series(degree, n) * _series_pow(u, n) * F(1, factorial(n))
-
+    # ((1 - c) / (1 - c e^t))^{beta+n} (e^t - 1)^n / n!
+    q = Term(Classical(), power=(c / (1 - c), lambda n: beta + n), in_u=True)
     return FamilySpec(
         id="meixner",
         params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
+        q_fn=q.value,
+        moment_fn=lambda n: q.series(0, n)[n] * factorial(n),
+        q_series_fn=q.series,
     )
 
 
@@ -553,30 +597,16 @@ def _make_charlier(params):
     a = params["a"]
     _require(a != 0, "charlier needs a != 0")
 
-    def moment_fn(n):
-        u = exp_series(1, n) - 1
-        return exp_of(u * a)[n] * factorial(n)
-
-    def q_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            u = mpmath.exp(tv) - 1
-            value = u ** j / factorial(j) * mpmath.exp(ctx.number(a) * u)
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(j, degree):
-        u = exp_series(1, degree) - 1
-        return _series_pow(u, j) * exp_of(u * a) * F(1, factorial(j))
-
+    q = Term(Classical(), exp=(a,), in_u=True)
     return FamilySpec(
         id="charlier",
         params=params,
         b_fn=lambda n: n + a,
         lambda_fn=lambda n: a * n,
         translation=Classical(),
-        q_fn=q_fn,
-        moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
+        q_fn=q.value,
+        moment_fn=lambda n: q.series(0, n)[n] * factorial(n),
+        q_series_fn=q.series,
     )
 
 
@@ -677,46 +707,8 @@ def _make_little_q_jacobi(params):
         )
         return top / bottom
 
-    def weight_fn(n):
-        return (
-            F(a) ** n
-            * F(q) ** (n * n)
-            * _qp(q, q, n)
-            * _qp(a * q, q, n)
-            * _qp(b * q, q, n)
-            * _qp(a * b * q, q, n)
-            / (_qp(a * b * q, q, 2 * n) * _qp(a * b * q * q, q, 2 * n))
-        )
-
     def moment_fn(n):
         return _qp(a * q, q, n) / _qp(a * b * q * q, q, n)
-
-    def q_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, tv, ctx
-            )
-            pref = tv ** j / ctx.number(_qp(q, q, j))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def alt_q_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, a * q ** (j + 1) * tv, ctx
-            )
-            pref = tv ** j / (ctx.number(_qp(q, q, j)) * q_pochhammer_inf(tv, q, ctx))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_tilde_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, -tv * q ** j, ctx
-            )
-            pref = ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j)) * tv ** j
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     def translated_q0_fn(s, t, ctx):
         with ctx.workprec():
@@ -726,39 +718,30 @@ def _make_little_q_jacobi(params):
                 [ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx
             )
 
-    def q_series_fn(j, degree):
-        body = rphis_series(
-            [F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, degree
-        )
-        return _monomial_times(j, degree, body, 1 / _qp(q, q, j))
-
-    def alt_q_series_fn(j, degree):
-        body = inv_qpoch_series(1, q, degree) * rphis_series(
-            [b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, degree, arg=a * q ** (j + 1)
-        )
-        return _monomial_times(j, degree, body, 1 / _qp(q, q, j))
-
-    def q_tilde_series_fn(j, degree):
-        body = rphis_series(
-            [a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, degree, arg=-(q ** j)
-        )
-        return _monomial_times(j, degree, body, F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
-
+    kind = QTranslation(q)
+    q_form = Term(kind, hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
+    tilde = Term(
+        kind, twist=True, hyper=lambda j: ([a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -(q ** j))
+    )
+    # the second printed form, which the little_qj_alt case runs
+    alt = Term(
+        kind,
+        inv_qpochs=(1,),
+        hyper=lambda j: ([b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], a * q ** (j + 1)),
+    )
     return FamilySpec(
         id="little_q_jacobi",
         params=params,
         b_fn=lambda n: A_fn(n) + C_fn(n),
         lambda_fn=lambda_fn,
-        translation=QTranslation(q),
-        q_fn=q_fn,
-        q_tilde_fn=q_tilde_fn,
-        weight_fn=weight_fn,
+        translation=kind,
+        q_fn=q_form.value,
+        q_tilde_fn=tilde.value,
         moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
-        q_tilde_series_fn=q_tilde_series_fn,
+        q_series_fn=q_form.series,
+        q_tilde_series_fn=tilde.series,
         translated_q0_fn=translated_q0_fn,
-        alt_q_fn=alt_q_fn,
-        alt_q_series_fn=alt_q_series_fn,
+        alt_q_fn=alt.value,
         notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
     )
 
@@ -807,79 +790,20 @@ def _make_big_q_jacobi(params):
         )
         return top / bottom
 
-    def weight_fn(n):
-        return (
-            F(-a * c) ** n
-            * F(q) ** (n * (n + 3) // 2)
-            * _qp(q, q, n)
-            * _qp(a * q, q, n)
-            * _qp(b * q, q, n)
-            * _qp(c * q, q, n)
-            * _qp(a * b * q, q, n)
-            * _qp(a * b * q / c, q, n)
-            / (_qp(a * b * q, q, 2 * n) * _qp(a * b * q * q, q, 2 * n))
-        )
-
-    def q_series_fn(j, degree):
-        body = inv_qpoch_series(a * q, q, degree) * rphis_series(
-            [a * q ** (j + 1), a * b * q ** (j + 1) / c],
-            [a * b * q ** (2 * j + 2)],
-            q,
-            degree,
-            arg=q * c,
-        )
-        return _monomial_times(j, degree, body, 1 / _qp(q, q, j))
-
-    def moment_fn(n):
-        return q_series_fn(0, n)[n] * _qp(q, q, n)
-
-    def q_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [a * q ** (j + 1), a * b * q ** (j + 1) / c],
-                [a * b * q ** (2 * j + 2)],
-                q,
-                q * c * tv,
-                ctx,
-            )
-            pref = tv ** j / (ctx.number(_qp(q, q, j)) * q_pochhammer_inf(a * q * tv, q, ctx))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_tilde_fn(j, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [a * q ** (j + 1), c * q ** (j + 1)],
-                [a * b * q ** (2 * j + 2)],
-                q,
-                -tv,
-                ctx,
-            )
-            pref = (
-                ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
-                * tv ** j
-                * q_pochhammer_inf(-tv, q, ctx)
-            )
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def alt_q_tilde_fn(j, t, ctx):
-        # 2phi2 companion form; the second denominator parameter carries t
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_rphis(
-                [a * q ** (j + 1), a * b / c * q ** (j + 1)],
-                [a * b * q ** (2 * j + 2), -a * q ** (j + 1) * tv],
-                q,
-                -c * q ** (j + 1) * tv,
-                ctx,
-            )
-            pref = (
-                ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
-                * tv ** j
-                * q_pochhammer_inf(-a * q ** (j + 1) * tv, q, ctx)
-            )
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+    kind = QTranslation(q)
+    q_form = Term(
+        kind,
+        inv_qpochs=(a * q,),
+        hyper=lambda j: (
+            [a * q ** (j + 1), a * b * q ** (j + 1) / c], [a * b * q ** (2 * j + 2)], q * c
+        ),
+    )
+    tilde = Term(
+        kind,
+        twist=True,
+        qpochs=(-1,),
+        hyper=lambda j: ([a * q ** (j + 1), c * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -1),
+    )
 
     def translated_q0_fn(s, t, ctx):
         with ctx.workprec():
@@ -897,30 +821,18 @@ def _make_big_q_jacobi(params):
             )
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
-    def q_tilde_series_fn(j, degree):
-        body = qpoch_series(-1, q, degree) * rphis_series(
-            [a * q ** (j + 1), c * q ** (j + 1)],
-            [a * b * q ** (2 * j + 2)],
-            q,
-            degree,
-            arg=-1,
-        )
-        return _monomial_times(j, degree, body, F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
-
     return FamilySpec(
         id="big_q_jacobi",
         params=params,
         b_fn=lambda n: 1 - A_fn(n) - C_fn(n),
         lambda_fn=lambda_fn,
-        translation=QTranslation(q),
-        q_fn=q_fn,
-        q_tilde_fn=q_tilde_fn,
-        weight_fn=weight_fn,
-        moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
-        q_tilde_series_fn=q_tilde_series_fn,
+        translation=kind,
+        q_fn=q_form.value,
+        q_tilde_fn=tilde.value,
+        moment_fn=lambda n: q_form.series(0, n)[n] * _qp(q, q, n),
+        q_series_fn=q_form.series,
+        q_tilde_series_fn=tilde.series,
         translated_q0_fn=translated_q0_fn,
-        alt_q_tilde_fn=alt_q_tilde_fn,
         notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
     )
 
@@ -930,17 +842,11 @@ def _make_al_salam_carlitz(params):
     _require_q(q)
     _require(a != 0, "al_salam_carlitz needs a != 0")
 
-    def weight_fn(n):
-        return F(-a) ** n * F(q) ** (n * (n - 1) // 2) * _qp(q, q, n)
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            pref = tv ** n / ctx.number(_qp(q, q, n))
-            value = pref / (q_pochhammer_inf(tv, q, ctx) * q_pochhammer_inf(a * tv, q, ctx))
-            return SeriesValue(value, 1, mpmath.mpf(0))
+    kind = QTranslation(q)
+    q_form = Term(kind, inv_qpochs=(1, a))
 
     def q_tilde_fn(j, t, ctx):
+        # hand-written: the 1phi1's lower parameter carries t
         with ctx.workprec():
             tv = ctx.number(t)
             qv = ctx.number(q)
@@ -960,21 +866,16 @@ def _make_al_salam_carlitz(params):
             pref = q_pochhammer_inf(-sv, q, ctx) / q_pochhammer_inf(tv, q, ctx)
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
-    def q_series_fn(n, degree):
-        body = inv_qpoch_series(1, q, degree) * inv_qpoch_series(a, q, degree)
-        return _monomial_times(n, degree, body, 1 / _qp(q, q, n))
-
     return FamilySpec(
         id="al_salam_carlitz",
         params=params,
         b_fn=lambda n: (1 + a) * F(q) ** n,
         lambda_fn=lambda n: -a * F(q) ** (n - 1) * (1 - F(q) ** n),
-        translation=QTranslation(q),
-        q_fn=q_fn,
+        translation=kind,
+        q_fn=q_form.value,
         q_tilde_fn=q_tilde_fn,
-        weight_fn=weight_fn,
         moment_fn=lambda n: rogers_szego_poly(n, a, q),
-        q_series_fn=q_series_fn,
+        q_series_fn=q_form.series,
         translated_q0_fn=translated_q0_fn,
         notes="Moments are the Rogers-Szego polynomials h_n(a;q); the addition formula also has a non-commutative form.",
     )
@@ -1059,13 +960,6 @@ def _make_q_ultraspherical(params):
             / (4 * (1 - beta * F(q) ** (j - 1)) * (1 - beta * F(q) ** j))
         )
 
-    def weight_fn(n):
-        return (
-            _qp(q, q, n)
-            * _qp(beta * beta, q, n)
-            / (F(4) ** n * _qp(beta, q, n) * _qp(q * beta, q, n))
-        )
-
     coef = _qultra_coef(beta, q)
     return FamilySpec(
         id="q_ultraspherical",
@@ -1074,7 +968,6 @@ def _make_q_ultraspherical(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 2),
-        weight_fn=weight_fn,
         q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
         notes="Addition formula is over the ordinary shift; Q_j is a modified-Bessel sum.",
     )
@@ -1092,7 +985,6 @@ def _make_q_ultraspherical_beta0(params):
         lambda_fn=lambda j: (1 - F(q) ** j) / 4,
         translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 2),
-        weight_fn=lambda n: _qp(q, q, n) / F(4) ** n,
         q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
     )
 
@@ -1155,13 +1047,6 @@ def _make_askey_wilson_slice(params):
             )
         )
 
-    def weight_fn(n):
-        return (
-            _qp(q * q, q, 2 * n)
-            * _qp(a * a * q, q, 2 * n)
-            / (F(4) ** n * _qp(a * q, q, 2 * n) * _qp(a * q * q, q, 2 * n))
-        )
-
     def coef(m, n):
         return _aw_term_factor(a, q, m, n)
 
@@ -1172,7 +1057,6 @@ def _make_askey_wilson_slice(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 1),
-        weight_fn=weight_fn,
         q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
         notes="One-parameter slice of the four-parameter family; recurrence data is rational in (a, q).",
     )
@@ -1187,29 +1071,17 @@ def _make_hermite_moments(params):
     def tableau_entry_fn(i, N):
         return F(binom(N, i)) * hermite_poly(N - i, x)
 
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            value = tv ** n / factorial(n) * mpmath.exp(2 * ctx.number(x) * tv - tv * tv)
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(n, degree):
-        u = PowerSeries.term(2 * x, 1, degree)
-        if degree >= 2:
-            u = u + PowerSeries.term(F(-1), 2, degree)
-        return _monomial_times(n, degree, exp_of(u), F(1, factorial(n)))
-
+    q = Term(Classical(), exp=(2 * x, -1))
     return FamilySpec(
         id="hermite_moments",
         params=params,
         b_fn=lambda n: 2 * x,
         lambda_fn=lambda n: F(-2 * n),
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=lambda n: F(factorial(n) * (-2) ** n),
+        q_fn=q.value,
         moment_fn=lambda n: hermite_poly(n, x),
         tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
         notes="Moment sequence mu_n = H_n(x); the Hankel data is negative, so this is not a positive-definite functional.",
     )
 
@@ -1236,36 +1108,17 @@ def _make_laguerre_moments(params):
             / ((alpha + 2 * n - 2) * (alpha + 2 * n - 1) ** 2 * (alpha + 2 * n))
         )
 
-    def weight_fn(n):
-        return (
-            F(factorial(n))
-            * pochhammer(alpha, n)
-            * (-x * x) ** n
-            / (pochhammer(alpha, 2 * n) * pochhammer(alpha + 1, 2 * n))
-        )
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_pfq([], [alpha + 2 * n + 1], -ctx.number(x) * tv, ctx)
-            pref = tv ** n / factorial(n) * mpmath.exp(tv)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_series_fn(n, degree):
-        body = exp_series(1, degree) * pfq_series([], [alpha + 2 * n + 1], degree, arg=-x)
-        return _monomial_times(n, degree, body, F(1, factorial(n)))
-
+    q = Term(Classical(), exp=(1,), hyper=lambda n: ([], [alpha + 2 * n + 1], -x))
     return FamilySpec(
         id="laguerre_moments",
         params=params,
         b_fn=_b_from_closed_tableau(tableau_entry_fn),
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=weight_fn,
+        q_fn=q.value,
         moment_fn=lambda n: tableau_entry_fn(0, n),
         tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
         notes="mu_n = n! L_n^(alpha)(x) / (alpha+1)_n.",
     )
 
@@ -1297,38 +1150,17 @@ def _make_meixner_moments(params):
             / ((beta + 2 * n - 3) * (beta + 2 * n - 2) ** 2 * (beta + 2 * n - 1))
         )
 
-    def weight_fn(n):
-        return (
-            F(factorial(n))
-            * pochhammer(-x, n)
-            * pochhammer(beta + x, n)
-            * pochhammer(beta - 1, n)
-            * w ** (2 * n)
-            / (pochhammer(beta - 1, 2 * n) * pochhammer(beta, 2 * n))
-        )
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            inner = eval_pfq([n - x], [beta + 2 * n], ctx.number(w) * tv, ctx)
-            pref = tv ** n / factorial(n) * mpmath.exp(tv)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_series_fn(n, degree):
-        body = exp_series(1, degree) * pfq_series([n - x], [beta + 2 * n], degree, arg=w)
-        return _monomial_times(n, degree, body, F(1, factorial(n)))
-
+    q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], w))
     return FamilySpec(
         id="meixner_moments",
         params=params,
         b_fn=_b_from_closed_tableau(tableau_entry_fn),
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=weight_fn,
+        q_fn=q.value,
         moment_fn=lambda n: meixner_poly(n, x, beta, c),
         tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
         notes="mu_n = M_n(x; beta, c); the generating function carries the (1-c)/c argument.",
     )
 
@@ -1336,15 +1168,17 @@ def _make_meixner_moments(params):
 def _make_meixner_pollaczek_moments(params):
     lam, x, phi_over_pi = params["lam"], params["x"], params["phi_over_pi"]
     _require(lam > 0, f"meixner_pollaczek_moments needs lam > 0, got {lam}")
-    # lambda_1 and the weights below are 0/0 at 2 lam = 1
+    # lambda_1 is 0/0 at 2 lam = 1
     _require(lam != F(1, 2), "meixner_pollaczek_moments needs lam != 1/2")
     _require(0 < phi_over_pi < 1, "phi must lie strictly between 0 and pi")
     ctx0 = PrecisionContext()
 
-    def _w(ctx):
-        # e^{-2 i phi} - 1 with phi = pi * phi_over_pi
-        with ctx.workprec():
-            return mpmath.expjpi(-2 * ctx.number(phi_over_pi)) - 1
+    def _mp(v):
+        return mpmath.mpf(v.numerator) / v.denominator
+
+    def _w():
+        # e^{-2 i phi} - 1 with phi = pi * phi_over_pi, at the current precision
+        return mpmath.expjpi(-2 * _mp(phi_over_pi)) - 1
 
     def _hyp2f1_terminating(n, b_param, c_param, z):
         total = mpmath.mpc(0)
@@ -1356,13 +1190,13 @@ def _make_meixner_pollaczek_moments(params):
 
     def moment_fn(n):
         with ctx0.workprec():
-            z = _w(ctx0)  # 1 - e^{-2 i phi} enters with the opposite sign
+            z = _w()  # 1 - e^{-2 i phi} enters with the opposite sign
             return _hyp2f1_terminating(n, lam + 1j * ctx0.mpf(x), 2 * ctx0.mpf(lam), -z)
 
     def tableau_entry_fn(i, N):
         n = N - i
         with ctx0.workprec():
-            z = _w(ctx0)
+            z = _w()
             val = _hyp2f1_terminating(
                 n, lam + i + 1j * ctx0.mpf(x), 2 * ctx0.mpf(lam) + 2 * i, -z
             )
@@ -1370,46 +1204,25 @@ def _make_meixner_pollaczek_moments(params):
 
     def lambda_fn(n):
         with ctx0.workprec():
-            w = _w(ctx0)
+            w = _w()
             lv = ctx0.mpf(lam)
             xv = ctx0.mpf(x)
             top = n * (lv + 1j * xv + n - 1) * (lv - 1j * xv + n - 1) * (2 * lv + n - 2) * w * w
             bottom = (2 * lv + 2 * n - 3) * (2 * lv + 2 * n - 2) ** 2 * (2 * lv + 2 * n - 1)
             return top / bottom
 
-    def weight_fn(n):
-        with ctx0.workprec():
-            w = _w(ctx0)
-            lv = ctx0.mpf(lam)
-            xv = ctx0.mpf(x)
-            out = mpmath.mpc(factorial(n))
-            for k in range(n):
-                out *= (lv + 1j * xv + k) * (lv - 1j * xv + k) * (2 * lv - 1 + k)
-            for k in range(2 * n):
-                out /= (2 * lv - 1 + k) * (2 * lv + k)
-            return out * w ** (2 * n)
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            w = _w(ctx)
-            inner = eval_pfq(
-                [mpmath.mpc(ctx.mpf(lam) + n, ctx.mpf(x))],
-                [2 * ctx.mpf(lam) + 2 * n],
-                w * tv,
-                ctx,
-            )
-            pref = tv ** n / factorial(n) * mpmath.exp(tv)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
+    q = Term(
+        Classical(),
+        exp=(1,),
+        hyper=lambda n: ([mpmath.mpc(_mp(lam) + n, _mp(x))], [2 * lam + 2 * n], _w()),
+    )
     return FamilySpec(
         id="meixner_pollaczek_moments",
         params=params,
         b_fn=_b_from_closed_tableau(tableau_entry_fn),
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=weight_fn,
+        q_fn=q.value,
         moment_fn=moment_fn,
         tableau_entry_fn=tableau_entry_fn,
         exact=False,
@@ -1449,39 +1262,17 @@ def _make_gegenbauer_moments(params):
             / (4 * (n + nu - F(3, 2)) * (n + nu - half))
         )
 
-    def weight_fn(n):
-        return (
-            (n + nu - half)
-            * F(-1) ** n
-            * pochhammer(2 * nu - 1, n)
-            * (1 - x * x) ** n
-            * factorial(n)
-            / (F(4) ** n * pochhammer(nu + half, n) * pochhammer(nu - half, n + 1))
-        )
-
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            xv = ctx.number(x)
-            inner = eval_pfq([], [nu + half + n], (xv * xv - 1) * tv * tv / 4, ctx)
-            pref = tv ** n / factorial(n) * mpmath.exp(tv * xv)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def q_series_fn(n, degree):
-        body = exp_series(x, degree) * _pfq_even_series(nu + half + n, (x * x - 1) / 4, degree)
-        return _monomial_times(n, degree, body, F(1, factorial(n)))
-
+    q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + half + n], (x * x - 1) / 4), step=2)
     return FamilySpec(
         id="gegenbauer_moments",
         params=params,
         b_fn=lambda n: x,
         lambda_fn=lambda_fn,
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=weight_fn,
+        q_fn=q.value,
         moment_fn=lambda n: F(factorial(n)) * gegenbauer_poly(n, nu, x) / pochhammer(2 * nu, n),
         tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
         notes="mu_n = n! C_n^nu(x) / (2 nu)_n.",
     )
 
@@ -1497,36 +1288,16 @@ def _make_derangement(params):
             total += F((-1) ** (n - k) * binom(n, k)) * x ** k * pochhammer(alpha + 1, k)
         return total
 
-    def q_fn(n, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            base = 1 - ctx.number(x) * tv
-            if base <= 0:
-                raise InvalidParams("derangement Q_n closed form needs x t < 1")
-            value = (
-                tv ** n
-                / factorial(n)
-                * mpmath.exp(-tv)
-                * mpmath.power(base, ctx.number(-alpha - n - 1))
-            )
-            return SeriesValue(value, 1, mpmath.mpf(0))
-
-    def q_series_fn(n, degree):
-        body = exp_series(-1, degree) * pow1p(
-            PowerSeries.term(-x, 1, degree), -(alpha + n + 1)
-        )
-        return _monomial_times(n, degree, body, F(1, factorial(n)))
-
+    q = Term(Classical(), exp=(-1,), power=(x, lambda n: alpha + n + 1))
     return FamilySpec(
         id="derangement",
         params=params,
         b_fn=lambda n: (2 * n + alpha + 1) * x - 1,
         lambda_fn=lambda n: n * (n + alpha) * x * x,
         translation=Classical(),
-        q_fn=q_fn,
-        weight_fn=lambda n: F(factorial(n)) * pochhammer(alpha + 1, n) * x ** (2 * n),
+        q_fn=q.value,
         moment_fn=moment_fn,
-        q_series_fn=q_series_fn,
+        q_series_fn=q.series,
         notes="Shifted Laguerre moments; at alpha = 0, x = 1 the moments count derangements.",
     )
 
@@ -1534,50 +1305,68 @@ def _make_derangement(params):
 # ---------------------------------------------------------------------------
 # registry
 
+# id -> (builder, sample parameters, constraints); the sample's keys are the
+# parameter names in order, and the catalog builds each family at its sample
 _BUILDERS = {
-    "ultraspherical": (_make_ultraspherical, ("nu",), "nu > -1/2, nu != 0"),
-    "jacobi": (_make_jacobi, ("alpha", "beta"), "alpha, beta > -1, alpha + beta != -1"),
-    "hermite": (_make_hermite, (), ""),
-    "laguerre": (_make_laguerre, ("alpha",), "alpha > -1"),
-    "meixner": (_make_meixner, ("beta", "c"), "beta > 0, 0 < c < 1"),
-    "charlier": (_make_charlier, ("a",), "a != 0"),
+    "ultraspherical": (_make_ultraspherical, {"nu": F(1)}, "nu > -1/2, nu != 0"),
+    "jacobi": (
+        _make_jacobi,
+        {"alpha": F(1, 2), "beta": F(1, 3)},
+        "alpha, beta > -1, alpha + beta != -1",
+    ),
+    "hermite": (_make_hermite, {}, ""),
+    "laguerre": (_make_laguerre, {"alpha": F(0)}, "alpha > -1"),
+    "meixner": (_make_meixner, {"beta": F(2), "c": F(1, 3)}, "beta > 0, 0 < c < 1"),
+    "charlier": (_make_charlier, {"a": F(1)}, "a != 0"),
     "meixner_pollaczek": (
         _make_meixner_pollaczek,
-        ("lam", "sin_phi", "cos_phi"),
+        {"lam": F(1), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
         "lam > 0, sin_phi != 0, sin_phi^2 + cos_phi^2 = 1",
     ),
-    "little_q_jacobi": (_make_little_q_jacobi, ("a", "b", "q"), "0 < q < 1, a != 0, ab q^m != 1"),
+    "little_q_jacobi": (
+        _make_little_q_jacobi,
+        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
+        "0 < q < 1, a != 0, ab q^m != 1",
+    ),
     "big_q_jacobi": (
         _make_big_q_jacobi,
-        ("a", "b", "c", "q"),
+        {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
         "0 < q < 1, a != 0, c != 0, ab q^m != 1",
     ),
-    "al_salam_carlitz": (_make_al_salam_carlitz, ("a", "q"), "0 < q < 1, a != 0"),
+    "al_salam_carlitz": (_make_al_salam_carlitz, {"a": F(1, 3), "q": F(1, 2)}, "0 < q < 1, a != 0"),
     "q_ultraspherical": (
         _make_q_ultraspherical,
-        ("beta", "q"),
+        {"beta": F(1, 3), "q": F(1, 2)},
         "0 < q < 1, beta != 0, beta q^m != 1",
     ),
-    "q_ultraspherical_beta0": (_make_q_ultraspherical_beta0, ("q",), "0 < q < 1"),
+    "q_ultraspherical_beta0": (_make_q_ultraspherical_beta0, {"q": F(1, 2)}, "0 < q < 1"),
     "askey_wilson_slice": (
         _make_askey_wilson_slice,
-        ("a", "q"),
+        {"a": F(1, 3), "q": F(1, 2)},
         "0 < q < 1, a != 0, a^2 != 1, a q^m != 1",
     ),
-    "hermite_moments": (_make_hermite_moments, ("x",), ""),
-    "laguerre_moments": (_make_laguerre_moments, ("alpha", "x"), "alpha > 0, x != 0"),
+    "hermite_moments": (_make_hermite_moments, {"x": F(1)}, ""),
+    "laguerre_moments": (
+        _make_laguerre_moments,
+        {"alpha": F(1, 2), "x": F(1, 2)},
+        "alpha > 0, x != 0",
+    ),
     "meixner_moments": (
         _make_meixner_moments,
-        ("beta", "c", "x"),
+        {"beta": F(3), "c": F(1, 3), "x": F(1, 2)},
         "beta > 1, 0 < c < 1, x not in {0, 1, 2, ...}",
     ),
     "meixner_pollaczek_moments": (
         _make_meixner_pollaczek_moments,
-        ("lam", "x", "phi_over_pi"),
+        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
         "lam > 0, lam != 1/2, 0 < phi_over_pi < 1",
     ),
-    "gegenbauer_moments": (_make_gegenbauer_moments, ("nu", "x"), "nu > 1/2, x^2 != 1"),
-    "derangement": (_make_derangement, ("alpha", "x"), "alpha > -1, x != 0"),
+    "gegenbauer_moments": (
+        _make_gegenbauer_moments,
+        {"nu": F(3, 2), "x": F(1, 2)},
+        "nu > 1/2, x^2 != 1",
+    ),
+    "derangement": (_make_derangement, {"alpha": F(0), "x": F(1)}, "alpha > -1, x != 0"),
 }
 
 
@@ -1589,7 +1378,7 @@ def make_family(id, params=None, **kw):
     """Build a FamilySpec from its id and parameter map."""
     if id not in _BUILDERS:
         raise InvalidParams(f"unknown family id {id!r}; known: {', '.join(family_ids())}")
-    builder, names, _ = _BUILDERS[id]
+    builder, names, _ = _BUILDERS[id]  # the sample's keys
     given = dict(params or {})
     given.update(kw)
     missing = [n for n in names if n not in given]
@@ -1626,17 +1415,6 @@ def make_affine(base, a, b):
 
     def lambda_fn(n):
         return base.lambda_fn(n) / (a * a)
-
-    base_weight = base.weight_fn
-
-    def weight_fn(n):
-        if base_weight is not None:
-            w = base_weight(n)
-        else:
-            w = F(1)
-            for k in range(1, n + 1):
-                w *= base.lambda_fn(k)
-        return w * a ** (-2 * n)
 
     # the base moments and tableau are built once and grown only to the
     # largest n or N asked for; a larger tableau holds every smaller one
@@ -1688,7 +1466,6 @@ def make_affine(base, a, b):
         lambda_fn=lambda_fn,
         translation=Affine(a, b, base.translation),
         q_fn=q_fn if base.q_fn is not None else None,
-        weight_fn=weight_fn,
         moment_fn=moment_fn,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q_series_fn if q_series is not None else None,
@@ -1708,39 +1485,16 @@ class CatalogEntry:
     exact: bool
 
 
-_SAMPLE_PARAMS = {
-    "ultraspherical": {"nu": F(1)},
-    "jacobi": {"alpha": F(1, 2), "beta": F(1, 3)},
-    "hermite": {},
-    "laguerre": {"alpha": F(0)},
-    "meixner": {"beta": F(2), "c": F(1, 3)},
-    "charlier": {"a": F(1)},
-    "meixner_pollaczek": {"lam": F(1), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
-    "little_q_jacobi": {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-    "big_q_jacobi": {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-    "al_salam_carlitz": {"a": F(1, 3), "q": F(1, 2)},
-    "q_ultraspherical": {"beta": F(1, 3), "q": F(1, 2)},
-    "q_ultraspherical_beta0": {"q": F(1, 2)},
-    "askey_wilson_slice": {"a": F(1, 3), "q": F(1, 2)},
-    "hermite_moments": {"x": F(1)},
-    "laguerre_moments": {"alpha": F(1, 2), "x": F(1, 2)},
-    "meixner_moments": {"beta": F(3), "c": F(1, 3), "x": F(1, 2)},
-    "meixner_pollaczek_moments": {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
-    "gegenbauer_moments": {"nu": F(3, 2), "x": F(1, 2)},
-    "derangement": {"alpha": F(0), "x": F(1)},
-}
-
-
 def catalog():
     """One row per registered family, built from a sample instantiation."""
     rows = []
     for fid in family_ids():
-        spec = make_family(fid, _SAMPLE_PARAMS[fid])
-        _, names, constraints = _BUILDERS[fid]
+        _, sample, constraints = _BUILDERS[fid]
+        spec = make_family(fid, sample)
         rows.append(
             CatalogEntry(
                 id=fid,
-                param_names=tuple(names),
+                param_names=tuple(sample),
                 constraints=constraints,
                 translation=type(spec.translation).__name__,
                 has_q_tilde=spec.q_tilde_fn is not None,

@@ -21,16 +21,18 @@ from .families import (
     cq_ultraspherical_poly,
     family_moments,
     family_tableau,
+    family_weights,
     gegenbauer_poly,
     hermite_poly,
     jacobi_poly,
     make_affine,
     make_family,
+    translate_q0,
 )
 from .jfraction import JFraction, det_bareiss, tableau_from_jfraction
 from .scalar import PrecisionContext, factorial, memo_scope, pochhammer, q_pochhammer, rat
 from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
-from .translation import Classical, NonCommutative, translate_eval, translate_series
+from .translation import Classical, NonCommutative, translate_series
 
 F = Fraction
 
@@ -214,9 +216,9 @@ def _family_case(family, left="q_fn", right="q_fn"):
 
     ``family`` is a family id, or a function of the case parameters that
     builds the spec.  Numerically the left side is Q_0 translated under the
-    family's kind and the right side sums w_n left_n(t) right_n(s).  A case
-    with a ``degree`` parameter checks the same formula exactly, on the
-    coefficient tables of the family's Q-series.
+    family's kind and the right side sums w_n left_n(t) right_n(s), with
+    w_n = lambda_1...lambda_n.  A case with a ``degree`` parameter checks the
+    same formula exactly, on the coefficient tables of the family's Q-series.
     """
 
     def build(cid, params):
@@ -224,22 +226,23 @@ def _family_case(family, left="q_fn", right="q_fn"):
             spec = family(params)
         else:
             spec = make_family(family, {k: v for k, v in params.items() if k != "degree"})
+        weight = family_weights(spec)
         if "degree" in params:
             degree = params["degree"]
 
             def check():
                 rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
                 lhs = translate_series(rows[0], spec.translation, degree)
-                return _bilinear_check(lhs, spec.weight_fn, rows, degree)
+                return _bilinear_check(lhs, weight, rows, degree)
 
-            return TheoremCase(cid, spec.weight_fn, mode="exact", exact_check=check)
+            return TheoremCase(cid, weight, mode="exact", exact_check=check)
 
         def lhs(s, t, ctx):
-            return translate_eval(spec, spec.translation, s, t, ctx)
+            return translate_q0(spec, s, t, ctx)
 
         return TheoremCase(
             cid,
-            spec.weight_fn,
+            weight,
             lhs_eval=lhs,
             rhs_left_fn=getattr(spec, left),
             rhs_right_fn=getattr(spec, right),
@@ -251,16 +254,17 @@ def _family_case(family, left="q_fn", right="q_fn"):
 def _asc_noncomm(cid, params):
     q, degree = params["q"], params["degree"]
     spec = make_family("al_salam_carlitz", {"a": params["a"], "q": q})
+    weight = family_weights(spec)
 
     def check():
         # Q_n(t) = sum_m H[n][m] t^m / (q; q)_m, translated in the algebra st = q ts
         tab = family_tableau(spec, degree)
-        qq = [F(q_pochhammer(q, q, m)) for m in range(degree + 1)]
+        qq = [spec.series_denominator(m) for m in range(degree + 1)]
         rows = [[h / d for h, d in zip(tab.row(n), qq)] for n in range(degree + 1)]
         lhs = translate_series(rows[0], NonCommutative(q), degree)
-        return _bilinear_check(lhs.coeffs, spec.weight_fn, rows, degree)
+        return _bilinear_check(lhs.coeffs, weight, rows, degree)
 
-    return TheoremCase(cid, spec.weight_fn, mode="exact", exact_check=check)
+    return TheoremCase(cid, weight, mode="exact", exact_check=check)
 
 
 def _random_jfraction(seed, depth):
@@ -527,9 +531,10 @@ def _hankel_affine(iid, params, ctx):
     mu_base = family_moments(base, 2 * n_max)
     dets = [_hankel_det(mu_bar, n) for n in range(n_max + 1)]
     base_dets = [_hankel_det(mu_base, n) for n in range(n_max + 1)]
+    weight = family_weights(spec)
     expected = [F(1)]
     for k in range(1, n_max + 1):
-        expected.append(expected[-1] * spec.weight_fn(k))
+        expected.append(expected[-1] * weight(k))
     ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets))
     return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected)))
 

@@ -18,13 +18,19 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InvalidParams, Unsupported
-from .scalar import binom, factorial, q_binomial
+from .scalar import binom, factorial, q_binomial, q_pochhammer
 from .series import SeriesValue
 
+
+# series_denominator(n) is the n-th normaliser of a Q-series under the kind:
+# Q_j(t) = sum_n H_{j,n} t^n / series_denominator(n).
 
 @dataclass(frozen=True)
 class Classical:
     """Ordinary translation: x^n maps to the binomial expansion of (t+s)^n."""
+
+    def series_denominator(self, n):
+        return Fraction(factorial(n))
 
 
 @dataclass(frozen=True)
@@ -33,12 +39,17 @@ class QTranslation:
 
     q: object
 
+    def series_denominator(self, n):
+        return Fraction(q_pochhammer(self.q, self.q, n))
+
 
 @dataclass(frozen=True)
 class NonCommutative:
     """x^n maps to (t+s)^n in the algebra st = q ts, normal-ordered."""
 
     q: object
+
+    series_denominator = QTranslation.series_denominator
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,9 @@ class Affine:
     def __post_init__(self):
         if self.a == 0:
             raise InvalidParams("affine translation needs a != 0")
+
+    def series_denominator(self, n):
+        return self.inner.series_denominator(n)
 
 
 class NormalOrderedPoly:
@@ -226,47 +240,19 @@ def _classical_sum(h_row, s, t, ctx, scale=1):
         return total, n_used, last
 
 
-def _translate_eval_family(f, kind, s, t, ctx, depth=80):
-    # the family's closed translated form where it carries one; otherwise
-    # the series route over a numerically materialized tableau row
-    from .families import q_function
-    from .jfraction import JFraction, tableau_from_jfraction
-
-    if isinstance(kind, Classical) or (
-        isinstance(kind, Affine) and isinstance(kind.inner, Classical)
-    ):
-        # an affine family's own Q_0 already carries the shifted normalization
-        with ctx.workprec():
-            x = ctx.number(t) + ctx.number(s)
-        return q_function(f, 0, x, ctx)
-    if isinstance(kind, QTranslation):
-        with ctx.workprec():
-            if f.translated_q0_fn is not None and kind == f.translation and ctx.number(t) != 0:
-                return f.translated_q0_fn(s, t, ctx)
-            bs = [ctx.number(f.b_fn(n)) for n in range(depth)]
-            lams = [ctx.number(f.lambda_fn(n)) for n in range(1, depth + 1)]
-            row = list(tableau_from_jfraction(JFraction(bs, lams), depth - 1).row0)
-        return translate_eval(row, kind, s, t, ctx)
-    raise Unsupported(f"no numeric evaluation for translation kind {kind!r}")
-
-
 def translate_eval(h_row, kind, s, t, ctx):
     """Numeric value of the translated moment generating function.
 
-    ``h_row`` is either a family record or an indexable row of exact
-    H_{0,n} coefficients (the tableau's row 0).  For a family the translated
-    value comes from its closed forms: Q_0 at t + s for the classical kinds,
-    and the family's ``translated_q0_fn`` under its own q-translation.
-    For a plain row: Classical sums H_{0,n} (t+s)^n / n!; QTranslation sums
+    ``h_row`` is an indexable row of exact H_{0,n} coefficients (the
+    tableau's row 0).  Classical sums H_{0,n} (t+s)^n / n!; QTranslation sums
     H_{0,n} / (q;q)_n times the product (t+s)(t+sq)...(t+sq^{n-1});
     Affine(a, b, Classical) gives e^{-b(t+s)/a} times the classical sum at
     (t+s)/a, which is the translated form of the shifted family's generating
     function.  The non-commutative and generalized kinds have no numeric
     semantics here (their variables do not commute, or their value is a
-    table) and raise Unsupported.
+    table) and raise Unsupported.  A family's own translated Q_0 comes from
+    its closed forms instead: see ``families.translate_q0``.
     """
-    if hasattr(h_row, "b_fn") and hasattr(h_row, "params"):
-        return _translate_eval_family(h_row, kind, s, t, ctx)
     if isinstance(kind, Classical):
         total, n_used, last = _classical_sum(h_row, s, t, ctx)
         return SeriesValue(total, n_used, last)

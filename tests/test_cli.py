@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfrac.cli import MAX_SIZE, main
+from jfrac import cli
+from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
 from jfrac.families import catalog
+
+# `jfrac catalog --format json` before the families were rewritten as terms
+PINNED_CATALOG = Path(__file__).parent / "data" / "catalog.json"
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +123,12 @@ def test_catalog(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 19
     assert any(line.startswith("hermite()") for line in lines)
+
+
+def test_catalog_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    assert code == 0
+    assert out == PINNED_CATALOG.read_text()
 
 
 def test_catalog_json_sorted(capsys):
@@ -386,3 +397,68 @@ def test_bad_family_parameter_is_invalid_input(capsys, family, params):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a case ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--precision-bits", "-100"],
+        ["--precision-bits", "0"],
+        ["--precision-bits", str(MAX_PRECISION_BITS + 1)],
+        ["--precision-bits", "1000000000"],
+        ["--max-terms", "0"],
+        ["--rel-tolerance", "0"],
+        ["--rel-tolerance=-1e-30"],
+        ["--rel-tolerance", "nan"],
+    ],
+)
+def test_bad_numeric_setting_is_invalid_input(capsys, monkeypatch, argv):
+    # rejected before any evaluation: a run would print a false PASS or
+    # allocate without bound
+    monkeypatch.setattr(cli, "run_suite", _no_run)
+    code, out, err = run(capsys, "verify", "conf_hyp_1f1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bad_numeric_setting_from_environment_or_config(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_suite", _no_run)
+    monkeypatch.setenv("JFRAC_PRECISION_BITS", "-100")
+    code, _, err = run(capsys, "verify", "conf_hyp_1f1")
+    assert code == 2 and "precision_bits" in err
+    monkeypatch.delenv("JFRAC_PRECISION_BITS")
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text("precision_bits = 1000000000\n")
+    code, _, err = run(capsys, "verify", "conf_hyp_1f1", "--config", str(cfg))
+    assert code == 2 and "precision_bits" in err
+
+
+def test_numeric_settings_at_their_limits_pass_the_check(capsys):
+    code, _, _ = run(capsys, "catalog", "--precision-bits", str(MAX_PRECISION_BITS), "--max-terms", "1")
+    assert code == 0
+    code, _, _ = run(capsys, "catalog", "--precision-bits", "1", "--rel-tolerance", "1e-300")
+    assert code == 0
+
+
+@pytest.mark.parametrize("line", ["N=abc", "precision_bits=x", "max_terms=1.5", "rel_tolerance=fast", "seed=-"])
+def test_config_file_bad_value_is_invalid_input(capsys, tmp_path, line):
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"# settings\n{line}\n")
+    code, out, err = run(capsys, "verify", "conf_hyp_1f1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: bad value" in err and "Traceback" not in err
+
+
+def test_q_translated_cases_at_t_zero(capsys):
+    # at t = 0 the translated Q_0 is the twisted companion Q~_0(s)
+    code, out, _ = run(capsys, "verify", "little_qj", "big_qj", "asc_qtrans", "--t", "0")
+    assert code == 0
+    assert [line.split()[:2] for line in out.strip().split("\n")] == [
+        ["PASS", "asc_qtrans"], ["PASS", "big_qj"], ["PASS", "little_qj"]
+    ]

@@ -13,6 +13,7 @@ from jfrac.families import (
     family_jfraction,
     family_moments,
     family_tableau,
+    family_weights,
     gegenbauer_poly,
     hermite_poly,
     jacobi_poly,
@@ -25,35 +26,28 @@ from jfrac.families import (
     rogers_szego_poly,
     tableau_closed_form,
 )
-from jfrac.scalar import PrecisionContext, binom, q_pochhammer
+from jfrac.scalar import PrecisionContext, binom, factorial, pochhammer, q_pochhammer, q_pochhammer_inf
+from jfrac.series import (
+    PowerSeries,
+    eval_pfq,
+    eval_rphis,
+    exp_series,
+    inv_qpoch_series,
+    pfq_series,
+    rphis_series,
+)
 
 ctx = PrecisionContext()
 Q_FAMILIES = {"little_q_jacobi", "big_q_jacobi", "al_salam_carlitz"}
 
 
 def sample(family_id):
-    """A family instance at the parameter values used throughout the suite."""
-    params = {
-        "ultraspherical": {"nu": 1},
-        "jacobi": {"alpha": F(1, 2), "beta": F(1, 3)},
-        "laguerre": {"alpha": 0},
-        "meixner": {"beta": 2, "c": F(1, 3)},
-        "charlier": {"a": 1},
-        "meixner_pollaczek": {"lam": 1, "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
-        "little_q_jacobi": {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        "big_q_jacobi": {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-        "al_salam_carlitz": {"a": F(1, 3), "q": F(1, 2)},
-        "q_ultraspherical": {"beta": F(1, 3), "q": F(1, 2)},
-        "q_ultraspherical_beta0": {"q": F(1, 2)},
-        "askey_wilson_slice": {"a": F(1, 3), "q": F(1, 2)},
-        "hermite_moments": {"x": 1},
-        "laguerre_moments": {"alpha": F(1, 2), "x": F(1, 2)},
-        "meixner_moments": {"beta": 3, "c": F(1, 3), "x": F(1, 2)},
-        "meixner_pollaczek_moments": {"lam": 1, "x": F(1, 2), "phi_over_pi": F(1, 3)},
-        "gegenbauer_moments": {"nu": F(3, 2), "x": F(1, 2)},
-        "derangement": {"alpha": 0, "x": 1},
-    }.get(family_id, {})
-    return make_family(family_id, params)
+    """A family instance at the catalog's sample parameters."""
+    return make_family(family_id, families._BUILDERS[family_id][1])
+
+
+def _qp(a, q, n):
+    return F(q_pochhammer(a, q, n))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +65,6 @@ def test_polynomial_values():
 
 
 def test_gegenbauer_at_one_is_rising_factorial():
-    from jfrac.scalar import factorial, pochhammer
-
     for n in range(7):
         assert gegenbauer_poly(n, F(3, 2), F(1)) == pochhammer(3, n) / factorial(n)
 
@@ -110,20 +102,97 @@ def test_series_matches_tableau(entry):
             assert ser[n] == tab.entry(j, n) / spec.series_denominator(n), (j, n)
 
 
-@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
-def test_weight_is_lambda_product(entry):
-    spec = sample(entry.id)
-    if spec.weight_fn is None:
-        pytest.skip("family carries no weight sequence")
-    jf = family_jfraction(spec, 12)
-    if entry.exact:
+def _mp_weight(n, lam, x, phi_over_pi):
+    with ctx.workprec():
+        w = mpmath.expjpi(-2 * ctx.mpf(phi_over_pi)) - 1
+        lv, xv = ctx.mpf(lam), ctx.mpf(x)
+        out = mpmath.mpc(factorial(n))
+        for k in range(n):
+            out *= (lv + 1j * xv + k) * (lv - 1j * xv + k) * (2 * lv - 1 + k)
+        for k in range(2 * n):
+            out /= (2 * lv - 1 + k) * (2 * lv + k)
+        return out * w ** (2 * n)
+
+
+# The weights w_n as the sources print them, with a parameter point besides
+# the catalog's sample.  The library derives w_n = lambda_1...lambda_n.
+CLOSED_WEIGHTS = {
+    "little_q_jacobi": (
+        lambda n, a, b, q: a ** n * q ** (n * n) * _qp(q, q, n) * _qp(a * q, q, n) * _qp(b * q, q, n)
+        * _qp(a * b * q, q, n) / (_qp(a * b * q, q, 2 * n) * _qp(a * b * q * q, q, 2 * n)),
+        {"a": F(2, 5), "b": F(3, 7), "q": F(1, 3)},
+    ),
+    "big_q_jacobi": (
+        lambda n, a, b, c, q: (-a * c) ** n * q ** (n * (n + 3) // 2) * _qp(q, q, n) * _qp(a * q, q, n)
+        * _qp(b * q, q, n) * _qp(c * q, q, n) * _qp(a * b * q, q, n) * _qp(a * b * q / c, q, n)
+        / (_qp(a * b * q, q, 2 * n) * _qp(a * b * q * q, q, 2 * n)),
+        {"a": F(2, 5), "b": F(3, 7), "c": F(-1, 6), "q": F(1, 3)},
+    ),
+    "al_salam_carlitz": (
+        lambda n, a, q: (-a) ** n * q ** (n * (n - 1) // 2) * _qp(q, q, n),
+        {"a": F(-2, 3), "q": F(3, 4)},
+    ),
+    "q_ultraspherical": (
+        lambda n, beta, q: _qp(q, q, n) * _qp(beta * beta, q, n)
+        / (F(4) ** n * _qp(beta, q, n) * _qp(q * beta, q, n)),
+        {"beta": F(2, 5), "q": F(1, 3)},
+    ),
+    "q_ultraspherical_beta0": (lambda n, q: _qp(q, q, n) / F(4) ** n, {"q": F(2, 3)}),
+    "askey_wilson_slice": (
+        lambda n, a, q: _qp(q * q, q, 2 * n) * _qp(a * a * q, q, 2 * n)
+        / (F(4) ** n * _qp(a * q, q, 2 * n) * _qp(a * q * q, q, 2 * n)),
+        {"a": F(2, 7), "q": F(1, 3)},
+    ),
+    "hermite_moments": (lambda n, x: F(factorial(n) * (-2) ** n), {"x": F(-3, 2)}),
+    "laguerre_moments": (
+        lambda n, alpha, x: factorial(n) * pochhammer(alpha, n) * (-x * x) ** n
+        / (pochhammer(alpha, 2 * n) * pochhammer(alpha + 1, 2 * n)),
+        {"alpha": F(5, 2), "x": F(-2, 3)},
+    ),
+    "meixner_moments": (
+        lambda n, beta, c, x: factorial(n) * pochhammer(-x, n) * pochhammer(beta + x, n)
+        * pochhammer(beta - 1, n) * ((1 - c) / c) ** (2 * n)
+        / (pochhammer(beta - 1, 2 * n) * pochhammer(beta, 2 * n)),
+        {"beta": F(7, 2), "c": F(1, 4), "x": F(-5, 3)},
+    ),
+    "meixner_pollaczek_moments": (_mp_weight, {"lam": F(3, 2), "x": F(-1, 3), "phi_over_pi": F(1, 4)}),
+    "gegenbauer_moments": (
+        lambda n, nu, x: (n + nu - F(1, 2)) * (-1) ** n * pochhammer(2 * nu - 1, n) * (1 - x * x) ** n
+        * factorial(n) / (F(4) ** n * pochhammer(nu + F(1, 2), n) * pochhammer(nu - F(1, 2), n + 1)),
+        {"nu": F(5, 2), "x": F(3)},
+    ),
+    "derangement": (
+        lambda n, alpha, x: factorial(n) * pochhammer(alpha + 1, n) * x ** (2 * n),
+        {"alpha": F(1, 2), "x": F(-2, 5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(CLOSED_WEIGHTS))
+def test_weight_is_lambda_product(family_id):
+    """The derived weights equal the printed closed forms, at two points."""
+    closed, second = CLOSED_WEIGHTS[family_id]
+    for params in (families._BUILDERS[family_id][1], second):
+        spec = make_family(family_id, params)
+        weight = family_weights(spec)
         for n in range(13):
-            assert spec.weight_fn(n) == jf.lambda_product(n)
-    else:
-        with ctx.workprec():
-            for n in range(13):
-                dev = abs(ctx.number(spec.weight_fn(n)) - ctx.number(jf.lambda_product(n)))
-                assert dev < mpmath.mpf(10) ** -55
+            want = closed(n, **spec.params)
+            if spec.exact:
+                assert weight(n) == want, (params, n)
+            else:
+                with ctx.workprec():
+                    assert abs(ctx.number(weight(n)) - want) <= abs(want) * mpmath.mpf(10) ** -55
+
+
+def test_family_weights_take_each_product_once():
+    calls = []
+    base = sample("little_q_jacobi")
+    spec = dataclasses.replace(base, lambda_fn=lambda n: calls.append(n) or base.lambda_fn(n))
+    weight = family_weights(spec)
+    order = (12, 3, 12, 0, 7)
+    jf = family_jfraction(base, 12)
+    assert [weight(n) for n in order] == [jf.lambda_product(n) for n in order]
+    assert calls == list(range(1, 13))
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
@@ -191,6 +260,17 @@ def test_twisted_partner_series(family_id):
             assert abs(got - total) / abs(total) < mpmath.mpf(10) ** -28
 
 
+@pytest.mark.parametrize("family_id", ["little_q_jacobi", "big_q_jacobi"])
+def test_twisted_series_matches_tableau(family_id):
+    spec = sample(family_id)
+    q = spec.params["q"]
+    tab = family_tableau(spec, 10)
+    for j in range(5):
+        ser = spec.q_tilde_series_fn(j, 10)
+        for n in range(11):
+            assert ser[n] == tab.entry(j, n) * q ** (n * (n - 1) // 2) / spec.series_denominator(n), (j, n)
+
+
 def test_tilde_missing_raises():
     with pytest.raises(UnsupportedTilde):
         q_tilde_function(make_family("hermite"), 0, F(1, 10), ctx)
@@ -211,10 +291,13 @@ def test_closed_tableau_above_diagonal_is_zero():
 
 def test_little_q_jacobi_alt_representation():
     spec = sample("little_q_jacobi")
-    assert spec.alt_q_fn is not None
-    # the two exact series agree termwise
+    a, b, q = (spec.params[k] for k in "abq")
+    # the second printed form: t^j / ((q;q)_j (t;q)_inf) 1phi1(b q^{j+1}; ab q^{2j+2}; q, a q^{j+1} t)
     for j in range(4):
-        assert spec.alt_q_series_fn(j, 10) == spec.q_series_fn(j, 10)
+        body = inv_qpoch_series(1, q, 10) * rphis_series(
+            [b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, 10, arg=a * q ** (j + 1)
+        )
+        assert spec.q_series_fn(j, 10) == PowerSeries.term(1 / _qp(q, q, j), j, 10) * body
     with ctx.workprec():
         for t in (F(1, 10), F(1, 7), F(-1, 9), F(2, 11), F(1, 3)):
             a = spec.alt_q_fn(1, t, ctx).value
@@ -223,23 +306,39 @@ def test_little_q_jacobi_alt_representation():
 
 
 def test_jacobi_alt_representation():
+    """Kummer's transformation: e^{-t} 1F1(beta+i+1; c; 2t) = e^t 1F1(alpha+i+1; c; -2t)."""
     spec = sample("jacobi")
-    assert spec.alt_q_fn is not None
+    alpha, beta = spec.params["alpha"], spec.params["beta"]
+    for i in range(4):
+        body = exp_series(1, 10) * pfq_series([alpha + i + 1], [alpha + beta + 2 * i + 2], 10, arg=-2)
+        assert spec.q_series_fn(i, 10) == PowerSeries.term(F(1, factorial(i)), i, 10) * body
     with ctx.workprec():
         for t in (F(1, 10), F(-1, 8), F(1, 4), F(2, 9), F(3, 7)):
-            a = spec.alt_q_fn(0, t, ctx).value
+            tv = ctx.mpf(t)
+            a = mpmath.exp(tv) * eval_pfq([alpha + 1], [alpha + beta + 2], -2 * tv, ctx).value
             b = spec.q_fn(0, t, ctx).value
             assert abs(a - b) / abs(b) < mpmath.mpf(10) ** -28
 
 
 def test_big_q_jacobi_alt_tilde():
     spec = sample("big_q_jacobi")
-    assert spec.alt_q_tilde_fn is not None
+    a, b, c, q = (spec.params[k] for k in "abcq")
+    j = 2
     with ctx.workprec():
         for s in (F(1, 20), F(1, 12), F(-1, 15), F(2, 17), F(1, 9)):
-            a = spec.alt_q_tilde_fn(2, s, ctx).value
-            b = spec.q_tilde_fn(2, s, ctx).value
-            assert abs(a - b) / abs(b) < mpmath.mpf(10) ** -28
+            sv = ctx.mpf(s)
+            # the 2phi2 companion form; its second lower parameter carries s
+            inner = eval_rphis(
+                [a * q ** (j + 1), a * b / c * q ** (j + 1)],
+                [a * b * q ** (2 * j + 2), -a * q ** (j + 1) * sv],
+                q,
+                -c * q ** (j + 1) * sv,
+                ctx,
+            )
+            pref = ctx.number(q ** (j * (j - 1) // 2) / _qp(q, q, j)) * sv ** j
+            alt = pref * q_pochhammer_inf(-a * q ** (j + 1) * sv, q, ctx) * inner.value
+            want = spec.q_tilde_fn(j, s, ctx).value
+            assert abs(alt - want) / abs(want) < mpmath.mpf(10) ** -28
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from jfrac.errors import Unsupported
-from jfrac.families import make_family
+from jfrac.families import make_family, translate_q0
 from jfrac.jfraction import JFraction, tableau_from_jfraction
 from jfrac.scalar import PrecisionContext, binom, factorial, q_binomial, q_pochhammer
 from jfrac.translation import (
@@ -156,7 +157,7 @@ def test_unsupported_kinds():
 def test_family_dispatch_classical():
     spec = make_family("hermite")
     with ctx.workprec():
-        got = translate_eval(spec, Classical(), F(1, 5), F(1, 10), ctx).value
+        got = translate_q0(spec, F(1, 5), F(1, 10), ctx).value
         x = ctx.mpf(F(3, 10))
         assert abs(got - mpmath.exp(x * x / 4)) < mpmath.mpf(10) ** -40
 
@@ -170,10 +171,11 @@ def test_family_dispatch_classical():
     ],
 )
 def test_family_closed_form_matches_series_route(family_id, params):
-    """The bound closed-form q-translation values agree with summing the row."""
+    """The closed-form q-translated Q_0 agrees with summing the exact row:
+    the translated form at t != 0, the twisted companion at t = 0."""
     spec = make_family(family_id, params)
     q = params["q"]
-    s, t = F(1, 20), F(1, 10)
+    s = F(1, 20)
     depth = 60
     jf = JFraction(
         tuple(spec.b_fn(n) for n in range(depth)),
@@ -181,6 +183,17 @@ def test_family_closed_form_matches_series_route(family_id, params):
     )
     row = tableau_from_jfraction(jf, depth - 1).row0
     with ctx.workprec():
-        closed = translate_eval(spec, QTranslation(q), s, t, ctx).value
-        series = translate_eval(row, QTranslation(q), s, t, ctx).value
-        assert abs(closed - series) / abs(series) < mpmath.mpf(10) ** -30
+        for t in (F(1, 10), F(0)):
+            closed = translate_q0(spec, s, t, ctx).value
+            series = translate_eval(row, QTranslation(q), s, t, ctx).value
+            assert abs(closed - series) / abs(series) < mpmath.mpf(10) ** -30, t
+
+
+def test_family_without_a_closed_translated_form():
+    spec = make_family("al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)})
+    for other in (
+        dataclasses.replace(spec, translated_q0_fn=None),
+        dataclasses.replace(spec, translation=NonCommutative(F(1, 2))),
+    ):
+        with pytest.raises(Unsupported):
+            translate_q0(other, F(1, 20), F(1, 10), ctx)
