@@ -9,9 +9,10 @@ verify or report run is byte-for-byte reproducible.
 
 Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 3 at least one verification failed.  A size (--N, --depth, --steps, --from,
---to) above MAX_SIZE is invalid input, rejected before any work; so are a
-precision outside 1..MAX_PRECISION_BITS, a max_terms below 1 and a
-rel_tolerance that is not positive, however they are set.
+--to, a case's degree, n_max, m_max or N) that is negative or above MAX_SIZE
+is invalid input, rejected before any work; so are a precision outside
+1..MAX_PRECISION_BITS, a max_terms below 1 and a tolerance that is not
+positive, however they are set.
 """
 
 import argparse
@@ -30,12 +31,12 @@ from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
 from .motzkin import PathWeights, path_weight_sum_dp
 from .scalar import PrecisionContext, rat
-from .theorems import identity_ids, report_record, run_suite, suite_document, theorem_ids
+from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite_document, theorem_ids
 
-# Largest accepted --N, --depth, --steps, --from or --to.  A tableau holds
-# (N+1)^2/2 rationals whose bit sizes grow like N^2 for the q-families, so
-# sizes near this bound already take minutes; far above it a typo such as
-# --N 1000000000 would allocate without bound.
+# Largest accepted --N, --depth, --steps, --from, --to or case size.  A
+# tableau holds (N+1)^2/2 rationals whose bit sizes grow like N^2 for the
+# q-families, so sizes near this bound already take minutes; far above it a
+# typo such as --N 1000000000 would allocate without bound.
 MAX_SIZE = 500
 
 # Largest accepted precision in bits.  `verify --all` takes about 0.7 s at
@@ -357,10 +358,16 @@ def _rat_flag(args, name):
 
 
 def _run_cases(patterns, args, cfg, explicit, ctx):
+    params = _parse_params(getattr(args, "params", None))
+    for key in (k for k in SIZE_PARAMS if k in params):
+        try:
+            _check_size(int(params[key]), key)
+        except ValueError:
+            raise InvalidParams(f"bad value {params[key]!r} for parameter {key!r}") from None
     return run_suite(
         _match_ids(patterns, args.strict),
         ctx,
-        params=_parse_params(getattr(args, "params", None)),
+        params=params,
         seed=cfg.seed if "seed" in explicit else None,
         s=_rat_flag(args, "s"),
         t=_rat_flag(args, "t"),

@@ -2,10 +2,11 @@
 
 Each family binds its monic three-term recurrence coefficients (b_n,
 lambda_n), its closed-form generating functions Q_j (and the twisted
-companion series for the q-translated families), exact moments and
-closed-form tableau entries where available, and the translation kind its
-addition formula lives over.  The addition formula's weights are derived,
-w_n = lambda_1...lambda_n, and most Q forms are declared once as a
+companion series for the q-translated families), closed-form tableau
+entries where available, and the translation kind its addition formula
+lives over.  The rest is derived: the weights w_n = lambda_1...lambda_n,
+the moments off Q_0's exact series, and lambda_n itself where a builder
+writes A_n, C_n or a closed tableau.  Most Q forms are declared once as a
 :class:`Term`, which yields both the numeric evaluator and the exact series.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
@@ -29,7 +30,6 @@ from .scalar import (
     binom,
     factorial,
     pochhammer,
-    q_binomial,
     q_pochhammer,
     q_pochhammer_inf,
     rat,
@@ -136,16 +136,6 @@ def cq_ultraspherical_poly(n, x, beta, q):
         )
         prev, cur = cur, nxt
     return cur
-
-
-def rogers_szego_poly(n, a, q):
-    """Rogers-Szego h_n(a; q) = sum_k [n, k]_q a^k."""
-    total = F(0)
-    apow = F(1)
-    for k in range(n + 1):
-        total += q_binomial(n, k, q) * apow
-        apow = apow * a
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +293,11 @@ class FamilySpec:
     n >= 0, lambda_n for n >= 1); the weights w_n = lambda_1...lambda_n of
     the addition formula follow from them (:func:`family_weights`).
     q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
-    companion where one exists.  moment_fn, tableau_entry_fn, q_series_fn,
+    companion where one exists.  tableau_entry_fn, q_series_fn,
     q_tilde_series_fn are the exact counterparts (tableau_entry_fn(i, n) is
-    H_{i,n} in tableau indexing).  Most families declare each Q form once as
-    a :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
+    H_{i,n} in tableau indexing); the moments are read off q_series_fn(0, N)
+    (:func:`family_moments`).  Most families declare each Q form once as a
+    :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
     t, ctx) is Q_0 under the family's own q-translation in closed form
     (t != 0).  alt_q_fn is a second printed form of Q_j that a case runs.
     """
@@ -318,7 +309,6 @@ class FamilySpec:
     translation: object
     q_fn: object = None
     q_tilde_fn: object = None
-    moment_fn: object = None
     tableau_entry_fn: object = None
     q_series_fn: object = None
     q_tilde_series_fn: object = None
@@ -337,19 +327,24 @@ def family_jfraction(spec, depth):
     return JFraction.from_functions(spec.b_fn, spec.lambda_fn, depth)
 
 
+def _working_prec():
+    """The caller's mpmath precision, never below the default context's."""
+    floor = PrecisionContext()
+    return mpmath.workprec(max(mpmath.mp.prec, floor.precision_bits + floor.guard_bits))
+
+
 def family_weights(spec):
     """n -> w_n = lambda_1 ... lambda_n, the addition formula's weights.
 
     Each product is taken once and kept, so reading w_0..w_N costs N
-    multiplications.  An inexact family multiplies under the default
-    context's working precision, the one its lambda_n are computed at.
+    multiplications.  An inexact family multiplies at the working precision
+    of the caller that first asks for w_n, never below the default context's.
     """
-    ctx = PrecisionContext()
     w = [F(1)]
 
     def weight(n):
         while len(w) <= n:
-            with ctx.workprec():
+            with _working_prec():
                 w.append(w[-1] * spec.lambda_fn(len(w)))
         return w[n]
 
@@ -357,21 +352,24 @@ def family_weights(spec):
 
 
 def family_tableau(spec, N, ctx=None):
-    """Tableau through column N; inexact families build under a workprec."""
-    if spec.exact:
-        return tableau_from_jfraction(family_jfraction(spec, max(N, 1)), N)
-    ctx = ctx or PrecisionContext()
-    with ctx.workprec():
+    """Tableau through column N, built under ``ctx``'s working precision
+    (which only an inexact family's data uses)."""
+    with (ctx or PrecisionContext()).workprec():
         return tableau_from_jfraction(family_jfraction(spec, max(N, 1)), N)
 
 
 def family_moments(spec, N, ctx=None):
-    """mu_0..mu_N, from the closed form when the family carries one."""
+    """mu_0..mu_N, row 0 of the tableau.
+
+    Q_0(t) = sum_n mu_n t^n / series_denominator(n), so one exact Q_0
+    series gives them all; a family without one fills its tableau.
+    """
     if N < 0:
         raise ValueError(f"moment count N = {N} is negative")
-    if spec.moment_fn is not None:
-        return [spec.moment_fn(n) for n in range(N + 1)]
-    return list(family_tableau(spec, N, ctx).row0)
+    if spec.q_series_fn is None:
+        return list(family_tableau(spec, N, ctx).row0)
+    q0 = spec.q_series_fn(0, N)
+    return [q0[n] * spec.series_denominator(n) for n in range(N + 1)]
 
 
 def q_function(spec, j, t, ctx=None):
@@ -450,14 +448,24 @@ def _no_unit(v, q, label):
             raise InvalidParams(f"{label} * q^{m} equals 1")
 
 
-def _b_from_closed_tableau(entry_fn):
-    # H_{i,i+1} telescopes the b's: b_n = H_{n,n+1} - H_{n-1,n}
-    def b_fn(n):
-        cur = entry_fn(n, n + 1)
-        prev = entry_fn(n - 1, n) if n >= 1 else 0
-        return cur - prev
+def _recurrence_from_closed_tableau(entry_fn):
+    """(b_fn, lambda_fn) off the first two superdiagonals of a closed tableau.
 
-    return b_fn
+    H_{i,n+1} = H_{i-1,n} + b_i H_{i,n} + lambda_{i+1} H_{i+1,n} with
+    H_{i,i} = 1 and H_{-1,n} = 0 gives b_n = H_{n,n+1} - H_{n-1,n} and
+    lambda_n = H_{n-1,n+1} - H_{n-2,n} - b_{n-1} H_{n-1,n}.
+    """
+
+    def h(i, n):
+        return entry_fn(i, n) if i >= 0 else 0
+
+    def b_fn(n):
+        return h(n, n + 1) - h(n - 1, n)
+
+    def lambda_fn(n):
+        return h(n - 1, n + 1) - h(n - 2, n) - b_fn(n - 1) * h(n - 1, n)
+
+    return b_fn, lambda_fn
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +479,6 @@ def _make_ultraspherical(params):
     def lambda_fn(j):
         return F(j * (j + 2 * nu - 1), 1) / (4 * (nu + j - 1) * (nu + j))
 
-    def moment_fn(n):
-        if n % 2:
-            return F(0)
-        m = n // 2
-        return F(pochhammer(F(1, 2), m)) / pochhammer(nu + 1, m)
-
     q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
     return FamilySpec(
         id="ultraspherical",
@@ -485,7 +487,6 @@ def _make_ultraspherical(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=moment_fn,
         q_series_fn=q.series,
         notes="Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form.",
     )
@@ -506,16 +507,6 @@ def _make_jacobi(params):
         s = 2 * n + alpha + beta
         return top / ((s - 1) * s * s * (s + 1))
 
-    def moment_fn(n):
-        total = F(0)
-        for k in range(n + 1):
-            total += (
-                F(binom(n, k) * 2 ** k * (-1) ** (n - k))
-                * pochhammer(beta + 1, k)
-                / pochhammer(alpha + beta + 2, k)
-            )
-        return total
-
     q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
     return FamilySpec(
         id="jacobi",
@@ -524,7 +515,6 @@ def _make_jacobi(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=moment_fn,
         q_series_fn=q.series,
         notes="Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t).",
     )
@@ -532,13 +522,6 @@ def _make_jacobi(params):
 
 def _make_hermite(params):
     q = Term(Classical(), exp=(0, F(1, 4)))
-
-    def moment_fn(n):
-        if n % 2:
-            return F(0)
-        m = n // 2
-        return F(factorial(n), 4 ** m * factorial(m))
-
     return FamilySpec(
         id="hermite",
         params=params,
@@ -546,7 +529,6 @@ def _make_hermite(params):
         lambda_fn=lambda n: F(n, 2),
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=moment_fn,
         q_series_fn=q.series,
     )
 
@@ -563,7 +545,6 @@ def _make_laguerre(params):
         lambda_fn=lambda n: n * (alpha + n),
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: pochhammer(alpha + 1, n),
         q_series_fn=q.series,
     )
 
@@ -588,7 +569,6 @@ def _make_meixner(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: q.series(0, n)[n] * factorial(n),
         q_series_fn=q.series,
     )
 
@@ -605,7 +585,6 @@ def _make_charlier(params):
         lambda_fn=lambda n: a * n,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: q.series(0, n)[n] * factorial(n),
         q_series_fn=q.series,
     )
 
@@ -630,9 +609,6 @@ def _make_meixner_pollaczek(params):
         # sin(t/2 + phi)/sin(phi) = cos(t/2) + cot(phi) sin(t/2)
         u = _cos_half_series(degree) + _sin_half_series(degree) * cot - 1
         return pow1p(u, -(2 * lam + shift))
-
-    def moment_fn(n):
-        return _ratio_series(n, 0)[n] * factorial(n)
 
     def q_fn(j, t, ctx):
         with ctx.workprec():
@@ -659,7 +635,6 @@ def _make_meixner_pollaczek(params):
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q_fn,
-        moment_fn=moment_fn,
         q_series_fn=q_series_fn,
         notes="The angle is carried as an exact (sin, cos) pair so the recurrence stays rational.",
     )
@@ -691,25 +666,6 @@ def _make_little_q_jacobi(params):
             / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
         )
 
-    def lambda_fn(n):
-        top = (
-            a
-            * q ** (2 * n - 1)
-            * (1 - q ** n)
-            * (1 - a * q ** n)
-            * (1 - b * q ** n)
-            * (1 - a * b * q ** n)
-        )
-        bottom = (
-            (1 - a * b * q ** (2 * n - 1))
-            * (1 - a * b * q ** (2 * n)) ** 2
-            * (1 - a * b * q ** (2 * n + 1))
-        )
-        return top / bottom
-
-    def moment_fn(n):
-        return _qp(a * q, q, n) / _qp(a * b * q * q, q, n)
-
     def translated_q0_fn(s, t, ctx):
         with ctx.workprec():
             tv = ctx.number(t)
@@ -733,16 +689,15 @@ def _make_little_q_jacobi(params):
         id="little_q_jacobi",
         params=params,
         b_fn=lambda n: A_fn(n) + C_fn(n),
-        lambda_fn=lambda_fn,
+        lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
         translation=kind,
         q_fn=q_form.value,
         q_tilde_fn=tilde.value,
-        moment_fn=moment_fn,
         q_series_fn=q_form.series,
         q_tilde_series_fn=tilde.series,
         translated_q0_fn=translated_q0_fn,
         alt_q_fn=alt.value,
-        notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
+        notes="b_n = A_n + C_n and lambda_n = A_{n-1} C_n in the Koekoek-Lesky-Swarttouw form.",
     )
 
 
@@ -770,25 +725,6 @@ def _make_big_q_jacobi(params):
             * (1 - b * q ** n)
             / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
         )
-
-    def lambda_fn(n):
-        top = (
-            -a
-            * c
-            * q ** (n + 1)
-            * (1 - q ** n)
-            * (1 - a * q ** n)
-            * (1 - b * q ** n)
-            * (1 - c * q ** n)
-            * (1 - a * b * q ** n)
-            * (1 - a * b * q ** n / c)
-        )
-        bottom = (
-            (1 - a * b * q ** (2 * n - 1))
-            * (1 - a * b * q ** (2 * n)) ** 2
-            * (1 - a * b * q ** (2 * n + 1))
-        )
-        return top / bottom
 
     kind = QTranslation(q)
     q_form = Term(
@@ -825,15 +761,14 @@ def _make_big_q_jacobi(params):
         id="big_q_jacobi",
         params=params,
         b_fn=lambda n: 1 - A_fn(n) - C_fn(n),
-        lambda_fn=lambda_fn,
+        lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
         translation=kind,
         q_fn=q_form.value,
         q_tilde_fn=tilde.value,
-        moment_fn=lambda n: q_form.series(0, n)[n] * _qp(q, q, n),
         q_series_fn=q_form.series,
         q_tilde_series_fn=tilde.series,
         translated_q0_fn=translated_q0_fn,
-        notes="lambda_n uses the squared (1-abq^{2n}) factor; confirmed from the moment sequence.",
+        notes="b_n = 1 - A_n - C_n and lambda_n = A_{n-1} C_n in the Koekoek-Lesky-Swarttouw form.",
     )
 
 
@@ -874,7 +809,6 @@ def _make_al_salam_carlitz(params):
         translation=kind,
         q_fn=q_form.value,
         q_tilde_fn=q_tilde_fn,
-        moment_fn=lambda n: rogers_szego_poly(n, a, q),
         q_series_fn=q_form.series,
         translated_q0_fn=translated_q0_fn,
         notes="Moments are the Rogers-Szego polynomials h_n(a;q); the addition formula also has a non-commutative form.",
@@ -1033,20 +967,6 @@ def _make_askey_wilson_slice(params):
     def b_fn(n):
         return (a + 1 / F(a) - A_t(n) - C_t(n)) / 2
 
-    def lambda_fn(n):
-        return (
-            (1 - F(q) ** (2 * n))
-            * (1 - F(q) ** (2 * n + 1))
-            * (1 - a * a * F(q) ** (2 * n - 1))
-            * (1 - a * a * F(q) ** (2 * n))
-            / (
-                4
-                * (1 - a * F(q) ** (2 * n - 1))
-                * (1 - a * F(q) ** (2 * n)) ** 2
-                * (1 - a * F(q) ** (2 * n + 1))
-            )
-        )
-
     def coef(m, n):
         return _aw_term_factor(a, q, m, n)
 
@@ -1054,7 +974,7 @@ def _make_askey_wilson_slice(params):
         id="askey_wilson_slice",
         params=params,
         b_fn=b_fn,
-        lambda_fn=lambda_fn,
+        lambda_fn=lambda n: A_t(n - 1) * C_t(n) / 4,
         translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 1),
         q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
@@ -1071,15 +991,15 @@ def _make_hermite_moments(params):
     def tableau_entry_fn(i, N):
         return F(binom(N, i)) * hermite_poly(N - i, x)
 
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(2 * x, -1))
     return FamilySpec(
         id="hermite_moments",
         params=params,
-        b_fn=lambda n: 2 * x,
-        lambda_fn=lambda n: F(-2 * n),
+        b_fn=b_fn,
+        lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: hermite_poly(n, x),
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
         notes="Moment sequence mu_n = H_n(x); the Hankel data is negative, so this is not a positive-definite functional.",
@@ -1099,24 +1019,15 @@ def _make_laguerre_moments(params):
             / pochhammer(alpha + 2 * i + 1, n)
         )
 
-    def lambda_fn(n):
-        return (
-            F(-n)
-            * (alpha + n - 1)
-            * x
-            * x
-            / ((alpha + 2 * n - 2) * (alpha + 2 * n - 1) ** 2 * (alpha + 2 * n))
-        )
-
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([], [alpha + 2 * n + 1], -x))
     return FamilySpec(
         id="laguerre_moments",
         params=params,
-        b_fn=_b_from_closed_tableau(tableau_entry_fn),
+        b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: tableau_entry_fn(0, n),
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
         notes="mu_n = n! L_n^(alpha)(x) / (alpha+1)_n.",
@@ -1139,26 +1050,15 @@ def _make_meixner_moments(params):
         n = N - i
         return F(binom(N, i)) * meixner_poly(n, x - i, beta + 2 * i, c)
 
-    def lambda_fn(n):
-        return (
-            F(n)
-            * (n - 1 - x)
-            * (beta + x + n - 1)
-            * (beta + n - 2)
-            * w
-            * w
-            / ((beta + 2 * n - 3) * (beta + 2 * n - 2) ** 2 * (beta + 2 * n - 1))
-        )
-
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], w))
     return FamilySpec(
         id="meixner_moments",
         params=params,
-        b_fn=_b_from_closed_tableau(tableau_entry_fn),
+        b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: meixner_poly(n, x, beta, c),
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
         notes="mu_n = M_n(x; beta, c); the generating function carries the (1-c)/c argument.",
@@ -1171,7 +1071,6 @@ def _make_meixner_pollaczek_moments(params):
     # lambda_1 is 0/0 at 2 lam = 1
     _require(lam != F(1, 2), "meixner_pollaczek_moments needs lam != 1/2")
     _require(0 < phi_over_pi < 1, "phi must lie strictly between 0 and pi")
-    ctx0 = PrecisionContext()
 
     def _mp(v):
         return mpmath.mpf(v.numerator) / v.denominator
@@ -1188,29 +1087,13 @@ def _make_meixner_pollaczek_moments(params):
             term = term * (-n + k) * (b_param + k) * z / ((c_param + k) * (k + 1))
         return total
 
-    def moment_fn(n):
-        with ctx0.workprec():
-            z = _w()  # 1 - e^{-2 i phi} enters with the opposite sign
-            return _hyp2f1_terminating(n, lam + 1j * ctx0.mpf(x), 2 * ctx0.mpf(lam), -z)
-
     def tableau_entry_fn(i, N):
-        n = N - i
-        with ctx0.workprec():
-            z = _w()
-            val = _hyp2f1_terminating(
-                n, lam + i + 1j * ctx0.mpf(x), 2 * ctx0.mpf(lam) + 2 * i, -z
-            )
+        # 1 - e^{-2 i phi} enters with the opposite sign
+        with _working_prec():
+            val = _hyp2f1_terminating(N - i, lam + i + 1j * _mp(x), 2 * _mp(lam) + 2 * i, -_w())
             return binom(N, i) * val
 
-    def lambda_fn(n):
-        with ctx0.workprec():
-            w = _w()
-            lv = ctx0.mpf(lam)
-            xv = ctx0.mpf(x)
-            top = n * (lv + 1j * xv + n - 1) * (lv - 1j * xv + n - 1) * (2 * lv + n - 2) * w * w
-            bottom = (2 * lv + 2 * n - 3) * (2 * lv + 2 * n - 2) ** 2 * (2 * lv + 2 * n - 1)
-            return top / bottom
-
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(
         Classical(),
         exp=(1,),
@@ -1219,14 +1102,13 @@ def _make_meixner_pollaczek_moments(params):
     return FamilySpec(
         id="meixner_pollaczek_moments",
         params=params,
-        b_fn=_b_from_closed_tableau(tableau_entry_fn),
+        b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=moment_fn,
         tableau_entry_fn=tableau_entry_fn,
         exact=False,
-        notes="Recurrence data is complex-valued; all scalar functions return 256-bit complex numbers.",
+        notes="Recurrence data is complex-valued, computed at the working precision (at least 320 bits).",
     )
 
 
@@ -1254,23 +1136,15 @@ def _make_gegenbauer_moments(params):
             )
         return total
 
-    def lambda_fn(n):
-        return (
-            F(n)
-            * (n + 2 * nu - 2)
-            * (x * x - 1)
-            / (4 * (n + nu - F(3, 2)) * (n + nu - half))
-        )
-
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + half + n], (x * x - 1) / 4), step=2)
     return FamilySpec(
         id="gegenbauer_moments",
         params=params,
-        b_fn=lambda n: x,
+        b_fn=b_fn,
         lambda_fn=lambda_fn,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=lambda n: F(factorial(n)) * gegenbauer_poly(n, nu, x) / pochhammer(2 * nu, n),
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
         notes="mu_n = n! C_n^nu(x) / (2 nu)_n.",
@@ -1282,12 +1156,6 @@ def _make_derangement(params):
     _require(alpha > -1, f"derangement needs alpha > -1, got {alpha}")
     _require(x != 0, "derangement needs x != 0")
 
-    def moment_fn(n):
-        total = F(0)
-        for k in range(n + 1):
-            total += F((-1) ** (n - k) * binom(n, k)) * x ** k * pochhammer(alpha + 1, k)
-        return total
-
     q = Term(Classical(), exp=(-1,), power=(x, lambda n: alpha + n + 1))
     return FamilySpec(
         id="derangement",
@@ -1296,7 +1164,6 @@ def _make_derangement(params):
         lambda_fn=lambda n: n * (n + alpha) * x * x,
         translation=Classical(),
         q_fn=q.value,
-        moment_fn=moment_fn,
         q_series_fn=q.series,
         notes="Shifted Laguerre moments; at alpha = 0, x = 1 the moments count derangements.",
     )
@@ -1416,9 +1283,8 @@ def make_affine(base, a, b):
     def lambda_fn(n):
         return base.lambda_fn(n) / (a * a)
 
-    # the base moments and tableau are built once and grown only to the
-    # largest n or N asked for; a larger tableau holds every smaller one
-    base_moments = []
+    # the base tableau is built once and grown only to the largest N asked
+    # for; a larger tableau holds every smaller one
     base_tableau = None
 
     def _base_tableau(N):
@@ -1426,19 +1292,6 @@ def make_affine(base, a, b):
         if N < 0 or base_tableau is None or base_tableau.N < N:  # family_tableau rejects N < 0
             base_tableau = family_tableau(base, N)
         return base_tableau
-
-    def moment_fn(n):
-        if n < 0:
-            raise ValueError(f"moment index n = {n} is negative")
-        if n >= len(base_moments):
-            if base.moment_fn is None:
-                base_moments[:] = _base_tableau(n).row0[: n + 1]
-            else:
-                base_moments.extend(base.moment_fn(k) for k in range(len(base_moments), n + 1))
-        total = F(0)
-        for k in range(n + 1):
-            total += F(binom(n, k)) * (-b) ** (n - k) * base_moments[k]
-        return total * a ** (-n)
 
     def q_fn(j, t, ctx):
         inner = q_function(base, j, ctx.mpf(t) / ctx.mpf(a), ctx)
@@ -1466,7 +1319,6 @@ def make_affine(base, a, b):
         lambda_fn=lambda_fn,
         translation=Affine(a, b, base.translation),
         q_fn=q_fn if base.q_fn is not None else None,
-        moment_fn=moment_fn,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q_series_fn if q_series is not None else None,
         exact=base.exact,

@@ -38,6 +38,9 @@ F = Fraction
 
 SUITE_VERSION = "1.0.0"
 
+# case parameters that size the work a case does
+SIZE_PARAMS = ("degree", "m_max", "n_max", "N")
+
 
 @dataclass
 class VerificationReport:
@@ -626,6 +629,24 @@ def _coerce(base, value):
     return rat(value)
 
 
+def _check_ranges(values):
+    """A negative size or a tolerance that is not positive is invalid input."""
+    for key, value in values.items():
+        if key in SIZE_PARAMS and value is not None and value < 0:
+            raise InvalidParams(f"{key} = {value} is negative")
+        if key == "tolerance" and value is not None and not value > 0:
+            raise InvalidParams(f"tolerance {value} is not positive")
+    return values
+
+
+def _run_settings(N, tolerance):
+    """A theorem's N and tolerance as an int and a rational, or None."""
+    N = None if N is None else int(N)
+    tolerance = None if tolerance is None else rat(tolerance)
+    _check_ranges({"N": N, "tolerance": tolerance})
+    return N, tolerance
+
+
 def _merge_params(defaults, overrides):
     merged = dict(defaults)
     for key, value in (overrides or {}).items():
@@ -635,7 +656,7 @@ def _merge_params(defaults, overrides):
             merged[key] = _coerce(defaults[key], value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidParams(f"bad value {value!r} for parameter {key!r}") from exc
-    return merged
+    return _check_ranges(merged)
 
 
 def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
@@ -646,6 +667,7 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
     build, defaults, numeric = _entry(_THEOREMS, id, "theorem")
     ctx = ctx or PrecisionContext()
     merged = _merge_params(defaults, params)
+    N, tolerance = _run_settings(N, tolerance)
     with memo_scope():
         case = build(id, merged)
         if case.mode == "exact":
@@ -653,10 +675,8 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
         s0, t0, N0, tolerance0 = numeric
         s = s0 if s is None else rat(s)
         t = t0 if t is None else rat(t)
-        N = N0 if N is None else int(N)
-        if N < 0:
-            raise InvalidParams(f"N = {N} is negative")
-        tolerance = tolerance0 if tolerance is None else rat(tolerance)
+        N = N0 if N is None else N
+        tolerance = tolerance0 if tolerance is None else tolerance
         # a symmetric right-hand side at s = t is w_n Q_n(t)^2
         same = case.rhs_left_fn is case.rhs_right_fn and s == t
         with ctx.workprec():
@@ -694,9 +714,9 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     Each ``params`` entry goes to the matched cases whose defaults declare
     that name, and a name that no matched case declares is rejected; ``seed``
     goes to the cases that take one.  ``s``, ``t``, ``N`` and ``tolerance``
-    apply to the theorems.  Failures other than invalid parameters are
-    recorded in the returned reports rather than raised, so a single broken
-    case cannot hide the rest of the suite.
+    apply to the theorems.  Invalid parameters raise before any case runs;
+    other failures are recorded in the returned reports rather than raised,
+    so a single broken case cannot hide the rest of the suite.
     """
     ctx = ctx or PrecisionContext()
     patterns = [pattern] if isinstance(pattern, str) else pattern
@@ -712,14 +732,17 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
             raise InvalidParams(f"unknown parameter {key!r}")
     if seed is not None:
         overrides["seed"] = seed
+    own = {cid: {k: v for k, v in overrides.items() if k in declared[cid]} for cid in ids}
+    for cid in ids:  # invalid input raises before any case runs
+        _merge_params(declared[cid], own[cid])
+    N, tolerance = _run_settings(N, tolerance)
     reports = []
     for cid in ids:
-        own = {k: v for k, v in overrides.items() if k in declared[cid]}
         try:
             if cid in _THEOREMS:
-                reports.append(verify_theorem(cid, own, s, t, N, ctx, tolerance))
+                reports.append(verify_theorem(cid, own[cid], s, t, N, ctx, tolerance))
             else:
-                reports.append(verify_identity(cid, own, ctx))
+                reports.append(verify_identity(cid, own[cid], ctx))
         except InvalidParams:
             raise
         except Exception as exc:  # recorded, not raised

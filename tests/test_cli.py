@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfrac import cli
+from jfrac import cli, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
-from jfrac.families import catalog
+from jfrac.families import catalog, family_tableau, make_family
 
 # `jfrac catalog --format json` before the families were rewritten as terms
 PINNED_CATALOG = Path(__file__).parent / "data" / "catalog.json"
@@ -62,6 +62,14 @@ def test_moments_family(capsys):
     code, out, _ = run(capsys, "moments", "--family", "hermite", "--N", "6")
     assert code == 0
     assert out.strip() == "mu: 1,0,1/2,0,3/4,0,15/8"
+
+
+def test_moments_at_degree_60_match_the_tableau(capsys):
+    # read off Q_0's series; the Rogers-Szego closed form took O(N^4) here
+    code, out, _ = run(capsys, "moments", "--family", "al_salam_carlitz", "--params", "a=1/3,q=1/2", "--N", "60")
+    assert code == 0
+    tab = family_tableau(make_family("al_salam_carlitz", {"a": "1/3", "q": "1/2"}), 60)
+    assert out == "mu: " + ",".join(cli.fmt_exact(tab.entry(0, n)) for n in range(61)) + "\n"
 
 
 def test_moments_from_weights(capsys):
@@ -462,3 +470,40 @@ def test_q_translated_cases_at_t_zero(capsys):
     assert [line.split()[:2] for line in out.strip().split("\n")] == [
         ["PASS", "asc_qtrans"], ["PASS", "big_qj"], ["PASS", "little_qj"]
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hermite_convolution", "--params", "m_max=-3"],
+        ["hankel_affine", "--params", "n_max=-1"],
+        ["classical_generic", "--params", "degree=-2"],
+        ["plane_wave_cheby", "--params", "N=-1"],
+        ["--all", "--params", "m_max=-3"],
+        ["classical_generic", "--params", "degree=100000000"],
+        ["hankel_gegenbauer", "--params", "n_max=100000000"],
+        ["connection_rogers", "--params", f"n_max={MAX_SIZE + 1}"],
+        ["plane_wave_cheby", "--params", "N=100000000"],
+        ["conf_hyp_1f1", "--tolerance", "0"],
+        ["conf_hyp_1f1", "--tolerance=-1/10"],
+        ["--all", "--tolerance", "0"],
+        ["plane_wave_cheby", "--params", "tolerance=0"],
+    ],
+)
+def test_bad_case_size_or_tolerance_is_invalid_input(capsys, monkeypatch, argv):
+    # rejected before any case runs: a negative size checked nothing and
+    # passed, a huge one ran without bound, a tolerance <= 0 failed every case
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case,size", [("hermite_convolution", "m_max"), ("plane_wave_cheby", "N")])
+def test_case_size_at_the_ceiling_passes_the_check(capsys, monkeypatch, case, size):
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, _ = run(capsys, "verify", case, "--params", f"{size}={MAX_SIZE}")
+    assert code == 3
+    assert out.startswith(f"FAIL {case} [error] AssertionError: a case ran")

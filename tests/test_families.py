@@ -23,10 +23,17 @@ from jfrac.families import (
     meixner_poly,
     q_function,
     q_tilde_function,
-    rogers_szego_poly,
     tableau_closed_form,
 )
-from jfrac.scalar import PrecisionContext, binom, factorial, pochhammer, q_pochhammer, q_pochhammer_inf
+from jfrac.scalar import (
+    PrecisionContext,
+    binom,
+    factorial,
+    pochhammer,
+    q_binomial,
+    q_pochhammer,
+    q_pochhammer_inf,
+)
 from jfrac.series import (
     PowerSeries,
     eval_pfq,
@@ -48,6 +55,19 @@ def sample(family_id):
 
 def _qp(a, q, n):
     return F(q_pochhammer(a, q, n))
+
+
+def rogers_szego_poly(n, a, q):
+    """Rogers-Szego h_n(a; q) = sum_k [n, k]_q a^k."""
+    return sum((q_binomial(n, k, q) * F(a) ** k for k in range(n + 1)), F(0))
+
+
+def stirling2(n, k):
+    """Stirling numbers of the second kind, S(n, k)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, m + 1)]
+    return row[k] if k < len(row) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +215,100 @@ def test_family_weights_take_each_product_once():
     assert calls == list(range(1, 13))
 
 
+def _mp_moment(n, lam, x, phi_over_pi):
+    # 2F1(-n, lam + i x; 2 lam; 1 - e^{-2 i phi}), terminating
+    with ctx.workprec():
+        z = 1 - mpmath.expjpi(-2 * ctx.mpf(phi_over_pi))
+        total, term = mpmath.mpc(0), mpmath.mpc(1)
+        for k in range(n + 1):
+            total += term
+            term *= (k - n) * (ctx.mpf(lam) + 1j * ctx.mpf(x) + k) * z / ((2 * ctx.mpf(lam) + k) * (k + 1))
+        return total
+
+
+# The moments as the sources print them, with a parameter point besides the
+# catalog's sample.  The library reads mu_n off Q_0's exact series.
+CLOSED_MOMENTS = {
+    "ultraspherical": (
+        lambda n, nu: F(0) if n % 2 else F(pochhammer(F(1, 2), n // 2)) / pochhammer(nu + 1, n // 2),
+        {"nu": F(5, 2)},
+    ),
+    "jacobi": (
+        lambda n, alpha, beta: sum(
+            (F(binom(n, k) * 2 ** k * (-1) ** (n - k)) * pochhammer(beta + 1, k) / pochhammer(alpha + beta + 2, k)
+             for k in range(n + 1)),
+            F(0),
+        ),
+        {"alpha": F(-1, 3), "beta": F(2)},
+    ),
+    "hermite": (lambda n: F(0) if n % 2 else F(factorial(n), 4 ** (n // 2) * factorial(n // 2)), {}),
+    "laguerre": (lambda n, alpha: F(pochhammer(alpha + 1, n)), {"alpha": F(3, 2)}),
+    "charlier": (lambda n, a: sum((stirling2(n, k) * a ** k for k in range(n + 1)), F(0)), {"a": F(-2, 3)}),
+    "little_q_jacobi": (
+        lambda n, a, b, q: _qp(a * q, q, n) / _qp(a * b * q * q, q, n),
+        {"a": F(2, 5), "b": F(3, 7), "q": F(1, 3)},
+    ),
+    "al_salam_carlitz": (rogers_szego_poly, {"a": F(-2, 3), "q": F(3, 4)}),
+    "hermite_moments": (hermite_poly, {"x": F(-3, 2)}),
+    "laguerre_moments": (
+        lambda n, alpha, x: factorial(n) * laguerre_poly(n, alpha, x) / pochhammer(alpha + 1, n),
+        {"alpha": F(5, 2), "x": F(-2, 3)},
+    ),
+    "meixner_moments": (meixner_poly, {"beta": F(7, 2), "c": F(1, 4), "x": F(-5, 3)}),
+    "meixner_pollaczek_moments": (_mp_moment, {"lam": F(3, 2), "x": F(-1, 3), "phi_over_pi": F(1, 4)}),
+    "gegenbauer_moments": (
+        lambda n, nu, x: factorial(n) * gegenbauer_poly(n, nu, x) / pochhammer(2 * nu, n),
+        {"nu": F(5, 2), "x": F(3)},
+    ),
+    "derangement": (
+        lambda n, alpha, x: sum(
+            (F((-1) ** (n - k) * binom(n, k)) * x ** k * pochhammer(alpha + 1, k) for k in range(n + 1)), F(0)
+        ),
+        {"alpha": F(1, 2), "x": F(-2, 5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(CLOSED_MOMENTS))
+def test_moments_match_closed_form(family_id):
+    """The derived moments equal the printed closed forms, at two points."""
+    closed, second = CLOSED_MOMENTS[family_id]
+    for params in (families._BUILDERS[family_id][1], second):
+        spec = make_family(family_id, params)
+        mu = family_moments(spec, 12)
+        for n in range(13):
+            want = closed(n, **spec.params)
+            if spec.exact:
+                assert mu[n] == want, (params, n)
+            else:
+                with ctx.workprec():
+                    assert abs(mu[n] - want) <= abs(want) * mpmath.mpf(10) ** -55, (params, n)
+
+
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_moment_fn_matches_row0(entry):
+    """family_moments, read off Q_0's exact series, is row 0 of the tableau."""
     spec = sample(entry.id)
-    if spec.moment_fn is None:
-        pytest.skip("family carries no closed moments")
-    tab = family_tableau(spec, 10, ctx=ctx)
+    tab = family_tableau(spec, 12, ctx=ctx)
+    mu = family_moments(spec, 12, ctx)
     if entry.exact:
-        for n in range(11):
-            assert spec.moment_fn(n) == tab.entry(0, n)
+        assert mu == [tab.entry(0, n) for n in range(13)]
     else:
         with ctx.workprec():
-            for n in range(11):
-                dev = abs(ctx.number(spec.moment_fn(n)) - tab.entry(0, n))
-                assert dev < mpmath.mpf(10) ** -55
+            for n in range(13):
+                assert abs(mu[n] - tab.entry(0, n)) < mpmath.mpf(10) ** -55
+
+
+def test_family_moments_read_one_q0_series():
+    specs = [sample(entry.id) for entry in catalog()]
+    specs.append(make_affine(sample("laguerre"), F(3), F(2)))
+    for base in specs:
+        if base.q_series_fn is None:
+            continue
+        calls = []
+        spec = dataclasses.replace(base, q_series_fn=lambda j, d: calls.append((j, d)) or base.q_series_fn(j, d))
+        assert family_moments(spec, 20) == family_moments(base, 20)
+        assert calls == [(0, 20)], base.id
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
@@ -379,43 +479,25 @@ def test_affine_tableau_and_series_consistency():
             assert tableau_closed_form(aff, i, n) == tab.entry(i, n)
 
 
-@pytest.mark.parametrize("closed_moments", [True, False])
 @pytest.mark.parametrize("base_id,params", [("laguerre", {"alpha": F(1, 2)}), ("hermite", {})])
-def test_affine_builds_its_base_data_once(monkeypatch, base_id, params, closed_moments):
-    # the base moments come from their closed form, or (closed_moments False)
-    # from the base tableau's first row
-    calls = []
+def test_affine_builds_its_base_data_once(monkeypatch, base_id, params):
     base = make_family(base_id, params)
-    if closed_moments:
-        closed = base.moment_fn
-        base = dataclasses.replace(base, moment_fn=lambda n: calls.append(n) or closed(n))
-    else:
-        base = dataclasses.replace(base, moment_fn=None)
     a, b = F(3), F(-1, 2)
     sizes = list(range(13)) + list(range(12, -1, -1))  # grow, then reuse
 
-    # the binomial laws, on base data built afresh for every value
-    def moment(n):
-        mu = family_moments(base, n)
-        return sum(binom(n, k) * (-b) ** (n - k) * mu[k] for k in range(n + 1)) / a ** n
-
+    # the binomial law, on a base tableau built afresh for every entry
     def entry(i, N):
         tab = family_tableau(base, N)
         return sum(binom(N, k) * (-b) ** k * tab.entry(i, N - k) for k in range(N - i + 1)) * a ** (i - N)
 
-    want_mu = [moment(n) for n in sizes]
     want_h = [entry(i, N) for N in sizes for i in range(N + 1)]
-    calls.clear()
     built = []
     build = families.family_tableau
     monkeypatch.setattr(
         families, "family_tableau", lambda spec, N, ctx=None: built.append(N) or build(spec, N, ctx)
     )
     aff = make_affine(base, a, b)
-    assert [aff.moment_fn(n) for n in sizes] == want_mu
     assert [aff.tableau_entry_fn(i, N) for N in sizes for i in range(N + 1)] == want_h
-    if closed_moments:
-        assert calls == list(range(13))  # each base moment once
     assert built == sorted(set(built))  # the base tableau only grows
 
 

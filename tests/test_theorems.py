@@ -290,3 +290,27 @@ def test_memo_changes_no_record(monkeypatch):
     monkeypatch.setattr(theorems, "memo_scope", contextlib.nullcontext)
     # equal to the last bit, not within a tolerance
     assert memoised_run == records()
+
+
+def test_complex_family_checks_beyond_the_default_precision():
+    # its recurrence data and weights follow the working precision; at a
+    # fixed 320 bits the check stalled at rel_error 2.6e-99
+    hi = PrecisionContext(precision_bits=512, rel_tolerance=1e-140)
+    report = verify_theorem("mp_moments", N=45, ctx=hi, tolerance=F(1, 10 ** 120))
+    assert report.passed, report.rel_error
+    with hi.workprec():
+        assert report.rel_error < mpmath.mpf(10) ** -140
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"params": {"m_max": -3}}, {"params": {"degree": -2}}, {"params": {"tolerance": 0}}, {"N": -1}, {"tolerance": 0}],
+)
+def test_bad_size_or_tolerance_raises_before_any_case(monkeypatch, kwargs):
+    def no_run(*args, **kw):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(theorems, "verify_theorem", no_run)
+    monkeypatch.setattr(theorems, "verify_identity", no_run)
+    with pytest.raises(InvalidParams):
+        run_suite(None, **kwargs)
