@@ -161,9 +161,12 @@ def _parse_params(text):
     return params
 
 
-def fmt_exact(v):
+def fmt_exact(v, ctx=None):
+    """A rational as "p/q" (or "p"); with ``ctx``, an mpmath number at its digits."""
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if ctx is not None and isinstance(v, (mpmath.mpf, mpmath.mpc)):
+        return ctx.nstr(v)
     return str(v)
 
 
@@ -182,19 +185,20 @@ def _tableau_records(tab, N):
             yield i, n, tab.entry(i, n)
 
 
-def _print_tableau(tab, N, fmt, out):
-    if fmt == "csv":
+def _print_tableau(tab, N, cfg, out):
+    ctx = cfg.context()
+    if cfg.format == "csv":
         lines = ["i,n,value"]
-        lines += [f"{i},{n},{fmt_exact(v)}" for i, n, v in _tableau_records(tab, N)]
+        lines += [f"{i},{n},{fmt_exact(v, ctx)}" for i, n, v in _tableau_records(tab, N)]
         _emit(out, "\n".join(lines))
-    elif fmt == "json":
+    elif cfg.format == "json":
         records = [
-            {"i": i, "n": n, "value": fmt_exact(v)} for i, n, v in _tableau_records(tab, N)
+            {"i": i, "n": n, "value": fmt_exact(v, ctx)} for i, n, v in _tableau_records(tab, N)
         ]
         _emit(out, json.dumps(records, indent=2))
     else:
         for i, n, v in _tableau_records(tab, N):
-            _emit(out, f"H[{i}][{n}] = {fmt_exact(v)}")
+            _emit(out, f"H[{i}][{n}] = {fmt_exact(v, ctx)}")
 
 
 @contextmanager
@@ -212,7 +216,7 @@ def _build_tableau(args, cfg):
     if args.family:
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
-            return family_tableau(spec, N), N
+            return family_tableau(spec, N, cfg.context()), N
     b = _rat_list(args.b, "b") if args.b else [Fraction(0)] * max(N, 1)
     lam = _rat_list(args.lam, "lambda") if args.lam else [Fraction(1)] * max(N, 1)
     jf = JFraction(tuple(b), tuple(lam))
@@ -222,26 +226,27 @@ def _build_tableau(args, cfg):
 
 def cmd_tableau(args, cfg, explicit, out):
     tab, N = _build_tableau(args, cfg)
-    _print_tableau(tab, N, cfg.format, out)
+    _print_tableau(tab, N, cfg, out)
     return 0
 
 
 def cmd_moments(args, cfg, explicit, out):
     N = cfg.N if args.N is None else args.N
+    ctx = cfg.context()
     if args.family:
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
-            mu = family_moments(spec, N)
+            mu = family_moments(spec, N, ctx)
     else:
         tab, N = _build_tableau(args, cfg)
         mu = [tab.entry(0, n) for n in range(N + 1)]
     if cfg.format == "csv":
-        lines = ["i,n,value"] + [f"0,{n},{fmt_exact(v)}" for n, v in enumerate(mu)]
+        lines = ["i,n,value"] + [f"0,{n},{fmt_exact(v, ctx)}" for n, v in enumerate(mu)]
         _emit(out, "\n".join(lines))
     elif cfg.format == "json":
-        _emit(out, json.dumps({"moments": [fmt_exact(v) for v in mu]}, indent=2))
+        _emit(out, json.dumps({"moments": [fmt_exact(v, ctx) for v in mu]}, indent=2))
     else:
-        _emit(out, "mu: " + ",".join(fmt_exact(v) for v in mu))
+        _emit(out, "mu: " + ",".join(fmt_exact(v, ctx) for v in mu))
     return 0
 
 

@@ -1075,9 +1075,14 @@ def _make_meixner_pollaczek_moments(params):
     def _mp(v):
         return mpmath.mpf(v.numerator) / v.denominator
 
+    w_at = {}
+
     def _w():
-        # e^{-2 i phi} - 1 with phi = pi * phi_over_pi, at the current precision
-        return mpmath.expjpi(-2 * _mp(phi_over_pi)) - 1
+        # e^{-2 i phi} - 1 with phi = pi * phi_over_pi, once per working precision
+        prec = mpmath.mp.prec
+        if prec not in w_at:
+            w_at[prec] = mpmath.expjpi(-2 * _mp(phi_over_pi)) - 1
+        return w_at[prec]
 
     def _hyp2f1_terminating(n, b_param, c_param, z):
         total = mpmath.mpc(0)

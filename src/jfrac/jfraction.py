@@ -10,6 +10,7 @@ moments, rows connect monomials to the monic orthogonal polynomials, and
 the lambda-weighted convolution of two columns reproduces row 0.
 """
 
+import contextvars
 from fractions import Fraction
 
 from .errors import NonRegular
@@ -140,41 +141,67 @@ def det_bareiss(rows):
     return sign * a[m - 1][m - 1]
 
 
-def _mixed_moments(mu, rows, last):
-    """Mixed moments sigma[k][l] = L(P_k x^l) for k <= rows, k <= l <= last - k.
+class _MomentTable:
+    """Mixed moments sigma[k][l] = L(P_k x^l), L(x^l) = mu_l, P_k monic orthogonal.
 
-    L is the functional L(x^l) = mu_l and P_k are its monic orthogonal
-    polynomials.  Row 0 is mu_0..mu_last; row k follows from the two rows
+    Row 0 is mu_0..mu_last; row k holds columns k..last - k (entries with
+    l < k are orthogonality zeros, stored as 0) and follows from the two rows
     above it by
 
         sigma[k][l] = sigma[k-1][l+1] - b_{k-1} sigma[k-1][l] - lambda_{k-1} sigma[k-2][l],
 
     with b_n = sigma[n][n+1]/sigma[n][n] - sigma[n-1][n]/sigma[n-1][n-1] and
     lambda_n = sigma[n][n]/sigma[n-1][n-1] (Gautschi's Chebyshev algorithm,
-    O(rows * last) operations).  Entries with l < k are orthogonality zeros
-    and are stored as 0.  Needs last >= 2 * rows.
-
-    Returns (sigma, singular): singular is the first k <= rows with
-    sigma[k][k] = 0, where the rows stop because P_{k+1} does not exist, or
-    None when every diagonal entry is nonzero.
+    O(last) per row).  lead[k] = D_{k-1} = sigma[0][0] ... sigma[k-1][k-1];
+    ``singular`` is the first k with sigma[k][k] = 0, where P_{k+1} and the rows stop.
     """
-    sigma = [[_exact(m) for m in mu[: last + 1]]]
-    for k in range(rows + 1):
-        cur = sigma[k]
-        if cur[k] == 0:
-            return sigma, k
-        if k == rows:
-            break
-        b = cur[k + 1] / cur[k]
-        if k == 0:
-            nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
-        else:
-            prev = sigma[k - 1]
-            b -= prev[k] / prev[k - 1]
-            lam = cur[k] / prev[k - 1]
-            nxt = [cur[l + 1] - b * cur[l] - lam * prev[l] for l in range(k + 1, last - k)]
-        sigma.append([0] * (k + 1) + nxt)
-    return sigma, None
+
+    __slots__ = ("key", "sigma", "lead", "singular")
+
+    def __init__(self, key):
+        self.key = key
+        self.sigma = [[_exact(m) for m in key[0]]]
+        self.lead = [Fraction(1)]
+        self.singular = None
+
+    def rows(self, k):
+        """Fill rows 0..k, 2k <= last, unless ``singular`` comes first; return it."""
+        sigma, lead = self.sigma, self.lead
+        last = len(sigma[0]) - 1
+        while self.singular is None:
+            j = len(sigma) - 1
+            cur = sigma[j]
+            if len(lead) == j + 1:  # row j's diagonal entry not yet read
+                if cur[j] == 0:
+                    self.singular = j
+                    break
+                lead.append(lead[-1] * cur[j])
+            if j >= k:
+                break
+            b = cur[j + 1] / cur[j]
+            if j == 0:
+                nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
+            else:
+                prev = sigma[j - 1]
+                b -= prev[j] / prev[j - 1]
+                lam = cur[j] / prev[j - 1]
+                nxt = [cur[l + 1] - b * cur[l] - lam * prev[l] for l in range(j + 1, last - j)]
+            sigma.append([0] * (j + 1) + nxt)
+        return self.singular
+
+
+# The latest sequence's table, one per thread, keyed by values and types: a
+# list mutated since, or equal values of other types, get a table of their own.
+_table = contextvars.ContextVar("jfrac_moment_table", default=None)
+
+
+def _moment_table(mu):
+    key = (tuple(mu), tuple(map(type, mu)))
+    table = _table.get()
+    if table is None or table.key != key:
+        table = _MomentTable(key)
+        _table.set(table)
+    return table
 
 
 def hankel(mu, kind, n, i=None):
@@ -186,10 +213,10 @@ def hankel(mu, kind, n, i=None):
     Delta(n, n+1).
 
     Expanding along the last row gives Delta(i, n) = D_{i-1} L(x^n P_i), and
-    D_{i-1} = sigma[0][0] ... sigma[i-1][i-1], so the value is read off the
-    mixed moments of ``_mixed_moments`` in O(i (n + i)) operations.  When a
-    leading minor D_k, k < i, vanishes, P_i is not defined and the value
-    comes from ``det_bareiss`` on the Hankel rows instead.
+    D_{i-1} = sigma[0][0] ... sigma[i-1][i-1]: the value is read off the table
+    that ``jfraction_from_moments`` shares, so D_0..D_N cost O(N^2) in total.
+    When a leading minor D_k, k < i, vanishes, P_i is not defined and the
+    value comes from ``det_bareiss`` on the Hankel rows instead.
     """
     if kind == "D":
         i = n
@@ -203,15 +230,13 @@ def hankel(mu, kind, n, i=None):
         raise ValueError("Delta(i, n) needs 0 <= i <= n")
     if n + i >= len(mu):
         raise ValueError(f"need moments through mu_{n + i}")
-    sigma, singular = _mixed_moments(mu, i, n + i)
+    table = _moment_table(mu)
+    singular = table.rows(i)
     if singular is not None and singular < i:
         rows = [[mu[k + c] for c in range(i + 1)] for k in range(i)]
         rows.append([mu[n + c] for c in range(i + 1)])
         return det_bareiss(rows)
-    value = Fraction(1)
-    for k in range(i):
-        value = value * sigma[k][k]
-    return value * sigma[i][n]
+    return table.lead[i] * table.sigma[i][n]
 
 
 def jfraction_from_moments(mu, depth=None):
@@ -226,10 +251,9 @@ def jfraction_from_moments(mu, depth=None):
     and chi_n = D_{n-1} sigma[n][n+1].  That is the Chebyshev algorithm
     (W. Gautschi, Orthogonal Polynomials: Computation and Approximation,
     OUP 2004): O(K^2) operations where one determinant per D_n and chi_n
-    costs O(K^4).  A vanishing D_n, n <= K, raises NonRegular
-    with that index.
+    costs O(K^4).  A vanishing D_n, n <= K, raises NonRegular with that index.
     """
-    mu = list(mu)
+    mu = tuple(mu)
     max_depth = (len(mu) - 1) // 2
     if depth is None:
         depth = max_depth
@@ -237,8 +261,9 @@ def jfraction_from_moments(mu, depth=None):
         raise ValueError(f"depth {depth} is negative")
     if depth > max_depth:
         raise ValueError(f"depth {depth} needs moments through mu_{2 * depth}")
-    sigma, singular = _mixed_moments(mu, depth, 2 * depth)
-    if singular is not None:
+    table = _moment_table(mu)
+    sigma, singular = table.sigma, table.rows(depth)
+    if singular is not None and singular <= depth:
         raise NonRegular(f"Hankel determinant D_{singular} vanishes", index=singular)
     b = []
     for n in range(depth):

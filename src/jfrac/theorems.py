@@ -29,7 +29,7 @@ from .families import (
     make_family,
     translate_q0,
 )
-from .jfraction import JFraction, det_bareiss, tableau_from_jfraction
+from .jfraction import JFraction, hankel, tableau_from_jfraction
 from .scalar import PrecisionContext, factorial, memo_scope, pochhammer, q_pochhammer, rat
 from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
 from .translation import Classical, NonCommutative, translate_series
@@ -393,10 +393,6 @@ _THEOREMS = {
 # ---------------------------------------------------------------------------
 # identities: (identity id, merged params, ctx) -> VerificationReport
 
-def _hankel_det(mu, n):
-    return det_bareiss([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
-
-
 def _hermite_convolution(iid, params, ctx):
     m_max = params["m_max"]
 
@@ -523,7 +519,7 @@ def _hankel_gegenbauer(iid, params, ctx):
             )
         return value
 
-    pairs = ((_hankel_det(mu, n), closed(n)) for n in range(n_max + 1))
+    pairs = ((hankel(mu, "D", n), closed(n)) for n in range(n_max + 1))
     return _exact_report(iid, params, *_compare(pairs))
 
 
@@ -532,8 +528,8 @@ def _hankel_affine(iid, params, ctx):
     n_max = params["n_max"]
     mu_bar = family_moments(spec, 2 * n_max)
     mu_base = family_moments(base, 2 * n_max)
-    dets = [_hankel_det(mu_bar, n) for n in range(n_max + 1)]
-    base_dets = [_hankel_det(mu_base, n) for n in range(n_max + 1)]
+    dets = [hankel(mu_bar, "D", n) for n in range(n_max + 1)]
+    base_dets = [hankel(mu_base, "D", n) for n in range(n_max + 1)]
     weight = family_weights(spec)
     expected = [F(1)]
     for k in range(1, n_max + 1):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from jfrac import cli, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
-from jfrac.families import catalog, family_tableau, make_family
+from jfrac.families import catalog, family_moments, family_tableau, make_family
+from jfrac.scalar import PrecisionContext
 
 # `jfrac catalog --format json` before the families were rewritten as terms
 PINNED_CATALOG = Path(__file__).parent / "data" / "catalog.json"
@@ -70,6 +71,25 @@ def test_moments_at_degree_60_match_the_tableau(capsys):
     assert code == 0
     tab = family_tableau(make_family("al_salam_carlitz", {"a": "1/3", "q": "1/2"}), 60)
     assert out == "mu: " + ",".join(cli.fmt_exact(tab.entry(0, n)) for n in range(61)) + "\n"
+
+
+def test_complex_moments_follow_the_precision(capsys):
+    # the run's context reaches family_moments, and entries print at its digit count
+    params = "lam=1,x=1/2,phi_over_pi=1/3"
+    argv = ["moments", "--family", "meixner_pollaczek_moments", "--params", params, "--N", "3"]
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    code, fine, _ = run(capsys, *argv, "--precision-bits", "1024")
+    assert code == 0
+    assert fine != default
+    ctx = PrecisionContext(precision_bits=1024)
+    spec = make_family("meixner_pollaczek_moments", {"lam": 1, "x": "1/2", "phi_over_pi": "1/3"})
+    mu = family_moments(spec, 3, ctx)
+    assert fine == "mu: " + ",".join(cli.fmt_exact(v, ctx) for v in mu) + "\n"
+    assert len(fine.split(",")[1]) > 300  # 308 digits, not mpmath's default 15
+    code, out, _ = run(capsys, "tableau", "--family", "meixner_pollaczek_moments", "--params", params,
+                       "--N", "3", "--precision-bits", "1024", "--format", "json")
+    assert [r["value"] for r in json.loads(out) if r["i"] == 0] == fine.strip()[4:].split(",")
 
 
 def test_moments_from_weights(capsys):

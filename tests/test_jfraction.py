@@ -1,9 +1,13 @@
+import contextvars
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jfrac import jfraction as jfraction_module
 from jfrac.errors import NonRegular
 from jfrac.families import family_jfraction, family_moments, make_family
 from jfrac.jfraction import (
@@ -196,23 +200,172 @@ def test_hankel_singular_leading_minors():
     assert hankel(mu, "Delta", 2, i=2) == -1
 
 
+def bareiss_jfraction(mu, depth):
+    """(b, lambda) from Hankel determinants, or the index of the first D_n = 0."""
+    D = [det_bareiss(hankel_rows(mu, n, n)) for n in range(depth + 1)]
+    zeros = [n for n, d in enumerate(D) if d == 0]
+    if zeros:
+        return zeros[0]
+    chi = [det_bareiss(hankel_rows(mu, n, n + 1)) for n in range(depth)]
+    D = [F(1)] + D
+    b = tuple(chi[n] / D[n + 1] - (chi[n - 1] / D[n] if n else 0) for n in range(depth))
+    return JFraction(b, tuple(D[n - 1] * D[n + 1] / D[n] ** 2 for n in range(1, depth + 1)))
+
+
+def inverse_or_index(mu, depth):
+    try:
+        return jfraction_from_moments(mu, depth)
+    except NonRegular as exc:
+        assert str(exc) == f"Hankel determinant D_{exc.index} vanishes"
+        return exc.index
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(sparse_rational, min_size=1, max_size=11), st.data())
 def test_jfraction_from_moments_matches_bareiss(mu, data):
     depth = data.draw(st.integers(0, (len(mu) - 1) // 2))
-    D = [det_bareiss(hankel_rows(mu, n, n)) for n in range(depth + 1)]
-    zeros = [n for n, d in enumerate(D) if d == 0]
-    if zeros:
-        with pytest.raises(NonRegular) as info:
-            jfraction_from_moments(mu, depth)
-        assert info.value.index == zeros[0]
-        assert str(info.value) == f"Hankel determinant D_{zeros[0]} vanishes"
-        return
-    chi = [det_bareiss(hankel_rows(mu, n, n + 1)) for n in range(depth)]
-    D = [F(1)] + D
-    jf = jfraction_from_moments(mu, depth)
-    assert jf.b == tuple(chi[n] / D[n + 1] - (chi[n - 1] / D[n] if n else 0) for n in range(depth))
-    assert jf.lam == tuple(D[n - 1] * D[n + 1] / D[n] ** 2 for n in range(1, depth + 1))
+    assert inverse_or_index(mu, depth) == bareiss_jfraction(mu, depth)
+
+
+# the table that hankel and jfraction_from_moments share
+
+def in_fresh_slot(fn, *args):
+    """fn(*args) in an empty context, where no table is held yet."""
+    return contextvars.Context().run(fn, *args)
+
+
+def same(a, b):
+    # equal values of other types (1, Fraction(1), 1.0) must not pass
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def hankel_call(mu, kind, a, c):
+    """Valid (kind, n, i) arguments picked by the integers a, c; None for chi
+    on a single moment."""
+    i = a % ((len(mu) + 1) // 2)
+    if kind == "D":
+        return "D", i, None
+    if kind == "chi":
+        return ("chi", a % (len(mu) // 2), None) if len(mu) >= 2 else None
+    return "Delta", i + c % (len(mu) - 2 * i), i
+
+
+zero_heavy = st.lists(st.sampled_from([F(0), F(0), F(0), F(1), F(-2, 3)]), min_size=3, max_size=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(sparse_rational, min_size=1, max_size=9),
+    st.lists(sparse_rational, min_size=1, max_size=4),
+    zero_heavy,
+    st.data(),
+)
+def test_shared_table_matches_bareiss_and_a_fresh_slot(base, extra, zeros, data):
+    mutable = list(base)
+    sequences = [
+        base,
+        base[: data.draw(st.integers(1, len(base)))],  # a prefix
+        base + extra,  # an extension
+        [int(x) if x.denominator == 1 else x for x in base],  # equal values, some as int
+        [float(x) for x in base],  # equal values as float: no Bareiss oracle
+        mutable,  # changed in place between calls
+        zeros,  # singular leading minors
+    ]
+    ops = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(sequences) - 1),
+            st.sampled_from(["D", "chi", "Delta", "inverse", "mutate"]),
+            st.integers(0, 20),
+            st.integers(0, 20),
+        ),
+        min_size=1,
+        max_size=30,
+    ))
+    for which, kind, a, c in ops:
+        mu = sequences[which]
+        exact = not isinstance(mu[0], float)
+        if kind == "mutate":
+            mutable[a % len(mutable)] = F(c - 10, 3)
+        elif kind == "inverse":
+            depth = a % ((len(mu) + 1) // 2)
+            got = inverse_or_index(mu, depth)
+            assert same(got, in_fresh_slot(inverse_or_index, mu, depth))
+            if exact:
+                assert got == bareiss_jfraction(mu, depth)
+        elif (call := hankel_call(mu, kind, a, c)) is not None:
+            kind, n, i = call
+            got = hankel(mu, kind, n, i)
+            assert same(got, in_fresh_slot(hankel, mu, kind, n, i))
+            if exact:
+                rows = {"D": (n, n), "chi": (n, n + 1), "Delta": (i, n)}[kind]
+                assert got == det_bareiss(hankel_rows(mu, *rows))
+
+
+def test_shared_table_is_keyed_by_values_types_and_contents():
+    mu = [F(1), F(1), F(2), F(5), F(14)]
+    assert hankel(mu, "D", 2) == 1
+    # the same values as floats get their own table, and so their own type
+    assert same(hankel([float(m) for m in mu], "D", 2), 1.0)
+    assert same(hankel(mu, "D", 2), F(1))
+    # a list changed in place is a different sequence
+    mu[4] = F(15)
+    assert hankel(mu, "D", 2) == det_bareiss(hankel_rows(mu, 2, 2)) == 2
+    # a leading minor that vanishes after a hankel call on the same moments
+    mu = [F(1), F(1), F(1), F(2), F(3)]
+    assert [hankel(mu, "D", n) for n in range(3)] == [1, 0, -1]
+    with pytest.raises(NonRegular) as info:
+        jfraction_from_moments(mu)
+    assert info.value.index == 1
+
+
+def test_threads_hold_tables_of_their_own():
+    # each thread alternates two sequences; a table shared between threads
+    # would hand one thread rows grown from another thread's moments
+    sequences = [[F(k + 1, j + 2) ** (k % 3) for k in range(15)] for j in range(8)]
+    expected = [[det_bareiss(hankel_rows(mu, n, n)) for n in range(8)] for mu in sequences]
+    failures = []
+
+    def work(j):
+        mine, other = sequences[j], sequences[(j + 1) % 8]
+        for _ in range(5):
+            for n in range(8):
+                if hankel(mine, "D", n) != expected[j][n]:
+                    failures.append((j, n))
+                hankel(other, "D", n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_determinants_after_the_inverse_build_no_row():
+    # the exact round trip's pattern: invert, then ask D_0..D_N of the same moments
+    spec = make_family("little_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)})
+    mu = tuple(family_moments(spec, 40))
+
+    def invert_then_determinants():
+        jf = jfraction_from_moments(mu)
+        table = jfraction_module._table.get()
+        rows = len(table.sigma)
+        dets = [hankel(mu, "D", n) for n in range(21)]
+        assert jfraction_module._table.get() is table and len(table.sigma) == rows == 21
+        return jf, dets
+
+    jf, dets = in_fresh_slot(invert_then_determinants)
+    # Heilermann: D_n = lambda_1^n lambda_2^(n-1) ... lambda_n
+    expected = [F(1)]
+    for n in range(1, 21):
+        expected.append(expected[-1] * jf.lambda_product(n))
+    assert dets == expected
 
 
 @settings(max_examples=40, deadline=None)
