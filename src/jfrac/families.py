@@ -17,6 +17,8 @@ whose recurrence data is intrinsically complex, so its scalar functions
 return high-precision complex numbers instead.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +32,9 @@ from .scalar import (
     binom,
     factorial,
     pochhammer,
-    q_pochhammer,
     q_pochhammer_inf,
     rat,
+    sequence,
 )
 from .series import (
     PowerSeries,
@@ -56,15 +58,23 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # exact polynomial evaluators (recurrence or terminating-sum form)
 
+def _three_term(p0, p1, step):
+    """p_0, p_1 = p1() once read, ..., p_{m+1} = step(m, p_m, p_{m-1})."""
+    yield p0
+    prev, cur = p0, p1()
+    for m in itertools.count(1):
+        yield cur
+        prev, cur = cur, step(m, cur, prev)
+
+
+@sequence
+def _hermite(x):
+    return _three_term(F(1), lambda: 2 * x, lambda m, p, pp: 2 * x * p - 2 * m * pp)
+
+
 def hermite_poly(n, x):
     """Physicists' Hermite H_n(x), exact for rational x."""
-    x = rat(x) if not isinstance(x, F) else x
-    prev, cur = F(1), 2 * x
-    if n == 0:
-        return prev
-    for m in range(1, n):
-        prev, cur = cur, 2 * x * cur - 2 * m * prev
-    return cur
+    return _hermite(x if isinstance(x, F) else rat(x), n)
 
 
 def laguerre_poly(n, alpha, x):
@@ -88,63 +98,59 @@ def meixner_poly(n, x, beta, c):
     return total
 
 
+@sequence
+def _gegenbauer(nu, x):
+    return _three_term(F(1), lambda: 2 * nu * x, lambda m, p, pp: (2 * (m + nu) * x * p - (m + 2 * nu - 1) * pp) / (m + 1))
+
+
 def gegenbauer_poly(n, nu, x):
     """Gegenbauer (ultraspherical) C_n^nu(x)."""
-    prev, cur = F(1), 2 * nu * x
-    if n == 0:
-        return prev
-    for m in range(1, n):
-        prev, cur = cur, (2 * (m + nu) * x * cur - (m + 2 * nu - 1) * prev) / (m + 1)
-    return cur
+    return _gegenbauer(nu, x, n)
+
+
+@sequence
+def _chebyshev_u(x):
+    return _three_term(F(1), lambda: 2 * F(x) if isinstance(x, (int, F)) else 2 * x, lambda m, p, pp: 2 * x * p - pp)
 
 
 def chebyshev_u(n, x):
     """Chebyshev U_n(x) of the second kind."""
-    prev, cur = F(1), 2 * F(x) if isinstance(x, (int, F)) else 2 * x
-    if n == 0:
-        return prev
-    for _ in range(1, n):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+    return _chebyshev_u(x, n)
 
 
-def jacobi_poly(n, alpha, beta, x):
-    """Jacobi P_n^(alpha,beta)(x) in the standard normalization."""
-    if n == 0:
-        return F(1)
-    prev = F(1)
-    cur = (alpha - beta) / F(2) + (alpha + beta + 2) * x / F(2)
-    for m in range(1, n):
+@sequence
+def _jacobi(alpha, beta, x):
+    def step(m, p, pp):
         s = 2 * m + alpha + beta
         a1 = 2 * (m + 1) * (m + alpha + beta + 1) * s
         a2 = (s + 1) * (alpha * alpha - beta * beta)
         a3 = (s + 1) * s * (s + 2)
         a4 = 2 * (m + alpha) * (m + beta) * (s + 2)
-        prev, cur = cur, ((a2 + a3 * x) * cur - a4 * prev) / a1
-    return cur
+        return ((a2 + a3 * x) * p - a4 * pp) / a1
+
+    return _three_term(F(1), lambda: (alpha - beta) / F(2) + (alpha + beta + 2) * x / F(2), step)
+
+
+def jacobi_poly(n, alpha, beta, x):
+    """Jacobi P_n^(alpha,beta)(x) in the standard normalization."""
+    return _jacobi(alpha, beta, x, n)
+
+
+@sequence
+def _cq_ultraspherical(x, beta, q):
+    def step(m, p, pp):
+        return (2 * x * (1 - beta * q ** m) * p - (1 - beta * beta * q ** (m - 1)) * pp) / (1 - q ** (m + 1))
+
+    return _three_term(F(1), lambda: 2 * x * (1 - beta) / (1 - q), step)
 
 
 def cq_ultraspherical_poly(n, x, beta, q):
     """Continuous q-ultraspherical C_n(x; beta | q), exact for rational data."""
-    if n == 0:
-        return F(1)
-    prev = F(1)
-    cur = 2 * x * (1 - beta) / (1 - q)
-    for m in range(1, n):
-        nxt = (2 * x * (1 - beta * q ** m) * cur - (1 - beta * beta * q ** (m - 1)) * prev) / (
-            1 - q ** (m + 1)
-        )
-        prev, cur = cur, nxt
-    return cur
+    return _cq_ultraspherical(x, beta, q, n)
 
 
 # ---------------------------------------------------------------------------
 # small exact-series helpers
-
-def _qp(a, q, n):
-    # q_pochhammer returns the int 1 at n = 0; keep everything Fraction
-    return F(q_pochhammer(a, q, n))
-
 
 def _cos_half_series(degree):
     coeffs = [F(0)] * (degree + 1)
@@ -456,8 +462,13 @@ def _recurrence_from_closed_tableau(entry_fn):
     lambda_n = H_{n-1,n+1} - H_{n-2,n} - b_{n-1} H_{n-1,n}.
     """
 
+    read = {}  # each entry once per working precision
+
     def h(i, n):
-        return entry_fn(i, n) if i >= 0 else 0
+        key = (i, n, mpmath.mp.prec)
+        if i >= 0 and key not in read:
+            read[key] = entry_fn(i, n)
+        return read.get(key, 0)
 
     def b_fn(n):
         return h(n, n + 1) - h(n - 1, n)
@@ -789,7 +800,7 @@ def _make_al_salam_carlitz(params):
             pref = (
                 q_pochhammer_inf(-tv * qv ** j, q, ctx)
                 * tv ** j
-                * ctx.number(F(q) ** (j * (j - 1) // 2) / _qp(q, q, j))
+                * ctx.number(F(q) ** (j * (j - 1) // 2) / kind.series_denominator(j))
             )
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
@@ -815,27 +826,17 @@ def _make_al_salam_carlitz(params):
     )
 
 
-def _qultra_coef(beta, q):
-    # coefficient of I_{j+2k+1} in the Q_j Bessel sum; beta = 0 is the
-    # confluent limit with sign (-1)^k
-    def coef(j, k):
-        if beta == 0:
-            factor = (
-                F(-1) ** k
-                * F(q) ** (k * (k + 1) // 2)
-                * _qp(q ** (j + 1), q, k)
-                / _qp(q, q, k)
-            )
-        else:
-            factor = (
-                F(beta) ** k
-                * _qp(q / beta, q, k)
-                * _qp(q ** (j + 1), q, k)
-                / (_qp(q, q, k) * _qp(beta * q ** (j + 1), q, k))
-            )
-        return factor * (j + 2 * k + 1)
-
-    return coef
+@sequence
+def _qultra_coef(beta, q, j):
+    # coefficient of I_{j+2k+1} in the Q_j Bessel sum, k = 0, 1, ...:
+    # (j+2k+1) beta^k (q/beta, q^{j+1}; q)_k / (q, beta q^{j+1}; q)_k, where
+    # beta^k (q/beta; q)_k = prod_{i<k} (beta - q^{i+1}) also covers the
+    # confluent limit beta = 0
+    r, qk, qj = F(1), F(1), q ** j
+    for k in itertools.count():
+        yield r * (j + 2 * k + 1)
+        qk = qk * q
+        r = r * (beta - qk) * (1 - qj * qk) / ((1 - qk) * (1 - beta * qj * qk))
 
 
 def _bessel_sum_q_fn(coef, step):
@@ -894,7 +895,7 @@ def _make_q_ultraspherical(params):
             / (4 * (1 - beta * F(q) ** (j - 1)) * (1 - beta * F(q) ** j))
         )
 
-    coef = _qultra_coef(beta, q)
+    coef = functools.partial(_qultra_coef, beta, q)
     return FamilySpec(
         id="q_ultraspherical",
         params=params,
@@ -910,7 +911,7 @@ def _make_q_ultraspherical(params):
 def _make_q_ultraspherical_beta0(params):
     q = params["q"]
     _require_q(q)
-    coef = _qultra_coef(F(0), q)
+    coef = functools.partial(_qultra_coef, F(0), q)
 
     return FamilySpec(
         id="q_ultraspherical_beta0",
@@ -923,23 +924,17 @@ def _make_q_ultraspherical_beta0(params):
     )
 
 
-def _aw_term_factor(a, q, m, n):
-    # coefficient of I_{n+m+1} in the Q_m Bessel sum; note the base-q^2
-    # Pochhammer and the n-dependent base of the last denominator factor
-    q2 = q * q
-    return (
-        F(a) ** n
-        * (n + m + 1)
-        * _qp(q ** (m + 1), q, n)
-        * _qp(q / a, q, n)
-        * _qp(-(q ** (m + 1)), q, n)
-        * _qp(q ** (2 * m + 3), q2, n)
-        / (
-            _qp(q, q, n)
-            * _qp(a * q ** (2 * m + 2), q, n)
-            * _qp(q ** (2 * m + n + 2), q, n)
-        )
-    )
+@sequence
+def _aw_term_factor(a, q, m):
+    # coefficient of I_{n+m+1} in the Q_m Bessel sum, n = 0, 1, ...: a^n (n+m+1)
+    # (q^{m+1}, q/a, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n / (q, a q^{2m+2}, q^{2m+n+2}; q)_n.
+    # (q^{m+1}, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n = (q^{2m+2}; q)_{2n}, and the last
+    # factor, whose base moves with n, takes it down to (q^{2m+2}; q)_n
+    r, qn, c = F(1), F(1), q ** (2 * m + 2)  # a^n times the q-Pochhammer quotient, q^n
+    for n in itertools.count():
+        yield r * (n + m + 1)
+        r = r * (a - q * qn) * (1 - c * qn) / ((1 - q * qn) * (1 - a * c * qn))
+        qn = qn * q
 
 
 def _make_askey_wilson_slice(params):
@@ -967,9 +962,7 @@ def _make_askey_wilson_slice(params):
     def b_fn(n):
         return (a + 1 / F(a) - A_t(n) - C_t(n)) / 2
 
-    def coef(m, n):
-        return _aw_term_factor(a, q, m, n)
-
+    coef = functools.partial(_aw_term_factor, a, q)
     return FamilySpec(
         id="askey_wilson_slice",
         params=params,

@@ -7,6 +7,7 @@ here is scalar; truncated power series live in :mod:`jfrac.series`.
 
 import contextvars
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -37,69 +38,6 @@ def rat_str(x):
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def factorial(n):
-    return math.factorial(n)
-
-
-def pochhammer(a, n):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    result = 1
-    for i in range(n):
-        result = result * (a + i)
-    return result
-
-
-def q_int(n, q):
-    """The q-integer [n]_q = 1 + q + ... + q^{n-1}.  Well defined at q = 1."""
-    result = 0
-    power = 1
-    for _ in range(n):
-        result = result + power
-        power = power * q
-    return result
-
-
-def q_pochhammer(a, q, n):
-    """Finite q-shifted factorial (a; q)_n = prod_{k<n} (1 - a q^k)."""
-    if n < 0:
-        raise ValueError("q_pochhammer needs n >= 0")
-    result = 1
-    aq = a
-    for _ in range(n):
-        result = result * (1 - aq)
-        aq = aq * q
-    return result
-
-
-def q_binomial(n, k, q):
-    """Gaussian binomial coefficient, exact for rational q.
-
-    Computed by the Pascal-type recurrence
-    [n, k]_q = [n-1, k-1]_q + q^k [n-1, k]_q, which stays valid at q = 1
-    (where it degenerates to the ordinary binomial).
-    """
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for m in range(1, n + 1):
-        new = [1]
-        qpow = q
-        for j in range(1, m):
-            new.append(row[j - 1] + qpow * row[j])
-            qpow = qpow * q
-        new.append(1)
-        row = new
-    return row[k]
 
 
 @dataclass
@@ -159,7 +97,7 @@ class PrecisionContext:
 
 
 # ---------------------------------------------------------------------------
-# per-scope memo for the numeric leaves
+# per-scope memo for the numeric leaves and the exact sequences
 
 _memo = contextvars.ContextVar("jfrac_memo", default=None)
 _CTX_FIELDS = tuple(f.name for f in fields(PrecisionContext))
@@ -167,7 +105,8 @@ _CTX_FIELDS = tuple(f.name for f in fields(PrecisionContext))
 
 @contextmanager
 def memo_scope():
-    """Within the block, :func:`memoised` functions reuse their results.
+    """Within the block, :func:`memoised` functions reuse their results and
+    :func:`sequence` functions keep the values they have stepped through.
 
     Every scope starts empty and is dropped on exit; a nested scope does not
     see its parent's entries.  The verification entry points open one scope
@@ -210,6 +149,99 @@ def memoised(fn):
             return value
 
     return wrapper
+
+
+def sequence(gen):
+    """Turn ``gen(*args)``, an iterator over x_0, x_1, ... of one recurrence,
+    into ``f(*args, n)`` returning x_n.
+
+    Inside a :func:`memo_scope` the values stepped through are kept per
+    argument tuple, keyed as :func:`memoised` keys them, so x_0..x_N cost N
+    steps in any order; outside one, each call steps from x_0.  Only exact
+    (int or Fraction) arguments get a table, since only their values do not
+    depend on the working precision."""
+
+    @functools.wraps(gen)
+    def nth(*args):
+        *params, n = args
+        if n < 0:
+            raise ValueError(f"{gen.__name__} needs n >= 0")
+        memo = _memo.get()
+        if memo is None or not all(isinstance(p, (int, Fraction)) for p in params):
+            return next(itertools.islice(gen(*params), n, None))
+        key = (nth, tuple(_memo_key(p) for p in params))
+        if key not in memo:
+            memo[key] = [], gen(*params)
+        values, steps = memo[key]
+        while len(values) <= n:
+            values.append(next(steps))
+        return values[n]
+
+    return nth
+
+
+def binom(n, k):
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def factorial(n):
+    return math.factorial(n)
+
+
+@sequence
+def pochhammer(a):
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1;
+    called as ``pochhammer(a, n)``."""
+    value = 1
+    for i in itertools.count():
+        yield value
+        value = value * (a + i)
+
+
+def q_int(n, q):
+    """The q-integer [n]_q = 1 + q + ... + q^{n-1}.  Well defined at q = 1."""
+    result = 0
+    power = 1
+    for _ in range(n):
+        result = result + power
+        power = power * q
+    return result
+
+
+@sequence
+def q_pochhammer(a, q):
+    """Finite q-shifted factorial (a; q)_n = prod_{k<n} (1 - a q^k); called
+    as ``q_pochhammer(a, q, n)``."""
+    value, aq = 1, a
+    while True:
+        yield value
+        value = value * (1 - aq)
+        aq = aq * q
+
+
+@sequence
+def _q_binomial_rows(q):
+    """Rows ([n, 0]_q, ..., [n, n]_q) of the q-Pascal triangle, by
+    [n, k]_q = [n-1, k-1]_q + q^k [n-1, k]_q, which stays valid at q = 1
+    (where it degenerates to the ordinary binomial)."""
+    row = (1,)
+    for m in itertools.count(1):
+        yield row
+        new = [1]
+        qpow = q
+        for j in range(1, m):
+            new.append(row[j - 1] + qpow * row[j])
+            qpow = qpow * q
+        row = (*new, 1)
+
+
+def q_binomial(n, k, q):
+    """Gaussian binomial coefficient [n, k]_q, exact for rational q."""
+    if k < 0 or k > n:
+        return 0
+    return _q_binomial_rows(q, n)[k]
 
 
 @memoised

@@ -17,6 +17,9 @@ import mpmath
 
 from .errors import InvalidParams, UnknownTheorem
 from .families import (
+    _no_unit,
+    _require,
+    _require_q,
     chebyshev_u,
     cq_ultraspherical_poly,
     family_moments,
@@ -418,6 +421,7 @@ def _hermite_convolution(iid, params, ctx):
 
 def _bessel_reduction(iid, params, ctx):
     mu, nu, z, N = params["mu"], params["nu"], params["z"], params["N"]
+    _require(z != 0, "bessel_reduction needs z != 0")
     with ctx.workprec():
         zv = ctx.number(z)
         lhs = mpmath.power(zv / 2, ctx.number(mu - nu)) * bessel_j(nu, zv, ctx).value
@@ -439,6 +443,7 @@ def _bessel_reduction(iid, params, ctx):
 
 def _plane_wave_ultra(iid, params, ctx):
     nu, x, y, N = params["nu"], params["x"], params["y"], params["N"]
+    _require(y != 0, "plane_wave_ultra needs y != 0")
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
@@ -477,6 +482,7 @@ def _plane_wave_jacobi(iid, params, ctx):
 
 def _plane_wave_cheby(iid, params, ctx):
     x, y, N = params["x"], params["y"], params["N"]
+    _require(y != 0, "plane_wave_cheby needs y != 0")
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
@@ -490,6 +496,7 @@ def _plane_wave_cheby(iid, params, ctx):
 
 def _bessel_1f1_link(iid, params, ctx):
     nu, x = params["nu"], params["x"]
+    _require(x != 0, "bessel_1f1_link needs x != 0")
     with ctx.workprec():
         xv = ctx.number(x)
         inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)
@@ -540,6 +547,9 @@ def _hankel_affine(iid, params, ctx):
 
 def _connection_rogers(iid, params, ctx):
     beta, gamma, q, n_max = params["beta"], params["gamma"], params["q"], params["n_max"]
+    _require_q(q)
+    _require(beta != 0, "connection_rogers needs beta != 0")
+    _no_unit(beta, q, "beta")
     xs = [F(k, 2) for k in range(n_max + 2)]
 
     def rhs(n, x):

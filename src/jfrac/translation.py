@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InvalidParams, Unsupported
-from .scalar import binom, factorial, q_binomial, q_pochhammer
+from .scalar import _q_binomial_rows, binom, factorial, q_pochhammer
 from .series import SeriesValue
 
 
@@ -184,14 +184,11 @@ def monomial_image(kind, n):
         return {(n - k, k): Fraction(binom(n, k)) for k in range(n + 1)}
     if isinstance(kind, QTranslation):
         q = kind.q
-        table = {}
-        for k in range(n + 1):
-            qc = q ** (k * (k - 1) // 2)
-            table[(n - k, k)] = q_binomial(n, k, q) * qc
-        return table
+        row = _q_binomial_rows(q, n)
+        return {(n - k, k): row[k] * q ** (k * (k - 1) // 2) for k in range(n + 1)}
     if isinstance(kind, NonCommutative):
-        q = kind.q
-        return {(k, n - k): q_binomial(n, k, q) for k in range(n + 1)}
+        row = _q_binomial_rows(kind.q, n)
+        return {(k, n - k): row[k] for k in range(n + 1)}
     if isinstance(kind, Generalized):
         return {(n - j, j): kind.c(j) * kind.d(n - j) for j in range(n + 1)}
     raise Unsupported(f"no monomial image for translation kind {kind!r}")

@@ -411,6 +411,55 @@ def test_cli_fuzz_over_catalog_parameters(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+_CASE_PARAMS = {cid: entry[1] for cid, entry in {**theorems._THEOREMS, **theorems._IDENTITIES}.items()}
+
+
+@st.composite
+def _case_argv(draw):
+    cid = draw(st.sampled_from(sorted(_CASE_PARAMS)))
+    defaults = _CASE_PARAMS[cid]
+    name = draw(st.sampled_from(sorted(defaults)))
+    values = ["0", "1", "-1", "1/2", "2"]
+    if "q" in defaults:
+        values.append(str(1 / defaults["q"]))
+    return ["verify", cid, "--params", f"{name}={draw(st.sampled_from(values))}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_case_argv())
+def test_cli_fuzz_over_case_parameters(argv):
+    # a parameter outside a case's domain is invalid input or a domain
+    # error in its record, never an arithmetic accident
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    for kind in ("ZeroDivisionError", "TypeError", "ValueError"):
+        assert f"[error] {kind}" not in out.getvalue(), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connection_rogers", "--params", "beta=1"],
+        ["connection_rogers", "--params", "q=1"],
+        ["connection_rogers", "--params", "q=-1"],
+        ["connection_rogers", "--params", "q=0"],
+        ["connection_rogers", "--params", "beta=2,q=1/2"],
+        ["plane_wave_ultra", "--params", "y=0"],
+        ["plane_wave_cheby", "--params", "y=0"],
+        ["bessel_reduction", "--params", "z=0"],
+        ["bessel_1f1_link", "--params", "x=0"],
+    ],
+)
+def test_identity_parameter_outside_its_domain_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "family,params",
     [

@@ -327,6 +327,26 @@ def test_closed_tableau_matches_recurrence(entry):
                     assert abs(closed - tab.entry(i, n)) < mpmath.mpf(10) ** -55
 
 
+def test_recurrence_reads_each_closed_entry_once_per_precision():
+    reads = []
+
+    def entry_fn(i, n):
+        reads.append((i, n, mpmath.mp.prec))
+        return hermite_poly(n - i, F(1)) * binom(n, i)
+
+    b_fn, lambda_fn = families._recurrence_from_closed_tableau(entry_fn)
+    first = [(b_fn(n), lambda_fn(n)) for n in range(1, 12)]
+    assert len(reads) == len(set(reads))
+    count = len(reads)
+    assert [(b_fn(n), lambda_fn(n)) for n in range(1, 12)] == first
+    assert len(reads) == count
+    # hermite_moments at x = 1: b_n = 2x, lambda_n = -2n
+    assert first == [(F(2), F(-2 * n)) for n in range(1, 12)]
+    with mpmath.workprec(mpmath.mp.prec + 64):
+        b_fn(3)
+    assert {key[:2] for key in reads[count:]} == {(3, 4), (2, 3)}
+
+
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_numeric_q_fn_sums_the_series(entry):
     spec = sample(entry.id)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfrac import series, theorems
+from jfrac import families, series, theorems
 from jfrac.errors import InvalidParams, UnknownTheorem
-from jfrac.scalar import PrecisionContext, memoised
+from jfrac.scalar import PrecisionContext, memoised, sequence
 from jfrac.theorems import (
     SUITE_VERSION,
     identity_ids,
@@ -278,6 +278,33 @@ def test_memo_lives_for_one_case(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(theorems, "memo_scope", contextlib.nullcontext)
         assert evaluations_in(lambda: run_suite("askey_wilson", ctx=ctx)) > first
+
+
+def test_sequence_tables_live_for_one_case(monkeypatch):
+    steps = 0
+    generator = families._aw_term_factor.__wrapped__
+
+    def counted(*args):
+        nonlocal steps
+        for value in generator(*args):
+            steps += 1
+            yield value
+
+    monkeypatch.setattr(families, "_aw_term_factor", sequence(counted))
+
+    def steps_in(run):
+        before = steps
+        run()
+        return steps - before
+
+    # a second pass steps as far as the first: no table outlives a case
+    first = steps_in(lambda: run_suite("askey_wilson", ctx=ctx))
+    assert steps_in(lambda: run_suite("askey_wilson", ctx=ctx)) == first
+    # outside every scope, each call steps from index 0
+    assert steps_in(lambda: [families._aw_term_factor(F(1, 3), F(1, 2), 0, 5) for _ in range(2)]) == 12
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "memo_scope", contextlib.nullcontext)
+        assert steps_in(lambda: run_suite("askey_wilson", ctx=ctx)) > 2 * first
 
 
 def test_memo_changes_no_record(monkeypatch):
