@@ -19,7 +19,6 @@ from .scalar import (
     factorial,
     pochhammer,
     q_binomial,
-    q_int,
     q_pochhammer,
     q_pochhammer_inf,
     rat,

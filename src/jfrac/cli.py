@@ -30,7 +30,7 @@ from .errors import InvalidParams, JfracError, NonRegular, UnknownTheorem
 from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
 from .motzkin import PathWeights, path_weight_sum_dp
-from .scalar import PrecisionContext, rat
+from .scalar import PrecisionContext, rat, rat_str
 from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite_document, theorem_ids
 
 # Largest accepted --N, --depth, --steps, --from, --to or case size.  A
@@ -164,7 +164,7 @@ def _parse_params(text):
 def fmt_exact(v, ctx=None):
     """A rational as "p/q" (or "p"); with ``ctx``, an mpmath number at its digits."""
     if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return rat_str(v)
     if ctx is not None and isinstance(v, (mpmath.mpf, mpmath.mpc)):
         return ctx.nstr(v)
     return str(v)

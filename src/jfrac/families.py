@@ -89,13 +89,7 @@ def laguerre_poly(n, alpha, x):
 
 def meixner_poly(n, x, beta, c):
     """Meixner M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c), exact."""
-    z = 1 - F(1, 1) / c
-    total = F(0)
-    term = F(1)
-    for k in range(n + 1):
-        total += term
-        term = term * (-n + k) * (-x + k) * z / ((beta + k) * (k + 1))
-    return total
+    return sum(pfq_series([-n, -x], [beta], n, 1 - F(1) / c))
 
 
 @sequence

@@ -200,16 +200,6 @@ def pochhammer(a):
         value = value * (a + i)
 
 
-def q_int(n, q):
-    """The q-integer [n]_q = 1 + q + ... + q^{n-1}.  Well defined at q = 1."""
-    result = 0
-    power = 1
-    for _ in range(n):
-        result = result + power
-        power = power * q
-    return result
-
-
 @sequence
 def q_pochhammer(a, q):
     """Finite q-shifted factorial (a; q)_n = prod_{k<n} (1 - a q^k); called

@@ -3,6 +3,14 @@
 Exact arithmetic runs over ``fractions.Fraction`` (any ring element works);
 the floating evaluators sum term recurrences under a
 :class:`~jfrac.scalar.PrecisionContext` with an explicit stopping rule.
+
+The ordinary series pFq and the basic series r_phi_s share one exact loop
+and one numeric loop, keyed by the base q (None for pFq).  They differ in
+three places (Gasper-Rahman, *Basic Hypergeometric Series*, 1.2): a
+parameter's factor a + n becomes 1 - a q^n; the implicit lower parameter
+1 of n! becomes the q of (q; q)_n; and r_phi_s carries the normaliser
+((-1)^n q^binom(n,2))^(1+s-r).  exp(c t) is the 0F0, and Euler's
+expansions of (c t; q)_inf and 1/(c t; q)_inf are the 0phi0 and the 1phi0.
 """
 
 from dataclasses import dataclass
@@ -44,10 +52,6 @@ class PowerSeries:
         coeffs.extend([0] * (truncation_degree + 1 - len(coeffs)))
         self.coefficients = tuple(coeffs)
         self.truncation_degree = int(truncation_degree)
-
-    @classmethod
-    def zero(cls, degree):
-        return cls([0], degree)
 
     @classmethod
     def one(cls, degree):
@@ -175,15 +179,6 @@ class PowerSeries:
         return f"PowerSeries([{shown}], degree={self.truncation_degree})"
 
 
-def exp_series(c, degree):
-    """Taylor series of exp(c t)."""
-    c = _as_ring(c)
-    coeffs = [_as_ring(1)]
-    for n in range(degree):
-        coeffs.append(coeffs[-1] * c / (n + 1))
-    return PowerSeries(coeffs, degree)
-
-
 def exp_of(u):
     """exp of a series with zero constant term, via E' = u' E."""
     if u.coefficients[0] != 0:
@@ -221,34 +216,66 @@ def pow1p(u, r):
     return PowerSeries(p, n)
 
 
+# ---------------------------------------------------------------------------
+# one term-ratio core for pFq and r_phi_s; q is None for the ordinary kind
+
+def _factor(a, n, qn):
+    """Parameter a's factor in the ratio of term n + 1 to term n: a + n, or
+    1 - a q^n."""
+    return a + n if qn is None else 1 - a * qn
+
+
+def _ratio(top, numer, lower, denom, n, qn):
+    """Step n of the term recurrence as (top, bottom): ``top`` times the
+    upper factors, over the implicit lower parameter's factor (``lower`` is
+    1 or q) times the lower factors, with r_phi_s's normaliser (-q^n)^e,
+    e = 1 + s - r, on top for e > 0 and below for e < 0.  bottom is None
+    once an upper factor vanishes."""
+    for a in numer:
+        top = top * _factor(a, n, qn)
+    if top == 0:
+        return top, None
+    bottom = _factor(lower, n, qn)
+    for b in denom:
+        bottom = bottom * _factor(b, n, qn)
+    e = 0 if qn is None else 1 + len(denom) - len(numer)
+    if e > 0:
+        top = top * (-qn) ** e
+    elif e < 0:
+        bottom = bottom * (-qn) ** (-e)
+    return top, bottom
+
+
+def _series(numer, denom, q, degree, arg):
+    numer = [_as_ring(a) for a in numer]
+    denom = [_as_ring(b) for b in denom]
+    arg = _as_ring(arg)
+    one = _as_ring(1)
+    q = _as_ring(q)
+    lower, qn = (one, None) if q is None else (q, one)
+    term = one
+    coeffs = [term]
+    for n in range(degree):
+        top, bottom = _ratio(one, numer, lower, denom, n, qn)
+        if bottom is None:
+            coeffs.extend([0] * (degree - n))
+            break
+        if bottom == 0:
+            raise PoleInDenominator(f"lower parameter produces a zero factor at term {n + 1}")
+        term = term * top * arg / bottom
+        coeffs.append(term)
+        if qn is not None:
+            qn = qn * q
+    return PowerSeries(coeffs, degree)
+
+
 def pfq_series(numer, denom, degree, arg=1):
     """Taylor series in t of pFq(numer; denom; arg * t), exact over rationals.
 
     A vanishing numerator Pochhammer terminates the series; a vanishing
     denominator factor before that is a genuine pole.
     """
-    numer = [_as_ring(a) for a in numer]
-    denom = [_as_ring(b) for b in denom]
-    arg = _as_ring(arg)
-    term = _as_ring(1)
-    coeffs = [term]
-    for n in range(degree):
-        top = _as_ring(1)
-        for a in numer:
-            top = top * (a + n)
-        if top == 0:
-            coeffs.extend([0] * (degree - n))
-            break
-        bottom = _as_ring(n + 1)
-        for b in denom:
-            bottom = bottom * (b + n)
-        if bottom == 0:
-            raise PoleInDenominator(
-                f"lower parameter produces a zero factor at term {n + 1}"
-            )
-        term = term * top * arg / bottom
-        coeffs.append(term)
-    return PowerSeries(coeffs, degree)
+    return _series(numer, denom, None, degree, arg)
 
 
 def rphis_series(numer, denom, q, degree, arg=1):
@@ -257,70 +284,23 @@ def rphis_series(numer, denom, q, degree, arg=1):
     Includes the ((-1)^n q^binom(n,2))^(1+s-r) normalizer, so the same
     routine covers 2phi1, 1phi1, 2phi2 and friends.
     """
-    numer = [_as_ring(a) for a in numer]
-    denom = [_as_ring(b) for b in denom]
-    q = _as_ring(q)
-    arg = _as_ring(arg)
-    e = 1 + len(denom) - len(numer)
-    term = _as_ring(1)
-    coeffs = [term]
-    qn = _as_ring(1)
-    for n in range(degree):
-        top = _as_ring(1)
-        for a in numer:
-            top = top * (1 - a * qn)
-        if top == 0:
-            coeffs.extend([0] * (degree - n))
-            break
-        bottom = 1 - q * qn
-        for b in denom:
-            bottom = bottom * (1 - b * qn)
-        if bottom == 0:
-            raise PoleInDenominator(
-                f"lower parameter produces a zero factor at term {n + 1}"
-            )
-        extra = _as_ring(1)
-        if e > 0:
-            extra = (-qn) ** e
-        elif e < 0:
-            extra = 1 / ((-qn) ** (-e))
-        term = term * top * extra * arg / bottom
-        coeffs.append(term)
-        qn = qn * q
-    return PowerSeries(coeffs, degree)
+    return _series(numer, denom, q, degree, arg)
+
+
+def exp_series(c, degree):
+    """Taylor series of exp(c t), the 0F0."""
+    return pfq_series([], [], degree, c)
 
 
 def qpoch_series(c, q, degree):
-    """(c t; q)_inf as a series in t, via Euler's expansion."""
-    c = _as_ring(c)
-    q = _as_ring(q)
-    coeffs = [_as_ring(1)]
-    qpow = _as_ring(1)  # q^(n-1) inside the loop
-    qq = _as_ring(1)  # (q;q)_n running product
-    csign = _as_ring(1)  # (-c)^n
-    qbin = _as_ring(1)  # q^C(n,2)
-    for n in range(1, degree + 1):
-        csign = csign * (-c)
-        if n >= 2:
-            qpow = qpow * q
-        qbin = qbin * qpow
-        qq = qq * (1 - q ** n)
-        coeffs.append(csign * qbin / qq)
-    return PowerSeries(coeffs, degree)
+    """(c t; q)_inf as a series in t, via Euler's expansion (the 0phi0)."""
+    return rphis_series([], [], q, degree, c)
 
 
 def inv_qpoch_series(c, q, degree):
-    """1/(c t; q)_inf as a series in t, via Euler's other expansion."""
-    c = _as_ring(c)
-    q = _as_ring(q)
-    coeffs = [_as_ring(1)]
-    cpow = _as_ring(1)
-    qq = _as_ring(1)
-    for n in range(1, degree + 1):
-        cpow = cpow * c
-        qq = qq * (1 - q ** n)
-        coeffs.append(cpow / qq)
-    return PowerSeries(coeffs, degree)
+    """1/(c t; q)_inf as a series in t, via Euler's other expansion (the 1phi0
+    with upper parameter 0)."""
+    return rphis_series([0], [], q, degree, c)
 
 
 @dataclass
@@ -343,106 +323,41 @@ def _stop_threshold(total, tol):
     return tol * mag
 
 
-def eval_pfq(numer, denom, z, ctx=None):
-    """Evaluate pFq(numer; denom; z) by direct summation.
+def _vanishing_index(a, q):
+    """The index of the first term that exact parameter a makes vanish: a
+    a nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none."""
+    if not isinstance(a, _EXACT_TYPES):
+        return None
+    if q is None:
+        return 1 - int(a) if a <= 0 and Fraction(a).denominator == 1 else None
+    p, k = Fraction(a), 1
+    while abs(p) >= 1:
+        if p == 1:
+            return k
+        p, k = p * q, k + 1
+    return None
 
-    Terminating series (a numerator parameter a nonpositive integer) are
-    summed exactly with zero tail.  A denominator parameter that produces a
-    zero factor before the numerator terminates raises PoleInDenominator;
-    the numerator-zero check deliberately comes first.
-    """
+
+def _first_vanishing(params, q):
+    return min(filter(None, (_vanishing_index(a, q) for a in params)), default=None)
+
+
+def _sum(numer, denom, q, z, ctx):
     ctx = ctx or PrecisionContext()
-    # symbolic scan on exact parameters: index of the first zero term
-    n_stop = None
-    for a in numer:
-        if isinstance(a, _EXACT_TYPES) and a <= 0 and Fraction(a).denominator == 1:
-            k = 1 - int(a)
-            n_stop = k if n_stop is None else min(n_stop, k)
-    p_stop = None
-    for b in denom:
-        if isinstance(b, _EXACT_TYPES) and b <= 0 and Fraction(b).denominator == 1:
-            k = 1 - int(b)
-            p_stop = k if p_stop is None else min(p_stop, k)
+    # symbolic termination / pole scan, for exact parameters (and exact q)
+    n_stop = p_stop = None
+    if q is None or (isinstance(q, _EXACT_TYPES) and q != 0 and abs(q) < 1):
+        n_stop, p_stop = _first_vanishing(numer, q), _first_vanishing(denom, q)
     if p_stop is not None and (n_stop is None or p_stop < n_stop):
         raise PoleInDenominator(
             f"denominator parameter hits zero at term {p_stop} before any termination"
         )
     with ctx.workprec():
-        av = [ctx.number(a) for a in numer]
-        bv = [ctx.number(b) for b in denom]
-        zv = ctx.number(z)
-        complex_mode = any(isinstance(v, mpmath.mpc) for v in av + bv + [zv])
-        term = mpmath.mpc(1) if complex_mode else mpmath.mpf(1)
-        total = term * 0
-        tol = ctx.mpf(ctx.rel_tolerance)
-        small_run = 0
-        for n in range(ctx.max_terms):
-            total = total + term
-            if n_stop is not None and n + 1 == n_stop:
-                return SeriesValue(total, n + 1, mpmath.mpf(0))
-            if abs(term) < _stop_threshold(total, tol):
-                small_run += 1
-                if small_run >= ctx.consecutive_small:
-                    return SeriesValue(total, n + 1, abs(term))
-            else:
-                small_run = 0
-            top = term * zv
-            for a in av:
-                top = top * (a + n)
-            if top == 0:
-                return SeriesValue(total, n + 1, mpmath.mpf(0))
-            bottom = mpmath.mpf(n + 1)
-            for b in bv:
-                bottom = bottom * (b + n)
-            if bottom == 0:
-                raise PoleInDenominator(
-                    f"denominator parameter hits zero at term {n + 1}"
-                )
-            term = top / bottom
-        raise NonConvergent(
-            "pFq sum did not satisfy the stopping rule",
-            terms_used=ctx.max_terms,
-            last_partial=total,
-        )
-
-
-def eval_rphis(numer, denom, q, z, ctx=None):
-    """Evaluate the basic hypergeometric series r_phi_s(numer; denom; q, z).
-
-    Requires 0 < |q| < 1.  Terminating series (a numerator parameter equal
-    to q^(-m) for exact rational inputs) are summed exactly with zero tail.
-    """
-    ctx = ctx or PrecisionContext()
-    e = 1 + len(denom) - len(numer)
-    # symbolic termination / pole scan for exact rational a, q
-    n_stop = None
-    p_stop = None
-    if isinstance(q, _EXACT_TYPES) and q != 0 and abs(q) < 1:
-        qr = Fraction(q)
-        for params, is_denom in ((numer, False), (denom, True)):
-            for a in params:
-                if not isinstance(a, _EXACT_TYPES):
-                    continue
-                p = Fraction(a)
-                k = 0
-                while abs(p) >= 1:
-                    if p == 1:
-                        idx = k + 1
-                        if is_denom:
-                            p_stop = idx if p_stop is None else min(p_stop, idx)
-                        else:
-                            n_stop = idx if n_stop is None else min(n_stop, idx)
-                        break
-                    p = p * qr
-                    k += 1
-    if p_stop is not None and (n_stop is None or p_stop < n_stop):
-        raise PoleInDenominator(
-            f"denominator parameter hits zero at term {p_stop} before any termination"
-        )
-    with ctx.workprec():
-        qv = ctx.number(q)
-        if not abs(qv) < 1 or qv == 0:
-            raise DomainError("basic series evaluation needs 0 < |q| < 1")
+        qv = None
+        if q is not None:
+            qv = ctx.number(q)
+            if not abs(qv) < 1 or qv == 0:
+                raise DomainError("basic series evaluation needs 0 < |q| < 1")
         av = [ctx.number(a) for a in numer]
         bv = [ctx.number(b) for b in denom]
         zv = ctx.number(z)
@@ -451,7 +366,7 @@ def eval_rphis(numer, denom, q, z, ctx=None):
         total = term * 0
         tol = ctx.mpf(ctx.rel_tolerance)
         small_run = 0
-        qn = mpmath.mpf(1)
+        lower, qn = (mpmath.mpf(1), None) if qv is None else (qv, mpmath.mpf(1))
         for n in range(ctx.max_terms):
             total = total + term
             if n_stop is not None and n + 1 == n_stop:
@@ -462,29 +377,39 @@ def eval_rphis(numer, denom, q, z, ctx=None):
                     return SeriesValue(total, n + 1, abs(term))
             else:
                 small_run = 0
-            top = term * zv
-            for a in av:
-                top = top * (1 - a * qn)
-            if top == 0:
+            top, bottom = _ratio(term * zv, av, lower, bv, n, qn)
+            if bottom is None:
                 return SeriesValue(total, n + 1, mpmath.mpf(0))
-            bottom = 1 - qv * qn
-            for b in bv:
-                bottom = bottom * (1 - b * qn)
             if bottom == 0:
-                raise PoleInDenominator(
-                    f"denominator parameter hits zero at term {n + 1}"
-                )
-            if e > 0:
-                top = top * (-qn) ** e
-            elif e < 0:
-                bottom = bottom * (-qn) ** (-e)
+                raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
             term = top / bottom
-            qn = qn * qv
+            if qn is not None:
+                qn = qn * qv
         raise NonConvergent(
-            "basic series sum did not satisfy the stopping rule",
+            f"{'pFq' if q is None else 'basic series'} sum did not satisfy the stopping rule",
             terms_used=ctx.max_terms,
             last_partial=total,
         )
+
+
+def eval_pfq(numer, denom, z, ctx=None):
+    """Evaluate pFq(numer; denom; z) by direct summation.
+
+    Terminating series (a numerator parameter a nonpositive integer) are
+    summed exactly with zero tail.  A denominator parameter that produces a
+    zero factor before the numerator terminates raises PoleInDenominator;
+    the numerator-zero check deliberately comes first.
+    """
+    return _sum(numer, denom, None, z, ctx)
+
+
+def eval_rphis(numer, denom, q, z, ctx=None):
+    """Evaluate the basic hypergeometric series r_phi_s(numer; denom; q, z).
+
+    Requires 0 < |q| < 1.  Terminating series (a numerator parameter equal
+    to q^(-m) for exact rational inputs) are summed exactly with zero tail.
+    """
+    return _sum(numer, denom, q, z, ctx)
 
 
 def _shift_one(nu):

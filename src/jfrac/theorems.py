@@ -103,6 +103,11 @@ def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=Non
     )
 
 
+def _require_off_poles(v, message):
+    # v, exact, is a Gamma argument or a lower series parameter
+    _require(not (v <= 0 and v.denominator == 1), message)
+
+
 def _partial_sum(N, term, pref=None):
     """Sum term(0), ..., term(N) in order; returns the total and |term(N)|,
     both times ``pref`` when one is given.  Call under a workprec."""
@@ -422,6 +427,8 @@ def _hermite_convolution(iid, params, ctx):
 def _bessel_reduction(iid, params, ctx):
     mu, nu, z, N = params["mu"], params["nu"], params["z"], params["N"]
     _require(z != 0, "bessel_reduction needs z != 0")
+    _require_off_poles(mu, f"bessel_reduction needs Gamma(mu + n) finite, got mu = {mu}")
+    _require_off_poles(nu + 1, f"bessel_reduction needs Gamma(nu + 1) finite, got nu = {nu}")
     with ctx.workprec():
         zv = ctx.number(z)
         lhs = mpmath.power(zv / 2, ctx.number(mu - nu)) * bessel_j(nu, zv, ctx).value
@@ -444,6 +451,7 @@ def _bessel_reduction(iid, params, ctx):
 def _plane_wave_ultra(iid, params, ctx):
     nu, x, y, N = params["nu"], params["x"], params["y"], params["N"]
     _require(y != 0, "plane_wave_ultra needs y != 0")
+    _require_off_poles(nu, f"plane_wave_ultra needs Gamma(nu) finite, got nu = {nu}")
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
@@ -497,6 +505,7 @@ def _plane_wave_cheby(iid, params, ctx):
 def _bessel_1f1_link(iid, params, ctx):
     nu, x = params["nu"], params["x"]
     _require(x != 0, "bessel_1f1_link needs x != 0")
+    _require_off_poles(2 * nu + 1, f"bessel_1f1_link needs 2nu + 1 off the nonpositive integers, got nu = {nu}")
     with ctx.workprec():
         xv = ctx.number(x)
         inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)

@@ -104,16 +104,8 @@ class NormalOrderedPoly:
         self.coeffs = table
 
     @classmethod
-    def zero(cls, q):
-        return cls(q)
-
-    @classmethod
     def constant(cls, q, c):
         return cls(q, {(0, 0): c})
-
-    @classmethod
-    def monomial(cls, q, c, i, k):
-        return cls(q, {(i, k): c})
 
     def __eq__(self, other):
         if not isinstance(other, NormalOrderedPoly):

@@ -576,3 +576,25 @@ def test_case_size_at_the_ceiling_passes_the_check(capsys, monkeypatch, case, si
     code, out, _ = run(capsys, "verify", case, "--params", f"{size}={MAX_SIZE}")
     assert code == 3
     assert out.startswith(f"FAIL {case} [error] AssertionError: a case ran")
+
+
+@pytest.mark.parametrize(
+    "case,param",
+    [
+        ("bessel_1f1_link", "nu=-1"),
+        ("bessel_1f1_link", "nu=-1/2"),
+        ("bessel_reduction", "mu=0"),
+        ("bessel_reduction", "mu=-1"),
+        ("bessel_reduction", "nu=-1"),
+        ("plane_wave_ultra", "nu=0"),
+        ("plane_wave_ultra", "nu=-1"),
+    ],
+)
+def test_gamma_or_series_pole_in_a_parameter_is_invalid_input(capsys, case, param):
+    # a Gamma pole, or 2nu + 1 a nonpositive integer (a pole of the 1F1, or
+    # 1F1(0; 0; 2x) at nu = -1/2), lies outside the identity: invalid input,
+    # not a failed case
+    code, out, err = run(capsys, "verify", case, "--params", param)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and param.split("=")[0] in err

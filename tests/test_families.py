@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -45,6 +48,7 @@ from jfrac.series import (
 )
 
 ctx = PrecisionContext()
+PINNED_EXACT = Path(__file__).parent / "data" / "exact_families.json"
 Q_FAMILIES = {"little_q_jacobi", "big_q_jacobi", "al_salam_carlitz"}
 
 
@@ -619,3 +623,30 @@ def test_series_denominator_kinds():
     little = sample("little_q_jacobi")
     q = F(1, 2)
     assert little.series_denominator(3) == F(q_pochhammer(q, q, 3))
+
+
+def exact_digest(spec):
+    """sha256 over mu_0..mu_30, the tableau to N = 14, and the Q_j (and Q~_j)
+    series rows for j <= 6 at degree 12, each value with its type."""
+    h = hashlib.sha256()
+
+    def feed(label, values):
+        h.update(f"{label}:{','.join(f'{type(v).__name__}:{v}' for v in values)}\n".encode())
+
+    feed("mu", family_moments(spec, 30))
+    for i, row in enumerate(family_tableau(spec, 14).H):
+        feed(f"H{i}", row)
+    for name in ("q_series_fn", "q_tilde_series_fn"):
+        fn = getattr(spec, name)
+        for j in range(7 if fn is not None else 0):
+            feed(f"{name}{j}", fn(j, 12))
+    return h.hexdigest()
+
+
+def test_exact_family_outputs_are_pinned():
+    # tests/data/exact_families.json holds exact_digest of every exact family
+    # at its catalog sample; a family whose outputs moved is named
+    pinned = json.loads(PINNED_EXACT.read_text())
+    got = {e.id: exact_digest(sample(e.id)) for e in catalog() if e.exact}
+    assert sorted(got) == sorted(pinned)
+    assert [fid for fid in got if got[fid] != pinned[fid]] == []

@@ -13,7 +13,6 @@ from jfrac.scalar import (
     memoised,
     pochhammer,
     q_binomial,
-    q_int,
     q_pochhammer,
     q_pochhammer_inf,
     rat,
@@ -59,12 +58,6 @@ def test_pochhammer():
 def test_factorial():
     assert factorial(0) == 1
     assert factorial(6) == 720
-
-
-def test_q_int():
-    assert q_int(4, 1) == 4
-    assert q_int(3, F(1, 2)) == F(7, 4)
-    assert q_int(0, F(1, 2)) == 0
 
 
 def test_q_pochhammer():
