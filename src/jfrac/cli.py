@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 --to, a case's degree, n_max, m_max or N) that is negative or above MAX_SIZE
 is invalid input, rejected before any work; so are a precision outside
 1..MAX_PRECISION_BITS, a max_terms below 1 and a tolerance that is not
-positive, however they are set.
+positive, however they are set, and a verify tolerance below
+2^-precision_bits.  Each command runs in one memo scope.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .errors import InvalidParams, JfracError, NonRegular, UnknownTheorem
 from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
 from .motzkin import PathWeights, path_weight_sum_dp
-from .scalar import PrecisionContext, rat, rat_str
+from .scalar import PrecisionContext, memo_scope, rat, rat_str
 from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite_document, theorem_ids
 
 # Largest accepted --N, --depth, --steps, --from, --to or case size.  A
@@ -506,7 +507,10 @@ def main(argv=None):
         cfg, explicit = resolve_config(args)
         if cfg.format not in ("json", "csv", "text"):
             raise InvalidParams(f"unknown format {cfg.format!r}")
-        return args.func(args, cfg, explicit, sys.stdout)
+        # one scope per command: an exact sequence such as (q; q)_n steps
+        # through its values once, not from index 0 for every n
+        with memo_scope():
+            return args.func(args, cfg, explicit, sys.stdout)
     except NonRegular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,39 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_neg,
+    mpc_pos,
+    mpc_pow_int,
+    mpc_sub,
+    mpc_sub_mpf,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import GammaPole, NonConvergent
 
@@ -56,9 +87,15 @@ class PrecisionContext:
     consecutive_small: int = 3
     guard_bits: int = 64
 
+    @property
+    def working_bits(self):
+        """The working precision in bits, guard bits included, as
+        :meth:`workprec` sets it."""
+        return max(1, int(self.precision_bits + self.guard_bits))
+
     def workprec(self):
         """mpmath context manager at working precision (guard bits included)."""
-        return mpmath.workprec(self.precision_bits + self.guard_bits)
+        return mpmath.workprec(self.working_bits)
 
     @property
     def decimal_digits(self):
@@ -67,6 +104,8 @@ class PrecisionContext:
 
     def mpf(self, x):
         """Convert int/Fraction/str/float/mpf to mpf at working precision."""
+        if type(x) in _RAW_CONVERSIONS:
+            return from_raw(self.raw(x))
         with self.workprec():
             if isinstance(x, Fraction):
                 return mpmath.mpf(x.numerator) / x.denominator
@@ -76,10 +115,19 @@ class PrecisionContext:
 
     def number(self, x):
         """Like :meth:`mpf` but passes complex values through as mpc."""
-        if isinstance(x, (complex, mpmath.mpc)):
+        if isinstance(x, complex):
             with self.workprec():
                 return +mpmath.mpc(x)
         return self.mpf(x)
+
+    def raw(self, x):
+        """:meth:`number`'s value as a raw libmp value: an mpf's ``_mpf_``
+        tuple or an mpc's ``_mpc_`` pair."""
+        convert = _RAW_CONVERSIONS.get(type(x))
+        if convert is not None:
+            return convert(x, self.working_bits, round_nearest)
+        value = self.number(x)
+        return value._mpc_ if isinstance(value, mpmath.mpc) else value._mpf_
 
     def nstr(self, x):
         """Deterministic decimal rendering at the context's digit count."""
@@ -94,6 +142,102 @@ class PrecisionContext:
                 if re <= 0 and re == mpmath.floor(re):
                     raise GammaPole(f"gamma pole at {x}")
             return mpmath.gamma(z)
+
+
+# PrecisionContext.mpf's conversions of the common kinds: the libmp calls
+# that mpmath.mpf(x), mpf / int and +x make inside workprec(), made without
+# entering it, so a value costs no precision switch.
+_RAW_CONVERSIONS = {
+    Fraction: lambda x, prec, rnd: mpf_div(
+        mpf_pos(from_int(x.numerator), prec, rnd), from_int(x.denominator), prec, rnd
+    ),
+    int: lambda x, prec, rnd: mpf_pos(from_int(x), prec, rnd),
+    float: lambda x, prec, rnd: mpf_pos(from_float(x), prec, rnd),
+    mpmath.mpf: lambda x, prec, rnd: mpf_pos(x._mpf_, prec, rnd),
+    mpmath.mpc: lambda x, prec, rnd: mpc_pos(x._mpc_, prec, rnd),
+}
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on raw libmp values
+#
+# Each of mpmath's operators on mpf and mpc objects unwraps its operands,
+# calls one libmp function at the working precision, rounding to nearest,
+# and wraps the result in a new object.  The hot numeric loops call those
+# functions on the raw values directly.  A raw mpf is a 4-tuple and a raw
+# mpc a pair, and the functions below call, for each pair of kinds, the
+# libmp function that mpmath's operator calls; the same calls in the same
+# order then give the same bits as the operators would.
+
+def _add(x, y, prec, rnd):
+    if len(x) == 2:
+        return mpc_add(x, y, prec, rnd) if len(y) == 2 else mpc_add_mpf(x, y, prec, rnd)
+    return mpc_add_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_add(x, y, prec, rnd)
+
+
+def _sub(x, y, prec, rnd):
+    if len(x) == 2:
+        return mpc_sub(x, y, prec, rnd) if len(y) == 2 else mpc_sub_mpf(x, y, prec, rnd)
+    return mpc_sub((x, fzero), y, prec, rnd) if len(y) == 2 else mpf_sub(x, y, prec, rnd)
+
+
+def _mul(x, y, prec, rnd):
+    if len(x) == 2:
+        return mpc_mul(x, y, prec, rnd) if len(y) == 2 else mpc_mul_mpf(x, y, prec, rnd)
+    return mpc_mul_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_mul(x, y, prec, rnd)
+
+
+def _div(x, y, prec, rnd):
+    if len(x) == 2:
+        return mpc_div(x, y, prec, rnd) if len(y) == 2 else mpc_div_mpf(x, y, prec, rnd)
+    return mpc_mpf_div(x, y, prec, rnd) if len(y) == 2 else mpf_div(x, y, prec, rnd)
+
+
+def raw_abs(x, prec, rnd):
+    return mpc_abs(x, prec, rnd) if len(x) == 2 else mpf_abs(x, prec, rnd)
+
+
+def _neg(x, prec, rnd):
+    return mpc_neg(x, prec, rnd) if len(x) == 2 else mpf_neg(x, prec, rnd)
+
+
+def _pow_int(x, n, prec, rnd):
+    return mpc_pow_int(x, n, prec, rnd) if len(x) == 2 else mpf_pow_int(x, n, prec, rnd)
+
+
+class RawArithmetic(NamedTuple):
+    """The operators ``+ - * / abs, unary -`` and ``** int`` on raw values,
+    each called as ``op(x, [y,] prec, rnd)``."""
+
+    add: object
+    sub: object
+    mul: object
+    div: object
+    abs: object
+    neg: object
+    pow_int: object
+
+
+# all operands real: libmp's mpf functions themselves
+_REAL = RawArithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_abs, mpf_neg, mpf_pow_int)
+# some operand complex: the dispatchers above
+_MIXED = RawArithmetic(_add, _sub, _mul, _div, raw_abs, _neg, _pow_int)
+
+RAW_ZEROS = (fzero, (fzero, fzero))  # zero as a raw mpf and as a raw mpc
+
+
+def raw_arithmetic(values):
+    """The arithmetic for a loop whose inputs are the raw ``values``, with
+    zero and one in the kind of its result: real when every input is, else
+    complex."""
+    if any(len(v) == 2 for v in values):
+        return _MIXED, (fzero, fzero), (fone, fzero)
+    return _REAL, fzero, fone
+
+
+def from_raw(x):
+    """The mpf or mpc holding raw value ``x``."""
+    return mpmath.mp.make_mpc(x) if len(x) == 2 else mpmath.mp.make_mpf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -241,29 +385,37 @@ def q_pochhammer_inf(a, q, ctx=None):
     Factors are multiplied until |a q^k| drops below the working epsilon;
     the abandoned tail then satisfies |tail - 1| <= exp(|a q^k|/(1-|q|)) - 1,
     which is far below the reported precision.
+
+    The product runs on raw libmp values at the working precision: the
+    test |a q^k| < eps, the factor 1 - a q^k, the running product and the
+    step a q^k * q are the libmp calls mpmath's operators would make, in
+    the same order, so the value is the one mpf and mpc arithmetic gives.
     """
     ctx = ctx or PrecisionContext()
-    with ctx.workprec():
-        av = ctx.number(a)
-        qv = ctx.number(q)
-        absq = abs(qv)
-        if absq >= 1:
-            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {absq}")
-        eps = mpmath.mpf(2) ** (-(ctx.precision_bits + ctx.guard_bits // 2))
-        result = mpmath.mpf(1) if isinstance(av, mpmath.mpf) and isinstance(qv, mpmath.mpf) else mpmath.mpc(1)
-        term = av
-        small = 0
-        for k in range(ctx.max_terms):
-            if abs(term) < eps:
-                small += 1
-                if small >= ctx.consecutive_small:
-                    return result
-            else:
-                small = 0
-            result = result * (1 - term)
-            term = term * qv
-        raise NonConvergent(
-            "(a; q)_inf did not reach the tail threshold; |q| too close to 1",
-            terms_used=ctx.max_terms,
-            last_partial=result,
-        )
+    prec, rnd = ctx.working_bits, round_nearest
+    av = ctx.raw(a)
+    qv = ctx.raw(q)
+    absq = raw_abs(qv, prec, rnd)
+    if mpf_ge(absq, fone):
+        with ctx.workprec():  # the message shows |q| at working precision
+            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {from_raw(absq)}")
+    two = mpf_pos(from_int(2), prec, rnd)
+    eps = mpf_pow_int(two, -(ctx.precision_bits + ctx.guard_bits // 2), prec, rnd)
+    ar, _, result = raw_arithmetic((av, qv))
+    sub, mul, absv = ar.sub, ar.mul, ar.abs
+    term = av
+    small = 0
+    for k in range(ctx.max_terms):
+        if mpf_lt(absv(term, prec, rnd), eps):
+            small += 1
+            if small >= ctx.consecutive_small:
+                return from_raw(result)
+        else:
+            small = 0
+        result = mul(result, sub(fone, term, prec, rnd), prec, rnd)
+        term = mul(term, qv, prec, rnd)
+    raise NonConvergent(
+        "(a; q)_inf did not reach the tail threshold; |q| too close to 1",
+        terms_used=ctx.max_terms,
+        last_partial=from_raw(result),
+    )

@@ -11,15 +11,27 @@ parameter's factor a + n becomes 1 - a q^n; the implicit lower parameter
 1 of n! becomes the q of (q; q)_n; and r_phi_s carries the normaliser
 ((-1)^n q^binom(n,2))^(1+s-r).  exp(c t) is the 0F0, and Euler's
 expansions of (c t; q)_inf and 1/(c t; q)_inf are the 0phi0 and the 1phi0.
+
+The numeric loop runs on raw libmp values (an mpf's ``_mpf_`` tuple, an
+mpc's ``_mpc_`` pair) at the working precision, rounding to nearest, and
+wraps only the returned :class:`SeriesValue` fields in mpf or mpc objects.
+It makes the libmp calls that mpmath's operators on mpf and mpc objects
+would make, in the same order: the partial sum, the stopping test, the
+term ratio and the step of q^n.  mpmath's + - * / on mpf are correctly
+rounded and its other operations are fixed sequences of libmp calls, so
+the same calls at the same precision give the same bits: the sums are
+those of the object arithmetic, bit for bit, without its cost of a
+context lookup and a new object per operation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fone, from_int, fzero, mpf_lt, mpf_mul, round_nearest
 
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import PrecisionContext, memoised
+from .scalar import RAW_ZEROS, PrecisionContext, from_raw, memoised, raw_abs, raw_arithmetic
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -316,13 +328,6 @@ class SeriesValue:
     tail_bound: object
 
 
-def _stop_threshold(total, tol):
-    mag = abs(total)
-    if mag == 0:
-        mag = mpmath.mpf(1)
-    return tol * mag
-
-
 def _vanishing_index(a, q):
     """The index of the first term that exact parameter a makes vanish: a
     a nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none."""
@@ -342,6 +347,36 @@ def _first_vanishing(params, q):
     return min(filter(None, (_vanishing_index(a, q) for a in params)), default=None)
 
 
+def _raw_ratio(top, numer, lower, denom, n, qn, e, ar, prec):
+    """:func:`_ratio` on raw libmp values, with each operation as mpmath's
+    operator on mpf and mpc objects would make it: a factor is a + n, with
+    n an exact int, or 1 - a q^n."""
+    add, sub, mul, neg, pow_int = ar.add, ar.sub, ar.mul, ar.neg, ar.pow_int
+    rnd = round_nearest
+    if qn is None:
+        nv = from_int(n)
+        for a in numer:
+            top = mul(top, add(a, nv, prec, rnd), prec, rnd)
+        if top in RAW_ZEROS:
+            return top, None
+        bottom = add(lower, nv, prec, rnd)
+        for b in denom:
+            bottom = mul(bottom, add(b, nv, prec, rnd), prec, rnd)
+        return top, bottom
+    for a in numer:
+        top = mul(top, sub(fone, mul(a, qn, prec, rnd), prec, rnd), prec, rnd)
+    if top in RAW_ZEROS:
+        return top, None
+    bottom = sub(fone, mul(lower, qn, prec, rnd), prec, rnd)
+    for b in denom:
+        bottom = mul(bottom, sub(fone, mul(b, qn, prec, rnd), prec, rnd), prec, rnd)
+    if e > 0:
+        top = mul(top, pow_int(neg(qn, prec, rnd), e, prec, rnd), prec, rnd)
+    elif e < 0:
+        bottom = mul(bottom, pow_int(neg(qn, prec, rnd), -e, prec, rnd), prec, rnd)
+    return top, bottom
+
+
 def _sum(numer, denom, q, z, ctx):
     ctx = ctx or PrecisionContext()
     # symbolic termination / pole scan, for exact parameters (and exact q)
@@ -352,44 +387,45 @@ def _sum(numer, denom, q, z, ctx):
         raise PoleInDenominator(
             f"denominator parameter hits zero at term {p_stop} before any termination"
         )
-    with ctx.workprec():
-        qv = None
-        if q is not None:
-            qv = ctx.number(q)
-            if not abs(qv) < 1 or qv == 0:
-                raise DomainError("basic series evaluation needs 0 < |q| < 1")
-        av = [ctx.number(a) for a in numer]
-        bv = [ctx.number(b) for b in denom]
-        zv = ctx.number(z)
-        complex_mode = any(isinstance(v, mpmath.mpc) for v in av + bv + [zv, qv])
-        term = mpmath.mpc(1) if complex_mode else mpmath.mpf(1)
-        total = term * 0
-        tol = ctx.mpf(ctx.rel_tolerance)
-        small_run = 0
-        lower, qn = (mpmath.mpf(1), None) if qv is None else (qv, mpmath.mpf(1))
-        for n in range(ctx.max_terms):
-            total = total + term
-            if n_stop is not None and n + 1 == n_stop:
-                return SeriesValue(total, n + 1, mpmath.mpf(0))
-            if abs(term) < _stop_threshold(total, tol):
-                small_run += 1
-                if small_run >= ctx.consecutive_small:
-                    return SeriesValue(total, n + 1, abs(term))
-            else:
-                small_run = 0
-            top, bottom = _ratio(term * zv, av, lower, bv, n, qn)
-            if bottom is None:
-                return SeriesValue(total, n + 1, mpmath.mpf(0))
-            if bottom == 0:
-                raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
-            term = top / bottom
-            if qn is not None:
-                qn = qn * qv
-        raise NonConvergent(
-            f"{'pFq' if q is None else 'basic series'} sum did not satisfy the stopping rule",
-            terms_used=ctx.max_terms,
-            last_partial=total,
-        )
+    prec, rnd = ctx.working_bits, round_nearest
+    qv = None
+    if q is not None:
+        qv = ctx.raw(q)
+        if not mpf_lt(raw_abs(qv, prec, rnd), fone) or qv in RAW_ZEROS:
+            raise DomainError("basic series evaluation needs 0 < |q| < 1")
+    av = [ctx.raw(a) for a in numer]
+    bv = [ctx.raw(b) for b in denom]
+    zv = ctx.raw(z)
+    ar, total, term = raw_arithmetic(av + bv + [zv] + ([] if qv is None else [qv]))
+    add, mul, div, absv = ar.add, ar.mul, ar.div, ar.abs
+    tol = ctx.raw(ctx.rel_tolerance)
+    small_run = 0
+    lower, qn = (fone, None) if qv is None else (qv, fone)
+    e = 0 if qv is None else 1 + len(denom) - len(numer)
+    for n in range(ctx.max_terms):
+        total = add(total, term, prec, rnd)
+        if n_stop is not None and n + 1 == n_stop:
+            return SeriesValue(from_raw(total), n + 1, mpmath.mpf(0))
+        size, mag = absv(term, prec, rnd), absv(total, prec, rnd)
+        if mpf_lt(size, mpf_mul(tol, fone if mag == fzero else mag, prec, rnd)):
+            small_run += 1
+            if small_run >= ctx.consecutive_small:
+                return SeriesValue(from_raw(total), n + 1, from_raw(size))
+        else:
+            small_run = 0
+        top, bottom = _raw_ratio(mul(term, zv, prec, rnd), av, lower, bv, n, qn, e, ar, prec)
+        if bottom is None:
+            return SeriesValue(from_raw(total), n + 1, mpmath.mpf(0))
+        if bottom in RAW_ZEROS:
+            raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
+        term = div(top, bottom, prec, rnd)
+        if qn is not None:
+            qn = mul(qn, qv, prec, rnd)
+    raise NonConvergent(
+        f"{'pFq' if q is None else 'basic series'} sum did not satisfy the stopping rule",
+        terms_used=ctx.max_terms,
+        last_partial=from_raw(total),
+    )
 
 
 def eval_pfq(numer, denom, z, ctx=None):

@@ -662,6 +662,17 @@ def _run_settings(N, tolerance):
     return N, tolerance
 
 
+def _check_reachable(tolerance, ctx):
+    """A tolerance below 2^-precision_bits asks for a relative error that
+    the precision cannot resolve: invalid input, however the case runs."""
+    bits = ctx.precision_bits
+    if tolerance is not None and tolerance < F(1, 2**bits):
+        shown, floor = mpmath.nstr(ctx.mpf(tolerance), 6), mpmath.nstr(mpmath.ldexp(1, -bits), 3)
+        raise InvalidParams(
+            f"tolerance {shown} is below 2^-{bits} = {floor}, the resolution of {bits}-bit precision"
+        )
+
+
 def _merge_params(defaults, overrides):
     merged = dict(defaults)
     for key, value in (overrides or {}).items():
@@ -729,7 +740,9 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     Each ``params`` entry goes to the matched cases whose defaults declare
     that name, and a name that no matched case declares is rejected; ``seed``
     goes to the cases that take one.  ``s``, ``t``, ``N`` and ``tolerance``
-    apply to the theorems.  Invalid parameters raise before any case runs;
+    apply to the theorems.  Invalid parameters raise before any case runs,
+    and so does a ``tolerance`` given here or in ``params`` that is below
+    2^-precision_bits (the cases' own defaults are not checked);
     other failures are recorded in the returned reports rather than raised,
     so a single broken case cannot hide the rest of the suite.
     """
@@ -749,8 +762,11 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
         overrides["seed"] = seed
     own = {cid: {k: v for k, v in overrides.items() if k in declared[cid]} for cid in ids}
     for cid in ids:  # invalid input raises before any case runs
-        _merge_params(declared[cid], own[cid])
+        merged = _merge_params(declared[cid], own[cid])
+        if "tolerance" in own[cid]:
+            _check_reachable(merged["tolerance"], ctx)
     N, tolerance = _run_settings(N, tolerance)
+    _check_reachable(tolerance, ctx)
     reports = []
     for cid in ids:
         try:

@@ -1,13 +1,15 @@
 import contextlib
+import inspect
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfrac import cli, theorems
+from jfrac import cli, families, scalar, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
 from jfrac.families import catalog, family_moments, family_tableau, make_family
 from jfrac.scalar import PrecisionContext
@@ -598,3 +600,71 @@ def test_gamma_or_series_pole_in_a_parameter_is_invalid_input(capsys, case, para
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and param.split("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["big_qj", "--tolerance", "1e-100"],
+        ["--all", "--tolerance", "1e-78"],
+        ["plane_wave_cheby", "--params", "tolerance=1e-80"],
+        ["big_qj", "--tolerance", "1e-40", "--precision-bits", "128"],
+    ],
+)
+def test_tolerance_below_the_precision_is_invalid_input(capsys, monkeypatch, argv):
+    # 2^-256 = 8.6e-78: a smaller relative error cannot be resolved, so the
+    # case could only print FAIL; it is rejected before any case runs
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, err = run(capsys, "verify", *argv)
+    bits = argv[-1] if "--precision-bits" in argv else "256"
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance ") and f"2^-{bits}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["big_qj", "--tolerance", "1e-100", "--precision-bits", "512"],
+        ["big_qj", "--tolerance", f"1/{2**256}"],
+        ["plane_wave_cheby", "--params", "tolerance=1e-70"],
+    ],
+)
+def test_tolerance_the_precision_resolves_runs_the_case(capsys, monkeypatch, argv):
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 3
+    assert out.startswith(f"FAIL {argv[0]} [error] AssertionError: a case ran")
+
+
+def _sequence_steps(argv):
+    """Run ``jfrac argv`` and count the steps taken by the exact sequences
+    (each resumption of a generator in scalar.py or families.py)."""
+    files = {scalar.__file__, families.__file__}
+    steps = 0
+
+    def profile(frame, event, arg):
+        nonlocal steps
+        code = frame.f_code
+        if event == "call" and code.co_flags & inspect.CO_GENERATOR and code.co_filename in files:
+            steps += 1
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    return steps
+
+
+def test_moments_command_steps_each_sequence_once():
+    # the command runs in one memo scope, so (aq; q)_n and the other exact
+    # sequences step once per index: O(N) steps, where restarting from
+    # index 0 for every n took O(N^2) (20504 steps at N = 200)
+    argv = ["moments", "--family", "little_q_jacobi", "--params", "a=1/3,b=1/4,q=1/2", "--N"]
+    steps = {N: _sequence_steps(argv + [str(N)]) for N in (100, 200)}
+    assert 0 < steps[200] <= 10 * 200
+    assert steps[200] <= 2.1 * steps[100]

@@ -9,7 +9,7 @@ counts, tail bounds, coefficient types and exceptions.
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jfrac.errors import DomainError, NonConvergent, PoleInDenominator
@@ -302,6 +302,7 @@ def _outcome(fn, *args):
 
 
 QS = [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(-1, 2), F(-2, 5)]
+COMPLEX_QS = [mpmath.mpc(0.5, 0.25), mpmath.mpc(-0.375, 0.75), complex(0.25, -0.5)]
 SHAPES = {
     sign: [(r, s) for r in range(4) for s in range(4) if (1 + s - r > 0) - (1 + s - r < 0) == sign]
     for sign in (1, 0, -1)
@@ -329,21 +330,30 @@ def _param(q, inexact):
 
 @st.composite
 def cases(draw):
-    q = draw(st.one_of(st.none(), st.sampled_from(QS)))
+    q = draw(st.one_of(st.none(), st.sampled_from(QS), st.sampled_from(COMPLEX_QS)))
     inexact = draw(st.booleans())
     # r_phi_s normaliser exponent 1 + s - r: positive, zero and negative alike
     r, s = draw(st.sampled_from(SHAPES[draw(st.sampled_from([1, 0, -1]))]))
     numer = draw(st.lists(_param(q, inexact), min_size=r, max_size=r))
     denom = draw(st.lists(_param(q, inexact), min_size=s, max_size=s))
     z = draw(st.builds(F, st.integers(-3, 3), st.integers(1, 6)))
-    z = draw(st.sampled_from([z, mpmath.mpf(float(z))]))
-    bits = draw(st.sampled_from([64, 128]))
-    ctx = PrecisionContext(bits, max_terms=draw(st.sampled_from([30, 200])))
+    z = draw(st.sampled_from([z, mpmath.mpf(float(z)), mpmath.mpc(float(z), 0.5), complex(float(z), -0.25)]))
+    bits = draw(st.sampled_from([64, 128, 256, 1024]))
+    ctx = PrecisionContext(
+        bits,
+        max_terms=draw(st.sampled_from([30, 200])),
+        # the stopping rule at the suite's and the CLI's settings and beyond;
+        # at 0.5 a term can equal the threshold |total| / 2 exactly
+        rel_tolerance=draw(st.sampled_from([1e-30, 1e-8, 1e-75, 1e-250, 0.5])),
+        consecutive_small=draw(st.sampled_from([3, 1, 5])),
+    )
     return q, inexact, numer, denom, z, ctx, draw(st.integers(0, 9))
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
+# exp(1): the second term, 1, equals the threshold 0.5 * |1 + 1|
+@example((None, False, [], [], F(1), PrecisionContext(64, rel_tolerance=0.5, consecutive_small=1), 0))
 def test_shared_core_matches_the_separate_loops(case):
     q, inexact, numer, denom, z, ctx, degree = case
     if q is None:
@@ -352,7 +362,7 @@ def test_shared_core_matches_the_separate_loops(case):
         assert _outcome(eval_rphis, numer, denom, q, z, ctx) == _outcome(
             ref_eval_rphis, numer, denom, q, z, ctx
         )
-    if inexact or isinstance(z, mpmath.mpf):
+    if inexact or not isinstance(z, F) or isinstance(q, (mpmath.mpc, complex)):
         return
     if q is None:
         assert _outcome(pfq_series, numer, denom, degree, z) == _outcome(
