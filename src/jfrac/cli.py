@@ -13,7 +13,11 @@ Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 is invalid input, rejected before any work; so are a precision outside
 1..MAX_PRECISION_BITS, a max_terms below 1 and a tolerance that is not
 positive, however they are set, and a verify tolerance below
-2^-precision_bits.  Each command runs in one memo scope.
+2^-precision_bits.  So is a family or case parameter outside its declared
+domain (the constraints the catalog prints): verify and report check every
+matched case before any runs.  --N and --tolerance reach every numeric case
+that takes them; a case's own N= or tolerance= in --params wins.  Each
+command runs in one memo scope.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
@@ -45,15 +49,6 @@ MAX_SIZE = 500
 # 1000000000 would allocate numbers of 125 MB each.
 MAX_PRECISION_BITS = 8192
 
-_CONFIG_KEYS = {
-    "precision_bits": int,
-    "rel_tolerance": float,
-    "max_terms": int,
-    "N": int,
-    "format": str,
-    "seed": int,
-}
-
 
 @dataclass
 class RunConfig:
@@ -71,15 +66,9 @@ class RunConfig:
             max_terms=self.max_terms,
         )
 
-    def as_dict(self):
-        return {
-            "precision_bits": self.precision_bits,
-            "rel_tolerance": self.rel_tolerance,
-            "max_terms": self.max_terms,
-            "N": self.N,
-            "format": self.format,
-            "seed": self.seed,
-        }
+
+# the settings a config file may set: RunConfig's fields, each of its type
+_CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_config_file(path):
@@ -163,8 +152,9 @@ def _parse_params(text):
 
 
 def fmt_exact(v, ctx=None):
-    """A rational as "p/q" (or "p"); with ``ctx``, an mpmath number at its digits."""
-    if isinstance(v, Fraction):
+    """A rational as "p/q" (or "p"), in full; with ``ctx``, an mpmath number
+    at its digits."""
+    if isinstance(v, (int, Fraction)):
         return rat_str(v)
     if ctx is not None and isinstance(v, (mpmath.mpf, mpmath.mpc)):
         return ctx.nstr(v)
@@ -415,7 +405,7 @@ def cmd_report(args, cfg, explicit, out):
     patterns = args.patterns or ["*"]
     ctx = cfg.context()
     reports = _run_cases(patterns, args, cfg, explicit, ctx)
-    doc = suite_document(reports, cfg.as_dict(), ctx)
+    doc = suite_document(reports, asdict(cfg), ctx)
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -514,13 +504,7 @@ def main(argv=None):
     except NonRegular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidParams, UnknownTheorem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except JfracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (JfracError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

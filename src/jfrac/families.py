@@ -20,7 +20,7 @@ return high-precision complex numbers instead.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -34,6 +34,7 @@ from .scalar import (
     pochhammer,
     q_pochhammer_inf,
     rat,
+    rat_str,
     sequence,
 )
 from .series import (
@@ -300,13 +301,13 @@ class FamilySpec:
     :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
     t, ctx) is Q_0 under the family's own q-translation in closed form
     (t != 0).  alt_q_fn is a second printed form of Q_j that a case runs.
+    A builder leaves ``id`` and ``params`` to :func:`make_family`, and
+    names ``translation`` only when it is not the ordinary shift.
     """
 
-    id: str
-    params: dict
     b_fn: object
     lambda_fn: object
-    translation: object
+    translation: object = Classical()
     q_fn: object = None
     q_tilde_fn: object = None
     tableau_entry_fn: object = None
@@ -316,6 +317,8 @@ class FamilySpec:
     alt_q_fn: object = None
     exact: bool = True
     notes: str = ""
+    id: str = ""
+    params: dict = None
 
     def series_denominator(self, n):
         """n-th normalizer of the Q-series: n! classically, (q;q)_n in q-land."""
@@ -422,30 +425,106 @@ def tableau_closed_form(spec, i, n):
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# parameter domains
+#
+# A family, or a verification case, declares its admissible parameters once,
+# as a tuple of rules.  The catalog prints the rules, and make_family (for a
+# case, theorems.run_suite) checks them before anything is built.  A rule
+# reads expressions of the parameters, written as printed, with ^ for a
+# power: "alpha + beta", "a*b", "x^2".
 
-def _require(cond, message):
-    if not cond:
-        raise InvalidParams(message)
+@functools.lru_cache(maxsize=None)
+def _compiled(expr):
+    return compile(expr.replace("^", "**"), expr, "eval")
 
 
-def _require_q(q):
-    _require(0 < q < 1, f"need 0 < q < 1, got q = {q}")
+@dataclass(frozen=True)
+class Rule:
+    """One condition on expressions of the parameters: ``text`` is how the
+    catalog prints it, and ``broken(*values)``, given the expressions'
+    exact values, is false when they satisfy it, else true or a note on how
+    they fail."""
+
+    text: str
+    exprs: tuple
+    broken: object
 
 
-def _no_unit(v, q, label):
-    # v q^m = 1 for some m >= 0 would put a zero in a recurrence denominator.
-    # With 0 < q = r/s < 1 in lowest terms that means v = s^m / r^m exactly;
-    # the size of v's numerator fixes m up to float rounding, so three exact
-    # comparisons decide it for every m, however close q is to 1.
-    v = F(v)
-    if v < 1:
-        return
-    r, s = F(q).numerator, F(q).denominator
+def above(lo, *exprs):
+    return Rule(f"{', '.join(exprs)} > {lo}", exprs, lambda *v: min(v) <= lo)
+
+
+def between(lo, hi, expr):
+    return Rule(f"{lo} < {expr} < {hi}", (expr,), lambda v: not lo < v < hi)
+
+
+def excluded(expr, value):
+    return Rule(f"{expr} != {value}", (expr,), lambda v: v == value)
+
+
+def nonzero(expr):
+    return excluded(expr, 0)
+
+
+def off_integers(expr, upward=False):
+    """expr not in {0, -1, -2, ...}, a Gamma or lower-series pole; with
+    ``upward``, not in {0, 1, 2, ...}."""
+    sign = 1 if upward else -1
+    return Rule(
+        f"{expr} not in {{0, {sign}, {2 * sign}, ...}}", (expr,), lambda v: v.denominator == 1 and v * sign >= 0
+    )
+
+
+def unit_circle(sin, cos):
+    return Rule(f"{sin}^2 + {cos}^2 = 1", (sin, cos), lambda s, c: s * s + c * c != 1)
+
+
+def _unit_power(v, q):
+    """The m >= 0 with v q^m = 1, or None; q outside (0, 1) has none here."""
+    # With 0 < q = r/s < 1 in lowest terms, v q^m = 1 means v = s^m / r^m
+    # exactly; the size of v's numerator fixes m up to float rounding, so
+    # three exact comparisons decide it for every m, however close q is to 1.
+    if not (0 < q < 1 and v >= 1):
+        return None
+    r, s = q.numerator, q.denominator
     guess = round(math.log(v.numerator) / math.log(s))
     for m in (guess - 1, guess, guess + 1):
         if m >= 0 and v.numerator == s ** m and v.denominator == r ** m:
-            raise InvalidParams(f"{label} * q^{m} equals 1")
+            return m
+    return None
+
+
+def no_unit_power(expr):
+    """expr q^m != 1 for every m >= 0: a zero in a recurrence denominator."""
+
+    def broken(v, q):
+        m = _unit_power(v, q)
+        return m is not None and f"{expr} * q^{m} equals 1"
+
+    return Rule(f"{expr.replace('*', '')} q^m != 1", (expr, "q"), broken)
+
+
+def check_domain(owner, rules, params, prefix=""):
+    """Raise InvalidParams unless ``params`` satisfy every rule.
+
+    The rules read the parameters named ``prefix`` + name; a rule that
+    reads one not given is left to the caller's check of the names.  The
+    message names ``owner`` and, for each rule broken, the parameters it
+    reads with their values.
+    """
+    scope = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+    broken = []
+    for rule in rules:
+        names = dict.fromkeys(n for e in rule.exprs for n in _compiled(e).co_names)
+        if not names.keys() <= scope.keys():
+            continue
+        failed = rule.broken(*(F(eval(_compiled(e), {"__builtins__": {}}, scope)) for e in rule.exprs))
+        if failed:
+            got = ", ".join(f"{prefix}{n} = {rat_str(scope[n])}" for n in names)
+            note = f" ({failed})" if isinstance(failed, str) else ""
+            broken.append(f"{got} violates {rule.text}{note}")
+    if broken:
+        raise InvalidParams(f"{owner}: " + "; ".join(broken))
 
 
 def _recurrence_from_closed_tableau(entry_fn):
@@ -478,19 +557,14 @@ def _recurrence_from_closed_tableau(entry_fn):
 
 def _make_ultraspherical(params):
     nu = params["nu"]
-    _require(nu > F(-1, 2), f"ultraspherical needs nu > -1/2, got {nu}")
-    _require(nu != 0, "ultraspherical monic normalization breaks at nu = 0")
 
     def lambda_fn(j):
         return F(j * (j + 2 * nu - 1), 1) / (4 * (nu + j - 1) * (nu + j))
 
     q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
     return FamilySpec(
-        id="ultraspherical",
-        params=params,
         b_fn=lambda n: F(0),
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
         notes="Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form.",
@@ -499,8 +573,6 @@ def _make_ultraspherical(params):
 
 def _make_jacobi(params):
     alpha, beta = params["alpha"], params["beta"]
-    _require(alpha > -1 and beta > -1, "jacobi needs alpha, beta > -1")
-    _require(alpha + beta != -1, "jacobi recurrence denominator vanishes at alpha + beta = -1")
 
     def b_fn(n):
         if n == 0:
@@ -514,11 +586,8 @@ def _make_jacobi(params):
 
     q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
     return FamilySpec(
-        id="jacobi",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
         notes="Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t).",
@@ -528,11 +597,8 @@ def _make_jacobi(params):
 def _make_hermite(params):
     q = Term(Classical(), exp=(0, F(1, 4)))
     return FamilySpec(
-        id="hermite",
-        params=params,
         b_fn=lambda n: F(0),
         lambda_fn=lambda n: F(n, 2),
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
     )
@@ -540,15 +606,11 @@ def _make_hermite(params):
 
 def _make_laguerre(params):
     alpha = params["alpha"]
-    _require(alpha > -1, f"laguerre needs alpha > -1, got {alpha}")
 
     q = Term(Classical(), power=(1, lambda n: alpha + n + 1))
     return FamilySpec(
-        id="laguerre",
-        params=params,
         b_fn=lambda n: 2 * n + alpha + 1,
         lambda_fn=lambda n: n * (alpha + n),
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
     )
@@ -556,8 +618,6 @@ def _make_laguerre(params):
 
 def _make_meixner(params):
     beta, c = params["beta"], params["c"]
-    _require(beta > 0, f"meixner needs beta > 0, got {beta}")
-    _require(0 < c < 1, f"meixner needs 0 < c < 1, got {c}")
 
     def b_fn(n):
         return (n + (n + beta) * c) / (1 - c)
@@ -568,11 +628,8 @@ def _make_meixner(params):
     # ((1 - c) / (1 - c e^t))^{beta+n} (e^t - 1)^n / n!
     q = Term(Classical(), power=(c / (1 - c), lambda n: beta + n), in_u=True)
     return FamilySpec(
-        id="meixner",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
     )
@@ -580,15 +637,11 @@ def _make_meixner(params):
 
 def _make_charlier(params):
     a = params["a"]
-    _require(a != 0, "charlier needs a != 0")
 
     q = Term(Classical(), exp=(a,), in_u=True)
     return FamilySpec(
-        id="charlier",
-        params=params,
         b_fn=lambda n: n + a,
         lambda_fn=lambda n: a * n,
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
     )
@@ -596,12 +649,6 @@ def _make_charlier(params):
 
 def _make_meixner_pollaczek(params):
     lam, sin_phi, cos_phi = params["lam"], params["sin_phi"], params["cos_phi"]
-    _require(lam > 0, f"meixner_pollaczek needs lam > 0, got {lam}")
-    _require(sin_phi != 0, "meixner_pollaczek needs sin(phi) != 0")
-    _require(
-        sin_phi * sin_phi + cos_phi * cos_phi == 1,
-        "sin_phi, cos_phi must satisfy sin^2 + cos^2 = 1",
-    )
     cot = cos_phi / sin_phi
 
     def b_fn(n):
@@ -634,11 +681,8 @@ def _make_meixner_pollaczek(params):
         return body * F(2 ** j, factorial(j))
 
     return FamilySpec(
-        id="meixner_pollaczek",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q_fn,
         q_series_fn=q_series_fn,
         notes="The angle is carried as an exact (sin, cos) pair so the recurrence stays rational.",
@@ -650,9 +694,6 @@ def _make_meixner_pollaczek(params):
 
 def _make_little_q_jacobi(params):
     a, b, q = params["a"], params["b"], params["q"]
-    _require_q(q)
-    _require(a != 0, "little q-Jacobi needs a != 0")
-    _no_unit(a * b, q, "a*b")
 
     def A_fn(n):
         return (
@@ -691,8 +732,6 @@ def _make_little_q_jacobi(params):
         hyper=lambda j: ([b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], a * q ** (j + 1)),
     )
     return FamilySpec(
-        id="little_q_jacobi",
-        params=params,
         b_fn=lambda n: A_fn(n) + C_fn(n),
         lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
         translation=kind,
@@ -708,9 +747,6 @@ def _make_little_q_jacobi(params):
 
 def _make_big_q_jacobi(params):
     a, b, c, q = params["a"], params["b"], params["c"], params["q"]
-    _require_q(q)
-    _require(a != 0 and c != 0, "big q-Jacobi needs a != 0 and c != 0")
-    _no_unit(a * b, q, "a*b")
 
     def A_fn(n):
         return (
@@ -763,8 +799,6 @@ def _make_big_q_jacobi(params):
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     return FamilySpec(
-        id="big_q_jacobi",
-        params=params,
         b_fn=lambda n: 1 - A_fn(n) - C_fn(n),
         lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
         translation=kind,
@@ -779,8 +813,6 @@ def _make_big_q_jacobi(params):
 
 def _make_al_salam_carlitz(params):
     a, q = params["a"], params["q"]
-    _require_q(q)
-    _require(a != 0, "al_salam_carlitz needs a != 0")
 
     kind = QTranslation(q)
     q_form = Term(kind, inv_qpochs=(1, a))
@@ -807,8 +839,6 @@ def _make_al_salam_carlitz(params):
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     return FamilySpec(
-        id="al_salam_carlitz",
-        params=params,
         b_fn=lambda n: (1 + a) * F(q) ** n,
         lambda_fn=lambda n: -a * F(q) ** (n - 1) * (1 - F(q) ** n),
         translation=kind,
@@ -877,10 +907,6 @@ def _bessel_sum_series(coef, step, j, degree):
 
 def _make_q_ultraspherical(params):
     beta, q = params["beta"], params["q"]
-    _require_q(q)
-    _require(beta != 0, "use q_ultraspherical_beta0 for the beta = 0 limit")
-    _require(beta != 1, "q_ultraspherical needs beta != 1")
-    _no_unit(beta, q, "beta")
 
     def lambda_fn(j):
         return (
@@ -891,11 +917,8 @@ def _make_q_ultraspherical(params):
 
     coef = functools.partial(_qultra_coef, beta, q)
     return FamilySpec(
-        id="q_ultraspherical",
-        params=params,
         b_fn=lambda n: F(0),
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 2),
         q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
         notes="Addition formula is over the ordinary shift; Q_j is a modified-Bessel sum.",
@@ -903,19 +926,8 @@ def _make_q_ultraspherical(params):
 
 
 def _make_q_ultraspherical_beta0(params):
-    q = params["q"]
-    _require_q(q)
-    coef = functools.partial(_qultra_coef, F(0), q)
-
-    return FamilySpec(
-        id="q_ultraspherical_beta0",
-        params=params,
-        b_fn=lambda n: F(0),
-        lambda_fn=lambda j: (1 - F(q) ** j) / 4,
-        translation=Classical(),
-        q_fn=_bessel_sum_q_fn(coef, 2),
-        q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
-    )
+    # the confluent limit beta = 0, which q_ultraspherical's domain leaves out
+    return _make_q_ultraspherical({"beta": F(0), **params})
 
 
 @sequence
@@ -933,10 +945,6 @@ def _aw_term_factor(a, q, m):
 
 def _make_askey_wilson_slice(params):
     a, q = params["a"], params["q"]
-    _require_q(q)
-    _require(a != 0, "askey_wilson_slice needs a != 0")
-    _no_unit(a, q, "a")
-    _require(a != 1 and a != -1, "askey_wilson_slice needs a^2 != 1")
 
     def A_t(n):
         return (
@@ -958,11 +966,8 @@ def _make_askey_wilson_slice(params):
 
     coef = functools.partial(_aw_term_factor, a, q)
     return FamilySpec(
-        id="askey_wilson_slice",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda n: A_t(n - 1) * C_t(n) / 4,
-        translation=Classical(),
         q_fn=_bessel_sum_q_fn(coef, 1),
         q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
         notes="One-parameter slice of the four-parameter family; recurrence data is rational in (a, q).",
@@ -981,11 +986,8 @@ def _make_hermite_moments(params):
     b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(2 * x, -1))
     return FamilySpec(
-        id="hermite_moments",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
@@ -995,8 +997,6 @@ def _make_hermite_moments(params):
 
 def _make_laguerre_moments(params):
     alpha, x = params["alpha"], params["x"]
-    _require(alpha > 0, f"laguerre_moments needs alpha > 0, got {alpha}")
-    _require(x != 0, "laguerre_moments needs x != 0")
 
     def tableau_entry_fn(i, N):
         n = N - i
@@ -1009,11 +1009,8 @@ def _make_laguerre_moments(params):
     b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([], [alpha + 2 * n + 1], -x))
     return FamilySpec(
-        id="laguerre_moments",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
@@ -1023,14 +1020,6 @@ def _make_laguerre_moments(params):
 
 def _make_meixner_moments(params):
     beta, c, x = params["beta"], params["c"], params["x"]
-    _require(beta > 1, f"meixner_moments needs beta > 1, got {beta}")
-    _require(0 < c < 1, f"meixner_moments needs 0 < c < 1, got {c}")
-    # lambda_n vanishes at x = n - 1 or beta + x = 1 - n for some n >= 1
-    _require(not (x >= 0 and x.denominator == 1), f"meixner_moments degenerates at x = {x}")
-    _require(
-        not (beta + x <= 0 and (beta + x).denominator == 1),
-        "meixner_moments degenerates at beta + x = 1 - n",
-    )
     w = (1 - c) / c
 
     def tableau_entry_fn(i, N):
@@ -1040,11 +1029,8 @@ def _make_meixner_moments(params):
     b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], w))
     return FamilySpec(
-        id="meixner_moments",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
@@ -1054,10 +1040,6 @@ def _make_meixner_moments(params):
 
 def _make_meixner_pollaczek_moments(params):
     lam, x, phi_over_pi = params["lam"], params["x"], params["phi_over_pi"]
-    _require(lam > 0, f"meixner_pollaczek_moments needs lam > 0, got {lam}")
-    # lambda_1 is 0/0 at 2 lam = 1
-    _require(lam != F(1, 2), "meixner_pollaczek_moments needs lam != 1/2")
-    _require(0 < phi_over_pi < 1, "phi must lie strictly between 0 and pi")
 
     def _mp(v):
         return mpmath.mpf(v.numerator) / v.denominator
@@ -1092,11 +1074,8 @@ def _make_meixner_pollaczek_moments(params):
         hyper=lambda n: ([mpmath.mpc(_mp(lam) + n, _mp(x))], [2 * lam + 2 * n], _w()),
     )
     return FamilySpec(
-        id="meixner_pollaczek_moments",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         exact=False,
@@ -1106,8 +1085,6 @@ def _make_meixner_pollaczek_moments(params):
 
 def _make_gegenbauer_moments(params):
     nu, x = params["nu"], params["x"]
-    _require(nu > F(1, 2), f"gegenbauer_moments needs nu > 1/2, got {nu}")
-    _require(x * x != 1, "gegenbauer_moments needs x^2 != 1")
     half = F(1, 2)
 
     def tableau_entry_fn(i, N):
@@ -1131,11 +1108,8 @@ def _make_gegenbauer_moments(params):
     b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + half + n], (x * x - 1) / 4), step=2)
     return FamilySpec(
-        id="gegenbauer_moments",
-        params=params,
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Classical(),
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
@@ -1145,16 +1119,11 @@ def _make_gegenbauer_moments(params):
 
 def _make_derangement(params):
     alpha, x = params["alpha"], params["x"]
-    _require(alpha > -1, f"derangement needs alpha > -1, got {alpha}")
-    _require(x != 0, "derangement needs x != 0")
 
     q = Term(Classical(), exp=(-1,), power=(x, lambda n: alpha + n + 1))
     return FamilySpec(
-        id="derangement",
-        params=params,
         b_fn=lambda n: (2 * n + alpha + 1) * x - 1,
         lambda_fn=lambda n: n * (n + alpha) * x * x,
-        translation=Classical(),
         q_fn=q.value,
         q_series_fn=q.series,
         notes="Shifted Laguerre moments; at alpha = 0, x = 1 the moments count derangements.",
@@ -1164,68 +1133,70 @@ def _make_derangement(params):
 # ---------------------------------------------------------------------------
 # registry
 
-# id -> (builder, sample parameters, constraints); the sample's keys are the
+# id -> (builder, sample parameters, domain); the sample's keys are the
 # parameter names in order, and the catalog builds each family at its sample
 _BUILDERS = {
-    "ultraspherical": (_make_ultraspherical, {"nu": F(1)}, "nu > -1/2, nu != 0"),
+    "ultraspherical": (_make_ultraspherical, {"nu": F(1)}, (above(F(-1, 2), "nu"), nonzero("nu"))),
     "jacobi": (
         _make_jacobi,
         {"alpha": F(1, 2), "beta": F(1, 3)},
-        "alpha, beta > -1, alpha + beta != -1",
+        (above(-1, "alpha", "beta"), excluded("alpha + beta", -1)),
     ),
-    "hermite": (_make_hermite, {}, ""),
-    "laguerre": (_make_laguerre, {"alpha": F(0)}, "alpha > -1"),
-    "meixner": (_make_meixner, {"beta": F(2), "c": F(1, 3)}, "beta > 0, 0 < c < 1"),
-    "charlier": (_make_charlier, {"a": F(1)}, "a != 0"),
+    "hermite": (_make_hermite, {}, ()),
+    "laguerre": (_make_laguerre, {"alpha": F(0)}, (above(-1, "alpha"),)),
+    "meixner": (_make_meixner, {"beta": F(2), "c": F(1, 3)}, (above(0, "beta"), between(0, 1, "c"))),
+    "charlier": (_make_charlier, {"a": F(1)}, (nonzero("a"),)),
     "meixner_pollaczek": (
         _make_meixner_pollaczek,
         {"lam": F(1), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
-        "lam > 0, sin_phi != 0, sin_phi^2 + cos_phi^2 = 1",
+        (above(0, "lam"), nonzero("sin_phi"), unit_circle("sin_phi", "cos_phi")),
     ),
     "little_q_jacobi": (
         _make_little_q_jacobi,
         {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        "0 < q < 1, a != 0, ab q^m != 1",
+        (between(0, 1, "q"), nonzero("a"), no_unit_power("a*b")),
     ),
     "big_q_jacobi": (
         _make_big_q_jacobi,
         {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-        "0 < q < 1, a != 0, c != 0, ab q^m != 1",
+        (between(0, 1, "q"), nonzero("a"), nonzero("c"), no_unit_power("a*b")),
     ),
-    "al_salam_carlitz": (_make_al_salam_carlitz, {"a": F(1, 3), "q": F(1, 2)}, "0 < q < 1, a != 0"),
+    "al_salam_carlitz": (_make_al_salam_carlitz, {"a": F(1, 3), "q": F(1, 2)}, (between(0, 1, "q"), nonzero("a"))),
     "q_ultraspherical": (
         _make_q_ultraspherical,
         {"beta": F(1, 3), "q": F(1, 2)},
-        "0 < q < 1, beta != 0, beta q^m != 1",
+        (between(0, 1, "q"), nonzero("beta"), no_unit_power("beta")),
     ),
-    "q_ultraspherical_beta0": (_make_q_ultraspherical_beta0, {"q": F(1, 2)}, "0 < q < 1"),
+    "q_ultraspherical_beta0": (_make_q_ultraspherical_beta0, {"q": F(1, 2)}, (between(0, 1, "q"),)),
     "askey_wilson_slice": (
         _make_askey_wilson_slice,
         {"a": F(1, 3), "q": F(1, 2)},
-        "0 < q < 1, a != 0, a^2 != 1, a q^m != 1",
+        (between(0, 1, "q"), nonzero("a"), excluded("a^2", 1), no_unit_power("a")),
     ),
-    "hermite_moments": (_make_hermite_moments, {"x": F(1)}, ""),
+    "hermite_moments": (_make_hermite_moments, {"x": F(1)}, ()),
     "laguerre_moments": (
         _make_laguerre_moments,
         {"alpha": F(1, 2), "x": F(1, 2)},
-        "alpha > 0, x != 0",
+        (above(0, "alpha"), nonzero("x")),
     ),
+    # lambda_n vanishes at x = n - 1 or beta + x = 1 - n for some n >= 1
     "meixner_moments": (
         _make_meixner_moments,
         {"beta": F(3), "c": F(1, 3), "x": F(1, 2)},
-        "beta > 1, 0 < c < 1, x not in {0, 1, 2, ...}",
+        (above(1, "beta"), between(0, 1, "c"), off_integers("x", upward=True), off_integers("beta + x")),
     ),
+    # lambda_1 is 0/0 at 2 lam = 1
     "meixner_pollaczek_moments": (
         _make_meixner_pollaczek_moments,
         {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
-        "lam > 0, lam != 1/2, 0 < phi_over_pi < 1",
+        (above(0, "lam"), excluded("lam", F(1, 2)), between(0, 1, "phi_over_pi")),
     ),
     "gegenbauer_moments": (
         _make_gegenbauer_moments,
         {"nu": F(3, 2), "x": F(1, 2)},
-        "nu > 1/2, x^2 != 1",
+        (above(F(1, 2), "nu"), excluded("x^2", 1)),
     ),
-    "derangement": (_make_derangement, {"alpha": F(0), "x": F(1)}, "alpha > -1, x != 0"),
+    "derangement": (_make_derangement, {"alpha": F(0), "x": F(1)}, (above(-1, "alpha"), nonzero("x"))),
 }
 
 
@@ -1233,11 +1204,21 @@ def family_ids():
     return sorted(_BUILDERS)
 
 
-def make_family(id, params=None, **kw):
-    """Build a FamilySpec from its id and parameter map."""
+def _registered(id):
     if id not in _BUILDERS:
         raise InvalidParams(f"unknown family id {id!r}; known: {', '.join(family_ids())}")
-    builder, names, _ = _BUILDERS[id]  # the sample's keys
+    return _BUILDERS[id]
+
+
+def family_domain(id):
+    """The rules family ``id``'s parameters satisfy (see :func:`check_domain`)."""
+    return _registered(id)[2]
+
+
+def make_family(id, params=None, **kw):
+    """Build a FamilySpec from its id and parameter map, once the
+    parameters are checked against the family's domain."""
+    builder, names, domain = _registered(id)  # the sample's keys
     given = dict(params or {})
     given.update(kw)
     missing = [n for n in names if n not in given]
@@ -1252,7 +1233,8 @@ def make_family(id, params=None, **kw):
             coerced[n] = rat(given[n])
         except (TypeError, ValueError, ZeroDivisionError):
             raise InvalidParams(f"family {id}: bad value {given[n]!r} for parameter {n}") from None
-    return builder(coerced)
+    check_domain(id, domain, coerced)
+    return replace(builder(coerced), id=id, params=coerced)
 
 
 def make_affine(base, a, b):
@@ -1264,8 +1246,6 @@ def make_affine(base, a, b):
     """
     a = rat(a)
     b = rat(b)
-    if a == 0:
-        raise InvalidParams("affine transform needs a != 0")
     if not isinstance(base.translation, Classical):
         raise InvalidParams("affine transform is defined over classically translated families")
 
@@ -1330,16 +1310,17 @@ class CatalogEntry:
 
 
 def catalog():
-    """One row per registered family, built from a sample instantiation."""
+    """One row per registered family, built from a sample instantiation;
+    the constraints are the family's declared domain, rendered."""
     rows = []
     for fid in family_ids():
-        _, sample, constraints = _BUILDERS[fid]
+        _, sample, domain = _BUILDERS[fid]
         spec = make_family(fid, sample)
         rows.append(
             CatalogEntry(
                 id=fid,
                 param_names=tuple(sample),
-                constraints=constraints,
+                constraints=", ".join(rule.text for rule in domain),
                 translation=type(spec.translation).__name__,
                 has_q_tilde=spec.q_tilde_fn is not None,
                 has_closed_tableau=spec.tableau_entry_fn is not None,

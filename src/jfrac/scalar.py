@@ -6,6 +6,7 @@ here is scalar; truncated power series live in :mod:`jfrac.series`.
 """
 
 import contextvars
+import decimal
 import functools
 import itertools
 import math
@@ -63,12 +64,19 @@ def rat(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def int_str(n):
+    """The decimal digits of an int of any size.  str() refuses an int of
+    more than sys.get_int_max_str_digits() digits, a limit meant for
+    parsing untrusted input; the decimal module prints it in full."""
+    return str(decimal.Decimal(n))
+
+
 def rat_str(x):
-    """Render a rational as ``p/q``, or just ``p`` for integers."""
+    """Render a rational as ``p/q``, or just ``p`` for integers, in full."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 @dataclass

@@ -17,11 +17,12 @@ import mpmath
 
 from .errors import InvalidParams, UnknownTheorem
 from .families import (
-    _no_unit,
-    _require,
-    _require_q,
+    above,
+    between,
+    check_domain,
     chebyshev_u,
     cq_ultraspherical_poly,
+    family_domain,
     family_moments,
     family_tableau,
     family_weights,
@@ -30,10 +31,13 @@ from .families import (
     jacobi_poly,
     make_affine,
     make_family,
+    no_unit_power,
+    nonzero,
+    off_integers,
     translate_q0,
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
-from .scalar import PrecisionContext, factorial, memo_scope, pochhammer, q_pochhammer, rat
+from .scalar import PrecisionContext, factorial, int_str, memo_scope, pochhammer, q_pochhammer, rat, rat_str
 from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
 from .translation import Classical, NonCommutative, translate_series
 
@@ -103,11 +107,6 @@ def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=Non
     )
 
 
-def _require_off_poles(v, message):
-    # v, exact, is a Gamma argument or a lower series parameter
-    _require(not (v <= 0 and v.denominator == 1), message)
-
-
 def _partial_sum(N, term, pref=None):
     """Sum term(0), ..., term(N) in order; returns the total and |term(N)|,
     both times ``pref`` when one is given.  Call under a workprec."""
@@ -159,8 +158,6 @@ def _bilinear_check(lhs, weight, rows, degree):
 
 def _conf_hyp_1f1(cid, params):
     alpha, beta = params["alpha"], params["beta"]
-    if alpha + beta <= -1:
-        raise InvalidParams("conf_hyp_1f1 needs alpha + beta > -1")
 
     def weight(n):
         return (
@@ -189,8 +186,6 @@ def _conf_hyp_1f1(cid, params):
 
 def _bessel_plus(cid, params):
     nu = params["nu"]
-    if nu <= 0:
-        raise InvalidParams("bessel_plus needs nu > 0")
 
     def weight(n):
         return (nu + n) * F(-1) ** n * pochhammer(2 * nu, n) / (nu * factorial(n))
@@ -220,6 +215,12 @@ def _affine_pair(params):
     base_params = {k[5:]: v for k, v in params.items() if k.startswith("base_")}
     base = make_family(params["base"], base_params)
     return base, make_affine(base, params["a"], params["b"])
+
+
+def _affine_domain(cid, params):
+    """a != 0, and the base family's domain on the base_* parameters."""
+    check_domain(cid, (nonzero("a"),), params)
+    check_domain(cid, family_domain(params["base"]), params, prefix="base_")
 
 
 def _family_case(family, left="q_fn", right="q_fn"):
@@ -260,6 +261,11 @@ def _family_case(family, left="q_fn", right="q_fn"):
         )
 
     return build
+
+
+def _family_row(family, defaults, numeric, left="q_fn", right="q_fn"):
+    """The _THEOREMS row of ``family``'s addition formula, in its domain."""
+    return _family_case(family, left, right), defaults, numeric, family_domain(family)
 
 
 def _asc_noncomm(cid, params):
@@ -322,79 +328,69 @@ def _ogf_variant(cid, params):
 _TOL30 = F(1, 10 ** 30)
 _TOL28 = F(1, 10 ** 28)
 
-# id -> (builder, default params, default (s, t, N, tolerance)); exact
-# theorems have no numeric defaults.
+# id -> (builder, default params, default (s, t, N, tolerance), domain);
+# exact theorems have no numeric defaults.  The domain is the rules the
+# merged parameters must satisfy, or a function (id, params) that checks.
 _THEOREMS = {
     "affine": (
         _family_case(lambda params: _affine_pair(params)[1]),
         {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2)},
         (F(1, 10), F(1, 5), 25, _TOL30),
+        _affine_domain,
     ),
-    "asc_noncomm": (_asc_noncomm, {"a": F(1, 3), "q": F(1, 2), "degree": 12}, None),
-    "asc_qtrans": (
-        _family_case("al_salam_carlitz", right="q_tilde_fn"),
-        {"a": F(1, 3), "q": F(1, 2)},
-        (F(1, 20), F(1, 10), 25, _TOL30),
+    "asc_noncomm": (
+        _asc_noncomm,
+        {"a": F(1, 3), "q": F(1, 2), "degree": 12},
+        None,
+        family_domain("al_salam_carlitz"),
     ),
-    "askey_wilson": (
-        _family_case("askey_wilson_slice"),
-        {"a": F(1, 3), "q": F(1, 2)},
-        (F(1, 5), F(1, 5), 20, _TOL28),
+    "asc_qtrans": _family_row(
+        "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right="q_tilde_fn"
     ),
-    "bessel_plus": (_bessel_plus, {"nu": F(1, 2)}, (F(3, 10), F(1, 2), 25, _TOL28)),
-    "big_qj": (
-        _family_case("big_q_jacobi", right="q_tilde_fn"),
+    "askey_wilson": _family_row(
+        "askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)
+    ),
+    "bessel_plus": (_bessel_plus, {"nu": F(1, 2)}, (F(3, 10), F(1, 2), 25, _TOL28), (above(0, "nu"),)),
+    "big_qj": _family_row(
+        "big_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
+        right="q_tilde_fn",
     ),
-    "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, None),
+    "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, None, ()),
     "conf_hyp_1f1": (
         _conf_hyp_1f1,
         {"alpha": F(1, 2), "beta": F(1, 3)},
         (F(1, 5), F(3, 10), 25, _TOL30),
+        (above(-1, "alpha + beta"),),
     ),
-    "gegenbauer_moments": (
-        _family_case("gegenbauer_moments"),
-        {"nu": F(3, 2), "x": F(1, 2), "degree": 10},
-        None,
-    ),
-    "hermite_moments": (_family_case("hermite_moments"), {"x": F(1), "degree": 12}, None),
-    "laguerre_moments": (
-        _family_case("laguerre_moments"),
-        {"alpha": F(1, 2), "x": F(1, 2), "degree": 10},
-        None,
-    ),
-    "little_qj": (
-        _family_case("little_q_jacobi", right="q_tilde_fn"),
+    "gegenbauer_moments": _family_row("gegenbauer_moments", {"nu": F(3, 2), "x": F(1, 2), "degree": 10}, None),
+    "hermite_moments": _family_row("hermite_moments", {"x": F(1), "degree": 12}, None),
+    "laguerre_moments": _family_row("laguerre_moments", {"alpha": F(1, 2), "x": F(1, 2), "degree": 10}, None),
+    "little_qj": _family_row(
+        "little_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
+        right="q_tilde_fn",
     ),
-    "little_qj_alt": (
-        _family_case("little_q_jacobi", left="alt_q_fn", right="q_tilde_fn"),
+    "little_qj_alt": _family_row(
+        "little_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
+        left="alt_q_fn",
+        right="q_tilde_fn",
     ),
-    "meixner_moments": (
-        _family_case("meixner_moments"),
-        {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10},
-        None,
+    "meixner_moments": _family_row(
+        "meixner_moments", {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10}, None
     ),
-    "mp_moments": (
-        _family_case("meixner_pollaczek_moments"),
+    "mp_moments": _family_row(
+        "meixner_pollaczek_moments",
         {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
         (F(1, 10), F(1, 5), 25, _TOL28),
     ),
-    "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, None),
-    "q_ultra": (
-        _family_case("q_ultraspherical"),
-        {"beta": F(1, 3), "q": F(1, 2)},
-        (F(1, 5), F(1, 5), 20, _TOL28),
-    ),
-    "q_ultra_beta0": (
-        _family_case("q_ultraspherical_beta0"),
-        {"q": F(1, 2)},
-        (F(1, 5), F(1, 5), 20, _TOL28),
-    ),
+    "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, None, ()),
+    "q_ultra": _family_row("q_ultraspherical", {"beta": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
+    "q_ultra_beta0": _family_row("q_ultraspherical_beta0", {"q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
 }
 
 
@@ -426,9 +422,6 @@ def _hermite_convolution(iid, params, ctx):
 
 def _bessel_reduction(iid, params, ctx):
     mu, nu, z, N = params["mu"], params["nu"], params["z"], params["N"]
-    _require(z != 0, "bessel_reduction needs z != 0")
-    _require_off_poles(mu, f"bessel_reduction needs Gamma(mu + n) finite, got mu = {mu}")
-    _require_off_poles(nu + 1, f"bessel_reduction needs Gamma(nu + 1) finite, got nu = {nu}")
     with ctx.workprec():
         zv = ctx.number(z)
         lhs = mpmath.power(zv / 2, ctx.number(mu - nu)) * bessel_j(nu, zv, ctx).value
@@ -450,8 +443,6 @@ def _bessel_reduction(iid, params, ctx):
 
 def _plane_wave_ultra(iid, params, ctx):
     nu, x, y, N = params["nu"], params["x"], params["y"], params["N"]
-    _require(y != 0, "plane_wave_ultra needs y != 0")
-    _require_off_poles(nu, f"plane_wave_ultra needs Gamma(nu) finite, got nu = {nu}")
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
@@ -490,7 +481,6 @@ def _plane_wave_jacobi(iid, params, ctx):
 
 def _plane_wave_cheby(iid, params, ctx):
     x, y, N = params["x"], params["y"], params["N"]
-    _require(y != 0, "plane_wave_cheby needs y != 0")
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
@@ -504,8 +494,6 @@ def _plane_wave_cheby(iid, params, ctx):
 
 def _bessel_1f1_link(iid, params, ctx):
     nu, x = params["nu"], params["x"]
-    _require(x != 0, "bessel_1f1_link needs x != 0")
-    _require_off_poles(2 * nu + 1, f"bessel_1f1_link needs 2nu + 1 off the nonpositive integers, got nu = {nu}")
     with ctx.workprec():
         xv = ctx.number(x)
         inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)
@@ -556,9 +544,6 @@ def _hankel_affine(iid, params, ctx):
 
 def _connection_rogers(iid, params, ctx):
     beta, gamma, q, n_max = params["beta"], params["gamma"], params["q"], params["n_max"]
-    _require_q(q)
-    _require(beta != 0, "connection_rogers needs beta != 0")
-    _no_unit(beta, q, "beta")
     xs = [F(k, 2) for k in range(n_max + 2)]
 
     def rhs(n, x):
@@ -584,34 +569,49 @@ def _connection_rogers(iid, params, ctx):
     return _exact_report(iid, params, *_compare(pairs))
 
 
-# id -> (check, default params); numeric identities carry their N and tolerance
+# id -> (check, default params, domain); numeric identities carry their N
+# and tolerance
 _IDENTITIES = {
-    "bessel_1f1_link": (_bessel_1f1_link, {"nu": F(3, 2), "x": F(2, 5), "tolerance": _TOL30}),
+    "bessel_1f1_link": (
+        _bessel_1f1_link,
+        {"nu": F(3, 2), "x": F(2, 5), "tolerance": _TOL30},
+        (nonzero("x"), off_integers("2*nu + 1")),
+    ),
     "bessel_reduction": (
         _bessel_reduction,
         {"mu": F(1), "nu": F(2), "z": F(7, 10), "N": 25, "tolerance": _TOL28},
+        (nonzero("z"), off_integers("mu"), off_integers("nu + 1")),
     ),
     "connection_rogers": (
         _connection_rogers,
         {"beta": F(1, 3), "gamma": F(1, 4), "q": F(1, 2), "n_max": 8},
+        (between(0, 1, "q"), nonzero("beta"), no_unit_power("beta")),
     ),
     "hankel_affine": (
         _hankel_affine,
         {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2), "n_max": 5},
+        _affine_domain,
     ),
-    "hankel_gegenbauer": (_hankel_gegenbauer, {"nu": F(3, 2), "x": F(2), "n_max": 5}),
-    "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}),
+    "hankel_gegenbauer": (
+        _hankel_gegenbauer,
+        {"nu": F(3, 2), "x": F(2), "n_max": 5},
+        family_domain("gegenbauer_moments"),
+    ),
+    "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}, ()),
     "plane_wave_cheby": (
         _plane_wave_cheby,
         {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+        (nonzero("y"),),
     ),
     "plane_wave_jacobi": (
         _plane_wave_jacobi,
         {"alpha": F(1, 2), "beta": F(1, 3), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+        (off_integers("alpha + beta + 1"),),
     ),
     "plane_wave_ultra": (
         _plane_wave_ultra,
         {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+        (nonzero("y"), off_integers("nu")),
     ),
 }
 
@@ -650,7 +650,7 @@ def _check_ranges(values):
         if key in SIZE_PARAMS and value is not None and value < 0:
             raise InvalidParams(f"{key} = {value} is negative")
         if key == "tolerance" and value is not None and not value > 0:
-            raise InvalidParams(f"tolerance {value} is not positive")
+            raise InvalidParams(f"tolerance {rat_str(value)} is not positive")
     return values
 
 
@@ -685,14 +685,27 @@ def _merge_params(defaults, overrides):
     return _check_ranges(merged)
 
 
+def _case_params(id, overrides):
+    """Case ``id``'s defaults with ``overrides`` merged in, checked against
+    the case's domain."""
+    row = _THEOREMS.get(id) or _IDENTITIES[id]
+    merged = _merge_params(row[1], overrides)
+    domain = row[-1]
+    if callable(domain):
+        domain(id, merged)
+    else:
+        check_domain(id, domain, merged)
+    return merged
+
+
 def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
     """Check one addition formula; returns a VerificationReport.
 
     The case runs in its own memo scope: a Bessel value or an infinite
     q-product met twice within it is evaluated once."""
-    build, defaults, numeric = _entry(_THEOREMS, id, "theorem")
+    build, _, numeric, _ = _entry(_THEOREMS, id, "theorem")
     ctx = ctx or PrecisionContext()
-    merged = _merge_params(defaults, params)
+    merged = _case_params(id, params)
     N, tolerance = _run_settings(N, tolerance)
     with memo_scope():
         case = build(id, merged)
@@ -721,16 +734,16 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
 
 def verify_identity(id, params=None, ctx=None):
     """Check one standalone identity; returns a VerificationReport."""
-    check, defaults = _entry(_IDENTITIES, id, "identity")
+    check = _entry(_IDENTITIES, id, "identity")[0]
     ctx = ctx or PrecisionContext()
     with memo_scope():
-        return check(id, _merge_params(defaults, params), ctx)
+        return check(id, _case_params(id, params), ctx)
 
 
 def rhs_weight(id, n, params=None):
     """The weight sequence a theorem's right-hand side is summed against."""
-    build, defaults, _ = _entry(_THEOREMS, id, "theorem")
-    return build(id, _merge_params(defaults, params)).rhs_weight(n)
+    build = _entry(_THEOREMS, id, "theorem")[0]
+    return build(id, _case_params(id, params)).rhs_weight(n)
 
 
 def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=None, tolerance=None):
@@ -739,12 +752,19 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
 
     Each ``params`` entry goes to the matched cases whose defaults declare
     that name, and a name that no matched case declares is rejected; ``seed``
-    goes to the cases that take one.  ``s``, ``t``, ``N`` and ``tolerance``
-    apply to the theorems.  Invalid parameters raise before any case runs,
-    and so does a ``tolerance`` given here or in ``params`` that is below
-    2^-precision_bits (the cases' own defaults are not checked);
-    other failures are recorded in the returned reports rather than raised,
-    so a single broken case cannot hide the rest of the suite.
+    goes to the cases that take one.  ``s`` and ``t`` apply to the numeric
+    theorems.  ``N`` and ``tolerance`` apply to every numeric case: to the
+    theorems, and to each identity whose defaults declare the name, unless
+    ``params`` sets that name, which wins.
+
+    Invalid input raises InvalidParams before any case runs: an unknown
+    name, a value of the wrong kind, a negative size, a parameter outside
+    the case's declared domain (for a family's addition formula the
+    family's own, see :func:`jfrac.families.check_domain`), and a
+    ``tolerance`` given here or in ``params`` that is below
+    2^-precision_bits (the cases' own defaults are not checked).  Other
+    failures are recorded in the returned reports rather than raised, so a
+    single broken case cannot hide the rest of the suite.
     """
     ctx = ctx or PrecisionContext()
     patterns = [pattern] if isinstance(pattern, str) else pattern
@@ -760,13 +780,15 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
             raise InvalidParams(f"unknown parameter {key!r}")
     if seed is not None:
         overrides["seed"] = seed
-    own = {cid: {k: v for k, v in overrides.items() if k in declared[cid]} for cid in ids}
-    for cid in ids:  # invalid input raises before any case runs
-        merged = _merge_params(declared[cid], own[cid])
-        if "tolerance" in own[cid]:
-            _check_reachable(merged["tolerance"], ctx)
     N, tolerance = _run_settings(N, tolerance)
     _check_reachable(tolerance, ctx)
+    settings = {k: v for k, v in (("N", N), ("tolerance", tolerance)) if v is not None}
+    own = {}
+    for cid in ids:  # invalid input raises before any case runs
+        own[cid] = {k: v for k, v in {**settings, **overrides}.items() if k in declared[cid]}
+        merged = _case_params(cid, own[cid])
+        if "tolerance" in own[cid]:
+            _check_reachable(merged["tolerance"], ctx)
     reports = []
     for cid in ids:
         try:
@@ -789,7 +811,7 @@ def render_scalar(x, ctx):
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, F):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
     if isinstance(x, (mpmath.mpf, mpmath.mpc, float)):
         return ctx.nstr(ctx.number(x))
     if isinstance(x, (tuple, list)):

@@ -2,7 +2,9 @@ import contextlib
 import inspect
 import io
 import json
+import re
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from jfrac import cli, families, scalar, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
+from jfrac.errors import InvalidParams
 from jfrac.families import catalog, family_moments, family_tableau, make_family
 from jfrac.scalar import PrecisionContext
 
@@ -668,3 +671,115 @@ def test_moments_command_steps_each_sequence_once():
     steps = {N: _sequence_steps(argv + [str(N)]) for N in (100, 200)}
     assert 0 < steps[200] <= 10 * 200
     assert steps[200] <= 2.1 * steps[100]
+
+
+# ---------------------------------------------------------------------------
+# parameter domains: every declared rule rejects a value on its boundary
+
+
+def _breaking_value(owner, rule, params, prefix=""):
+    """(name, value): the rule's first parameter set so that its first
+    expression equals a number the rule's rendering shows (an interval
+    endpoint, 0, a pole, an excluded value, or 1 = v q^0), the others kept;
+    the first such value the rule rejects."""
+    name = families._compiled(rule.exprs[0]).co_names[0]
+    scope = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+    def at(v):
+        return eval(families._compiled(rule.exprs[0]), {}, {**scope, name: v})
+
+    e0, e1 = at(F(0)), at(F(1))
+    for shown in re.findall(r"-?\d+(?:/\d+)?", rule.text):
+        value = (F(shown) - e0) / (e1 - e0)
+        try:
+            families.check_domain(owner, [rule], {**params, prefix + name: value}, prefix)
+        except InvalidParams:
+            return prefix + name, value
+    raise AssertionError(f"no number in {rule.text!r} breaks it for {owner}")
+
+
+def _case_rules(cid):
+    row = theorems._THEOREMS.get(cid) or theorems._IDENTITIES[cid]
+    if not callable(row[-1]):
+        return [(rule, "") for rule in row[-1]]
+    assert row[-1] is theorems._affine_domain
+    return [(families.nonzero("a"), "")] + [(r, "base_") for r in families.family_domain(row[1]["base"])]
+
+
+_FAMILY_RULES = [(fid, rule) for fid in families.family_ids() for rule in families.family_domain(fid)]
+_CASE_RULES = [(cid, *pair) for cid in sorted(_CASE_PARAMS) for pair in _case_rules(cid)]
+
+
+@pytest.mark.parametrize("fid,rule", _FAMILY_RULES, ids=[f"{f}:{r.text}" for f, r in _FAMILY_RULES])
+def test_family_rejects_each_declared_boundary(fid, rule):
+    sample = families._BUILDERS[fid][1]
+    name, value = _breaking_value(fid, rule, sample)
+    with pytest.raises(InvalidParams, match=rf"^{fid}: .*\b{name} = "):
+        make_family(fid, {**sample, name: value})
+
+
+@pytest.mark.parametrize(
+    "cid,rule,prefix", _CASE_RULES, ids=[f"{c}:{p}{r.text}" for c, r, p in _CASE_RULES]
+)
+def test_case_rejects_each_declared_boundary_before_running(capsys, monkeypatch, cid, rule, prefix):
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    name, value = _breaking_value(cid, rule, _CASE_PARAMS[cid], prefix)
+    code, out, err = run(capsys, "verify", cid, "--params", f"{name}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cid}: ") and f"{name} = {value}" in err
+
+
+@pytest.mark.parametrize("param", ["y=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])
+def test_invalid_parameter_stops_the_whole_suite_before_any_case(capsys, monkeypatch, param):
+    # the suite checks every matched case's domain first: no case runs
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, err = run(capsys, "verify", "--all", "--params", param)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"{param.split('=')[0]} = " in err
+
+
+def test_run_settings_reach_every_numeric_case(capsys):
+    # --N and --tolerance reach the identities that declare them, not only
+    # the theorems; a case's own --params N= is the more specific and wins
+    code, out, _ = run(capsys, "verify", "plane_wave_ultra", "bessel_plus", "bessel_1f1_link",
+                       "--tolerance", "1e-4", "--N", "3", "--format", "json")
+    assert code == 0  # plane_wave_ultra's 4 terms reach 5.0e-5
+    records = {rec["id"]: rec for rec in json.loads(out)}
+    assert records["bessel_plus"]["n_terms"] == records["plane_wave_ultra"]["n_terms"] == 4
+    assert records["plane_wave_ultra"]["params"]["N"] == 3
+    for cid in ("plane_wave_ultra", "bessel_1f1_link"):
+        assert records[cid]["params"]["tolerance"] == "1/10000"
+    code, out, _ = run(capsys, "verify", "plane_wave_ultra", "--N", "3", "--params", "N=5,tolerance=1e-20",
+                       "--tolerance", "1e-5", "--format", "json")
+    record = json.loads(out)[0]
+    assert record["n_terms"] == 6 and record["params"]["tolerance"] == "1/100000000000000000000"
+
+
+def test_exact_output_past_the_integer_string_limit(capsys):
+    # a moment's denominator has more than sys.get_int_max_str_digits() digits
+    argv = ["moments", "--family", "little_q_jacobi", "--params", "a=1/2,b=1/3,q=1/2", "--N", "200"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    last = out.strip().split(",")[-1]
+    limit = sys.get_int_max_str_digits()
+    assert len(last) > limit
+    want = family_moments(make_family("little_q_jacobi", {"a": "1/2", "b": "1/3", "q": "1/2"}), 200)[200]
+    sys.set_int_max_str_digits(0)  # parse the printed value back here only
+    try:
+        assert F(last) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", [["jfraction"], ["hankel", "--kind", "D", "--n", "0"]])
+def test_input_past_the_integer_string_limit_is_invalid_input(capsys, command):
+    # parsing keeps the limit: a number that long is refused, not a traceback
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, *command, "--moments", f"1,{huge},2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
