@@ -54,9 +54,7 @@ from .jfraction import (
 )
 from .motzkin import PathWeights, path_weight_sum, path_weight_sum_dp
 from .translation import (
-    Affine,
     Classical,
-    Generalized,
     NonCommutative,
     NormalOrderedPoly,
     QTranslation,

@@ -51,7 +51,7 @@ from .series import (
     qpoch_series,
     rphis_series,
 )
-from .translation import Affine, Classical, QTranslation
+from .translation import Classical, QTranslation
 
 F = Fraction
 
@@ -282,6 +282,47 @@ class Term:
         out = PowerSeries([0] * j + [c * b for b in body], degree)
         return _at_exp_minus_one(out) if self.in_u else out
 
+    def _q_binomial_shape(self, j, ctx):
+        """(q, d, A_j, B_j, z_j) of Q_j = c_j t^j / (dt; q)_inf * r_phi_s(A_j; B_j; q, z_j t),
+        A_j and B_j as numbers; no inverse factor is d = 0, and a second one
+        with no ``hyper`` is Euler's 1phi0(0; -; q, d_2 t) = 1 / (d_2 t; q)_inf.
+
+        The q-translation E sends t^n to t^n (-s/t; q)_n, and the q-binomial
+        theorem (Gasper-Rahman, eq. 1.3.2) gives E[t^n / (dt; q)_inf] =
+        t^n (-s/t; q)_n (-ds; q)_inf / ((-ds; q)_n (dt; q)_inf), so E[Q_j]
+        is one r+1_phi_s+1: see :meth:`translated_q0` and :meth:`companion`.
+        """
+        d, *rest = self.inv_qpochs or (0,)
+        other = self.twist or self.qpochs or self.exp or self.in_u or self.power is not None or self.step != 1
+        if other or not isinstance(self.kind, QTranslation) or len(rest) != (self.hyper is None):
+            raise Unsupported("this closed form of Q_j has no q-binomial translate")
+        upper, lower, z = ([0], [], rest[0]) if rest else self.hyper(j)
+        return self.kind.q, d, [ctx.number(a) for a in upper], [ctx.number(b) for b in lower], z
+
+    def translated_q0(self, s, t, ctx):
+        """E[Q_0], Q_0 translated by s, for t != 0:
+        (-ds; q)_inf / (dt; q)_inf * r+1_phi_s+1(A_0, -s/t; B_0, -ds; q, z_0 t)."""
+        with ctx.workprec():
+            q, d, upper, lower, z = self._q_binomial_shape(0, ctx)
+            tv, sv = ctx.number(t), ctx.number(s)
+            ds = -ctx.number(d) * sv
+            inner = eval_rphis(upper + [-sv / tv], lower + [ds], q, ctx.number(z) * tv, ctx)
+            pref = q_pochhammer_inf(ds, q, ctx) / q_pochhammer_inf(ctx.number(d) * tv, q, ctx) if d != 0 else 1
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    def companion(self, j, s, ctx):
+        """The twisted companion Q~_j(s), the limit of E[Q_j] as t -> 0, where
+        t^n (-s/t; q)_n tends to q^C(n,2) s^n:
+        c_j q^C(j,2) s^j (-dsq^j; q)_inf * r_phi_s+1(A_j; B_j, -dsq^j; q, -z_j q^j s)."""
+        with ctx.workprec():
+            q, d, upper, lower, z = self._q_binomial_shape(j, ctx)
+            sv = ctx.number(s)
+            dsq = -ctx.number(d) * sv * ctx.number(q) ** j
+            inner = eval_rphis(upper, lower + [dsq], q, -z * sv * q ** j, ctx)
+            pref = q_pochhammer_inf(dsq, q, ctx) if d != 0 else 1
+            pref = pref * sv ** j * ctx.number(F(q) ** (j * (j - 1) // 2) / self.kind.series_denominator(j))
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
 
 # ---------------------------------------------------------------------------
 # family record
@@ -299,8 +340,9 @@ class FamilySpec:
     H_{i,n} in tableau indexing); the moments are read off q_series_fn(0, N)
     (:func:`family_moments`).  Most families declare each Q form once as a
     :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
-    t, ctx) is Q_0 under the family's own q-translation in closed form
-    (t != 0).  alt_q_fn is a second printed form of Q_j that a case runs.
+    t, ctx) is Q_0 under the family's own q-translation (t != 0), which a
+    q-family takes from its Q Term (:meth:`Term.translated_q0`), as
+    Al-Salam-Carlitz also takes its q_tilde_fn (:meth:`Term.companion`).
     A builder leaves ``id`` and ``params`` to :func:`make_family`, and
     names ``translation`` only when it is not the ordinary shift.
     """
@@ -314,9 +356,7 @@ class FamilySpec:
     q_series_fn: object = None
     q_tilde_series_fn: object = None
     translated_q0_fn: object = None
-    alt_q_fn: object = None
     exact: bool = True
-    notes: str = ""
     id: str = ""
     params: dict = None
 
@@ -397,15 +437,16 @@ def translate_q0(spec, s, t, ctx):
     """Q_0 translated by s under the family's own kind, from closed forms.
 
     Classically, affine images included, that is Q_0(t + s).  Under a
-    q-translation it is ``translated_q0_fn`` for t != 0; at t = 0 the kind
-    sends x^n to q^C(n,2) s^n, which makes it the twisted companion
-    Q~_0(s).  Any other kind raises Unsupported.
+    q-translation it is ``translated_q0_fn`` for t != 0, the q-binomial
+    translate of the Q_0 Term; at t = 0 the kind sends x^n to q^C(n,2) s^n,
+    which makes it the twisted companion Q~_0(s).  Any other kind raises
+    Unsupported.
     """
     kind = spec.translation
     with ctx.workprec():
         tv = ctx.number(t)
         x = tv + ctx.number(s)
-    if isinstance(kind, Classical) or isinstance(kind, Affine) and isinstance(kind.inner, Classical):
+    if isinstance(kind, Classical):
         return q_function(spec, 0, x, ctx)
     if isinstance(kind, QTranslation) and spec.translated_q0_fn is not None:
         if tv != 0:
@@ -556,6 +597,7 @@ def _recurrence_from_closed_tableau(entry_fn):
 # classical families
 
 def _make_ultraspherical(params):
+    # Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form
     nu = params["nu"]
 
     def lambda_fn(j):
@@ -567,11 +609,11 @@ def _make_ultraspherical(params):
         lambda_fn=lambda_fn,
         q_fn=q.value,
         q_series_fn=q.series,
-        notes="Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form.",
     )
 
 
 def _make_jacobi(params):
+    # Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t)
     alpha, beta = params["alpha"], params["beta"]
 
     def b_fn(n):
@@ -590,7 +632,6 @@ def _make_jacobi(params):
         lambda_fn=lambda_fn,
         q_fn=q.value,
         q_series_fn=q.series,
-        notes="Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t).",
     )
 
 
@@ -648,6 +689,7 @@ def _make_charlier(params):
 
 
 def _make_meixner_pollaczek(params):
+    # the angle is carried as an exact (sin, cos) pair so the recurrence stays rational
     lam, sin_phi, cos_phi = params["lam"], params["sin_phi"], params["cos_phi"]
     cot = cos_phi / sin_phi
 
@@ -685,7 +727,6 @@ def _make_meixner_pollaczek(params):
         lambda_fn=lambda_fn,
         q_fn=q_fn,
         q_series_fn=q_series_fn,
-        notes="The angle is carried as an exact (sin, cos) pair so the recurrence stays rational.",
     )
 
 
@@ -693,6 +734,7 @@ def _make_meixner_pollaczek(params):
 # q-families
 
 def _make_little_q_jacobi(params):
+    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = A_n + C_n, lambda_n = A_{n-1} C_n
     a, b, q = params["a"], params["b"], params["q"]
 
     def A_fn(n):
@@ -712,24 +754,10 @@ def _make_little_q_jacobi(params):
             / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
         )
 
-    def translated_q0_fn(s, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            sv = ctx.number(s)
-            return eval_rphis(
-                [ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx
-            )
-
     kind = QTranslation(q)
     q_form = Term(kind, hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
     tilde = Term(
         kind, twist=True, hyper=lambda j: ([a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -(q ** j))
-    )
-    # the second printed form, which the little_qj_alt case runs
-    alt = Term(
-        kind,
-        inv_qpochs=(1,),
-        hyper=lambda j: ([b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], a * q ** (j + 1)),
     )
     return FamilySpec(
         b_fn=lambda n: A_fn(n) + C_fn(n),
@@ -739,13 +767,12 @@ def _make_little_q_jacobi(params):
         q_tilde_fn=tilde.value,
         q_series_fn=q_form.series,
         q_tilde_series_fn=tilde.series,
-        translated_q0_fn=translated_q0_fn,
-        alt_q_fn=alt.value,
-        notes="b_n = A_n + C_n and lambda_n = A_{n-1} C_n in the Koekoek-Lesky-Swarttouw form.",
+        translated_q0_fn=q_form.translated_q0,
     )
 
 
 def _make_big_q_jacobi(params):
+    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = 1 - A_n - C_n, lambda_n = A_{n-1} C_n
     a, b, c, q = params["a"], params["b"], params["c"], params["q"]
 
     def A_fn(n):
@@ -782,22 +809,6 @@ def _make_big_q_jacobi(params):
         hyper=lambda j: ([a * q ** (j + 1), c * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -1),
     )
 
-    def translated_q0_fn(s, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            sv = ctx.number(s)
-            inner = eval_rphis(
-                [ctx.number(a * q), ctx.number(a * b * q / c), -sv / tv],
-                [ctx.number(a * b * q * q), -ctx.number(a * q) * sv],
-                q,
-                ctx.number(q * c) * tv,
-                ctx,
-            )
-            pref = q_pochhammer_inf(-ctx.number(a * q) * sv, q, ctx) / q_pochhammer_inf(
-                ctx.number(a * q) * tv, q, ctx
-            )
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
     return FamilySpec(
         b_fn=lambda n: 1 - A_fn(n) - C_fn(n),
         lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
@@ -806,47 +817,24 @@ def _make_big_q_jacobi(params):
         q_tilde_fn=tilde.value,
         q_series_fn=q_form.series,
         q_tilde_series_fn=tilde.series,
-        translated_q0_fn=translated_q0_fn,
-        notes="b_n = 1 - A_n - C_n and lambda_n = A_{n-1} C_n in the Koekoek-Lesky-Swarttouw form.",
+        translated_q0_fn=q_form.translated_q0,
     )
 
 
 def _make_al_salam_carlitz(params):
+    # the moments are the Rogers-Szego polynomials h_n(a; q); the addition
+    # formula also has a non-commutative form (theorems' asc_noncomm)
     a, q = params["a"], params["q"]
 
-    kind = QTranslation(q)
-    q_form = Term(kind, inv_qpochs=(1, a))
-
-    def q_tilde_fn(j, t, ctx):
-        # hand-written: the 1phi1's lower parameter carries t
-        with ctx.workprec():
-            tv = ctx.number(t)
-            qv = ctx.number(q)
-            inner = eval_rphis([F(0)], [-tv * qv ** j], q, -a * tv * q ** j, ctx)
-            pref = (
-                q_pochhammer_inf(-tv * qv ** j, q, ctx)
-                * tv ** j
-                * ctx.number(F(q) ** (j * (j - 1) // 2) / kind.series_denominator(j))
-            )
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
-    def translated_q0_fn(s, t, ctx):
-        with ctx.workprec():
-            tv = ctx.number(t)
-            sv = ctx.number(s)
-            inner = eval_rphis([0, -sv / tv], [-sv], q, ctx.number(a) * tv, ctx)
-            pref = q_pochhammer_inf(-sv, q, ctx) / q_pochhammer_inf(tv, q, ctx)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
-
+    q_form = Term(QTranslation(q), inv_qpochs=(1, a))
     return FamilySpec(
         b_fn=lambda n: (1 + a) * F(q) ** n,
         lambda_fn=lambda n: -a * F(q) ** (n - 1) * (1 - F(q) ** n),
-        translation=kind,
+        translation=q_form.kind,
         q_fn=q_form.value,
-        q_tilde_fn=q_tilde_fn,
+        q_tilde_fn=q_form.companion,
         q_series_fn=q_form.series,
-        translated_q0_fn=translated_q0_fn,
-        notes="Moments are the Rogers-Szego polynomials h_n(a;q); the addition formula also has a non-commutative form.",
+        translated_q0_fn=q_form.translated_q0,
     )
 
 
@@ -921,7 +909,6 @@ def _make_q_ultraspherical(params):
         lambda_fn=lambda_fn,
         q_fn=_bessel_sum_q_fn(coef, 2),
         q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
-        notes="Addition formula is over the ordinary shift; Q_j is a modified-Bessel sum.",
     )
 
 
@@ -944,6 +931,7 @@ def _aw_term_factor(a, q, m):
 
 
 def _make_askey_wilson_slice(params):
+    # a one-parameter slice of the four-parameter Askey-Wilson family
     a, q = params["a"], params["q"]
 
     def A_t(n):
@@ -970,7 +958,6 @@ def _make_askey_wilson_slice(params):
         lambda_fn=lambda n: A_t(n - 1) * C_t(n) / 4,
         q_fn=_bessel_sum_q_fn(coef, 1),
         q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
-        notes="One-parameter slice of the four-parameter family; recurrence data is rational in (a, q).",
     )
 
 
@@ -978,6 +965,7 @@ def _make_askey_wilson_slice(params):
 # polynomials-as-moments families
 
 def _make_hermite_moments(params):
+    # mu_n = H_n(x); the Hankel data is negative, so the functional is not positive-definite
     x = params["x"]
 
     def tableau_entry_fn(i, N):
@@ -991,11 +979,11 @@ def _make_hermite_moments(params):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
-        notes="Moment sequence mu_n = H_n(x); the Hankel data is negative, so this is not a positive-definite functional.",
     )
 
 
 def _make_laguerre_moments(params):
+    # mu_n = n! L_n^(alpha)(x) / (alpha+1)_n
     alpha, x = params["alpha"], params["x"]
 
     def tableau_entry_fn(i, N):
@@ -1014,11 +1002,11 @@ def _make_laguerre_moments(params):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
-        notes="mu_n = n! L_n^(alpha)(x) / (alpha+1)_n.",
     )
 
 
 def _make_meixner_moments(params):
+    # mu_n = M_n(x; beta, c)
     beta, c, x = params["beta"], params["c"], params["x"]
     w = (1 - c) / c
 
@@ -1034,7 +1022,6 @@ def _make_meixner_moments(params):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
-        notes="mu_n = M_n(x; beta, c); the generating function carries the (1-c)/c argument.",
     )
 
 
@@ -1079,11 +1066,11 @@ def _make_meixner_pollaczek_moments(params):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         exact=False,
-        notes="Recurrence data is complex-valued, computed at the working precision (at least 320 bits).",
     )
 
 
 def _make_gegenbauer_moments(params):
+    # mu_n = n! C_n^nu(x) / (2 nu)_n
     nu, x = params["nu"], params["x"]
     half = F(1, 2)
 
@@ -1113,11 +1100,11 @@ def _make_gegenbauer_moments(params):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series,
-        notes="mu_n = n! C_n^nu(x) / (2 nu)_n.",
     )
 
 
 def _make_derangement(params):
+    # shifted Laguerre moments; at alpha = 0, x = 1 they count derangements
     alpha, x = params["alpha"], params["x"]
 
     q = Term(Classical(), exp=(-1,), power=(x, lambda n: alpha + n + 1))
@@ -1126,7 +1113,6 @@ def _make_derangement(params):
         lambda_fn=lambda n: n * (n + alpha) * x * x,
         q_fn=q.value,
         q_series_fn=q.series,
-        notes="Shifted Laguerre moments; at alpha = 0, x = 1 the moments count derangements.",
     )
 
 
@@ -1246,6 +1232,8 @@ def make_affine(base, a, b):
     """
     a = rat(a)
     b = rat(b)
+    if a == 0:
+        raise InvalidParams("affine transform needs a != 0")
     if not isinstance(base.translation, Classical):
         raise InvalidParams("affine transform is defined over classically translated families")
 
@@ -1289,12 +1277,10 @@ def make_affine(base, a, b):
         params={"a": a, "b": b, **{f"base.{k}": v for k, v in base.params.items()}},
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        translation=Affine(a, b, base.translation),
         q_fn=q_fn if base.q_fn is not None else None,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q_series_fn if q_series is not None else None,
         exact=base.exact,
-        notes=f"affine transform of {base.id} with a={a}, b={b}",
     )
 
 

@@ -12,11 +12,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
+from operator import attrgetter
 
 import mpmath
 
 from .errors import InvalidParams, UnknownTheorem
 from .families import (
+    Term,
     above,
     between,
     check_domain,
@@ -218,18 +220,35 @@ def _affine_pair(params):
 
 
 def _affine_domain(cid, params):
-    """a != 0, and the base family's domain on the base_* parameters."""
+    """a != 0, the base family's domain on the base_* parameters, and their
+    names: both families must build (which only makes closures)."""
     check_domain(cid, (nonzero("a"),), params)
     check_domain(cid, family_domain(params["base"]), params, prefix="base_")
+    _affine_pair(params)
 
 
-def _family_case(family, left="q_fn", right="q_fn"):
+_Q, _Q_TILDE = attrgetter("q_fn"), attrgetter("q_tilde_fn")
+
+
+def _little_qj_alt(spec):
+    """Little q-Jacobi's second printed form of Q_j:
+    t^j / ((q;q)_j (t;q)_inf) 1phi1(b q^{j+1}; ab q^{2j+2}; q, a q^{j+1} t)."""
+    a, b, q = (spec.params[k] for k in "abq")
+    return Term(
+        spec.translation,
+        inv_qpochs=(1,),
+        hyper=lambda j: ([b * q ** (j + 1)], [a * b * q ** (2 * j + 2)], a * q ** (j + 1)),
+    ).value
+
+
+def _family_case(family, left=_Q, right=_Q):
     """A family's own addition formula.
 
     ``family`` is a family id, or a function of the case parameters that
     builds the spec.  Numerically the left side is Q_0 translated under the
     family's kind and the right side sums w_n left_n(t) right_n(s), with
-    w_n = lambda_1...lambda_n.  A case with a ``degree`` parameter checks the
+    w_n = lambda_1...lambda_n and ``left``, ``right`` functions of the spec
+    that give left_n, right_n.  A case with a ``degree`` parameter checks the
     same formula exactly, on the coefficient tables of the family's Q-series.
     """
 
@@ -256,14 +275,14 @@ def _family_case(family, left="q_fn", right="q_fn"):
             cid,
             weight,
             lhs_eval=lhs,
-            rhs_left_fn=getattr(spec, left),
-            rhs_right_fn=getattr(spec, right),
+            rhs_left_fn=left(spec),
+            rhs_right_fn=right(spec),
         )
 
     return build
 
 
-def _family_row(family, defaults, numeric, left="q_fn", right="q_fn"):
+def _family_row(family, defaults, numeric, left=_Q, right=_Q):
     """The _THEOREMS row of ``family``'s addition formula, in its domain."""
     return _family_case(family, left, right), defaults, numeric, family_domain(family)
 
@@ -345,7 +364,7 @@ _THEOREMS = {
         family_domain("al_salam_carlitz"),
     ),
     "asc_qtrans": _family_row(
-        "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right="q_tilde_fn"
+        "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right=_Q_TILDE
     ),
     "askey_wilson": _family_row(
         "askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)
@@ -355,7 +374,7 @@ _THEOREMS = {
         "big_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
-        right="q_tilde_fn",
+        right=_Q_TILDE,
     ),
     "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, None, ()),
     "conf_hyp_1f1": (
@@ -371,14 +390,14 @@ _THEOREMS = {
         "little_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
-        right="q_tilde_fn",
+        right=_Q_TILDE,
     ),
     "little_qj_alt": _family_row(
         "little_q_jacobi",
         {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
         (F(1, 20), F(1, 10), 25, _TOL30),
-        left="alt_q_fn",
-        right="q_tilde_fn",
+        left=_little_qj_alt,
+        right=_Q_TILDE,
     ),
     "meixner_moments": _family_row(
         "meixner_moments", {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10}, None
@@ -498,10 +517,13 @@ def _bessel_1f1_link(iid, params, ctx):
         xv = ctx.number(x)
         inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)
         lhs = mpmath.exp(-xv) * inner.value
+        # the right side is even in x, but for x < 0 the principal branches
+        # of the power and of I_nu flip its sign: take it at |x|
+        ax = abs(xv)
         rhs = (
             ctx.gamma(nu + 1)
-            * mpmath.power(2 / xv, ctx.number(nu))
-            * bessel_i(nu, xv, ctx).value
+            * mpmath.power(2 / ax, ctx.number(nu))
+            * bessel_i(nu, ax, ctx).value
         )
     return _numeric_report(
         iid, params, lhs, rhs, inner.terms_used, mpmath.mpf(0), params["tolerance"], ctx

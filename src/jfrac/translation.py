@@ -1,10 +1,8 @@
 """Translation operators acting on moment generating functions.
 
-Five kinds are supported: the ordinary shift t -> t + s, the q-translation
-sending t^n to (t+s)(t+sq)...(t+sq^{n-1}), the non-commutative substitution
-t -> t + s in the algebra st = q ts, a generalized translation given by two
-coefficient sequences, and an affine change of variable wrapped around an
-inner kind.
+Three kinds are supported: the ordinary shift t -> t + s, the q-translation
+sending t^n to (t+s)(t+sq)...(t+sq^{n-1}), and the non-commutative
+substitution t -> t + s in the algebra st = q ts.
 
 Bivariate results are coefficient tables {(i, k): c} for c * t^i s^k; the
 non-commutative kind returns a :class:`NormalOrderedPoly`, whose table has
@@ -15,9 +13,7 @@ moved past a t.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .errors import InvalidParams, Unsupported
+from .errors import Unsupported
 from .scalar import _q_binomial_rows, binom, factorial, q_pochhammer
 from .series import SeriesValue
 
@@ -50,38 +46,6 @@ class NonCommutative:
     q: object
 
     series_denominator = QTranslation.series_denominator
-
-
-@dataclass(frozen=True)
-class Generalized:
-    """x^m maps to sum_j c_j s^j d_{m-j} t^{m-j} for supplied sequences."""
-
-    c_seq: object
-    d_seq: object
-
-    def c(self, j):
-        seq = self.c_seq
-        return seq(j) if callable(seq) else seq[j]
-
-    def d(self, j):
-        seq = self.d_seq
-        return seq(j) if callable(seq) else seq[j]
-
-
-@dataclass(frozen=True)
-class Affine:
-    """Change of variable x -> (x - b)/a applied before an inner translation."""
-
-    a: object
-    b: object
-    inner: object
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise InvalidParams("affine translation needs a != 0")
-
-    def series_denominator(self, n):
-        return self.inner.series_denominator(n)
 
 
 class NormalOrderedPoly:
@@ -181,8 +145,6 @@ def monomial_image(kind, n):
     if isinstance(kind, NonCommutative):
         row = _q_binomial_rows(kind.q, n)
         return {(k, n - k): row[k] for k in range(n + 1)}
-    if isinstance(kind, Generalized):
-        return {(n - j, j): kind.c(j) * kind.d(n - j) for j in range(n + 1)}
     raise Unsupported(f"no monomial image for translation kind {kind!r}")
 
 
@@ -210,41 +172,31 @@ def translate_series(p, kind, N):
     return table
 
 
-def _classical_sum(h_row, s, t, ctx, scale=1):
-    with ctx.workprec():
-        x = ctx.number(t) + ctx.number(s)
-        if scale != 1:
-            x = x / ctx.number(scale)
-        total = x * 0
-        term_pow = x * 0 + 1
-        last = abs(term_pow)
-        n_used = 0
-        for n, h in enumerate(h_row):
-            if h != 0:
-                term = ctx.number(h) * term_pow / factorial(n)
-                total = total + term
-                last = abs(term)
-                n_used = n + 1
-            term_pow = term_pow * x
-        return total, n_used, last
-
-
 def translate_eval(h_row, kind, s, t, ctx):
     """Numeric value of the translated moment generating function.
 
     ``h_row`` is an indexable row of exact H_{0,n} coefficients (the
     tableau's row 0).  Classical sums H_{0,n} (t+s)^n / n!; QTranslation sums
-    H_{0,n} / (q;q)_n times the product (t+s)(t+sq)...(t+sq^{n-1});
-    Affine(a, b, Classical) gives e^{-b(t+s)/a} times the classical sum at
-    (t+s)/a, which is the translated form of the shifted family's generating
-    function.  The non-commutative and generalized kinds have no numeric
-    semantics here (their variables do not commute, or their value is a
-    table) and raise Unsupported.  A family's own translated Q_0 comes from
-    its closed forms instead: see ``families.translate_q0``.
+    H_{0,n} / (q;q)_n times the product (t+s)(t+sq)...(t+sq^{n-1}).  The
+    non-commutative kind has no numeric semantics here (its variables do
+    not commute) and raises Unsupported.  A family's own translated Q_0
+    comes from its closed forms instead: see ``families.translate_q0``.
     """
     if isinstance(kind, Classical):
-        total, n_used, last = _classical_sum(h_row, s, t, ctx)
-        return SeriesValue(total, n_used, last)
+        with ctx.workprec():
+            x = ctx.number(t) + ctx.number(s)
+            total = x * 0
+            term_pow = x * 0 + 1
+            last = abs(term_pow)
+            n_used = 0
+            for n, h in enumerate(h_row):
+                if h != 0:
+                    term = ctx.number(h) * term_pow / factorial(n)
+                    total = total + term
+                    last = abs(term)
+                    n_used = n + 1
+                term_pow = term_pow * x
+            return SeriesValue(total, n_used, last)
     if isinstance(kind, QTranslation):
         with ctx.workprec():
             q = ctx.number(kind.q)
@@ -266,12 +218,4 @@ def translate_eval(h_row, kind, s, t, ctx):
                 qpow = qpow * q
                 qq = qq * (1 - q ** (n + 1))
             return SeriesValue(total, n_used, last)
-    if isinstance(kind, Affine):
-        if not isinstance(kind.inner, Classical):
-            raise Unsupported("affine evaluation is defined over a classical inner kind")
-        with ctx.workprec():
-            total, n_used, last = _classical_sum(h_row, s, t, ctx, scale=kind.a)
-            x = ctx.number(t) + ctx.number(s)
-            pref = mpmath.exp(-ctx.number(kind.b) * x / ctx.number(kind.a))
-            return SeriesValue(pref * total, n_used, abs(pref) * last)
     raise Unsupported(f"no numeric evaluation for translation kind {kind!r}")

@@ -731,6 +731,19 @@ def test_case_rejects_each_declared_boundary_before_running(capsys, monkeypatch,
     assert err.startswith(f"error: {cid}: ") and f"{name} = {value}" in err
 
 
+@pytest.mark.parametrize(
+    "base,name", [("jacobi", "beta"), ("hermite", "alpha"), ("big_q_jacobi", "a, b, c, q")]
+)
+def test_affine_base_family_names_are_checked_before_any_case(capsys, monkeypatch, base, name):
+    # big_qj sorts before hankel_affine, and neither may run
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, err = run(capsys, "verify", "big_qj", "hankel_affine", "--params", f"base={base}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"family {base} " in err and f"parameter(s) {name}\n" in err
+
+
 @pytest.mark.parametrize("param", ["y=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])
 def test_invalid_parameter_stops_the_whole_suite_before_any_case(capsys, monkeypatch, param):
     # the suite checks every matched case's domain first: no case runs

@@ -188,6 +188,16 @@ def test_identity_parameter_overrides():
     assert r2.passed and r2.n_terms == 2 * 36
 
 
+@pytest.mark.parametrize("nu", [F(3, 2), F(1, 2), F(-1, 3)])
+@pytest.mark.parametrize("x", [F(-1), F(-2, 5)])
+def test_bessel_1f1_link_holds_for_negative_x(nu, x):
+    # Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4) is even in x
+    r = verify_identity("bessel_1f1_link", {"nu": nu, "x": x}, ctx=ctx)
+    assert r.passed, r.rel_error
+    with ctx.workprec():
+        assert r.rel_error < mpmath.mpf(10) ** -33
+
+
 def test_hankel_affine_reports_ratios():
     r = verify_identity("hankel_affine", ctx=ctx)
     assert r.passed

@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from jfrac.errors import Unsupported
-from jfrac.families import make_family, translate_q0
+from jfrac import families
+from jfrac.errors import InvalidParams, Unsupported
+from jfrac.families import Term, make_family, translate_q0
 from jfrac.jfraction import JFraction, tableau_from_jfraction
-from jfrac.scalar import PrecisionContext, binom, factorial, q_binomial, q_pochhammer
+from jfrac.scalar import PrecisionContext, binom, q_binomial, q_pochhammer, q_pochhammer_inf
+from jfrac.series import SeriesValue, eval_rphis
 from jfrac.translation import (
-    Affine,
     Classical,
-    Generalized,
     NonCommutative,
     NormalOrderedPoly,
     QTranslation,
@@ -82,13 +84,6 @@ def test_normal_ordering_relation():
     assert sq.coeffs == {(2, 2): q}
 
 
-def test_generalized_image():
-    kind = Generalized(lambda j: F(1, factorial(j)), lambda j: F(1, factorial(j)))
-    img = monomial_image(kind, 5)
-    for j in range(6):
-        assert img[(5 - j, j)] == F(1, factorial(j)) * F(1, factorial(5 - j))
-
-
 def test_translate_series_classical_table():
     h0 = [F(1), F(2), F(0), F(-1), F(5)]
     table = translate_series(h0, Classical(), 4)
@@ -135,23 +130,9 @@ def test_q_row_evaluation_against_direct_sum():
         assert abs(got - total) < mpmath.mpf(10) ** -40
 
 
-def test_affine_row_evaluation():
-    # affine moves the classical sum to (t+s)/a and multiplies by e^{-b(t+s)/a}
-    row = [F(1)] * 40
-    a, b = F(3), F(2)
-    s, t = F(1, 10), F(1, 5)
-    with ctx.workprec():
-        got = translate_eval(row, Affine(a, b, Classical()), s, t, ctx).value
-        x = ctx.mpf(F(3, 10))
-        want = mpmath.exp(-ctx.mpf(b) * x / ctx.mpf(a)) * mpmath.exp(x / ctx.mpf(a))
-        assert abs(got - want) < mpmath.mpf(10) ** -40
-
-
 def test_unsupported_kinds():
     with pytest.raises(Unsupported):
         translate_eval([F(1)], NonCommutative(F(1, 2)), F(0), F(0), ctx)
-    with pytest.raises(Unsupported):
-        monomial_image(Affine(F(1), F(0), Classical()), 3)
 
 
 def test_family_dispatch_classical():
@@ -197,3 +178,195 @@ def test_family_without_a_closed_translated_form():
     ):
         with pytest.raises(Unsupported):
             translate_q0(other, F(1, 20), F(1, 10), ctx)
+
+
+# ---------------------------------------------------------------------------
+# q-binomial translates of a Term: the translated Q_0 and the twisted
+# companion, derived from the family's declared Q term
+
+def _reference_little_q_jacobi(p):
+    """Little q-Jacobi's translated Q_0 written out in full, the reference
+    that Term.translated_q0 reproduces bit for bit."""
+    a, b, q = p["a"], p["b"], p["q"]
+
+    def translated(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            return eval_rphis([ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx)
+
+    return translated, None
+
+
+def _reference_big_q_jacobi(p):
+    """Big q-Jacobi's translated Q_0 written out in full, the reference
+    that Term.translated_q0 reproduces bit for bit."""
+    a, b, c, q = p["a"], p["b"], p["c"], p["q"]
+
+    def translated(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            inner = eval_rphis(
+                [ctx.number(a * q), ctx.number(a * b * q / c), -sv / tv],
+                [ctx.number(a * b * q * q), -ctx.number(a * q) * sv],
+                q,
+                ctx.number(q * c) * tv,
+                ctx,
+            )
+            pref = q_pochhammer_inf(-ctx.number(a * q) * sv, q, ctx) / q_pochhammer_inf(
+                ctx.number(a * q) * tv, q, ctx
+            )
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    return translated, None
+
+
+def _reference_al_salam_carlitz(p):
+    """Al-Salam-Carlitz's translated Q_0 and twisted companion written out
+    in full, the references that Term.translated_q0 and Term.companion
+    reproduce bit for bit."""
+    a, q = p["a"], p["q"]
+
+    def companion(j, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            qv = ctx.number(q)
+            inner = eval_rphis([F(0)], [-tv * qv ** j], q, -a * tv * q ** j, ctx)
+            pref = (
+                q_pochhammer_inf(-tv * qv ** j, q, ctx)
+                * tv ** j
+                * ctx.number(F(q) ** (j * (j - 1) // 2) / F(q_pochhammer(q, q, j)))
+            )
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    def translated(s, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            sv = ctx.number(s)
+            inner = eval_rphis([0, -sv / tv], [-sv], q, ctx.number(a) * tv, ctx)
+            pref = q_pochhammer_inf(-sv, q, ctx) / q_pochhammer_inf(tv, q, ctx)
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+
+    return translated, companion
+
+
+_REFERENCE = {
+    "little_q_jacobi": _reference_little_q_jacobi,
+    "big_q_jacobi": _reference_big_q_jacobi,
+    "al_salam_carlitz": _reference_al_salam_carlitz,
+}
+
+
+def _bits(value):
+    return value.value, value.terms_used, value.tail_bound
+
+
+_q_base = st.fractions(F(1, 10), F(4, 5), max_denominator=12)
+_q_param = st.fractions(-2, 2, max_denominator=7).filter(bool)
+_point = st.fractions(F(-1, 3), F(1, 3), max_denominator=24)
+
+
+@st.composite
+def _family_draw(draw, family_id):
+    """Parameters inside the family's domain, rejected by make_family
+    otherwise."""
+    names = [n for n in ("a", "b", "c") if n in families._BUILDERS[family_id][1]]
+    params = {n: draw(_q_param) for n in names}
+    params["q"] = draw(_q_base)
+    try:
+        return make_family(family_id, params)
+    except InvalidParams:
+        assume(False)
+
+
+@pytest.mark.parametrize("family_id", sorted(_REFERENCE))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derived_translated_q0_reproduces_the_written_form(family_id, data):
+    spec = data.draw(_family_draw(family_id))
+    s, t = data.draw(_point), data.draw(_point.filter(bool))
+    translated, _ = _REFERENCE[family_id](spec.params)
+    for bits in (256, 512):
+        c = PrecisionContext(precision_bits=bits)
+        assert _bits(spec.translated_q0_fn(s, t, c)) == _bits(translated(s, t, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derived_companion_reproduces_the_written_form(data):
+    spec = data.draw(_family_draw("al_salam_carlitz"))
+    s, j = data.draw(_point), data.draw(st.integers(0, 5))
+    _, companion = _reference_al_salam_carlitz(spec.params)
+    for bits in (256, 512):
+        c = PrecisionContext(precision_bits=bits)
+        assert _bits(spec.q_tilde_fn(j, s, c)) == _bits(companion(j, s, c))
+
+
+_small = st.fractions(-1, 1, max_denominator=6)
+
+
+@st.composite
+def _synthetic_term(draw):
+    """A q-Term c_j t^j / (dt; q)_inf * r_phi_s(A q^j; B q^j; q, z t) with
+    r, s <= 2 and r <= s + 1, or c_j t^j / ((dt; q)_inf (d_2 t; q)_inf)."""
+    q = draw(st.fractions(F(1, 5), F(3, 4), max_denominator=8))
+    d = draw(st.sampled_from([F(0), F(1)]) | _small)
+    if draw(st.booleans()):
+        return Term(QTranslation(q), inv_qpochs=(d, draw(_small)))
+    lower = draw(st.lists(st.fractions(F(-1, 2), F(1, 2), max_denominator=6), max_size=2))
+    upper = draw(st.lists(st.fractions(-2, 2, max_denominator=6), max_size=len(lower) + 1))
+    z = draw(_small)
+
+    def hyper(j):
+        return [a * q ** j for a in upper], [b * q ** j for b in lower], z
+
+    return Term(QTranslation(q), inv_qpochs=(d,) if d else (), hyper=hyper)
+
+
+_tiny = st.fractions(F(-1, 10), F(1, 10), max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_synthetic_term(), _tiny, _tiny.filter(bool))
+def test_translated_q0_is_the_translated_q0_row(term, s, t):
+    # at |d|, |z| <= 1 Q_0's coefficients stay below about 1e10 for these q,
+    # and the row's n-th term has a factor (|s| + |t|)^n <= 5^-n, so 56
+    # terms leave a tail below 1e-29
+    N = 56
+    kind = term.kind
+    row = [c * kind.series_denominator(n) for n, c in enumerate(term.series(0, N))]
+    with ctx.workprec():
+        got = term.translated_q0(s, t, ctx).value
+        want = translate_eval(row, kind, s, t, ctx).value
+        assert abs(got - want) <= mpmath.mpf(10) ** -28 * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_synthetic_term(), _tiny, st.integers(0, 4))
+def test_companion_is_the_twisted_series(term, s, j):
+    N = 40
+    q = term.kind.q
+    series = term.series(j, N)
+    with ctx.workprec():
+        got = term.companion(j, s, ctx).value
+        want = sum(ctx.number(series[n] * q ** (n * (n - 1) // 2) * s ** n) for n in range(N + 1))
+        assert abs(got - want) <= mpmath.mpf(10) ** -28 * max(abs(want), mpmath.mpf(10) ** -60)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Term(Classical(), inv_qpochs=(1,)),
+        Term(QTranslation(F(1, 2)), qpochs=(1,), hyper=lambda j: ([], [], 1)),
+        Term(QTranslation(F(1, 2)), twist=True, hyper=lambda j: ([], [], 1)),
+        Term(QTranslation(F(1, 2)), hyper=lambda j: ([], [], 1), step=2),
+        Term(QTranslation(F(1, 2)), inv_qpochs=(1, 2), hyper=lambda j: ([], [], 1)),
+        Term(QTranslation(F(1, 2)), inv_qpochs=(1,)),
+    ],
+)
+def test_terms_outside_the_q_binomial_shape_raise(term):
+    with pytest.raises(Unsupported):
+        term.translated_q0(F(1, 20), F(1, 10), ctx)
+    with pytest.raises(Unsupported):
+        term.companion(1, F(1, 20), ctx)
