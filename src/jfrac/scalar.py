@@ -10,44 +10,15 @@ import decimal
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_int,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_div,
-    mpc_div_mpf,
-    mpc_mpf_div,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_neg,
-    mpc_pos,
-    mpc_pow_int,
-    mpc_sub,
-    mpc_sub_mpf,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_ge,
-    mpf_lt,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpc_pos, mpf_div, mpf_pos, mpf_sqrt, round_nearest
 
-from .errors import GammaPole, NonConvergent
+from .errors import DomainError, GammaPole, NonConvergent
 
 
 def rat(x):
@@ -55,11 +26,7 @@ def rat(x):
 
     Accepts Fraction, int, or a string such as ``"3/7"`` or ``"-2"``.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -113,7 +80,8 @@ class PrecisionContext:
     def mpf(self, x):
         """Convert int/Fraction/str/float/mpf to mpf at working precision."""
         if type(x) in _RAW_CONVERSIONS:
-            return from_raw(self.raw(x))
+            raw = self.raw(x)
+            return mpmath.mp.make_mpc(raw) if len(raw) == 2 else mpmath.mp.make_mpf(raw)
         with self.workprec():
             if isinstance(x, Fraction):
                 return mpmath.mpf(x.numerator) / x.denominator
@@ -167,85 +135,97 @@ _RAW_CONVERSIONS = {
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on raw libmp values
+# fixed-point arithmetic for the numeric loops
 #
-# Each of mpmath's operators on mpf and mpc objects unwraps its operands,
-# calls one libmp function at the working precision, rounding to nearest,
-# and wraps the result in a new object.  The hot numeric loops call those
-# functions on the raw values directly.  A raw mpf is a 4-tuple and a raw
-# mpc a pair, and the functions below call, for each pair of kinds, the
-# libmp function that mpmath's operator calls; the same calls in the same
-# order then give the same bits as the operators would.
+# The pFq / r_phi_s term loop and the (a; q)_inf product loop convert their
+# inputs once to ints scaled by 2^wp (pairs when some input is complex),
+# compute with int multiply, shift and floor-divide, and round each result
+# once to an mpf or mpc.  wp = working_bits + FIXED_GUARD_BITS + the
+# magnitude deficit of the smallest nonzero input: every input converts
+# exactly, and 2^-600 stays 2^-600, not 0.
 
-def _add(x, y, prec, rnd):
-    if len(x) == 2:
-        return mpc_add(x, y, prec, rnd) if len(y) == 2 else mpc_add_mpf(x, y, prec, rnd)
-    return mpc_add_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_add(x, y, prec, rnd)
+FIXED_GUARD_BITS = 20
 
 
-def _sub(x, y, prec, rnd):
-    if len(x) == 2:
-        return mpc_sub(x, y, prec, rnd) if len(y) == 2 else mpc_sub_mpf(x, y, prec, rnd)
-    return mpc_sub((x, fzero), y, prec, rnd) if len(y) == 2 else mpf_sub(x, y, prec, rnd)
+def _div(x, y, k):
+    """floor(x 2^k / y), y != 0; the ints stay the size of the quotient."""
+    if y < 0:
+        x, y = -x, -y
+    return (x << k) // y if k >= 0 else (x >> -k) // y
 
 
-def _mul(x, y, prec, rnd):
-    if len(x) == 2:
-        return mpc_mul(x, y, prec, rnd) if len(y) == 2 else mpc_mul_mpf(x, y, prec, rnd)
-    return mpc_mul_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_mul(x, y, prec, rnd)
+def _cnorm(x):
+    return x[0] * x[0] + x[1] * x[1]
 
 
-def _div(x, y, prec, rnd):
-    if len(x) == 2:
-        return mpc_div(x, y, prec, rnd) if len(y) == 2 else mpc_div_mpf(x, y, prec, rnd)
-    return mpc_mpf_div(x, y, prec, rnd) if len(y) == 2 else mpf_div(x, y, prec, rnd)
+def _cdiv(x, y, k):
+    den = _cnorm(y)
+    return _div(x[0] * y[0] + x[1] * y[1], den, k), _div(x[1] * y[0] - x[0] * y[1], den, k)
 
 
-def raw_abs(x, prec, rnd):
-    return mpc_abs(x, prec, rnd) if len(x) == 2 else mpf_abs(x, prec, rnd)
+# (mul, add, sub, norm, bit length, right shift, scaled division) on ints
+# and on (re, im) pairs; the norm of an int is its modulus, of a pair the
+# squared modulus
+_INT_OPS = (operator.mul, operator.add, operator.sub, abs, int.bit_length, operator.rshift, _div)
+_PAIR_OPS = (
+    lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    _cnorm,
+    lambda x: max(x[0].bit_length(), x[1].bit_length()),
+    lambda x, d: (x[0] >> d, x[1] >> d),
+    _cdiv,
+)
 
 
-def _neg(x, prec, rnd):
-    return mpc_neg(x, prec, rnd) if len(x) == 2 else mpf_neg(x, prec, rnd)
+def _fixed(part, wp):
+    sign, man, exp, _ = part
+    return (-man if sign else man) << (exp + wp)
 
 
-def _pow_int(x, n, prec, rnd):
-    return mpc_pow_int(x, n, prec, rnd) if len(x) == 2 else mpf_pow_int(x, n, prec, rnd)
+class FixedPoint:
+    """The fixed-point values of one numeric loop over raw inputs ``raws``
+    (ints scaled by 2^wp, or (re, im) pairs) and ``mul add sub norm bits
+    shr div`` on them: div(x, y, k) = floor(x 2^k / y), and norm takes no
+    square root, so norm(x 2^-wp) = norm(x) 2^(-power wp)."""
 
+    def __init__(self, raws, ctx):
+        parts = [p for v in raws for p in (v if len(v) == 2 else (v,))]
+        if any(not man and exp for _, man, exp, _ in parts):
+            raise DomainError("numeric series and products need finite inputs")
+        self.bits_out = ctx.working_bits
+        deficit = max([0] + [-(exp + bc) for _, man, exp, bc in parts if man])
+        self.wp = self.bits_out + FIXED_GUARD_BITS + deficit
+        self.complex = any(len(v) == 2 for v in raws)
+        self.mul, self.add, self.sub, self.norm, self.bits, self.shr, self.div = (
+            _PAIR_OPS if self.complex else _INT_OPS
+        )
+        self.power = 2 if self.complex else 1
+        self.zero = self.const(0)
 
-class RawArithmetic(NamedTuple):
-    """The operators ``+ - * / abs, unary -`` and ``** int`` on raw values,
-    each called as ``op(x, [y,] prec, rnd)``."""
+    def const(self, n, scale=0):
+        """The int n 2^scale in the loop's kind."""
+        n <<= scale
+        return (n, 0) if self.complex else n
 
-    add: object
-    sub: object
-    mul: object
-    div: object
-    abs: object
-    neg: object
-    pow_int: object
+    def fix(self, raw):
+        """A raw input scaled by 2^wp: exact, by the choice of wp."""
+        if not self.complex:
+            return _fixed(raw, self.wp)
+        re, im = raw if len(raw) == 2 else (raw, fzero)
+        return _fixed(re, self.wp), _fixed(im, self.wp)
 
+    def value(self, x, exp):
+        """x 2^exp as an mpf or mpc, rounded once to the working precision."""
+        parts = [from_man_exp(p, exp, self.bits_out, round_nearest) for p in (x if self.complex else (x,))]
+        return mpmath.mp.make_mpc(tuple(parts)) if self.complex else mpmath.mp.make_mpf(parts[0])
 
-# all operands real: libmp's mpf functions themselves
-_REAL = RawArithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_abs, mpf_neg, mpf_pow_int)
-# some operand complex: the dispatchers above
-_MIXED = RawArithmetic(_add, _sub, _mul, _div, raw_abs, _neg, _pow_int)
-
-RAW_ZEROS = (fzero, (fzero, fzero))  # zero as a raw mpf and as a raw mpc
-
-
-def raw_arithmetic(values):
-    """The arithmetic for a loop whose inputs are the raw ``values``, with
-    zero and one in the kind of its result: real when every input is, else
-    complex."""
-    if any(len(v) == 2 for v in values):
-        return _MIXED, (fzero, fzero), (fone, fzero)
-    return _REAL, fzero, fone
-
-
-def from_raw(x):
-    """The mpf or mpc holding raw value ``x``."""
-    return mpmath.mp.make_mpc(x) if len(x) == 2 else mpmath.mp.make_mpf(x)
+    def magnitude(self, x, exp):
+        """|x| 2^exp as an mpf, rounded once."""
+        size = self.norm(x)
+        if self.complex:
+            return mpmath.mp.make_mpf(mpf_sqrt(from_man_exp(size, 2 * exp), self.bits_out, round_nearest))
+        return mpmath.mp.make_mpf(from_man_exp(size, exp, self.bits_out, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +313,10 @@ def sequence(gen):
 
 
 def binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def factorial(n):
-    return math.factorial(n)
+factorial = math.factorial
 
 
 @sequence
@@ -381,9 +358,7 @@ def _q_binomial_rows(q):
 
 def q_binomial(n, k, q):
     """Gaussian binomial coefficient [n, k]_q, exact for rational q."""
-    if k < 0 or k > n:
-        return 0
-    return _q_binomial_rows(q, n)[k]
+    return _q_binomial_rows(q, n)[k] if 0 <= k <= n else 0
 
 
 @memoised
@@ -392,38 +367,37 @@ def q_pochhammer_inf(a, q, ctx=None):
 
     Factors are multiplied until |a q^k| drops below the working epsilon;
     the abandoned tail then satisfies |tail - 1| <= exp(|a q^k|/(1-|q|)) - 1,
-    which is far below the reported precision.
-
-    The product runs on raw libmp values at the working precision: the
-    test |a q^k| < eps, the factor 1 - a q^k, the running product and the
-    step a q^k * q are the libmp calls mpmath's operators would make, in
-    the same order, so the value is the one mpf and mpc arithmetic gives.
-    """
+    which is far below the reported precision.  On the :class:`FixedPoint`
+    kernel a q^k sits at 2^wp, and the product is cut to wp bits with an
+    exponent of its own: each factor costs 2^-wp, absolutely in a q^k and
+    relatively in the product."""
     ctx = ctx or PrecisionContext()
-    prec, rnd = ctx.working_bits, round_nearest
-    av = ctx.raw(a)
-    qv = ctx.raw(q)
-    absq = raw_abs(qv, prec, rnd)
-    if mpf_ge(absq, fone):
+    raws = ctx.raw(a), ctx.raw(q)
+    fx = FixedPoint(raws, ctx)
+    mul, sub, norm, bits, shr = fx.mul, fx.sub, fx.norm, fx.bits, fx.shr
+    wp, power = fx.wp, fx.power
+    term, qv = fx.fix(raws[0]), fx.fix(raws[1])
+    if norm(qv) >= 1 << power * wp:
         with ctx.workprec():  # the message shows |q| at working precision
-            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {from_raw(absq)}")
-    two = mpf_pos(from_int(2), prec, rnd)
-    eps = mpf_pow_int(two, -(ctx.precision_bits + ctx.guard_bits // 2), prec, rnd)
-    ar, _, result = raw_arithmetic((av, qv))
-    sub, mul, absv = ar.sub, ar.mul, ar.abs
-    term = av
+            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {abs(ctx.number(q))}")
+    # |term| < eps = 2^-(precision_bits + guard_bits // 2)
+    eps = 1 << power * (wp - ctx.precision_bits - ctx.guard_bits // 2)
+    one = fx.const(1, wp)
+    result, exp = fx.const(1), 0  # the product is result * 2^exp
     small = 0
     for k in range(ctx.max_terms):
-        if mpf_lt(absv(term, prec, rnd), eps):
+        if norm(term) < eps:
             small += 1
             if small >= ctx.consecutive_small:
-                return from_raw(result)
+                return fx.value(result, exp)
         else:
             small = 0
-        result = mul(result, sub(fone, term, prec, rnd), prec, rnd)
-        term = mul(term, qv, prec, rnd)
+        result = mul(result, sub(one, term))
+        extra = max(0, bits(result) - wp)
+        result, exp = shr(result, extra), exp - wp + extra
+        term = shr(mul(term, qv), wp)
     raise NonConvergent(
         "(a; q)_inf did not reach the tail threshold; |q| too close to 1",
         terms_used=ctx.max_terms,
-        last_partial=from_raw(result),
+        last_partial=fx.value(result, exp),
     )

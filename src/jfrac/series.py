@@ -12,26 +12,18 @@ parameter's factor a + n becomes 1 - a q^n; the implicit lower parameter
 ((-1)^n q^binom(n,2))^(1+s-r).  exp(c t) is the 0F0, and Euler's
 expansions of (c t; q)_inf and 1/(c t; q)_inf are the 0phi0 and the 1phi0.
 
-The numeric loop runs on raw libmp values (an mpf's ``_mpf_`` tuple, an
-mpc's ``_mpc_`` pair) at the working precision, rounding to nearest, and
-wraps only the returned :class:`SeriesValue` fields in mpf or mpc objects.
-It makes the libmp calls that mpmath's operators on mpf and mpc objects
-would make, in the same order: the partial sum, the stopping test, the
-term ratio and the step of q^n.  mpmath's + - * / on mpf are correctly
-rounded and its other operations are fixed sequences of libmp calls, so
-the same calls at the same precision give the same bits: the sums are
-those of the object arithmetic, bit for bit, without its cost of a
-context lookup and a new object per operation.
+The numeric loop runs in fixed point (:class:`~jfrac.scalar.FixedPoint`),
+with an error of about n 2^-wp relative to the largest of its n terms.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fone, from_int, fzero, mpf_lt, mpf_mul, round_nearest
+from mpmath.libmp import to_rational
 
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import RAW_ZEROS, PrecisionContext, from_raw, memoised, raw_abs, raw_arithmetic
+from .scalar import FixedPoint, PrecisionContext, memoised
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -142,8 +134,7 @@ class PowerSeries:
             out.append(acc)
         return PowerSeries(out, n)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def reciprocal(self):
         """Multiplicative inverse of the truncation; constant term must be nonzero."""
@@ -319,8 +310,9 @@ def inv_qpoch_series(c, q, degree):
 class SeriesValue:
     """A floating sum together with how it was obtained.
 
-    tail_bound is the magnitude of the last included term (zero when the
-    series terminated exactly); it is an empirical estimate, not a proof.
+    value is an mpf, or an mpc when some input was complex.  tail_bound is
+    an mpf: the magnitude of the last included term, and 0 only when the
+    series terminated exactly; it is an empirical estimate, not a proof.
     """
 
     value: object
@@ -329,9 +321,12 @@ class SeriesValue:
 
 
 def _vanishing_index(a, q):
-    """The index of the first term that exact parameter a makes vanish: a
-    a nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none."""
-    if not isinstance(a, _EXACT_TYPES):
+    """The index of the first term that parameter a makes vanish: a
+    nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none.  A
+    float, mpf or real complex a counts as the binary fraction it is."""
+    if isinstance(a, (float, complex, mpmath.mpf, mpmath.mpc)) and not a.imag and mpmath.isfinite(a):
+        a = Fraction(a.real) if isinstance(a.real, float) else Fraction(*to_rational(a.real._mpf_))
+    elif not isinstance(a, _EXACT_TYPES):
         return None
     if q is None:
         return 1 - int(a) if a <= 0 and Fraction(a).denominator == 1 else None
@@ -343,89 +338,108 @@ def _vanishing_index(a, q):
     return None
 
 
-def _first_vanishing(params, q):
-    return min(filter(None, (_vanishing_index(a, q) for a in params)), default=None)
+def _first_vanishing(params, q, exact):
+    """The least such index over the exact parameters, or the inexact ones."""
+    return min(filter(None, (_vanishing_index(a, q) for a in params if isinstance(a, _EXACT_TYPES) == exact)), default=None)
 
 
-def _raw_ratio(top, numer, lower, denom, n, qn, e, ar, prec):
-    """:func:`_ratio` on raw libmp values, with each operation as mpmath's
-    operator on mpf and mpc objects would make it: a factor is a + n, with
-    n an exact int, or 1 - a q^n."""
-    add, sub, mul, neg, pow_int = ar.add, ar.sub, ar.mul, ar.neg, ar.pow_int
-    rnd = round_nearest
-    if qn is None:
-        nv = from_int(n)
-        for a in numer:
-            top = mul(top, add(a, nv, prec, rnd), prec, rnd)
-        if top in RAW_ZEROS:
-            return top, None
-        bottom = add(lower, nv, prec, rnd)
-        for b in denom:
-            bottom = mul(bottom, add(b, nv, prec, rnd), prec, rnd)
-        return top, bottom
-    for a in numer:
-        top = mul(top, sub(fone, mul(a, qn, prec, rnd), prec, rnd), prec, rnd)
-    if top in RAW_ZEROS:
-        return top, None
-    bottom = sub(fone, mul(lower, qn, prec, rnd), prec, rnd)
-    for b in denom:
-        bottom = mul(bottom, sub(fone, mul(b, qn, prec, rnd), prec, rnd), prec, rnd)
-    if e > 0:
-        top = mul(top, pow_int(neg(qn, prec, rnd), e, prec, rnd), prec, rnd)
-    elif e < 0:
-        bottom = mul(bottom, pow_int(neg(qn, prec, rnd), -e, prec, rnd), prec, rnd)
-    return top, bottom
+def _below(x, y, d):
+    """x < y 2^d for ints x, y >= 0, shifting only sides of one bit length."""
+    gap = x.bit_length() - y.bit_length() - d
+    if gap or not y:
+        return gap < 0 < y
+    return x << -d < y if d < 0 else x < y << d
 
 
 def _sum(numer, denom, q, z, ctx):
+    """The sum behind :func:`eval_pfq` and :func:`eval_rphis` on the
+    :class:`~jfrac.scalar.FixedPoint` kernel.  The term and q^n keep about
+    wp bits with exponents of their own, so neither truncates to 0; the sum
+    sits at 2^(t_shift - wp) with t_shift growing with the largest term, so
+    its error is about n 2^-wp relative to that term.  Only an exactly zero
+    z or upper factor ends the sum; only an exactly zero lower one is a pole."""
     ctx = ctx or PrecisionContext()
-    # symbolic termination / pole scan, for exact parameters (and exact q)
-    n_stop = p_stop = None
+    # symbolic termination / pole scan, for exact parameters (and exact q); 1 - a q^n
+    # may also vanish for an inexact a, though not for q rounded (mpf(3), q = 1/3):
+    # the loop takes such a factor as 0 at its term
+    n_stop = p_stop = n_soft = p_soft = None
     if q is None or (isinstance(q, _EXACT_TYPES) and q != 0 and abs(q) < 1):
-        n_stop, p_stop = _first_vanishing(numer, q), _first_vanishing(denom, q)
+        n_stop, p_stop, n_soft, p_soft = (_first_vanishing(p, q, x) for x in (True, False) for p in (numer, denom))
     if p_stop is not None and (n_stop is None or p_stop < n_stop):
-        raise PoleInDenominator(
-            f"denominator parameter hits zero at term {p_stop} before any termination"
-        )
-    prec, rnd = ctx.working_bits, round_nearest
-    qv = None
+        raise PoleInDenominator(f"denominator parameter hits zero at term {p_stop} before any termination")
+    # tol = tm 2^te enters one comparison, not wp: the term keeps wp bits at any size
+    _, tm, te, _ = ctx.raw(ctx.rel_tolerance)
+    if not tm and te:
+        raise DomainError("numeric series and products need finite inputs")
+    raws = [ctx.raw(x) for x in (*numer, *denom, z, *([] if q is None else [q]))]
+    fx = FixedPoint(raws, ctx)
+    mul, add, sub, norm, bits, shr, div = fx.mul, fx.add, fx.sub, fx.norm, fx.bits, fx.shr, fx.div
+    wp, zero, power = fx.wp, fx.zero, fx.power
+    *av, zv = (fx.fix(v) for v in raws[: len(numer) + len(denom) + 1])
+    av, bv = av[: len(numer)], av[len(numer):]
+    # scale takes term * ratio back to 2^wp: a + n is at 2^wp, n + 1 at 1, 1 - a q^n at 2^(2 wp)
+    e = 1 + len(denom) - len(numer)
+    scale = wp * (e - 2 if q is None else 2 * e - 1)
     if q is not None:
-        qv = ctx.raw(q)
-        if not mpf_lt(raw_abs(qv, prec, rnd), fone) or qv in RAW_ZEROS:
+        qv = fx.fix(raws[-1])
+        if qv == zero or norm(qv) >= 1 << power * wp:
             raise DomainError("basic series evaluation needs 0 < |q| < 1")
-    av = [ctx.raw(a) for a in numer]
-    bv = [ctx.raw(b) for b in denom]
-    zv = ctx.raw(z)
-    ar, total, term = raw_arithmetic(av + bv + [zv] + ([] if qv is None else [qv]))
-    add, mul, div, absv = ar.add, ar.mul, ar.div, ar.abs
-    tol = ctx.raw(ctx.rel_tolerance)
-    small_run = 0
-    lower, qn = (fone, None) if qv is None else (qv, fone)
-    e = 0 if qv is None else 1 + len(denom) - len(numer)
+        # q^n = qn 2^q_exp, with qn cut to wp bits, so q_exp <= -wp
+        unit, qn, q_exp = fx.const(1, 2 * wp), fx.const(1, wp), -wp
+    tm, te = tm**power, te * power  # tol^power
+    # the term is term 2^(shift - wp), kept to about wp bits as it grows or
+    # shrinks, and the total is total 2^(t_shift - wp), t_shift only growing
+    total, term, shift, t_shift, small_run = zero, fx.const(1, wp), 0, 0, 0
     for n in range(ctx.max_terms):
-        total = add(total, term, prec, rnd)
+        if shift > t_shift:
+            total, t_shift = shr(total, shift - t_shift), shift
+        total = add(total, shr(term, t_shift - shift))
         if n_stop is not None and n + 1 == n_stop:
-            return SeriesValue(from_raw(total), n + 1, mpmath.mpf(0))
-        size, mag = absv(term, prec, rnd), absv(total, prec, rnd)
-        if mpf_lt(size, mpf_mul(tol, fone if mag == fzero else mag, prec, rnd)):
+            return SeriesValue(fx.value(total, t_shift - wp), n + 1, mpmath.mpf(0))
+        # |term| < tol |total|, or tol while the total is exactly 0
+        mag, unit_shift = (norm(total), t_shift) if total != zero else (1, wp)
+        if _below(norm(term), tm * mag, te + power * (unit_shift - shift)):
             small_run += 1
             if small_run >= ctx.consecutive_small:
-                return SeriesValue(from_raw(total), n + 1, from_raw(size))
+                return SeriesValue(fx.value(total, t_shift - wp), n + 1, fx.magnitude(term, shift - wp))
         else:
             small_run = 0
-        top, bottom = _raw_ratio(mul(term, zv, prec, rnd), av, lower, bv, n, qn, e, ar, prec)
-        if bottom is None:
-            return SeriesValue(from_raw(total), n + 1, mpmath.mpf(0))
-        if bottom in RAW_ZEROS:
+        # one step of _ratio on the kernel's values: z times the upper
+        # factors over the lower ones, then the normaliser
+        top, k = zv, scale
+        if q is None:
+            nv = fx.const(n, wp)
+            for a in av:
+                top = mul(top, add(a, nv))
+            bottom = fx.const(n + 1)
+            for b in bv:
+                bottom = mul(bottom, add(b, nv))
+        else:
+            qfix = shr(qn, -q_exp - wp)  # q^n at 2^wp; each 1 - a q^n is exact at 2^(2 wp)
+            for a in av:
+                top = mul(top, sub(unit, mul(a, qfix)))
+            bottom = sub(unit, mul(qv, qfix))
+            for b in bv:
+                bottom = mul(bottom, sub(unit, mul(b, qfix)))
+            neg_qn = sub(zero, qn)
+            for _ in range(e):
+                top = mul(top, neg_qn)
+            for _ in range(-e):
+                bottom = mul(bottom, neg_qn)
+            k += e * q_exp
+            qn = mul(qn, qv)
+            extra = max(0, bits(qn) - wp)
+            qn, q_exp = shr(qn, extra), q_exp - wp + extra
+        if top == zero or n + 1 == n_soft:  # before the pole test, as _ratio orders them
+            return SeriesValue(fx.value(total, t_shift - wp), n + 1, mpmath.mpf(0))
+        if bottom == zero or n + 1 == p_soft:
             raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
-        term = div(top, bottom, prec, rnd)
-        if qn is not None:
-            qn = mul(qn, qv, prec, rnd)
-    raise NonConvergent(
-        f"{'pFq' if q is None else 'basic series'} sum did not satisfy the stopping rule",
-        terms_used=ctx.max_terms,
-        last_partial=from_raw(total),
-    )
+        top = mul(term, top)
+        # the quotient keeps about wp bits; its scale moves instead
+        extra = bits(top) - bits(bottom) + k - wp
+        term, shift = div(top, bottom, k - extra), shift + extra
+    kind = "pFq" if q is None else "basic series"
+    raise NonConvergent(f"{kind} sum did not satisfy the stopping rule", ctx.max_terms, fx.value(total, t_shift - wp))
 
 
 def eval_pfq(numer, denom, z, ctx=None):

@@ -684,24 +684,32 @@ def _run_settings(N, tolerance):
     return N, tolerance
 
 
-def _check_reachable(tolerance, ctx):
+def _check_reachable(tolerance, ctx, case=None):
     """A tolerance below 2^-precision_bits asks for a relative error that
-    the precision cannot resolve: invalid input, however the case runs."""
+    the precision cannot resolve: invalid input, however the case runs.
+    ``case`` names the case whose default the tolerance is."""
     bits = ctx.precision_bits
     if tolerance is not None and tolerance < F(1, 2**bits):
         shown, floor = mpmath.nstr(ctx.mpf(tolerance), 6), mpmath.nstr(mpmath.ldexp(1, -bits), 3)
+        owner = f"{case}: default " if case else ""
         raise InvalidParams(
-            f"tolerance {shown} is below 2^-{bits} = {floor}, the resolution of {bits}-bit precision"
+            f"{owner}tolerance {shown} is below 2^-{bits} = {floor}, the resolution of {bits}-bit precision"
         )
+
+
+def _takes(defaults, key):
+    # a case on a base family takes every base_<p>; _affine_domain's
+    # make_family then checks p against the base family's parameters
+    return key in defaults or ("base" in defaults and key.startswith("base_"))
 
 
 def _merge_params(defaults, overrides):
     merged = dict(defaults)
     for key, value in (overrides or {}).items():
-        if key not in defaults:
+        if not _takes(defaults, key):
             raise InvalidParams(f"unknown parameter {key!r}")
         try:
-            merged[key] = _coerce(defaults[key], value)
+            merged[key] = _coerce(defaults.get(key, F(0)), value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidParams(f"bad value {value!r} for parameter {key!r}") from exc
     return _check_ranges(merged)
@@ -783,10 +791,10 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     name, a value of the wrong kind, a negative size, a parameter outside
     the case's declared domain (for a family's addition formula the
     family's own, see :func:`jfrac.families.check_domain`), and a
-    ``tolerance`` given here or in ``params`` that is below
-    2^-precision_bits (the cases' own defaults are not checked).  Other
-    failures are recorded in the returned reports rather than raised, so a
-    single broken case cannot hide the rest of the suite.
+    tolerance below 2^-precision_bits, whether given here, in ``params``
+    or as a matched case's own default (the message then names the case).
+    Other failures are recorded in the returned reports rather than raised,
+    so a single broken case cannot hide the rest of the suite.
     """
     ctx = ctx or PrecisionContext()
     patterns = [pattern] if isinstance(pattern, str) else pattern
@@ -798,7 +806,7 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     declared = {cid: (_THEOREMS.get(cid) or _IDENTITIES[cid])[1] for cid in ids}
     overrides = dict(params or {})
     for key in overrides:
-        if not any(key in names for names in declared.values()):
+        if not any(_takes(names, key) for names in declared.values()):
             raise InvalidParams(f"unknown parameter {key!r}")
     if seed is not None:
         overrides["seed"] = seed
@@ -807,10 +815,13 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     settings = {k: v for k, v in (("N", N), ("tolerance", tolerance)) if v is not None}
     own = {}
     for cid in ids:  # invalid input raises before any case runs
-        own[cid] = {k: v for k, v in {**settings, **overrides}.items() if k in declared[cid]}
+        own[cid] = {k: v for k, v in {**settings, **overrides}.items() if _takes(declared[cid], k)}
         merged = _case_params(cid, own[cid])
         if "tolerance" in own[cid]:
             _check_reachable(merged["tolerance"], ctx)
+        elif tolerance is None:  # the case's own default
+            numeric = _THEOREMS[cid][2] if cid in _THEOREMS else None
+            _check_reachable(merged.get("tolerance", numeric and numeric[3]), ctx, cid)
     reports = []
     for cid in ids:
         try:

@@ -626,6 +626,27 @@ def test_tolerance_below_the_precision_is_invalid_input(capsys, monkeypatch, arg
     assert err.startswith("error: tolerance ") and f"2^-{bits}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,case", [(["--all"], "affine"), (["little_qj_alt", "bessel_reduction"], "bessel_reduction")])
+def test_default_tolerance_below_the_precision_is_invalid_input(capsys, monkeypatch, argv, case):
+    # 2^-64 = 5.4e-20 cannot resolve a case's own 1e-30 or 1e-28: rejected
+    # before any case runs, naming the first such case, instead of FAILs
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    code, out, err = run(capsys, "verify", *argv, "--precision-bits", "64")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {case}: default tolerance ") and "2^-64" in err
+
+
+def test_reachable_tolerances_run_at_low_precision(capsys):
+    # an explicit tolerance replaces the defaults, and at 100 bits the
+    # defaults are reachable
+    code, out, err = run(capsys, "verify", "little_qj_alt", "bessel_reduction", "--precision-bits", "64",
+                         "--tolerance", "1e-15")
+    assert (code, err) == (0, "") and out.count("PASS") == 2
+    code, out, err = run(capsys, "verify", "little_qj_alt", "bessel_reduction", "--precision-bits", "100")
+    assert (code, err) == (0, "") and out.count("PASS") == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -796,3 +817,14 @@ def test_input_past_the_integer_string_limit_is_invalid_input(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params", ["base=jacobi,base_beta=1/3", "base=derangement,base_alpha=1/2,base_x=1/3"]
+)
+def test_affine_cases_take_every_parameter_of_their_base_family(capsys, params):
+    # base_<p> is a parameter for each p the chosen base family declares,
+    # not only the default laguerre's alpha
+    code, out, err = run(capsys, "verify", "affine", "hankel_affine", "--params", params)
+    assert (code, err) == (0, "")
+    assert [line.split()[:2] for line in out.splitlines()] == [["PASS", "affine"], ["PASS", "hankel_affine"]]

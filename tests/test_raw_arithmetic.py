@@ -1,30 +1,29 @@
-"""Arithmetic on raw libmp values against mpmath's operators, and the
-infinite product (a; q)_inf on raw values against the mpf/mpc loop it
-replaced.
+"""Conversions to raw libmp values against the ones made inside workprec,
+and the infinite product (a; q)_inf on the fixed-point kernel against the
+mpf/mpc loop it replaced.
 
 ``ref_q_pochhammer_inf`` below is ``scalar.q_pochhammer_inf`` as it was
-written on mpmath objects; the property test checks that the raw loop gives
-the same value of the same type, or raises the same exception with the same
-message, terms used and last partial product.
+written on mpmath objects; it is now an accuracy oracle.  The property test
+checks that the fixed-point loop gives a value of the same type, or raises
+the same exception with the same message and terms used, and that its
+value or last partial product lies within 2^-precision_bits of the
+reference's, relative to the product of 1 + |a q^k| over the factors taken:
+each factor costs both loops about 2^-wp of that, and wp exceeds the
+precision by the guard bits.
 """
 
 import cmath
-import operator
 from fractions import Fraction
 
 import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import round_nearest
 
 from jfrac.errors import NonConvergent
-from jfrac.scalar import PrecisionContext, from_raw, q_pochhammer_inf, raw_arithmetic
+from jfrac.scalar import PrecisionContext, q_pochhammer_inf
 
 F = Fraction
 BITS = st.sampled_from([64, 128, 256, 1024])
-
-# ---------------------------------------------------------------------------
-# each raw operation is the one mpmath's operator makes
 
 
 def _value(parts, bits):
@@ -40,34 +39,6 @@ def _raw(x):
 
 
 reals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
-values = st.tuples(reals, st.one_of(st.just(F(0)), reals))
-BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
-@settings(max_examples=150, deadline=None)
-@given(values, values, BITS, st.integers(-3, 3))
-# mpc / mpf: here mpc_div on (y, 0) rounds differently from mpc_div_mpf
-@example((F(-171897, 765800), F(400383, 9173)), (F(791212, 413057), F(0)), 64, 1)
-def test_raw_operations_are_mpmaths_operators(x, y, bits, n):
-    x, y = _value(x, bits), _value(y, bits)
-    ar, zero, one = raw_arithmetic([_raw(x), _raw(y)])
-    assert [(type(from_raw(v)), from_raw(v)) for v in (zero, one)] == [(type(x + y), 0), (type(x + y), 1)]
-    # the complex-mode arithmetic must also get real operands right
-    mixed, _, _ = raw_arithmetic([_raw(mpmath.mpc(1))])
-    with mpmath.workprec(bits):
-        for arithmetic in {ar, mixed}:
-            for name, op in BINARY.items():
-                if name == "div" and y == 0:
-                    continue
-                got = from_raw(getattr(arithmetic, name)(_raw(x), _raw(y), bits, round_nearest))
-                want = op(x, y)
-                assert (type(got), got) == (type(want), want), name
-            for name, op in (("abs", abs), ("neg", operator.neg)):
-                got = from_raw(getattr(arithmetic, name)(_raw(x), bits, round_nearest))
-                assert (type(got), got) == (type(op(x)), op(x)), name
-            if x != 0 or n >= 0:
-                got = from_raw(arithmetic.pow_int(_raw(x), n, bits, round_nearest))
-                assert (type(got), got) == (type(x**n), x**n)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +96,9 @@ def test_conversions_match_the_ones_inside_workprec(x, bits):
 # (a; q)_inf
 
 
-def ref_q_pochhammer_inf(a, q, ctx=None):
+def ref_q_pochhammer_inf(a, q, ctx=None, scale=None):
+    """The mpf/mpc loop; multiplies ``scale[0]`` by 1 + |a q^k| for each
+    factor it takes."""
     ctx = ctx or PrecisionContext()
     with ctx.workprec():
         av = ctx.number(a)
@@ -145,6 +118,8 @@ def ref_q_pochhammer_inf(a, q, ctx=None):
             else:
                 small = 0
             result = result * (1 - term)
+            if scale is not None:
+                scale[0] *= 1 + abs(term)
             term = term * qv
         raise NonConvergent(
             "(a; q)_inf did not reach the tail threshold; |q| too close to 1",
@@ -154,11 +129,23 @@ def ref_q_pochhammer_inf(a, q, ctx=None):
 
 
 def _outcome(fn, *args):
+    """(kind, type, message, terms used) and the value or last partial."""
     try:
         out = fn(*args)
     except NonConvergent as exc:
-        return ("raised", type(exc), str(exc), exc.terms_used, type(exc.last_partial), exc.last_partial)
-    return ("value", type(out), out)
+        return ("raised", type(exc), str(exc), exc.terms_used, type(exc.last_partial)), exc.last_partial
+    return ("value", type(out)), out
+
+
+def _agree(a, q, ctx):
+    """The fixed-point product against the reference loop."""
+    scale = [mpmath.mpf(1)]
+    got, got_value = _outcome(q_pochhammer_inf, a, q, ctx)
+    want, want_value = _outcome(ref_q_pochhammer_inf, a, q, ctx, scale)
+    assert got == want
+    if want_value is not None:
+        with ctx.workprec():
+            assert abs(got_value - want_value) <= mpmath.ldexp(scale[0], -ctx.precision_bits)
 
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
@@ -194,6 +181,18 @@ qs = st.one_of(
     st.sampled_from([20, 300, 3000]),
     st.sampled_from([1, 3]),
 )
+# a complex q near the unit circle: thousands of pair products
+@example(mpmath.mpc(0.5, -0.25), _polar(F(99, 100), 2.5), 256, 3000, 3)
+# a first factor 1 - a = 2^-80
+@example(1 - F(1, 2**80), F(1, 3), 64, 300, 3)
 def test_raw_product_matches_the_object_loop(a, q, bits, max_terms, consecutive_small):
-    ctx = PrecisionContext(bits, max_terms=max_terms, consecutive_small=consecutive_small)
-    assert _outcome(q_pochhammer_inf, a, q, ctx) == _outcome(ref_q_pochhammer_inf, a, q, ctx)
+    _agree(a, q, PrecisionContext(bits, max_terms=max_terms, consecutive_small=consecutive_small))
+
+
+def test_small_product_keeps_its_relative_precision():
+    # 1 - a = 2^-100 leaves 48 of the 148 bits of the 64-bit scale; the
+    # product's own exponent keeps all of them
+    a, q, ctx = 1 - F(1, 2**100), F(1, 3), PrecisionContext(64)
+    with mpmath.workprec(512):
+        want = mpmath.qp(mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(1) / 3)
+        assert abs(q_pochhammer_inf(a, q, ctx) / want - 1) < mpmath.ldexp(1, -64)

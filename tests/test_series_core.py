@@ -1,17 +1,24 @@
 """The shared pFq / r_phi_s core against the separate loops it replaced.
 
 The reference functions below are the evaluators as they were written
-before the two kinds shared one exact loop and one numeric loop; the
-property test checks that the merged code gives the same values, term
-counts, tail bounds, coefficient types and exceptions.
+before the two kinds shared one exact loop and one numeric loop.  The exact
+series must agree with them coefficient for coefficient, type for type.
+The numeric loop now runs in fixed point, so its reference is an accuracy
+oracle: the same outcome (a sum, or the same exception with the same
+message), value type and term count, a tail bound that is 0 exactly when
+the reference's is, and values, tail bounds and last partial sums within
+2^-precision_bits of the largest term the reference met.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jfrac import scalar, series
 from jfrac.errors import DomainError, NonConvergent, PoleInDenominator
 from jfrac.families import meixner_poly
 from jfrac.scalar import PrecisionContext
@@ -153,7 +160,7 @@ def ref_meixner_poly(n, x, beta, c):
     return total
 
 
-def ref_eval_pfq(numer, denom, z, ctx=None):
+def ref_eval_pfq(numer, denom, z, ctx=None, peak=None):
     ctx = ctx or PrecisionContext()
     n_stop = None
     for a in numer:
@@ -180,6 +187,8 @@ def ref_eval_pfq(numer, denom, z, ctx=None):
         small_run = 0
         for n in range(ctx.max_terms):
             total = total + term
+            if peak is not None:
+                peak[0] = max(peak[0], abs(term))
             if n_stop is not None and n + 1 == n_stop:
                 return SeriesValue(total, n + 1, mpmath.mpf(0))
             if abs(term) < _stop_threshold(total, tol):
@@ -208,7 +217,7 @@ def ref_eval_pfq(numer, denom, z, ctx=None):
         )
 
 
-def ref_eval_rphis(numer, denom, q, z, ctx=None):
+def ref_eval_rphis(numer, denom, q, z, ctx=None, peak=None):
     ctx = ctx or PrecisionContext()
     e = 1 + len(denom) - len(numer)
     n_stop = None
@@ -250,6 +259,8 @@ def ref_eval_rphis(numer, denom, q, z, ctx=None):
         qn = mpmath.mpf(1)
         for n in range(ctx.max_terms):
             total = total + term
+            if peak is not None:
+                peak[0] = max(peak[0], abs(term))
             if n_stop is not None and n + 1 == n_stop:
                 return SeriesValue(total, n + 1, mpmath.mpf(0))
             if abs(term) < _stop_threshold(total, tol):
@@ -299,6 +310,56 @@ def _outcome(fn, *args):
     if isinstance(out, SeriesValue):
         return ("sum", type(out.value), out.value, out.terms_used, out.tail_bound)
     return ("value", type(out), out)
+
+
+def _split(outcome):
+    """(what must be equal, the values that must be close)."""
+    if outcome[0] == "sum":
+        _, kind, value, terms, tail = outcome
+        return ("sum", kind, terms, type(tail), tail == 0), (value, tail)
+    if outcome[1] is NonConvergent:
+        *same, partial = outcome
+        return (*same, type(partial)), (partial,)
+    return outcome, ()
+
+
+def _reference(numer, denom, q, z, ctx, peak):
+    if q is None:
+        return _outcome(ref_eval_pfq, numer, denom, z, ctx, peak)
+    return _outcome(ref_eval_rphis, numer, denom, q, z, ctx, peak)
+
+
+def _numeric_agree(numer, denom, q, z, ctx):
+    """The fixed-point sum against its reference loop.
+
+    Two kinds of input leave a decision of the reference to its rounding.
+    A sum that cancels to within the error bound of 0 makes the test |term|
+    < tol |total| compare terms with rounding noise: the reference's sum or
+    last partial sum there only asks for a sum or NonConvergent whose value
+    lies within the bound of 0 as well.  A term that equals tol |total|
+    exactly (|4z/3| = |1 + 4z/3| / 2 for z = 1/4 + i/2) is a tie that each
+    loop's rounding decides: the sum must then agree in full with the
+    reference at tol moved up or down by 2^-(precision_bits + 32)."""
+    peak = [mpmath.mpf(1)]
+    got = _outcome(eval_pfq, numer, denom, z, ctx) if q is None else _outcome(eval_rphis, numer, denom, q, z, ctx)
+    want = _reference(numer, denom, q, z, ctx, peak)
+    got_same, got_values = _split(got)
+    if got_same != _split(want)[0]:  # a tie?  the moved tolerances decide it
+        for sign in (1, -1):
+            tol = F(ctx.rel_tolerance) * (1 + F(sign, 2 ** (ctx.precision_bits + 32)))
+            moved = _reference(numer, denom, q, z, replace(ctx, rel_tolerance=tol), [0])
+            want = moved if _split(moved)[0] == got_same else want
+    want_same, want_values = _split(want)
+    with ctx.workprec():
+        bound = mpmath.ldexp(peak[0], -ctx.precision_bits)
+        partial = want[2] if want[0] == "sum" else want[-1] if want[1] is NonConvergent else None
+        if partial is not None and abs(partial) <= bound:  # cancelled to noise
+            assert got[0] == "sum" or got[1] is NonConvergent
+            assert abs(got[2] if got[0] == "sum" else got[-1]) <= bound
+            return
+        assert got_same == want_same
+        for x, y in zip(got_values, want_values):
+            assert abs(x - y) <= bound
 
 
 QS = [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(-1, 2), F(-2, 5)]
@@ -354,14 +415,33 @@ def cases(draw):
 @given(cases())
 # exp(1): the second term, 1, equals the threshold 0.5 * |1 + 1|
 @example((None, False, [], [], F(1), PrecisionContext(64, rel_tolerance=0.5, consecutive_small=1), 0))
+# a lower parameter 2^-600 keeps its bits in the fixed-point scale: no false pole
+@example((None, True, [F(1)], [mpmath.ldexp(1, -600)], F(1, 2), PrecisionContext(64), 3))
+# terms below the scale: the rule stops the sum with a nonzero tail bound
+@example((None, True, [F(1, 2)], [F(3, 2)], mpmath.ldexp(1, -2000), PrecisionContext(256), 3))
+# an inexact nonpositive integer terminates the sum exactly, with tail 0
+@example((None, True, [mpmath.mpf(-3)], [F(1, 2)], F(1, 3), PrecisionContext(128), 3))
+# a complex q: every value a pair of ints
+@example((COMPLEX_QS[1], True, [F(1, 3), mpmath.mpc(0.5, -1)], [F(2, 3)], F(1, 2), PrecisionContext(256), 3))
+# the divergent 2F0(1, 1; ; 1): terms grow like n!, the ints do not
+@example((None, False, [F(1), F(1)], [], F(1), PrecisionContext(256, max_terms=10000), 3))
+# mpf(3) with q = 1/3: 1 - 3 q is 0 in the binary value 3, not in q rounded;
+# above, below (a pole at term 2) and in both places (0/0, the upper one first)
+@example((F(1, 3), True, [mpmath.mpf(3)], [F(1, 5)], F(1, 2), PrecisionContext(128), 3))
+@example((F(1, 3), True, [], [mpmath.mpf(3)], F(1, 2), PrecisionContext(256), 3))
+@example((F(1, 3), True, [mpmath.mpf(3)], [mpmath.mpf(3)], F(1), PrecisionContext(64, max_terms=30), 0))
+# 1 - a q and 1 - b q^2 are about 2^-53 (q^-1, q^-2 rounded to 53 bits), then
+# terms grow like |q|^(-n^2 / 2): the term keeps its bits as it shrinks
+@example((COMPLEX_QS[0], False, [COMPLEX_QS[0] ** -1, COMPLEX_QS[0] ** -2], [], F(2), PrecisionContext(128, max_terms=30), 0))
+# a tie: |4z/3| = |1 + 4z/3| / 2, with 4/3 rounded in both loops
+@example((None, True, [-4, -4], [-4, mpmath.mpf(-3)], mpmath.mpc(0.25, 0.5), PrecisionContext(64, rel_tolerance=0.5, max_terms=30), 0))
+# a tolerance below the precision: the terms are resolved down to tol |total|;
+# with z = 1, (1; 1/2)_inf = 0 leaves the reference's stopping to its rounding
+@example((F(1, 2), False, [], [], mpmath.mpc(0, 0.5), PrecisionContext(64, rel_tolerance=1e-75, max_terms=30), 0))
+@example((F(1, 2), False, [], [], F(1), PrecisionContext(64, rel_tolerance=1e-75, max_terms=30), 0))
 def test_shared_core_matches_the_separate_loops(case):
     q, inexact, numer, denom, z, ctx, degree = case
-    if q is None:
-        assert _outcome(eval_pfq, numer, denom, z, ctx) == _outcome(ref_eval_pfq, numer, denom, z, ctx)
-    else:
-        assert _outcome(eval_rphis, numer, denom, q, z, ctx) == _outcome(
-            ref_eval_rphis, numer, denom, q, z, ctx
-        )
+    _numeric_agree(numer, denom, q, z, ctx)
     if inexact or not isinstance(z, F) or isinstance(q, (mpmath.mpc, complex)):
         return
     if q is None:
@@ -379,6 +459,20 @@ def test_shared_core_matches_the_separate_loops(case):
         )
 
 
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_binary_parameter_equal_to_a_power_of_q_vanishes_exactly(bits):
+    """mpf(3) and mpf(9) are 3 and 9 exactly, (1/3)^-1 and (1/3)^-2: a
+    pole below and a termination above at every precision, whether or not
+    a float product with 1/3 rounded would give exactly 1."""
+    ctx = PrecisionContext(bits)
+    with pytest.raises(PoleInDenominator, match="hits zero at term 2$"):
+        eval_rphis([], [mpmath.mpf(3)], F(1, 3), F(1, 2), ctx)
+    with pytest.raises(PoleInDenominator, match="hits zero at term 3$"):
+        eval_rphis([], [mpmath.mpc(9, 0)], F(1, 3), F(1, 2), ctx)
+    out = eval_rphis([mpmath.mpf(9)], [F(1, 5)], F(1, 3), F(1, 2), ctx)
+    assert (out.terms_used, out.tail_bound) == (3, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 8),
@@ -388,3 +482,43 @@ def test_shared_core_matches_the_separate_loops(case):
 )
 def test_meixner_poly_matches_its_terminating_sum(n, x, beta, c):
     assert _outcome(meixner_poly, n, x, beta, c) == _outcome(ref_meixner_poly, n, x, beta, c)
+
+
+@pytest.mark.parametrize(
+    "module,call",
+    [
+        # 2F0(1, 1; ; 1): terms grow like n!
+        (series, lambda ctx: series.eval_pfq([1, 1], [], 1, ctx)),
+        # 2phi0(1/3, 1/5; ; 1/2, 1): terms grow like 2^(n^2 / 2) as q^n shrinks
+        (series, lambda ctx: series.eval_rphis([F(1, 3), F(1, 5)], [], F(1, 2), 1, ctx)),
+        # a product of thousands of factors near 1 - 1/3
+        (scalar, lambda ctx: scalar.q_pochhammer_inf(F(1, 3), 1 - F(1, 2**12), ctx)),
+    ],
+)
+def test_long_loops_keep_their_ints_small(monkeypatch, module, call):
+    """A loop that runs to max_terms moves its scale and exponents; every
+    int it makes stays within a few times wp bits."""
+    kernels = []
+
+    class Recording(scalar.FixedPoint):
+        def __init__(self, raws, ctx):
+            super().__init__(raws, ctx)
+            self.largest = 0
+            kernels.append(self)
+            for name in ("mul", "add", "sub", "shr", "div"):
+                setattr(self, name, self._recorded(getattr(self, name)))
+
+        def _recorded(self, op):
+            def recorded(*args):
+                out = op(*args)
+                self.largest = max(self.largest, out.bit_length())
+                return out
+
+            return recorded
+
+    monkeypatch.setattr(module, "FixedPoint", Recording)
+    with pytest.raises(NonConvergent) as raised:
+        call(PrecisionContext(256, max_terms=3000))
+    assert raised.value.terms_used == 3000
+    (kernel,) = kernels
+    assert kernel.largest <= 8 * kernel.wp

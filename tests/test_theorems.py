@@ -351,3 +351,24 @@ def test_bad_size_or_tolerance_raises_before_any_case(monkeypatch, kwargs):
     monkeypatch.setattr(theorems, "verify_identity", no_run)
     with pytest.raises(InvalidParams):
         run_suite(None, **kwargs)
+
+
+def test_suite_series_work_is_pinned(monkeypatch):
+    """One default run_suite() sums 355 pFq series of 5761 terms in all and
+    186 basic series of 3149 terms.  A change to the stopping decision, or
+    to how often a case evaluates a series, shows here as a failure."""
+    counts = {}
+    for name in ("eval_pfq", "eval_rphis"):
+        original = getattr(series, name)
+
+        def counted(*args, _original=original, _name=name):
+            value = _original(*args)
+            calls, terms = counts.get(_name, (0, 0))
+            counts[_name] = calls + 1, terms + value.terms_used
+            return value
+
+        for module in (series, families, theorems):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    theorems.run_suite()
+    assert counts == {"eval_pfq": (355, 5761), "eval_rphis": (186, 3149)}
