@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
-import mpmath
-
+from . import _mpmath as mpmath
 from .errors import InvalidParams, JfracError, NonRegular, UnknownTheorem
 from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
@@ -44,9 +43,9 @@ from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite
 # typo such as --N 1000000000 would allocate without bound.
 MAX_SIZE = 500
 
-# Largest accepted precision in bits.  `verify --all` takes about 0.7 s at
-# 256 bits and 45 s at 8192 (pure-Python mpmath); far above, a value such as
-# 1000000000 would allocate numbers of 125 MB each.
+# Largest accepted precision in bits.  `verify --all` takes about 0.4 s at
+# 256 bits and 45-55 s at 8192 (one process, pure-Python mpmath backend);
+# far above, a value such as 1000000000 would allocate numbers of 125 MB each.
 MAX_PRECISION_BITS = 8192
 
 
@@ -459,7 +458,7 @@ def build_parser():
     p.add_argument("--moments", required=True)
     p.add_argument("--kind", choices=("D", "chi", "Delta"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--i", type=int, default=None, help="row index i, for --kind Delta only")
     p.set_defaults(func=cmd_hankel)
 
     p = sub.add_parser("oracle", parents=[common], help="weighted path sum, independent of the tableau")

@@ -17,14 +17,14 @@ whose recurrence data is intrinsically complex, so its scalar functions
 return high-precision complex numbers instead.
 """
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import mpmath
-
+from . import _mpmath as mpmath
 from .errors import InvalidParams, Unsupported, UnsupportedTilde
 from .jfraction import JFraction, tableau_from_jfraction
 from .scalar import (
@@ -397,7 +397,7 @@ def family_weights(spec):
 def family_tableau(spec, N, ctx=None):
     """Tableau through column N, built under ``ctx``'s working precision
     (which only an inexact family's data uses)."""
-    with (ctx or PrecisionContext()).workprec():
+    with contextlib.nullcontext() if spec.exact else (ctx or PrecisionContext()).workprec():
         return tableau_from_jfraction(family_jfraction(spec, max(N, 1)), N)
 
 
@@ -568,7 +568,7 @@ def check_domain(owner, rules, params, prefix=""):
         raise InvalidParams(f"{owner}: " + "; ".join(broken))
 
 
-def _recurrence_from_closed_tableau(entry_fn):
+def _recurrence_from_closed_tableau(entry_fn, per_precision=True):
     """(b_fn, lambda_fn) off the first two superdiagonals of a closed tableau.
 
     H_{i,n+1} = H_{i-1,n} + b_i H_{i,n} + lambda_{i+1} H_{i+1,n} with
@@ -576,10 +576,10 @@ def _recurrence_from_closed_tableau(entry_fn):
     lambda_n = H_{n-1,n+1} - H_{n-2,n} - b_{n-1} H_{n-1,n}.
     """
 
-    read = {}  # each entry once per working precision
+    read = {}  # each entry once, or once per working precision if per_precision
 
     def h(i, n):
-        key = (i, n, mpmath.mp.prec)
+        key = (i, n, mpmath.mp.prec if per_precision else None)
         if i >= 0 and key not in read:
             read[key] = entry_fn(i, n)
         return read.get(key, 0)
@@ -971,7 +971,7 @@ def _make_hermite_moments(params):
     def tableau_entry_fn(i, N):
         return F(binom(N, i)) * hermite_poly(N - i, x)
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
     q = Term(Classical(), exp=(2 * x, -1))
     return FamilySpec(
         b_fn=b_fn,
@@ -994,7 +994,7 @@ def _make_laguerre_moments(params):
             / pochhammer(alpha + 2 * i + 1, n)
         )
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([], [alpha + 2 * n + 1], -x))
     return FamilySpec(
         b_fn=b_fn,
@@ -1014,7 +1014,7 @@ def _make_meixner_moments(params):
         n = N - i
         return F(binom(N, i)) * meixner_poly(n, x - i, beta + 2 * i, c)
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], w))
     return FamilySpec(
         b_fn=b_fn,
@@ -1092,7 +1092,7 @@ def _make_gegenbauer_moments(params):
             )
         return total
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
     q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + half + n], (x * x - 1) / 4), step=2)
     return FamilySpec(
         b_fn=b_fn,

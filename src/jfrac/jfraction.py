@@ -218,10 +218,12 @@ def hankel(mu, kind, n, i=None):
     When a leading minor D_k, k < i, vanishes, P_i is not defined and the
     value comes from ``det_bareiss`` on the Hankel rows instead.
     """
-    if kind == "D":
-        i = n
-    elif kind == "chi":
-        i, n = n, n + 1
+    if kind in ("D", "chi"):
+        if i is not None:
+            raise ValueError(f"kind {kind} takes no row index i, got i = {i}")
+        if n < 0:
+            raise ValueError(f"{kind}_n needs n >= 0, got n = {n}")
+        i, n = (n, n) if kind == "D" else (n, n + 1)
     elif kind != "Delta":
         raise ValueError(f"unknown Hankel kind {kind!r}")
     elif i is None:

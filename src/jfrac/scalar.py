@@ -15,9 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpc_pos, mpf_div, mpf_pos, mpf_sqrt, round_nearest
-
+from . import _mpmath as mpmath
 from .errors import DomainError, GammaPole, NonConvergent
 
 
@@ -79,7 +77,7 @@ class PrecisionContext:
 
     def mpf(self, x):
         """Convert int/Fraction/str/float/mpf to mpf at working precision."""
-        if type(x) in _RAW_CONVERSIONS:
+        if type(x) in _raw_conversions():
             raw = self.raw(x)
             return mpmath.mp.make_mpc(raw) if len(raw) == 2 else mpmath.mp.make_mpf(raw)
         with self.workprec():
@@ -99,9 +97,9 @@ class PrecisionContext:
     def raw(self, x):
         """:meth:`number`'s value as a raw libmp value: an mpf's ``_mpf_``
         tuple or an mpc's ``_mpc_`` pair."""
-        convert = _RAW_CONVERSIONS.get(type(x))
+        convert = _raw_conversions().get(type(x))
         if convert is not None:
-            return convert(x, self.working_bits, round_nearest)
+            return convert(x, self.working_bits)
         value = self.number(x)
         return value._mpc_ if isinstance(value, mpmath.mpc) else value._mpf_
 
@@ -120,18 +118,21 @@ class PrecisionContext:
             return mpmath.gamma(z)
 
 
-# PrecisionContext.mpf's conversions of the common kinds: the libmp calls
-# that mpmath.mpf(x), mpf / int and +x make inside workprec(), made without
-# entering it, so a value costs no precision switch.
-_RAW_CONVERSIONS = {
-    Fraction: lambda x, prec, rnd: mpf_div(
-        mpf_pos(from_int(x.numerator), prec, rnd), from_int(x.denominator), prec, rnd
-    ),
-    int: lambda x, prec, rnd: mpf_pos(from_int(x), prec, rnd),
-    float: lambda x, prec, rnd: mpf_pos(from_float(x), prec, rnd),
-    mpmath.mpf: lambda x, prec, rnd: mpf_pos(x._mpf_, prec, rnd),
-    mpmath.mpc: lambda x, prec, rnd: mpc_pos(x._mpc_, prec, rnd),
-}
+@functools.cache
+def _raw_conversions():
+    """PrecisionContext.mpf's conversions of the common kinds: the libmp calls
+    that mpmath.mpf(x), mpf / int and +x make inside workprec(), made without
+    entering it, so a value costs no precision switch.  Built on first use,
+    since mpmath's types are among the keys."""
+    from mpmath.libmp import from_float, from_int, mpc_pos, mpf_div, mpf_pos, round_nearest as rnd
+
+    return {
+        Fraction: lambda x, prec: mpf_div(mpf_pos(from_int(x.numerator), prec, rnd), from_int(x.denominator), prec, rnd),
+        int: lambda x, prec: mpf_pos(from_int(x), prec, rnd),
+        float: lambda x, prec: mpf_pos(from_float(x), prec, rnd),
+        mpmath.mpf: lambda x, prec: mpf_pos(x._mpf_, prec, rnd),
+        mpmath.mpc: lambda x, prec: mpc_pos(x._mpc_, prec, rnd),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +213,21 @@ class FixedPoint:
         """A raw input scaled by 2^wp: exact, by the choice of wp."""
         if not self.complex:
             return _fixed(raw, self.wp)
-        re, im = raw if len(raw) == 2 else (raw, fzero)
+        re, im = raw if len(raw) == 2 else (raw, mpmath.libmp.fzero)
         return _fixed(re, self.wp), _fixed(im, self.wp)
 
     def value(self, x, exp):
         """x 2^exp as an mpf or mpc, rounded once to the working precision."""
-        parts = [from_man_exp(p, exp, self.bits_out, round_nearest) for p in (x if self.complex else (x,))]
+        lib = mpmath.libmp
+        parts = [lib.from_man_exp(p, exp, self.bits_out, lib.round_nearest) for p in (x if self.complex else (x,))]
         return mpmath.mp.make_mpc(tuple(parts)) if self.complex else mpmath.mp.make_mpf(parts[0])
 
     def magnitude(self, x, exp):
         """|x| 2^exp as an mpf, rounded once."""
-        size = self.norm(x)
+        size, lib = self.norm(x), mpmath.libmp
         if self.complex:
-            return mpmath.mp.make_mpf(mpf_sqrt(from_man_exp(size, 2 * exp), self.bits_out, round_nearest))
-        return mpmath.mp.make_mpf(from_man_exp(size, exp, self.bits_out, round_nearest))
+            return mpmath.mp.make_mpf(lib.mpf_sqrt(lib.from_man_exp(size, 2 * exp), self.bits_out, lib.round_nearest))
+        return mpmath.mp.make_mpf(lib.from_man_exp(size, exp, self.bits_out, lib.round_nearest))
 
 
 # ---------------------------------------------------------------------------

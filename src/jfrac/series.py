@@ -19,9 +19,7 @@ with an error of about n 2^-wp relative to the largest of its n terms.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import to_rational
-
+from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
 from .scalar import FixedPoint, PrecisionContext, memoised
 
@@ -324,10 +322,10 @@ def _vanishing_index(a, q):
     """The index of the first term that parameter a makes vanish: a
     nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none.  A
     float, mpf or real complex a counts as the binary fraction it is."""
-    if isinstance(a, (float, complex, mpmath.mpf, mpmath.mpc)) and not a.imag and mpmath.isfinite(a):
-        a = Fraction(a.real) if isinstance(a.real, float) else Fraction(*to_rational(a.real._mpf_))
-    elif not isinstance(a, _EXACT_TYPES):
-        return None
+    if not isinstance(a, _EXACT_TYPES):
+        if not isinstance(a, (float, complex, mpmath.mpf, mpmath.mpc)) or a.imag or not mpmath.isfinite(a):
+            return None
+        a = Fraction(a.real) if isinstance(a.real, float) else Fraction(*mpmath.libmp.to_rational(a.real._mpf_))
     if q is None:
         return 1 - int(a) if a <= 0 and Fraction(a).denominator == 1 else None
     p, k = Fraction(a), 1

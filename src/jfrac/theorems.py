@@ -14,8 +14,7 @@ from fractions import Fraction
 from fnmatch import fnmatchcase
 from operator import attrgetter
 
-import mpmath
-
+from . import _mpmath as mpmath
 from .errors import InvalidParams, UnknownTheorem
 from .families import (
     Term,

@@ -136,6 +136,21 @@ def test_hankel_needs_enough_moments(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["D", "chi"])
+def test_hankel_row_index_is_for_kind_delta_only(capsys, kind):
+    code, out, err = run(capsys, "hankel", "--moments=1,0,1,0,3", "--kind", kind, "--n", "1", "--i", "7",
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: kind {kind} takes no row index i, got i = 7\n"
+
+
+@pytest.mark.parametrize("kind", ["D", "chi"])
+def test_hankel_negative_order_names_the_kind(capsys, kind):
+    code, out, err = run(capsys, "hankel", "--moments=1,0,1,0,3", "--kind", kind, "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind}_n needs n >= 0, got n = -1\n"
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--b", "0,0", "--lambda", "1,1",
                        "--from", "0", "--to", "0", "--steps", "4")
