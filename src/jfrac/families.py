@@ -197,6 +197,14 @@ def _at_exp_minus_one(p):
 # ---------------------------------------------------------------------------
 # closed forms of Q_j
 
+def _over_qpochs(x, args, q, j, t, ctx):
+    """x / prod (d; q)_inf over d in ``args``; an exactly zero product is a pole of Q_j at t."""
+    den = math.prod(q_pochhammer_inf(d, q, ctx) for d in args)
+    if den == 0:
+        raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
+    return x / den
+
+
 @dataclass(frozen=True)
 class Term:
     """One closed form of Q_j, the single source of both its evaluators:
@@ -238,7 +246,7 @@ class Term:
                 pref = ctx.number(self._coef(j)) * tv ** j
             else:
                 pref = tv ** j / ctx.number(self.kind.series_denominator(j))
-            pref = pref / math.prod(q_pochhammer_inf(d * tv, q, ctx) for d in self.inv_qpochs)
+            pref = _over_qpochs(pref, [d * tv for d in self.inv_qpochs], q, j, t, ctx)
             pref = pref * math.prod(q_pochhammer_inf(c * tv, q, ctx) for c in self.qpochs)
             if self.exp:
                 pref = pref * mpmath.exp(sum(ctx.number(e) * tv ** (k + 1) for k, e in enumerate(self.exp)))
@@ -306,8 +314,8 @@ class Term:
             q, d, upper, lower, z = self._q_binomial_shape(0, ctx)
             tv, sv = ctx.number(t), ctx.number(s)
             ds = -ctx.number(d) * sv
+            pref = _over_qpochs(q_pochhammer_inf(ds, q, ctx), [ctx.number(d) * tv], q, 0, t, ctx) if d != 0 else 1
             inner = eval_rphis(upper + [-sv / tv], lower + [ds], q, ctx.number(z) * tv, ctx)
-            pref = q_pochhammer_inf(ds, q, ctx) / q_pochhammer_inf(ctx.number(d) * tv, q, ctx) if d != 0 else 1
             return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     def companion(self, j, s, ctx):

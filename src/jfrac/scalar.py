@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from . import _mpmath as mpmath
@@ -136,14 +136,16 @@ def _raw_conversions():
 
 
 # ---------------------------------------------------------------------------
-# fixed-point arithmetic for the numeric loops
+# fixed-point arithmetic for the numeric series loop
 #
-# The pFq / r_phi_s term loop and the (a; q)_inf product loop convert their
-# inputs once to ints scaled by 2^wp (pairs when some input is complex),
-# compute with int multiply, shift and floor-divide, and round each result
-# once to an mpf or mpc.  wp = working_bits + FIXED_GUARD_BITS + the
-# magnitude deficit of the smallest nonzero input: every input converts
-# exactly, and 2^-600 stays 2^-600, not 0.
+# The pFq / r_phi_s term loop (series._sum, which also sums Euler's series
+# behind (a; q)_inf) converts its inputs once to ints scaled by 2^wp (pairs
+# when some input is complex), computes with int multiply, shift and
+# floor-divide, and rounds each result once to an mpf or mpc.
+# wp = working_bits + FIXED_GUARD_BITS + the magnitude deficit of the
+# smallest nonzero input: a binary input converts exactly, a Fraction p/q
+# to floor(p 2^wp / q) with at least working_bits + 19 bits, and 2^-600
+# stays 2^-600, not 0.
 
 FIXED_GUARD_BITS = 20
 
@@ -179,42 +181,47 @@ _PAIR_OPS = (
 )
 
 
-def _fixed(part, wp):
-    sign, man, exp, _ = part
-    return (-man if sign else man) << (exp + wp)
+_EXACT_TYPES = (int, Fraction)
 
 
 class FixedPoint:
-    """The fixed-point values of one numeric loop over raw inputs ``raws``
-    (ints scaled by 2^wp, or (re, im) pairs) and ``mul add sub norm bits
-    shr div`` on them: div(x, y, k) = floor(x 2^k / y), and norm takes no
-    square root, so norm(x 2^-wp) = norm(x) 2^(-power wp)."""
+    """The fixed-point values of one numeric loop over ``values`` (ints and
+    Fractions taken as they are, others through ``ctx.raw``) and
+    ``mul add sub norm bits shr div`` on them: div(x, y, k) = floor(x 2^k / y),
+    and norm takes no square root, so norm(x 2^-wp) = norm(x) 2^(-power wp).
+    ``inputs`` holds the values scaled by 2^wp, as ints or (re, im) pairs."""
 
-    def __init__(self, raws, ctx):
+    def __init__(self, values, ctx):
+        values = [v if isinstance(v, _EXACT_TYPES) else ctx.raw(v) for v in values]
+        exact = [v for v in values if isinstance(v, _EXACT_TYPES)]
+        raws = [v for v in values if not isinstance(v, _EXACT_TYPES)]
         parts = [p for v in raws for p in (v if len(v) == 2 else (v,))]
         if any(not man and exp for _, man, exp, _ in parts):
             raise DomainError("numeric series and products need finite inputs")
+        # log2 of each nonzero input, to within 1
+        sizes = [exp + bc for _, man, exp, bc in parts if man]
+        sizes += [v.numerator.bit_length() - v.denominator.bit_length() for v in exact if v]
         self.bits_out = ctx.working_bits
-        deficit = max([0] + [-(exp + bc) for _, man, exp, bc in parts if man])
-        self.wp = self.bits_out + FIXED_GUARD_BITS + deficit
+        self.wp = self.bits_out + FIXED_GUARD_BITS + max([0] + [-size for size in sizes])
         self.complex = any(len(v) == 2 for v in raws)
         self.mul, self.add, self.sub, self.norm, self.bits, self.shr, self.div = (
             _PAIR_OPS if self.complex else _INT_OPS
         )
         self.power = 2 if self.complex else 1
         self.zero = self.const(0)
+        self.inputs = [self._fix(v) for v in values]
 
     def const(self, n, scale=0):
         """The int n 2^scale in the loop's kind."""
         n <<= scale
         return (n, 0) if self.complex else n
 
-    def fix(self, raw):
-        """A raw input scaled by 2^wp: exact, by the choice of wp."""
-        if not self.complex:
-            return _fixed(raw, self.wp)
-        re, im = raw if len(raw) == 2 else (raw, mpmath.libmp.fzero)
-        return _fixed(re, self.wp), _fixed(im, self.wp)
+    def _fix(self, v):
+        if isinstance(v, _EXACT_TYPES):
+            return self.const((v.numerator << self.wp) // v.denominator)
+        parts = v if len(v) == 2 else (v, mpmath.libmp.fzero)
+        re, im = ((-man if sign else man) << (exp + self.wp) for sign, man, exp, _ in parts)
+        return (re, im) if self.complex else re
 
     def value(self, x, exp):
         """x 2^exp as an mpf or mpc, rounded once to the working precision."""
@@ -367,39 +374,28 @@ def q_binomial(n, k, q):
 def q_pochhammer_inf(a, q, ctx=None):
     """Infinite product (a; q)_inf for |q| < 1, evaluated to ctx precision.
 
-    Factors are multiplied until |a q^k| drops below the working epsilon;
-    the abandoned tail then satisfies |tail - 1| <= exp(|a q^k|/(1-|q|)) - 1,
-    which is far below the reported precision.  On the :class:`FixedPoint`
-    kernel a q^k sits at 2^wp, and the product is cut to wp bits with an
-    exponent of its own: each factor costs 2^-wp, absolutely in a q^k and
-    relatively in the product."""
+    The factors 1 - a q^k are peeled off while |a q^k| > (1 - |q|)/2; the
+    rest, (x; q)_inf with x = a q^K, is Euler's 0phi0
+    sum_n (-1)^n q^C(n,2) x^n / (q; q)_n (Gasper-Rahman, 1.3), summed on
+    the series kernel to a relative 2^-(precision_bits + guard_bits // 2).
+    Since |x| <= (1 - |q|)/2 <= 1/2, the ratio of consecutive terms,
+    |x q^n / (1 - q^(n+1))| <= |x| / (1 - |q|), is at most 1/2, so the tail
+    after any term is at most that term.  And the sum of |terms| is at most
+    (-|x|; |q|)_inf <= e^2 (|x|; |q|)_inf <= e^2 |(x; q)_inf|, so fewer
+    than 3 bits cancel.  (a; 0)_inf is 1 - a."""
+    from .series import _sum
+
     ctx = ctx or PrecisionContext()
-    raws = ctx.raw(a), ctx.raw(q)
-    fx = FixedPoint(raws, ctx)
-    mul, sub, norm, bits, shr = fx.mul, fx.sub, fx.norm, fx.bits, fx.shr
-    wp, power = fx.wp, fx.power
-    term, qv = fx.fix(raws[0]), fx.fix(raws[1])
-    if norm(qv) >= 1 << power * wp:
-        with ctx.workprec():  # the message shows |q| at working precision
-            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {abs(ctx.number(q))}")
-    # |term| < eps = 2^-(precision_bits + guard_bits // 2)
-    eps = 1 << power * (wp - ctx.precision_bits - ctx.guard_bits // 2)
-    one = fx.const(1, wp)
-    result, exp = fx.const(1), 0  # the product is result * 2^exp
-    small = 0
-    for k in range(ctx.max_terms):
-        if norm(term) < eps:
-            small += 1
-            if small >= ctx.consecutive_small:
-                return fx.value(result, exp)
-        else:
-            small = 0
-        result = mul(result, sub(one, term))
-        extra = max(0, bits(result) - wp)
-        result, exp = shr(result, extra), exp - wp + extra
-        term = shr(mul(term, qv), wp)
-    raise NonConvergent(
-        "(a; q)_inf did not reach the tail threshold; |q| too close to 1",
-        terms_used=ctx.max_terms,
-        last_partial=fx.value(result, exp),
-    )
+    with ctx.workprec():
+        x, qv = ctx.number(a), ctx.number(q)
+        if abs(qv) >= 1:
+            raise NonConvergent(f"(a; q)_inf needs |q| < 1, got |q| = {abs(qv)}")
+        if qv == 0:
+            return 1 - x
+        head, bound = mpmath.mpf(1), (1 - abs(qv)) / 2
+        for _ in range(ctx.max_terms):
+            if not bound < abs(x) < mpmath.inf:  # a NaN or an infinity goes on to the kernel, which refuses it
+                tol = Fraction(1, 2 ** (ctx.precision_bits + ctx.guard_bits // 2))
+                return head * _sum([], [], q, x, replace(ctx, rel_tolerance=tol)).value
+            head, x = head * (1 - x), x * qv
+    raise NonConvergent("(a; q)_inf did not reach the tail threshold; |q| too close to 1", ctx.max_terms, head)

@@ -21,9 +21,7 @@ from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import FixedPoint, PrecisionContext, memoised
-
-_EXACT_TYPES = (int, Fraction)
+from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, memoised
 
 
 def _as_ring(c):
@@ -369,17 +367,16 @@ def _sum(numer, denom, q, z, ctx):
     _, tm, te, _ = ctx.raw(ctx.rel_tolerance)
     if not tm and te:
         raise DomainError("numeric series and products need finite inputs")
-    raws = [ctx.raw(x) for x in (*numer, *denom, z, *([] if q is None else [q]))]
-    fx = FixedPoint(raws, ctx)
+    fx = FixedPoint((*numer, *denom, z, *([] if q is None else [q])), ctx)
     mul, add, sub, norm, bits, shr, div = fx.mul, fx.add, fx.sub, fx.norm, fx.bits, fx.shr, fx.div
     wp, zero, power = fx.wp, fx.zero, fx.power
-    *av, zv = (fx.fix(v) for v in raws[: len(numer) + len(denom) + 1])
+    *av, zv = fx.inputs[: len(numer) + len(denom) + 1]
     av, bv = av[: len(numer)], av[len(numer):]
     # scale takes term * ratio back to 2^wp: a + n is at 2^wp, n + 1 at 1, 1 - a q^n at 2^(2 wp)
     e = 1 + len(denom) - len(numer)
     scale = wp * (e - 2 if q is None else 2 * e - 1)
     if q is not None:
-        qv = fx.fix(raws[-1])
+        qv = fx.inputs[-1]
         if qv == zero or norm(qv) >= 1 << power * wp:
             raise DomainError("basic series evaluation needs 0 < |q| < 1")
         # q^n = qn 2^q_exp, with qn cut to wp bits, so q_exp <= -wp

@@ -186,29 +186,27 @@ def _conf_hyp_1f1(cid, params):
 
 
 def _bessel_plus(cid, params):
+    """J_nu(s+t) / (s+t)^nu = Gamma(nu+1) 2^nu sum_n w_n (ts)^n E_{nu+n}(t) E_{nu+n}(s) with the entire
+    E_mu(v) = v^-mu J_mu(v) = 0F1(; mu+1; -v^2/4) / (2^mu Gamma(mu+1)): no branch of v^mu, no division by v."""
     nu = params["nu"]
 
     def weight(n):
         return (nu + n) * F(-1) ** n * pochhammer(2 * nu, n) / (nu * factorial(n))
 
-    def lhs(s, t, ctx):
+    def entire(n, v, ctx):  # v^n E_{nu+n}(v)
         with ctx.workprec():
-            x = ctx.number(t) + ctx.number(s)
-            inner = bessel_j(nu, x, ctx)
-            value = inner.value / mpmath.power(x, ctx.number(nu))
-            return SeriesValue(value, inner.terms_used, inner.tail_bound)
+            v = ctx.number(v)
+            inner = eval_pfq([], [nu + n + 1], -v * v / 4, ctx)
+            pref = v**n / (mpmath.power(2, ctx.number(nu + n)) * ctx.gamma(nu + n + 1))
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
-    def factor(n, v, ctx):
-        return bessel_j(nu + n, ctx.number(v), ctx)
+    def lhs(s, t, ctx):
+        return entire(0, s + t, ctx)
 
     def prefactor(s, t, ctx):
-        with ctx.workprec():
-            xy = ctx.number(t) * ctx.number(s)
-            return ctx.gamma(nu + 1) / mpmath.power(xy / 2, ctx.number(nu))
+        return ctx.gamma(nu + 1) * mpmath.power(2, ctx.number(nu))
 
-    return TheoremCase(
-        cid, weight, lhs_eval=lhs, rhs_left_fn=factor, rhs_right_fn=factor, rhs_prefactor=prefactor
-    )
+    return TheoremCase(cid, weight, lhs_eval=lhs, rhs_left_fn=entire, rhs_right_fn=entire, rhs_prefactor=prefactor)
 
 
 def _affine_pair(params):

@@ -355,6 +355,37 @@ def test_verify_case_failure_is_recorded_with_or_without_overrides(capsys, extra
     assert lines[1].startswith("PASS hermite_moments [exact]")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # q = 99/100 is inside the families' domain 0 < q < 1; (a; q)_inf
+        # there needs thousands of factors as a product
+        ["asc_qtrans", "--params", "q=99/100"],
+        ["big_qj", "--params", "q=99/100"],
+        ["little_qj_alt", "--params", "q=99/100"],
+        ["big_qj", "--params", "q=9/10", "--precision-bits", "4096"],
+        # bessel_plus at s = 0, t = 0, s + t = 0 and s, t < 0
+        ["bessel_plus", "--s=0", "--t=1/5"],
+        ["bessel_plus", "--s=0", "--t=0"],
+        ["bessel_plus", "--s=1/5", "--t=-1/5"],
+        ["bessel_plus", "--s=-1/10", "--t=-1/5"],
+    ],
+)
+def test_verify_passes_across_the_declared_domain(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0, out
+    assert out.startswith(f"PASS {argv[0]} [numeric]")
+
+
+@pytest.mark.parametrize("argv", [["--t=1"], ["--params", "q=1/3", "--t=3"]])
+def test_verify_at_a_pole_of_the_closed_form_is_invalid_input(capsys, argv):
+    # (t; q)_inf = 0 at t = q^-k, a pole of Al-Salam-Carlitz's Q_0; at
+    # q = 1/3 its inner series diverges there as well
+    code, out, err = run(capsys, "verify", "asc_qtrans", "--s=1/5", *argv)
+    assert (code, out) == (2, "")
+    assert f"the closed form of Q_0 is undefined at t = {argv[-1][4:]}" in err
+
+
 def test_verify_bad_override_value(capsys):
     code, _, err = run(capsys, "verify", "bessel_plus", "--params", "nu=abc")
     assert code == 2
