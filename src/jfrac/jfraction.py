@@ -8,12 +8,23 @@ ring scalars).  The recurrence filled here is
 with H[n][n] = 1 and H[i][n] = 0 outside 0 <= i <= n.  Row 0 carries the
 moments, rows connect monomials to the monic orthogonal polynomials, and
 the lambda-weighted convolution of two columns reproduces row 0.
+
+The tableau and ``cf_series`` run on int numerators over one common
+denominator when ``scalar.common_denominator`` accepts the weights (all
+Fractions, over a small lcm D), while the ints stay within
+``scalar.INT_LOOP_MAX_BITS``.  Each column or level divides out one gcd,
+and each result becomes a Fraction once.  Other weights (ints, mpc, or
+Fractions over a large D, as for the q-families) and the tableau's columns
+past the bound run the loop on the values themselves.  Both give the same
+values of the same types.
 """
 
 import contextvars
+import math
 from fractions import Fraction
 
 from .errors import NonRegular
+from .scalar import INT_LOOP_MAX_BITS, common_denominator
 
 
 class JFraction:
@@ -94,15 +105,45 @@ def tableau_from_jfraction(jf, N):
         raise ValueError(f"need b_0..b_{N - 1} to fill {N} columns")
     if N >= 2 and len(jf.lam) < N - 1:
         raise ValueError(f"need lambda_1..lambda_{N - 1} to fill {N} columns")
+    scaled = common_denominator(jf.b[:N], jf.lam[: max(N - 1, 0)])
     H = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
     H[0][0] = 1
-    for n in range(1, N + 1):
+    first = 1 if scaled is None else _fill_on_ints(H, *scaled)
+    for n in range(first, N + 1):
         for i in range(n, -1, -1):
             above = H[i - 1][n - 1] if i >= 1 else 0
             same = jf.b[i] * H[i][n - 1] if i <= n - 1 else 0
             below = jf.lam[i] * H[i + 1][n - 1] if i + 1 <= n - 1 else 0
             H[i][n] = above + same + below
     return StieltjesTableau(H)
+
+
+def _fill_on_ints(H, den, B, L):
+    """Columns 1.. of H for b_i = B_i / D and lambda_{i+1} = L_i / D, while
+    bits(s) + bits(D) <= INT_LOOP_MAX_BITS; returns the first column left.
+
+    Column n is held as ints h_0..h_n over one int s, H[i][n] = h_i / s, and
+    steps by h'_i = D h_{i-1} + B_i h_i + L_i h_{i+1}, s' = D s, then divides
+    out gcd(s', h'_0, ..., h'_n).  The diagonal stays the int 1, as in the
+    Fraction loop.
+    """
+    B, L = [*B, 0], [*L, 0, 0]
+    col, scale = [1], 1
+    limit = INT_LOOP_MAX_BITS - den.bit_length()
+    for n in range(1, len(H)):
+        if scale.bit_length() > limit:
+            return n
+        ext = [0, *col, 0, 0]  # ext[i + 1] = h_i, with h_{-1} = h_n = h_{n+1} = 0
+        col = [den * up + bi * same + li * down for up, bi, same, li, down in zip(ext, B, ext[1:], L, ext[2:])]
+        scale *= den
+        g = math.gcd(scale, *col)
+        if g != 1:
+            col = [h // g for h in col]
+            scale //= g
+        for i in range(n):
+            H[i][n] = Fraction(col[i], scale)
+        H[n][n] = 1
+    return len(H)
 
 
 def _exact(x):
@@ -307,6 +348,9 @@ def cf_series(jf, N):
         raise ValueError(f"need b_0..b_{levels - 1} for degree {N}")
     if len(jf.lam) < N // 2:
         raise ValueError(f"need lambda_1..lambda_{N // 2} for degree {N}")
+    scaled = common_denominator(jf.b[:levels], jf.lam[: levels - 1])
+    if scaled is not None:
+        return _cf_series_on_ints(*scaled, N)
     zero = [Fraction(0)] * (N + 1)
     one = [Fraction(1)] + zero[1:]
     A_prev, A = zero, one
@@ -322,6 +366,55 @@ def cf_series(jf, N):
                 acc -= B[k] * mu[m - k]
         mu.append(acc)
     return tuple(mu)
+
+
+def _cf_series_on_ints(den, B, L, N):
+    """cf_series for b_m = B_m / D and lambda_{m+1} = L_m / D.
+
+    The convergents of levels m - 1 and m are held as int coefficient lists
+    over one int s, A_m = a_m / s and B_m = c_m / s, and step by
+        a_{m+1} = (D - B_m x) a_m - L_{m-1} x^2 a_{m-1},  s' = D s,
+    with a_m rescaled to D a_m, then divide out the gcd of s' and all four
+    lists.  B_L's constant term is 1, so c_L[0] = s and
+    mu_m = (a_L[m] - sum_k c_L[k] mu_{m-k}) / s.  The division runs on ints
+    too: mu_0..mu_{m-1} are held over their least common denominator t, so
+    mu_m is one int sum over s t, reduced once.
+    """
+    levels = len(B)
+    size = levels + 1  # B_L has degree L; A_L degree L - 1
+    zero = [0] * size
+    one = [den] + zero[1:]
+    a_prev, a = zero, one  # A_0 = 0, A_1 = 1
+    c_prev, c = one, [den, -B[0]] + zero[2:]  # B_0 = 1, B_1 = 1 - b_0 x
+    scale = den
+    for m in range(1, levels):
+        bm, lm = B[m], L[m - 1]
+        a_prev, a = [den * x for x in a], _three_term_ints(a, a_prev, den, bm, lm)
+        c_prev, c = [den * x for x in c], _three_term_ints(c, c_prev, den, bm, lm)
+        scale *= den
+        g = math.gcd(scale, *a, *c, *a_prev, *c_prev)
+        if g != 1:
+            a_prev, a, c_prev, c = ([x // g for x in v] for v in (a_prev, a, c_prev, c))
+            scale //= g
+    mu, nums, common = [], [], 1
+    for m in range(N + 1):
+        num = (a[m] if m < size else 0) * common
+        for k in range(1, min(m, levels) + 1):
+            if c[k]:
+                num -= c[k] * nums[m - k]
+        value = Fraction(num, scale * common)
+        mu.append(value)
+        grow = value.denominator // math.gcd(value.denominator, common)
+        if grow != 1:
+            nums = [x * grow for x in nums]
+            common *= grow
+        nums.append(value.numerator * (common // value.denominator))
+    return tuple(mu)
+
+
+def _three_term_ints(cur, prev, den, bm, lm):
+    """(D - B_m x) cur - L x^2 prev, on int coefficient lists of equal length."""
+    return [den * x - bm * y - lm * z for x, y, z in zip(cur, [0, *cur], [0, 0, *prev])]
 
 
 class MonicPolyTable:

@@ -415,23 +415,20 @@ _THEOREMS = {
 
 def _hermite_convolution(iid, params, ctx):
     m_max = params["m_max"]
+    hs = [[hermite_poly(n, x) for n in range(2 * m_max + 1)] for x in params["xs"]]
 
     def pairs():
-        for x in params["xs"]:
-            h = [hermite_poly(n, x) for n in range(2 * m_max + 1)]
-            for m in range(m_max + 1):
-                for n in range(m_max + 1):
-                    rhs = sum(
-                        (
-                            F(-2) ** k
-                            / F(factorial(k) * factorial(m - k) * factorial(n - k))
-                            * h[m - k]
-                            * h[n - k]
-                            for k in range(min(m, n) + 1)
-                        ),
-                        F(0),
-                    )
-                    yield h[m + n] / F(factorial(m) * factorial(n)), rhs
+        for m in range(m_max + 1):
+            for n in range(m_max + 1):
+                # the x-independent factors, once per (m, n)
+                scale = F(factorial(m) * factorial(n))
+                coef = [
+                    F(-2) ** k / F(factorial(k) * factorial(m - k) * factorial(n - k))
+                    for k in range(min(m, n) + 1)
+                ]
+                for h in hs:
+                    rhs = sum((c * h[m - k] * h[n - k] for k, c in enumerate(coef)), F(0))
+                    yield h[m + n] / scale, rhs
 
     return _exact_report(iid, params, *_compare(pairs()))
 
@@ -565,27 +562,23 @@ def _connection_rogers(iid, params, ctx):
     beta, gamma, q, n_max = params["beta"], params["gamma"], params["q"], params["n_max"]
     xs = [F(k, 2) for k in range(n_max + 2)]
 
-    def rhs(n, x):
-        total = F(0)
-        for k in range(n // 2 + 1):
-            coef = (
+    def pairs():
+        for n in range(n_max + 1):
+            # the x-independent coefficient of C_{n-2k}(x; beta | q), once per n
+            coef = [
                 F(beta) ** k
                 * F(q_pochhammer(gamma / beta, q, k))
                 * F(q_pochhammer(gamma, q, n - k))
-                / (
-                    F(q_pochhammer(q, q, k))
-                    * F(q_pochhammer(q * beta, q, n - k))
-                )
+                / (F(q_pochhammer(q, q, k)) * F(q_pochhammer(q * beta, q, n - k)))
                 * (1 - beta * F(q) ** (n - 2 * k))
                 / (1 - beta)
-            )
-            total += coef * cq_ultraspherical_poly(n - 2 * k, x, beta, q)
-        return total
+                for k in range(n // 2 + 1)
+            ]
+            for x in xs:
+                rhs = sum((c * cq_ultraspherical_poly(n - 2 * k, x, beta, q) for k, c in enumerate(coef)), F(0))
+                yield cq_ultraspherical_poly(n, x, gamma, q), rhs
 
-    pairs = (
-        (cq_ultraspherical_poly(n, x, gamma, q), rhs(n, x)) for n in range(n_max + 1) for x in xs
-    )
-    return _exact_report(iid, params, *_compare(pairs))
+    return _exact_report(iid, params, *_compare(pairs()))
 
 
 # id -> (check, default params, domain); numeric identities carry their N

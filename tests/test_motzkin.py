@@ -41,12 +41,13 @@ def test_coverage_errors():
 
 def test_dfs_matches_dp():
     w = PathWeights(
-        (F(1, 2), F(-1), F(2), F(1, 3), F(1)),
+        (F(1, 2), F(-1), F(2), F(1, 3), F(1), F(-2, 3)),
         (F(3), F(-1, 2), F(1), F(2), F(1)),
     )
-    for n in range(7):
-        for end in range(0, min(n, 2) + 1):
-            assert path_weight_sum(w, 0, end, n) == path_weight_sum_dp(w, 0, end, n)
+    for start in range(4):
+        for n in range(7):
+            for end in range(0, min(n, 2) + 1):
+                assert path_weight_sum(w, start, end, n) == path_weight_sum_dp(w, start, end, n)
 
 
 def test_reversal_carries_lambda_product():

@@ -1,14 +1,17 @@
-"""The names perfbench/tracing.py wraps must still exist in jfrac.
+"""The benchmark's view of jfrac must still hold.
 
 The benchmark's tracer rebinds functions, methods and FamilySpec fields by
 name.  A name that src no longer uses can be deleted with every other test
-still green, and every traced benchmark run then fails; this test fails
-first.
+still green, and every traced benchmark run then fails; these tests fail
+first.  Likewise one pass of the exact workload runs here against the
+benchmark's own oracles, so an exact-core change that they reject fails
+the test suite before it fails a benchmark run.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,15 +19,19 @@ import pytest
 from jfrac import cli, families, scalar, series
 from jfrac.theorems import identity_ids, theorem_ids
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracing", "tracing.py")
 
 
 def test_traced_functions_resolve(tracing):
@@ -47,3 +54,14 @@ def test_traced_methods_and_fields_resolve(tracing):
 
 def test_traced_case_ids_are_the_suite(tracing):
     assert list(tracing.CASE_IDS) == sorted(theorem_ids() + identity_ids())
+
+
+def test_exact_roundtrip_pass_meets_its_oracles(monkeypatch):
+    """One pass of the benchmark's exact workload at seed 1: the warm-up,
+    then every operation, each checked by perfbench's own oracles."""
+    monkeypatch.setitem(sys.modules, "oracles", _load("oracles", "oracles.py"))
+    workloads = _load("perfbench_workloads", "workloads.py")
+    work = workloads.ExactRoundtrip(1)
+    work.warmup()
+    problems = [p for op in work.ops for p in work.check(op, work.run(op))]
+    assert problems == []
