@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 3 at least one verification failed.  A size (--N, --depth, --steps, --from,
 --to, a case's degree, n_max, m_max or N) that is negative or above MAX_SIZE
 is invalid input, rejected before any work; so are a precision outside
-1..MAX_PRECISION_BITS, a max_terms below 1 and a tolerance that is not
-positive, however they are set, and a verify tolerance below
+1..MAX_PRECISION_BITS, a max_terms below 1 and a rel_tolerance that is not
+positive and finite, however they are set, and a verify tolerance below
 2^-precision_bits.  So is a family or case parameter outside its declared
 domain (the constraints the catalog prints): verify and report check every
 matched case before any runs.  --N and --tolerance reach every numeric case
@@ -121,8 +121,8 @@ def resolve_config(args):
         raise InvalidParams(f"precision_bits {cfg.precision_bits} is outside 1..{MAX_PRECISION_BITS}")
     if cfg.max_terms < 1:
         raise InvalidParams(f"max_terms {cfg.max_terms} is below 1")
-    if not cfg.rel_tolerance > 0:  # NaN fails too
-        raise InvalidParams(f"rel_tolerance {cfg.rel_tolerance} is not positive")
+    if not 0 < cfg.rel_tolerance < float("inf"):  # NaN fails too
+        raise InvalidParams(f"rel_tolerance {cfg.rel_tolerance} is not positive and finite")
     return cfg, explicit
 
 

@@ -2,12 +2,14 @@
 
 Each family binds its monic three-term recurrence coefficients (b_n,
 lambda_n), its closed-form generating functions Q_j (and the twisted
-companion series for the q-translated families), closed-form tableau
-entries where available, and the translation kind its addition formula
-lives over.  The rest is derived: the weights w_n = lambda_1...lambda_n,
-the moments off Q_0's exact series, and lambda_n itself where a builder
-writes A_n, C_n or a closed tableau.  Most Q forms are declared once as a
-:class:`Term`, which yields both the numeric evaluator and the exact series.
+companion series for the q-translated families), and the translation kind
+its addition formula lives over.  The rest is derived: the weights
+w_n = lambda_1...lambda_n, the moments off Q_0's exact series, lambda_n
+itself where a builder writes A_n, C_n, and for the polynomials-as-moments
+families the closed tableau H_{i,N} = N! [t^N] Q_i(t), with b_n and
+lambda_n off its first two superdiagonals.  Most Q forms are declared once
+as a :class:`Term`, which yields the numeric evaluator, the exact series
+and so the closed tableau.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -31,7 +33,6 @@ from .scalar import (
     PrecisionContext,
     binom,
     factorial,
-    pochhammer,
     q_pochhammer_inf,
     rat,
     rat_str,
@@ -76,21 +77,6 @@ def _hermite(x):
 def hermite_poly(n, x):
     """Physicists' Hermite H_n(x), exact for rational x."""
     return _hermite(x if isinstance(x, F) else rat(x), n)
-
-
-def laguerre_poly(n, alpha, x):
-    """Generalized Laguerre L_n^(alpha)(x)."""
-    prev, cur = F(1), 1 + alpha - x
-    if n == 0:
-        return prev
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + 1 + alpha - x) * cur - (m + alpha) * prev) / (m + 1)
-    return cur
-
-
-def meixner_poly(n, x, beta, c):
-    """Meixner M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c), exact."""
-    return sum(pfq_series([-n, -x], [beta], n, 1 - F(1) / c))
 
 
 @sequence
@@ -146,35 +132,6 @@ def cq_ultraspherical_poly(n, x, beta, q):
 
 # ---------------------------------------------------------------------------
 # small exact-series helpers
-
-def _cos_half_series(degree):
-    coeffs = [F(0)] * (degree + 1)
-    term = F(1)
-    k = 0
-    while 2 * k <= degree:
-        coeffs[2 * k] = term
-        term = term * F(-1, 4) / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-    return PowerSeries(coeffs, degree)
-
-
-def _sin_half_series(degree):
-    coeffs = [F(0)] * (degree + 1)
-    term = F(1, 2)
-    k = 0
-    while 2 * k + 1 <= degree:
-        coeffs[2 * k + 1] = term
-        term = term * F(-1, 4) / ((2 * k + 2) * (2 * k + 3))
-        k += 1
-    return PowerSeries(coeffs, degree)
-
-
-def _series_pow(p, n):
-    out = PowerSeries.one(p.truncation_degree)
-    for _ in range(n):
-        out = out * p
-    return out
-
 
 def _poly(coeffs, degree):
     """sum_k coeffs[k] t^k, truncated at degree."""
@@ -343,11 +300,13 @@ class FamilySpec:
     n >= 0, lambda_n for n >= 1); the weights w_n = lambda_1...lambda_n of
     the addition formula follow from them (:func:`family_weights`).
     q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
-    companion where one exists.  tableau_entry_fn, q_series_fn,
-    q_tilde_series_fn are the exact counterparts (tableau_entry_fn(i, n) is
-    H_{i,n} in tableau indexing); the moments are read off q_series_fn(0, N)
-    (:func:`family_moments`).  Most families declare each Q form once as a
-    :class:`Term` and take both evaluators from it.  translated_q0_fn(s,
+    companion where one exists.  q_series_fn and q_tilde_series_fn are the
+    exact counterparts; the moments are read off q_series_fn(0, N)
+    (:func:`family_moments`).  tableau_entry_fn(i, n) is a closed H_{i,n} in
+    tableau indexing, read off the Q Term's series (:func:`_closed_tableau_family`)
+    or, for an affine image, off the base family's tableau.  Most families
+    declare each Q form once as a :class:`Term` and take both evaluators
+    from it.  translated_q0_fn(s,
     t, ctx) is Q_0 under the family's own q-translation (t != 0), which a
     q-family takes from its Q Term (:meth:`Term.translated_q0`), as
     Al-Salam-Carlitz also takes its q_tilde_fn (:meth:`Term.companion`).
@@ -707,10 +666,9 @@ def _make_meixner_pollaczek(params):
     def lambda_fn(n):
         return F(n * (n + 2 * lam - 1), 1) / (4 * sin_phi * sin_phi)
 
-    def _ratio_series(degree, shift):
-        # sin(t/2 + phi)/sin(phi) = cos(t/2) + cot(phi) sin(t/2)
-        u = _cos_half_series(degree) + _sin_half_series(degree) * cot - 1
-        return pow1p(u, -(2 * lam + shift))
+    # cos(t/2) = 0F1(; 1/2; -t^2/16) and S = sin(t/2) / (t/2) = 0F1(; 3/2; -t^2/16)
+    cos_half = Term(Classical(), hyper=lambda j: ([], [F(1, 2)], F(-1, 16)), step=2)
+    sinc_half = Term(Classical(), hyper=lambda j: ([], [F(3, 2)], F(-1, 16)), step=2)
 
     def q_fn(j, t, ctx):
         with ctx.workprec():
@@ -727,8 +685,15 @@ def _make_meixner_pollaczek(params):
             return SeriesValue(value, 1, mpmath.mpf(0))
 
     def q_series_fn(j, degree):
-        body = _ratio_series(degree, j) * _series_pow(_sin_half_series(degree), j)
-        return body * F(2 ** j, factorial(j))
+        # Q_j = (t S)^j / j! * (sin(t/2 + phi) / sin(phi))^-(2 lam + j), and
+        # sin(t/2 + phi) / sin(phi) = cos(t/2) + cot(phi) t S / 2
+        d = degree - j
+        if d < 0:
+            raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
+        s = sinc_half.series(0, d)
+        u = cos_half.series(0, d) + _poly((0,) + tuple(s), d) * (cot / 2) - 1
+        body = pow1p(s - 1, j) * pow1p(u, -(2 * lam + j)) * F(1, factorial(j))
+        return PowerSeries([F(0)] * j + list(body), degree)
 
     return FamilySpec(
         b_fn=b_fn,
@@ -972,65 +937,60 @@ def _make_askey_wilson_slice(params):
 # ---------------------------------------------------------------------------
 # polynomials-as-moments families
 
-def _make_hermite_moments(params):
-    # mu_n = H_n(x); the Hankel data is negative, so the functional is not positive-definite
-    x = params["x"]
+def _closed_tableau_family(q, exact=True):
+    """The family whose closed tableau H_{i,N} = N! [t^N] Q_i(t) is read off
+    its Q term ``q``, with b_n and lambda_n off the tableau's first two
+    superdiagonals.
+
+    Q_0(t + s) = sum_n w_n Q_n(t) Q_n(s) makes Q_i the generating function
+    of row i.  Each row's series is kept, first through column i + 2, as
+    the recurrence reads columns i + 1 and i + 2, and rebuilt to twice its
+    length past i when a later column is asked for.  An inexact family
+    builds it at the working precision, once per precision, and returns an
+    mpc also on the diagonal, where the series gives the Fraction 1; it has
+    no exact series.
+    """
+    rows = {}
 
     def tableau_entry_fn(i, N):
-        return F(binom(N, i)) * hermite_poly(N - i, x)
+        with contextlib.nullcontext() if exact else _working_prec():
+            key = (i, None if exact else mpmath.mp.prec)
+            row = rows.get(key)
+            if row is None or row.truncation_degree < N:
+                reach = i + 2 if row is None else 2 * row.truncation_degree - i
+                row = rows[key] = q.series(i, max(N, reach))
+            h = row[N] * q.kind.series_denominator(N)
+            return h if exact else mpmath.mpc(1) * h
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
-    q = Term(Classical(), exp=(2 * x, -1))
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=not exact)
     return FamilySpec(
         b_fn=b_fn,
         lambda_fn=lambda_fn,
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q.series,
+        q_series_fn=q.series if exact else None,
+        exact=exact,
     )
+
+
+def _make_hermite_moments(params):
+    # mu_n = H_n(x); the Hankel data is negative, so the functional is not positive-definite
+    x = params["x"]
+    return _closed_tableau_family(Term(Classical(), exp=(2 * x, -1)))
 
 
 def _make_laguerre_moments(params):
     # mu_n = n! L_n^(alpha)(x) / (alpha+1)_n
     alpha, x = params["alpha"], params["x"]
-
-    def tableau_entry_fn(i, N):
-        n = N - i
-        return (
-            F(binom(N, i) * factorial(n))
-            * laguerre_poly(n, alpha + 2 * i, x)
-            / pochhammer(alpha + 2 * i + 1, n)
-        )
-
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
     q = Term(Classical(), exp=(1,), hyper=lambda n: ([], [alpha + 2 * n + 1], -x))
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q.series,
-    )
+    return _closed_tableau_family(q)
 
 
 def _make_meixner_moments(params):
     # mu_n = M_n(x; beta, c)
     beta, c, x = params["beta"], params["c"], params["x"]
-    w = (1 - c) / c
-
-    def tableau_entry_fn(i, N):
-        n = N - i
-        return F(binom(N, i)) * meixner_poly(n, x - i, beta + 2 * i, c)
-
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
-    q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], w))
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q.series,
-    )
+    q = Term(Classical(), exp=(1,), hyper=lambda n: ([n - x], [beta + 2 * n], (1 - c) / c))
+    return _closed_tableau_family(q)
 
 
 def _make_meixner_pollaczek_moments(params):
@@ -1048,67 +1008,19 @@ def _make_meixner_pollaczek_moments(params):
             w_at[prec] = mpmath.expjpi(-2 * _mp(phi_over_pi)) - 1
         return w_at[prec]
 
-    def _hyp2f1_terminating(n, b_param, c_param, z):
-        total = mpmath.mpc(0)
-        term = mpmath.mpc(1)
-        for k in range(n + 1):
-            total += term
-            term = term * (-n + k) * (b_param + k) * z / ((c_param + k) * (k + 1))
-        return total
-
-    def tableau_entry_fn(i, N):
-        # 1 - e^{-2 i phi} enters with the opposite sign
-        with _working_prec():
-            val = _hyp2f1_terminating(N - i, lam + i + 1j * _mp(x), 2 * _mp(lam) + 2 * i, -_w())
-            return binom(N, i) * val
-
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
     q = Term(
         Classical(),
         exp=(1,),
         hyper=lambda n: ([mpmath.mpc(_mp(lam) + n, _mp(x))], [2 * lam + 2 * n], _w()),
     )
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        tableau_entry_fn=tableau_entry_fn,
-        exact=False,
-    )
+    return _closed_tableau_family(q, exact=False)
 
 
 def _make_gegenbauer_moments(params):
     # mu_n = n! C_n^nu(x) / (2 nu)_n
     nu, x = params["nu"], params["x"]
-    half = F(1, 2)
-
-    def tableau_entry_fn(i, N):
-        n = N - i
-        total = F(0)
-        for k in range(n // 2 + 1):
-            total += (
-                F(factorial(n + i))
-                * x ** (n - 2 * k)
-                * (x * x - 1) ** k
-                / (
-                    factorial(i)
-                    * factorial(k)
-                    * factorial(n - 2 * k)
-                    * pochhammer(nu + half + i, k)
-                    * 4 ** k
-                )
-            )
-        return total
-
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=False)
-    q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + half + n], (x * x - 1) / 4), step=2)
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q.series,
-    )
+    q = Term(Classical(), exp=(x,), hyper=lambda n: ([], [nu + F(1, 2) + n], (x * x - 1) / 4), step=2)
+    return _closed_tableau_family(q)
 
 
 def _make_derangement(params):

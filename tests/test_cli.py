@@ -542,6 +542,8 @@ def _no_run(*args, **kwargs):
         ["--rel-tolerance", "0"],
         ["--rel-tolerance=-1e-30"],
         ["--rel-tolerance", "nan"],
+        ["--rel-tolerance", "inf"],
+        ["--rel-tolerance", "1e400"],
     ],
 )
 def test_bad_numeric_setting_is_invalid_input(capsys, monkeypatch, argv):
@@ -564,6 +566,10 @@ def test_bad_numeric_setting_from_environment_or_config(capsys, monkeypatch, tmp
     cfg.write_text("precision_bits = 1000000000\n")
     code, _, err = run(capsys, "verify", "conf_hyp_1f1", "--config", str(cfg))
     assert code == 2 and "precision_bits" in err
+    for value in ("inf", "1e400"):
+        cfg.write_text(f"rel_tolerance = {value}\n")
+        code, _, err = run(capsys, "verify", "conf_hyp_1f1", "--config", str(cfg))
+        assert code == 2 and "rel_tolerance" in err
 
 
 def test_numeric_settings_at_their_limits_pass_the_check(capsys):

@@ -20,10 +20,8 @@ from jfrac.families import (
     gegenbauer_poly,
     hermite_poly,
     jacobi_poly,
-    laguerre_poly,
     make_affine,
     make_family,
-    meixner_poly,
     q_function,
     q_tilde_function,
     tableau_closed_form,
@@ -65,6 +63,21 @@ def _qp(a, q, n):
 def rogers_szego_poly(n, a, q):
     """Rogers-Szego h_n(a; q) = sum_k [n, k]_q a^k."""
     return sum((q_binomial(n, k, q) * F(a) ** k for k in range(n + 1)), F(0))
+
+
+def laguerre_poly(n, alpha, x):
+    """Generalized Laguerre L_n^(alpha)(x), by its three-term recurrence."""
+    prev, cur = F(1), 1 + alpha - x
+    if n == 0:
+        return prev
+    for m in range(1, n):
+        prev, cur = cur, ((2 * m + 1 + alpha - x) * cur - (m + alpha) * prev) / (m + 1)
+    return cur
+
+
+def meixner_poly(n, x, beta, c):
+    """Meixner M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c), exact."""
+    return sum(pfq_series([-n, -x], [beta], n, 1 - F(1) / c))
 
 
 def stirling2(n, k):
@@ -220,7 +233,7 @@ def test_family_weights_take_each_product_once():
     assert calls == list(range(1, 13))
 
 
-def _mp_moment(n, lam, x, phi_over_pi):
+def _mp_moment(n, lam, x, phi_over_pi, ctx=ctx):
     # 2F1(-n, lam + i x; 2 lam; 1 - e^{-2 i phi}), terminating
     with ctx.workprec():
         z = 1 - mpmath.expjpi(-2 * ctx.mpf(phi_over_pi))
@@ -330,6 +343,55 @@ def test_closed_tableau_matches_recurrence(entry):
             else:
                 with ctx.workprec():
                     assert abs(closed - tab.entry(i, n)) < mpmath.mpf(10) ** -55
+
+
+# The closed tableaux as the sources print them: H_{i,N} is binom(N, i)
+# times the moment form above with its parameters shifted by i.  The library
+# reads H_{i,N} off the series of its Q_i.
+SHIFTED_BY_ROW = {
+    "hermite_moments": lambda i, x: {"x": x},
+    "laguerre_moments": lambda i, alpha, x: {"alpha": alpha + 2 * i, "x": x},
+    "meixner_moments": lambda i, beta, c, x: {"beta": beta + 2 * i, "c": c, "x": x - i},
+    "meixner_pollaczek_moments": lambda i, lam, x, phi_over_pi: {
+        "lam": lam + i, "x": x, "phi_over_pi": phi_over_pi
+    },
+    "gegenbauer_moments": lambda i, nu, x: {"nu": nu + i, "x": x},
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(SHIFTED_BY_ROW))
+def test_closed_tableau_matches_its_printed_form(family_id):
+    """Exact entries equal the printed form in value and type; the complex
+    family's, at the default working precision, agree with it at 1200 bits."""
+    closed, second = CLOSED_MOMENTS[family_id]
+    fine = PrecisionContext(precision_bits=1200)
+    for params in (families._BUILDERS[family_id][1], second):
+        spec = make_family(family_id, params)
+        for N in range(13):
+            for i in range(N + 1):
+                got = tableau_closed_form(spec, i, N)
+                shifted = SHIFTED_BY_ROW[family_id](i, **spec.params)
+                if spec.exact:
+                    want = F(binom(N, i)) * closed(N - i, **shifted)
+                    assert (got, type(got)) == (want, type(want)), (params, i, N)
+                else:
+                    with fine.workprec():
+                        want = binom(N, i) * _mp_moment(N - i, **shifted, ctx=fine)
+                        assert abs(got - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -88, (params, i, N)
+
+
+def test_complex_closed_tableau_follows_the_working_precision():
+    spec = sample("meixner_pollaczek_moments")
+    shifted = SHIFTED_BY_ROW[spec.id](2, **spec.params)
+    fine = PrecisionContext(precision_bits=1200)
+    first = [tableau_closed_form(spec, 2, N) for N in range(2, 7)]
+    with mpmath.workprec(1100):
+        again = [tableau_closed_form(spec, 2, N) for N in range(2, 7)]
+    with fine.workprec():
+        for N, low, high in zip(range(2, 7), first, again):
+            want = binom(N, 2) * _mp_moment(N - 2, **shifted, ctx=fine)
+            assert abs(low - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -88
+            assert abs(high - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -300
 
 
 def test_recurrence_reads_each_closed_entry_once_per_precision():

@@ -3,8 +3,8 @@
 The benchmark's tracer rebinds functions, methods and FamilySpec fields by
 name.  A name that src no longer uses can be deleted with every other test
 still green, and every traced benchmark run then fails; these tests fail
-first.  Likewise one pass of the exact workload runs here against the
-benchmark's own oracles, so an exact-core change that they reject fails
+first.  Likewise one pass of the exact and of the verify workload runs here
+against the benchmark's own oracles, so a change that they reject fails
 the test suite before it fails a benchmark run.
 """
 
@@ -56,12 +56,19 @@ def test_traced_case_ids_are_the_suite(tracing):
     assert list(tracing.CASE_IDS) == sorted(theorem_ids() + identity_ids())
 
 
-def test_exact_roundtrip_pass_meets_its_oracles(monkeypatch):
-    """One pass of the benchmark's exact workload at seed 1: the warm-up,
-    then every operation, each checked by perfbench's own oracles."""
+def _one_pass_problems(monkeypatch, workload):
+    """The warm-up, then every operation of one pass of ``workload`` at seed
+    1, each checked by perfbench's own oracles."""
     monkeypatch.setitem(sys.modules, "oracles", _load("oracles", "oracles.py"))
-    workloads = _load("perfbench_workloads", "workloads.py")
-    work = workloads.ExactRoundtrip(1)
+    work = getattr(_load("perfbench_workloads", "workloads.py"), workload)(1)
     work.warmup()
-    problems = [p for op in work.ops for p in work.check(op, work.run(op))]
-    assert problems == []
+    return [p for op in work.ops for p in work.check(op, work.run(op))]
+
+
+def test_exact_roundtrip_pass_meets_its_oracles(monkeypatch):
+    assert _one_pass_problems(monkeypatch, "ExactRoundtrip") == []
+
+
+def test_verify_suite_pass_meets_its_oracles(monkeypatch):
+    # the pass runs every case, the closed-tableau families' among them
+    assert _one_pass_problems(monkeypatch, "VerifySuite") == []

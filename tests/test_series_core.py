@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from jfrac import scalar, series
 from jfrac.errors import DomainError, NonConvergent, PoleInDenominator
-from jfrac.families import meixner_poly
 from jfrac.scalar import PrecisionContext
 from jfrac.series import (
     PowerSeries,
@@ -148,16 +147,6 @@ def ref_inv_qpoch_series(c, q, degree):
         qq = qq * (1 - q ** n)
         coeffs.append(cpow / qq)
     return PowerSeries(coeffs, degree)
-
-
-def ref_meixner_poly(n, x, beta, c):
-    z = 1 - F(1, 1) / c
-    total = F(0)
-    term = F(1)
-    for k in range(n + 1):
-        total += term
-        term = term * (-n + k) * (-x + k) * z / ((beta + k) * (k + 1))
-    return total
 
 
 def ref_eval_pfq(numer, denom, z, ctx=None, peak=None):
@@ -471,17 +460,6 @@ def test_binary_parameter_equal_to_a_power_of_q_vanishes_exactly(bits):
         eval_rphis([], [mpmath.mpc(9, 0)], F(1, 3), F(1, 2), ctx)
     out = eval_rphis([mpmath.mpf(9)], [F(1, 5)], F(1, 3), F(1, 2), ctx)
     assert (out.terms_used, out.tail_bound) == (3, 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 8),
-    rationals,
-    st.builds(F, st.integers(1, 12), st.integers(1, 4)),
-    rationals.filter(lambda c: c != 0),
-)
-def test_meixner_poly_matches_its_terminating_sum(n, x, beta, c):
-    assert _outcome(meixner_poly, n, x, beta, c) == _outcome(ref_meixner_poly, n, x, beta, c)
 
 
 @pytest.mark.parametrize(
