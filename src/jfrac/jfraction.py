@@ -17,6 +17,11 @@ and each result becomes a Fraction once.  Other weights (ints, mpc, or
 Fractions over a large D, as for the q-families) and the tableau's columns
 past the bound run the loop on the values themselves.  Both give the same
 values of the same types.
+
+The mixed-moment table behind ``jfraction_from_moments`` and ``hankel``
+runs on ints for any moments that are all ints or Fractions, with one int
+scale per row and no bit bound (see ``_MomentTable``); float, mpf and mpc
+moments run it on the values.
 """
 
 import contextvars
@@ -189,46 +194,113 @@ class _MomentTable:
     l < k are orthogonality zeros, stored as 0) and follows from the two rows
     above it by
 
-        sigma[k][l] = sigma[k-1][l+1] - b_{k-1} sigma[k-1][l] - lambda_{k-1} sigma[k-2][l],
+        sigma[k+1][l] = sigma[k][l+1] - b_k sigma[k][l] - lambda_k sigma[k-1][l],
 
-    with b_n = sigma[n][n+1]/sigma[n][n] - sigma[n-1][n]/sigma[n-1][n-1] and
-    lambda_n = sigma[n][n]/sigma[n-1][n-1] (Gautschi's Chebyshev algorithm,
+    with b_k = sigma[k][k+1]/sigma[k][k] - sigma[k-1][k]/sigma[k-1][k-1] and
+    lambda_k = sigma[k][k]/sigma[k-1][k-1] (Gautschi's Chebyshev algorithm,
     O(last) per row).  lead[k] = D_{k-1} = sigma[0][0] ... sigma[k-1][k-1];
     ``singular`` is the first k with sigma[k][k] = 0, where P_{k+1} and the rows stop.
+
+    Rational moments (each an int or a Fraction) run on ints: row k is a list
+    num[k] of ints over one int scale[k] > 0, sigma[k][l] = num[k][l] / scale[k],
+    and row 0 is the moments over the lcm of their denominators.  A step reads
+    b_k and lambda_k as two Fractions, forms the next row as
+    A num[k][l+1] - B num[k][l] - C num[k-1][l] over the common scale
+    lcm(scale[k] den(b_k), scale[k-1] den(lambda_k)), and divides out one gcd
+    of that scale and the row; so each scale is the lcm of its own row's
+    denominators.  Entries become Fractions only where they are read.  The
+    tableau's scheme, one D for all the weights while it has at most
+    ``scalar.INT_LOOP_MAX_BITS`` bits, is not used: q-family moments have
+    many distinct denominators, so row 0's scale passes that bound by itself
+    (little q-Jacobi at N = 80: 3391 bits), yet the int rows still run the
+    inverse in less than half the Fraction loop's time there and were faster
+    on every sample measured, so there is no point at which to hand back.  Other
+    moments (float, mpf, mpc) have no int scale: num[k] holds the values
+    themselves and ``scale`` is None.
     """
 
-    __slots__ = ("key", "sigma", "lead", "singular")
+    __slots__ = ("key", "num", "scale", "lead", "singular")
 
     def __init__(self, key):
+        mu = key[0]
         self.key = key
-        self.sigma = [[_exact(m) for m in key[0]]]
+        if all(isinstance(m, (int, Fraction)) for m in mu):
+            den = math.lcm(*(m.denominator for m in mu))
+            self.num = [[m.numerator * (den // m.denominator) for m in mu]]
+            self.scale = [den]
+        else:
+            self.num = [[_exact(m) for m in mu]]
+            self.scale = None
         self.lead = [Fraction(1)]
         self.singular = None
 
+    def entry(self, k, l):
+        """sigma[k][l], a Fraction on int rows."""
+        value = self.num[k][l]
+        return value if self.scale is None else Fraction(value, self.scale[k])
+
+    def _ratio(self, k, l, k2, l2):
+        """sigma[k][l] / sigma[k2][l2]."""
+        num, scale = self.num, self.scale
+        if scale is None:
+            return num[k][l] / num[k2][l2]
+        if k == k2:
+            return Fraction(num[k][l], num[k2][l2])
+        return Fraction(num[k][l] * scale[k2], scale[k] * num[k2][l2])
+
+    def b(self, k):
+        """b_k, from rows k - 1 and k."""
+        prev = self._ratio(k - 1, k, k - 1, k - 1) if k >= 1 else 0
+        return self._ratio(k, k + 1, k, k) - prev
+
+    def lam(self, k):
+        """lambda_k, k >= 1, from rows k - 1 and k."""
+        return self._ratio(k, k, k - 1, k - 1)
+
     def rows(self, k):
         """Fill rows 0..k, 2k <= last, unless ``singular`` comes first; return it."""
-        sigma, lead = self.sigma, self.lead
-        last = len(sigma[0]) - 1
+        num, lead = self.num, self.lead
+        last = len(num[0]) - 1
         while self.singular is None:
-            j = len(sigma) - 1
-            cur = sigma[j]
+            j = len(num) - 1
+            cur = num[j]
             if len(lead) == j + 1:  # row j's diagonal entry not yet read
                 if cur[j] == 0:
                     self.singular = j
                     break
-                lead.append(lead[-1] * cur[j])
+                lead.append(lead[-1] * self.entry(j, j))
             if j >= k:
                 break
-            b = cur[j + 1] / cur[j]
-            if j == 0:
+            b = self.b(j)
+            if self.scale is not None:
+                nxt = self._step_ints(j, b, last)
+            elif j == 0:
                 nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
             else:
-                prev = sigma[j - 1]
-                b -= prev[j] / prev[j - 1]
-                lam = cur[j] / prev[j - 1]
+                prev, lam = num[j - 1], self.lam(j)
                 nxt = [cur[l + 1] - b * cur[l] - lam * prev[l] for l in range(j + 1, last - j)]
-            sigma.append([0] * (j + 1) + nxt)
+            num.append([0] * (j + 1) + nxt)
         return self.singular
+
+    def _step_ints(self, j, b, last):
+        """Row j + 1's ints, columns j + 1..last - j - 1; appends its scale."""
+        cur, s = self.num[j], self.scale[j]
+        if j == 0:
+            scale, A, B = s * b.denominator, b.denominator, b.numerator
+            nxt = [A * cur[l + 1] - B * cur[l] for l in range(1, last)]
+        else:
+            prev, t, lam = self.num[j - 1], self.scale[j - 1], self.lam(j)
+            scale = math.lcm(s * b.denominator, t * lam.denominator)
+            A = scale // s
+            B = b.numerator * (A // b.denominator)
+            C = lam.numerator * (scale // (t * lam.denominator))
+            nxt = [A * cur[l + 1] - B * cur[l] - C * prev[l] for l in range(j + 1, last - j)]
+        g = math.gcd(scale, *nxt)
+        if g != 1:
+            nxt = [x // g for x in nxt]
+            scale //= g
+        self.scale.append(scale)
+        return nxt
 
 
 # The latest sequence's table, one per thread, keyed by values and types: a
@@ -279,7 +351,9 @@ def hankel(mu, kind, n, i=None):
         rows = [[mu[k + c] for c in range(i + 1)] for k in range(i)]
         rows.append([mu[n + c] for c in range(i + 1)])
         return det_bareiss(rows)
-    return table.lead[i] * table.sigma[i][n]
+    if n == i and singular != i:
+        return table.lead[i + 1]  # D_i, read with row i's diagonal
+    return table.lead[i] * table.entry(i, n)
 
 
 def jfraction_from_moments(mu, depth=None):
@@ -305,15 +379,10 @@ def jfraction_from_moments(mu, depth=None):
     if depth > max_depth:
         raise ValueError(f"depth {depth} needs moments through mu_{2 * depth}")
     table = _moment_table(mu)
-    sigma, singular = table.sigma, table.rows(depth)
+    singular = table.rows(depth)
     if singular is not None and singular <= depth:
         raise NonRegular(f"Hankel determinant D_{singular} vanishes", index=singular)
-    b = []
-    for n in range(depth):
-        prev = sigma[n - 1][n] / sigma[n - 1][n - 1] if n >= 1 else 0
-        b.append(sigma[n][n + 1] / sigma[n][n] - prev)
-    lam = [sigma[n][n] / sigma[n - 1][n - 1] for n in range(1, depth + 1)]
-    return JFraction(b, lam)
+    return JFraction([table.b(n) for n in range(depth)], [table.lam(n) for n in range(1, depth + 1)])
 
 
 def _three_term(cur, prev, b, lam):

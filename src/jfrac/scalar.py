@@ -11,6 +11,8 @@ import functools
 import itertools
 import math
 import operator
+import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -19,11 +21,24 @@ from . import _mpmath as mpmath
 from .errors import DomainError, GammaPole, NonConvergent
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def rat(x):
     """Coerce ``x`` to an exact rational.
 
-    Accepts Fraction, int, or a string such as ``"3/7"`` or ``"-2"``.
+    Accepts Fraction, int, or a string such as ``"3/7"``, ``"-2"`` or
+    ``"1.5e-3"``.  A string whose decimal exponent exceeds
+    sys.get_int_max_str_digits() in absolute value is refused with
+    ValueError before anything is built: that limit already refuses so many
+    digits, and "1e1000000000" would ask for a billion-digit int from a
+    12-byte string.
     """
+    if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        found = _EXPONENT.search(x)
+        if found and limit and abs(int(found.group(1))) > limit:
+            raise ValueError(f"decimal exponent {found.group(1)} is beyond the digit limit {limit}")
     if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

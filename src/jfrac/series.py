@@ -190,7 +190,7 @@ def exp_of(u):
         for k in range(m + 1):
             if uc[k + 1] != 0:
                 acc += (k + 1) * uc[k + 1] * e[m - k]
-        e.append(acc / (m + 1))
+        e.append(_as_ring(acc) / (m + 1))
     return PowerSeries(e, n)
 
 
@@ -211,7 +211,7 @@ def pow1p(u, r):
         for j in range(1, m + 1):
             if uc[j] != 0:
                 acc -= uc[j] * (m - j + 1) * p[m - j + 1]
-        p.append(acc / (m + 1))
+        p.append(_as_ring(acc) / (m + 1))
     return PowerSeries(p, n)
 
 

@@ -871,6 +871,32 @@ def test_input_past_the_integer_string_limit_is_invalid_input(capsys, command):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sign, printed", [("", "1{zeros}"), ("-", "1/1{zeros}")])
+def test_decimal_exponent_at_the_integer_string_limit_parses(capsys, sign, printed):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "hankel", f"--moments=1e{sign}{limit},0,1", "--kind", "D", "--n", "0")
+    assert (code, err) == (0, "")
+    assert out.strip() == printed.format(zeros="0" * limit)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("argv", [
+    ["hankel", "--moments={value},0,1", "--kind", "D", "--n", "1"],
+    ["jfraction", "--moments=1,{value},2"],
+    ["tableau", "--b={value}", "--lambda", "1", "--N", "2"],
+    ["tableau", "--b", "1", "--lambda={value}", "--N", "2"],
+    ["tableau", "--family", "laguerre", "--params", "alpha={value}", "--N", "2"],
+    ["verify", "hermite_moments", "--params", "x={value}"],
+])
+def test_decimal_exponent_past_the_integer_string_limit_is_invalid_input(capsys, sign, argv):
+    # "1e200000" once printed 200002 bytes; the exponent is refused before
+    # the int is built, as the digit limit refuses that many digits
+    value = f"1e{sign}{sys.get_int_max_str_digits() + 1}"
+    code, out, err = run(capsys, *(a.format(value=value) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and value in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "params", ["base=jacobi,base_beta=1/3", "base=derangement,base_alpha=1/2,base_x=1/3"]
 )

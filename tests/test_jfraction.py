@@ -347,6 +347,96 @@ def test_threads_hold_tables_of_their_own():
     assert failures == []
 
 
+# the table's int rows against the Fraction loop they replaced
+
+def fraction_table(mu, k):
+    """Rows 0..k of the mixed-moment table as values, the leading minors
+    D_{-1}, D_0, ..., and the first row with a zero diagonal (or None), by the
+    Chebyshev loop on Fractions (ints promoted) that ran before the int rows."""
+    sigma, lead, last = [[F(m) if isinstance(m, int) else m for m in mu]], [F(1)], len(mu) - 1
+    for j in range(k + 1):
+        cur = sigma[j]
+        if cur[j] == 0:
+            return sigma, lead, j
+        lead.append(lead[-1] * cur[j])
+        if j == k:
+            break
+        b = cur[j + 1] / cur[j]
+        if j == 0:
+            nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
+        else:
+            prev = sigma[j - 1]
+            b -= prev[j] / prev[j - 1]
+            lam = cur[j] / prev[j - 1]
+            nxt = [cur[l + 1] - b * cur[l] - lam * prev[l] for l in range(j + 1, last - j)]
+        sigma.append([0] * (j + 1) + nxt)
+    return sigma, lead, None
+
+
+def fraction_inverse(mu, depth):
+    sigma, _, singular = fraction_table(mu, depth)
+    if singular is not None:
+        return singular
+    b = [sigma[n][n + 1] / sigma[n][n] - (sigma[n - 1][n] / sigma[n - 1][n - 1] if n else 0) for n in range(depth)]
+    return JFraction(b, [sigma[n][n] / sigma[n - 1][n - 1] for n in range(1, depth + 1)])
+
+
+def fraction_hankel(mu, kind, n, i):
+    if kind != "Delta":
+        i, n = (n, n) if kind == "D" else (n, n + 1)
+    sigma, lead, singular = fraction_table(mu, i)
+    if singular is not None and singular < i:
+        return det_bareiss(hankel_rows(mu, i, n))
+    return lead[i] * sigma[i][n]
+
+
+def same_result(a, b):
+    if isinstance(a, JFraction) and isinstance(b, JFraction):
+        pairs = list(zip(a.b, b.b)) + list(zip(a.lam, b.lam))
+        return len(a.b) == len(b.b) and len(a.lam) == len(b.lam) and all(same(x, y) for x, y in pairs)
+    return same(a, b)
+
+
+wide_rational = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+moment_lists = st.one_of(
+    st.lists(sparse_rational, min_size=1, max_size=15),  # sparse
+    st.lists(st.sampled_from([0, 0, 0, 1, -2, F(0), F(1, 3)]), min_size=1, max_size=15),  # zero-heavy
+    st.lists(st.integers(-6, 6), min_size=1, max_size=15),  # all int
+    st.lists(st.one_of(st.integers(-10**6, 10**6), wide_rational), min_size=1, max_size=15),  # mixed
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moment_lists, st.booleans(), st.randoms(use_true_random=False))
+def test_int_rows_match_the_fraction_loop(mu, as_float, rng):
+    # every inverse depth and every D, chi and Delta of one sequence, in a
+    # drawn order on one shared table: equal values of equal types
+    if as_float:  # the value loop, which non-rational moments keep
+        mu = [float(m) for m in mu]
+    calls = [("inverse", d, None) for d in range((len(mu) + 1) // 2)]
+    calls += [("D", n, None) for n in range((len(mu) + 1) // 2)]
+    calls += [("chi", n, None) for n in range(len(mu) // 2)]
+    calls += [("Delta", n, i) for i in range((len(mu) + 1) // 2) for n in range(i, len(mu) - i)]
+    rng.shuffle(calls)
+
+    def run_all():
+        out = []
+        for kind, n, i in calls:
+            out.append(inverse_or_index(mu, n) if kind == "inverse" else hankel(mu, kind, n, i))
+        return out
+
+    got = in_fresh_slot(run_all)
+    for (kind, n, i), value in zip(calls, got):
+        want = fraction_inverse(mu, n) if kind == "inverse" else fraction_hankel(mu, kind, n, i)
+        assert same_result(value, want), (kind, n, i)
+
+
+def test_big_q_jacobi_inverts_at_degree_100():
+    spec = make_family("big_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)})
+    mu = family_moments(spec, 100)
+    assert jfraction_from_moments(mu) == family_jfraction(spec, 50)
+
+
 def test_determinants_after_the_inverse_build_no_row():
     # the exact round trip's pattern: invert, then ask D_0..D_N of the same moments
     spec = make_family("little_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)})
@@ -355,9 +445,9 @@ def test_determinants_after_the_inverse_build_no_row():
     def invert_then_determinants():
         jf = jfraction_from_moments(mu)
         table = jfraction_module._table.get()
-        rows = len(table.sigma)
+        rows = len(table.num)
         dets = [hankel(mu, "D", n) for n in range(21)]
-        assert jfraction_module._table.get() is table and len(table.sigma) == rows == 21
+        assert jfraction_module._table.get() is table and len(table.num) == rows == 21
         return jf, dets
 
     jf, dets = in_fresh_slot(invert_then_determinants)

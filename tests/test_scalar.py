@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -26,6 +27,15 @@ def test_rat_accepts_common_forms():
     assert rat("0.3") == F(3, 10)
     assert rat(5) == F(5)
     assert rat(F(1, 3)) == F(1, 3)
+
+
+def test_rat_refuses_a_decimal_exponent_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert rat(f"1e{limit}") == 10**limit
+    assert rat(f" 2.5E-{limit} ") == F(25, 10 ** (limit + 1))
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", f"3.5E+{limit + 1}", "1e1000000000"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            rat(text)
 
 
 def test_rat_rejects_floats():

@@ -100,6 +100,17 @@ def test_pow1p_binomial_series():
     assert cube.coefficients == (F(1), F(3), F(3), F(1), F(0), F(0), F(0))
 
 
+@pytest.mark.parametrize("coefficients", [
+    [F(0), F(0), F(1), F(0), F(0)],
+    [0, 0, 0, 2, 0, 0, 0],
+])
+def test_exact_input_gives_fraction_coefficients(coefficients):
+    # a zero coefficient once came out as the float 0.0
+    u = PowerSeries(coefficients)
+    for p in (exp_of(u), pow1p(u, F(1, 2)), pow1p(u, -3)):
+        assert all(type(c) is F for c in p.coefficients), p.coefficients
+
+
 def test_pfq_series_coefficients():
     a, b, c = F(1, 2), F(1, 3), F(5, 4)
     p = pfq_series([a, b], [c], 6)
