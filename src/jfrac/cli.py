@@ -9,15 +9,15 @@ verify or report run is byte-for-byte reproducible.
 
 Exit codes: 0 success, 1 moment sequence not regular, 2 invalid input,
 3 at least one verification failed.  A size (--N, --depth, --steps, --from,
---to, a case's degree, n_max, m_max or N) that is negative or above MAX_SIZE
-is invalid input, rejected before any work; so are a precision outside
-1..MAX_PRECISION_BITS, a max_terms below 1 and a rel_tolerance that is not
-positive and finite, however they are set, and a verify tolerance below
-2^-precision_bits.  So is a family or case parameter outside its declared
-domain (the constraints the catalog prints): verify and report check every
-matched case before any runs.  --N and --tolerance reach every numeric case
-that takes them; a case's own N= or tolerance= in --params wins.  Each
-command runs in one memo scope.
+--to, the degree of --moments, a case's degree, n_max, m_max or N) that is
+negative or above MAX_SIZE is invalid input, rejected before any work; so
+are a precision outside 1..MAX_PRECISION_BITS, a max_terms below 1 and a
+rel_tolerance that is not positive and finite, however they are set, and a
+verify tolerance below 2^-precision_bits.  So is a family or case
+parameter outside its declared domain (the constraints the catalog prints):
+verify and report check every matched case before any runs.  --N and
+--tolerance reach every numeric case that takes them; a case's own N= or
+tolerance= in --params wins.  Each command runs in one memo scope.
 """
 
 import argparse
@@ -242,6 +242,7 @@ def cmd_moments(args, cfg, explicit, out):
 
 def cmd_jfraction(args, cfg, explicit, out):
     _check_size(args.depth, "--depth")
+    _check_size(args.moments.count(","), "--moments degree")
     mu = _rat_list(args.moments, "moments")
     with _invalid_input():
         jf = jfraction_from_moments(mu, depth=args.depth)
@@ -260,6 +261,7 @@ def cmd_jfraction(args, cfg, explicit, out):
 
 
 def cmd_hankel(args, cfg, explicit, out):
+    _check_size(args.moments.count(","), "--moments degree")
     mu = _rat_list(args.moments, "moments")
     with _invalid_input():
         value = hankel(mu, args.kind, args.n, i=args.i)

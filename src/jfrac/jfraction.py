@@ -9,19 +9,16 @@ with H[n][n] = 1 and H[i][n] = 0 outside 0 <= i <= n.  Row 0 carries the
 moments, rows connect monomials to the monic orthogonal polynomials, and
 the lambda-weighted convolution of two columns reproduces row 0.
 
-The tableau and ``cf_series`` run on int numerators over one common
-denominator when ``scalar.common_denominator`` accepts the weights (all
-Fractions, over a small lcm D), while the ints stay within
-``scalar.INT_LOOP_MAX_BITS``.  Each column or level divides out one gcd,
-and each result becomes a Fraction once.  Other weights (ints, mpc, or
-Fractions over a large D, as for the q-families) and the tableau's columns
-past the bound run the loop on the values themselves.  Both give the same
-values of the same types.
-
-The mixed-moment table behind ``jfraction_from_moments`` and ``hankel``
-runs on ints for any moments that are all ints or Fractions, with one int
-scale per row and no bit bound (see ``_MomentTable``); float, mpf and mpc
-moments run it on the values.
+The exact core runs on ints, with one kernel for each shape of recurrence.
+A tableau column reads the weight of every level, so the tableau is the
+Motzkin walk of ``motzkin._walk``: e_0^T M^n on int numerators over one
+common denominator D of all the weights while D is small and the ints stay
+within ``motzkin.INT_LOOP_MAX_BITS``, on the values otherwise.  A step of
+``cf_series`` or of the mixed-moment table behind ``jfraction_from_moments``
+and ``hankel`` reads one (b, lambda) pair, so it runs on int rows with one
+scale per row (``_next_int_row``) for any weights or moments that are all
+ints or Fractions, with no bit bound; float, mpf and mpc ones run the value
+loops.  Both give the same values of the same types as the value loops.
 """
 
 import contextvars
@@ -29,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import NonRegular
-from .scalar import INT_LOOP_MAX_BITS, common_denominator
+from .motzkin import _values, _walk
 
 
 class JFraction:
@@ -99,7 +96,8 @@ class StieltjesTableau:
 
 
 def tableau_from_jfraction(jf, N):
-    """Fill the tableau column by column up to column N.
+    """Fill the tableau column by column up to column N: column n is the row
+    vector e_0^T M^n of the Motzkin walk (``motzkin._walk``).
 
     Needs b_0..b_{N-1} and lambda_1..lambda_{N-1}; extra coefficients are
     ignored.
@@ -110,45 +108,12 @@ def tableau_from_jfraction(jf, N):
         raise ValueError(f"need b_0..b_{N - 1} to fill {N} columns")
     if N >= 2 and len(jf.lam) < N - 1:
         raise ValueError(f"need lambda_1..lambda_{N - 1} to fill {N} columns")
-    scaled = common_denominator(jf.b[:N], jf.lam[: max(N - 1, 0)])
-    H = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-    H[0][0] = 1
-    first = 1 if scaled is None else _fill_on_ints(H, *scaled)
-    for n in range(first, N + 1):
-        for i in range(n, -1, -1):
-            above = H[i - 1][n - 1] if i >= 1 else 0
-            same = jf.b[i] * H[i][n - 1] if i <= n - 1 else 0
-            below = jf.lam[i] * H[i + 1][n - 1] if i + 1 <= n - 1 else 0
-            H[i][n] = above + same + below
-    return StieltjesTableau(H)
-
-
-def _fill_on_ints(H, den, B, L):
-    """Columns 1.. of H for b_i = B_i / D and lambda_{i+1} = L_i / D, while
-    bits(s) + bits(D) <= INT_LOOP_MAX_BITS; returns the first column left.
-
-    Column n is held as ints h_0..h_n over one int s, H[i][n] = h_i / s, and
-    steps by h'_i = D h_{i-1} + B_i h_i + L_i h_{i+1}, s' = D s, then divides
-    out gcd(s', h'_0, ..., h'_n).  The diagonal stays the int 1, as in the
-    Fraction loop.
-    """
-    B, L = [*B, 0], [*L, 0, 0]
-    col, scale = [1], 1
-    limit = INT_LOOP_MAX_BITS - den.bit_length()
-    for n in range(1, len(H)):
-        if scale.bit_length() > limit:
-            return n
-        ext = [0, *col, 0, 0]  # ext[i + 1] = h_i, with h_{-1} = h_n = h_{n+1} = 0
-        col = [den * up + bi * same + li * down for up, bi, same, li, down in zip(ext, B, ext[1:], L, ext[2:])]
-        scale *= den
-        g = math.gcd(scale, *col)
-        if g != 1:
-            col = [h // g for h in col]
-            scale //= g
-        for i in range(n):
-            H[i][n] = Fraction(col[i], scale)
-        H[n][n] = 1
-    return len(H)
+    zero = Fraction(0)
+    columns = [
+        _values(0, column, scale, n) + [zero] * (N - n)
+        for n, (_, column, scale) in enumerate(_walk(jf.b[:N], jf.lam[: max(N - 1, 0)], 0, N))
+    ]
+    return StieltjesTableau(zip(*columns))
 
 
 def _exact(x):
@@ -204,19 +169,20 @@ class _MomentTable:
     Rational moments (each an int or a Fraction) run on ints: row k is a list
     num[k] of ints over one int scale[k] > 0, sigma[k][l] = num[k][l] / scale[k],
     and row 0 is the moments over the lcm of their denominators.  A step reads
-    b_k and lambda_k as two Fractions, forms the next row as
+    b_k and lambda_k as two Fractions, forms the next row (``_next_int_row``) as
     A num[k][l+1] - B num[k][l] - C num[k-1][l] over the common scale
     lcm(scale[k] den(b_k), scale[k-1] den(lambda_k)), and divides out one gcd
     of that scale and the row; so each scale is the lcm of its own row's
-    denominators.  Entries become Fractions only where they are read.  The
-    tableau's scheme, one D for all the weights while it has at most
-    ``scalar.INT_LOOP_MAX_BITS`` bits, is not used: q-family moments have
-    many distinct denominators, so row 0's scale passes that bound by itself
+    denominators.  Entries become Fractions only where they are read.  A
+    step reads one (b, lambda) pair, so one scale per row suffices, as in
+    ``cf_series``; the walk's single D for all the weights, bounded by
+    ``motzkin.INT_LOOP_MAX_BITS``, would not do: q-family moments have many
+    distinct denominators, so row 0's scale passes that bound by itself
     (little q-Jacobi at N = 80: 3391 bits), yet the int rows still run the
     inverse in less than half the Fraction loop's time there and were faster
-    on every sample measured, so there is no point at which to hand back.  Other
-    moments (float, mpf, mpc) have no int scale: num[k] holds the values
-    themselves and ``scale`` is None.
+    on every sample measured, so there is no point at which to hand back.
+    Other moments (float, mpf, mpc) have no int scale: num[k] holds the
+    values themselves and ``scale`` is None.
     """
 
     __slots__ = ("key", "num", "scale", "lead", "singular")
@@ -273,7 +239,10 @@ class _MomentTable:
                 break
             b = self.b(j)
             if self.scale is not None:
-                nxt = self._step_ints(j, b, last)
+                lam, prev, t = (self.lam(j), num[j - 1], self.scale[j - 1]) if j else (0, cur, 1)
+                x, y, z = cur[j + 2 : last - j + 1], cur[j + 1 : last - j], prev[j + 1 : last - j]
+                scale, nxt = _next_int_row(self.scale[j], t, b, lam, x, y, z)
+                self.scale.append(scale)
             elif j == 0:
                 nxt = [cur[l + 1] - b * cur[l] for l in range(1, last)]
             else:
@@ -282,25 +251,25 @@ class _MomentTable:
             num.append([0] * (j + 1) + nxt)
         return self.singular
 
-    def _step_ints(self, j, b, last):
-        """Row j + 1's ints, columns j + 1..last - j - 1; appends its scale."""
-        cur, s = self.num[j], self.scale[j]
-        if j == 0:
-            scale, A, B = s * b.denominator, b.denominator, b.numerator
-            nxt = [A * cur[l + 1] - B * cur[l] for l in range(1, last)]
-        else:
-            prev, t, lam = self.num[j - 1], self.scale[j - 1], self.lam(j)
-            scale = math.lcm(s * b.denominator, t * lam.denominator)
-            A = scale // s
-            B = b.numerator * (A // b.denominator)
-            C = lam.numerator * (scale // (t * lam.denominator))
-            nxt = [A * cur[l + 1] - B * cur[l] - C * prev[l] for l in range(j + 1, last - j)]
-        g = math.gcd(scale, *nxt)
-        if g != 1:
-            nxt = [x // g for x in nxt]
-            scale //= g
-        self.scale.append(scale)
-        return nxt
+
+def _next_int_row(s, t, b, lam, x, y, z):
+    """(scale, row) of x - b y - lam z, for a three-term recurrence on int rows:
+    x and y are entries of the row over the int scale s, z of the row before
+    it over t, and b and lam are ints or Fractions.  The scale is
+    lcm(s den(b), t den(lam)), the row's ints A x - B y - C z with
+    A = scale / s, B = b A and C = lam scale / t; one gcd of the scale and
+    the row is divided out.
+    """
+    scale = math.lcm(s * b.denominator, t * lam.denominator)
+    A = scale // s
+    B = b.numerator * (A // b.denominator)
+    C = lam.numerator * (scale // (t * lam.denominator))
+    row = [A * u - B * v - C * w for u, v, w in zip(x, y, z)]
+    g = math.gcd(scale, *row)
+    if g != 1:
+        row = [h // g for h in row]
+        scale //= g
+    return scale, row
 
 
 # The latest sequence's table, one per thread, keyed by values and types: a
@@ -408,7 +377,8 @@ def cf_series(jf, N):
     one pass: B_L has constant term 1, so mu_m = [x^m] A_L - sum_{k>=1}
     [x^k] B_L mu_{m-k}.  O(N^2) operations.  The convergent agrees with the
     fraction through degree 2L - 1 >= N, so lambda_L is not needed.  This is
-    an independent route to row 0 of the tableau.
+    an independent route to row 0 of the tableau.  Int and Fraction weights
+    run on ints (``_cf_series_on_ints``); others on the values.
     """
     if N < 0:
         raise ValueError(f"series degree N = {N} is negative")
@@ -417,16 +387,22 @@ def cf_series(jf, N):
         raise ValueError(f"need b_0..b_{levels - 1} for degree {N}")
     if len(jf.lam) < N // 2:
         raise ValueError(f"need lambda_1..lambda_{N // 2} for degree {N}")
-    scaled = common_denominator(jf.b[:levels], jf.lam[: levels - 1])
-    if scaled is not None:
-        return _cf_series_on_ints(*scaled, N)
+    b, lam = jf.b[:levels], jf.lam[: levels - 1]
+    if all(isinstance(w, (int, Fraction)) for w in (*b, *lam)):
+        return _cf_series_on_ints(b, lam, N)
+    return _cf_series_on_values(b, lam, N)
+
+
+def _cf_series_on_values(b, lam, N):
+    """cf_series on the weights as they are (float, mpf and mpc weights)."""
+    levels = len(b)
     zero = [Fraction(0)] * (N + 1)
     one = [Fraction(1)] + zero[1:]
     A_prev, A = zero, one
-    B_prev, B = one, _three_term(one, zero, jf.b[0], 0)
+    B_prev, B = one, _three_term(one, zero, b[0], 0)
     for m in range(1, levels):
-        A_prev, A = A, _three_term(A, A_prev, jf.b[m], jf.lam[m - 1])
-        B_prev, B = B, _three_term(B, B_prev, jf.b[m], jf.lam[m - 1])
+        A_prev, A = A, _three_term(A, A_prev, b[m], lam[m - 1])
+        B_prev, B = B, _three_term(B, B_prev, b[m], lam[m - 1])
     mu = []
     for m in range(N + 1):
         acc = A[m]
@@ -437,34 +413,27 @@ def cf_series(jf, N):
     return tuple(mu)
 
 
-def _cf_series_on_ints(den, B, L, N):
-    """cf_series for b_m = B_m / D and lambda_{m+1} = L_m / D.
+def _cf_series_on_ints(b, lam, N):
+    """cf_series for int and Fraction weights, on ints with one scale per level.
 
-    The convergents of levels m - 1 and m are held as int coefficient lists
-    over one int s, A_m = a_m / s and B_m = c_m / s, and step by
-        a_{m+1} = (D - B_m x) a_m - L_{m-1} x^2 a_{m-1},  s' = D s,
-    with a_m rescaled to D a_m, then divide out the gcd of s' and all four
-    lists.  B_L's constant term is 1, so c_L[0] = s and
-    mu_m = (a_L[m] - sum_k c_L[k] mu_{m-k}) / s.  The division runs on ints
-    too: mu_0..mu_{m-1} are held over their least common denominator t, so
-    mu_m is one int sum over s t, reduced once.
+    The convergents of level m are held as int coefficient lists over one
+    int s_m, A_m = a_m / s_m and B_m = c_m / s_m, and ``_next_int_row``
+    steps both from levels m - 1 and m with b_m and lambda_m, as the
+    mixed-moment table steps its rows.  B_L's constant term is 1, so
+    c_L[0] = s_L and mu_m = (a_L[m] - sum_k c_L[k] mu_{m-k}) / s_L.  The
+    division runs on ints too: mu_0..mu_{m-1} are held over their least
+    common denominator t, so mu_m is one int sum over s_L t, reduced once.
     """
-    levels = len(B)
+    levels = len(b)
     size = levels + 1  # B_L has degree L; A_L degree L - 1
     zero = [0] * size
-    one = [den] + zero[1:]
-    a_prev, a = zero, one  # A_0 = 0, A_1 = 1
-    c_prev, c = one, [den, -B[0]] + zero[2:]  # B_0 = 1, B_1 = 1 - b_0 x
-    scale = den
+    den = b[0].denominator
+    a_prev, c_prev, t = zero, [1] + zero[1:], 1  # A_0 = 0, B_0 = 1
+    a, c, scale = [den] + zero[1:], [den, -b[0].numerator] + zero[2:], den  # A_1 = 1, B_1 = 1 - b_0 x
     for m in range(1, levels):
-        bm, lm = B[m], L[m - 1]
-        a_prev, a = [den * x for x in a], _three_term_ints(a, a_prev, den, bm, lm)
-        c_prev, c = [den * x for x in c], _three_term_ints(c, c_prev, den, bm, lm)
-        scale *= den
-        g = math.gcd(scale, *a, *c, *a_prev, *c_prev)
-        if g != 1:
-            a_prev, a, c_prev, c = ([x // g for x in v] for v in (a_prev, a, c_prev, c))
-            scale //= g
+        x, y, z = a + c, [0, *a[:-1], 0, *c[:-1]], [0, 0, *a_prev[:-2], 0, 0, *c_prev[:-2]]
+        t, (scale, nxt) = scale, _next_int_row(scale, t, b[m], lam[m - 1], x, y, z)
+        a_prev, c_prev, a, c = a, c, nxt[:size], nxt[size:]
     mu, nums, common = [], [], 1
     for m in range(N + 1):
         num = (a[m] if m < size else 0) * common
@@ -479,11 +448,6 @@ def _cf_series_on_ints(den, B, L, N):
             common *= grow
         nums.append(value.numerator * (common // value.denominator))
     return tuple(mu)
-
-
-def _three_term_ints(cur, prev, den, bm, lm):
-    """(D - B_m x) cur - L x^2 prev, on int coefficient lists of equal length."""
-    return [den * x - bm * y - lm * z for x, y, z in zip(cur, [0, *cur], [0, 0, *prev])]
 
 
 class MonicPolyTable:

@@ -3,23 +3,57 @@
 A path takes unit steps up (weight 1), flat at level i (weight b_i), or
 down leaving level j (weight lambda_j), never dipping below level 0.  The
 weighted count of paths from level 0 to level i in n steps equals the
-tableau entry H[i][n]; this module computes such sums directly so the
-tableau recurrence can be checked against something that does not share
-its code path.
+tableau entry H[i][n].
 
-``path_weight_sum_dp`` runs on int amounts over one common denominator, as
-the tableau does, when ``scalar.common_denominator`` accepts the weights it
-reads and while the ints stay within ``scalar.INT_LOOP_MAX_BITS``; it runs
-on the values themselves otherwise.  Both give the same values of the same
-types.  The depth-first ``path_weight_sum`` always multiplies the weights
-as they are.
+One walk, ``_walk``, steps the row vector e_start^T M^k of the Jacobi
+matrix M for both ``path_weight_sum_dp`` and
+``jfraction.tableau_from_jfraction``.  Each step reads the weight of every
+level, so it runs on int amounts over one common denominator D of all the
+weights it reads when ``common_denominator`` accepts them, while the ints
+stay within ``INT_LOOP_MAX_BITS``; it runs on the values themselves
+otherwise.  Both give the same values of the same types.  The depth-first
+``path_weight_sum`` enumerates the paths one by one, multiplying the
+weights as they are, so the walk can be checked against something that
+does not share its code path.
 """
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import INT_LOOP_MAX_BITS, common_denominator
+# The walk runs on int numerators over one common denominator while those
+# ints stay small: while D, the lcm of the denominators of the weights it
+# reads, times the running common denominator of its amounts has at most this
+# many bits.  Small ints cost a fraction of a Fraction operation's dispatch
+# and gcds.  Past about 2000-3500 bits the Fraction loop's smaller per-value
+# numbers win (tableau columns of the catalog's samples, Python 3.11,
+# pure-Python ints), so the walk goes on in Fractions from there.  q-family
+# weights pass only at small depths: their D grows about quadratically
+# (little q-Jacobi: 5000 bits at N = 40).
+INT_LOOP_MAX_BITS = 2048
+
+
+def common_denominator(b, lam):
+    """(D, [b_i D], [lambda_i D]), D the lcm of the denominators of the
+    weights ``b`` and ``lam``, when every weight is a Fraction and D has at
+    most INT_LOOP_MAX_BITS bits; None otherwise.  The lcm stops as soon as
+    it passes the bound."""
+    den = 1
+    for w in itertools.chain(b, lam):
+        if type(w) is not Fraction:
+            return None
+        d = w.denominator
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > INT_LOOP_MAX_BITS:
+                return None
+
+    def scaled(weights):
+        return [w.numerator * (den // w.denominator) for w in weights]
+
+    return den, scaled(b), scaled(lam)
 
 
 @dataclass(frozen=True)
@@ -80,54 +114,78 @@ def path_weight_sum(w, start, end, n):
 
 
 def path_weight_sum_dp(w, start, end, n):
-    """Same sum by forward dynamic programming over (step, level)."""
+    """Same sum by forward dynamic programming over (step, level): the walk
+    from ``start``, pruned to the levels that can still reach ``end``.  It
+    multiplies zero weights like any other: on rational weights a sum no path
+    of nonzero weight reaches is ``Fraction(0)`` (Hermite, level 0 to 1 in 2
+    steps), and a path over a ``Fraction(0)`` makes a sum of int weights a
+    Fraction.  An ``end`` more than n levels away is the int 0."""
     _check_coverage(w, start, end, n)
-    b, lam = w.b, w.lam
+    if abs(start - end) > n:
+        return 0
     top = _max_level(start, end, n)
-    scaled = common_denominator(b[: top + 1], lam[:top])
-    cur, first = ({start: 1}, 0) if scaled is None else _steps_on_ints(*scaled, start, end, n)
-    for step in range(first, n):
-        remaining = n - step - 1
-        nxt = {}
-        for level, amount in cur.items():
-            if abs(level + 1 - end) <= remaining:
-                nxt[level + 1] = nxt.get(level + 1, 0) + amount
-            if abs(level - end) <= remaining and b[level] != 0:
-                nxt[level] = nxt.get(level, 0) + amount * b[level]
-            if level > 0 and abs(level - 1 - end) <= remaining and lam[level - 1] != 0:
-                nxt[level - 1] = nxt.get(level - 1, 0) + amount * lam[level - 1]
-        cur = nxt
-    return cur.get(end, 0)
+    ((lo, column, scale),) = collections.deque(_walk(w.b[: top + 1], w.lam[:top], start, n, end), maxlen=1)
+    return _values(lo, column, scale, start + n)[end - lo]
 
 
-def _steps_on_ints(den, B, L, start, end, n):
-    """The first steps of path_weight_sum_dp for b_i = B_i / D and
-    lambda_{j+1} = L_j / D, while bits(s) + bits(D) <= INT_LOOP_MAX_BITS;
-    returns the amounts as the Fraction loop holds them and the next step.
+def _walk(b, lam, start, n, end=None):
+    """Yield (lo, column, scale) for k = 0..n, column[i - lo] the weight sum
+    of the paths of k steps from ``start`` to level i: entry i of the row
+    vector e_start^T M^k, M[i][i+1] = 1, M[i][i] = b_i, M[i+1][i] =
+    lambda_{i+1}.  Levels run from lo to at most start + k; with ``end``,
+    only those within n - k of it are kept.
 
-    The amounts are ints over one int s: an up step weighs D, a flat step
-    B_i, a down step L_{j-1}, s' = D s, and each step divides out the gcd of
-    s' and the amounts.  A level is reached as in the Fraction loop.  The
-    top level start + step is reached by the all-up path alone, whose amount
-    is the int 1 there; every other amount is a Fraction.
+    While ``common_denominator`` accepts ``b`` and ``lam`` (all the weights
+    read, b_i = B_i / D, lambda_{i+1} = L_i / D) and bits(scale) + bits(D)
+    <= INT_LOOP_MAX_BITS, a column is ints over the int ``scale``: a step is
+    h'_i = D h_{i-1} + B_i h_i + L_i h_{i+1}, s' = D s, then one gcd of s'
+    and the h' is divided out.  After that it holds the values and ``scale``
+    is None.
     """
-    cur, scale, step = {start: 1}, 1, 0
-    limit = INT_LOOP_MAX_BITS - den.bit_length()
-    while step < n and scale.bit_length() <= limit:
-        remaining = n - step - 1
-        nxt = {}
-        for level, amount in cur.items():
-            if abs(level + 1 - end) <= remaining:
-                nxt[level + 1] = nxt.get(level + 1, 0) + amount * den
-            if abs(level - end) <= remaining and B[level] != 0:
-                nxt[level] = nxt.get(level, 0) + amount * B[level]
-            if level > 0 and abs(level - 1 - end) <= remaining and L[level - 1] != 0:
-                nxt[level - 1] = nxt.get(level - 1, 0) + amount * L[level - 1]
-        scale *= den
-        g = math.gcd(scale, *nxt.values())
-        if g != 1:
-            nxt = {level: amount // g for level, amount in nxt.items()}
-            scale //= g
-        cur, step = nxt, step + 1
-    top = start + step
-    return {level: 1 if level == top else Fraction(amount, scale) for level, amount in cur.items()}, step
+    scaled = common_denominator(b, lam)
+    lo = hi = start
+    column, scale = [1], None
+    if scaled is not None:
+        den, B, L = scaled
+        B, L, scale = [*B, 0], [*L, 0, 0], 1
+        limit = INT_LOOP_MAX_BITS - den.bit_length()
+    for k in range(n):
+        yield lo, column, scale
+        new_lo, new_hi = max(lo - 1, 0), hi + 1
+        if end is not None:
+            remaining = n - k - 1
+            new_lo, new_hi = max(new_lo, end - remaining), min(new_hi, end + remaining)
+        if scale is not None and scale.bit_length() > limit:
+            column, scale = _values(lo, column, scale, start + k), None
+        if scale is None:
+            v = column
+            column = [
+                (v[i - 1 - lo] if i > lo else 0)
+                + (b[i] * v[i - lo] if lo <= i <= hi else 0)
+                + (lam[i] * v[i + 1 - lo] if i < hi else 0)
+                for i in range(new_lo, new_hi + 1)
+            ]
+        else:
+            ext = [0] * (lo - new_lo + 1) + column + [0, 0]  # ext[j] = h_{new_lo - 1 + j}
+            column = [
+                den * up + bi * same + li * down
+                for up, bi, same, li, down in zip(ext, B[new_lo : new_hi + 1], ext[1:], L[new_lo:], ext[2:])
+            ]
+            scale *= den
+            g = math.gcd(scale, *column)
+            if g != 1:
+                column = [h // g for h in column]
+                scale //= g
+        lo, hi = new_lo, new_hi
+    yield lo, column, scale
+
+
+def _values(lo, column, scale, top):
+    """The values of a column of ``_walk``: the top level, which the all-up
+    path alone reaches, holds the int 1, as the value loop leaves it; every
+    other level of an int column is a Fraction."""
+    if scale is None:
+        return column
+    if lo + len(column) - 1 != top:  # the top level, if kept, is the last one
+        return [Fraction(h, scale) for h in column]
+    return [Fraction(h, scale) for h in column[:-1]] + [1]

@@ -59,40 +59,6 @@ def rat_str(x):
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
-# The tableau, the Motzkin DP and cf_series run their three-term recurrences
-# on int numerators over one common denominator while those ints stay small:
-# while D, the lcm of the denominators of the weights they read, times the
-# running common denominator of their values has at most this many bits.
-# Small ints cost a fraction of a Fraction operation's dispatch and gcds.
-# Past about 2000-3500 bits the Fraction loop's smaller per-value numbers win
-# (tableau columns of the catalog's samples, Python 3.11, pure-Python ints),
-# so the loops go on in Fractions from there.  q-family weights pass only at
-# small depths: their D grows about quadratically (little q-Jacobi: 5000 bits
-# at N = 40).
-INT_LOOP_MAX_BITS = 2048
-
-
-def common_denominator(b, lam):
-    """(D, [b_i D], [lambda_i D]), D the lcm of the denominators of the
-    weights ``b`` and ``lam``, when every weight is a Fraction and D has at
-    most INT_LOOP_MAX_BITS bits; None otherwise.  The lcm stops as soon as
-    it passes the bound."""
-    den = 1
-    for w in itertools.chain(b, lam):
-        if type(w) is not Fraction:
-            return None
-        d = w.denominator
-        if den % d:
-            den = math.lcm(den, d)
-            if den.bit_length() > INT_LOOP_MAX_BITS:
-                return None
-
-    def scaled(weights):
-        return [w.numerator * (den // w.denominator) for w in weights]
-
-    return den, scaled(b), scaled(lam)
-
-
 @dataclass
 class PrecisionContext:
     """Floating evaluation settings shared by the series evaluators.

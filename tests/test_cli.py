@@ -15,6 +15,7 @@ from jfrac import cli, families, scalar, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
 from jfrac.errors import InvalidParams
 from jfrac.families import catalog, family_moments, family_tableau, make_family
+from jfrac.jfraction import JFraction
 from jfrac.scalar import PrecisionContext
 
 # `jfrac catalog --format json` before the families were rewritten as terms
@@ -434,6 +435,44 @@ def test_size_at_the_ceiling_passes_the_check(capsys):
     code, _, err = run(capsys, "jfraction", "--moments=1,0,1,0,2", "--depth", str(MAX_SIZE))
     assert code == 2
     assert "largest accepted size" not in err
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called past the size check")
+
+
+_MOMENT_COMMANDS = [["jfraction"], ["hankel", "--kind", "D", "--n", "0"]]
+
+
+@pytest.mark.parametrize("command", _MOMENT_COMMANDS)
+def test_moment_list_above_the_ceiling_is_invalid_input(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "jfraction_from_moments", _fail)
+    monkeypatch.setattr(cli, "hankel", _fail)
+    moments = ",".join(["1"] * (MAX_SIZE + 2))
+    code, out, err = run(capsys, command[0], f"--moments={moments}", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--moments" in err and "largest accepted size" in err
+
+
+@pytest.mark.parametrize("command", _MOMENT_COMMANDS)
+def test_moment_list_at_the_ceiling_passes_the_check(capsys, monkeypatch, command):
+    lengths = []
+    monkeypatch.setattr(cli, "jfraction_from_moments", lambda mu, depth=None: lengths.append(len(mu)) or JFraction([], []))
+    monkeypatch.setattr(cli, "hankel", lambda mu, kind, n, i=None: lengths.append(len(mu)) or 0)
+    moments = ",".join(["1"] * (MAX_SIZE + 1))
+    code, _, _ = run(capsys, command[0], f"--moments={moments}", *command[1:])
+    assert code == 0 and lengths == [MAX_SIZE + 1]
+
+
+def test_moments_at_the_ceiling_round_trip_into_jfraction(capsys):
+    code, out, _ = run(capsys, "moments", "--family", "hermite", "--N", str(MAX_SIZE))
+    assert code == 0
+    code, out, _ = run(capsys, "jfraction", "--moments=" + out.split(": ")[1].strip(), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["b"] == ["0"] * (MAX_SIZE // 2)
+    assert doc["lambda"] == [str(F(n, 2)) for n in range(1, MAX_SIZE // 2 + 1)]
 
 
 _FAMILY_PARAMS = {entry.id: entry.param_names for entry in catalog()}

@@ -1,11 +1,14 @@
-"""The int kernels of the tableau, the Motzkin DP and cf_series.
+"""The two int kernels of the exact core.
 
-``scalar.common_denominator`` picks them when every weight a recurrence
-reads is a Fraction over a small common denominator; every other input runs
-the Fraction loop.  The tableau and the DP also hand over to their Fraction
-loops once their ints pass ``scalar.INT_LOOP_MAX_BITS``.  On every side of
-these choices the results must equal an oracle, and every value must have
-the type the Fraction loop gives it.
+The walk in ``motzkin`` steps the row vector e_start^T M^k for both the
+tableau and the Motzkin DP.  ``motzkin.common_denominator`` puts it on ints
+over one common denominator when every weight it reads is a Fraction over a
+small lcm, and it hands over to its value loop once its ints pass
+``motzkin.INT_LOOP_MAX_BITS``; every other input runs the value loop.
+``cf_series`` steps its convergents on ints with one scale per level, as
+the mixed-moment table steps its rows, for every int or Fraction input.  On
+every side of these choices the results must equal an oracle, and every
+value must have the type the value loop gives it.
 """
 
 import types
@@ -19,8 +22,7 @@ from jfrac import _mpmath as mpmath
 from jfrac import jfraction, motzkin
 from jfrac.families import family_jfraction, family_tableau, make_family
 from jfrac.jfraction import cf_series, tableau_from_jfraction
-from jfrac.motzkin import PathWeights, path_weight_sum, path_weight_sum_dp
-from jfrac.scalar import INT_LOOP_MAX_BITS, common_denominator
+from jfrac.motzkin import INT_LOOP_MAX_BITS, PathWeights, common_denominator, path_weight_sum, path_weight_sum_dp
 
 DEPTH = 8
 
@@ -35,9 +37,10 @@ def _over(bits):
     )
 
 
-# "big" weights have a denominator past the bound, so the int loops never
-# start; "near" ones have a lcm near it, so they start and hand over to the
-# Fraction loops after a column or two, or never start.
+# "big" weights have a denominator past the bound, so the walk never starts
+# on ints; "near" ones have a lcm near it, so it starts on ints and hands
+# over to its value loop after a column or two, or never starts on ints.
+# cf_series runs every one of these kinds on ints.
 _KINDS = {
     "small": _small,
     "int": _ints,
@@ -55,12 +58,18 @@ def weight_sets(draw):
     return kind, tuple(weights[:DEPTH]), tuple(weights[DEPTH:])
 
 
-def _fraction_loop(module, fn, *args):
-    """fn(*args) with ``module`` refusing every common denominator, so that
-    the Fraction loop runs."""
+def _fraction_loop(fn, *args):
+    """fn(*args) with ``motzkin`` refusing every common denominator, so that
+    the walk runs its value loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "common_denominator", lambda b, lam: None)
+        mp.setattr(motzkin, "common_denominator", lambda b, lam: None)
         return fn(*args)
+
+
+def _series_value_loop(jf, N):
+    """cf_series's value loop, called directly on the weights cf_series reads."""
+    levels = N // 2 + 1
+    return jfraction._cf_series_on_values(jf.b[:levels], jf.lam[: levels - 1], N)
 
 
 def _typed(values):
@@ -104,14 +113,12 @@ def test_tableau_and_series_on_both_sides(data, N):
     for n in range(N + 1):
         for i in range(n + 1):
             assert tab.entry(i, n) == rows[n][i]
-    ref = _fraction_loop(jfraction, tableau_from_jfraction, jf, N)
+    ref = _fraction_loop(tableau_from_jfraction, jf, N)
     assert [_typed(row) for row in tab.H] == [_typed(row) for row in ref.H]
 
-    levels = N // 2 + 1
-    _expected_side(kind, b[:levels], lam[: levels - 1])
     series = cf_series(jf, N)
     assert series == tab.row0
-    assert _typed(series) == _typed(_fraction_loop(jfraction, cf_series, jf, N))
+    assert _typed(series) == _typed(_series_value_loop(jf, N))
 
 
 @settings(max_examples=120, deadline=None)
@@ -123,7 +130,7 @@ def test_dp_on_both_sides(data, start, end, n):
     _expected_side(kind, b[: top + 1], lam[:top])
     value = path_weight_sum_dp(w, start, end, n)
     assert value == path_weight_sum(w, start, end, n)
-    ref = _fraction_loop(motzkin, path_weight_sum_dp, w, start, end, n)
+    ref = _fraction_loop(path_weight_sum_dp, w, start, end, n)
     assert type(value) is type(ref) and value == ref
 
 
@@ -141,16 +148,16 @@ def test_family_examples(family_id, params, N, int_side):
         jf = family_jfraction(spec, N)
     assert (common_denominator(jf.b[:N], jf.lam[: N - 1]) is not None) is int_side
     tab = family_tableau(spec, N)
-    ref = _fraction_loop(jfraction, family_tableau, spec, N)
+    ref = _fraction_loop(family_tableau, spec, N)
     assert [_typed(row) for row in tab.H] == [_typed(row) for row in ref.H]
     if spec.exact:
         series = cf_series(jf, N)
         assert series == tab.row0
-        assert _typed(series) == _typed(_fraction_loop(jfraction, cf_series, jf, N))
+        assert _typed(series) == _typed(_series_value_loop(jf, N))
         w = PathWeights.from_jfraction(jf)
         for start, end in ((0, 0), (2, 1)):
             value = path_weight_sum_dp(w, start, end, N - 6)
-            ref_value = _fraction_loop(motzkin, path_weight_sum_dp, w, start, end, N - 6)
+            ref_value = _fraction_loop(path_weight_sum_dp, w, start, end, N - 6)
             assert type(value) is type(ref_value) and value == ref_value
 
 
@@ -159,20 +166,41 @@ def test_family_examples(family_id, params, N, int_side):
     [("q_ultraspherical_beta0", {"q": F(1, 2)}, 120), ("al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, 90)],
 )
 def test_int_loops_hand_over_to_fractions(family_id, params, N):
-    """Small weights whose values outgrow the bound: the int loops stop
-    partway and the Fraction loops go on from there."""
+    """Small weights whose values outgrow the bound: the walk yields columns
+    over an int scale, then value columns to the end."""
     jf = family_jfraction(make_family(family_id, params), N)
-    den, B, L = common_denominator(jf.b[:N], jf.lam[: N - 1])
-    H = [[F(0)] * (N + 1) for _ in range(N + 1)]
-    assert 1 < jfraction._fill_on_ints(H, den, B, L) <= N
+    on_ints = [scale is not None for _, _, scale in motzkin._walk(jf.b[:N], jf.lam[: N - 1], 0, N)]
+    first_value = on_ints.index(False)
+    assert 1 < first_value <= N and not any(on_ints[first_value:])
     tab = tableau_from_jfraction(jf, N)
-    ref = _fraction_loop(jfraction, tableau_from_jfraction, jf, N)
+    ref = _fraction_loop(tableau_from_jfraction, jf, N)
     assert [_typed(row) for row in tab.H] == [_typed(row) for row in ref.H]
     w = PathWeights.from_jfraction(jf)
     for start, end in ((0, 0), (1, 2), (0, N - 6)):
         value = path_weight_sum_dp(w, start, end, N - 6)
-        ref_value = _fraction_loop(motzkin, path_weight_sum_dp, w, start, end, N - 6)
+        ref_value = _fraction_loop(path_weight_sum_dp, w, start, end, N - 6)
         assert type(value) is type(ref_value) and value == ref_value
+
+
+@pytest.mark.parametrize(
+    "family_id,params",
+    [
+        ("little_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)}),
+        ("big_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)}),
+    ],
+)
+def test_q_jacobi_series_runs_on_ints(monkeypatch, family_id, params):
+    """Weights whose common denominator is far past the walk's bound: cf_series
+    still runs on ints, one scale per level, and gives the value loop's
+    values and types."""
+    N = 120
+    jf = family_jfraction(make_family(family_id, params), N // 2 + 1)
+    assert common_denominator(jf.b, jf.lam) is None
+    want = _series_value_loop(jf, N)
+    with monkeypatch.context() as mp:
+        mp.setattr(jfraction, "_cf_series_on_values", None)  # any call to it fails
+        got = cf_series(jf, N)
+    assert _typed(got) == _typed(want)
 
 
 def test_common_denominator_bound_and_types():

@@ -31,6 +31,17 @@ def test_parity_vanishing():
     assert path_weight_sum(w, 0, 2, 2) == 1
 
 
+def test_dp_multiplies_zero_weights():
+    """A DP sum that no path of nonzero weight reaches is Fraction(0) on
+    rational weights (Hermite, level 0 to level 1 in 2 steps); an end farther
+    than n levels away is the int 0 without a step."""
+    w = PathWeights.from_jfraction(family_jfraction(make_family("hermite", {}), 4))
+    value = path_weight_sum_dp(w, 0, 1, 2)
+    assert type(value) is F and value == 0
+    value = path_weight_sum_dp(w, 0, 3, 2)
+    assert type(value) is int and value == 0
+
+
 def test_coverage_errors():
     w = PathWeights((F(1), F(1)), (F(1),))
     with pytest.raises(ValueError):
