@@ -22,11 +22,12 @@ loops.  Both give the same values of the same types as the value loops.
 """
 
 import contextvars
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import NonRegular
-from .motzkin import _values, _walk
+from .motzkin import _value_columns
 
 
 class JFraction:
@@ -108,12 +109,8 @@ def tableau_from_jfraction(jf, N):
         raise ValueError(f"need b_0..b_{N - 1} to fill {N} columns")
     if N >= 2 and len(jf.lam) < N - 1:
         raise ValueError(f"need lambda_1..lambda_{N - 1} to fill {N} columns")
-    zero = Fraction(0)
-    columns = [
-        _values(0, column, scale, n) + [zero] * (N - n)
-        for n, (_, column, scale) in enumerate(_walk(jf.b[:N], jf.lam[: max(N - 1, 0)], 0, N))
-    ]
-    return StieltjesTableau(zip(*columns))
+    columns = _value_columns(jf.b[:N], jf.lam[: max(N - 1, 0)], N)
+    return StieltjesTableau(itertools.zip_longest(*columns, fillvalue=Fraction(0)))
 
 
 def _exact(x):

@@ -7,7 +7,8 @@ tableau entry H[i][n].
 
 One walk, ``_walk``, steps the row vector e_start^T M^k of the Jacobi
 matrix M for both ``path_weight_sum_dp`` and
-``jfraction.tableau_from_jfraction``.  Each step reads the weight of every
+``jfraction.tableau_from_jfraction`` (which reads its value columns,
+``_value_columns``).  Each step reads the weight of every
 level, so it runs on int amounts over one common denominator D of all the
 weights it reads when ``common_denominator`` accepts them, while the ints
 stay within ``INT_LOOP_MAX_BITS``; it runs on the values themselves
@@ -149,6 +150,7 @@ def _walk(b, lam, start, n, end=None):
         den, B, L = scaled
         B, L, scale = [*B, 0], [*L, 0, 0], 1
         limit = INT_LOOP_MAX_BITS - den.bit_length()
+        w_lo, B_lo, L_lo = 0, B, L  # the weights of levels w_lo, w_lo + 1, ...
     for k in range(n):
         yield lo, column, scale
         new_lo, new_hi = max(lo - 1, 0), hi + 1
@@ -166,10 +168,13 @@ def _walk(b, lam, start, n, end=None):
                 for i in range(new_lo, new_hi + 1)
             ]
         else:
+            if new_lo != w_lo:  # never, from level 0 without an end: the tableau
+                w_lo, B_lo, L_lo = new_lo, B[new_lo:], L[new_lo:]
             ext = [0] * (lo - new_lo + 1) + column + [0, 0]  # ext[j] = h_{new_lo - 1 + j}
+            del ext[new_hi - new_lo + 3 :]  # through h_{new_hi + 1}
             column = [
                 den * up + bi * same + li * down
-                for up, bi, same, li, down in zip(ext, B[new_lo : new_hi + 1], ext[1:], L[new_lo:], ext[2:])
+                for up, bi, same, li, down in zip(ext, B_lo, ext[1:], L_lo, ext[2:])
             ]
             scale *= den
             g = math.gcd(scale, *column)
@@ -178,6 +183,12 @@ def _walk(b, lam, start, n, end=None):
                 scale //= g
         lo, hi = new_lo, new_hi
     yield lo, column, scale
+
+
+def _value_columns(b, lam, n):
+    """The values of the columns e_0^T M^k, k = 0..n, of ``_walk``."""
+    for k, (lo, column, scale) in enumerate(_walk(b, lam, 0, n)):
+        yield _values(lo, column, scale, k)
 
 
 def _values(lo, column, scale, top):

@@ -40,13 +40,18 @@ def _over(bits):
 # "big" weights have a denominator past the bound, so the walk never starts
 # on ints; "near" ones have a lcm near it, so it starts on ints and hands
 # over to its value loop after a column or two, or never starts on ints.
-# cf_series runs every one of these kinds on ints.
+# cf_series runs every one of these kinds on ints.  "float" and "mpc" ones
+# run the value loops of both; they are multiples of 1/4 of at most 2, so at
+# this depth every product and sum is exact and the oracles compare by ==.
+_quarters = st.integers(-8, 8)
 _KINDS = {
     "small": _small,
     "int": _ints,
     "mixed": st.one_of(_small, _ints),
     "big": _over(INT_LOOP_MAX_BITS),
     "near": _over(INT_LOOP_MAX_BITS // 5),
+    "float": _quarters.map(lambda k: k / 4),
+    "mpc": st.builds(lambda x, y: mpmath.mpc(x / 4, y / 4), _quarters, _quarters),
 }
 
 
@@ -180,6 +185,25 @@ def test_int_loops_hand_over_to_fractions(family_id, params, N):
         value = path_weight_sum_dp(w, start, end, N - 6)
         ref_value = _fraction_loop(path_weight_sum_dp, w, start, end, N - 6)
         assert type(value) is type(ref_value) and value == ref_value
+
+
+@pytest.mark.parametrize("side", ["ints", "values"])
+def test_walk_keeps_the_levels_that_reach_end(side):
+    """With ``end``, column k of the walk holds the levels from
+    max(start - k, end - (n - k), 0) to min(start + k, end + (n - k)): those
+    it can reach that can still reach ``end``."""
+    start, end, n = 3, 1, 10
+    top = (n + start + end) // 2
+    b, lam = [F(i, 3) for i in range(top + 1)], [F(i + 2, 2) for i in range(top)]
+
+    def walk():
+        return list(motzkin._walk(b, lam, start, n, end))
+
+    columns = walk() if side == "ints" else _fraction_loop(walk)
+    assert all((scale is not None) == (side == "ints") for _, _, scale in columns)
+    for k, (lo, column, _) in enumerate(columns):
+        want_lo, want_hi = max(start - k, end - (n - k), 0), min(start + k, end + (n - k))
+        assert (lo, lo + len(column) - 1) == (want_lo, want_hi)
 
 
 @pytest.mark.parametrize(

@@ -346,7 +346,7 @@ def _numeric_agree(numer, denom, q, z, ctx):
             moved = _reference(numer, denom, q, z, replace(ctx, rel_tolerance=tol), [0])
             want = moved if _split(moved)[0] == got_same else want
     want_same, want_values = _split(want)
-    if got_same != want_same and _is_stop(got) and _is_stop(want):
+    if _is_stop(got) and _is_stop(want) and (got[0], got[3]) != (want[0], want[3]):  # stopped elsewhere
         _stop_within_margin(got, numer, denom, q, z, ctx)
         return
     with ctx.workprec():
@@ -362,7 +362,8 @@ def _numeric_agree(numer, denom, q, z, ctx):
 
 
 def _is_stop(outcome):
-    """A sum stopped by the rule or a NonConvergent: where the rule decided."""
+    """A sum or a NonConvergent: an outcome whose kind and index 3, the
+    number of terms, say where the stopping rule decided."""
     return outcome[0] == "sum" or outcome[1] is NonConvergent
 
 
@@ -378,10 +379,12 @@ def _stop_within_margin(got, numer, denom, q, z, ctx):
     A sum of m terms must have its last consecutive_small terms below
     tol |total| + margin, and no run of consecutive_small terms below
     tol |total| - margin may end before m; a NonConvergent must have no such
-    run at all.  Its value, tail bound or last partial sum must then agree
-    with the reference's at that index within the bound."""
+    run at all, and the message, count and partial-sum type of the
+    reference's own NonConvergent.  Its value, tail bound or last partial sum
+    must then agree with the reference's at that index, by type and within
+    the bound."""
     trace = []
-    _reference(numer, denom, q, z, replace(ctx, consecutive_small=ctx.max_terms + 1), None, trace)
+    ran = _reference(numer, denom, q, z, replace(ctx, consecutive_small=ctx.max_terms + 1), None, trace)
     with ctx.workprec():
         tol = ctx.mpf(ctx.rel_tolerance)
         peak, maybe, surely, allowed, first_sure, bounds = mpmath.mpf(1), 0, 0, set(), None, []
@@ -399,11 +402,11 @@ def _stop_within_margin(got, numer, denom, q, z, ctx):
             _, kind, value, terms, tail = got
             assert terms in allowed and (first_sure is None or terms <= first_sure)
             term, total = trace[terms - 1]
-            assert kind is type(total)
+            assert kind is type(total) and type(tail) is type(term) and (tail == 0) == (term == 0)
             assert abs(value - total) <= bounds[terms - 1] and abs(tail - term) <= bounds[terms - 1]
         else:
-            assert first_sure is None and len(trace) == ctx.max_terms == got[3]
-            assert abs(got[4] - trace[-1][1]) <= bounds[-1]
+            assert first_sure is None and len(trace) == ctx.max_terms and got[:4] == ran[:4]
+            assert type(got[4]) is type(trace[-1][1]) and abs(got[4] - trace[-1][1]) <= bounds[-1]
 
 
 QS = [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(-1, 2), F(-2, 5)]
