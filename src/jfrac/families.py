@@ -90,16 +90,6 @@ def gegenbauer_poly(n, nu, x):
 
 
 @sequence
-def _chebyshev_u(x):
-    return _three_term(F(1), lambda: 2 * F(x) if isinstance(x, (int, F)) else 2 * x, lambda m, p, pp: 2 * x * p - pp)
-
-
-def chebyshev_u(n, x):
-    """Chebyshev U_n(x) of the second kind."""
-    return _chebyshev_u(x, n)
-
-
-@sequence
 def _jacobi(alpha, beta, x):
     def step(m, p, pp):
         s = 2 * m + alpha + beta
@@ -218,7 +208,7 @@ class Term:
             upper, lower, z = self.hyper(j)
             arg = z * tv ** self.step
             inner = eval_pfq(upper, lower, arg, ctx) if q is None else eval_rphis(upper, lower, q, arg, ctx)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+            return inner.scaled(pref)
 
     def series(self, j, degree):
         """Q_j's exact Taylor coefficients in t through t^degree."""
@@ -272,8 +262,7 @@ class Term:
             tv, sv = ctx.number(t), ctx.number(s)
             ds = -ctx.number(d) * sv
             pref = _over_qpochs(q_pochhammer_inf(ds, q, ctx), [ctx.number(d) * tv], q, 0, t, ctx) if d != 0 else 1
-            inner = eval_rphis(upper + [-sv / tv], lower + [ds], q, ctx.number(z) * tv, ctx)
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+            return eval_rphis(upper + [-sv / tv], lower + [ds], q, ctx.number(z) * tv, ctx).scaled(pref)
 
     def companion(self, j, s, ctx):
         """The twisted companion Q~_j(s), the limit of E[Q_j] as t -> 0, where
@@ -286,7 +275,7 @@ class Term:
             inner = eval_rphis(upper, lower + [dsq], q, -z * sv * q ** j, ctx)
             pref = q_pochhammer_inf(dsq, q, ctx) if d != 0 else 1
             pref = pref * sv ** j * ctx.number(F(q) ** (j * (j - 1) // 2) / self.kind.series_denominator(j))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+            return inner.scaled(pref)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,8 @@ class FamilySpec:
     the addition formula follow from them (:func:`family_weights`).
     q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
     companion where one exists.  q_series_fn and q_tilde_series_fn are the
-    exact counterparts; the moments are read off q_series_fn(0, N)
+    exact counterparts, and a family is ``exact`` when it has q_series_fn;
+    the moments are read off q_series_fn(0, N)
     (:func:`family_moments`).  tableau_entry_fn(i, n) is a closed H_{i,n} in
     tableau indexing, read off the Q Term's series (:func:`_closed_tableau_family`)
     or, for an affine image, off the base family's tableau.  Most families
@@ -323,9 +313,12 @@ class FamilySpec:
     q_series_fn: object = None
     q_tilde_series_fn: object = None
     translated_q0_fn: object = None
-    exact: bool = True
     id: str = ""
     params: dict = None
+
+    @property
+    def exact(self):
+        return self.q_series_fn is not None
 
     def series_denominator(self, n):
         """n-th normalizer of the Q-series: n! classically, (q;q)_n in q-land."""
@@ -969,7 +962,6 @@ def _closed_tableau_family(q, exact=True):
         q_fn=q.value,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q.series if exact else None,
-        exact=exact,
     )
 
 
@@ -1121,6 +1113,11 @@ def family_domain(id):
     return _registered(id)[2]
 
 
+def family_params(id):
+    """The names of family ``id``'s parameters, in order."""
+    return tuple(_registered(id)[1])
+
+
 def make_family(id, params=None, **kw):
     """Build a FamilySpec from its id and parameter map, once the
     parameters are checked against the family's domain."""
@@ -1177,7 +1174,7 @@ def make_affine(base, a, b):
         inner = q_function(base, j, ctx.mpf(t) / ctx.mpf(a), ctx)
         with ctx.workprec():
             pref = ctx.mpf(a) ** j * mpmath.exp(-ctx.mpf(b) * ctx.mpf(t) / ctx.mpf(a))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+            return inner.scaled(pref)
 
     q_series = base.q_series_fn
 
@@ -1200,7 +1197,6 @@ def make_affine(base, a, b):
         q_fn=q_fn if base.q_fn is not None else None,
         tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q_series_fn if q_series is not None else None,
-        exact=base.exact,
     )
 
 

@@ -309,11 +309,15 @@ class SeriesValue:
     value is an mpf, or an mpc when some input was complex.  tail_bound is
     an mpf: the magnitude of the last included term, and 0 only when the
     series terminated exactly; it is an empirical estimate, not a proof.
+    ``scaled(pref)`` is a prefactor times the series: value times pref, tail bound times |pref|.
     """
 
     value: object
     terms_used: int
     tail_bound: object
+
+    def scaled(self, pref):
+        return SeriesValue(pref * self.value, self.terms_used, abs(pref) * self.tail_bound)
 
 
 def _vanishing_index(a, q):
@@ -470,8 +474,7 @@ def _bessel(nu, z, sign, ctx):
         zv = ctx.number(z)
         nv = ctx.number(nu)
         pref = mpmath.power(zv / 2, nv) / g
-        inner = eval_pfq([], [_shift_one(nu)], sign * (zv * zv) / 4, ctx)
-        return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+        return eval_pfq([], [_shift_one(nu)], sign * (zv * zv) / 4, ctx).scaled(pref)
 
 
 def bessel_j(nu, z, ctx=None):

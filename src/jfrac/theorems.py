@@ -9,10 +9,11 @@ exact equality.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from fnmatch import fnmatchcase
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, mul
 
 from . import _mpmath as mpmath
 from .errors import InvalidParams, UnknownTheorem
@@ -21,10 +22,10 @@ from .families import (
     above,
     between,
     check_domain,
-    chebyshev_u,
     cq_ultraspherical_poly,
     family_domain,
     family_moments,
+    family_params,
     family_tableau,
     family_weights,
     gegenbauer_poly,
@@ -39,7 +40,7 @@ from .families import (
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
 from .scalar import PrecisionContext, factorial, int_str, memo_scope, pochhammer, q_pochhammer, rat, rat_str
-from .series import SeriesValue, bessel_i, bessel_j, eval_pfq
+from .series import bessel_i, bessel_j, eval_pfq
 from .translation import Classical, NonCommutative, translate_series
 
 F = Fraction
@@ -64,6 +65,7 @@ class VerificationReport:
     params: dict
     s: object = None
     t: object = None
+    mode: str = "error"
     lhs: object = None
     rhs_partial: object = None
     n_terms: int = 0
@@ -71,7 +73,6 @@ class VerificationReport:
     rel_error: object = None
     tail_estimate: object = None
     passed: bool = False
-    mode: str = "error"
 
 
 @dataclass
@@ -89,12 +90,10 @@ class TheoremCase:
 
 
 # ---------------------------------------------------------------------------
-# report constructors, summation engine, exact comparator
+# report constructors, the one sum-and-judge routine, exact comparator
 
 def _exact_report(id, params, passed, n_checked, max_dev):
-    return VerificationReport(
-        id, params, n_terms=n_checked, abs_error=max_dev, passed=passed, mode="exact"
-    )
+    return VerificationReport(id, params, mode="exact", n_terms=n_checked, abs_error=max_dev, passed=passed)
 
 
 def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=None, t=None):
@@ -103,14 +102,13 @@ def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=Non
         denom = abs(lhs)
         rel_error = abs_error / denom if denom > 0 else abs_error
         passed = rel_error <= ctx.number(tolerance)
-    return VerificationReport(
-        id, params, s, t, lhs, total, n_terms, abs_error, rel_error, last, passed, "numeric"
-    )
+    return VerificationReport(id, params, s, t, "numeric", lhs, total, n_terms, abs_error, rel_error, last, passed)
 
 
-def _partial_sum(N, term, pref=None):
-    """Sum term(0), ..., term(N) in order; returns the total and |term(N)|,
-    both times ``pref`` when one is given.  Call under a workprec."""
+def _summed_report(id, params, lhs, N, term, tolerance, ctx, pref=None, s=None, t=None):
+    """Judge ``lhs`` against term(0) + ... + term(N), summed in order and
+    times ``pref`` when one is given; the tail estimate is |term(N)|, times
+    |pref|.  Call under a workprec."""
     total = mpmath.mpf(0)
     last = mpmath.mpf(0)
     for n in range(N + 1):
@@ -120,7 +118,7 @@ def _partial_sum(N, term, pref=None):
     if pref is not None:
         total = pref * total
         last = abs(pref) * last
-    return total, last
+    return _numeric_report(id, params, lhs, total, N + 1, last, tolerance, ctx, s, t)
 
 
 def _compare(pairs):
@@ -179,8 +177,7 @@ def _conf_hyp_1f1(cid, params):
     def factor(n, v, ctx):
         with ctx.workprec():
             vv = ctx.number(v)
-            inner = eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], vv, ctx)
-            return SeriesValue(vv ** n * inner.value, inner.terms_used, inner.tail_bound)
+            return eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], vv, ctx).scaled(vv**n)
 
     return TheoremCase(cid, weight, lhs_eval=lhs, rhs_left_fn=factor, rhs_right_fn=factor)
 
@@ -196,9 +193,8 @@ def _bessel_plus(cid, params):
     def entire(n, v, ctx):  # v^n E_{nu+n}(v)
         with ctx.workprec():
             v = ctx.number(v)
-            inner = eval_pfq([], [nu + n + 1], -v * v / 4, ctx)
             pref = v**n / (mpmath.power(2, ctx.number(nu + n)) * ctx.gamma(nu + n + 1))
-            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
+            return eval_pfq([], [nu + n + 1], -v * v / 4, ctx).scaled(pref)
 
     def lhs(s, t, ctx):
         return entire(0, s + t, ctx)
@@ -218,10 +214,16 @@ def _affine_pair(params):
 
 def _affine_domain(cid, params):
     """a != 0, the base family's domain on the base_* parameters, and their
-    names: both families must build (which only makes closures)."""
+    names: both families must build (which only makes closures); returns the pair."""
     check_domain(cid, (nonzero("a"),), params)
     check_domain(cid, family_domain(params["base"]), params, prefix="base_")
-    _affine_pair(params)
+    return _affine_pair(params)
+
+
+def _exact_affine_domain(cid, params):
+    """The affine domain on an exact base, whose Hankel determinants compare exactly."""
+    if not _affine_domain(cid, params)[0].exact:
+        raise InvalidParams(f"{cid}: base family {params['base']} is not exact")
 
 
 _Q, _Q_TILDE = attrgetter("q_fn"), attrgetter("q_tilde_fn")
@@ -450,26 +452,22 @@ def _bessel_reduction(iid, params, ctx):
             )
             return c * bessel_j(mu + 2 * n, zv, ctx).value
 
-        total, last = _partial_sum(N, term)
-    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
+        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx)
 
 
-def _plane_wave_ultra(iid, params, ctx):
-    nu, x, y, N = params["nu"], params["x"], params["y"], params["N"]
+def _plane_wave(iid, params, ctx):
+    """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x);
+    without a nu it is the Chebyshev form at nu = 1, where C_n^1 = U_n."""
+    nu, x, y, N = params.get("nu", F(1)), params["x"], params["y"], params["N"]
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)
         pref = ctx.gamma(nu) * mpmath.power(yv / 2, -ctx.number(nu))
 
         def term(n):
-            return (
-                ctx.number(nu + n)
-                * bessel_i(nu + n, yv, ctx).value
-                * ctx.number(gegenbauer_poly(n, nu, x))
-            )
+            return ctx.number(nu + n) * bessel_i(nu + n, yv, ctx).value * ctx.number(gegenbauer_poly(n, nu, x))
 
-        total, last = _partial_sum(N, term, pref)
-    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
+        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx, pref)
 
 
 def _plane_wave_jacobi(iid, params, ctx):
@@ -488,21 +486,7 @@ def _plane_wave_jacobi(iid, params, ctx):
                 * ctx.number(jacobi_poly(n, alpha, beta, x))
             )
 
-        total, last = _partial_sum(N, term)
-    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
-
-
-def _plane_wave_cheby(iid, params, ctx):
-    x, y, N = params["x"], params["y"], params["N"]
-    with ctx.workprec():
-        xv, yv = ctx.number(x), ctx.number(y)
-        lhs = mpmath.exp(xv * yv)
-
-        def term(n):
-            return (n + 1) * bessel_i(n + 1, yv, ctx).value * ctx.number(chebyshev_u(n, x))
-
-        total, last = _partial_sum(N, term, 2 / yv)
-    return _numeric_report(iid, params, lhs, total, N + 1, last, params["tolerance"], ctx)
+        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx)
 
 
 def _bessel_1f1_link(iid, params, ctx):
@@ -519,9 +503,7 @@ def _bessel_1f1_link(iid, params, ctx):
             * mpmath.power(2 / ax, ctx.number(nu))
             * bessel_i(nu, ax, ctx).value
         )
-    return _numeric_report(
-        iid, params, lhs, rhs, inner.terms_used, mpmath.mpf(0), params["tolerance"], ctx
-    )
+    return _numeric_report(iid, params, lhs, rhs, inner.terms_used, mpmath.mpf(0), params["tolerance"], ctx)
 
 
 def _hankel_gegenbauer(iid, params, ctx):
@@ -550,10 +532,8 @@ def _hankel_affine(iid, params, ctx):
     mu_base = family_moments(base, 2 * n_max)
     dets = [hankel(mu_bar, "D", n) for n in range(n_max + 1)]
     base_dets = [hankel(mu_base, "D", n) for n in range(n_max + 1)]
-    weight = family_weights(spec)
-    expected = [F(1)]
-    for k in range(1, n_max + 1):
-        expected.append(expected[-1] * weight(k))
+    # D_n = w_0 w_1 ... w_n
+    expected = list(accumulate(map(family_weights(spec), range(n_max + 1)), mul))
     ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets))
     return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected)))
 
@@ -602,7 +582,7 @@ _IDENTITIES = {
     "hankel_affine": (
         _hankel_affine,
         {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2), "n_max": 5},
-        _affine_domain,
+        _exact_affine_domain,
     ),
     "hankel_gegenbauer": (
         _hankel_gegenbauer,
@@ -611,7 +591,7 @@ _IDENTITIES = {
     ),
     "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}, ()),
     "plane_wave_cheby": (
-        _plane_wave_cheby,
+        _plane_wave,
         {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
         (nonzero("y"),),
     ),
@@ -621,7 +601,7 @@ _IDENTITIES = {
         (off_integers("alpha + beta + 1"),),
     ),
     "plane_wave_ultra": (
-        _plane_wave_ultra,
+        _plane_wave,
         {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
         (nonzero("y"), off_integers("nu")),
     ),
@@ -694,15 +674,21 @@ def _takes(defaults, key):
 
 
 def _merge_params(defaults, overrides):
+    overrides = overrides or {}
     merged = dict(defaults)
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if not _takes(defaults, key):
             raise InvalidParams(f"unknown parameter {key!r}")
         try:
             merged[key] = _coerce(defaults.get(key, F(0)), value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidParams(f"bad value {value!r} for parameter {key!r}") from exc
-    return _check_ranges(merged)
+    _check_ranges(merged)
+    if "base" in defaults:
+        # a default base_<p> carries over only to a base family that takes p
+        names = family_params(merged["base"])
+        merged = {k: v for k, v in merged.items() if not k.startswith("base_") or k in overrides or k[5:] in names}
+    return merged
 
 
 def _case_params(id, overrides):
@@ -748,8 +734,7 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
                 right = left if same else case.rhs_right_fn(n, s, ctx).value
                 return weight * left * right
 
-            total, last = _partial_sum(N, term, pref)
-    return _numeric_report(id, merged, lhs, total, N + 1, last, tolerance, ctx, s, t)
+            return _summed_report(id, merged, lhs, N, term, tolerance, ctx, pref, s, t)
 
 
 def verify_identity(id, params=None, ctx=None):
@@ -845,20 +830,11 @@ def render_scalar(x, ctx):
 
 
 def report_record(report, ctx):
-    """Flatten one report into the JSON schema used by the CLI."""
+    """Flatten one report into the JSON schema used by the CLI: its fields
+    in order, with ``passed`` named "pass"."""
     return {
-        "id": report.id,
-        "params": render_scalar(report.params, ctx),
-        "s": render_scalar(report.s, ctx),
-        "t": render_scalar(report.t, ctx),
-        "mode": report.mode,
-        "lhs": render_scalar(report.lhs, ctx),
-        "rhs_partial": render_scalar(report.rhs_partial, ctx),
-        "n_terms": report.n_terms,
-        "abs_error": render_scalar(report.abs_error, ctx),
-        "rel_error": render_scalar(report.rel_error, ctx),
-        "tail_estimate": render_scalar(report.tail_estimate, ctx),
-        "pass": report.passed,
+        "pass" if f.name == "passed" else f.name: render_scalar(getattr(report, f.name), ctx)
+        for f in fields(report)
     }
 
 

@@ -814,7 +814,7 @@ def _case_rules(cid):
     row = theorems._THEOREMS.get(cid) or theorems._IDENTITIES[cid]
     if not callable(row[-1]):
         return [(rule, "") for rule in row[-1]]
-    assert row[-1] is theorems._affine_domain
+    assert row[-1] in (theorems._affine_domain, theorems._exact_affine_domain)
     return [(families.nonzero("a"), "")] + [(r, "base_") for r in families.family_domain(row[1]["base"])]
 
 
@@ -844,7 +844,8 @@ def test_case_rejects_each_declared_boundary_before_running(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "base,name", [("jacobi", "beta"), ("hermite", "alpha"), ("big_q_jacobi", "a, b, c, q")]
+    "base,name",
+    [("jacobi", "beta"), pytest.param("hermite,base_alpha=1", "alpha", id="hermite-alpha"), ("big_q_jacobi", "a, b, c, q")],
 )
 def test_affine_base_family_names_are_checked_before_any_case(capsys, monkeypatch, base, name):
     # big_qj sorts before hankel_affine, and neither may run
@@ -853,7 +854,26 @@ def test_affine_base_family_names_are_checked_before_any_case(capsys, monkeypatc
     code, out, err = run(capsys, "verify", "big_qj", "hankel_affine", "--params", f"base={base}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and f"family {base} " in err and f"parameter(s) {name}\n" in err
+    family = base.split(",")[0]
+    assert err.startswith("error: ") and f"family {family} " in err and f"parameter(s) {name}\n" in err
+
+
+@pytest.mark.parametrize("base", ["hermite", "charlier,base_a=1", "ultraspherical,base_nu=1"])
+def test_affine_cases_run_on_a_base_without_alpha(capsys, base):
+    # the default base_alpha belongs to laguerre and does not carry over
+    code, out, err = run(capsys, "verify", "affine", "hankel_affine", "--params", f"base={base}")
+    assert code == 0, err
+    assert out.count("PASS ") == 2
+
+
+def test_hankel_affine_rejects_an_inexact_base_before_any_case(capsys, monkeypatch):
+    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
+    monkeypatch.setattr(theorems, "verify_identity", _no_run)
+    base = "base=meixner_pollaczek_moments,base_lam=1,base_x=1/2,base_phi_over_pi=1/3"
+    code, out, err = run(capsys, "verify", "affine", "hankel_affine", "--params", base)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: hankel_affine: ") and "meixner_pollaczek_moments" in err
 
 
 @pytest.mark.parametrize("param", ["y=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])

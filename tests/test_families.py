@@ -11,7 +11,6 @@ from jfrac import families
 from jfrac.errors import InvalidParams, Unsupported, UnsupportedTilde
 from jfrac.families import (
     catalog,
-    chebyshev_u,
     cq_ultraspherical_poly,
     family_jfraction,
     family_moments,
@@ -93,7 +92,7 @@ def stirling2(n, k):
 
 def test_polynomial_values():
     assert hermite_poly(3, F(1, 2)) == -5
-    assert chebyshev_u(2, F(1, 2)) == 0
+    assert gegenbauer_poly(2, 1, F(1, 2)) == 0  # U_2(1/2)
     assert gegenbauer_poly(2, F(3, 2), F(1)) == 6
     assert jacobi_poly(1, F(1, 2), F(1, 3), F(1)) == F(3, 2)
     assert laguerre_poly(2, F(0), F(2)) == -1

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from jfrac import families
-from jfrac.families import chebyshev_u, cq_ultraspherical_poly, gegenbauer_poly, hermite_poly, jacobi_poly
+from jfrac.families import cq_ultraspherical_poly, gegenbauer_poly, hermite_poly, jacobi_poly
 from jfrac.scalar import memo_scope, pochhammer, q_binomial, q_pochhammer, sequence
 from jfrac.translation import NonCommutative, QTranslation, monomial_image
 
@@ -141,7 +141,8 @@ SEQUENCES = {
         gegenbauer_restarted,
         [(F(3, 2), F(1, 2)), (F(-1, 3), F(5, 4)), (1, 2), (F(1), F(2))],
     ),
-    "chebyshev_u": (lambda x, n: chebyshev_u(n, x), chebyshev_restarted, [(F(1, 2),), (F(-7, 5),)]),
+    # U_n = C_n^(1): the Chebyshev plane-wave case runs the Gegenbauer one at nu = 1
+    "chebyshev_u": (lambda x, n: gegenbauer_poly(n, F(1), x), chebyshev_restarted, [(F(1, 2),), (F(-7, 5),)]),
     "jacobi_poly": (
         lambda alpha, beta, x, n: jacobi_poly(n, alpha, beta, x),
         jacobi_restarted,

@@ -135,6 +135,17 @@ def test_error_never_grows_under_refinement(tid):
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
 
+def test_conf_hyp_factor_scales_its_tail_bound():
+    # v^n 1F1(alpha+n+1; alpha+beta+2n+2; v): the bound is |v|^n times the inner one's
+    alpha, beta, n, v = F(1, 2), F(1, 3), 3, F(-5, 2)
+    case = theorems._THEOREMS["conf_hyp_1f1"][0]("conf_hyp_1f1", {"alpha": alpha, "beta": beta})
+    got = case.rhs_left_fn(n, v, ctx).tail_bound
+    with ctx.workprec():
+        inner = series.eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], ctx.number(v), ctx)
+        assert inner.tail_bound > 0
+        assert got == abs(ctx.number(v)) ** n * inner.tail_bound
+
+
 def test_conf_hyp_degenerate_point():
     r = verify_theorem("conf_hyp_1f1", params={"alpha": 0, "beta": 0}, t=0, s=0, ctx=ctx)
     assert r.passed
