@@ -13,7 +13,10 @@ The exact core runs on ints, with one kernel for each shape of recurrence.
 A tableau column reads the weight of every level, so the tableau is the
 Motzkin walk of ``motzkin._walk``: e_0^T M^n on int numerators over one
 common denominator D of all the weights while D is small and the ints stay
-within ``motzkin.INT_LOOP_MAX_BITS``, on the values otherwise.  A step of
+within ``motzkin.INT_LOOP_MAX_BITS``, on the values otherwise.  On Fraction
+weights (the q-families past small depths) a value step builds one Fraction
+per entry from the int numerators and denominators of its terms
+(``scalar.fraction_sum``); on other weights it is plain arithmetic.  A step of
 ``cf_series`` or of the mixed-moment table behind ``jfraction_from_moments``
 and ``hankel`` reads one (b, lambda) pair, so it runs on int rows with one
 scale per row (``_next_int_row``) for any weights or moments that are all

@@ -8,31 +8,49 @@ tableau entry H[i][n].
 One walk, ``_walk``, steps the row vector e_start^T M^k of the Jacobi
 matrix M for both ``path_weight_sum_dp`` and
 ``jfraction.tableau_from_jfraction`` (which reads its value columns,
-``_value_columns``).  Each step reads the weight of every
-level, so it runs on int amounts over one common denominator D of all the
-weights it reads when ``common_denominator`` accepts them, while the ints
-stay within ``INT_LOOP_MAX_BITS``; it runs on the values themselves
-otherwise.  Both give the same values of the same types.  The depth-first
+``_value_columns``).  Each step reads the weight of every level, and is
+one of three:
+
+- on int amounts over one common denominator D of all the weights it reads,
+  when ``common_denominator`` accepts them, while the ints stay within
+  ``INT_LOOP_MAX_BITS``;
+- past that bound, or from the start when ``common_denominator`` refuses
+  Fraction weights, the fused step ``_fraction_step``: each entry is one sum
+  of int (numerator, denominator) pairs (``scalar.fraction_sum``) and one
+  Fraction, where Fraction arithmetic would build and reduce four;
+- on any other weights (int, mixed int and Fraction, float, mpf, mpc), the
+  plain step ``_plain_step`` on the values as they are.
+
+All three give the same values of the same types.  The depth-first
 ``path_weight_sum`` enumerates the paths one by one, multiplying the
 weights as they are, so the walk can be checked against something that
 does not share its code path.
 """
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalar import fraction_sum
+
 # The walk runs on int numerators over one common denominator while those
 # ints stay small: while D, the lcm of the denominators of the weights it
 # reads, times the running common denominator of its amounts has at most this
-# many bits.  Small ints cost a fraction of a Fraction operation's dispatch
-# and gcds.  Past about 2000-3500 bits the Fraction loop's smaller per-value
-# numbers win (tableau columns of the catalog's samples, Python 3.11,
-# pure-Python ints), so the walk goes on in Fractions from there.  q-family
-# weights pass only at small depths: their D grows about quadratically
-# (little q-Jacobi: 5000 bits at N = 40).
+# many bits.  From the step that passes it, the walk goes on with the fused
+# Fraction step.  The value was tuned against plain Fraction arithmetic, where
+# the int loop won up to about 2000-3500 bits.  Against the fused step (the
+# catalog's exact samples at N = 40/80/120, Python 3.11, pure-Python ints,
+# one shared machine), bounds of 256-2048 bits gave totals within 2% of each
+# other and 4096 bits 6% more.  Yet the int tableau runs 1.4-1.8 times the
+# fused step's time on some samples (little and big q-Jacobi and the
+# Askey-Wilson slice at N = 20, jacobi at N = 80, laguerre_moments at
+# N = 120, q_ultraspherical at N = 40; medians of 15), so the crossover now
+# lies lower for weights with a large D.  q-family weights pass only at
+# small depths: their D grows about quadratically (little q-Jacobi: 5000
+# bits at N = 40).
 INT_LOOP_MAX_BITS = 2048
 
 
@@ -140,12 +158,12 @@ def _walk(b, lam, start, n, end=None):
     read, b_i = B_i / D, lambda_{i+1} = L_i / D) and bits(scale) + bits(D)
     <= INT_LOOP_MAX_BITS, a column is ints over the int ``scale``: a step is
     h'_i = D h_{i-1} + B_i h_i + L_i h_{i+1}, s' = D s, then one gcd of s'
-    and the h' is divided out.  After that it holds the values and ``scale``
-    is None.
+    and the h' is divided out.  After that it holds the values, ``scale`` is
+    None, and each step is the one ``_value_step`` picks for the weights.
     """
     scaled = common_denominator(b, lam)
     lo = hi = start
-    column, scale = [1], None
+    column, scale, step = [1], None, None
     if scaled is not None:
         den, B, L = scaled
         B, L, scale = [*B, 0], [*L, 0, 0], 1
@@ -160,13 +178,9 @@ def _walk(b, lam, start, n, end=None):
         if scale is not None and scale.bit_length() > limit:
             column, scale = _values(lo, column, scale, start + k), None
         if scale is None:
-            v = column
-            column = [
-                (v[i - 1 - lo] if i > lo else 0)
-                + (b[i] * v[i - lo] if lo <= i <= hi else 0)
-                + (lam[i] * v[i + 1 - lo] if i < hi else 0)
-                for i in range(new_lo, new_hi + 1)
-            ]
+            if step is None:
+                step = _value_step(b, lam)
+            column = step(column, lo, hi, new_lo, new_hi)
         else:
             if new_lo != w_lo:  # never, from level 0 without an end: the tableau
                 w_lo, B_lo, L_lo = new_lo, B[new_lo:], L[new_lo:]
@@ -183,6 +197,61 @@ def _walk(b, lam, start, n, end=None):
                 scale //= g
         lo, hi = new_lo, new_hi
     yield lo, column, scale
+
+
+def _value_step(b, lam):
+    """The walk's step on values: ``_fraction_step`` over the int numerators
+    and denominators of the weights when every weight is a Fraction,
+    ``_plain_step`` on the weights as they are otherwise."""
+    if all(type(w) is Fraction for w in itertools.chain(b, lam)):
+        pairs = (
+            [w.numerator for w in b],
+            [w.denominator for w in b],
+            [w.numerator for w in lam],
+            [w.denominator for w in lam],
+        )
+        return functools.partial(_fraction_step, pairs)
+    return functools.partial(_plain_step, b, lam)
+
+
+def _plain_step(b, lam, v, lo, hi, new_lo, new_hi):
+    """Levels new_lo..new_hi of the next column from ``v``, the column of
+    levels lo..hi: h'_i = h_{i-1} + b_i h_i + lambda_{i+1} h_{i+1}, each
+    term present where its level is."""
+    return [
+        (v[i - 1 - lo] if i > lo else 0)
+        + (b[i] * v[i - lo] if lo <= i <= hi else 0)
+        + (lam[i] * v[i + 1 - lo] if i < hi else 0)
+        for i in range(new_lo, new_hi + 1)
+    ]
+
+
+def _fraction_step(pairs, v, lo, hi, new_lo, new_hi):
+    """``_plain_step`` for Fraction weights, given as ``pairs``, the int lists
+    (numerators of b, denominators of b, the same of lam), on a column of
+    Fractions whose top level may be the int 1.  Each entry is one
+    ``fraction_sum`` of its terms' int pairs, so one Fraction is built and
+    reduced per entry.  A level above the old top, reached by the up step
+    alone, keeps that step's value, as the plain step leaves it."""
+    bn, bd, ln, ld = pairs
+    out = []
+    for i in range(new_lo, new_hi + 1):
+        j = i - lo
+        if i > hi:
+            out.append(v[j - 1])
+            continue
+        terms = []
+        if i > lo:
+            x = v[j - 1]
+            terms.append((x.numerator, x.denominator))
+        if i >= lo:
+            x = v[j]
+            terms.append((bn[i] * x.numerator, bd[i] * x.denominator))
+        if i < hi:
+            x = v[j + 1]
+            terms.append((ln[i] * x.numerator, ld[i] * x.denominator))
+        out.append(fraction_sum(terms))
+    return out
 
 
 def _value_columns(b, lam, n):

@@ -59,6 +59,26 @@ def rat_str(x):
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
+def fraction_sum(terms):
+    """The sum of ``terms``, (numerator, denominator) int pairs with positive
+    denominators, as one Fraction.  Each term is added over the lcm of the
+    denominators so far and its own, one gcd per term, and only the sum is
+    reduced, with one more (Henrici's rational sum; Knuth, TAOCP vol. 2,
+    4.5.1).  Forming each product and partial sum as a reduced Fraction
+    costs three or four gcds per term.  Terms with a zero numerator add
+    nothing."""
+    num, den = 0, 1
+    for n, d in terms:
+        if n:
+            g = math.gcd(den, d)
+            if g == 1:
+                num, den = num * d + n * den, den * d
+            else:
+                s = den // g
+                num, den = num * (d // g) + n * s, s * d
+    return Fraction(num, den)
+
+
 @dataclass
 class PrecisionContext:
     """Floating evaluation settings shared by the series evaluators.

@@ -21,12 +21,48 @@ from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, memoised
+from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, fraction_sum, memoised
 
 
 def _as_ring(c):
     # ints are promoted so that later divisions stay exact
     return Fraction(c) if isinstance(c, int) else c
+
+
+def _fraction_coefficients(coefficients):
+    """Whether every coefficient is a Fraction or the int 0, the padding of
+    a truncation."""
+    return all(type(c) is Fraction or (type(c) is int and c == 0) for c in coefficients)
+
+
+def _convolution(a, b, n):
+    """Coefficients 0..n of the product of the coefficient lists ``a`` and
+    ``b``, summed as they are; a coefficient no nonzero product reaches is
+    the int 0."""
+    out = []
+    for m in range(n + 1):
+        acc = 0
+        for k in range(m + 1):
+            if a[k] != 0 and b[m - k] != 0:
+                acc += a[k] * b[m - k]
+        out.append(acc)
+    return out
+
+
+def _fraction_product(a, b, n):
+    """Coefficients 0..n of the product of the coefficient lists ``a`` and
+    ``b`` of ``_fraction_coefficients``: each is one ``fraction_sum`` of the
+    int pairs of its nonzero products, or the int 0 where there are none,
+    as ``_convolution`` leaves it."""
+    live = [(k, c.numerator, c.denominator) for k, c in enumerate(a) if c]
+    bn, bd = [c.numerator for c in b], [c.denominator for c in b]
+    out, reach = [], 0
+    for m in range(n + 1):
+        while reach < len(live) and live[reach][0] <= m:
+            reach += 1
+        terms = [(p * bn[m - k], d * bd[m - k]) for k, p, d in live[:reach] if bn[m - k]]
+        out.append(fraction_sum(terms) if terms else 0)
+    return out
 
 
 class PowerSeries:
@@ -121,14 +157,8 @@ class PowerSeries:
         self._match(other)
         n = self.truncation_degree
         a, b = self.coefficients, other.coefficients
-        out = []
-        for m in range(n + 1):
-            acc = 0
-            for k in range(m + 1):
-                if a[k] != 0 and b[m - k] != 0:
-                    acc += a[k] * b[m - k]
-            out.append(acc)
-        return PowerSeries(out, n)
+        fused = _fraction_coefficients(a) and _fraction_coefficients(b)
+        return PowerSeries((_fraction_product if fused else _convolution)(a, b, n), n)
 
     __rmul__ = __mul__
 

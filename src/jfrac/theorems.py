@@ -459,6 +459,11 @@ def _plane_wave(iid, params, ctx):
     """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x);
     without a nu it is the Chebyshev form at nu = 1, where C_n^1 = U_n."""
     nu, x, y, N = params.get("nu", F(1)), params["x"], params["y"], params["N"]
+    if y < 0:
+        # both sides are even in (x, y), but for y < 0 the principal
+        # branches of the power and of I_{nu+n} make the right side complex
+        # for a non-integer nu: take it at (-x, -y)
+        x, y = -x, -y
     with ctx.workprec():
         xv, yv = ctx.number(x), ctx.number(y)
         lhs = mpmath.exp(xv * yv)

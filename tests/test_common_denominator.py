@@ -1,28 +1,38 @@
-"""The two int kernels of the exact core.
+"""The int kernels and the fused Fraction step of the exact core.
 
 The walk in ``motzkin`` steps the row vector e_start^T M^k for both the
 tableau and the Motzkin DP.  ``motzkin.common_denominator`` puts it on ints
 over one common denominator when every weight it reads is a Fraction over a
 small lcm, and it hands over to its value loop once its ints pass
-``motzkin.INT_LOOP_MAX_BITS``; every other input runs the value loop.
+``motzkin.INT_LOOP_MAX_BITS``.  The value loop takes the fused step
+(``motzkin._fraction_step``, one ``scalar.fraction_sum`` per entry) when
+every weight is a Fraction, and the plain step (``motzkin._plain_step``)
+otherwise; the plain step stays the reference for the fused one.
 ``cf_series`` steps its convergents on ints with one scale per level, as
-the mixed-moment table steps its rows, for every int or Fraction input.  On
-every side of these choices the results must equal an oracle, and every
-value must have the type the value loop gives it.
+the mixed-moment table steps its rows, for every int or Fraction input.
+``PowerSeries.__mul__`` sums each coefficient of a product of Fraction
+series with ``fraction_sum``.  On every side of these choices the results
+must equal an oracle, and every value must have the type the plain loop
+gives it.
 """
 
+import functools
+import hashlib
+import json
 import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jfrac import _mpmath as mpmath
-from jfrac import jfraction, motzkin
+from jfrac import families, jfraction, motzkin, series
 from jfrac.families import family_jfraction, family_tableau, make_family
 from jfrac.jfraction import cf_series, tableau_from_jfraction
 from jfrac.motzkin import INT_LOOP_MAX_BITS, PathWeights, common_denominator, path_weight_sum, path_weight_sum_dp
+from jfrac.series import PowerSeries
 
 DEPTH = 8
 
@@ -63,11 +73,22 @@ def weight_sets(draw):
     return kind, tuple(weights[:DEPTH]), tuple(weights[DEPTH:])
 
 
+def _sample(family_id):
+    """A family instance at the catalog's sample parameters."""
+    return make_family(family_id, families._BUILDERS[family_id][1])
+
+
+def _plain_walk(mp):
+    """Make ``motzkin`` refuse every common denominator and take the plain
+    step on any weights, so that the walk runs its plain value loop."""
+    mp.setattr(motzkin, "common_denominator", lambda b, lam: None)
+    mp.setattr(motzkin, "_value_step", lambda b, lam: functools.partial(motzkin._plain_step, b, lam))
+
+
 def _fraction_loop(fn, *args):
-    """fn(*args) with ``motzkin`` refusing every common denominator, so that
-    the walk runs its value loop."""
+    """fn(*args) with the walk on its plain value loop: the reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(motzkin, "common_denominator", lambda b, lam: None)
+        _plain_walk(mp)
         return fn(*args)
 
 
@@ -187,19 +208,20 @@ def test_int_loops_hand_over_to_fractions(family_id, params, N):
         assert type(value) is type(ref_value) and value == ref_value
 
 
-@pytest.mark.parametrize("side", ["ints", "values"])
-def test_walk_keeps_the_levels_that_reach_end(side):
+@pytest.mark.parametrize("side", ["ints", "fused", "values"])
+def test_walk_keeps_the_levels_that_reach_end(monkeypatch, side):
     """With ``end``, column k of the walk holds the levels from
     max(start - k, end - (n - k), 0) to min(start + k, end + (n - k)): those
     it can reach that can still reach ``end``."""
     start, end, n = 3, 1, 10
     top = (n + start + end) // 2
     b, lam = [F(i, 3) for i in range(top + 1)], [F(i + 2, 2) for i in range(top)]
-
-    def walk():
-        return list(motzkin._walk(b, lam, start, n, end))
-
-    columns = walk() if side == "ints" else _fraction_loop(walk)
+    if side == "fused":
+        monkeypatch.setattr(motzkin, "common_denominator", lambda b, lam: None)
+        monkeypatch.setattr(motzkin, "_plain_step", None)  # any call to it fails
+    elif side == "values":  # the plain value loop
+        _plain_walk(monkeypatch)
+    columns = list(motzkin._walk(b, lam, start, n, end))
     assert all((scale is not None) == (side == "ints") for _, _, scale in columns)
     for k, (lo, column, _) in enumerate(columns):
         want_lo, want_hi = max(start - k, end - (n - k), 0), min(start + k, end + (n - k))
@@ -242,3 +264,119 @@ def test_common_denominator_bound_and_types():
         raise AssertionError("read past the bound")
 
     assert common_denominator([F(1)], lam()) is None
+
+
+_step_fractions = st.one_of(st.just(F(0)), _small, _over(64))
+
+
+@st.composite
+def step_inputs(draw):
+    """(b, lam, v, lo, hi, new_lo, new_hi) for one step of the walk's value
+    loop: Fraction weights, zeros among them, and a column of Fractions on
+    levels lo..hi whose top is the int 1 or a Fraction.  The new window
+    runs from max(lo - 1, 0) or higher to hi + 1 or lower, as ``end``
+    prunes it."""
+    lo = draw(st.integers(0, 3))
+    hi = lo + draw(st.integers(0, 5))
+    v = draw(st.lists(_step_fractions, min_size=hi - lo, max_size=hi - lo))
+    v.append(draw(st.one_of(st.just(1), _step_fractions)))
+    b = draw(st.lists(_step_fractions, min_size=hi + 2, max_size=hi + 2))
+    lam = draw(st.lists(_step_fractions, min_size=hi + 2, max_size=hi + 2))
+    new_lo = draw(st.integers(max(lo - 1, 0), hi + 1))
+    new_hi = draw(st.integers(new_lo, hi + 1))
+    return b, lam, v, lo, hi, new_lo, new_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_inputs())
+def test_fraction_step_matches_the_plain_step(data):
+    b, lam, v, lo, hi, new_lo, new_hi = data
+    step = motzkin._value_step(b, lam)
+    assert step.func is motzkin._fraction_step
+    got = step(v, lo, hi, new_lo, new_hi)
+    assert _typed(got) == _typed(motzkin._plain_step(b, lam, v, lo, hi, new_lo, new_hi))
+
+
+def test_int_weights_never_take_the_fused_step(monkeypatch):
+    """Weights the walk keeps on ints, to the end, run no value step."""
+    monkeypatch.setattr(motzkin, "_fraction_step", None)  # any call to it fails
+    laguerre = family_jfraction(make_family("laguerre", {"alpha": F(1, 2)}), 60)
+    tableau_from_jfraction(laguerre, 60)
+    little = PathWeights.from_jfraction(family_jfraction(_sample("little_q_jacobi"), 38))
+    for start, end in ((0, 0), (1, 2), (3, 0)):
+        path_weight_sum_dp(little, start, end, 32)
+
+
+def test_q_jacobi_tableau_never_takes_the_plain_step(monkeypatch):
+    """Past the bound from the start, the q-Jacobi tableau takes the fused
+    step on every column."""
+    monkeypatch.setattr(motzkin, "_plain_step", None)  # any call to it fails
+    for family_id in ("little_q_jacobi", "big_q_jacobi"):
+        jf = family_jfraction(_sample(family_id), 40)
+        assert common_denominator(jf.b[:40], jf.lam[:39]) is None
+        tableau_from_jfraction(jf, 40)
+
+
+def _plain_product(a, b):
+    """The plain truncated product of two coefficient lists of one length."""
+    out = []
+    for m in range(len(a)):
+        acc = 0
+        for k in range(m + 1):
+            if a[k] != 0 and b[m - k] != 0:
+                acc += a[k] * b[m - k]
+        out.append(acc)
+    return out
+
+
+_COEFFICIENTS = {
+    "fraction": _step_fractions,
+    "padded": st.one_of(st.just(0), _small),
+    "int": _ints,
+    "mixed": st.one_of(_small, _ints),
+    "float": _quarters.map(lambda k: k / 4),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_COEFFICIENTS)), st.sampled_from(sorted(_COEFFICIENTS)), st.integers(0, 7), st.data())
+def test_fraction_product_matches_the_convolution(left, right, degree, data):
+    """Products of series whose coefficients are all Fractions or the int 0
+    take ``fraction_sum`` per coefficient; every other product takes the
+    plain loop.  Both give the plain convolution's values and types."""
+    a, b = (data.draw(st.lists(_COEFFICIENTS[kind], min_size=degree + 1, max_size=degree + 1)) for kind in (left, right))
+    fused = all(type(c) is F or (type(c) is int and c == 0) for c in (*a, *b))
+    with pytest.MonkeyPatch.context() as mp:
+        # any call to the loop this product does not take fails
+        if fused:
+            mp.setattr(series, "_convolution", None)
+        else:
+            mp.setattr(series, "_fraction_product", None)
+        got = PowerSeries(a) * PowerSeries(b)
+    assert _typed(got.coefficients) == _typed(_plain_product(a, b))
+
+
+DEEP_TABLEAUX = Path(__file__).parent / "data" / "deep_tableaux.json"
+
+
+def _tableau_digest(family_id, N):
+    """sha256 over the rows of a family's tableau at its catalog sample,
+    through column N, each value with its type."""
+    h = hashlib.sha256()
+    tab = family_tableau(_sample(family_id), N)
+    for i, row in enumerate(tab.H):
+        h.update(f"H{i}:{','.join(f'{type(v).__name__}:{v}' for v in row)}\n".encode())
+    return h.hexdigest()
+
+
+def test_deep_tableaux_are_pinned():
+    """Tableaux past the walk's int bound: little and big q-Jacobi at N = 40
+    and 80 run the value loop from the start, Al-Salam-Carlitz at N = 90,
+    q_ultraspherical_beta0 at N = 120 and laguerre at N = 300 hand over to
+    it partway.  tests/data/deep_tableaux.json maps "family_id@N" to
+    ``_tableau_digest(family_id, N)`` as computed before the value loop had
+    its fused step, when the plain step made every value column; a family
+    whose tableau moved is named."""
+    pinned = json.loads(DEEP_TABLEAUX.read_text())
+    got = {key: _tableau_digest(key.split("@")[0], int(key.split("@")[1])) for key in pinned}
+    assert [key for key in pinned if got[key] != pinned[key]] == []

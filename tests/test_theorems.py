@@ -209,6 +209,22 @@ def test_bessel_1f1_link_holds_for_negative_x(nu, x):
         assert r.rel_error < mpmath.mpf(10) ** -33
 
 
+@pytest.mark.parametrize(
+    "case,x,y,N",
+    [("plane_wave_ultra", F(1, 2), F(-2, 5), 25), ("plane_wave_ultra", F(3), F(-3, 2), 40), ("plane_wave_cheby", F(1, 2), F(-2, 5), 25)],
+)
+def test_plane_wave_is_real_at_negative_y(case, x, y, N):
+    # e^{xy} and Gegenbauer's sum are even in (x, y): the record at y < 0
+    # holds the real right side of the mirrored point
+    def record(x, y):
+        return report_record(verify_identity(case, {"x": x, "y": y, "N": N}, ctx=ctx), ctx)
+
+    got, mirrored = record(x, y), record(-x, -y)
+    assert "j" not in got["rhs_partial"]
+    keys = ("lhs", "rhs_partial", "abs_error", "rel_error", "tail_estimate", "pass")
+    assert [got[k] for k in keys] == [mirrored[k] for k in keys]
+
+
 def test_hankel_affine_reports_ratios():
     r = verify_identity("hankel_affine", ctx=ctx)
     assert r.passed
