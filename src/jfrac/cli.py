@@ -463,7 +463,7 @@ def build_parser():
     p.add_argument("--i", type=int, default=None, help="row index i, for --kind Delta only")
     p.set_defaults(func=cmd_hankel)
 
-    p = sub.add_parser("oracle", parents=[common], help="weighted path sum, independent of the tableau")
+    p = sub.add_parser("oracle", parents=[common], help="weighted Motzkin path sum, by the walk that fills the tableau")
     p.add_argument("--b", default=None)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--from", dest="start", type=int, required=True)

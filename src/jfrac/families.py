@@ -1,15 +1,16 @@
 """Catalog of orthogonal polynomial families with exact recurrence data.
 
 Each family binds its monic three-term recurrence coefficients (b_n,
-lambda_n), its closed-form generating functions Q_j (and the twisted
-companion series for the q-translated families), and the translation kind
-its addition formula lives over.  The rest is derived: the weights
+lambda_n), its closed-form generating functions Q_j, and the translation
+kind its addition formula lives over.  The rest is derived: the weights
 w_n = lambda_1...lambda_n, the moments off Q_0's exact series, lambda_n
 itself where a builder writes A_n, C_n, and for the polynomials-as-moments
 families the closed tableau H_{i,N} = N! [t^N] Q_i(t), with b_n and
 lambda_n off its first two superdiagonals.  Most Q forms are declared once
 as a :class:`Term`, which yields the numeric evaluator, the exact series
-and so the closed tableau.
+and so the closed tableau; a q-family's translated Q_0 and twisted
+companion Q~_j follow from the same Term, except big q-Jacobi's companion,
+which stays in its printed 2phi1 form.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -237,9 +238,9 @@ class Term:
         out = PowerSeries([0] * j + [c * b for b in body], degree)
         return _at_exp_minus_one(out) if self.in_u else out
 
-    def _q_binomial_shape(self, j, ctx):
+    def _q_binomial_shape(self, j):
         """(q, d, A_j, B_j, z_j) of Q_j = c_j t^j / (dt; q)_inf * r_phi_s(A_j; B_j; q, z_j t),
-        A_j and B_j as numbers; no inverse factor is d = 0, and a second one
+        A_j and B_j as declared; no inverse factor is d = 0, and a second one
         with no ``hyper`` is Euler's 1phi0(0; -; q, d_2 t) = 1 / (d_2 t; q)_inf.
 
         The q-translation E sends t^n to t^n (-s/t; q)_n, and the q-binomial
@@ -252,13 +253,15 @@ class Term:
         if other or not isinstance(self.kind, QTranslation) or len(rest) != (self.hyper is None):
             raise Unsupported("this closed form of Q_j has no q-binomial translate")
         upper, lower, z = ([0], [], rest[0]) if rest else self.hyper(j)
-        return self.kind.q, d, [ctx.number(a) for a in upper], [ctx.number(b) for b in lower], z
+        return self.kind.q, d, upper, lower, z
 
     def translated_q0(self, s, t, ctx):
         """E[Q_0], Q_0 translated by s, for t != 0:
-        (-ds; q)_inf / (dt; q)_inf * r+1_phi_s+1(A_0, -s/t; B_0, -ds; q, z_0 t)."""
+        (-ds; q)_inf / (dt; q)_inf * r+1_phi_s+1(A_0, -s/t; B_0, -ds; q, z_0 t),
+        with A_0 and B_0 rounded to the working precision."""
         with ctx.workprec():
-            q, d, upper, lower, z = self._q_binomial_shape(0, ctx)
+            q, d, upper, lower, z = self._q_binomial_shape(0)
+            upper, lower = [ctx.number(a) for a in upper], [ctx.number(b) for b in lower]
             tv, sv = ctx.number(t), ctx.number(s)
             ds = -ctx.number(d) * sv
             pref = _over_qpochs(q_pochhammer_inf(ds, q, ctx), [ctx.number(d) * tv], q, 0, t, ctx) if d != 0 else 1
@@ -269,7 +272,7 @@ class Term:
         t^n (-s/t; q)_n tends to q^C(n,2) s^n:
         c_j q^C(j,2) s^j (-dsq^j; q)_inf * r_phi_s+1(A_j; B_j, -dsq^j; q, -z_j q^j s)."""
         with ctx.workprec():
-            q, d, upper, lower, z = self._q_binomial_shape(j, ctx)
+            q, d, upper, lower, z = self._q_binomial_shape(j)
             sv = ctx.number(s)
             dsq = -ctx.number(d) * sv * ctx.number(q) ** j
             inner = eval_rphis(upper, lower + [dsq], q, -z * sv * q ** j, ctx)
@@ -289,17 +292,18 @@ class FamilySpec:
     n >= 0, lambda_n for n >= 1); the weights w_n = lambda_1...lambda_n of
     the addition formula follow from them (:func:`family_weights`).
     q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
-    companion where one exists.  q_series_fn and q_tilde_series_fn are the
-    exact counterparts, and a family is ``exact`` when it has q_series_fn;
-    the moments are read off q_series_fn(0, N)
-    (:func:`family_moments`).  tableau_entry_fn(i, n) is a closed H_{i,n} in
-    tableau indexing, read off the Q Term's series (:func:`_closed_tableau_family`)
-    or, for an affine image, off the base family's tableau.  Most families
-    declare each Q form once as a :class:`Term` and take both evaluators
-    from it.  translated_q0_fn(s,
-    t, ctx) is Q_0 under the family's own q-translation (t != 0), which a
-    q-family takes from its Q Term (:meth:`Term.translated_q0`), as
-    Al-Salam-Carlitz also takes its q_tilde_fn (:meth:`Term.companion`).
+    companion where one exists.  q_series_fn is Q_j's exact counterpart, and
+    a family is ``exact`` when it has one; the moments are read off
+    q_series_fn(0, N) (:func:`family_moments`).  The companion's exact series
+    is not stored: it is Q_j's with coefficient n times q^C(n,2).
+    tableau_entry_fn(i, n) is a closed H_{i,n} in tableau indexing, read off
+    the Q Term's series (:func:`_closed_tableau_family`) or, for an affine
+    image, off the base family's tableau.  Most families declare each Q form
+    once as a :class:`Term` and take both evaluators from it.
+    translated_q0_fn(s, t, ctx) is Q_0 under the family's own q-translation
+    (t != 0), which a q-family takes from its Q Term
+    (:meth:`Term.translated_q0`), as little q-Jacobi and Al-Salam-Carlitz
+    also take their q_tilde_fn (:meth:`Term.companion`).
     A builder leaves ``id`` and ``params`` to :func:`make_family`, and
     names ``translation`` only when it is not the ordinary shift.
     """
@@ -311,7 +315,6 @@ class FamilySpec:
     q_tilde_fn: object = None
     tableau_entry_fn: object = None
     q_series_fn: object = None
-    q_tilde_series_fn: object = None
     translated_q0_fn: object = None
     id: str = ""
     params: dict = None
@@ -722,17 +725,13 @@ def _make_little_q_jacobi(params):
 
     kind = QTranslation(q)
     q_form = Term(kind, hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
-    tilde = Term(
-        kind, twist=True, hyper=lambda j: ([a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -(q ** j))
-    )
     return FamilySpec(
         b_fn=lambda n: A_fn(n) + C_fn(n),
         lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
         translation=kind,
         q_fn=q_form.value,
-        q_tilde_fn=tilde.value,
+        q_tilde_fn=q_form.companion,
         q_series_fn=q_form.series,
-        q_tilde_series_fn=tilde.series,
         translated_q0_fn=q_form.translated_q0,
     )
 
@@ -768,6 +767,8 @@ def _make_big_q_jacobi(params):
             [a * q ** (j + 1), a * b * q ** (j + 1) / c], [a * b * q ** (2 * j + 2)], q * c
         ),
     )
+    # the printed companion, kept while its bits are pinned: Term.companion
+    # gives the same function in another transformation (a 2phi2 in s)
     tilde = Term(
         kind,
         twist=True,
@@ -782,7 +783,6 @@ def _make_big_q_jacobi(params):
         q_fn=q_form.value,
         q_tilde_fn=tilde.value,
         q_series_fn=q_form.series,
-        q_tilde_series_fn=tilde.series,
         translated_q0_fn=q_form.translated_q0,
     )
 

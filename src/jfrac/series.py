@@ -487,7 +487,13 @@ def eval_rphis(numer, denom, q, z, ctx=None):
 
     Requires 0 < |q| < 1.  Terminating series (a numerator parameter equal
     to q^(-m) for exact rational inputs) are summed exactly with zero tail.
+    Each pair of an upper 0 and a lower 0 is dropped first: its factors
+    (0; q)_n / (0; q)_n are 1 and r - s, so the normaliser, does not change.
+    A complex 0 is kept, so the sum keeps its kind.
     """
+    zeros = [[i for i, a in enumerate(p) if a == 0 and not isinstance(a, (complex, mpmath.mpc))] for p in (numer, denom)]
+    pairs = min(map(len, zeros))
+    numer, denom = ([a for i, a in enumerate(p) if i not in at[:pairs]] for p, at in zip((numer, denom), zeros))
     return _sum(numer, denom, q, z, ctx)
 
 

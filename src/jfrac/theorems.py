@@ -26,7 +26,6 @@ from .families import (
     family_domain,
     family_moments,
     family_params,
-    family_tableau,
     family_weights,
     gegenbauer_poly,
     hermite_poly,
@@ -226,7 +225,7 @@ def _exact_affine_domain(cid, params):
         raise InvalidParams(f"{cid}: base family {params['base']} is not exact")
 
 
-_Q, _Q_TILDE = attrgetter("q_fn"), attrgetter("q_tilde_fn")
+_Q, _Q_TILDE, _KIND = attrgetter("q_fn"), attrgetter("q_tilde_fn"), attrgetter("translation")
 
 
 def _little_qj_alt(spec):
@@ -240,7 +239,7 @@ def _little_qj_alt(spec):
     ).value
 
 
-def _family_case(family, left=_Q, right=_Q):
+def _family_case(family, left=_Q, right=_Q, kind=_KIND):
     """A family's own addition formula.
 
     ``family`` is a family id, or a function of the case parameters that
@@ -248,7 +247,8 @@ def _family_case(family, left=_Q, right=_Q):
     family's kind and the right side sums w_n left_n(t) right_n(s), with
     w_n = lambda_1...lambda_n and ``left``, ``right`` functions of the spec
     that give left_n, right_n.  A case with a ``degree`` parameter checks the
-    same formula exactly, on the coefficient tables of the family's Q-series.
+    same formula exactly, on the coefficient tables of the family's Q-series
+    translated under ``kind``, a function of the spec that gives the kind.
     """
 
     def build(cid, params):
@@ -262,8 +262,8 @@ def _family_case(family, left=_Q, right=_Q):
 
             def check():
                 rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
-                lhs = translate_series(rows[0], spec.translation, degree)
-                return _bilinear_check(lhs, weight, rows, degree)
+                lhs = translate_series(rows[0], kind(spec), degree)
+                return _bilinear_check(getattr(lhs, "coeffs", lhs), weight, rows, degree)
 
             return TheoremCase(cid, weight, mode="exact", exact_check=check)
 
@@ -281,25 +281,9 @@ def _family_case(family, left=_Q, right=_Q):
     return build
 
 
-def _family_row(family, defaults, numeric, left=_Q, right=_Q):
+def _family_row(family, defaults, numeric, left=_Q, right=_Q, kind=_KIND):
     """The _THEOREMS row of ``family``'s addition formula, in its domain."""
-    return _family_case(family, left, right), defaults, numeric, family_domain(family)
-
-
-def _asc_noncomm(cid, params):
-    q, degree = params["q"], params["degree"]
-    spec = make_family("al_salam_carlitz", {"a": params["a"], "q": q})
-    weight = family_weights(spec)
-
-    def check():
-        # Q_n(t) = sum_m H[n][m] t^m / (q; q)_m, translated in the algebra st = q ts
-        tab = family_tableau(spec, degree)
-        qq = [spec.series_denominator(m) for m in range(degree + 1)]
-        rows = [[h / d for h, d in zip(tab.row(n), qq)] for n in range(degree + 1)]
-        lhs = translate_series(rows[0], NonCommutative(q), degree)
-        return _bilinear_check(lhs.coeffs, weight, rows, degree)
-
-    return TheoremCase(cid, weight, mode="exact", exact_check=check)
+    return _family_case(family, left, right, kind), defaults, numeric, family_domain(family)
 
 
 def _random_jfraction(seed, depth):
@@ -356,11 +340,12 @@ _THEOREMS = {
         (F(1, 10), F(1, 5), 25, _TOL30),
         _affine_domain,
     ),
-    "asc_noncomm": (
-        _asc_noncomm,
+    # the same formula in the algebra st = q ts
+    "asc_noncomm": _family_row(
+        "al_salam_carlitz",
         {"a": F(1, 3), "q": F(1, 2), "degree": 12},
         None,
-        family_domain("al_salam_carlitz"),
+        kind=lambda spec: NonCommutative(spec.translation.q),
     ),
     "asc_qtrans": _family_row(
         "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right=_Q_TILDE

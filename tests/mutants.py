@@ -1,0 +1,181 @@
+"""Source mutants and the tests that must catch them.
+
+Each mutant is a file under ``src``, an exact snippet that occurs once in
+it, the snippet's replacement, and the test node ids that must all fail
+once the replacement is made.  ``tests/test_mutants.py`` checks in the
+tier-1 run that every snippet still occurs exactly once, so a refactor that
+moves one has to update this list.
+
+Run from the repository root (stdlib only; pytest runs as a subprocess):
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 0 4      # the mutants at these indices
+
+The script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory, checks that the named tests pass there, then applies one mutant
+at a time to a fresh copy and runs only its named tests, with a fixed
+Hypothesis seed.  A mutant survives when any of its tests passes.  The exit
+status is the number of survivors.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+_TRANSLATION = "tests/test_translation.py::"
+_FAMILIES = "tests/test_families.py::"
+
+MUTANTS = [
+    # the q-binomial translates of a Q Term (families.Term)
+    Mutant(
+        "translated Q_0 without its factor (-ds; q)_inf",
+        "src/jfrac/families.py",
+        "_over_qpochs(q_pochhammer_inf(ds, q, ctx), [",
+        "_over_qpochs(1, [",
+        (
+            _TRANSLATION + "test_family_closed_form_matches_series_route[big_q_jacobi-params1]",
+            _TRANSLATION + "test_family_closed_form_matches_series_route[al_salam_carlitz-params2]",
+        ),
+    ),
+    Mutant(
+        "translated Q_0 without its lower parameter -ds",
+        "src/jfrac/families.py",
+        "lower + [ds], q,",
+        "lower, q,",
+        # the translated sum diverges and gives up after max_terms, which a
+        # Hypothesis test would meet again at each shrinking step
+        (
+            _TRANSLATION + "test_family_closed_form_matches_series_route[little_q_jacobi-params0]",
+            _TRANSLATION + "test_family_closed_form_matches_series_route[big_q_jacobi-params1]",
+            _TRANSLATION + "test_family_closed_form_matches_series_route[al_salam_carlitz-params2]",
+        ),
+    ),
+    Mutant(
+        "companion at argument -z_j q^(j+1) s",
+        "src/jfrac/families.py",
+        "-z * sv * q ** j, ctx)",
+        "-z * sv * q ** (j + 1), ctx)",
+        (
+            _TRANSLATION + "test_companion_is_the_twisted_series",
+            _FAMILIES + "test_twisted_partner_series[al_salam_carlitz]",
+            _FAMILIES + "test_twisted_partner_series[little_q_jacobi]",
+        ),
+    ),
+    Mutant(
+        "companion without its lower parameter -dsq^j",
+        "src/jfrac/families.py",
+        "lower + [dsq], q,",
+        "lower, q,",
+        (
+            _TRANSLATION + "test_companion_is_the_twisted_series",
+            _FAMILIES + "test_twisted_partner_series[al_salam_carlitz]",
+            _FAMILIES + "test_twisted_partner_series[little_q_jacobi]",
+        ),
+    ),
+    # the companion as families and cases take it
+    Mutant(
+        "eval_rphis drops a lone upper 0 too",
+        "src/jfrac/series.py",
+        "pairs = min(map(len, zeros))",
+        "pairs = len(zeros[0])",
+        (
+            "tests/test_series_core.py::test_eval_rphis_cancels_each_upper_and_lower_zero_pair",
+            _FAMILIES + "test_twisted_partner_series[al_salam_carlitz]",
+        ),
+    ),
+    Mutant(
+        "asc_noncomm under its family's own q-translation",
+        "src/jfrac/theorems.py",
+        "        kind=lambda spec: NonCommutative(spec.translation.q),\n",
+        "",
+        (
+            "tests/test_theorems.py::test_exact_theorems[asc_noncomm]",
+            "tests/test_acceptance.py::test_criterion_08_noncommutative_coefficients",
+        ),
+    ),
+    Mutant(
+        "little q-Jacobi's companion taken as Q_j itself",
+        "src/jfrac/families.py",
+        "translation=kind,\n        q_fn=q_form.value,\n        q_tilde_fn=q_form.companion,",
+        "translation=kind,\n        q_fn=q_form.value,\n        q_tilde_fn=q_form.value,",
+        (
+            _TRANSLATION + "test_derived_companion_reproduces_the_written_form",
+            _FAMILIES + "test_twisted_partner_series[little_q_jacobi]",
+            "tests/test_theorems.py::test_numeric_theorems[little_qj]",
+        ),
+    ),
+]
+
+
+def _copy(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _failed(tree, tests):
+    """The subset of ``tests`` that fail (or error) when run in ``tree``."""
+    report = tree / "report.xml"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+           f"--junitxml={report}", *tests]
+    subprocess.run(cmd, cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    ran, bad = set(), set()
+    for case in ET.parse(report).iter("testcase"):
+        node = f"{case.get('classname').replace('.', '/')}.py::{case.get('name')}"
+        ran.add(node)
+        if case.find("failure") is not None or case.find("error") is not None:
+            bad.add(node)
+    missing = set(tests) - ran
+    if missing:
+        raise SystemExit(f"not collected: {sorted(missing)}")
+    return bad
+
+
+def main(argv):
+    chosen = [MUTANTS[int(i)] for i in argv] or MUTANTS
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        tests = sorted({t for m in chosen for t in m.tests})
+        broken = _failed(base, tests)
+        if broken:
+            raise SystemExit(f"fail before any mutant: {sorted(broken)}")
+        survivors = 0
+        for i, m in enumerate(chosen):
+            tree = Path(tmp) / f"mutant{i}"
+            shutil.copytree(base, tree)
+            path = tree / m.file
+            text = path.read_text()
+            if text.count(m.snippet) != 1:
+                raise SystemExit(f"{m.name}: snippet occurs {text.count(m.snippet)} times in {m.file}")
+            path.write_text(text.replace(m.snippet, m.replacement))
+            passed = sorted(set(m.tests) - _failed(tree, m.tests))
+            survivors += bool(passed)
+            print(f"{'SURVIVED' if passed else 'caught  '} {m.name}" + "".join(f"\n    passes: {t}" for t in passed))
+            shutil.rmtree(tree)
+    print(f"{len(chosen)} mutants, {survivors} survived, {time.perf_counter() - start:.1f} s")
+    return survivors
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -567,3 +567,24 @@ def test_product_near_the_unit_circle_gives_up_at_max_terms():
     with pytest.raises(NonConvergent, match="did not reach the tail threshold") as raised:
         scalar.q_pochhammer_inf(F(1, 3), 1 - F(1, 2**12), PrecisionContext(256, max_terms=3000))
     assert raised.value.terms_used == 3000
+
+
+_ZERO = st.sampled_from([0, F(0), mpmath.mpf(0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eval_rphis_cancels_each_upper_and_lower_zero_pair(data):
+    """A pair of an upper 0 and a lower 0 contributes (0; q)_n / (0; q)_n = 1
+    and leaves r - s, so eval_rphis with pairs added gives the bits and term
+    count of the loop on the lists as they were.  A lone 0 on one side
+    changes the normaliser and stays."""
+    q = data.draw(st.sampled_from(QS + COMPLEX_QS))
+    lone_upper, lone_lower = data.draw(st.sampled_from([(0, 0), (1, 0), (2, 0), (0, 1)]))
+    numer = data.draw(st.lists(_param(q, True), max_size=2)) + [data.draw(_ZERO) for _ in range(lone_upper)]
+    denom = data.draw(st.lists(_param(q, True), max_size=2)) + [data.draw(_ZERO) for _ in range(lone_lower)]
+    pairs = data.draw(st.integers(1, 2))
+    padded = [data.draw(st.permutations(p + [data.draw(_ZERO) for _ in range(pairs)])) for p in (numer, denom)]
+    z = data.draw(st.builds(F, st.integers(-3, 3), st.integers(1, 6)))
+    ctx = PrecisionContext(data.draw(st.sampled_from([64, 256])), max_terms=200)
+    assert _outcome(eval_rphis, *padded, q, z, ctx) == _outcome(series._sum, numer, denom, q, z, ctx)

@@ -22,6 +22,7 @@ from jfrac.theorems import (
     verify_identity,
     verify_theorem,
 )
+from jfrac.translation import translate_series
 
 ctx = PrecisionContext()
 
@@ -184,6 +185,39 @@ def test_classical_addition_holds_for_random_data(seed):
 def test_ogf_divided_difference_holds_for_random_data(seed):
     r = verify_theorem("ogf_variant", params={"seed": seed, "degree": 8})
     assert r.passed and r.abs_error == 0
+
+
+def _bilinear_pair_check(lhs, weight, left, right, degree):
+    """The coefficient form of Q_0 translated = sum_n w_n left_n(t) right_n(s):
+    the coefficient of t^i s^j on the left against sum_{n <= min(i, j)}
+    w_n left_n[i] right_n[j], for every i + j <= degree."""
+    w = [weight(n) for n in range(degree + 1)]
+    return theorems._compare(
+        (
+            lhs.get((i, j), F(0)),
+            sum((w[n] * left[n][i] * right[n][j] for n in range(min(i, j) + 1)), F(0)),
+        )
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+    )
+
+
+@pytest.mark.parametrize(
+    "cid,family_id",
+    [("little_qj", "little_q_jacobi"), ("big_qj", "big_q_jacobi"), ("asc_qtrans", "al_salam_carlitz")],
+    ids=["little_qj", "big_qj", "asc_qtrans"],
+)
+def test_exact_twin_of_the_q_translated_case(cid, family_id):
+    """The q-translated addition formula Q_0(t (+)_q s) = sum_n w_n Q_n(t) Q~_n(s)
+    as an identity of series, at the case's default parameters: the Q~_n
+    rows are the Q_n rows with coefficient m times q^C(m,2)."""
+    spec = families.make_family(family_id, theorems._THEOREMS[cid][1])
+    q, degree = spec.params["q"], 12
+    rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
+    twisted = [[c * q ** (m * (m - 1) // 2) for m, c in enumerate(row)] for row in rows]
+    lhs = translate_series(rows[0], spec.translation, degree)
+    got = _bilinear_pair_check(lhs, families.family_weights(spec), rows, twisted, degree)
+    assert got == (True, 91, 0)
 
 
 @pytest.mark.parametrize("iid", identity_ids())

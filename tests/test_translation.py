@@ -185,9 +185,18 @@ def test_family_without_a_closed_translated_form():
 # companion, derived from the family's declared Q term
 
 def _reference_little_q_jacobi(p):
-    """Little q-Jacobi's translated Q_0 written out in full, the reference
-    that Term.translated_q0 reproduces bit for bit."""
+    """Little q-Jacobi's translated Q_0 and its printed twisted companion
+    t^j q^C(j,2) / (q;q)_j 1phi1(a q^(j+1); ab q^(2j+2); q, -q^j t), the
+    references that Term.translated_q0 and Term.companion reproduce bit for
+    bit."""
     a, b, q = p["a"], p["b"], p["q"]
+
+    def companion(j, t, ctx):
+        with ctx.workprec():
+            tv = ctx.number(t)
+            inner = eval_rphis([a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], q, -(q ** j) * tv, ctx)
+            pref = ctx.number(F(q) ** (j * (j - 1) // 2) / F(q_pochhammer(q, q, j))) * tv ** j
+            return SeriesValue(pref * inner.value, inner.terms_used, abs(pref) * inner.tail_bound)
 
     def translated(s, t, ctx):
         with ctx.workprec():
@@ -195,7 +204,7 @@ def _reference_little_q_jacobi(p):
             sv = ctx.number(s)
             return eval_rphis([ctx.number(a * q), -sv / tv], [ctx.number(a * b * q * q)], q, tv, ctx)
 
-    return translated, None
+    return translated, companion
 
 
 def _reference_big_q_jacobi(p):
@@ -292,12 +301,13 @@ def test_derived_translated_q0_reproduces_the_written_form(family_id, data):
         assert _bits(spec.translated_q0_fn(s, t, c)) == _bits(translated(s, t, c))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_derived_companion_reproduces_the_written_form(data):
-    spec = data.draw(_family_draw("al_salam_carlitz"))
+    family_id = data.draw(st.sampled_from(["al_salam_carlitz", "little_q_jacobi"]))
+    spec = data.draw(_family_draw(family_id))
     s, j = data.draw(_point), data.draw(st.integers(0, 5))
-    _, companion = _reference_al_salam_carlitz(spec.params)
+    _, companion = _REFERENCE[family_id](spec.params)
     for bits in (256, 512):
         c = PrecisionContext(precision_bits=bits)
         assert _bits(spec.q_tilde_fn(j, s, c)) == _bits(companion(j, s, c))
