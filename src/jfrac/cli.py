@@ -43,8 +43,9 @@ from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite
 # typo such as --N 1000000000 would allocate without bound.
 MAX_SIZE = 500
 
-# Largest accepted precision in bits.  `verify --all` takes about 0.5 s at
-# 256 bits and 27-31 s at 8192 (one process, pure-Python mpmath backend);
+# Largest accepted precision in bits.  A whole `verify --all --format json`
+# process takes about 0.2 s at 256 bits and 16 s at 8192 (pure-Python mpmath
+# backend, Python 3.11, medians of 5 and 3 runs on one shared x86-64 core);
 # far above, a value such as 1000000000 would allocate numbers of 125 MB each.
 MAX_PRECISION_BITS = 8192
 

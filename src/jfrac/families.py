@@ -34,10 +34,12 @@ from .scalar import (
     PrecisionContext,
     binom,
     factorial,
+    fraction_sum,
     q_pochhammer_inf,
     rat,
     rat_str,
     sequence,
+    truncated,
 )
 from .series import (
     PowerSeries,
@@ -217,13 +219,7 @@ class Term:
             raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
         q = getattr(self.kind, "q", None)
         d = degree - j
-        body = PowerSeries.one(d)
-        for c in self.qpochs:
-            body = body * qpoch_series(c, q, d)
-        for c in self.inv_qpochs:
-            body = body * inv_qpoch_series(c, q, d)
-        if self.exp:
-            body = body * exp_of(_poly((0,) + self.exp, d))
+        body = _fixed_factors(self, d)
         if self.power is not None:
             p, r = self.power
             body = body * pow1p(_poly((0, -p), d), -r(j))
@@ -279,6 +275,23 @@ class Term:
             pref = q_pochhammer_inf(dsq, q, ctx) if d != 0 else 1
             pref = pref * sv ** j * ctx.number(F(q) ** (j * (j - 1) // 2) / self.kind.series_denominator(j))
             return inner.scaled(pref)
+
+
+@truncated
+def _fixed_factors(term, degree):
+    """The factors of ``term``'s Q_j that do not depend on j, prod_c (c t; q)_inf
+    / prod_d (d t; q)_inf * exp(e_1 t + ...), through t^degree.  Truncation
+    commutes with the product, so in a memo scope the rows of one Term share
+    the longest product built."""
+    q = getattr(term.kind, "q", None)
+    body = PowerSeries.one(degree)
+    for c in term.qpochs:
+        body = body * qpoch_series(c, q, degree)
+    for c in term.inv_qpochs:
+        body = body * inv_qpoch_series(c, q, degree)
+    if term.exp:
+        body = body * exp_of(_poly((0,) + term.exp, degree))
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +357,14 @@ def family_weights(spec):
 
     Each product is taken once and kept, so reading w_0..w_N costs N
     multiplications.  An inexact family multiplies at the working precision
-    of the caller that first asks for w_n, never below the default context's.
+    of the caller that first asks for w_n, never below the default context's;
+    an exact one never reads a precision, so it does not import mpmath.
     """
     w = [F(1)]
 
     def weight(n):
         while len(w) <= n:
-            with _working_prec():
+            with contextlib.nullcontext() if spec.exact else _working_prec():
                 w.append(w[-1] * spec.lambda_fn(len(w)))
         return w[n]
 
@@ -702,32 +716,67 @@ def _make_meixner_pollaczek(params):
 # ---------------------------------------------------------------------------
 # q-families
 
+def _q_factors(q, c=1, power=(0, 0), top=(), bottom=()):
+    """n -> c q^(alpha n + beta) prod (u - v q^(k n + l)) / prod (u' - v' q^(k' n + l'))
+    as ints (numerator, denominator > 0), not reduced, with ``power`` =
+    (alpha, beta) and each factor in ``top`` or ``bottom`` as (u, v, k, l):
+    the shape of the q-families' recurrence data (Koekoek, Lesky and
+    Swarttouw, ch. 14).  With q = p/r, whose powers are kept, and q^m = P/R,
+    a factor is the int ratio (u_n v_d R - v_n u_d P) / (u_d v_d R), so a
+    value is int products and, once made a Fraction (:func:`_product`,
+    ``fraction_sum``), one normalisation, where Fraction arithmetic
+    normalises once per operation.  A factor is u - v q^m, not 1 - v q^m,
+    since u can be 0 (beta - q^k at beta = 0).
+    """
+    powers = [(1, 1)]  # (p^m, r^m); grown by replacing it, so threads may share it
+    factors = [  # u - v q^m = (A R - B P) / (C R)
+        (up, u.numerator * v.denominator, v.numerator * u.denominator, u.denominator * v.denominator, k, l)
+        for up, side in ((1, top), (0, bottom))
+        for u, v, k, l in side
+    ]
+
+    def q_power(m):  # (P, R) with P / R = q^m
+        nonlocal powers
+        known = powers
+        if len(known) <= abs(m):
+            known = list(known)
+            while len(known) <= abs(m):
+                known.append((known[-1][0] * q.numerator, known[-1][1] * q.denominator))
+            powers = known
+        P, R = known[abs(m)]
+        return (P, R) if m >= 0 else (R, P)
+
+    def pair(n):
+        num, den = q_power(power[0] * n + power[1])
+        num, den = num * c.numerator, den * c.denominator
+        for up, A, B, C, k, l in factors:
+            pm, rm = q_power(k * n + l)
+            f, g = A * rm - B * pm, C * rm
+            num, den = (num * f, den * g) if up else (num * g, den * f)
+        return (-num, -den) if den < 0 else (num, den)
+
+    return pair
+
+
+def _product(*pairs):
+    """The product of int (numerator, denominator) pairs, as one Fraction."""
+    return F(math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs))
+
+
 def _make_little_q_jacobi(params):
-    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = A_n + C_n, lambda_n = A_{n-1} C_n
+    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = A_n + C_n, lambda_n = A_{n-1} C_n, with
+    # A_n = q^n (1 - aq^(n+1)) (1 - abq^(n+1)) / ((1 - abq^(2n+1)) (1 - abq^(2n+2))) and
+    # C_n = a q^n (1 - q^n) (1 - bq^n) / ((1 - abq^(2n)) (1 - abq^(2n+1)))
     a, b, q = params["a"], params["b"], params["q"]
-
-    def A_fn(n):
-        return (
-            q ** n
-            * (1 - a * q ** (n + 1))
-            * (1 - a * b * q ** (n + 1))
-            / ((1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2)))
-        )
-
-    def C_fn(n):
-        return (
-            a
-            * q ** n
-            * (1 - q ** n)
-            * (1 - b * q ** n)
-            / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
-        )
+    ab = a * b
+    A = _q_factors(q, power=(1, 0), top=((1, a, 1, 1), (1, ab, 1, 1)), bottom=((1, ab, 2, 1), (1, ab, 2, 2)))
+    C = _q_factors(q, c=a, power=(1, 0), top=((1, 1, 1, 0), (1, b, 1, 0)), bottom=((1, ab, 2, 0), (1, ab, 2, 1)))
 
     kind = QTranslation(q)
     q_form = Term(kind, hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
     return FamilySpec(
-        b_fn=lambda n: A_fn(n) + C_fn(n),
-        lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
+        b_fn=lambda n: fraction_sum([A(n), C(n)]),
+        lambda_fn=lambda n: _product(A(n - 1), C(n)),
         translation=kind,
         q_fn=q_form.value,
         q_tilde_fn=q_form.companion,
@@ -737,27 +786,15 @@ def _make_little_q_jacobi(params):
 
 
 def _make_big_q_jacobi(params):
-    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = 1 - A_n - C_n, lambda_n = A_{n-1} C_n
+    # A_n, C_n as in Koekoek-Lesky-Swarttouw: b_n = 1 - A_n - C_n, lambda_n = A_{n-1} C_n, with
+    # A_n = (1 - aq^(n+1)) (1 - abq^(n+1)) (1 - cq^(n+1)) / ((1 - abq^(2n+1)) (1 - abq^(2n+2))) and
+    # C_n = -acq^(n+1) (1 - q^n) (1 - abq^n / c) (1 - bq^n) / ((1 - abq^(2n)) (1 - abq^(2n+1))),
+    # declared as -A_n and -C_n, whose product is the same
     a, b, c, q = params["a"], params["b"], params["c"], params["q"]
-
-    def A_fn(n):
-        return (
-            (1 - a * q ** (n + 1))
-            * (1 - a * b * q ** (n + 1))
-            * (1 - c * q ** (n + 1))
-            / ((1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2)))
-        )
-
-    def C_fn(n):
-        return (
-            -a
-            * c
-            * q ** (n + 1)
-            * (1 - q ** n)
-            * (1 - a * b * q ** n / c)
-            * (1 - b * q ** n)
-            / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
-        )
+    ab = a * b
+    top_A, top_C = ((1, a, 1, 1), (1, ab, 1, 1), (1, c, 1, 1)), ((1, 1, 1, 0), (1, ab / c, 1, 0), (1, b, 1, 0))
+    minus_A = _q_factors(q, c=-1, top=top_A, bottom=((1, ab, 2, 1), (1, ab, 2, 2)))
+    minus_C = _q_factors(q, c=a * c, power=(1, 1), top=top_C, bottom=((1, ab, 2, 0), (1, ab, 2, 1)))
 
     kind = QTranslation(q)
     q_form = Term(
@@ -777,8 +814,8 @@ def _make_big_q_jacobi(params):
     )
 
     return FamilySpec(
-        b_fn=lambda n: 1 - A_fn(n) - C_fn(n),
-        lambda_fn=lambda n: A_fn(n - 1) * C_fn(n),
+        b_fn=lambda n: fraction_sum([(1, 1), minus_A(n), minus_C(n)]),
+        lambda_fn=lambda n: _product(minus_A(n - 1), minus_C(n)),
         translation=kind,
         q_fn=q_form.value,
         q_tilde_fn=tilde.value,
@@ -792,10 +829,12 @@ def _make_al_salam_carlitz(params):
     # formula also has a non-commutative form (theorems' asc_noncomm)
     a, q = params["a"], params["q"]
 
+    b = _q_factors(q, c=1 + a, power=(1, 0))  # (1 + a) q^n
+    lam = _q_factors(q, c=-a, power=(1, -1), top=((1, 1, 1, 0),))  # -a q^(n-1) (1 - q^n)
     q_form = Term(QTranslation(q), inv_qpochs=(1, a))
     return FamilySpec(
-        b_fn=lambda n: (1 + a) * F(q) ** n,
-        lambda_fn=lambda n: -a * F(q) ** (n - 1) * (1 - F(q) ** n),
+        b_fn=lambda n: _product(b(n)),
+        lambda_fn=lambda n: _product(lam(n)),
         translation=q_form.kind,
         q_fn=q_form.value,
         q_tilde_fn=q_form.companion,
@@ -804,17 +843,23 @@ def _make_al_salam_carlitz(params):
     )
 
 
+def _bessel_coefs(x, q, j, shift, step):
+    """r_k (j + step k + 1) for k = 0, 1, ..., r_0 = 1 and r_{k+1} / r_k =
+    (x - q^(k+1)) (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k)))."""
+    ratio = _q_factors(q, top=((x, 1, 1, 1), (1, 1, 1, shift)), bottom=((1, 1, 1, 1), (1, x, 1, shift)))
+    r = F(1)
+    for k in itertools.count():
+        yield r * (j + step * k + 1)
+        r = r * _product(ratio(k))
+
+
 @sequence
 def _qultra_coef(beta, q, j):
     # coefficient of I_{j+2k+1} in the Q_j Bessel sum, k = 0, 1, ...:
     # (j+2k+1) beta^k (q/beta, q^{j+1}; q)_k / (q, beta q^{j+1}; q)_k, where
     # beta^k (q/beta; q)_k = prod_{i<k} (beta - q^{i+1}) also covers the
     # confluent limit beta = 0
-    r, qk, qj = F(1), F(1), q ** j
-    for k in itertools.count():
-        yield r * (j + 2 * k + 1)
-        qk = qk * q
-        r = r * (beta - qk) * (1 - qj * qk) / ((1 - qk) * (1 - beta * qj * qk))
+    return _bessel_coefs(beta, q, j, j + 1, 2)
 
 
 def _bessel_sum_q_fn(coef, step):
@@ -860,19 +905,15 @@ def _bessel_sum_series(coef, step, j, degree):
 
 
 def _make_q_ultraspherical(params):
+    # lambda_n = (1 - q^n) (1 - beta^2 q^(n-1)) / (4 (1 - beta q^(n-1)) (1 - beta q^n))
     beta, q = params["beta"], params["q"]
-
-    def lambda_fn(j):
-        return (
-            (1 - F(q) ** j)
-            * (1 - beta * beta * F(q) ** (j - 1))
-            / (4 * (1 - beta * F(q) ** (j - 1)) * (1 - beta * F(q) ** j))
-        )
+    top, bottom = ((1, 1, 1, 0), (1, beta * beta, 1, -1)), ((1, beta, 1, -1), (1, beta, 1, 0))
+    lam = _q_factors(q, c=F(1, 4), top=top, bottom=bottom)
 
     coef = functools.partial(_qultra_coef, beta, q)
     return FamilySpec(
         b_fn=lambda n: F(0),
-        lambda_fn=lambda_fn,
+        lambda_fn=lambda n: _product(lam(n)),
         q_fn=_bessel_sum_q_fn(coef, 2),
         q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
     )
@@ -889,39 +930,24 @@ def _aw_term_factor(a, q, m):
     # (q^{m+1}, q/a, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n / (q, a q^{2m+2}, q^{2m+n+2}; q)_n.
     # (q^{m+1}, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n = (q^{2m+2}; q)_{2n}, and the last
     # factor, whose base moves with n, takes it down to (q^{2m+2}; q)_n
-    r, qn, c = F(1), F(1), q ** (2 * m + 2)  # a^n times the q-Pochhammer quotient, q^n
-    for n in itertools.count():
-        yield r * (n + m + 1)
-        r = r * (a - q * qn) * (1 - c * qn) / ((1 - q * qn) * (1 - a * c * qn))
-        qn = qn * q
+    return _bessel_coefs(a, q, m, 2 * m + 2, 1)
 
 
 def _make_askey_wilson_slice(params):
     # a one-parameter slice of the four-parameter Askey-Wilson family
+    # b_n = (a + 1/a - A_n - C_n) / 2 and lambda_n = A_{n-1} C_n / 4, with
+    # A_n = (1 - a^2 q^(2n+1)) (1 - a^2 q^(2n+2)) / (a (1 - aq^(2n+1)) (1 - aq^(2n+2))) and
+    # C_n = a (1 - q^(2n)) (1 - q^(2n+1)) / ((1 - aq^(2n)) (1 - aq^(2n+1))) declared halved and negated
     a, q = params["a"], params["q"]
-
-    def A_t(n):
-        return (
-            (1 - a * a * q ** (2 * n + 1))
-            * (1 - a * a * q ** (2 * n + 2))
-            / (a * (1 - a * q ** (2 * n + 1)) * (1 - a * q ** (2 * n + 2)))
-        )
-
-    def C_t(n):
-        return (
-            a
-            * (1 - q ** (2 * n))
-            * (1 - q ** (2 * n + 1))
-            / ((1 - a * q ** (2 * n)) * (1 - a * q ** (2 * n + 1)))
-        )
-
-    def b_fn(n):
-        return (a + 1 / F(a) - A_t(n) - C_t(n)) / 2
+    aa = a * a
+    half_A = _q_factors(q, c=-1 / (2 * a), top=((1, aa, 2, 1), (1, aa, 2, 2)), bottom=((1, a, 2, 1), (1, a, 2, 2)))
+    half_C = _q_factors(q, c=-a / 2, top=((1, 1, 2, 0), (1, 1, 2, 1)), bottom=((1, a, 2, 0), (1, a, 2, 1)))
+    mid = (a + 1 / a) / 2
 
     coef = functools.partial(_aw_term_factor, a, q)
     return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda n: A_t(n - 1) * C_t(n) / 4,
+        b_fn=lambda n: fraction_sum([(mid.numerator, mid.denominator), half_A(n), half_C(n)]),
+        lambda_fn=lambda n: _product(half_A(n - 1), half_C(n)),
         q_fn=_bessel_sum_q_fn(coef, 1),
         q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
     )

@@ -327,6 +327,28 @@ def memoised(fn):
     return wrapper
 
 
+def truncated(fn):
+    """Turn ``fn(*args, degree)``, a truncated series whose coefficients
+    through any degree do not depend on the degree asked for, into one that
+    inside a :func:`memo_scope` keeps the longest truncation computed per
+    argument tuple (keyed as :func:`memoised` keys them) and truncates it for
+    any degree it reaches; outside one, ``fn`` is just called."""
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *params, degree = args
+        memo = _memo.get()
+        if memo is None:
+            return fn(*args)
+        key = (wrapper, tuple(_memo_key(p) for p in params))
+        kept = memo.get(key)
+        if kept is None or kept.truncation_degree < degree:
+            kept = memo[key] = fn(*args)
+        return kept if kept.truncation_degree == degree else kept.truncate(degree)
+
+    return wrapper
+
+
 def sequence(gen):
     """Turn ``gen(*args)``, an iterator over x_0, x_1, ... of one recurrence,
     into ``f(*args, n)`` returning x_n.

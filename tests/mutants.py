@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 
 _TRANSLATION = "tests/test_translation.py::"
 _FAMILIES = "tests/test_families.py::"
+_JFRACTION = "tests/test_jfraction.py::"
+_COMMON = "tests/test_common_denominator.py::"
+_Q_PRODUCTS = "tests/test_q_products.py::"
 
 MUTANTS = [
     # the q-binomial translates of a Q Term (families.Term)
@@ -119,6 +122,88 @@ MUTANTS = [
             _TRANSLATION + "test_derived_companion_reproduces_the_written_form",
             _FAMILIES + "test_twisted_partner_series[little_q_jacobi]",
             "tests/test_theorems.py::test_numeric_theorems[little_qj]",
+        ),
+    ),
+    # the mixed-moment table's int rows (jfraction._MomentTable, _next_int_row)
+    Mutant(
+        "int rows without the gcd division",
+        "src/jfrac/jfraction.py",
+        "    g = math.gcd(scale, *row)\n",
+        "    g = 1\n",
+        (_JFRACTION + "test_int_row_scales_are_the_lcm_of_their_denominators",),
+    ),
+    Mutant(
+        "int rows with C over the wrong row's scale",
+        "src/jfrac/jfraction.py",
+        "C = lam.numerator * (scale // (t * lam.denominator))",
+        "C = lam.numerator * (scale // (s * lam.denominator))",
+        (_JFRACTION + "test_int_rows_match_the_fraction_loop",),
+    ),
+    Mutant(
+        "lambda_k with the two rows' scales swapped",
+        "src/jfrac/jfraction.py",
+        "Fraction(num[k][l] * scale[k2], scale[k] * num[k2][l2])",
+        "Fraction(num[k][l] * scale[k], scale[k2] * num[k2][l2])",
+        (_JFRACTION + "test_int_rows_match_the_fraction_loop",),
+    ),
+    Mutant(
+        "row 0 over the largest denominator instead of their lcm",
+        "src/jfrac/jfraction.py",
+        "den = math.lcm(*(m.denominator for m in mu))",
+        "den = max(m.denominator for m in mu)",
+        (_JFRACTION + "test_int_rows_match_the_fraction_loop",),
+    ),
+    Mutant(
+        "D_n read as lead[n]",
+        "src/jfrac/jfraction.py",
+        "return table.lead[i + 1]  # D_i",
+        "return table.lead[i]  # D_i",
+        (
+            _JFRACTION + "test_int_rows_match_the_fraction_loop",
+            _JFRACTION + "test_determinants_after_the_inverse_build_no_row",
+        ),
+    ),
+    # the value loop of cf_series and the window of the walk (motzkin._walk)
+    Mutant(
+        "cf_series's value loop one level short",
+        "src/jfrac/jfraction.py",
+        "    for m in range(1, levels):\n        A_prev, A = A, _three_term(",
+        "    for m in range(1, levels - 1):\n        A_prev, A = A, _three_term(",
+        (_COMMON + "test_tableau_and_series_on_both_sides",),
+    ),
+    Mutant(
+        "the walk's window without its top trim",
+        "src/jfrac/motzkin.py",
+        "min(new_hi, end + remaining)",
+        "new_hi",
+        (
+            _COMMON + "test_walk_keeps_the_levels_that_reach_end[ints]",
+            _COMMON + "test_walk_keeps_the_levels_that_reach_end[fused]",
+            _COMMON + "test_walk_keeps_the_levels_that_reach_end[values]",
+        ),
+    ),
+    # the q-factor products behind the q-families' recurrence data (families._q_factors)
+    Mutant(
+        "q-factor exponent one too high",
+        "src/jfrac/families.py",
+        "pm, rm = q_power(k * n + l)",
+        "pm, rm = q_power(k * n + l + 1)",
+        (
+            _Q_PRODUCTS + "test_declared_recurrence_matches_the_printed_form[little_q_jacobi]",
+            _Q_PRODUCTS + "test_declared_recurrence_matches_the_printed_form[q_ultraspherical_beta0]",
+            _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[qultra_coef]",
+            _Q_PRODUCTS + "test_q_factor_products",
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
+        ),
+    ),
+    Mutant(
+        "little q-Jacobi's factor 1 - b q^n of C_n moved below the line",
+        "src/jfrac/families.py",
+        "top=((1, 1, 1, 0), (1, b, 1, 0)), bottom=((1, ab, 2, 0),",
+        "top=((1, 1, 1, 0),), bottom=((1, b, 1, 0), (1, ab, 2, 0),",
+        (
+            _Q_PRODUCTS + "test_declared_recurrence_matches_the_printed_form[little_q_jacobi]",
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
         ),
     ),
 ]

@@ -8,7 +8,8 @@ needs.
 
 mpmath itself is imported on first use, through ``jfrac._mpmath``: a command
 that only computes exactly (the catalog, tableaux, moments, J-fractions,
-Hankel determinants, path sums) never pays for importing it.
+Hankel determinants, path sums, exact verification cases) never pays for
+importing it.
 """
 
 import ast
@@ -131,6 +132,7 @@ _EXACT_ARGVS = (
         ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "chi", "--n", "2"],
         ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "Delta", "--n", "3", "--i", "2"],
         ["oracle", "--b", "1,2,3", "--lambda", "1,1/2,1/3", "--from", "0", "--to", "1", "--steps", "7"],
+        ["verify", "hankel_affine", "hermite_moments", "asc_noncomm"],
     ]
 )
 _ERROR_ARGVS = [

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -29,6 +30,7 @@ from jfrac.scalar import (
     PrecisionContext,
     binom,
     factorial,
+    memo_scope,
     pochhammer,
     q_binomial,
     q_pochhammer,
@@ -692,10 +694,24 @@ def exact_digest(spec):
     return h.hexdigest()
 
 
-def test_exact_family_outputs_are_pinned():
+def _pinned_digests(scope):
     # tests/data/exact_families.json holds exact_digest of every exact family
     # at its catalog sample; a family whose outputs moved is named
     pinned = json.loads(PINNED_EXACT.read_text())
-    got = {e.id: exact_digest(sample(e.id)) for e in catalog() if e.exact}
+    got = {}
+    for e in catalog():
+        if e.exact:
+            with scope():
+                got[e.id] = exact_digest(sample(e.id))
     assert sorted(got) == sorted(pinned)
     assert [fid for fid in got if got[fid] != pinned[fid]] == []
+
+
+def test_exact_family_outputs_are_pinned():
+    _pinned_digests(contextlib.nullcontext)
+
+
+def test_exact_family_outputs_are_pinned_in_a_memo_scope():
+    # there a Term's rows share its fixed factors, truncated from the longest
+    # product built so far, and must keep every value and type
+    _pinned_digests(memo_scope)

@@ -1,4 +1,5 @@
 import contextvars
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -456,6 +457,21 @@ def test_determinants_after_the_inverse_build_no_row():
     for n in range(1, 21):
         expected.append(expected[-1] * jf.lambda_product(n))
     assert dets == expected
+
+
+def test_int_row_scales_are_the_lcm_of_their_denominators():
+    # the one gcd a row divides out keeps its scale as small as its entries allow
+    spec = make_family("big_q_jacobi", {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)})
+    mu = tuple(family_moments(spec, 30))
+
+    def rows():
+        jfraction_from_moments(mu)
+        return jfraction_module._table.get()
+
+    table = in_fresh_slot(rows)
+    assert len(table.num) == 16
+    for num, scale in zip(table.num, table.scale):
+        assert scale == math.lcm(*(F(x, scale).denominator for x in num))
 
 
 @settings(max_examples=40, deadline=None)
