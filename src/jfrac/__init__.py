@@ -41,22 +41,17 @@ from .series import (
 )
 from .jfraction import (
     JFraction,
-    MonicPolyTable,
     StieltjesTableau,
     cf_series,
     det_bareiss,
     hankel,
     jfraction_from_moments,
-    monic_polys,
     tableau_from_jfraction,
-    verify_connection,
-    verify_convolution,
 )
 from .motzkin import PathWeights, path_weight_sum, path_weight_sum_dp
 from .translation import (
     Classical,
     NonCommutative,
-    NormalOrderedPoly,
     QTranslation,
     monomial_image,
     translate_eval,
@@ -74,16 +69,13 @@ from .families import (
     make_family,
     q_function,
     q_tilde_function,
-    tableau_closed_form,
     translate_q0,
 )
 from .theorems import (
     SUITE_VERSION,
-    TheoremCase,
     VerificationReport,
     identity_ids,
     report_record,
-    rhs_weight,
     run_suite,
     suite_document,
     theorem_ids,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _mpmath as mpmath
-from .errors import InvalidParams, Unsupported, UnsupportedTilde
+from .errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from .jfraction import JFraction, tableau_from_jfraction
 from .scalar import (
     PrecisionContext,
@@ -309,9 +309,10 @@ class FamilySpec:
     a family is ``exact`` when it has one; the moments are read off
     q_series_fn(0, N) (:func:`family_moments`).  The companion's exact series
     is not stored: it is Q_j's with coefficient n times q^C(n,2).
-    tableau_entry_fn(i, n) is a closed H_{i,n} in tableau indexing, read off
-    the Q Term's series (:func:`_closed_tableau_family`) or, for an affine
-    image, off the base family's tableau.  Most families declare each Q form
+    tableau_entry_fn(i, n) is the closed tableau: H_{i,n} for 0 <= i <= n,
+    None for a family without one (the catalog's ``has_closed_tableau``).
+    It is read off the Q Term's series (:func:`_closed_tableau_family`) or,
+    for an affine image, off the base family's tableau.  Most families declare each Q form
     once as a :class:`Term` and take both evaluators from it.
     translated_q0_fn(s, t, ctx) is Q_0 under the family's own q-translation
     (t != 0), which a q-family takes from its Q Term
@@ -430,16 +431,6 @@ def translate_q0(spec, s, t, ctx):
             return spec.translated_q0_fn(s, t, ctx)
         return q_tilde_function(spec, 0, s, ctx)
     raise Unsupported(f"family {spec.id} has no closed translated form under {kind!r}")
-
-
-def tableau_closed_form(spec, i, n):
-    if spec.tableau_entry_fn is None:
-        raise Unsupported(f"family {spec.id} has no closed-form tableau")
-    if n < 0 or i < 0:
-        raise ValueError("tableau indices must be nonnegative")
-    if i > n:
-        return F(0)
-    return spec.tableau_entry_fn(i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +878,8 @@ def _bessel_sum_q_fn(coef, step):
                 else:
                     small = 0
             pref = mpmath.mpf(2) ** (j + 1) / tv
+            if small < ctx.consecutive_small:
+                raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, pref * total)
             return SeriesValue(pref * total, used, abs(pref) * last)
 
     return q_fn

@@ -449,65 +449,3 @@ def _cf_series_on_ints(b, lam, N):
         nums.append(value.numerator * (common // value.denominator))
     return tuple(mu)
 
-
-class MonicPolyTable:
-    """Coefficient rows of the monic orthogonal polynomials P_0..P_N.
-
-    coeffs[n][k] is the x^k coefficient of P_n; coeffs[n][n] = 1.
-    """
-
-    __slots__ = ("coeffs", "N")
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(tuple(row) for row in coeffs)
-        self.N = len(self.coeffs) - 1
-
-    def poly(self, n):
-        return list(self.coeffs[n])
-
-    def eval_at(self, n, x):
-        acc = 0
-        for c in reversed(self.coeffs[n]):
-            acc = acc * x + c
-        return acc
-
-
-def monic_polys(jf, N):
-    """P_0 = 1, P_{n+1} = (x - b_n) P_n - lambda_n P_{n-1} (lambda_0 absent)."""
-    if N >= 1 and len(jf.b) < N:
-        raise ValueError(f"need b_0..b_{N - 1} for P_{N}")
-    if N >= 2 and len(jf.lam) < N - 1:
-        raise ValueError(f"need lambda_1..lambda_{N - 1} for P_{N}")
-    rows = [[Fraction(1)]]
-    if N >= 1:
-        rows.append([-jf.b[0], Fraction(1)])
-    for n in range(1, N):
-        prev, cur = rows[n - 1], rows[n]
-        nxt = [0] * (n + 2)
-        for k, c in enumerate(cur):
-            nxt[k + 1] += c
-            nxt[k] -= jf.b[n] * c
-        for k, c in enumerate(prev):
-            nxt[k] -= jf.lam[n - 1] * c
-        rows.append(nxt)
-    return MonicPolyTable(rows)
-
-
-def verify_connection(tab, polys, n):
-    """Check x^n = sum_j H[j][n] P_j(x) as an exact coefficient identity."""
-    acc = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        h = tab.entry(j, n)
-        if h == 0:
-            continue
-        for k, c in enumerate(polys.coeffs[j]):
-            acc[k] += h * c
-    return all(acc[k] == (1 if k == n else 0) for k in range(n + 1))
-
-
-def verify_convolution(tab, jf, k, l):
-    """Check H[0][k+l] = sum_j lambda_1..lambda_j H[j][k] H[j][l] exactly."""
-    total = 0
-    for j in range(min(k, l) + 1):
-        total += jf.lambda_product(j) * tab.entry(j, k) * tab.entry(j, l)
-    return total == tab.entry(0, k + l)

@@ -262,8 +262,7 @@ def _family_case(family, left=_Q, right=_Q, kind=_KIND):
 
             def check():
                 rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
-                lhs = translate_series(rows[0], kind(spec), degree)
-                return _bilinear_check(getattr(lhs, "coeffs", lhs), weight, rows, degree)
+                return _bilinear_check(translate_series(rows[0], kind(spec), degree), weight, rows, degree)
 
             return TheoremCase(cid, weight, mode="exact", exact_check=check)
 
@@ -714,17 +713,20 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
         tolerance = tolerance0 if tolerance is None else tolerance
         # a symmetric right-hand side at s = t is w_n Q_n(t)^2
         same = case.rhs_left_fn is case.rhs_right_fn and s == t
-        with ctx.workprec():
-            lhs = case.lhs_eval(s, t, ctx).value
-            pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
+        try:
+            with ctx.workprec():
+                lhs = case.lhs_eval(s, t, ctx).value
+                pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
 
-            def term(n):
-                weight = ctx.number(case.rhs_weight(n))
-                left = case.rhs_left_fn(n, t, ctx).value
-                right = left if same else case.rhs_right_fn(n, s, ctx).value
-                return weight * left * right
+                def term(n):
+                    weight = ctx.number(case.rhs_weight(n))
+                    left = case.rhs_left_fn(n, t, ctx).value
+                    right = left if same else case.rhs_right_fn(n, s, ctx).value
+                    return weight * left * right
 
-            return _summed_report(id, merged, lhs, N, term, tolerance, ctx, pref, s, t)
+                return _summed_report(id, merged, lhs, N, term, tolerance, ctx, pref, s, t)
+        except InvalidParams as exc:  # a point outside a closed form's domain
+            raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
 
 
 def verify_identity(id, params=None, ctx=None):
@@ -733,12 +735,6 @@ def verify_identity(id, params=None, ctx=None):
     ctx = ctx or PrecisionContext()
     with memo_scope():
         return check(id, _case_params(id, params), ctx)
-
-
-def rhs_weight(id, n, params=None):
-    """The weight sequence a theorem's right-hand side is summed against."""
-    build = _entry(_THEOREMS, id, "theorem")[0]
-    return build(id, _case_params(id, params)).rhs_weight(n)
 
 
 def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=None, tolerance=None):
@@ -758,8 +754,11 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     family's own, see :func:`jfrac.families.check_domain`), and a
     tolerance below 2^-precision_bits, whether given here, in ``params``
     or as a matched case's own default (the message then names the case).
-    Other failures are recorded in the returned reports rather than raised,
-    so a single broken case cannot hide the rest of the suite.
+    The cases declare no rules for ``s`` and ``t``, so a point outside a
+    closed form's domain is caught only while its case runs: the
+    InvalidParams it raises then names the case and the point.  Other
+    failures are recorded in the returned reports rather than raised, so a
+    single broken case cannot hide the rest of the suite.
     """
     ctx = ctx or PrecisionContext()
     patterns = [pattern] if isinstance(pattern, str) else pattern

@@ -4,10 +4,9 @@ Three kinds are supported: the ordinary shift t -> t + s, the q-translation
 sending t^n to (t+s)(t+sq)...(t+sq^{n-1}), and the non-commutative
 substitution t -> t + s in the algebra st = q ts.
 
-Bivariate results are coefficient tables {(i, k): c} for c * t^i s^k; the
-non-commutative kind returns a :class:`NormalOrderedPoly`, whose table has
-the same shape but whose multiplication picks up powers of q when an s is
-moved past a t.
+Every kind gives its bivariate results as a plain coefficient table
+{(i, k): c} for c * t^i s^k; for the non-commutative kind the table is in
+normal order, every t to the left of every s.
 """
 
 from dataclasses import dataclass
@@ -48,92 +47,6 @@ class NonCommutative:
     series_denominator = QTranslation.series_denominator
 
 
-class NormalOrderedPoly:
-    """Polynomial in t, s with st = q ts, kept in normal order (t left of s).
-
-    The coefficient table maps (i, k) to the coefficient of t^i s^k.  All
-    products are normalized immediately via (t^a s^b)(t^c s^d) =
-    q^{bc} t^{a+c} s^{b+d}, so associativity is inherited from addition in
-    the exponents.
-    """
-
-    __slots__ = ("q", "coeffs")
-
-    def __init__(self, q, coeffs=None):
-        self.q = q
-        table = {}
-        for key, value in (coeffs or {}).items():
-            if value != 0:
-                table[key] = value
-        self.coeffs = table
-
-    @classmethod
-    def constant(cls, q, c):
-        return cls(q, {(0, 0): c})
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalOrderedPoly):
-            return NotImplemented
-        return self.q == other.q and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, NormalOrderedPoly):
-            other = NormalOrderedPoly.constant(self.q, other)
-        if other.q != self.q:
-            raise ValueError("cannot mix q values")
-        table = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            table[key] = table.get(key, 0) + value
-        return NormalOrderedPoly(self.q, table)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (other * -1 if isinstance(other, NormalOrderedPoly) else -other)
-
-    def __mul__(self, other):
-        if not isinstance(other, NormalOrderedPoly):
-            return NormalOrderedPoly(
-                self.q, {key: value * other for key, value in self.coeffs.items()}
-            )
-        if other.q != self.q:
-            raise ValueError("cannot mix q values")
-        q = self.q
-        table = {}
-        for (a, b), u in self.coeffs.items():
-            for (c, d), v in other.coeffs.items():
-                key = (a + c, b + d)
-                table[key] = table.get(key, 0) + u * v * q ** (b * c)
-        return NormalOrderedPoly(q, table)
-
-    def __rmul__(self, other):
-        # scalar on the left commutes with everything
-        return self.__mul__(other)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("only nonnegative powers")
-        out = NormalOrderedPoly.constant(self.q, Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def truncate(self, max_total_degree):
-        return NormalOrderedPoly(
-            self.q,
-            {
-                key: value
-                for key, value in self.coeffs.items()
-                if key[0] + key[1] <= max_total_degree
-            },
-        )
-
-    def __repr__(self):
-        items = sorted(self.coeffs.items())
-        body = " + ".join(f"{v}*t^{i}*s^{k}" for (i, k), v in items) or "0"
-        return f"NormalOrderedPoly(q={self.q}, {body})"
-
-
 def monomial_image(kind, n):
     """The translated image of x^n as a coefficient table {(i, k): c}."""
     if isinstance(kind, Classical):
@@ -152,9 +65,8 @@ def translate_series(p, kind, N):
     """Translate a univariate series into the bivariate (t, s) table.
 
     ``p`` is indexable by exponent (a PowerSeries or plain sequence of
-    coefficients of x^n).  The result keeps total degree <= N.  For the
-    non-commutative kind a NormalOrderedPoly is returned; the other kinds
-    return a plain dict since their variables commute.
+    coefficients of x^n).  The result is a plain coefficient table {(i, k): c},
+    normal-ordered for the non-commutative kind, with total degree <= N.
     """
     coeffs = list(p)
     if len(coeffs) < N + 1:
@@ -166,10 +78,7 @@ def translate_series(p, kind, N):
             continue
         for key, value in monomial_image(kind, n).items():
             table[key] = table.get(key, 0) + c * value
-    table = {key: value for key, value in table.items() if value != 0}
-    if isinstance(kind, NonCommutative):
-        return NormalOrderedPoly(kind.q, table)
-    return table
+    return {key: value for key, value in table.items() if value != 0}
 
 
 def translate_eval(h_row, kind, s, t, ctx):

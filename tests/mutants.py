@@ -206,6 +206,18 @@ MUTANTS = [
             _FAMILIES + "test_exact_family_outputs_are_pinned",
         ),
     ),
+    # the Bessel sums behind the Q_j of q_ultraspherical and askey_wilson_slice
+    Mutant(
+        "Bessel sum returns its partial sum when the terms run out",
+        "src/jfrac/families.py",
+        "            if small < ctx.consecutive_small:\n"
+        '                raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, pref * total)\n',
+        "",
+        (
+            _FAMILIES + "test_bessel_sum_out_of_terms_raises",
+            "tests/test_cli.py::test_verify_bessel_sum_out_of_terms_is_recorded",
+        ),
+    ),
 ]
 
 

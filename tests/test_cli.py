@@ -367,6 +367,13 @@ def test_verify_case_failure_is_recorded_with_or_without_overrides(capsys, extra
     assert lines[1].startswith("PASS hermite_moments [exact]")
 
 
+def test_verify_bessel_sum_out_of_terms_is_recorded(capsys):
+    # askey_wilson's Bessel sums need more than 15 terms; truncated, the case once passed
+    code, out, _ = run(capsys, "verify", "askey_wilson", "--max-terms", "15")
+    assert code == 3
+    assert out.startswith("FAIL askey_wilson [error] NonConvergent:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -396,6 +403,13 @@ def test_verify_at_a_pole_of_the_closed_form_is_invalid_input(capsys, argv):
     code, out, err = run(capsys, "verify", "asc_qtrans", "--s=1/5", *argv)
     assert (code, out) == (2, "")
     assert f"the closed form of Q_0 is undefined at t = {argv[-1][4:]}" in err
+
+
+def test_verify_point_outside_a_case_names_the_case_and_the_point(capsys):
+    # affine evaluates its base Q_0 at (s + t)/a, outside its domain here
+    code, out, err = run(capsys, "verify", "--all", "--s=3", "--t=1")
+    assert (code, out) == (2, "")
+    assert "affine at s = 3, t = 1: the closed form of Q_0 is undefined" in err
 
 
 def test_verify_bad_override_value(capsys):

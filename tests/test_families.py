@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from jfrac import families
-from jfrac.errors import InvalidParams, Unsupported, UnsupportedTilde
+from jfrac.errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from jfrac.families import (
     catalog,
     cq_ultraspherical_poly,
@@ -24,7 +24,6 @@ from jfrac.families import (
     make_family,
     q_function,
     q_tilde_function,
-    tableau_closed_form,
 )
 from jfrac.scalar import (
     PrecisionContext,
@@ -338,7 +337,7 @@ def test_closed_tableau_matches_recurrence(entry):
     tab = family_tableau(spec, 8, ctx=ctx)
     for i in range(9):
         for n in range(i, 9):
-            closed = tableau_closed_form(spec, i, n)
+            closed = spec.tableau_entry_fn(i, n)
             if entry.exact:
                 assert closed == tab.entry(i, n), (i, n)
             else:
@@ -370,7 +369,7 @@ def test_closed_tableau_matches_its_printed_form(family_id):
         spec = make_family(family_id, params)
         for N in range(13):
             for i in range(N + 1):
-                got = tableau_closed_form(spec, i, N)
+                got = spec.tableau_entry_fn(i, N)
                 shifted = SHIFTED_BY_ROW[family_id](i, **spec.params)
                 if spec.exact:
                     want = F(binom(N, i)) * closed(N - i, **shifted)
@@ -385,9 +384,9 @@ def test_complex_closed_tableau_follows_the_working_precision():
     spec = sample("meixner_pollaczek_moments")
     shifted = SHIFTED_BY_ROW[spec.id](2, **spec.params)
     fine = PrecisionContext(precision_bits=1200)
-    first = [tableau_closed_form(spec, 2, N) for N in range(2, 7)]
+    first = [spec.tableau_entry_fn(2, N) for N in range(2, 7)]
     with mpmath.workprec(1100):
-        again = [tableau_closed_form(spec, 2, N) for N in range(2, 7)]
+        again = [spec.tableau_entry_fn(2, N) for N in range(2, 7)]
     with fine.workprec():
         for N, low, high in zip(range(2, 7), first, again):
             want = binom(N, 2) * _mp_moment(N - 2, **shifted, ctx=fine)
@@ -453,14 +452,13 @@ def test_tilde_missing_raises():
         q_tilde_function(make_family("hermite"), 0, F(1, 10), ctx)
 
 
-def test_closed_tableau_missing_raises():
-    with pytest.raises(Unsupported):
-        tableau_closed_form(make_family("hermite"), 0, 2)
-
-
-def test_closed_tableau_above_diagonal_is_zero():
-    spec = sample("hermite_moments")
-    assert tableau_closed_form(spec, 3, 1) == 0
+def test_bessel_sum_out_of_terms_raises():
+    # this sum meets its stopping rule at its 16th term; a partial sum is no value
+    spec = make_family("askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)})
+    assert spec.q_fn(0, F(1, 5), PrecisionContext(max_terms=16)).terms_used == 16
+    with pytest.raises(NonConvergent) as info:
+        spec.q_fn(0, F(1, 5), PrecisionContext(max_terms=15))
+    assert info.value.terms_used == 15
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +551,7 @@ def test_affine_tableau_and_series_consistency():
     # closed entries match the recurrence
     for i in range(5):
         for n in range(i, 9):
-            assert tableau_closed_form(aff, i, n) == tab.entry(i, n)
+            assert aff.tableau_entry_fn(i, n) == tab.entry(i, n)
 
 
 @pytest.mark.parametrize("base_id,params", [("laguerre", {"alpha": F(1, 2)}), ("hermite", {})])

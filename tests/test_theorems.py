@@ -15,7 +15,6 @@ from jfrac.theorems import (
     SUITE_VERSION,
     identity_ids,
     report_record,
-    rhs_weight,
     run_suite,
     suite_document,
     theorem_ids,
@@ -78,8 +77,6 @@ def test_unknown_ids():
         verify_theorem("bogus")
     with pytest.raises(UnknownTheorem):
         verify_identity("bogus")
-    with pytest.raises(UnknownTheorem):
-        rhs_weight("bogus", 0)
 
 
 def test_unknown_parameter_rejected():
@@ -87,9 +84,14 @@ def test_unknown_parameter_rejected():
         verify_theorem("bessel_plus", params={"order": 2})
 
 
+def case_weight(tid, params=None):
+    """The weights a theorem's right-hand side is summed against, off its case builder."""
+    return theorems._THEOREMS[tid][0](tid, theorems._case_params(tid, params)).rhs_weight
+
+
 @pytest.mark.parametrize("tid", NUMERIC_THEOREMS + EXACT_THEOREMS)
 def test_weight_normalization(tid):
-    assert rhs_weight(tid, 0) == 1
+    assert case_weight(tid)(0) == 1
 
 
 @pytest.mark.parametrize("tid", EXACT_THEOREMS)
@@ -169,7 +171,7 @@ def test_parameter_overrides_change_the_case():
     assert r.passed
     assert r.params["nu"] == F(3, 2)
     # weight(1) = -(nu + 1) (2 nu) / nu
-    assert rhs_weight("bessel_plus", 1, params={"nu": F(3, 2)}) == -F(5, 2) * 3 / F(3, 2)
+    assert case_weight("bessel_plus", {"nu": F(3, 2)})(1) == -F(5, 2) * 3 / F(3, 2)
 
 
 @settings(max_examples=12, deadline=None)

@@ -15,7 +15,6 @@ from jfrac.series import SeriesValue, eval_rphis
 from jfrac.translation import (
     Classical,
     NonCommutative,
-    NormalOrderedPoly,
     QTranslation,
     monomial_image,
     translate_eval,
@@ -67,21 +66,23 @@ def test_q_inverse_transposes_variables():
         assert inv == {(k, j): fwd[(j, k)] * shift for (j, k) in fwd}
 
 
+def normal_ordered_product(u, v, q):
+    """u v for tables {(i, k): c} of c t^i s^k, with (t^a s^b)(t^c s^d) = q^(bc) t^(a+c) s^(b+d)."""
+    out = {}
+    for (a, b), x in u.items():
+        for (c, d), y in v.items():
+            out[(a + c, b + d)] = out.get((a + c, b + d), 0) + x * y * q ** (b * c)
+    return out
+
+
 def test_noncommutative_binomial():
     """(t + s)^n with st = q ts expands with plain Gaussian coefficients."""
     q = F(1, 3)
+    t_plus_s = {(1, 0): F(1), (0, 1): F(1)}
+    power = {(0, 0): F(1)}
     for n in range(13):
-        t_plus_s = NormalOrderedPoly(q, {(1, 0): F(1), (0, 1): F(1)})
-        power = t_plus_s ** n
-        assert power.coeffs == monomial_image(NonCommutative(q), n)
-
-
-def test_normal_ordering_relation():
-    q = F(1, 2)
-    ts = NormalOrderedPoly(q, {(1, 1): F(1)})
-    sq = ts * ts
-    # (ts)(ts) = t (st) s = q t^2 s^2
-    assert sq.coeffs == {(2, 2): q}
+        assert power == monomial_image(NonCommutative(q), n)
+        power = normal_ordered_product(power, t_plus_s, q)
 
 
 def test_translate_series_classical_table():
@@ -101,8 +102,8 @@ def test_translate_series_needs_enough_coefficients():
 def test_translate_series_noncommutative_type():
     q = F(1, 2)
     out = translate_series([F(1), F(1), F(1)], NonCommutative(q), 2)
-    assert isinstance(out, NormalOrderedPoly)
-    assert out.coeffs[(1, 1)] == q_binomial(2, 1, q)
+    assert type(out) is dict
+    assert out[(1, 1)] == q_binomial(2, 1, q)
 
 
 def test_classical_row_evaluation():
