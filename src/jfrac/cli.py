@@ -25,17 +25,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import InvalidParams, JfracError, NonRegular, UnknownTheorem
-from .families import catalog, family_moments, family_tableau, make_family
 from .jfraction import JFraction, hankel, jfraction_from_moments, tableau_from_jfraction
 from .motzkin import PathWeights, path_weight_sum_dp
 from .scalar import PrecisionContext, memo_scope, rat, rat_str
-from .theorems import SIZE_PARAMS, identity_ids, report_record, run_suite, suite_document, theorem_ids
 
 # Largest accepted --N, --depth, --steps, --from, --to or case size.  A
 # tableau holds (N+1)^2/2 rationals whose bit sizes grow like N^2 for the
@@ -50,14 +47,16 @@ MAX_SIZE = 500
 MAX_PRECISION_BITS = 8192
 
 
-@dataclass
 class RunConfig:
-    precision_bits: int = 256
-    rel_tolerance: float = 1e-30
-    max_terms: int = 10000
-    N: int = 25
-    format: str = "text"
-    seed: int = 0
+    __slots__ = ("precision_bits", "rel_tolerance", "max_terms", "N", "format", "seed")
+
+    def __init__(self, precision_bits=256, rel_tolerance=1e-30, max_terms=10000, N=25, format="text", seed=0):
+        self.precision_bits = precision_bits
+        self.rel_tolerance = rel_tolerance
+        self.max_terms = max_terms
+        self.N = N
+        self.format = format
+        self.seed = seed
 
     def context(self):
         return PrecisionContext(
@@ -67,8 +66,8 @@ class RunConfig:
         )
 
 
-# the settings a config file may set: RunConfig's fields, each of its type
-_CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig)}
+# the settings a config file may set: RunConfig's, each read as the type of its default
+_CONFIG_KEYS = {name: type(getattr(RunConfig(), name)) for name in RunConfig.__slots__}
 
 
 def _parse_config_file(path):
@@ -205,6 +204,8 @@ def _invalid_input():
 def _build_tableau(args, cfg):
     N = cfg.N if args.N is None else args.N
     if args.family:
+        from .families import family_tableau, make_family
+
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
             return family_tableau(spec, N, cfg.context()), N
@@ -225,6 +226,8 @@ def cmd_moments(args, cfg, explicit, out):
     N = cfg.N if args.N is None else args.N
     ctx = cfg.context()
     if args.family:
+        from .families import family_moments, make_family
+
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
             mu = family_moments(spec, N, ctx)
@@ -301,6 +304,8 @@ def cmd_oracle(args, cfg, explicit, out):
 
 
 def cmd_catalog(args, cfg, explicit, out):
+    from .families import catalog
+
     entries = catalog()
     if cfg.format == "json":
         doc = [
@@ -335,6 +340,8 @@ def cmd_catalog(args, cfg, explicit, out):
 # verification commands
 
 def _match_ids(patterns, strict):
+    from .theorems import identity_ids, theorem_ids
+
     ids = sorted(theorem_ids() + identity_ids())
     matched = []
     for pattern in patterns:
@@ -356,6 +363,8 @@ def _rat_flag(args, name):
 
 
 def _run_cases(patterns, args, cfg, explicit, ctx):
+    from .theorems import SIZE_PARAMS, run_suite
+
     params = _parse_params(getattr(args, "params", None))
     for key in (k for k in SIZE_PARAMS if k in params):
         try:
@@ -376,6 +385,8 @@ def _run_cases(patterns, args, cfg, explicit, ctx):
 
 def _print_reports(reports, cfg, ctx, out):
     if cfg.format == "json":
+        from .theorems import report_record
+
         _emit(out, json.dumps([report_record(r, ctx) for r in reports], indent=2))
     elif cfg.format == "csv":
         lines = ["id,mode,n_terms,rel_error,pass"]
@@ -404,10 +415,12 @@ def cmd_verify(args, cfg, explicit, out):
 
 
 def cmd_report(args, cfg, explicit, out):
+    from .theorems import suite_document
+
     patterns = args.patterns or ["*"]
     ctx = cfg.context()
     reports = _run_cases(patterns, args, cfg, explicit, ctx)
-    doc = suite_document(reports, asdict(cfg), ctx)
+    doc = suite_document(reports, {name: getattr(cfg, name) for name in RunConfig.__slots__}, ctx)
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

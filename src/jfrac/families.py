@@ -155,7 +155,6 @@ def _over_qpochs(x, args, q, j, t, ctx):
     return x / den
 
 
-@dataclass(frozen=True)
 class Term:
     """One closed form of Q_j, the single source of both its evaluators:
 
@@ -171,15 +170,18 @@ class Term:
     may compute them there with mpmath.
     """
 
-    kind: object
-    twist: bool = False
-    qpochs: tuple = ()  # the c's
-    inv_qpochs: tuple = ()  # the d's
-    exp: tuple = ()  # e_1, e_2, ...
-    power: tuple = None  # (p, j -> r_j)
-    hyper: object = None
-    step: int = 1
-    in_u: bool = False
+    __slots__ = ("kind", "twist", "qpochs", "inv_qpochs", "exp", "power", "hyper", "step", "in_u")
+
+    def __init__(self, kind, twist=False, qpochs=(), inv_qpochs=(), exp=(), power=None, hyper=None, step=1, in_u=False):
+        self.kind = kind
+        self.twist = twist
+        self.qpochs = qpochs  # the c's
+        self.inv_qpochs = inv_qpochs  # the d's
+        self.exp = exp  # e_1, e_2, ...
+        self.power = power  # (p, j -> r_j)
+        self.hyper = hyper
+        self.step = step
+        self.in_u = in_u
 
     def _coef(self, j):
         c = 1 / self.kind.series_denominator(j)
@@ -430,7 +432,7 @@ def translate_q0(spec, s, t, ctx):
         if tv != 0:
             return spec.translated_q0_fn(s, t, ctx)
         return q_tilde_function(spec, 0, s, ctx)
-    raise Unsupported(f"family {spec.id} has no closed translated form under {kind!r}")
+    raise Unsupported(f"family {spec.id} has no closed translated form under {type(kind).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +449,18 @@ def _compiled(expr):
     return compile(expr.replace("^", "**"), expr, "eval")
 
 
-@dataclass(frozen=True)
 class Rule:
     """One condition on expressions of the parameters: ``text`` is how the
     catalog prints it, and ``broken(*values)``, given the expressions'
     exact values, is false when they satisfy it, else true or a note on how
     they fail."""
 
-    text: str
-    exprs: tuple
-    broken: object
+    __slots__ = ("text", "exprs", "broken")
+
+    def __init__(self, text, exprs, broken):
+        self.text = text
+        self.exprs = exprs
+        self.broken = broken
 
 
 def above(lo, *exprs):
@@ -1190,7 +1194,11 @@ def make_affine(base, a, b):
         return base_tableau
 
     def q_fn(j, t, ctx):
-        inner = q_function(base, j, ctx.mpf(t) / ctx.mpf(a), ctx)
+        at = ctx.mpf(t) / ctx.mpf(a)
+        exact = F(*mpmath.libmp.to_rational(t._mpf_)) if isinstance(t, mpmath.mpf) and mpmath.isfinite(t) else t
+        if isinstance(exact, (int, F)) and ctx.mpf(exact / a) == at:
+            at = exact / a  # the same number, named exactly: a pole of the base names its point as p/q
+        inner = q_function(base, j, at, ctx)
         with ctx.workprec():
             pref = ctx.mpf(a) ** j * mpmath.exp(-ctx.mpf(b) * ctx.mpf(t) / ctx.mpf(a))
             return inner.scaled(pref)
@@ -1219,15 +1227,17 @@ def make_affine(base, a, b):
     )
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    param_names: tuple
-    constraints: str
-    translation: str
-    has_q_tilde: bool
-    has_closed_tableau: bool
-    exact: bool
+    __slots__ = ("id", "param_names", "constraints", "translation", "has_q_tilde", "has_closed_tableau", "exact")
+
+    def __init__(self, id, param_names, constraints, translation, has_q_tilde, has_closed_tableau, exact):
+        self.id = id
+        self.param_names = param_names
+        self.constraints = constraints
+        self.translation = translation
+        self.has_q_tilde = has_q_tilde
+        self.has_closed_tableau = has_closed_tableau
+        self.exact = exact
 
 
 def catalog():

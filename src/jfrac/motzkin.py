@@ -31,7 +31,6 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import fraction_sum
@@ -75,12 +74,14 @@ def common_denominator(b, lam):
     return den, scaled(b), scaled(lam)
 
 
-@dataclass(frozen=True)
 class PathWeights:
     """b[i] weights a flat step at level i; lam[j-1] weights a down step from level j."""
 
-    b: tuple
-    lam: tuple
+    __slots__ = ("b", "lam")
+
+    def __init__(self, b, lam):
+        self.b = b
+        self.lam = lam
 
     @classmethod
     def from_jfraction(cls, jf):

@@ -14,7 +14,6 @@ import operator
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from . import _mpmath as mpmath
@@ -79,7 +78,6 @@ def fraction_sum(terms):
     return Fraction(num, den)
 
 
-@dataclass
 class PrecisionContext:
     """Floating evaluation settings shared by the series evaluators.
 
@@ -89,11 +87,18 @@ class PrecisionContext:
     evaluators, and max_terms bounds the work before giving up.
     """
 
-    precision_bits: int = 256
-    rel_tolerance: float = 1e-30
-    max_terms: int = 10000
-    consecutive_small: int = 3
-    guard_bits: int = 64
+    __slots__ = ("precision_bits", "rel_tolerance", "max_terms", "consecutive_small", "guard_bits")
+
+    def __init__(self, precision_bits=256, rel_tolerance=1e-30, max_terms=10000, consecutive_small=3, guard_bits=64):
+        self.precision_bits = precision_bits
+        self.rel_tolerance = rel_tolerance
+        self.max_terms = max_terms
+        self.consecutive_small = consecutive_small
+        self.guard_bits = guard_bits
+
+    def replace(self, **changes):
+        """A copy with the settings in ``changes`` replaced."""
+        return PrecisionContext(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
     @property
     def working_bits(self):
@@ -276,7 +281,6 @@ class FixedPoint:
 # per-scope memo for the numeric leaves and the exact sequences
 
 _memo = contextvars.ContextVar("jfrac_memo", default=None)
-_CTX_FIELDS = tuple(f.name for f in fields(PrecisionContext))
 
 
 @contextmanager
@@ -297,7 +301,7 @@ def memo_scope():
 
 def _memo_key(x):
     if isinstance(x, PrecisionContext):
-        return PrecisionContext, tuple(getattr(x, name) for name in _CTX_FIELDS)
+        return PrecisionContext, tuple(getattr(x, name) for name in PrecisionContext.__slots__)
     return type(x), x
 
 
@@ -453,6 +457,6 @@ def q_pochhammer_inf(a, q, ctx=None):
         for _ in range(ctx.max_terms):
             if not bound < abs(x) < mpmath.inf:  # a NaN or an infinity goes on to the kernel, which refuses it
                 tol = Fraction(1, 2 ** (ctx.precision_bits + ctx.guard_bits // 2))
-                return head * _sum([], [], q, x, replace(ctx, rel_tolerance=tol)).value
+                return head * _sum([], [], q, x, ctx.replace(rel_tolerance=tol)).value
             head, x = head * (1 - x), x * qv
     raise NonConvergent("(a; q)_inf did not reach the tail threshold; |q| too close to 1", ctx.max_terms, head)

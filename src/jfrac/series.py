@@ -16,7 +16,6 @@ The numeric loop runs in fixed point (:class:`~jfrac.scalar.FixedPoint`),
 with an error of about n 2^-wp relative to the largest of its n terms.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _mpmath as mpmath
@@ -332,7 +331,6 @@ def inv_qpoch_series(c, q, degree):
     return rphis_series([0], [], q, degree, c)
 
 
-@dataclass
 class SeriesValue:
     """A floating sum together with how it was obtained.
 
@@ -342,9 +340,12 @@ class SeriesValue:
     ``scaled(pref)`` is a prefactor times the series: value times pref, tail bound times |pref|.
     """
 
-    value: object
-    terms_used: int
-    tail_bound: object
+    __slots__ = ("value", "terms_used", "tail_bound")
+
+    def __init__(self, value, terms_used, tail_bound):
+        self.value = value
+        self.terms_used = terms_used
+        self.tail_bound = tail_bound
 
     def scaled(self, pref):
         return SeriesValue(pref * self.value, self.terms_used, abs(pref) * self.tail_bound)

@@ -9,7 +9,6 @@ exact equality.
 """
 
 import random
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from fnmatch import fnmatchcase
 from itertools import accumulate
@@ -50,7 +49,6 @@ SUITE_VERSION = "1.0.0"
 SIZE_PARAMS = ("degree", "m_max", "n_max", "N")
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one theorem or identity check.
 
@@ -60,32 +58,50 @@ class VerificationReport:
     that raised is reported in mode "error" with the message in ``params``.
     """
 
-    id: str
-    params: dict
-    s: object = None
-    t: object = None
-    mode: str = "error"
-    lhs: object = None
-    rhs_partial: object = None
-    n_terms: int = 0
-    abs_error: object = None
-    rel_error: object = None
-    tail_estimate: object = None
-    passed: bool = False
+    __slots__ = (
+        "id", "params", "s", "t", "mode", "lhs", "rhs_partial", "n_terms", "abs_error", "rel_error", "tail_estimate",
+        "passed",
+    )
+
+    def __init__(
+        self, id, params, s=None, t=None, mode="error", lhs=None, rhs_partial=None, n_terms=0, abs_error=None,
+        rel_error=None, tail_estimate=None, passed=False,
+    ):
+        self.id = id
+        self.params = params
+        self.s = s
+        self.t = t
+        self.mode = mode
+        self.lhs = lhs
+        self.rhs_partial = rhs_partial
+        self.n_terms = n_terms
+        self.abs_error = abs_error
+        self.rel_error = rel_error
+        self.tail_estimate = tail_estimate
+        self.passed = passed
+
+    def __eq__(self, other):
+        names = VerificationReport.__slots__
+        return type(other) is VerificationReport and all(getattr(self, n) == getattr(other, n) for n in names)
 
 
-@dataclass
 class TheoremCase:
     """Executable pieces of one addition formula."""
 
-    id: str
-    rhs_weight: object  # n -> scalar, weight(0) = 1
-    mode: str = "numeric"
-    lhs_eval: object = None  # (s, t, ctx) -> SeriesValue
-    rhs_left_fn: object = None  # (n, t, ctx) -> SeriesValue
-    rhs_right_fn: object = None  # (n, s, ctx) -> SeriesValue
-    rhs_prefactor: object = None  # optional (s, t, ctx) -> scalar
-    exact_check: object = None  # () -> (passed, n_checked, max_dev)
+    __slots__ = ("id", "rhs_weight", "mode", "lhs_eval", "rhs_left_fn", "rhs_right_fn", "rhs_prefactor", "exact_check")
+
+    def __init__(
+        self, id, rhs_weight, mode="numeric", lhs_eval=None, rhs_left_fn=None, rhs_right_fn=None, rhs_prefactor=None,
+        exact_check=None,
+    ):
+        self.id = id
+        self.rhs_weight = rhs_weight  # n -> scalar, weight(0) = 1
+        self.mode = mode
+        self.lhs_eval = lhs_eval  # (s, t, ctx) -> SeriesValue
+        self.rhs_left_fn = rhs_left_fn  # (n, t, ctx) -> SeriesValue
+        self.rhs_right_fn = rhs_right_fn  # (n, s, ctx) -> SeriesValue
+        self.rhs_prefactor = rhs_prefactor  # optional (s, t, ctx) -> scalar
+        self.exact_check = exact_check  # () -> (passed, n_checked, max_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +838,8 @@ def report_record(report, ctx):
     """Flatten one report into the JSON schema used by the CLI: its fields
     in order, with ``passed`` named "pass"."""
     return {
-        "pass" if f.name == "passed" else f.name: render_scalar(getattr(report, f.name), ctx)
-        for f in fields(report)
+        "pass" if name == "passed" else name: render_scalar(getattr(report, name), ctx)
+        for name in VerificationReport.__slots__
     }
 
 

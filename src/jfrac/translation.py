@@ -9,7 +9,6 @@ Every kind gives its bivariate results as a plain coefficient table
 normal order, every t to the left of every s.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Unsupported
@@ -20,30 +19,32 @@ from .series import SeriesValue
 # series_denominator(n) is the n-th normaliser of a Q-series under the kind:
 # Q_j(t) = sum_n H_{j,n} t^n / series_denominator(n).
 
-@dataclass(frozen=True)
 class Classical:
     """Ordinary translation: x^n maps to the binomial expansion of (t+s)^n."""
+
+    __slots__ = ()
 
     def series_denominator(self, n):
         return Fraction(factorial(n))
 
 
-@dataclass(frozen=True)
 class QTranslation:
     """x^n maps to (t+s)(t+sq)...(t+sq^{n-1})."""
 
-    q: object
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        self.q = q
 
     def series_denominator(self, n):
         return Fraction(q_pochhammer(self.q, self.q, n))
 
 
-@dataclass(frozen=True)
 class NonCommutative:
     """x^n maps to (t+s)^n in the algebra st = q ts, normal-ordered."""
 
-    q: object
-
+    __slots__ = ("q",)
+    __init__ = QTranslation.__init__
     series_denominator = QTranslation.series_denominator
 
 
@@ -58,7 +59,7 @@ def monomial_image(kind, n):
     if isinstance(kind, NonCommutative):
         row = _q_binomial_rows(kind.q, n)
         return {(k, n - k): row[k] for k in range(n + 1)}
-    raise Unsupported(f"no monomial image for translation kind {kind!r}")
+    raise Unsupported(f"no monomial image for translation kind {type(kind).__name__}")
 
 
 def translate_series(p, kind, N):
@@ -127,4 +128,4 @@ def translate_eval(h_row, kind, s, t, ctx):
                 qpow = qpow * q
                 qq = qq * (1 - q ** (n + 1))
             return SeriesValue(total, n_used, last)
-    raise Unsupported(f"no numeric evaluation for translation kind {kind!r}")
+    raise Unsupported(f"no numeric evaluation for translation kind {type(kind).__name__}")

@@ -412,6 +412,15 @@ def test_verify_point_outside_a_case_names_the_case_and_the_point(capsys):
     assert "affine at s = 3, t = 1: the closed form of Q_0 is undefined" in err
 
 
+@pytest.mark.parametrize("s,t,point", [("3", "1", "4/3"), ("3", "1/2", "7/6")])
+def test_affine_pole_names_its_exact_point(capsys, s, t, point):
+    # the base Q_0 is evaluated at (s + t)/a with a = 3; the message gives
+    # that point as a rational, not as its working-precision rounding
+    code, out, err = run(capsys, "verify", "affine", f"--s={s}", f"--t={t}")
+    assert (code, out) == (2, "")
+    assert err == f"error: affine at s = {s}, t = {t}: the closed form of Q_0 is undefined at t = {point}\n"
+
+
 def test_verify_bad_override_value(capsys):
     code, _, err = run(capsys, "verify", "bessel_plus", "--params", "nu=abc")
     assert code == 2
@@ -612,8 +621,8 @@ def _no_run(*args, **kwargs):
 )
 def test_bad_numeric_setting_is_invalid_input(capsys, monkeypatch, argv):
     # rejected before any evaluation: a run would print a false PASS or
-    # allocate without bound
-    monkeypatch.setattr(cli, "run_suite", _no_run)
+    # allocate without bound; a verify command looks run_suite up in theorems
+    monkeypatch.setattr(theorems, "run_suite", _no_run)
     code, out, err = run(capsys, "verify", "conf_hyp_1f1", *argv)
     assert code == 2
     assert out == ""
@@ -621,7 +630,7 @@ def test_bad_numeric_setting_is_invalid_input(capsys, monkeypatch, argv):
 
 
 def test_bad_numeric_setting_from_environment_or_config(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "run_suite", _no_run)
+    monkeypatch.setattr(theorems, "run_suite", _no_run)
     monkeypatch.setenv("JFRAC_PRECISION_BITS", "-100")
     code, _, err = run(capsys, "verify", "conf_hyp_1f1")
     assert code == 2 and "precision_bits" in err

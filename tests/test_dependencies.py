@@ -10,6 +10,13 @@ mpmath itself is imported on first use, through ``jfrac._mpmath``: a command
 that only computes exactly (the catalog, tableaux, moments, J-fractions,
 Hankel determinants, path sums, exact verification cases) never pays for
 importing it.
+
+The package loads its modules on first use too.  ``import jfrac`` loads none
+of them, and the commands on the exact core (``jfraction``, ``hankel``,
+``oracle``, and ``tableau`` and ``moments`` from --b/--lambda) load neither
+``dataclasses`` (nor the ``inspect`` it imports) nor the families, the
+translations, the series evaluators or the suite.  A family command or a
+verification loads ``dataclasses``, for ``FamilySpec``.
 """
 
 import ast
@@ -84,19 +91,27 @@ def test_the_import_time_scan_sees_nested_statements_only():
     assert sorted(line for line, _ in _imported(_import_time_nodes(tree))) == [1, 3, 7]
 
 
-# Each run in a fresh interpreter: import the package and its CLI, then run
-# the commands in order, recording exit code, stdout and whether mpmath has
-# been imported after each.
+# the modules whose loading the tests below watch
+WATCHED = ("mpmath", "dataclasses", "inspect", "jfrac.families", "jfrac.theorems", "jfrac.translation", "jfrac.series")
+
+# Each run in a fresh interpreter: import the package, then its CLI, then run
+# the commands in order, recording exit code, stdout and which of WATCHED
+# have been imported after each.
 _CHILD = """
 import contextlib, io, json, sys
-import jfrac, jfrac.cli
 
-runs = [["import", None, "mpmath" in sys.modules]]
+def loaded():
+    return [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+
+import jfrac
+runs = [["import jfrac", None, loaded()]]
+import jfrac.cli
+runs.append(["import jfrac.cli", None, loaded()])
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = jfrac.cli.main(argv)
-    runs.append([code, out.getvalue(), "mpmath" in sys.modules])
+    runs.append([code, out.getvalue(), loaded()])
 print(json.dumps(runs))
 """
 
@@ -105,7 +120,8 @@ def _fresh_runs(argvs):
     env = {k: v for k, v in os.environ.items() if k != "JFRAC_PRECISION_BITS"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", _CHILD, json.dumps(argvs), json.dumps(WATCHED)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -121,33 +137,47 @@ def _family_argvs(exact):
     return argvs
 
 
-_EXACT_ARGVS = (
-    [["catalog", "--format", fmt] for fmt in ("text", "csv", "json")]
-    + _family_argvs(exact=True)
-    + [
-        ["tableau", "--b", "1,2,3,4", "--lambda", "1,1/2,1/3,1/4", "--N", "4", "--format", "json"],
-        ["moments", "--b", "1,2,3,4", "--lambda", "1,1/2,1/3,1/4", "--N", "4", "--format", "csv"],
-        ["jfraction", "--moments", "1,1,2,5,14,42,132"],
-        ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "D", "--n", "3"],
-        ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "chi", "--n", "2"],
-        ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "Delta", "--n", "3", "--i", "2"],
-        ["oracle", "--b", "1,2,3", "--lambda", "1,1/2,1/3", "--from", "0", "--to", "1", "--steps", "7"],
-        ["verify", "hankel_affine", "hermite_moments", "asc_noncomm"],
-    ]
-)
-_ERROR_ARGVS = [
-    ["tableau", "--family", "little_q_jacobi", "--params", "a=1/3,b=1/4,q=2"],
-    ["hankel", "--moments", "1,0,1", "--kind", "D", "--n", "-1"],
+# the commands on the exact core, which no family or case reaches
+_CORE_ARGVS = [
+    ["tableau", "--b", "1,2,3,4", "--lambda", "1,1/2,1/3,1/4", "--N", "4", "--format", "json"],
+    ["moments", "--b", "1,2,3,4", "--lambda", "1,1/2,1/3,1/4", "--N", "4", "--format", "csv"],
+    ["jfraction", "--moments", "1,1,2,5,14,42,132"],
+    ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "D", "--n", "3"],
+    ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "chi", "--n", "2"],
+    ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "Delta", "--n", "3", "--i", "2"],
+    ["oracle", "--b", "1,2,3", "--lambda", "1,1/2,1/3", "--from", "0", "--to", "1", "--steps", "7"],
 ]
+_CORE_ERROR_ARGVS = [["hankel", "--moments", "1,0,1", "--kind", "D", "--n", "-1"]]
+_EXACT_ARGVS = (
+    _CORE_ARGVS
+    + [["catalog", "--format", fmt] for fmt in ("text", "csv", "json")]
+    + _family_argvs(exact=True)
+    + [["verify", "hankel_affine", "hermite_moments", "asc_noncomm"]]
+)
+_ERROR_ARGVS = _CORE_ERROR_ARGVS + [["tableau", "--family", "little_q_jacobi", "--params", "a=1/3,b=1/4,q=2"]]
 
 
 def test_exact_commands_never_import_mpmath():
     runs = _fresh_runs(_EXACT_ARGVS + _ERROR_ARGVS)
-    assert runs[0] == ["import", None, False]
-    codes = [code for code, _, _ in runs[1:]]
+    assert runs[:2] == [["import jfrac", None, []], ["import jfrac.cli", None, []]]
+    codes = [code for code, _, _ in runs[2:]]
     assert codes == [0] * len(_EXACT_ARGVS) + [2] * len(_ERROR_ARGVS)
-    loaded = [argv for argv, (_, _, mpmath_loaded) in zip(_EXACT_ARGVS + _ERROR_ARGVS, runs[1:]) if mpmath_loaded]
+    loaded = [argv for argv, (_, _, modules) in zip(_EXACT_ARGVS + _ERROR_ARGVS, runs[2:]) if "mpmath" in modules]
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "family_argv",
+    [["catalog"], ["tableau", "--family", "hermite", "--N", "4"], ["verify", "hermite_moments"]],
+    ids=" ".join,
+)
+def test_exact_core_commands_load_no_dataclasses_families_or_suite(family_argv):
+    runs = _fresh_runs(_CORE_ARGVS + _CORE_ERROR_ARGVS + [family_argv])
+    codes = [code for code, _, _ in runs[2:]]
+    assert codes == [0] * len(_CORE_ARGVS) + [2] * len(_CORE_ERROR_ARGVS) + [0]
+    assert [modules for _, _, modules in runs[:-1]] == [[]] * (len(runs) - 1)
+    # a family command loads dataclasses, for FamilySpec
+    assert "dataclasses" in runs[-1][2] and "jfrac.families" in runs[-1][2]
 
 
 @pytest.mark.parametrize(
@@ -157,7 +187,7 @@ def test_exact_commands_never_import_mpmath():
 )
 def test_numeric_commands_import_mpmath_on_first_use(argv, capsys, monkeypatch):
     monkeypatch.delenv("JFRAC_PRECISION_BITS", raising=False)
-    [imported, run] = _fresh_runs([argv])
-    assert imported == ["import", None, False]
+    [imported, _, run] = _fresh_runs([argv])
+    assert imported == ["import jfrac", None, []]
     code = main(argv)
-    assert run == [code, capsys.readouterr().out, True]
+    assert run[:2] == [code, capsys.readouterr().out] and "mpmath" in run[2]

@@ -1,5 +1,6 @@
-"""Every name ``jfrac/__init__`` exports is reached by the program itself, by
-the README or by the benchmark, or is listed below with the reason it stays.
+"""Every name in ``jfrac/__init__``'s export table resolves, and is reached
+by the program itself, by the README or by the benchmark, or is listed below
+with the reason it stays.
 
 A name is reached from the package when a module other than ``__init__``
 loads it or imports it (``from .x import name``); the statement that defines
@@ -12,6 +13,8 @@ import ast
 import re
 from pathlib import Path
 
+import jfrac
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jfrac"
 
@@ -20,8 +23,22 @@ UNREACHED_ON_PURPOSE = {}
 
 
 def _exports():
+    """The names of ``__init__``'s export table, {module: "name name ..."},
+    read from its source."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    [table] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_EXPORTS"]
+    ]
+    return {name for names in ast.literal_eval(table).values() for name in names.split()}
+
+
+def test_the_export_table_is_read_and_every_name_resolves():
+    names = _exports()
+    assert len(names) >= 70  # the package exports 70 names; fewer means the table was misread
+    listed = dir(jfrac)
+    unresolved = sorted(name for name in names if name not in listed or not hasattr(jfrac, name))
+    assert unresolved == []
 
 
 def _loaded_in_package():

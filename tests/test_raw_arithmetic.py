@@ -14,7 +14,6 @@ finish.
 """
 
 import cmath
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -164,7 +163,7 @@ def _agree(a, q, ctx):
             assert ctx.max_terms < 3000 or float(abs(q)) > 0.99
             return
         scale = [mpmath.mpf(1)]
-        want, want_value = _outcome(ref_q_pochhammer_inf, a, q, replace(ctx, max_terms=10**6), scale)
+        want, want_value = _outcome(ref_q_pochhammer_inf, a, q, ctx.replace(max_terms=10**6), scale)
     assert got[0] == want[0] == "value"
     if q != 0:
         assert got == want

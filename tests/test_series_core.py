@@ -10,7 +10,6 @@ the reference's is, and values, tail bounds and last partial sums within
 2^-precision_bits of the largest term the reference met.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -343,7 +342,7 @@ def _numeric_agree(numer, denom, q, z, ctx):
     if got_same != _split(want)[0]:  # a tie?  the moved tolerances decide it
         for sign in (1, -1):
             tol = F(ctx.rel_tolerance) * (1 + F(sign, 2 ** (ctx.precision_bits + 32)))
-            moved = _reference(numer, denom, q, z, replace(ctx, rel_tolerance=tol), [0])
+            moved = _reference(numer, denom, q, z, ctx.replace(rel_tolerance=tol), [0])
             want = moved if _split(moved)[0] == got_same else want
     want_same, want_values = _split(want)
     if _is_stop(got) and _is_stop(want) and (got[0], got[3]) != (want[0], want[3]):  # stopped elsewhere
@@ -384,7 +383,7 @@ def _stop_within_margin(got, numer, denom, q, z, ctx):
     must then agree with the reference's at that index, by type and within
     the bound."""
     trace = []
-    ran = _reference(numer, denom, q, z, replace(ctx, consecutive_small=ctx.max_terms + 1), None, trace)
+    ran = _reference(numer, denom, q, z, ctx.replace(consecutive_small=ctx.max_terms + 1), None, trace)
     with ctx.workprec():
         tol = ctx.mpf(ctx.rel_tolerance)
         peak, maybe, surely, allowed, first_sure, bounds = mpmath.mpf(1), 0, 0, set(), None, []
