@@ -23,6 +23,7 @@ tolerance= in --params wins.  Each command runs in one memo scope.
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fnmatch import fnmatchcase
@@ -339,19 +340,6 @@ def cmd_catalog(args, cfg, explicit, out):
 # ---------------------------------------------------------------------------
 # verification commands
 
-def _match_ids(patterns, strict):
-    from .theorems import identity_ids, theorem_ids
-
-    ids = sorted(theorem_ids() + identity_ids())
-    matched = []
-    for pattern in patterns:
-        hits = [cid for cid in ids if fnmatchcase(cid, pattern)]
-        if strict and not hits:
-            raise UnknownTheorem(f"pattern {pattern!r} matched nothing")
-        matched.extend(hits)
-    return [cid for cid in ids if cid in set(matched)]
-
-
 def _rat_flag(args, name):
     text = getattr(args, name, None)
     if text is None:
@@ -371,8 +359,15 @@ def _run_cases(patterns, args, cfg, explicit, ctx):
             _check_size(int(params[key]), key)
         except ValueError:
             raise InvalidParams(f"bad value {params[key]!r} for parameter {key!r}") from None
+    if args.strict:
+        from .theorems import identity_ids, theorem_ids
+
+        ids = theorem_ids() + identity_ids()
+        for pattern in patterns:
+            if not any(fnmatchcase(cid, pattern) for cid in ids):
+                raise UnknownTheorem(f"pattern {pattern!r} matched nothing")
     return run_suite(
-        _match_ids(patterns, args.strict),
+        patterns,
         ctx,
         params=params,
         seed=cfg.seed if "seed" in explicit else None,
@@ -432,6 +427,13 @@ def cmd_report(args, cfg, explicit, out):
 
 # ---------------------------------------------------------------------------
 # parser
+
+# argparse takes a token for a value, not a flag, when it reads as a negative
+# number; its own test knows only -2 and -0.5, so this one also admits the
+# rationals and exponents that --s, --t and --tolerance take: `--t -1/2`
+# parses as `--t=-1/2` does.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
+
 
 def _common_flags():
     common = argparse.ArgumentParser(add_help=False)
@@ -502,6 +504,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -10,7 +10,8 @@ lambda_n off its first two superdiagonals.  Most Q forms are declared once
 as a :class:`Term`, which yields the numeric evaluator, the exact series
 and so the closed tableau; a q-family's translated Q_0 and twisted
 companion Q~_j follow from the same Term, except big q-Jacobi's companion,
-which stays in its printed 2phi1 form.
+which stays in its printed 2phi1 form.  One constructor,
+:func:`_term_family`, wires a Term's evaluators into its family.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -32,7 +33,6 @@ from .errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from .jfraction import JFraction, tableau_from_jfraction
 from .scalar import (
     PrecisionContext,
-    binom,
     factorial,
     fraction_sum,
     q_pochhammer_inf,
@@ -312,16 +312,13 @@ class FamilySpec:
     q_series_fn(0, N) (:func:`family_moments`).  The companion's exact series
     is not stored: it is Q_j's with coefficient n times q^C(n,2).
     tableau_entry_fn(i, n) is the closed tableau: H_{i,n} for 0 <= i <= n,
-    None for a family without one (the catalog's ``has_closed_tableau``).
-    It is read off the Q Term's series (:func:`_closed_tableau_family`) or,
-    for an affine image, off the base family's tableau.  Most families declare each Q form
-    once as a :class:`Term` and take both evaluators from it.
+    None for a family without one (the catalog's ``has_closed_tableau``);
+    it is read off the Q Term's series (:func:`_closed_tableau_family`).
     translated_q0_fn(s, t, ctx) is Q_0 under the family's own q-translation
-    (t != 0), which a q-family takes from its Q Term
-    (:meth:`Term.translated_q0`), as little q-Jacobi and Al-Salam-Carlitz
-    also take their q_tilde_fn (:meth:`Term.companion`).
-    A builder leaves ``id`` and ``params`` to :func:`make_family`, and
-    names ``translation`` only when it is not the ordinary shift.
+    (t != 0).  Most families declare Q_j once as a :class:`Term`, and
+    :func:`_term_family` takes from it the translation kind, both
+    evaluators and, under a q-translation, the translated Q_0 and the
+    companion.  A builder leaves ``id`` and ``params`` to :func:`make_family`.
     """
 
     b_fn: object
@@ -342,6 +339,17 @@ class FamilySpec:
     def series_denominator(self, n):
         """n-th normalizer of the Q-series: n! classically, (q;q)_n in q-land."""
         return self.translation.series_denominator(n)
+
+
+def _term_family(q, b_fn, lambda_fn, **overrides):
+    """The family whose Q_j is the Term ``q``, with ``overrides`` replacing
+    or adding fields: translation, Q_j and its exact series from ``q``, and
+    under a q-translation the translated Q_0 (:meth:`Term.translated_q0`)
+    and the companion (:meth:`Term.companion`) too."""
+    wired = {"translation": q.kind, "q_fn": q.value, "q_series_fn": q.series}
+    if isinstance(q.kind, QTranslation):
+        wired.update(translated_q0_fn=q.translated_q0, q_tilde_fn=q.companion)
+    return FamilySpec(b_fn=b_fn, lambda_fn=lambda_fn, **{**wired, **overrides})
 
 
 def family_jfraction(spec, depth):
@@ -576,12 +584,7 @@ def _make_ultraspherical(params):
         return F(j * (j + 2 * nu - 1), 1) / (4 * (nu + j - 1) * (nu + j))
 
     q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
-    return FamilySpec(
-        b_fn=lambda n: F(0),
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(q, lambda n: F(0), lambda_fn)
 
 
 def _make_jacobi(params):
@@ -599,34 +602,18 @@ def _make_jacobi(params):
         return top / ((s - 1) * s * s * (s + 1))
 
     q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(q, b_fn, lambda_fn)
 
 
 def _make_hermite(params):
-    q = Term(Classical(), exp=(0, F(1, 4)))
-    return FamilySpec(
-        b_fn=lambda n: F(0),
-        lambda_fn=lambda n: F(n, 2),
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(Term(Classical(), exp=(0, F(1, 4))), lambda n: F(0), lambda n: F(n, 2))
 
 
 def _make_laguerre(params):
     alpha = params["alpha"]
 
     q = Term(Classical(), power=(1, lambda n: alpha + n + 1))
-    return FamilySpec(
-        b_fn=lambda n: 2 * n + alpha + 1,
-        lambda_fn=lambda n: n * (alpha + n),
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(q, lambda n: 2 * n + alpha + 1, lambda n: n * (alpha + n))
 
 
 def _make_meixner(params):
@@ -640,24 +627,13 @@ def _make_meixner(params):
 
     # ((1 - c) / (1 - c e^t))^{beta+n} (e^t - 1)^n / n!
     q = Term(Classical(), power=(c / (1 - c), lambda n: beta + n), in_u=True)
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(q, b_fn, lambda_fn)
 
 
 def _make_charlier(params):
     a = params["a"]
 
-    q = Term(Classical(), exp=(a,), in_u=True)
-    return FamilySpec(
-        b_fn=lambda n: n + a,
-        lambda_fn=lambda n: a * n,
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(Term(Classical(), exp=(a,), in_u=True), lambda n: n + a, lambda n: a * n)
 
 
 def _make_meixner_pollaczek(params):
@@ -767,17 +743,8 @@ def _make_little_q_jacobi(params):
     A = _q_factors(q, power=(1, 0), top=((1, a, 1, 1), (1, ab, 1, 1)), bottom=((1, ab, 2, 1), (1, ab, 2, 2)))
     C = _q_factors(q, c=a, power=(1, 0), top=((1, 1, 1, 0), (1, b, 1, 0)), bottom=((1, ab, 2, 0), (1, ab, 2, 1)))
 
-    kind = QTranslation(q)
-    q_form = Term(kind, hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
-    return FamilySpec(
-        b_fn=lambda n: fraction_sum([A(n), C(n)]),
-        lambda_fn=lambda n: _product(A(n - 1), C(n)),
-        translation=kind,
-        q_fn=q_form.value,
-        q_tilde_fn=q_form.companion,
-        q_series_fn=q_form.series,
-        translated_q0_fn=q_form.translated_q0,
-    )
+    q_form = Term(QTranslation(q), hyper=lambda j: ([F(0), a * q ** (j + 1)], [a * b * q ** (2 * j + 2)], 1))
+    return _term_family(q_form, lambda n: fraction_sum([A(n), C(n)]), lambda n: _product(A(n - 1), C(n)))
 
 
 def _make_big_q_jacobi(params):
@@ -807,15 +774,11 @@ def _make_big_q_jacobi(params):
         qpochs=(-1,),
         hyper=lambda j: ([a * q ** (j + 1), c * q ** (j + 1)], [a * b * q ** (2 * j + 2)], -1),
     )
-
-    return FamilySpec(
-        b_fn=lambda n: fraction_sum([(1, 1), minus_A(n), minus_C(n)]),
-        lambda_fn=lambda n: _product(minus_A(n - 1), minus_C(n)),
-        translation=kind,
-        q_fn=q_form.value,
+    return _term_family(
+        q_form,
+        lambda n: fraction_sum([(1, 1), minus_A(n), minus_C(n)]),
+        lambda n: _product(minus_A(n - 1), minus_C(n)),
         q_tilde_fn=tilde.value,
-        q_series_fn=q_form.series,
-        translated_q0_fn=q_form.translated_q0,
     )
 
 
@@ -827,15 +790,7 @@ def _make_al_salam_carlitz(params):
     b = _q_factors(q, c=1 + a, power=(1, 0))  # (1 + a) q^n
     lam = _q_factors(q, c=-a, power=(1, -1), top=((1, 1, 1, 0),))  # -a q^(n-1) (1 - q^n)
     q_form = Term(QTranslation(q), inv_qpochs=(1, a))
-    return FamilySpec(
-        b_fn=lambda n: _product(b(n)),
-        lambda_fn=lambda n: _product(lam(n)),
-        translation=q_form.kind,
-        q_fn=q_form.value,
-        q_tilde_fn=q_form.companion,
-        q_series_fn=q_form.series,
-        translated_q0_fn=q_form.translated_q0,
-    )
+    return _term_family(q_form, lambda n: _product(b(n)), lambda n: _product(lam(n)))
 
 
 def _bessel_coefs(x, q, j, shift, step):
@@ -979,13 +934,7 @@ def _closed_tableau_family(q, exact=True):
             return h if exact else mpmath.mpc(1) * h
 
     b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=not exact)
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q.value,
-        tableau_entry_fn=tableau_entry_fn,
-        q_series_fn=q.series if exact else None,
-    )
+    return _term_family(q, b_fn, lambda_fn, tableau_entry_fn=tableau_entry_fn, q_series_fn=q.series if exact else None)
 
 
 def _make_hermite_moments(params):
@@ -1043,12 +992,7 @@ def _make_derangement(params):
     alpha, x = params["alpha"], params["x"]
 
     q = Term(Classical(), exp=(-1,), power=(x, lambda n: alpha + n + 1))
-    return FamilySpec(
-        b_fn=lambda n: (2 * n + alpha + 1) * x - 1,
-        lambda_fn=lambda n: n * (n + alpha) * x * x,
-        q_fn=q.value,
-        q_series_fn=q.series,
-    )
+    return _term_family(q, lambda n: (2 * n + alpha + 1) * x - 1, lambda n: n * (n + alpha) * x * x)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,16 +1127,6 @@ def make_affine(base, a, b):
     def lambda_fn(n):
         return base.lambda_fn(n) / (a * a)
 
-    # the base tableau is built once and grown only to the largest N asked
-    # for; a larger tableau holds every smaller one
-    base_tableau = None
-
-    def _base_tableau(N):
-        nonlocal base_tableau
-        if N < 0 or base_tableau is None or base_tableau.N < N:  # family_tableau rejects N < 0
-            base_tableau = family_tableau(base, N)
-        return base_tableau
-
     def q_fn(j, t, ctx):
         at = ctx.mpf(t) / ctx.mpf(a)
         exact = F(*mpmath.libmp.to_rational(t._mpf_)) if isinstance(t, mpmath.mpf) and mpmath.isfinite(t) else t
@@ -1209,20 +1143,12 @@ def make_affine(base, a, b):
         body = q_series(j, degree).scale_argument(1 / a) * exp_series(-b / a, degree)
         return body * a ** j
 
-    def tableau_entry_fn(i, N):
-        tab = _base_tableau(N)
-        total = F(0)
-        for k in range(N - i + 1):
-            total += F(binom(N, k)) * (-b) ** k * tab.entry(i, N - k)
-        return total * a ** (i - N)
-
     return FamilySpec(
         id=f"affine({base.id})",
         params={"a": a, "b": b, **{f"base.{k}": v for k, v in base.params.items()}},
         b_fn=b_fn,
         lambda_fn=lambda_fn,
         q_fn=q_fn if base.q_fn is not None else None,
-        tableau_entry_fn=tableau_entry_fn,
         q_series_fn=q_series_fn if q_series is not None else None,
     )
 

@@ -83,10 +83,6 @@ class PathWeights:
         self.b = b
         self.lam = lam
 
-    @classmethod
-    def from_jfraction(cls, jf):
-        return cls(tuple(jf.b), tuple(jf.lam))
-
 
 def _max_level(start, end, n):
     # a path touching level L spends at least (L - start) + (L - end) steps moving

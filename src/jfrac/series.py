@@ -92,15 +92,6 @@ class PowerSeries:
     def one(cls, degree):
         return cls([1], degree)
 
-    @classmethod
-    def term(cls, coeff, k, degree):
-        """The monomial coeff * t^k as a degree-``degree`` truncation."""
-        if not 0 <= k <= degree:
-            raise ValueError("monomial exponent outside the truncation range")
-        coeffs = [0] * (degree + 1)
-        coeffs[k] = coeff
-        return cls(coeffs, degree)
-
     def __getitem__(self, n):
         if not 0 <= n <= self.truncation_degree:
             raise IndexError(f"coefficient {n} beyond truncation degree {self.truncation_degree}")
@@ -192,13 +183,6 @@ class PowerSeries:
             out.append(c * power)
             power = power * r
         return PowerSeries(out, self.truncation_degree)
-
-    def eval_at(self, x):
-        """Horner evaluation of the truncated polynomial at ``x``."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coefficients[:6])

@@ -113,14 +113,27 @@ MUTANTS = [
             "tests/test_acceptance.py::test_criterion_08_noncommutative_coefficients",
         ),
     ),
+    # the evaluators a Term-declared q-family takes from its Term (families._term_family)
     Mutant(
-        "little q-Jacobi's companion taken as Q_j itself",
+        "the constructor's companion taken as Q_j itself",
         "src/jfrac/families.py",
-        "translation=kind,\n        q_fn=q_form.value,\n        q_tilde_fn=q_form.companion,",
-        "translation=kind,\n        q_fn=q_form.value,\n        q_tilde_fn=q_form.value,",
+        "q_tilde_fn=q.companion)",
+        "q_tilde_fn=q.value)",
         (
             _TRANSLATION + "test_derived_companion_reproduces_the_written_form",
             _FAMILIES + "test_twisted_partner_series[little_q_jacobi]",
+            "tests/test_theorems.py::test_numeric_theorems[little_qj]",
+        ),
+    ),
+    Mutant(
+        "the constructor derives no translated Q_0",
+        "src/jfrac/families.py",
+        "translated_q0_fn=q.translated_q0, ",
+        "",
+        (
+            _TRANSLATION + "test_family_closed_form_matches_series_route[little_q_jacobi-params0]",
+            _TRANSLATION + "test_family_closed_form_matches_series_route[big_q_jacobi-params1]",
+            _TRANSLATION + "test_family_closed_form_matches_series_route[al_salam_carlitz-params2]",
             "tests/test_theorems.py::test_numeric_theorems[little_qj]",
         ),
     ),

@@ -40,7 +40,7 @@ def _record(num, ok, detail):
 def _tableau_matches_oracle(spec, n_max):
     jf = family_jfraction(spec, n_max + 2)
     tab = family_tableau(spec, n_max)
-    weights = PathWeights.from_jfraction(jf)
+    weights = PathWeights(jf.b, jf.lam)
     bad = []
     for n in range(n_max + 1):
         for i in range(n + 1):

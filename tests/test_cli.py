@@ -255,6 +255,17 @@ def test_verify_with_overrides(capsys):
     assert rec["t"] == "1/10" and rec["s"] == "1/10"
 
 
+@pytest.mark.parametrize("flag, value, code", [("--t", "-1/2", 0), ("--s", "-5e-1", 0), ("--tolerance", "-1/2", 2)])
+def test_negative_rational_after_a_flag_parses_as_with_equals(capsys, flag, value, code):
+    # a negative rational as its own token once stopped in argparse with
+    # "expected one argument"; a negative tolerance is the case's own error
+    joined = run(capsys, "verify", "bessel_plus", f"{flag}={value}")
+    spaced = run(capsys, "verify", "bessel_plus", flag, value)
+    assert spaced == joined
+    assert joined[0] == code
+    assert joined[1].startswith("PASS bessel_plus") if code == 0 else "is not positive" in joined[2]
+
+
 def test_verify_failure_exit_code(capsys):
     # an unreachable tolerance turns the same passing case into a failure
     code, out, _ = run(capsys, "verify", "conf_hyp_1f1", "--tolerance", "1e-60")

@@ -180,7 +180,7 @@ def test_family_examples(family_id, params, N, int_side):
         series = cf_series(jf, N)
         assert series == tab.row0
         assert _typed(series) == _typed(_series_value_loop(jf, N))
-        w = PathWeights.from_jfraction(jf)
+        w = PathWeights(jf.b, jf.lam)
         for start, end in ((0, 0), (2, 1)):
             value = path_weight_sum_dp(w, start, end, N - 6)
             ref_value = _fraction_loop(path_weight_sum_dp, w, start, end, N - 6)
@@ -201,7 +201,7 @@ def test_int_loops_hand_over_to_fractions(family_id, params, N):
     tab = tableau_from_jfraction(jf, N)
     ref = _fraction_loop(tableau_from_jfraction, jf, N)
     assert [_typed(row) for row in tab.H] == [_typed(row) for row in ref.H]
-    w = PathWeights.from_jfraction(jf)
+    w = PathWeights(jf.b, jf.lam)
     for start, end in ((0, 0), (1, 2), (0, N - 6)):
         value = path_weight_sum_dp(w, start, end, N - 6)
         ref_value = _fraction_loop(path_weight_sum_dp, w, start, end, N - 6)
@@ -302,7 +302,8 @@ def test_int_weights_never_take_the_fused_step(monkeypatch):
     monkeypatch.setattr(motzkin, "_fraction_step", None)  # any call to it fails
     laguerre = family_jfraction(make_family("laguerre", {"alpha": F(1, 2)}), 60)
     tableau_from_jfraction(laguerre, 60)
-    little = PathWeights.from_jfraction(family_jfraction(_sample("little_q_jacobi"), 38))
+    little_jf = family_jfraction(_sample("little_q_jacobi"), 38)
+    little = PathWeights(little_jf.b, little_jf.lam)
     for start, end in ((0, 0), (1, 2), (3, 0)):
         path_weight_sum_dp(little, start, end, 32)
 

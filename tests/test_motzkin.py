@@ -35,7 +35,8 @@ def test_dp_multiplies_zero_weights():
     """A DP sum that no path of nonzero weight reaches is Fraction(0) on
     rational weights (Hermite, level 0 to level 1 in 2 steps); an end farther
     than n levels away is the int 0 without a step."""
-    w = PathWeights.from_jfraction(family_jfraction(make_family("hermite", {}), 4))
+    jf = family_jfraction(make_family("hermite", {}), 4)
+    w = PathWeights(jf.b, jf.lam)
     value = path_weight_sum_dp(w, 0, 1, 2)
     assert type(value) is F and value == 0
     value = path_weight_sum_dp(w, 0, 3, 2)
@@ -87,7 +88,7 @@ def test_tableau_entries_are_path_sums(family_id, params):
     spec = make_family(family_id, params)
     jf = family_jfraction(spec, 8)
     tab = tableau_from_jfraction(jf, 6)
-    w = PathWeights.from_jfraction(jf)
+    w = PathWeights(jf.b, jf.lam)
     for n in range(7):
         for i in range(n + 1):
             assert tab.entry(i, n) == path_weight_sum(w, 0, i, n)
