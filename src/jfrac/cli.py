@@ -42,8 +42,8 @@ from .scalar import PrecisionContext, memo_scope, rat, rat_str
 MAX_SIZE = 500
 
 # Largest accepted precision in bits.  A whole `verify --all --format json`
-# process takes about 0.2 s at 256 bits and 16 s at 8192 (pure-Python mpmath
-# backend, Python 3.11, medians of 5 and 3 runs on one shared x86-64 core);
+# process takes about 0.5 s at 256 bits and 9 s at 8192 (pure-Python mpmath
+# backend, Python 3.11, medians of 3 runs on one shared, loaded x86-64 core);
 # far above, a value such as 1000000000 would allocate numbers of 125 MB each.
 MAX_PRECISION_BITS = 8192
 
@@ -430,9 +430,11 @@ def cmd_report(args, cfg, explicit, out):
 
 # argparse takes a token for a value, not a flag, when it reads as a negative
 # number; its own test knows only -2 and -0.5, so this one also admits the
-# rationals and exponents that --s, --t and --tolerance take: `--t -1/2`
-# parses as `--t=-1/2` does.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
+# rationals and exponents that --s, --t and --tolerance take, and a comma list
+# of numbers that starts with one, as --b, --lambda and --moments take:
+# `--t -1/2` parses as `--t=-1/2` does, and `--b -1,2` as `--b=-1,2`.
+_NUMBER = r"(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$")
 
 
 def _common_flags():

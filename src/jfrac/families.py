@@ -576,19 +576,28 @@ def _recurrence_from_closed_tableau(entry_fn, per_precision=True):
 # ---------------------------------------------------------------------------
 # classical families
 
+def ultraspherical_q(nu):
+    """Ultraspherical Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in
+    its entire 0F1 form t^j / j! 0F1(; nu+j+1; t^2/4)."""
+    return Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
+
+
+def jacobi_q(alpha, beta):
+    """Jacobi Q_i = t^i / i! e^-t 1F1(beta+i+1; alpha+beta+2i+2; 2t); Kummer's transformation
+    gives the second printed form e^t 1F1(alpha+i+1; ...; -2t)."""
+    return Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
+
+
 def _make_ultraspherical(params):
-    # Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its 0F1 form
     nu = params["nu"]
 
     def lambda_fn(j):
         return F(j * (j + 2 * nu - 1), 1) / (4 * (nu + j - 1) * (nu + j))
 
-    q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
-    return _term_family(q, lambda n: F(0), lambda_fn)
+    return _term_family(ultraspherical_q(nu), lambda n: F(0), lambda_fn)
 
 
 def _make_jacobi(params):
-    # Kummer's transformation gives the second printed form e^t 1F1(alpha+i+1; ...; -2t)
     alpha, beta = params["alpha"], params["beta"]
 
     def b_fn(n):
@@ -601,8 +610,7 @@ def _make_jacobi(params):
         s = 2 * n + alpha + beta
         return top / ((s - 1) * s * s * (s + 1))
 
-    q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
-    return _term_family(q, b_fn, lambda_fn)
+    return _term_family(jacobi_q(alpha, beta), b_fn, lambda_fn)
 
 
 def _make_hermite(params):

@@ -11,6 +11,7 @@ exact equality.
 import random
 from fractions import Fraction
 from fnmatch import fnmatchcase
+from functools import partial
 from itertools import accumulate
 from operator import attrgetter, mul
 
@@ -29,16 +30,17 @@ from .families import (
     gegenbauer_poly,
     hermite_poly,
     jacobi_poly,
+    jacobi_q,
     make_affine,
     make_family,
     no_unit_power,
     nonzero,
     off_integers,
     translate_q0,
+    ultraspherical_q,
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
 from .scalar import PrecisionContext, factorial, int_str, memo_scope, pochhammer, q_pochhammer, rat, rat_str
-from .series import bessel_i, bessel_j, eval_pfq
 from .translation import Classical, NonCommutative, translate_series
 
 F = Fraction
@@ -80,32 +82,9 @@ class VerificationReport:
         self.tail_estimate = tail_estimate
         self.passed = passed
 
-    def __eq__(self, other):
-        names = VerificationReport.__slots__
-        return type(other) is VerificationReport and all(getattr(self, n) == getattr(other, n) for n in names)
-
-
-class TheoremCase:
-    """Executable pieces of one addition formula."""
-
-    __slots__ = ("id", "rhs_weight", "mode", "lhs_eval", "rhs_left_fn", "rhs_right_fn", "rhs_prefactor", "exact_check")
-
-    def __init__(
-        self, id, rhs_weight, mode="numeric", lhs_eval=None, rhs_left_fn=None, rhs_right_fn=None, rhs_prefactor=None,
-        exact_check=None,
-    ):
-        self.id = id
-        self.rhs_weight = rhs_weight  # n -> scalar, weight(0) = 1
-        self.mode = mode
-        self.lhs_eval = lhs_eval  # (s, t, ctx) -> SeriesValue
-        self.rhs_left_fn = rhs_left_fn  # (n, t, ctx) -> SeriesValue
-        self.rhs_right_fn = rhs_right_fn  # (n, s, ctx) -> SeriesValue
-        self.rhs_prefactor = rhs_prefactor  # optional (s, t, ctx) -> scalar
-        self.exact_check = exact_check  # () -> (passed, n_checked, max_dev)
-
 
 # ---------------------------------------------------------------------------
-# report constructors, the one sum-and-judge routine, exact comparator
+# report constructors, the sum-and-judge routines, exact comparator
 
 def _exact_report(id, params, passed, n_checked, max_dev):
     return VerificationReport(id, params, mode="exact", n_terms=n_checked, abs_error=max_dev, passed=passed)
@@ -134,6 +113,28 @@ def _summed_report(id, params, lhs, N, term, tolerance, ctx, pref=None, s=None, 
         total = pref * total
         last = abs(pref) * last
     return _numeric_report(id, params, lhs, total, N + 1, last, tolerance, ctx, s, t)
+
+
+def _addition_report(id, params, ctx, point, lhs, weight, left, right, pref=None):
+    """Judge an addition formula at point = (s, t, N, tolerance): lhs(s, t, ctx)
+    against sum_{n <= N} w_n left_n(t) right_n(s), with ``left``, ``right``
+    functions (n, v, ctx) -> SeriesValue, both sides times ``pref`` when one is
+    given.  A symmetric right-hand side at s = t is w_n left_n(t)^2."""
+    s, t, N, tolerance = point
+    same = left is right and s == t
+    try:
+        with ctx.workprec():
+            value = lhs(s, t, ctx).value
+            value = value if pref is None else pref * value
+
+            def term(n):
+                w = ctx.number(weight(n))
+                left_n = left(n, t, ctx).value
+                return w * left_n * (left_n if same else right(n, s, ctx).value)
+
+            return _summed_report(id, params, value, N, term, tolerance, ctx, pref, s, t)
+    except InvalidParams as exc:  # a point outside a closed form's domain
+        raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
 
 
 def _compare(pairs):
@@ -168,56 +169,50 @@ def _bilinear_check(lhs, weight, rows, degree):
 
 
 # ---------------------------------------------------------------------------
-# theorem case builders: (case id, merged params) -> TheoremCase
+# theorem cases: (case id, merged params, ctx, point) -> VerificationReport,
+# point = (s, t, N, tolerance) for a numeric case and None for an exact one
 
-def _conf_hyp_1f1(cid, params):
+def _at_sum(q):
+    """(s, t, ctx) -> the Term q's Q_0(t + s)."""
+
+    def lhs(s, t, ctx):
+        with ctx.workprec():
+            return q.value(0, ctx.number(t) + ctx.number(s), ctx)
+
+    return lhs
+
+
+def _bessel_q(nu):
+    """Q_n(v) = v^n / n! 0F1(; nu+n+1; -v^2/4) = 2^n Gamma(nu+n+1) (2/v)^nu J_{nu+n}(v) / n!, entire in v."""
+    return Term(Classical(), hyper=lambda n: ([], [nu + n + 1], F(-1, 4)), step=2)
+
+
+def _conf_hyp_1f1(cid, params, ctx, point):
+    """1F1(alpha+1; alpha+beta+2; s+t) = sum_n w_n Q_n(t) Q_n(s) with
+    Q_n(v) = v^n / n! 1F1(alpha+n+1; alpha+beta+2n+2; v)."""
     alpha, beta = params["alpha"], params["beta"]
+    q = Term(Classical(), hyper=lambda n: ([alpha + n + 1], [alpha + beta + 2 * n + 2], 1))
 
     def weight(n):
-        return (
-            pochhammer(alpha + 1, n)
-            * pochhammer(beta + 1, n)
-            * pochhammer(alpha + beta + 1, n)
-            / (
-                F(factorial(n))
-                * pochhammer(alpha + beta + 1, 2 * n)
-                * pochhammer(alpha + beta + 2, 2 * n)
-            )
-        )
+        top = pochhammer(alpha + 1, n) * pochhammer(beta + 1, n) * pochhammer(alpha + beta + 1, n) * factorial(n)
+        return top / (pochhammer(alpha + beta + 1, 2 * n) * pochhammer(alpha + beta + 2, 2 * n))
 
-    def lhs(s, t, ctx):
-        with ctx.workprec():
-            return eval_pfq([alpha + 1], [alpha + beta + 2], ctx.number(t) + ctx.number(s), ctx)
-
-    def factor(n, v, ctx):
-        with ctx.workprec():
-            vv = ctx.number(v)
-            return eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], vv, ctx).scaled(vv**n)
-
-    return TheoremCase(cid, weight, lhs_eval=lhs, rhs_left_fn=factor, rhs_right_fn=factor)
+    return _addition_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value)
 
 
-def _bessel_plus(cid, params):
-    """J_nu(s+t) / (s+t)^nu = Gamma(nu+1) 2^nu sum_n w_n (ts)^n E_{nu+n}(t) E_{nu+n}(s) with the entire
-    E_mu(v) = v^-mu J_mu(v) = 0F1(; mu+1; -v^2/4) / (2^mu Gamma(mu+1)): no branch of v^mu, no division by v."""
+def _bessel_plus(cid, params, ctx, point):
+    """J_nu(s+t) / (s+t)^nu = c Q_0(s+t) = c sum_n w_n Q_n(t) Q_n(s) with _bessel_q's entire Q_n,
+    c = 1 / (2^nu Gamma(nu+1)) and w_n = (nu+n) (-1)^n (2nu)_n n! / (nu 4^n (nu+1)_n^2): no branch
+    of v^nu, no division by v."""
     nu = params["nu"]
+    q = _bessel_q(nu)
 
     def weight(n):
-        return (nu + n) * F(-1) ** n * pochhammer(2 * nu, n) / (nu * factorial(n))
+        return (nu + n) * F(-1) ** n * pochhammer(2 * nu, n) * factorial(n) / (nu * 4**n * pochhammer(nu + 1, n) ** 2)
 
-    def entire(n, v, ctx):  # v^n E_{nu+n}(v)
-        with ctx.workprec():
-            v = ctx.number(v)
-            pref = v**n / (mpmath.power(2, ctx.number(nu + n)) * ctx.gamma(nu + n + 1))
-            return eval_pfq([], [nu + n + 1], -v * v / 4, ctx).scaled(pref)
-
-    def lhs(s, t, ctx):
-        return entire(0, s + t, ctx)
-
-    def prefactor(s, t, ctx):
-        return ctx.gamma(nu + 1) * mpmath.power(2, ctx.number(nu))
-
-    return TheoremCase(cid, weight, lhs_eval=lhs, rhs_left_fn=entire, rhs_right_fn=entire, rhs_prefactor=prefactor)
+    with ctx.workprec():
+        c = 1 / (mpmath.power(2, ctx.number(nu)) * ctx.gamma(nu + 1))
+    return _addition_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value, c)
 
 
 def _affine_pair(params):
@@ -267,7 +262,7 @@ def _family_case(family, left=_Q, right=_Q, kind=_KIND):
     translated under ``kind``, a function of the spec that gives the kind.
     """
 
-    def build(cid, params):
+    def case(cid, params, ctx, point):
         if callable(family):
             spec = family(params)
         else:
@@ -275,25 +270,12 @@ def _family_case(family, left=_Q, right=_Q, kind=_KIND):
         weight = family_weights(spec)
         if "degree" in params:
             degree = params["degree"]
+            rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
+            lhs = translate_series(rows[0], kind(spec), degree)
+            return _exact_report(cid, params, *_bilinear_check(lhs, weight, rows, degree))
+        return _addition_report(cid, params, ctx, point, partial(translate_q0, spec), weight, left(spec), right(spec))
 
-            def check():
-                rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
-                return _bilinear_check(translate_series(rows[0], kind(spec), degree), weight, rows, degree)
-
-            return TheoremCase(cid, weight, mode="exact", exact_check=check)
-
-        def lhs(s, t, ctx):
-            return translate_q0(spec, s, t, ctx)
-
-        return TheoremCase(
-            cid,
-            weight,
-            lhs_eval=lhs,
-            rhs_left_fn=left(spec),
-            rhs_right_fn=right(spec),
-        )
-
-    return build
+    return case
 
 
 def _family_row(family, defaults, numeric, left=_Q, right=_Q, kind=_KIND):
@@ -311,41 +293,31 @@ def _random_jfraction(seed, depth):
     return JFraction(b, lam)
 
 
-def _classical_generic(cid, params):
+def _classical_generic(cid, params, ctx, point):
     degree = params["degree"]
     jf = _random_jfraction(params["seed"], degree)
-
-    def check():
-        tab = tableau_from_jfraction(jf, degree)
-        rows = [
-            [h / F(factorial(i)) for i, h in enumerate(tab.row(n))] for n in range(degree + 1)
-        ]
-        lhs = translate_series(rows[0], Classical(), degree)
-        return _bilinear_check(lhs, jf.lambda_product, rows, degree)
-
-    return TheoremCase(cid, jf.lambda_product, mode="exact", exact_check=check)
+    tab = tableau_from_jfraction(jf, degree)
+    rows = [[h / F(factorial(i)) for i, h in enumerate(tab.row(n))] for n in range(degree + 1)]
+    lhs = translate_series(rows[0], Classical(), degree)
+    return _exact_report(cid, params, *_bilinear_check(lhs, jf.lambda_product, rows, degree))
 
 
-def _ogf_variant(cid, params):
+def _ogf_variant(cid, params, ctx, point):
     degree = params["degree"]
     jf = _random_jfraction(params["seed"], degree)
-
-    def check():
-        tab = tableau_from_jfraction(jf, degree)
-        # numerator x h_0(x); the divided difference spreads coefficient
-        # c_{n+1} over every x^i y^j with i + j = n
-        p = (F(0),) + tab.row0
-        lhs = {(i, j): p[i + j + 1] for i in range(degree + 1) for j in range(degree + 1 - i)}
-        rows = [tab.row(n) for n in range(degree + 1)]
-        return _bilinear_check(lhs, jf.lambda_product, rows, degree)
-
-    return TheoremCase(cid, jf.lambda_product, mode="exact", exact_check=check)
+    tab = tableau_from_jfraction(jf, degree)
+    # numerator x h_0(x); the divided difference spreads coefficient
+    # c_{n+1} over every x^i y^j with i + j = n
+    p = (F(0),) + tab.row0
+    lhs = {(i, j): p[i + j + 1] for i in range(degree + 1) for j in range(degree + 1 - i)}
+    rows = [tab.row(n) for n in range(degree + 1)]
+    return _exact_report(cid, params, *_bilinear_check(lhs, jf.lambda_product, rows, degree))
 
 
 _TOL30 = F(1, 10 ** 30)
 _TOL28 = F(1, 10 ** 28)
 
-# id -> (builder, default params, default (s, t, N, tolerance), domain);
+# id -> (case, default params, default (s, t, N, tolerance), domain);
 # exact theorems have no numeric defaults.  The domain is the rules the
 # merged parameters must satisfy, or a function (id, params) that checks.
 _THEOREMS = {
@@ -436,79 +408,65 @@ def _hermite_convolution(iid, params, ctx):
 
 
 def _bessel_reduction(iid, params, ctx):
-    mu, nu, z, N = params["mu"], params["nu"], params["z"], params["N"]
+    """(z/2)^(mu-nu) J_nu(z) = sum_n (mu+2n) (-1)^n (mu-nu)_n Gamma(mu+n) / (n! Gamma(nu+n+1)) J_{mu+2n}(z)
+    as C 0F1(; nu+1; -z^2/4) = C sum_n c_n U_2n(z), with C = (z/2)^mu / Gamma(nu+1), U_m _bessel_q(mu)'s
+    Q_m and c_n = (mu+2n) (-1)^n (mu-nu)_n (mu)_n (2n)! / (mu n! (nu+1)_n 4^n (mu+1)_2n)."""
+    mu, nu, z = params["mu"], params["nu"], params["z"]
+    u = _bessel_q(mu)
+
+    def term(n):
+        c = (mu + 2 * n) * F(-1) ** n * pochhammer(mu - nu, n) * pochhammer(mu, n) * factorial(2 * n)
+        c = c / (mu * factorial(n) * pochhammer(nu + 1, n) * 4**n * pochhammer(mu + 1, 2 * n))
+        return ctx.number(c) * u.value(2 * n, z, ctx).value if c else mpmath.mpf(0)
+
     with ctx.workprec():
-        zv = ctx.number(z)
-        lhs = mpmath.power(zv / 2, ctx.number(mu - nu)) * bessel_j(nu, zv, ctx).value
+        C = mpmath.power(ctx.number(z) / 2, ctx.number(mu)) / ctx.gamma(nu + 1)
+        lhs = C * _bessel_q(nu).value(0, z, ctx).value
+        return _summed_report(iid, params, lhs, params["N"], term, params["tolerance"], ctx, C)
+
+
+def _plane_wave_sum(iid, params, ctx, q, coef):
+    """e^{xy} against sum_{n <= N} coef(n) Q_n(y), with a Term's Q_n and rational coef(n)."""
+    with ctx.workprec():
+        lhs = mpmath.exp(ctx.number(params["x"]) * ctx.number(params["y"]))
 
         def term(n):
-            poch = pochhammer(mu - nu, n)
-            if poch == 0:
-                return mpmath.mpf(0)
-            c = (
-                ctx.number((mu + 2 * n) * F(-1) ** n * poch / factorial(n))
-                * ctx.gamma(mu + n)
-                / ctx.gamma(nu + n + 1)
-            )
-            return c * bessel_j(mu + 2 * n, zv, ctx).value
+            return ctx.number(coef(n)) * q.value(n, params["y"], ctx).value
 
-        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx)
+        return _summed_report(iid, params, lhs, params["N"], term, params["tolerance"], ctx)
 
 
 def _plane_wave(iid, params, ctx):
-    """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x);
-    without a nu it is the Chebyshev form at nu = 1, where C_n^1 = U_n."""
-    nu, x, y, N = params.get("nu", F(1)), params["x"], params["y"], params["N"]
-    if y < 0:
-        # both sides are even in (x, y), but for y < 0 the principal
-        # branches of the power and of I_{nu+n} make the right side complex
-        # for a non-integer nu: take it at (-x, -y)
-        x, y = -x, -y
-    with ctx.workprec():
-        xv, yv = ctx.number(x), ctx.number(y)
-        lhs = mpmath.exp(xv * yv)
-        pref = ctx.gamma(nu) * mpmath.power(yv / 2, -ctx.number(nu))
+    """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x) as
+    sum_n n! / (2^n (nu)_n) C_n^nu(x) Q_n(y), with ultraspherical's Q_n; without a nu it is
+    the Chebyshev form at nu = 1, where C_n^1 = U_n."""
+    nu, x = params.get("nu", F(1)), params["x"]
 
-        def term(n):
-            return ctx.number(nu + n) * bessel_i(nu + n, yv, ctx).value * ctx.number(gegenbauer_poly(n, nu, x))
+    def coef(n):
+        return factorial(n) * gegenbauer_poly(n, nu, x) / (2**n * pochhammer(nu, n))
 
-        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx, pref)
+    return _plane_wave_sum(iid, params, ctx, ultraspherical_q(nu), coef)
 
 
 def _plane_wave_jacobi(iid, params, ctx):
-    alpha, beta, x, y, N = params["alpha"], params["beta"], params["x"], params["y"], params["N"]
-    with ctx.workprec():
-        xv, yv = ctx.number(x), ctx.number(y)
-        lhs = mpmath.exp(xv * yv)
+    """e^{xy} = sum_n 2^n n! / (alpha+beta+n+1)_n P_n^(alpha,beta)(x) Q_n(y), with Jacobi's Q_n;
+    (alpha+beta+n+1)_n is read as (alpha+beta+1)_2n / (alpha+beta+1)_n, off one sequence."""
+    alpha, beta, x = params["alpha"], params["beta"], params["x"]
 
-        def term(n):
-            return (
-                ctx.gamma(alpha + beta + n + 1)
-                / ctx.gamma(alpha + beta + 2 * n + 1)
-                * (2 * yv) ** n
-                * mpmath.exp(-yv)
-                * eval_pfq([beta + n + 1], [alpha + beta + 2 * n + 2], 2 * yv, ctx).value
-                * ctx.number(jacobi_poly(n, alpha, beta, x))
-            )
+    def coef(n):
+        ratio = pochhammer(alpha + beta + 1, n) / pochhammer(alpha + beta + 1, 2 * n)
+        return 2**n * factorial(n) * ratio * jacobi_poly(n, alpha, beta, x)
 
-        return _summed_report(iid, params, lhs, N, term, params["tolerance"], ctx)
+    return _plane_wave_sum(iid, params, ctx, jacobi_q(alpha, beta), coef)
 
 
 def _bessel_1f1_link(iid, params, ctx):
+    """e^-x 1F1(nu+1/2; 2nu+1; 2x) = Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4):
+    Jacobi's Q_0 at alpha = beta = nu - 1/2 is ultraspherical's."""
     nu, x = params["nu"], params["x"]
-    with ctx.workprec():
-        xv = ctx.number(x)
-        inner = eval_pfq([nu + F(1, 2)], [2 * nu + 1], 2 * xv, ctx)
-        lhs = mpmath.exp(-xv) * inner.value
-        # the right side is even in x, but for x < 0 the principal branches
-        # of the power and of I_nu flip its sign: take it at |x|
-        ax = abs(xv)
-        rhs = (
-            ctx.gamma(nu + 1)
-            * mpmath.power(2 / ax, ctx.number(nu))
-            * bessel_i(nu, ax, ctx).value
-        )
-    return _numeric_report(iid, params, lhs, rhs, inner.terms_used, mpmath.mpf(0), params["tolerance"], ctx)
+    lhs = jacobi_q(nu - F(1, 2), nu - F(1, 2)).value(0, x, ctx)
+    rhs = ultraspherical_q(nu).value(0, x, ctx).value
+    return _numeric_report(iid, params, lhs.value, rhs, lhs.terms_used, mpmath.mpf(0), params["tolerance"], ctx)
 
 
 def _hankel_gegenbauer(iid, params, ctx):
@@ -714,35 +672,21 @@ def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=
 
     The case runs in its own memo scope: a Bessel value or an infinite
     q-product met twice within it is evaluated once."""
-    build, _, numeric, _ = _entry(_THEOREMS, id, "theorem")
+    case, _, numeric, _ = _entry(_THEOREMS, id, "theorem")
     ctx = ctx or PrecisionContext()
     merged = _case_params(id, params)
     N, tolerance = _run_settings(N, tolerance)
-    with memo_scope():
-        case = build(id, merged)
-        if case.mode == "exact":
-            return _exact_report(id, merged, *case.exact_check())
+    point = None
+    if numeric is not None:
         s0, t0, N0, tolerance0 = numeric
-        s = s0 if s is None else rat(s)
-        t = t0 if t is None else rat(t)
-        N = N0 if N is None else N
-        tolerance = tolerance0 if tolerance is None else tolerance
-        # a symmetric right-hand side at s = t is w_n Q_n(t)^2
-        same = case.rhs_left_fn is case.rhs_right_fn and s == t
-        try:
-            with ctx.workprec():
-                lhs = case.lhs_eval(s, t, ctx).value
-                pref = None if case.rhs_prefactor is None else case.rhs_prefactor(s, t, ctx)
-
-                def term(n):
-                    weight = ctx.number(case.rhs_weight(n))
-                    left = case.rhs_left_fn(n, t, ctx).value
-                    right = left if same else case.rhs_right_fn(n, s, ctx).value
-                    return weight * left * right
-
-                return _summed_report(id, merged, lhs, N, term, tolerance, ctx, pref, s, t)
-        except InvalidParams as exc:  # a point outside a closed form's domain
-            raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
+        point = (
+            s0 if s is None else rat(s),
+            t0 if t is None else rat(t),
+            N0 if N is None else N,
+            tolerance0 if tolerance is None else tolerance,
+        )
+    with memo_scope():
+        return case(id, merged, ctx, point)
 
 
 def verify_identity(id, params=None, ctx=None):

@@ -44,6 +44,8 @@ _FAMILIES = "tests/test_families.py::"
 _JFRACTION = "tests/test_jfraction.py::"
 _COMMON = "tests/test_common_denominator.py::"
 _Q_PRODUCTS = "tests/test_q_products.py::"
+_THEOREMS = "tests/test_theorems.py::"
+_PINNED = _THEOREMS + "test_suite_document_is_deterministic"
 
 MUTANTS = [
     # the q-binomial translates of a Q Term (families.Term)
@@ -230,6 +232,42 @@ MUTANTS = [
             _FAMILIES + "test_bessel_sum_out_of_terms_raises",
             "tests/test_cli.py::test_verify_bessel_sum_out_of_terms_is_recorded",
         ),
+    ),
+    # the rational Pochhammer weights of the Bessel and confluent cases (theorems)
+    Mutant(
+        "conf_hyp_1f1's weight without its n!",
+        "src/jfrac/theorems.py",
+        "pochhammer(alpha + beta + 1, n) * factorial(n)\n",
+        "pochhammer(alpha + beta + 1, n)\n",
+        (_PINNED, _THEOREMS + "test_numeric_theorems[conf_hyp_1f1]"),
+    ),
+    Mutant(
+        "bessel_plus's 4^n as 2^n",
+        "src/jfrac/theorems.py",
+        "(nu * 4**n * pochhammer(nu + 1, n) ** 2)",
+        "(nu * 2**n * pochhammer(nu + 1, n) ** 2)",
+        (_PINNED, _THEOREMS + "test_numeric_theorems[bessel_plus]"),
+    ),
+    Mutant(
+        "bessel_reduction's (mu+1)_2n as (mu+1)_(2n+1)",
+        "src/jfrac/theorems.py",
+        "pochhammer(mu + 1, 2 * n))",
+        "pochhammer(mu + 1, 2 * n + 1))",
+        (_PINNED, _THEOREMS + "test_identities[bessel_reduction]"),
+    ),
+    Mutant(
+        "plane_wave's (nu)_n as (nu)_(n+1)",
+        "src/jfrac/theorems.py",
+        "(2**n * pochhammer(nu, n))",
+        "(2**n * pochhammer(nu, n + 1))",
+        (_PINNED, _THEOREMS + "test_identities[plane_wave_ultra]", _THEOREMS + "test_identities[plane_wave_cheby]"),
+    ),
+    Mutant(
+        "plane_wave_jacobi's (alpha+beta+n+1)_n as (alpha+beta+n)_n",
+        "src/jfrac/theorems.py",
+        "pochhammer(alpha + beta + 1, n) / pochhammer(alpha + beta + 1, 2 * n)",
+        "pochhammer(alpha + beta, n) / pochhammer(alpha + beta, 2 * n)",
+        (_PINNED, _THEOREMS + "test_identities[plane_wave_jacobi]"),
     ),
 ]
 

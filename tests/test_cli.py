@@ -266,6 +266,24 @@ def test_negative_rational_after_a_flag_parses_as_with_equals(capsys, flag, valu
     assert joined[1].startswith("PASS bessel_plus") if code == 0 else "is not positive" in joined[2]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, rest",
+    [
+        ("tableau", "--b", "-1,2", ["--lambda", "1,1", "--N", "2"]),
+        ("hankel", "--moments", "-1,0,1", ["--kind", "D", "--n", "1"]),
+        ("jfraction", "--moments", "-1/2,0,1", []),
+        ("oracle", "--b", "-1,2", ["--lambda", "1", "--from", "0", "--to", "0", "--steps", "2"]),
+    ],
+)
+def test_negative_list_after_a_flag_parses_as_with_equals(capsys, command, flag, value, rest):
+    # a comma list led by a negative value, as its own token, once stopped in
+    # argparse with "expected one argument"
+    joined = run(capsys, command, f"{flag}={value}", *rest)
+    spaced = run(capsys, command, flag, value, *rest)
+    assert spaced == joined
+    assert joined[0] == 0 and joined[1]
+
+
 def test_verify_failure_exit_code(capsys):
     # an unreachable tolerance turns the same passing case into a failure
     code, out, _ = run(capsys, "verify", "conf_hyp_1f1", "--tolerance", "1e-60")

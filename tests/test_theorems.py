@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from jfrac import families, series, theorems
 from jfrac.errors import InvalidParams, UnknownTheorem
-from jfrac.scalar import PrecisionContext, memoised, sequence
+from jfrac.scalar import PrecisionContext, factorial, memoised, sequence
 from jfrac.theorems import (
     SUITE_VERSION,
+    VerificationReport,
     identity_ids,
     report_record,
     run_suite,
@@ -21,7 +22,7 @@ from jfrac.theorems import (
     verify_identity,
     verify_theorem,
 )
-from jfrac.translation import translate_series
+from jfrac.translation import Classical, translate_series
 
 ctx = PrecisionContext()
 
@@ -84,14 +85,15 @@ def test_unknown_parameter_rejected():
         verify_theorem("bessel_plus", params={"order": 2})
 
 
-def case_weight(tid, params=None):
-    """The weights a theorem's right-hand side is summed against, off its case builder."""
-    return theorems._THEOREMS[tid][0](tid, theorems._case_params(tid, params)).rhs_weight
-
-
 @pytest.mark.parametrize("tid", NUMERIC_THEOREMS + EXACT_THEOREMS)
 def test_weight_normalization(tid):
-    assert case_weight(tid)(0) == 1
+    # w_0 = 1 and Q_0(0) = 1: at s = 0 the one term w_0 Q_0(t) Q_0(0) is the
+    # left side, and at degree 0 the one coefficient compared is w_0 against 1
+    if tid in EXACT_THEOREMS:
+        r = verify_theorem(tid, params={"degree": 0}, ctx=ctx)
+    else:
+        r = verify_theorem(tid, s=0, N=0, ctx=ctx)
+    assert r.passed and r.n_terms == 1
 
 
 @pytest.mark.parametrize("tid", EXACT_THEOREMS)
@@ -138,15 +140,16 @@ def test_error_never_grows_under_refinement(tid):
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
 
-def test_conf_hyp_factor_scales_its_tail_bound():
-    # v^n 1F1(alpha+n+1; alpha+beta+2n+2; v): the bound is |v|^n times the inner one's
+def test_term_value_scales_its_tail_bound():
+    # conf_hyp_1f1's Q_n(v) = v^n / n! 1F1(alpha+n+1; alpha+beta+2n+2; v):
+    # the bound is |v^n / n!| times the inner one's
     alpha, beta, n, v = F(1, 2), F(1, 3), 3, F(-5, 2)
-    case = theorems._THEOREMS["conf_hyp_1f1"][0]("conf_hyp_1f1", {"alpha": alpha, "beta": beta})
-    got = case.rhs_left_fn(n, v, ctx).tail_bound
+    q = families.Term(Classical(), hyper=lambda j: ([alpha + j + 1], [alpha + beta + 2 * j + 2], 1))
+    got = q.value(n, v, ctx).tail_bound
     with ctx.workprec():
         inner = series.eval_pfq([alpha + n + 1], [alpha + beta + 2 * n + 2], ctx.number(v), ctx)
         assert inner.tail_bound > 0
-        assert got == abs(ctx.number(v)) ** n * inner.tail_bound
+        assert got == abs(ctx.number(v) ** n / factorial(n)) * inner.tail_bound
 
 
 def test_conf_hyp_degenerate_point():
@@ -170,8 +173,10 @@ def test_parameter_overrides_change_the_case():
     r = verify_theorem("bessel_plus", params={"nu": F(3, 2)}, ctx=ctx)
     assert r.passed
     assert r.params["nu"] == F(3, 2)
-    # weight(1) = -(nu + 1) (2 nu) / nu
-    assert case_weight("bessel_plus", {"nu": F(3, 2)})(1) == -F(5, 2) * 3 / F(3, 2)
+    with ctx.workprec():  # J_nu(s+t) / (s+t)^nu at nu = 3/2, s + t = 4/5
+        x, nu = ctx.mpf(F(4, 5)), ctx.mpf(F(3, 2))
+        want = mpmath.besselj(nu, x) / x**nu
+        assert abs(r.lhs - want) <= want * mpmath.mpf(10) ** -30
 
 
 @settings(max_examples=12, deadline=None)
@@ -238,11 +243,38 @@ def test_identity_parameter_overrides():
 @pytest.mark.parametrize("nu", [F(3, 2), F(1, 2), F(-1, 3)])
 @pytest.mark.parametrize("x", [F(-1), F(-2, 5)])
 def test_bessel_1f1_link_holds_for_negative_x(nu, x):
-    # Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4) is even in x
     r = verify_identity("bessel_1f1_link", {"nu": nu, "x": x}, ctx=ctx)
     assert r.passed, r.rel_error
     with ctx.workprec():
         assert r.rel_error < mpmath.mpf(10) ** -33
+    # both sides, e^-x 1F1(nu+1/2; 2nu+1; 2x) and 0F1(; nu+1; x^2/4), are even
+    # in x: with no flip to |x| they are real at x < 0 and, summed past 1e-60,
+    # equal to the mirrored point's
+    fine = PrecisionContext(rel_tolerance=1e-70)
+    got, want = (verify_identity("bessel_1f1_link", {"nu": nu, "x": v}, ctx=fine) for v in (x, -x))
+    with fine.workprec():
+        for key in ("lhs", "rhs_partial"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert isinstance(a, mpmath.mpf) and abs(a - b) <= abs(b) * mpmath.mpf(10) ** -60, key
+
+
+def test_bessel_and_confluent_cases_call_gamma_outside_their_sums(monkeypatch):
+    """The Gamma ratios of these seven cases are Pochhammers, so their Gamma
+    calls are a few constants and do not grow with N."""
+    calls = []
+    gamma = PrecisionContext.gamma
+
+    def counted(self, x):
+        calls.append(x)
+        return gamma(self, x)
+
+    monkeypatch.setattr(PrecisionContext, "gamma", counted)
+    seven = ["conf_hyp_1f1", "bessel_plus", "bessel_reduction", "bessel_1f1_link", "plane_wave_*"]
+    run_suite(seven, ctx=ctx)
+    default = len(calls)
+    assert default <= 3
+    run_suite(seven, ctx=ctx, N=50)
+    assert len(calls) == 2 * default
 
 
 @pytest.mark.parametrize(
@@ -250,8 +282,8 @@ def test_bessel_1f1_link_holds_for_negative_x(nu, x):
     [("plane_wave_ultra", F(1, 2), F(-2, 5), 25), ("plane_wave_ultra", F(3), F(-3, 2), 40), ("plane_wave_cheby", F(1, 2), F(-2, 5), 25)],
 )
 def test_plane_wave_is_real_at_negative_y(case, x, y, N):
-    # e^{xy} and Gegenbauer's sum are even in (x, y): the record at y < 0
-    # holds the real right side of the mirrored point
+    # e^{xy} and each term n! / (2^n (nu)_n) C_n^nu(x) Q_n(y) are even in
+    # (x, y), the entire Q_n with no flip to (-x, -y): the records are equal
     def record(x, y):
         return report_record(verify_identity(case, {"x": x, "y": y, "N": N}, ctx=ctx), ctx)
 
@@ -388,8 +420,12 @@ def test_memo_changes_no_record(monkeypatch):
     memoised_run = records()
     assert all(report.passed for report in memoised_run)  # Q_n(s) is not Q_n(t) at s != t
     monkeypatch.setattr(theorems, "memo_scope", contextlib.nullcontext)
+
+    def fields(reports):
+        return [tuple(getattr(r, name) for name in VerificationReport.__slots__) for r in reports]
+
     # equal to the last bit, not within a tolerance
-    assert memoised_run == records()
+    assert fields(memoised_run) == fields(records())
 
 
 def test_complex_family_checks_beyond_the_default_precision():
