@@ -16,8 +16,8 @@ _EXPORTS = {
     "errors": """DegreeMismatch DomainError GammaPole InvalidParams JfracError NonConvergent NonRegular
         PoleInDenominator UnknownTheorem Unsupported UnsupportedTilde""",
     "scalar": "PrecisionContext binom factorial pochhammer q_binomial q_pochhammer q_pochhammer_inf rat rat_str",
-    "series": """PowerSeries SeriesValue bessel_i bessel_j eval_pfq eval_rphis exp_of exp_series inv_qpoch_series
-        pfq_series pow1p qpoch_series rphis_series""",
+    "series": """PowerSeries SeriesValue eval_pfq eval_rphis exp_of exp_series inv_qpoch_series pfq_series pow1p
+        qpoch_series rphis_series""",
     "jfraction": """JFraction StieltjesTableau cf_series det_bareiss hankel jfraction_from_moments
         tableau_from_jfraction""",
     "motzkin": "PathWeights path_weight_sum path_weight_sum_dp",

@@ -10,8 +10,10 @@ lambda_n off its first two superdiagonals.  Most Q forms are declared once
 as a :class:`Term`, which yields the numeric evaluator, the exact series
 and so the closed tableau; a q-family's translated Q_0 and twisted
 companion Q~_j follow from the same Term, except big q-Jacobi's companion,
-which stays in its printed 2phi1 form.  One constructor,
-:func:`_term_family`, wires a Term's evaluators into its family.
+which stays in its printed 2phi1 form; the q-ultraspherical and
+Askey-Wilson Bessel sums are weighted sums of one Term's Q_n
+(:class:`_BesselSum`).  One constructor, :func:`_term_family`, wires
+either's evaluators into its family.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -35,6 +37,7 @@ from .scalar import (
     PrecisionContext,
     factorial,
     fraction_sum,
+    memoised,
     q_pochhammer_inf,
     rat,
     rat_str,
@@ -44,7 +47,6 @@ from .scalar import (
 from .series import (
     PowerSeries,
     SeriesValue,
-    bessel_i,
     eval_pfq,
     eval_rphis,
     exp_of,
@@ -342,10 +344,10 @@ class FamilySpec:
 
 
 def _term_family(q, b_fn, lambda_fn, **overrides):
-    """The family whose Q_j is the Term ``q``, with ``overrides`` replacing
-    or adding fields: translation, Q_j and its exact series from ``q``, and
-    under a q-translation the translated Q_0 (:meth:`Term.translated_q0`)
-    and the companion (:meth:`Term.companion`) too."""
+    """The family whose Q_j is ``q``, a Term or a :class:`_BesselSum`, with
+    ``overrides`` replacing or adding fields: translation, Q_j and its exact
+    series from ``q``, and under a q-translation the translated Q_0
+    (:meth:`Term.translated_q0`) and the companion (:meth:`Term.companion`)."""
     wired = {"translation": q.kind, "q_fn": q.value, "q_series_fn": q.series}
     if isinstance(q.kind, QTranslation):
         wired.update(translated_q0_fn=q.translated_q0, q_tilde_fn=q.companion)
@@ -820,48 +822,57 @@ def _qultra_coef(beta, q, j):
     return _bessel_coefs(beta, q, j, j + 1, 2)
 
 
-def _bessel_sum_q_fn(coef, step):
-    """Q_j(t) = 2^{j+1}/t * sum_k coef(j, k) I_{j+step*k+1}(t), numerically."""
+_U = ultraspherical_q(1)
 
-    def q_fn(j, t, ctx):
+
+@memoised
+def _bessel_leaf(n, t, ctx):
+    """ultraspherical_q(1)'s U_n(t) = t^n / n! 0F1(; n+2; t^2/4), kept for the case's scope."""
+    return _U.value(n, t, ctx)
+
+
+class _BesselSum:
+    """Q_j(t) = 2^(j+1)/t sum_k coef(j, k) I_(j+step k+1)(t), the form the
+    q-ultraspherical and Askey-Wilson families print.  With n = j + step k,
+    2^(j+1)/t I_(n+1)(t) = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum
+    sum_k w_k(j) U_n(t), w_k(j) = coef(j, k) / ((n+1) 2^(step k)), of the
+    entire U_n of :func:`_bessel_leaf`, exactly and numerically."""
+
+    __slots__ = ("coef", "step")
+    kind = Classical()
+
+    def __init__(self, coef, step):
+        self.coef = coef
+        self.step = step
+
+    def _weight(self, j, k):
+        return self.coef(j, k) / ((j + self.step * k + 1) * F(2) ** (self.step * k))
+
+    def value(self, j, t, ctx):
         with ctx.workprec():
             tv = ctx.number(t)
             if tv == 0:
                 return SeriesValue(mpmath.mpf(1 if j == 0 else 0), 1, mpmath.mpf(0))
-            total = mpmath.mpf(0)
-            last = mpmath.mpf(0)
-            small = 0
-            used = 0
+            # the printed sum's rule |c_k I| < tol max(|sum|, 1), in U's scale
+            floor = mpmath.mpf(2) ** (j + 1) / abs(tv)
             tol = ctx.mpf(ctx.rel_tolerance)
+            total, small = mpmath.mpf(0), 0
             for k in range(ctx.max_terms):
-                term = ctx.number(coef(j, k)) * bessel_i(j + step * k + 1, tv, ctx).value
+                term = ctx.number(self._weight(j, k)) * _bessel_leaf(j + self.step * k, tv, ctx).value
                 total += term
-                used = k + 1
-                last = abs(term)
-                if last < tol * max(abs(total), mpmath.mpf(1)):
-                    small += 1
-                    if small >= ctx.consecutive_small:
-                        break
-                else:
-                    small = 0
-            pref = mpmath.mpf(2) ** (j + 1) / tv
-            if small < ctx.consecutive_small:
-                raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, pref * total)
-            return SeriesValue(pref * total, used, abs(pref) * last)
+                small = small + 1 if abs(term) < tol * max(abs(total), floor) else 0
+                if small >= ctx.consecutive_small:
+                    return SeriesValue(total, k + 1, abs(term))
+            raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, total)
 
-    return q_fn
-
-
-def _bessel_sum_series(coef, step, j, degree):
-    """The same Bessel sum as an exact series: 2^{j+1}/t * I_nu(t) with
-    nu = j + step*k + 1 contributes t^{nu-1+2i} / (2^{step*k} 4^i i! (nu+i)!)."""
-    coeffs = [F(0)] * (degree + 1)
-    for k in range(0, (degree - j) // step + 1):
-        nu = j + step * k + 1
-        r = coef(j, k) / F(2) ** (step * k)
-        for i in range(0, (degree - nu + 1) // 2 + 1):
-            coeffs[nu - 1 + 2 * i] += r / (F(4) ** i * factorial(i) * factorial(nu + i))
-    return PowerSeries(coeffs, degree)
+    def series(self, j, degree):
+        out = [F(0)] * (degree + 1)
+        for k in range((degree - j) // self.step + 1):
+            n = j + self.step * k
+            u, w = _U.series(n, degree), self._weight(j, k)
+            for i in range(n, degree + 1, 2):  # U_n is t^n times an even series
+                out[i] += w * u[i]
+        return PowerSeries(out, degree)
 
 
 def _make_q_ultraspherical(params):
@@ -870,13 +881,8 @@ def _make_q_ultraspherical(params):
     top, bottom = ((1, 1, 1, 0), (1, beta * beta, 1, -1)), ((1, beta, 1, -1), (1, beta, 1, 0))
     lam = _q_factors(q, c=F(1, 4), top=top, bottom=bottom)
 
-    coef = functools.partial(_qultra_coef, beta, q)
-    return FamilySpec(
-        b_fn=lambda n: F(0),
-        lambda_fn=lambda n: _product(lam(n)),
-        q_fn=_bessel_sum_q_fn(coef, 2),
-        q_series_fn=lambda j, degree: _bessel_sum_series(coef, 2, j, degree),
-    )
+    q_form = _BesselSum(functools.partial(_qultra_coef, beta, q), 2)
+    return _term_family(q_form, lambda n: F(0), lambda n: _product(lam(n)))
 
 
 def _make_q_ultraspherical_beta0(params):
@@ -902,14 +908,11 @@ def _make_askey_wilson_slice(params):
     aa = a * a
     half_A = _q_factors(q, c=-1 / (2 * a), top=((1, aa, 2, 1), (1, aa, 2, 2)), bottom=((1, a, 2, 1), (1, a, 2, 2)))
     half_C = _q_factors(q, c=-a / 2, top=((1, 1, 2, 0), (1, 1, 2, 1)), bottom=((1, a, 2, 0), (1, a, 2, 1)))
-    mid = (a + 1 / a) / 2
+    mid = ((a + 1 / a) / 2).as_integer_ratio()
 
-    coef = functools.partial(_aw_term_factor, a, q)
-    return FamilySpec(
-        b_fn=lambda n: fraction_sum([(mid.numerator, mid.denominator), half_A(n), half_C(n)]),
-        lambda_fn=lambda n: _product(half_A(n - 1), half_C(n)),
-        q_fn=_bessel_sum_q_fn(coef, 1),
-        q_series_fn=lambda m, degree: _bessel_sum_series(coef, 1, m, degree),
+    q_form = _BesselSum(functools.partial(_aw_term_factor, a, q), 1)
+    return _term_family(
+        q_form, lambda n: fraction_sum([mid, half_A(n), half_C(n)]), lambda n: _product(half_A(n - 1), half_C(n))
     )
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, fraction_sum, memoised
+from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, fraction_sum
 
 
 def _as_ring(c):
@@ -481,31 +481,3 @@ def eval_rphis(numer, denom, q, z, ctx=None):
     numer, denom = ([a for i, a in enumerate(p) if i not in at[:pairs]] for p, at in zip((numer, denom), zeros))
     return _sum(numer, denom, q, z, ctx)
 
-
-def _shift_one(nu):
-    # keep nu + 1 exact when nu came in exact, so pole detection stays symbolic
-    return _as_ring(nu) + 1 if isinstance(nu, _EXACT_TYPES) else nu + 1
-
-
-@memoised
-def _bessel(nu, z, sign, ctx):
-    ctx = ctx or PrecisionContext()
-    with ctx.workprec():
-        g = ctx.gamma(_shift_one(nu))  # the single Gamma evaluation per call
-        zv = ctx.number(z)
-        nv = ctx.number(nu)
-        pref = mpmath.power(zv / 2, nv) / g
-        return eval_pfq([], [_shift_one(nu)], sign * (zv * zv) / 4, ctx).scaled(pref)
-
-
-def bessel_j(nu, z, ctx=None):
-    """Bessel J_nu(z) = (z/2)^nu / Gamma(nu+1) * 0F1(-; nu+1; -z^2/4).
-
-    Negative integer nu raises GammaPole.
-    """
-    return _bessel(nu, z, -1, ctx)
-
-
-def bessel_i(nu, z, ctx=None):
-    """Modified Bessel I_nu(z) = (z/2)^nu / Gamma(nu+1) * 0F1(-; nu+1; z^2/4)."""
-    return _bessel(nu, z, 1, ctx)

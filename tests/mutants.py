@@ -221,17 +221,34 @@ MUTANTS = [
             _FAMILIES + "test_exact_family_outputs_are_pinned",
         ),
     ),
-    # the Bessel sums behind the Q_j of q_ultraspherical and askey_wilson_slice
+    # the Bessel sums behind the Q_j of q_ultraspherical and askey_wilson_slice (families._BesselSum)
     Mutant(
         "Bessel sum returns its partial sum when the terms run out",
         "src/jfrac/families.py",
-        "            if small < ctx.consecutive_small:\n"
-        '                raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, pref * total)\n',
-        "",
+        'raise NonConvergent("Bessel sum did not satisfy the stopping rule", ctx.max_terms, total)',
+        "return SeriesValue(total, ctx.max_terms, abs(term))",
         (
             _FAMILIES + "test_bessel_sum_out_of_terms_raises",
             "tests/test_cli.py::test_verify_bessel_sum_out_of_terms_is_recorded",
         ),
+    ),
+    Mutant(
+        "Bessel sum weight w_k without its 2^(step k)",
+        "src/jfrac/families.py",
+        "/ ((j + self.step * k + 1) * F(2) ** (self.step * k))",
+        "/ (j + self.step * k + 1)",
+        (
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
+            _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[q_ultraspherical]",
+            _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[askey_wilson_slice]",
+        ),
+    ),
+    Mutant(
+        "Bessel sum stopping floor 1 in U's scale, not 2^(j+1)/|t|",
+        "src/jfrac/families.py",
+        "floor = mpmath.mpf(2) ** (j + 1) / abs(tv)",
+        "floor = mpmath.mpf(1)",
+        (_THEOREMS + "test_suite_series_work_is_pinned",),
     ),
     # the rational Pochhammer weights of the Bessel and confluent cases (theorems)
     Mutant(

@@ -600,10 +600,10 @@ def test_cli_fuzz_over_case_parameters(argv):
         ["connection_rogers", "--params", "q=-1"],
         ["connection_rogers", "--params", "q=0"],
         ["connection_rogers", "--params", "beta=2,q=1/2"],
-        ["plane_wave_ultra", "--params", "y=0"],
-        ["plane_wave_cheby", "--params", "y=0"],
+        ["plane_wave_ultra", "--params", "nu=-2"],
+        ["plane_wave_jacobi", "--params", "alpha=-1/2,beta=-1/2"],
         ["bessel_reduction", "--params", "z=0"],
-        ["bessel_1f1_link", "--params", "x=0"],
+        ["bessel_1f1_link", "--params", "nu=-3/2"],
     ],
 )
 def test_identity_parameter_outside_its_domain_is_invalid_input(capsys, argv):
@@ -611,6 +611,20 @@ def test_identity_parameter_outside_its_domain_is_invalid_input(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case,param",
+    [("plane_wave_ultra", "y=0"), ("plane_wave_cheby", "y=0"), ("plane_wave_jacobi", "y=0"), ("bessel_1f1_link", "x=0")],
+)
+def test_entire_identity_holds_at_zero(capsys, case, param):
+    # both sides are entire in the point (bessel_1f1_link's x, the plane
+    # waves' y), so 0 is inside the domain: the plane wave's sum is its
+    # n = 0 term, 1 = e^0, and both sides of bessel_1f1_link are 1
+    code, out, err = run(capsys, "verify", case, "--params", param, "--format", "json")
+    assert (code, err) == (0, "")
+    [record] = json.loads(out)
+    assert record["pass"] and record["lhs"] == record["rhs_partial"] == "1.0" and record["rel_error"] == "0.0"
 
 
 @pytest.mark.parametrize(
@@ -959,7 +973,7 @@ def test_hankel_affine_rejects_an_inexact_base_before_any_case(capsys, monkeypat
     assert err.startswith("error: hankel_affine: ") and "meixner_pollaczek_moments" in err
 
 
-@pytest.mark.parametrize("param", ["y=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])
+@pytest.mark.parametrize("param", ["a=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])
 def test_invalid_parameter_stops_the_whole_suite_before_any_case(capsys, monkeypatch, param):
     # the suite checks every matched case's domain first: no case runs
     monkeypatch.setattr(theorems, "verify_theorem", _no_run)

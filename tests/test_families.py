@@ -452,6 +452,34 @@ def test_tilde_missing_raises():
         q_tilde_function(make_family("hermite"), 0, F(1, 10), ctx)
 
 
+# the printed coefficients c_k(j) of each Bessel sum, and its step
+BESSEL_SUMS = {
+    "q_ultraspherical": (lambda p, j, k: families._qultra_coef(p["beta"], p["q"], j, k), 2),
+    "q_ultraspherical_beta0": (lambda p, j, k: families._qultra_coef(F(0), p["q"], j, k), 2),
+    "askey_wilson_slice": (lambda p, j, k: families._aw_term_factor(p["a"], p["q"], j, k), 1),
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(BESSEL_SUMS))
+def test_bessel_sum_matches_mpmath_besseli(family_id):
+    # the printed form Q_j(t) = 2^(j+1)/t sum_k c_k(j) I_(j+step k+1)(t),
+    # summed with mpmath's own I at 600 bits; its 80th term is below 10^-140
+    # of the sum
+    coef, step = BESSEL_SUMS[family_id]
+    spec = sample(family_id)
+    for j in range(4):
+        for t in (F(1, 5), F(1), F(-3, 2), F(3)):
+            got = spec.q_fn(j, t, ctx).value
+            with mpmath.workprec(600):
+                tv = mpmath.mpf(t.numerator) / t.denominator
+                terms = []
+                for k in range(80):
+                    c = coef(spec.params, j, k)
+                    terms.append(mpmath.mpf(c.numerator) / c.denominator * mpmath.besseli(j + step * k + 1, tv))
+                want = mpmath.mpf(2) ** (j + 1) / tv * mpmath.fsum(terms)
+            assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -28, (j, t)
+
+
 def test_bessel_sum_out_of_terms_raises():
     # this sum meets its stopping rule at its 16th term; a partial sum is no value
     spec = make_family("askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)})

@@ -12,8 +12,6 @@ from jfrac.errors import (
 from jfrac.scalar import PrecisionContext, factorial, pochhammer, q_pochhammer_inf
 from jfrac.series import (
     PowerSeries,
-    bessel_i,
-    bessel_j,
     eval_pfq,
     eval_rphis,
     exp_of,
@@ -189,18 +187,3 @@ def test_eval_rphis_terminating():
     r = eval_rphis([q ** -2], [F(1, 3)], q, F(1, 5), ctx)
     assert r.terms_used == 3
     assert r.tail_bound == 0
-
-
-def test_bessel_half_integer_closed_forms():
-    with ctx.workprec():
-        x = ctx.mpf(F(2, 5))
-        jv = bessel_j(F(1, 2), x, ctx).value
-        assert abs(jv - mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.sin(x)) < mpmath.mpf(10) ** -40
-        iv = bessel_i(F(1, 2), x, ctx).value
-        assert abs(iv - mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.sinh(x)) < mpmath.mpf(10) ** -40
-
-
-def test_bessel_matches_mpmath():
-    with ctx.workprec():
-        x = ctx.mpf(F(3, 4))
-        assert abs(bessel_j(F(5, 2), x, ctx).value - mpmath.besselj(mpmath.mpf(5) / 2, x)) < mpmath.mpf(10) ** -40

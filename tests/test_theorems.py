@@ -258,9 +258,11 @@ def test_bessel_1f1_link_holds_for_negative_x(nu, x):
             assert isinstance(a, mpmath.mpf) and abs(a - b) <= abs(b) * mpmath.mpf(10) ** -60, key
 
 
-def test_bessel_and_confluent_cases_call_gamma_outside_their_sums(monkeypatch):
-    """The Gamma ratios of these seven cases are Pochhammers, so their Gamma
-    calls are a few constants and do not grow with N."""
+def test_bessel_confluent_and_bessel_sum_cases_call_gamma_outside_their_sums(monkeypatch):
+    """The Gamma ratios of the seven Bessel and confluent cases are
+    Pochhammers, and the Bessel sums of the q-ultraspherical and
+    Askey-Wilson cases sum entire U_n with rational weights, so the Gamma
+    calls of these ten cases are a few constants and do not grow with N."""
     calls = []
     gamma = PrecisionContext.gamma
 
@@ -269,11 +271,11 @@ def test_bessel_and_confluent_cases_call_gamma_outside_their_sums(monkeypatch):
         return gamma(self, x)
 
     monkeypatch.setattr(PrecisionContext, "gamma", counted)
-    seven = ["conf_hyp_1f1", "bessel_plus", "bessel_reduction", "bessel_1f1_link", "plane_wave_*"]
-    run_suite(seven, ctx=ctx)
+    ten = ["conf_hyp_1f1", "bessel_plus", "bessel_reduction", "bessel_1f1_link", "plane_wave_*", "q_ultra*", "askey_wilson"]
+    run_suite(ten, ctx=ctx)
     default = len(calls)
-    assert default <= 3
-    run_suite(seven, ctx=ctx, N=50)
+    assert default <= 2
+    run_suite(ten, ctx=ctx, N=50)
     assert len(calls) == 2 * default
 
 
@@ -354,14 +356,14 @@ def test_suite_document_is_deterministic():
 
 def test_memo_lives_for_one_case(monkeypatch):
     evaluations = 0
-    undecorated = series._bessel.__wrapped__
+    undecorated = families._bessel_leaf.__wrapped__
 
     def counted(*args):
         nonlocal evaluations
         evaluations += 1
         return undecorated(*args)
 
-    monkeypatch.setattr(series, "_bessel", memoised(counted))
+    monkeypatch.setattr(families, "_bessel_leaf", memoised(counted))
 
     def evaluations_in(run):
         before = evaluations
@@ -370,7 +372,7 @@ def test_memo_lives_for_one_case(monkeypatch):
 
     def no_memo_left():
         # outside every scope, each call evaluates afresh
-        return evaluations_in(lambda: [series.bessel_i(2, F(1, 3), ctx) for _ in range(2)]) == 2
+        return evaluations_in(lambda: [families._bessel_leaf(2, F(1, 3), ctx) for _ in range(2)]) == 2
 
     # a second pass costs as much as the first: nothing outlives a case
     first = evaluations_in(lambda: run_suite("askey_wilson", ctx=ctx))
