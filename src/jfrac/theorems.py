@@ -84,7 +84,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# report constructors, the sum-and-judge routines, exact comparator
+# report constructors, the one numeric sum, exact comparator
 
 def _exact_report(id, params, passed, n_checked, max_dev):
     return VerificationReport(id, params, mode="exact", n_terms=n_checked, abs_error=max_dev, passed=passed)
@@ -99,41 +99,38 @@ def _numeric_report(id, params, lhs, total, n_terms, last, tolerance, ctx, s=Non
     return VerificationReport(id, params, s, t, "numeric", lhs, total, n_terms, abs_error, rel_error, last, passed)
 
 
-def _summed_report(id, params, lhs, N, term, tolerance, ctx, pref=None, s=None, t=None):
-    """Judge ``lhs`` against term(0) + ... + term(N), summed in order and
-    times ``pref`` when one is given; the tail estimate is |term(N)|, times
-    |pref|.  Call under a workprec."""
-    total = mpmath.mpf(0)
-    last = mpmath.mpf(0)
-    for n in range(N + 1):
-        value = term(n)
-        total = total + value
-        last = abs(value)
-    if pref is not None:
-        total = pref * total
-        last = abs(pref) * last
-    return _numeric_report(id, params, lhs, total, N + 1, last, tolerance, ctx, s, t)
-
-
-def _addition_report(id, params, ctx, point, lhs, weight, left, right, pref=None):
-    """Judge an addition formula at point = (s, t, N, tolerance): lhs(s, t, ctx)
-    against sum_{n <= N} w_n left_n(t) right_n(s), with ``left``, ``right``
-    functions (n, v, ctx) -> SeriesValue, both sides times ``pref`` when one is
-    given.  A symmetric right-hand side at s = t is w_n left_n(t)^2."""
+def _sum_report(id, params, ctx, point, lhs, weight, left, right=None, pref=None):
+    """Judge a numeric case at point = (s, t, N, tolerance): lhs(s, t, ctx)
+    against sum_{n <= N} w_n left_n(t) right_n(s), summed in order, both
+    sides times ``pref`` when one is given; the tail estimate is
+    |pref term(N)|.  ``lhs``, ``left`` and ``right`` give SeriesValues,
+    ``left`` and ``right`` as functions (n, v, ctx), and without ``right``
+    the terms are w_n left_n(t).  A zero w_n adds 0 and evaluates neither
+    side; a symmetric right side at s = t is w_n left_n(t)^2."""
     s, t, N, tolerance = point
-    same = left is right and s == t
+    same = left == right and s == t  # equal bound methods: one Term's Q_n
     try:
         with ctx.workprec():
             value = lhs(s, t, ctx).value
             value = value if pref is None else pref * value
-
-            def term(n):
-                w = ctx.number(weight(n))
-                left_n = left(n, t, ctx).value
-                return w * left_n * (left_n if same else right(n, s, ctx).value)
-
-            return _summed_report(id, params, value, N, term, tolerance, ctx, pref, s, t)
-    except InvalidParams as exc:  # a point outside a closed form's domain
+            total = last = mpmath.mpf(0)
+            for n in range(N + 1):
+                w = weight(n)
+                term = mpmath.mpf(0)
+                if w:
+                    left_n = left(n, t, ctx).value
+                    term = ctx.number(w) * left_n
+                    if right is not None:
+                        term = term * (left_n if same else right(n, s, ctx).value)
+                total = total + term
+                last = abs(term)
+            if pref is not None:
+                total = pref * total
+                last = abs(pref) * last
+            return _numeric_report(id, params, value, total, N + 1, last, tolerance, ctx, s, t)
+    except InvalidParams as exc:  # a theorem's point outside a closed form's domain
+        if s is None:  # an identity has no point to name
+            raise
         raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
 
 
@@ -170,16 +167,11 @@ def _bilinear_check(lhs, weight, rows, degree):
 
 # ---------------------------------------------------------------------------
 # theorem cases: (case id, merged params, ctx, point) -> VerificationReport,
-# point = (s, t, N, tolerance) for a numeric case and None for an exact one
+# point = (s, t, N, tolerance), which an exact case does not read
 
 def _at_sum(q):
-    """(s, t, ctx) -> the Term q's Q_0(t + s)."""
-
-    def lhs(s, t, ctx):
-        with ctx.workprec():
-            return q.value(0, ctx.number(t) + ctx.number(s), ctx)
-
-    return lhs
+    """(s, t, ctx) -> the Term q's Q_0(t + s), under _sum_report's workprec."""
+    return lambda s, t, ctx: q.value(0, ctx.number(t) + ctx.number(s), ctx)
 
 
 def _bessel_q(nu):
@@ -197,7 +189,7 @@ def _conf_hyp_1f1(cid, params, ctx, point):
         top = pochhammer(alpha + 1, n) * pochhammer(beta + 1, n) * pochhammer(alpha + beta + 1, n) * factorial(n)
         return top / (pochhammer(alpha + beta + 1, 2 * n) * pochhammer(alpha + beta + 2, 2 * n))
 
-    return _addition_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value)
+    return _sum_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value)
 
 
 def _bessel_plus(cid, params, ctx, point):
@@ -212,7 +204,7 @@ def _bessel_plus(cid, params, ctx, point):
 
     with ctx.workprec():
         c = 1 / (mpmath.power(2, ctx.number(nu)) * ctx.gamma(nu + 1))
-    return _addition_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value, c)
+    return _sum_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value, c)
 
 
 def _affine_pair(params):
@@ -273,13 +265,13 @@ def _family_case(family, left=_Q, right=_Q, kind=_KIND):
             rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
             lhs = translate_series(rows[0], kind(spec), degree)
             return _exact_report(cid, params, *_bilinear_check(lhs, weight, rows, degree))
-        return _addition_report(cid, params, ctx, point, partial(translate_q0, spec), weight, left(spec), right(spec))
+        return _sum_report(cid, params, ctx, point, partial(translate_q0, spec), weight, left(spec), right(spec))
 
     return case
 
 
 def _family_row(family, defaults, numeric, left=_Q, right=_Q, kind=_KIND):
-    """The _THEOREMS row of ``family``'s addition formula, in its domain."""
+    """The _CASES row of ``family``'s addition formula, in its domain."""
     return _family_case(family, left, right, kind), defaults, numeric, family_domain(family)
 
 
@@ -314,80 +306,11 @@ def _ogf_variant(cid, params, ctx, point):
     return _exact_report(cid, params, *_bilinear_check(lhs, jf.lambda_product, rows, degree))
 
 
-_TOL30 = F(1, 10 ** 30)
-_TOL28 = F(1, 10 ** 28)
-
-# id -> (case, default params, default (s, t, N, tolerance), domain);
-# exact theorems have no numeric defaults.  The domain is the rules the
-# merged parameters must satisfy, or a function (id, params) that checks.
-_THEOREMS = {
-    "affine": (
-        _family_case(lambda params: _affine_pair(params)[1]),
-        {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2)},
-        (F(1, 10), F(1, 5), 25, _TOL30),
-        _affine_domain,
-    ),
-    # the same formula in the algebra st = q ts
-    "asc_noncomm": _family_row(
-        "al_salam_carlitz",
-        {"a": F(1, 3), "q": F(1, 2), "degree": 12},
-        None,
-        kind=lambda spec: NonCommutative(spec.translation.q),
-    ),
-    "asc_qtrans": _family_row(
-        "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right=_Q_TILDE
-    ),
-    "askey_wilson": _family_row(
-        "askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)
-    ),
-    "bessel_plus": (_bessel_plus, {"nu": F(1, 2)}, (F(3, 10), F(1, 2), 25, _TOL28), (above(0, "nu"),)),
-    "big_qj": _family_row(
-        "big_q_jacobi",
-        {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-        (F(1, 20), F(1, 10), 25, _TOL30),
-        right=_Q_TILDE,
-    ),
-    "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, None, ()),
-    "conf_hyp_1f1": (
-        _conf_hyp_1f1,
-        {"alpha": F(1, 2), "beta": F(1, 3)},
-        (F(1, 5), F(3, 10), 25, _TOL30),
-        (above(-1, "alpha + beta"),),
-    ),
-    "gegenbauer_moments": _family_row("gegenbauer_moments", {"nu": F(3, 2), "x": F(1, 2), "degree": 10}, None),
-    "hermite_moments": _family_row("hermite_moments", {"x": F(1), "degree": 12}, None),
-    "laguerre_moments": _family_row("laguerre_moments", {"alpha": F(1, 2), "x": F(1, 2), "degree": 10}, None),
-    "little_qj": _family_row(
-        "little_q_jacobi",
-        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        (F(1, 20), F(1, 10), 25, _TOL30),
-        right=_Q_TILDE,
-    ),
-    "little_qj_alt": _family_row(
-        "little_q_jacobi",
-        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        (F(1, 20), F(1, 10), 25, _TOL30),
-        left=_little_qj_alt,
-        right=_Q_TILDE,
-    ),
-    "meixner_moments": _family_row(
-        "meixner_moments", {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10}, None
-    ),
-    "mp_moments": _family_row(
-        "meixner_pollaczek_moments",
-        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
-        (F(1, 10), F(1, 5), 25, _TOL28),
-    ),
-    "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, None, ()),
-    "q_ultra": _family_row("q_ultraspherical", {"beta": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
-    "q_ultra_beta0": _family_row("q_ultraspherical_beta0", {"q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
-}
-
-
 # ---------------------------------------------------------------------------
-# identities: (identity id, merged params, ctx) -> VerificationReport
+# identities: (identity id, merged params, ctx, point) -> VerificationReport,
+# point = (None, None, N, tolerance) from the params
 
-def _hermite_convolution(iid, params, ctx):
+def _hermite_convolution(iid, params, ctx, point):
     m_max = params["m_max"]
     hs = [[hermite_poly(n, x) for n in range(2 * m_max + 1)] for x in params["xs"]]
 
@@ -407,36 +330,35 @@ def _hermite_convolution(iid, params, ctx):
     return _exact_report(iid, params, *_compare(pairs()))
 
 
-def _bessel_reduction(iid, params, ctx):
+def _bessel_reduction(iid, params, ctx, point):
     """(z/2)^(mu-nu) J_nu(z) = sum_n (mu+2n) (-1)^n (mu-nu)_n Gamma(mu+n) / (n! Gamma(nu+n+1)) J_{mu+2n}(z)
     as C 0F1(; nu+1; -z^2/4) = C sum_n c_n U_2n(z), with C = (z/2)^mu / Gamma(nu+1), U_m _bessel_q(mu)'s
     Q_m and c_n = (mu+2n) (-1)^n (mu-nu)_n (mu)_n (2n)! / (mu n! (nu+1)_n 4^n (mu+1)_2n)."""
     mu, nu, z = params["mu"], params["nu"], params["z"]
     u = _bessel_q(mu)
 
-    def term(n):
+    def weight(n):
         c = (mu + 2 * n) * F(-1) ** n * pochhammer(mu - nu, n) * pochhammer(mu, n) * factorial(2 * n)
-        c = c / (mu * factorial(n) * pochhammer(nu + 1, n) * 4**n * pochhammer(mu + 1, 2 * n))
-        return ctx.number(c) * u.value(2 * n, z, ctx).value if c else mpmath.mpf(0)
+        return c / (mu * factorial(n) * pochhammer(nu + 1, n) * 4**n * pochhammer(mu + 1, 2 * n))
 
     with ctx.workprec():
         C = mpmath.power(ctx.number(z) / 2, ctx.number(mu)) / ctx.gamma(nu + 1)
-        lhs = C * _bessel_q(nu).value(0, z, ctx).value
-        return _summed_report(iid, params, lhs, params["N"], term, params["tolerance"], ctx, C)
+    return _sum_report(
+        iid, params, ctx, point, lambda s, t, ctx: _bessel_q(nu).value(0, z, ctx), weight,
+        lambda n, _, ctx: u.value(2 * n, z, ctx), pref=C,
+    )
 
 
-def _plane_wave_sum(iid, params, ctx, q, coef):
-    """e^{xy} against sum_{n <= N} coef(n) Q_n(y), with a Term's Q_n and rational coef(n)."""
-    with ctx.workprec():
-        lhs = mpmath.exp(ctx.number(params["x"]) * ctx.number(params["y"]))
-
-        def term(n):
-            return ctx.number(coef(n)) * q.value(n, params["y"], ctx).value
-
-        return _summed_report(iid, params, lhs, params["N"], term, params["tolerance"], ctx)
+def _plane_wave_sum(iid, params, ctx, point, q, coef):
+    """e^{xy}, the Term e^{xv} at v = y, against sum_{n <= N} coef(n) Q_n(y),
+    with a Term's Q_n and rational coef(n)."""
+    e, y = Term(Classical(), exp=(params["x"],)), params["y"]
+    return _sum_report(
+        iid, params, ctx, point, lambda s, t, ctx: e.value(0, y, ctx), coef, lambda n, _, ctx: q.value(n, y, ctx)
+    )
 
 
-def _plane_wave(iid, params, ctx):
+def _plane_wave(iid, params, ctx, point):
     """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x) as
     sum_n n! / (2^n (nu)_n) C_n^nu(x) Q_n(y), with ultraspherical's Q_n; without a nu it is
     the Chebyshev form at nu = 1, where C_n^1 = U_n."""
@@ -445,10 +367,10 @@ def _plane_wave(iid, params, ctx):
     def coef(n):
         return factorial(n) * gegenbauer_poly(n, nu, x) / (2**n * pochhammer(nu, n))
 
-    return _plane_wave_sum(iid, params, ctx, ultraspherical_q(nu), coef)
+    return _plane_wave_sum(iid, params, ctx, point, ultraspherical_q(nu), coef)
 
 
-def _plane_wave_jacobi(iid, params, ctx):
+def _plane_wave_jacobi(iid, params, ctx, point):
     """e^{xy} = sum_n 2^n n! / (alpha+beta+n+1)_n P_n^(alpha,beta)(x) Q_n(y), with Jacobi's Q_n;
     (alpha+beta+n+1)_n is read as (alpha+beta+1)_2n / (alpha+beta+1)_n, off one sequence."""
     alpha, beta, x = params["alpha"], params["beta"], params["x"]
@@ -457,10 +379,10 @@ def _plane_wave_jacobi(iid, params, ctx):
         ratio = pochhammer(alpha + beta + 1, n) / pochhammer(alpha + beta + 1, 2 * n)
         return 2**n * factorial(n) * ratio * jacobi_poly(n, alpha, beta, x)
 
-    return _plane_wave_sum(iid, params, ctx, jacobi_q(alpha, beta), coef)
+    return _plane_wave_sum(iid, params, ctx, point, jacobi_q(alpha, beta), coef)
 
 
-def _bessel_1f1_link(iid, params, ctx):
+def _bessel_1f1_link(iid, params, ctx, point):
     """e^-x 1F1(nu+1/2; 2nu+1; 2x) = Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4):
     Jacobi's Q_0 at alpha = beta = nu - 1/2 is ultraspherical's."""
     nu, x = params["nu"], params["x"]
@@ -469,7 +391,7 @@ def _bessel_1f1_link(iid, params, ctx):
     return _numeric_report(iid, params, lhs.value, rhs, lhs.terms_used, mpmath.mpf(0), params["tolerance"], ctx)
 
 
-def _hankel_gegenbauer(iid, params, ctx):
+def _hankel_gegenbauer(iid, params, ctx, point):
     nu, x, n_max = params["nu"], params["x"], params["n_max"]
     mu = family_moments(make_family("gegenbauer_moments", {"nu": nu, "x": x}), 2 * n_max)
     half = F(1, 2)
@@ -488,7 +410,7 @@ def _hankel_gegenbauer(iid, params, ctx):
     return _exact_report(iid, params, *_compare(pairs))
 
 
-def _hankel_affine(iid, params, ctx):
+def _hankel_affine(iid, params, ctx, point):
     base, spec = _affine_pair(params)
     n_max = params["n_max"]
     mu_bar = family_moments(spec, 2 * n_max)
@@ -497,11 +419,11 @@ def _hankel_affine(iid, params, ctx):
     base_dets = [hankel(mu_base, "D", n) for n in range(n_max + 1)]
     # D_n = w_0 w_1 ... w_n
     expected = list(accumulate(map(family_weights(spec), range(n_max + 1)), mul))
-    ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets))
-    return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected)))
+    ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets, strict=True))
+    return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected, strict=True)))
 
 
-def _connection_rogers(iid, params, ctx):
+def _connection_rogers(iid, params, ctx, point):
     beta, gamma, q, n_max = params["beta"], params["gamma"], params["q"], params["n_max"]
     xs = [F(k, 2) for k in range(n_max + 2)]
 
@@ -524,44 +446,120 @@ def _connection_rogers(iid, params, ctx):
     return _exact_report(iid, params, *_compare(pairs()))
 
 
-# id -> (check, default params, domain); numeric identities carry their N
-# and tolerance
-_IDENTITIES = {
+_TOL30 = F(1, 10 ** 30)
+_TOL28 = F(1, 10 ** 28)
+_EXACT = (None, None, None, None)
+
+# id -> (case, default params, point, domain).  A theorem's point is its
+# default (s, t, N, tolerance), all None when it is exact; an identity has
+# no point and keeps N and its tolerance in its params.  The domain is the
+# rules the merged parameters must satisfy, or a function (id, params) that
+# checks.
+_CASES = {
+    # theorems: the addition formulas
+    "affine": (
+        _family_case(lambda params: _affine_pair(params)[1]),
+        {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2)},
+        (F(1, 10), F(1, 5), 25, _TOL30),
+        _affine_domain,
+    ),
+    # the same formula in the algebra st = q ts
+    "asc_noncomm": _family_row(
+        "al_salam_carlitz",
+        {"a": F(1, 3), "q": F(1, 2), "degree": 12},
+        _EXACT,
+        kind=lambda spec: NonCommutative(spec.translation.q),
+    ),
+    "asc_qtrans": _family_row(
+        "al_salam_carlitz", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 20), F(1, 10), 25, _TOL30), right=_Q_TILDE
+    ),
+    "askey_wilson": _family_row(
+        "askey_wilson_slice", {"a": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)
+    ),
+    "bessel_plus": (_bessel_plus, {"nu": F(1, 2)}, (F(3, 10), F(1, 2), 25, _TOL28), (above(0, "nu"),)),
+    "big_qj": _family_row(
+        "big_q_jacobi",
+        {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+        right=_Q_TILDE,
+    ),
+    "classical_generic": (_classical_generic, {"seed": 0, "degree": 12}, _EXACT, ()),
+    "conf_hyp_1f1": (
+        _conf_hyp_1f1,
+        {"alpha": F(1, 2), "beta": F(1, 3)},
+        (F(1, 5), F(3, 10), 25, _TOL30),
+        (above(-1, "alpha + beta"),),
+    ),
+    "gegenbauer_moments": _family_row("gegenbauer_moments", {"nu": F(3, 2), "x": F(1, 2), "degree": 10}, _EXACT),
+    "hermite_moments": _family_row("hermite_moments", {"x": F(1), "degree": 12}, _EXACT),
+    "laguerre_moments": _family_row("laguerre_moments", {"alpha": F(1, 2), "x": F(1, 2), "degree": 10}, _EXACT),
+    "little_qj": _family_row(
+        "little_q_jacobi",
+        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+        right=_Q_TILDE,
+    ),
+    "little_qj_alt": _family_row(
+        "little_q_jacobi",
+        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
+        (F(1, 20), F(1, 10), 25, _TOL30),
+        left=_little_qj_alt,
+        right=_Q_TILDE,
+    ),
+    "meixner_moments": _family_row(
+        "meixner_moments", {"beta": F(3), "c": F(1, 3), "x": F(1, 2), "degree": 10}, _EXACT
+    ),
+    "mp_moments": _family_row(
+        "meixner_pollaczek_moments",
+        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
+        (F(1, 10), F(1, 5), 25, _TOL28),
+    ),
+    "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, _EXACT, ()),
+    "q_ultra": _family_row("q_ultraspherical", {"beta": F(1, 3), "q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
+    "q_ultra_beta0": _family_row("q_ultraspherical_beta0", {"q": F(1, 2)}, (F(1, 5), F(1, 5), 20, _TOL28)),
+    # identities
     "bessel_1f1_link": (
         _bessel_1f1_link,
         {"nu": F(3, 2), "x": F(2, 5), "tolerance": _TOL30},
+        None,
         (off_integers("2*nu + 1"),),
     ),
     "bessel_reduction": (
         _bessel_reduction,
         {"mu": F(1), "nu": F(2), "z": F(7, 10), "N": 25, "tolerance": _TOL28},
+        None,
         (nonzero("z"), off_integers("mu"), off_integers("nu + 1")),
     ),
     "connection_rogers": (
         _connection_rogers,
         {"beta": F(1, 3), "gamma": F(1, 4), "q": F(1, 2), "n_max": 8},
+        None,
         (between(0, 1, "q"), nonzero("beta"), no_unit_power("beta")),
     ),
     "hankel_affine": (
         _hankel_affine,
         {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2), "n_max": 5},
+        None,
         _exact_affine_domain,
     ),
     "hankel_gegenbauer": (
         _hankel_gegenbauer,
         {"nu": F(3, 2), "x": F(2), "n_max": 5},
+        None,
         family_domain("gegenbauer_moments"),
     ),
-    "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}, ()),
-    "plane_wave_cheby": (_plane_wave, {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28}, ()),
+    "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}, None, ()),
+    "plane_wave_cheby": (_plane_wave, {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28}, None, ()),
     "plane_wave_jacobi": (
         _plane_wave_jacobi,
         {"alpha": F(1, 2), "beta": F(1, 3), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+        None,
         (off_integers("alpha + beta + 1"),),
     ),
     "plane_wave_ultra": (
         _plane_wave,
         {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
+        None,
         (off_integers("nu"),),
     ),
 }
@@ -571,17 +569,11 @@ _IDENTITIES = {
 # public entry points
 
 def theorem_ids():
-    return sorted(_THEOREMS)
+    return sorted(cid for cid, row in _CASES.items() if row[2] is not None)
 
 
 def identity_ids():
-    return sorted(_IDENTITIES)
-
-
-def _entry(table, id, what):
-    if id not in table:
-        raise UnknownTheorem(f"unknown {what} id {id!r}")
-    return table[id]
+    return sorted(cid for cid, row in _CASES.items() if row[2] is None)
 
 
 def _coerce(base, value):
@@ -653,9 +645,8 @@ def _merge_params(defaults, overrides):
 def _case_params(id, overrides):
     """Case ``id``'s defaults with ``overrides`` merged in, checked against
     the case's domain."""
-    row = _THEOREMS.get(id) or _IDENTITIES[id]
-    merged = _merge_params(row[1], overrides)
-    domain = row[-1]
+    _, defaults, _, domain = _CASES[id]
+    merged = _merge_params(defaults, overrides)
     if callable(domain):
         domain(id, merged)
     else:
@@ -663,34 +654,40 @@ def _case_params(id, overrides):
     return merged
 
 
-def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
-    """Check one addition formula; returns a VerificationReport.
+def _point(id, params, s=None, t=None, N=None, tolerance=None):
+    """Case ``id``'s (s, t, N, tolerance): a theorem's default point with
+    the given values laid over it, an identity's N and tolerance from its
+    merged ``params``."""
+    default = _CASES[id][2]
+    if default is None:
+        return None, None, params.get("N"), params.get("tolerance")
+    return tuple(d if v is None else v for d, v in zip(default, (s, t, N, tolerance)))
 
-    The case runs in its own memo scope: a Bessel value or an infinite
-    q-product met twice within it is evaluated once."""
-    case, _, numeric, _ = _entry(_THEOREMS, id, "theorem")
+
+def _run(id, what, params, ctx, s=None, t=None, N=None, tolerance=None):
+    """Run case ``id``, a ``what`` ("theorem" or "identity"), at its merged
+    params and point.  The case runs in its own memo scope: a Bessel value
+    or an infinite q-product met twice within it is evaluated once."""
+    row = _CASES.get(id)
+    if row is None or (row[2] is None) != (what == "identity"):
+        raise UnknownTheorem(f"unknown {what} id {id!r}")
     ctx = ctx or PrecisionContext()
     merged = _case_params(id, params)
     N, tolerance = _run_settings(N, tolerance)
-    point = None
-    if numeric is not None:
-        s0, t0, N0, tolerance0 = numeric
-        point = (
-            s0 if s is None else rat(s),
-            t0 if t is None else rat(t),
-            N0 if N is None else N,
-            tolerance0 if tolerance is None else tolerance,
-        )
+    s, t = (None if v is None else rat(v) for v in (s, t))
+    point = _point(id, merged, s, t, N, tolerance)
     with memo_scope():
-        return case(id, merged, ctx, point)
+        return row[0](id, merged, ctx, point)
+
+
+def verify_theorem(id, params=None, s=None, t=None, N=None, ctx=None, tolerance=None):
+    """Check one addition formula; returns a VerificationReport."""
+    return _run(id, "theorem", params, ctx, s, t, N, tolerance)
 
 
 def verify_identity(id, params=None, ctx=None):
     """Check one standalone identity; returns a VerificationReport."""
-    check = _entry(_IDENTITIES, id, "identity")[0]
-    ctx = ctx or PrecisionContext()
-    with memo_scope():
-        return check(id, _case_params(id, params), ctx)
+    return _run(id, "identity", params, ctx)
 
 
 def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=None, tolerance=None):
@@ -718,12 +715,8 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     """
     ctx = ctx or PrecisionContext()
     patterns = [pattern] if isinstance(pattern, str) else pattern
-    ids = [
-        cid
-        for cid in sorted(_THEOREMS.keys() | _IDENTITIES.keys())
-        if patterns is None or any(fnmatchcase(cid, p) for p in patterns)
-    ]
-    declared = {cid: (_THEOREMS.get(cid) or _IDENTITIES[cid])[1] for cid in ids}
+    ids = [cid for cid in sorted(_CASES) if patterns is None or any(fnmatchcase(cid, p) for p in patterns)]
+    declared = {cid: _CASES[cid][1] for cid in ids}
     overrides = dict(params or {})
     for key in overrides:
         if not any(_takes(names, key) for names in declared.values()):
@@ -737,15 +730,12 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     for cid in ids:  # invalid input raises before any case runs
         own[cid] = {k: v for k, v in {**settings, **overrides}.items() if _takes(declared[cid], k)}
         merged = _case_params(cid, own[cid])
-        if "tolerance" in own[cid]:
-            _check_reachable(merged["tolerance"], ctx)
-        elif tolerance is None:  # the case's own default
-            numeric = _THEOREMS[cid][2] if cid in _THEOREMS else None
-            _check_reachable(merged.get("tolerance", numeric and numeric[3]), ctx, cid)
+        default = tolerance is None and "tolerance" not in own[cid]  # a default: the message names the case
+        _check_reachable(_point(cid, merged, tolerance=tolerance)[3], ctx, cid if default else None)
     reports = []
     for cid in ids:
         try:
-            if cid in _THEOREMS:
+            if _CASES[cid][2] is not None:
                 reports.append(verify_theorem(cid, own[cid], s, t, N, ctx, tolerance))
             else:
                 reports.append(verify_identity(cid, own[cid], ctx))

@@ -286,6 +286,33 @@ MUTANTS = [
         "pochhammer(alpha + beta, n) / pochhammer(alpha + beta, 2 * n)",
         (_PINNED, _THEOREMS + "test_identities[plane_wave_jacobi]"),
     ),
+    # the one numeric sum (theorems._sum_report)
+    Mutant(
+        "symmetric shortcut taken at s != t",
+        "src/jfrac/theorems.py",
+        "same = left == right and s == t",
+        "same = left == right",
+        (
+            _THEOREMS + "test_numeric_theorems[affine]",
+            _THEOREMS + "test_numeric_theorems[mp_moments]",
+            _THEOREMS + "test_numeric_theorems[conf_hyp_1f1]",
+        ),
+    ),
+    Mutant(
+        "pref dropped from the left side",
+        "src/jfrac/theorems.py",
+        "            value = value if pref is None else pref * value\n",
+        "",
+        (_THEOREMS + "test_numeric_theorems[bessel_plus]", _THEOREMS + "test_identities[bessel_reduction]"),
+    ),
+    # hankel_affine's exact comparison, which must not stop at the shorter list
+    Mutant(
+        "hankel_affine expects two determinants too few",
+        "src/jfrac/theorems.py",
+        "range(n_max + 1)), mul)",
+        "range(n_max - 1)), mul)",
+        (_THEOREMS + "test_identities[hankel_affine]", _THEOREMS + "test_hankel_affine_reports_ratios"),
+    ),
 ]
 
 

@@ -564,7 +564,7 @@ def test_cli_fuzz_over_catalog_parameters(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
-_CASE_PARAMS = {cid: entry[1] for cid, entry in {**theorems._THEOREMS, **theorems._IDENTITIES}.items()}
+_CASE_PARAMS = {cid: row[1] for cid, row in theorems._CASES.items()}
 
 
 @st.composite
@@ -908,7 +908,7 @@ def _breaking_value(owner, rule, params, prefix=""):
 
 
 def _case_rules(cid):
-    row = theorems._THEOREMS.get(cid) or theorems._IDENTITIES[cid]
+    row = theorems._CASES[cid]
     if not callable(row[-1]):
         return [(rule, "") for rule in row[-1]]
     assert row[-1] in (theorems._affine_domain, theorems._exact_affine_domain)

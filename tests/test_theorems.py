@@ -218,7 +218,7 @@ def test_exact_twin_of_the_q_translated_case(cid, family_id):
     """The q-translated addition formula Q_0(t (+)_q s) = sum_n w_n Q_n(t) Q~_n(s)
     as an identity of series, at the case's default parameters: the Q~_n
     rows are the Q_n rows with coefficient m times q^C(m,2)."""
-    spec = families.make_family(family_id, theorems._THEOREMS[cid][1])
+    spec = families.make_family(family_id, theorems._CASES[cid][1])
     q, degree = spec.params["q"], 12
     rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
     twisted = [[c * q ** (m * (m - 1) // 2) for m, c in enumerate(row)] for row in rows]
@@ -454,10 +454,9 @@ def test_bad_size_or_tolerance_raises_before_any_case(monkeypatch, kwargs):
         run_suite(None, **kwargs)
 
 
-def test_suite_series_work_is_pinned(monkeypatch):
-    """One default run_suite() sums 355 pFq series of 5761 terms in all and
-    186 basic series of 3149 terms.  A change to the stopping decision, or
-    to how often a case evaluates a series, shows here as a failure."""
+def _count_series(monkeypatch):
+    """{name: (calls, terms)} of the eval_pfq and eval_rphis calls made from
+    now on, filled in as they happen."""
     counts = {}
     for name in ("eval_pfq", "eval_rphis"):
         original = getattr(series, name)
@@ -471,5 +470,50 @@ def test_suite_series_work_is_pinned(monkeypatch):
         for module in (series, families, theorems):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_suite_series_work_is_pinned(monkeypatch):
+    """One default run_suite() sums 347 pFq series of 5659 terms in all and
+    186 basic series of 3149 terms.  A change to the stopping decision, or
+    to how often a case evaluates a series, shows here as a failure.
+
+    The pFq count was 355 of 5761 terms while a term with a zero weight was
+    still evaluated: plane_wave_cheby's weights hold U_n(1/2), which is 0 at
+    n = 2 mod 3, so 8 of its 26 Q_n(y) are no longer summed."""
+    counts = _count_series(monkeypatch)
     theorems.run_suite()
-    assert counts == {"eval_pfq": (355, 5761), "eval_rphis": (186, 3149)}
+    assert counts == {"eval_pfq": (347, 5659), "eval_rphis": (186, 3149)}
+
+
+@pytest.mark.parametrize("cid", ["conf_hyp_1f1", "bessel_plus"])
+def test_symmetric_point_evaluates_each_q_n_once(monkeypatch, cid):
+    """At s = t the right side is sum_n w_n Q_n(t)^2: one pFq for the left
+    side and one for each of the N + 1 = 26 terms, not two."""
+    counts = _count_series(monkeypatch)
+    report = verify_theorem(cid, s=F(1, 5), t=F(1, 5), ctx=ctx)
+    assert report.passed and report.n_terms == 26
+    assert counts["eval_pfq"][0] == 1 + 26
+
+
+def test_run_suite_reaches_each_case_through_its_view(monkeypatch):
+    """run_suite runs the 18 theorems through verify_theorem and the 9
+    identities through verify_identity, each once, and each view rejects
+    the other's ids."""
+    seen = {"verify_theorem": [], "verify_identity": []}
+    for name in seen:
+
+        def counted(id, *args, _original=getattr(theorems, name), _name=name):
+            seen[_name].append(id)
+            return _original(id, *args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    theorems.run_suite(ctx=ctx)
+    assert seen == {"verify_theorem": theorem_ids(), "verify_identity": identity_ids()}
+    assert (len(seen["verify_theorem"]), len(seen["verify_identity"])) == (18, 9)
+    for tid in theorem_ids():
+        with pytest.raises(UnknownTheorem, match="unknown identity id"):
+            verify_identity(tid)
+    for iid in identity_ids():
+        with pytest.raises(UnknownTheorem, match="unknown theorem id"):
+            verify_theorem(iid)
