@@ -4,16 +4,17 @@ Each family binds its monic three-term recurrence coefficients (b_n,
 lambda_n), its closed-form generating functions Q_j, and the translation
 kind its addition formula lives over.  The rest is derived: the weights
 w_n = lambda_1...lambda_n, the moments off Q_0's exact series, lambda_n
-itself where a builder writes A_n, C_n, and for the polynomials-as-moments
-families the closed tableau H_{i,N} = N! [t^N] Q_i(t), with b_n and
-lambda_n off its first two superdiagonals.  Most Q forms are declared once
-as a :class:`Term`, which yields the numeric evaluator, the exact series
-and so the closed tableau; a q-family's translated Q_0 and twisted
-companion Q~_j follow from the same Term, except big q-Jacobi's companion,
-which stays in its printed 2phi1 form; the q-ultraspherical and
-Askey-Wilson Bessel sums are weighted sums of one Term's Q_n
-(:class:`_BesselSum`).  One constructor, :func:`_term_family`, wires
-either's evaluators into its family.
+itself where a builder writes A_n, C_n, the monic polynomials p_n(x) in
+one pass of the recurrence (:func:`monic_values`), and for the
+polynomials-as-moments families the closed tableau H_{i,N} = N! [t^N]
+Q_i(t), with b_n and lambda_n off its first two superdiagonals.  Most Q
+forms are declared once as a :class:`Term`, which yields the numeric
+evaluator, the exact series and so the closed tableau; a q-family's
+translated Q_0 and twisted companion Q~_j follow from the same Term,
+except big q-Jacobi's companion, which stays in its printed 2phi1 form;
+the q-ultraspherical and Askey-Wilson Bessel sums are weighted sums of one
+Term's Q_n (:class:`_BesselSum`).  One constructor, :func:`_term_family`,
+wires either's evaluators into its family.
 
 Exact data is computed over Fractions; the Q_j evaluators compute in
 arbitrary-precision floating point under a PrecisionContext.  A family is
@@ -63,66 +64,31 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial evaluators (recurrence or terminating-sum form)
+# exact polynomial evaluators
 
-def _three_term(p0, p1, step):
-    """p_0, p_1 = p1() once read, ..., p_{m+1} = step(m, p_m, p_{m-1})."""
-    yield p0
-    prev, cur = p0, p1()
+def monic_values(b_fn, lambda_fn, x, N):
+    """p_0(x)..p_N(x), the monic orthogonal polynomials of the recurrence data
+    (b_n, lambda_n) at x, in one pass of p_{m+1} = (x - b_m) p_m - lambda_m
+    p_{m-1} from p_0 = 1, p_{-1} = 0; exact for rational data."""
+    p = [F(1)]
+    for m in range(N):
+        step = (x - b_fn(m)) * p[m]
+        p.append(step - lambda_fn(m) * p[m - 1] if m else step)
+    return p
+
+
+@sequence
+def cq_ultraspherical_poly(x, beta, q):
+    """Continuous q-ultraspherical C_n(x; beta | q) as printed, read as
+    ``cq_ultraspherical_poly(x, beta, q, n)``.  Not a family's monic p_n:
+    connection_rogers takes gamma unconstrained, and the monic form has
+    poles at gamma = q^-m that this normalisation cancels."""
+    yield F(1)
+    prev, cur = F(1), 2 * x * (1 - beta) / (1 - q)
     for m in itertools.count(1):
         yield cur
-        prev, cur = cur, step(m, cur, prev)
-
-
-@sequence
-def _hermite(x):
-    return _three_term(F(1), lambda: 2 * x, lambda m, p, pp: 2 * x * p - 2 * m * pp)
-
-
-def hermite_poly(n, x):
-    """Physicists' Hermite H_n(x), exact for rational x."""
-    return _hermite(x if isinstance(x, F) else rat(x), n)
-
-
-@sequence
-def _gegenbauer(nu, x):
-    return _three_term(F(1), lambda: 2 * nu * x, lambda m, p, pp: (2 * (m + nu) * x * p - (m + 2 * nu - 1) * pp) / (m + 1))
-
-
-def gegenbauer_poly(n, nu, x):
-    """Gegenbauer (ultraspherical) C_n^nu(x)."""
-    return _gegenbauer(nu, x, n)
-
-
-@sequence
-def _jacobi(alpha, beta, x):
-    def step(m, p, pp):
-        s = 2 * m + alpha + beta
-        a1 = 2 * (m + 1) * (m + alpha + beta + 1) * s
-        a2 = (s + 1) * (alpha * alpha - beta * beta)
-        a3 = (s + 1) * s * (s + 2)
-        a4 = 2 * (m + alpha) * (m + beta) * (s + 2)
-        return ((a2 + a3 * x) * p - a4 * pp) / a1
-
-    return _three_term(F(1), lambda: (alpha - beta) / F(2) + (alpha + beta + 2) * x / F(2), step)
-
-
-def jacobi_poly(n, alpha, beta, x):
-    """Jacobi P_n^(alpha,beta)(x) in the standard normalization."""
-    return _jacobi(alpha, beta, x, n)
-
-
-@sequence
-def _cq_ultraspherical(x, beta, q):
-    def step(m, p, pp):
-        return (2 * x * (1 - beta * q ** m) * p - (1 - beta * beta * q ** (m - 1)) * pp) / (1 - q ** (m + 1))
-
-    return _three_term(F(1), lambda: 2 * x * (1 - beta) / (1 - q), step)
-
-
-def cq_ultraspherical_poly(n, x, beta, q):
-    """Continuous q-ultraspherical C_n(x; beta | q), exact for rational data."""
-    return _cq_ultraspherical(x, beta, q, n)
+        top = 2 * x * (1 - beta * q ** m) * cur - (1 - beta * beta * q ** (m - 1)) * prev
+        prev, cur = cur, top / (1 - q ** (m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -578,29 +544,22 @@ def _recurrence_from_closed_tableau(entry_fn, per_precision=True):
 # ---------------------------------------------------------------------------
 # classical families
 
-def ultraspherical_q(nu):
-    """Ultraspherical Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in
-    its entire 0F1 form t^j / j! 0F1(; nu+j+1; t^2/4)."""
-    return Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
-
-
-def jacobi_q(alpha, beta):
-    """Jacobi Q_i = t^i / i! e^-t 1F1(beta+i+1; alpha+beta+2i+2; 2t); Kummer's transformation
-    gives the second printed form e^t 1F1(alpha+i+1; ...; -2t)."""
-    return Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
-
-
-def _make_ultraspherical(params):
-    nu = params["nu"]
+def ultraspherical(nu):
+    """Ultraspherical's (Q_j Term, b_n, lambda_n), read by the family and its plane wave:
+    Q_j = 2^j Gamma(nu+j+1) (t/2)^-nu I_{nu+j}(t) / j! as printed, declared in its entire
+    0F1 form t^j / j! 0F1(; nu+j+1; t^2/4)."""
 
     def lambda_fn(j):
         return F(j * (j + 2 * nu - 1), 1) / (4 * (nu + j - 1) * (nu + j))
 
-    return _term_family(ultraspherical_q(nu), lambda n: F(0), lambda_fn)
+    q = Term(Classical(), hyper=lambda j: ([], [nu + j + 1], F(1, 4)), step=2)
+    return q, lambda n: F(0), lambda_fn
 
 
-def _make_jacobi(params):
-    alpha, beta = params["alpha"], params["beta"]
+def jacobi(alpha, beta):
+    """Jacobi's (Q_i Term, b_n, lambda_n), read by the family and its plane wave: Q_i =
+    t^i / i! e^-t 1F1(beta+i+1; alpha+beta+2i+2; 2t); Kummer's transformation gives the
+    second printed form e^t 1F1(alpha+i+1; ...; -2t)."""
 
     def b_fn(n):
         if n == 0:
@@ -612,7 +571,16 @@ def _make_jacobi(params):
         s = 2 * n + alpha + beta
         return top / ((s - 1) * s * s * (s + 1))
 
-    return _term_family(jacobi_q(alpha, beta), b_fn, lambda_fn)
+    q = Term(Classical(), exp=(-1,), hyper=lambda i: ([beta + i + 1], [alpha + beta + 2 * i + 2], 2))
+    return q, b_fn, lambda_fn
+
+
+def _make_ultraspherical(params):
+    return _term_family(*ultraspherical(params["nu"]))
+
+
+def _make_jacobi(params):
+    return _term_family(*jacobi(params["alpha"], params["beta"]))
 
 
 def _make_hermite(params):
@@ -813,7 +781,6 @@ def _bessel_coefs(x, q, j, shift, step):
         r = r * _product(ratio(k))
 
 
-@sequence
 def _qultra_coef(beta, q, j):
     # coefficient of I_{j+2k+1} in the Q_j Bessel sum, k = 0, 1, ...:
     # (j+2k+1) beta^k (q/beta, q^{j+1}; q)_k / (q, beta q^{j+1}; q)_k, where
@@ -822,31 +789,34 @@ def _qultra_coef(beta, q, j):
     return _bessel_coefs(beta, q, j, j + 1, 2)
 
 
-_U = ultraspherical_q(1)
+_U = ultraspherical(1)[0]
 
 
 @memoised
 def _bessel_leaf(n, t, ctx):
-    """ultraspherical_q(1)'s U_n(t) = t^n / n! 0F1(; n+2; t^2/4), kept for the case's scope."""
+    """ultraspherical(1)'s U_n(t) = t^n / n! 0F1(; n+2; t^2/4), kept for the case's scope."""
     return _U.value(n, t, ctx)
 
 
 class _BesselSum:
-    """Q_j(t) = 2^(j+1)/t sum_k coef(j, k) I_(j+step k+1)(t), the form the
-    q-ultraspherical and Askey-Wilson families print.  With n = j + step k,
-    2^(j+1)/t I_(n+1)(t) = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum
-    sum_k w_k(j) U_n(t), w_k(j) = coef(j, k) / ((n+1) 2^(step k)), of the
-    entire U_n of :func:`_bessel_leaf`, exactly and numerically."""
+    """Q_j(t) = 2^(j+1)/t sum_k c_k(j) I_(j+step k+1)(t), the form the
+    q-ultraspherical and Askey-Wilson families print, with ``coefs(j)``
+    iterating c_0(j), c_1(j), ...  With n = j + step k, 2^(j+1)/t I_(n+1)(t)
+    = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum sum_k w_k(j) U_n(t),
+    w_k(j) = c_k(j) / ((n+1) 2^(step k)), of the entire U_n of
+    :func:`_bessel_leaf`, exactly and numerically."""
 
-    __slots__ = ("coef", "step")
+    __slots__ = ("coefs", "step")
     kind = Classical()
 
-    def __init__(self, coef, step):
-        self.coef = coef
+    def __init__(self, coefs, step):
+        self.coefs = coefs
         self.step = step
 
-    def _weight(self, j, k):
-        return self.coef(j, k) / ((j + self.step * k + 1) * F(2) ** (self.step * k))
+    def _weights(self, j):
+        """w_0(j), w_1(j), ..., stepping row j's coefficients once."""
+        for k, c in enumerate(self.coefs(j)):
+            yield c / ((j + self.step * k + 1) * F(2) ** (self.step * k))
 
     def value(self, j, t, ctx):
         with ctx.workprec():
@@ -857,8 +827,8 @@ class _BesselSum:
             floor = mpmath.mpf(2) ** (j + 1) / abs(tv)
             tol = ctx.mpf(ctx.rel_tolerance)
             total, small = mpmath.mpf(0), 0
-            for k in range(ctx.max_terms):
-                term = ctx.number(self._weight(j, k)) * _bessel_leaf(j + self.step * k, tv, ctx).value
+            for k, w in zip(range(ctx.max_terms), self._weights(j)):
+                term = ctx.number(w) * _bessel_leaf(j + self.step * k, tv, ctx).value
                 total += term
                 small = small + 1 if abs(term) < tol * max(abs(total), floor) else 0
                 if small >= ctx.consecutive_small:
@@ -867,9 +837,9 @@ class _BesselSum:
 
     def series(self, j, degree):
         out = [F(0)] * (degree + 1)
-        for k in range((degree - j) // self.step + 1):
+        for k, w in zip(range((degree - j) // self.step + 1), self._weights(j)):
             n = j + self.step * k
-            u, w = _U.series(n, degree), self._weight(j, k)
+            u = _U.series(n, degree)
             for i in range(n, degree + 1, 2):  # U_n is t^n times an even series
                 out[i] += w * u[i]
         return PowerSeries(out, degree)
@@ -890,7 +860,6 @@ def _make_q_ultraspherical_beta0(params):
     return _make_q_ultraspherical({"beta": F(0), **params})
 
 
-@sequence
 def _aw_term_factor(a, q, m):
     # coefficient of I_{n+m+1} in the Q_m Bessel sum, n = 0, 1, ...: a^n (n+m+1)
     # (q^{m+1}, q/a, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n / (q, a q^{2m+2}, q^{2m+n+2}; q)_n.

@@ -90,7 +90,7 @@ class PowerSeries:
 
     @classmethod
     def one(cls, degree):
-        return cls([1], degree)
+        return cls([Fraction(1)], degree)
 
     def __getitem__(self, n):
         if not 0 <= n <= self.truncation_degree:

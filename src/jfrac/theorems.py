@@ -5,7 +5,9 @@ against a truncated right-hand side and returns a structured report.
 Numeric cases run under a PrecisionContext and report relative error plus
 an empirical tail estimate (the magnitude of the last included term).
 Exact cases compare coefficient tables over Fractions and pass only on
-exact equality.
+exact equality.  A case reads a family's data where it uses them: the
+plane waves and the Hermite convolution take their polynomials as the
+monic p_n of a family's declared recurrence, not as printed.
 """
 
 import random
@@ -27,17 +29,15 @@ from .families import (
     family_moments,
     family_params,
     family_weights,
-    gegenbauer_poly,
-    hermite_poly,
-    jacobi_poly,
-    jacobi_q,
+    jacobi,
     make_affine,
     make_family,
+    monic_values,
     no_unit_power,
     nonzero,
     off_integers,
     translate_q0,
-    ultraspherical_q,
+    ultraspherical,
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
 from .scalar import PrecisionContext, factorial, int_str, memo_scope, pochhammer, q_pochhammer, rat, rat_str
@@ -311,8 +311,10 @@ def _ogf_variant(cid, params, ctx, point):
 # point = (None, None, N, tolerance) from the params
 
 def _hermite_convolution(iid, params, ctx, point):
-    m_max = params["m_max"]
-    hs = [[hermite_poly(n, x) for n in range(2 * m_max + 1)] for x in params["xs"]]
+    """H_{m+n}(x) / (m! n!) = sum_k (-2)^k / (k! (m-k)! (n-k)!) H_{m-k}(x) H_{n-k}(x), with
+    H_n(x) = 2^n p_n(x) and p_n the hermite family's monic polynomials."""
+    m_max, h = params["m_max"], make_family("hermite")
+    hs = [[2**n * p for n, p in enumerate(monic_values(h.b_fn, h.lambda_fn, x, 2 * m_max))] for x in params["xs"]]
 
     def pairs():
         for m in range(m_max + 1):
@@ -349,45 +351,29 @@ def _bessel_reduction(iid, params, ctx, point):
     )
 
 
-def _plane_wave_sum(iid, params, ctx, point, q, coef):
-    """e^{xy}, the Term e^{xv} at v = y, against sum_{n <= N} coef(n) Q_n(y),
-    with a Term's Q_n and rational coef(n)."""
-    e, y = Term(Classical(), exp=(params["x"],)), params["y"]
-    return _sum_report(
-        iid, params, ctx, point, lambda s, t, ctx: e.value(0, y, ctx), coef, lambda n, _, ctx: q.value(n, y, ctx)
-    )
+def _plane_wave(family):
+    """The case e^{xy} = sum_n p_n(x) Q_n(y) of a family's monic p_n and its Q_n, which the
+    tableau links (x^N = sum_n H_{n,N} p_n(x), Q_n(t) = sum_N H_{n,N} t^N / N!); ``family``
+    maps the case parameters to the family's declared (Q_j Term, b_n, lambda_n)."""
 
+    def case(iid, params, ctx, point):
+        q, b_fn, lambda_fn = family(params)
+        x, y = params["x"], params["y"]
+        e, p = Term(Classical(), exp=(x,)), monic_values(b_fn, lambda_fn, x, point[2])  # e^{xv} at v = y
+        return _sum_report(
+            iid, params, ctx, point, lambda s, t, ctx: e.value(0, y, ctx), p.__getitem__,
+            lambda n, _, ctx: q.value(n, y, ctx),
+        )
 
-def _plane_wave(iid, params, ctx, point):
-    """Gegenbauer's e^{xy} = Gamma(nu) (y/2)^-nu sum_n (nu+n) I_{nu+n}(y) C_n^nu(x) as
-    sum_n n! / (2^n (nu)_n) C_n^nu(x) Q_n(y), with ultraspherical's Q_n; without a nu it is
-    the Chebyshev form at nu = 1, where C_n^1 = U_n."""
-    nu, x = params.get("nu", F(1)), params["x"]
-
-    def coef(n):
-        return factorial(n) * gegenbauer_poly(n, nu, x) / (2**n * pochhammer(nu, n))
-
-    return _plane_wave_sum(iid, params, ctx, point, ultraspherical_q(nu), coef)
-
-
-def _plane_wave_jacobi(iid, params, ctx, point):
-    """e^{xy} = sum_n 2^n n! / (alpha+beta+n+1)_n P_n^(alpha,beta)(x) Q_n(y), with Jacobi's Q_n;
-    (alpha+beta+n+1)_n is read as (alpha+beta+1)_2n / (alpha+beta+1)_n, off one sequence."""
-    alpha, beta, x = params["alpha"], params["beta"], params["x"]
-
-    def coef(n):
-        ratio = pochhammer(alpha + beta + 1, n) / pochhammer(alpha + beta + 1, 2 * n)
-        return 2**n * factorial(n) * ratio * jacobi_poly(n, alpha, beta, x)
-
-    return _plane_wave_sum(iid, params, ctx, point, jacobi_q(alpha, beta), coef)
+    return case
 
 
 def _bessel_1f1_link(iid, params, ctx, point):
     """e^-x 1F1(nu+1/2; 2nu+1; 2x) = Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4):
     Jacobi's Q_0 at alpha = beta = nu - 1/2 is ultraspherical's."""
     nu, x = params["nu"], params["x"]
-    lhs = jacobi_q(nu - F(1, 2), nu - F(1, 2)).value(0, x, ctx)
-    rhs = ultraspherical_q(nu).value(0, x, ctx).value
+    lhs = jacobi(nu - F(1, 2), nu - F(1, 2))[0].value(0, x, ctx)
+    rhs = ultraspherical(nu)[0].value(0, x, ctx).value
     return _numeric_report(iid, params, lhs.value, rhs, lhs.terms_used, mpmath.mpf(0), params["tolerance"], ctx)
 
 
@@ -440,8 +426,8 @@ def _connection_rogers(iid, params, ctx, point):
                 for k in range(n // 2 + 1)
             ]
             for x in xs:
-                rhs = sum((c * cq_ultraspherical_poly(n - 2 * k, x, beta, q) for k, c in enumerate(coef)), F(0))
-                yield cq_ultraspherical_poly(n, x, gamma, q), rhs
+                rhs = sum((c * cq_ultraspherical_poly(x, beta, q, n - 2 * k) for k, c in enumerate(coef)), F(0))
+                yield cq_ultraspherical_poly(x, gamma, q, n), rhs
 
     return _exact_report(iid, params, *_compare(pairs()))
 
@@ -549,15 +535,18 @@ _CASES = {
         family_domain("gegenbauer_moments"),
     ),
     "hermite_convolution": (_hermite_convolution, {"m_max": 8, "xs": (F(0), F(1), F(1, 2))}, None, ()),
-    "plane_wave_cheby": (_plane_wave, {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28}, None, ()),
+    # Chebyshev's U_n is ultraspherical's at nu = 1
+    "plane_wave_cheby": (
+        _plane_wave(lambda p: ultraspherical(F(1))), {"x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28}, None, ()
+    ),
     "plane_wave_jacobi": (
-        _plane_wave_jacobi,
+        _plane_wave(lambda p: jacobi(p["alpha"], p["beta"])),
         {"alpha": F(1, 2), "beta": F(1, 3), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
         None,
         (off_integers("alpha + beta + 1"),),
     ),
     "plane_wave_ultra": (
-        _plane_wave,
+        _plane_wave(lambda p: ultraspherical(p["nu"])),
         {"nu": F(3, 2), "x": F(1, 2), "y": F(2, 5), "N": 25, "tolerance": _TOL28},
         None,
         (off_integers("nu"),),

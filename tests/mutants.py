@@ -272,19 +272,29 @@ MUTANTS = [
         "pochhammer(mu + 1, 2 * n + 1))",
         (_PINNED, _THEOREMS + "test_identities[bessel_reduction]"),
     ),
+    # the declared recurrence data the plane waves read (families.ultraspherical, families.jacobi)
     Mutant(
-        "plane_wave's (nu)_n as (nu)_(n+1)",
-        "src/jfrac/theorems.py",
-        "(2**n * pochhammer(nu, n))",
-        "(2**n * pochhammer(nu, n + 1))",
-        (_PINNED, _THEOREMS + "test_identities[plane_wave_ultra]", _THEOREMS + "test_identities[plane_wave_cheby]"),
+        "ultraspherical's lambda_n with 2 for its 4",
+        "src/jfrac/families.py",
+        "/ (4 * (nu + j - 1) * (nu + j))",
+        "/ (2 * (nu + j - 1) * (nu + j))",
+        (
+            _PINNED,
+            _THEOREMS + "test_identities[plane_wave_ultra]",
+            _THEOREMS + "test_identities[plane_wave_cheby]",
+            _FAMILIES + "test_monic_values_meet_the_q_series_in_the_tableau[ultraspherical]",
+        ),
     ),
     Mutant(
-        "plane_wave_jacobi's (alpha+beta+n+1)_n as (alpha+beta+n)_n",
-        "src/jfrac/theorems.py",
-        "pochhammer(alpha + beta + 1, n) / pochhammer(alpha + beta + 1, 2 * n)",
-        "pochhammer(alpha + beta, n) / pochhammer(alpha + beta, 2 * n)",
-        (_PINNED, _THEOREMS + "test_identities[plane_wave_jacobi]"),
+        "Jacobi's b_n with alpha and beta swapped",
+        "src/jfrac/families.py",
+        "return (beta * beta - alpha * alpha) / (",
+        "return (alpha * alpha - beta * beta) / (",
+        (
+            _PINNED,
+            _THEOREMS + "test_identities[plane_wave_jacobi]",
+            _FAMILIES + "test_monic_values_meet_the_q_series_in_the_tableau[jacobi]",
+        ),
     ),
     # the one numeric sum (theorems._sum_report)
     Mutant(

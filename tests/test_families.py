@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from jfrac import families
+from jfrac import families, series, theorems
 from jfrac.errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from jfrac.families import (
     catalog,
@@ -17,11 +17,9 @@ from jfrac.families import (
     family_moments,
     family_tableau,
     family_weights,
-    gegenbauer_poly,
-    hermite_poly,
-    jacobi_poly,
     make_affine,
     make_family,
+    monic_values,
     q_function,
     q_tilde_function,
 )
@@ -44,7 +42,7 @@ from jfrac.series import (
     pfq_series,
     rphis_series,
 )
-from jfrac.theorems import _little_qj_alt
+from jfrac.theorems import _little_qj_alt, verify_identity
 
 ctx = PrecisionContext()
 PINNED_EXACT = Path(__file__).parent / "data" / "exact_families.json"
@@ -63,6 +61,40 @@ def _qp(a, q, n):
 def rogers_szego_poly(n, a, q):
     """Rogers-Szego h_n(a; q) = sum_k [n, k]_q a^k."""
     return sum((q_binomial(n, k, q) * F(a) ** k for k in range(n + 1)), F(0))
+
+
+def _printed(p0, p1, step, n):
+    """p_n of a three-term recurrence in a printed normalisation: p_0, p_1, then
+    p_{m+1} = step(m, p_m, p_{m-1})."""
+    prev, cur = p0, p1
+    for m in range(1, n + 1):
+        prev, cur = cur, step(m, cur, prev)
+    return prev
+
+
+def hermite_poly(n, x):
+    """Physicists' Hermite H_n(x), by its printed three-term recurrence."""
+    return _printed(F(1), 2 * x, lambda m, p, pp: 2 * x * p - 2 * m * pp, n)
+
+
+def gegenbauer_poly(n, nu, x):
+    """Gegenbauer (ultraspherical) C_n^nu(x), by its printed three-term recurrence."""
+    return _printed(F(1), 2 * nu * x, lambda m, p, pp: (2 * (m + nu) * x * p - (m + 2 * nu - 1) * pp) / (m + 1), n)
+
+
+def jacobi_poly(n, alpha, beta, x):
+    """Jacobi P_n^(alpha,beta)(x) in the standard normalisation, by its printed
+    three-term recurrence."""
+
+    def step(m, p, pp):
+        s = 2 * m + alpha + beta
+        a1 = 2 * (m + 1) * (m + alpha + beta + 1) * s
+        a2 = (s + 1) * (alpha * alpha - beta * beta)
+        a3 = (s + 1) * s * (s + 2)
+        a4 = 2 * (m + alpha) * (m + beta) * (s + 2)
+        return ((a2 + a3 * x) * p - a4 * pp) / a1
+
+    return _printed(F(1), (alpha - beta) / F(2) + (alpha + beta + 2) * x / F(2), step, n)
 
 
 def laguerre_poly(n, alpha, x):
@@ -98,13 +130,63 @@ def test_polynomial_values():
     assert jacobi_poly(1, F(1, 2), F(1, 3), F(1)) == F(3, 2)
     assert laguerre_poly(2, F(0), F(2)) == -1
     assert meixner_poly(2, F(1), F(3), F(1, 3)) == F(-1, 3)
-    assert cq_ultraspherical_poly(1, F(2), F(1, 3), F(1, 2)) == F(16, 3)
+    assert cq_ultraspherical_poly(F(2), F(1, 3), F(1, 2), 1) == F(16, 3)
     assert rogers_szego_poly(2, F(1, 3), F(1, 2)) == F(29, 18)
 
 
 def test_gegenbauer_at_one_is_rising_factorial():
     for n in range(7):
         assert gegenbauer_poly(n, F(3, 2), F(1)) == pochhammer(3, n) / factorial(n)
+
+
+EXACT_IDS = [entry.id for entry in catalog() if entry.exact]
+
+
+@pytest.mark.parametrize("family_id", EXACT_IDS)
+def test_monic_values_meet_the_q_series_in_the_tableau(family_id):
+    """x^N / d_N = sum_{n <= N} p_n(x) [t^N] Q_n(t) through degree 12: the
+    tableau's column relation x^N = sum_n H_{n,N} p_n(x), with H_{n,N} =
+    d_N [t^N] Q_n(t), for the p_n of the declared (b_n, lambda_n)."""
+    assert len(EXACT_IDS) == 18
+    spec, x, degree = sample(family_id), F(2, 7), 12
+    p = monic_values(spec.b_fn, spec.lambda_fn, x, degree)
+    rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
+    for N in range(degree + 1):
+        assert sum((p[n] * rows[n][N] for n in range(N + 1)), F(0)) == x**N / spec.series_denominator(N), N
+
+
+PLANE_WAVES = [("plane_wave_ultra", {"nu": nu}) for nu in (F(1), F(3, 2), F(-1, 2), F(-3, 2))] + [
+    ("plane_wave_jacobi", {"alpha": alpha, "beta": beta})
+    for alpha, beta in ((F(1, 2), F(1, 3)), (F(-1), F(1, 3)), (F(-2), F(5, 3)))
+]
+
+
+@pytest.mark.parametrize(
+    "cid,params", PLANE_WAVES, ids=[",".join(f"{k}={v}" for k, v in params.items()) for _, params in PLANE_WAVES]
+)
+def test_plane_wave_weights_are_the_printed_ones(monkeypatch, cid, params):
+    """The plane waves' weights, the monic p_n(x) of the declared (b_n,
+    lambda_n), equal the printed n! C_n^nu(x) / (2^n (nu)_n) and
+    2^n n! P_n^(alpha,beta)(x) / (alpha+beta+n+1)_n for n <= 30, also at
+    the nu and alpha the families' own domains leave out."""
+    weights = []
+    original = theorems._sum_report
+
+    def kept(*args):
+        weights.append(args[5])
+        return original(*args)
+
+    monkeypatch.setattr(theorems, "_sum_report", kept)
+    for x in (F(1, 2), F(-3)):
+        verify_identity(cid, {**params, "x": x, "N": 30}, ctx=ctx)
+        weight = weights.pop()
+        for n in range(31):
+            if cid == "plane_wave_ultra":
+                printed = factorial(n) * gegenbauer_poly(n, params["nu"], x) / (2**n * pochhammer(params["nu"], n))
+            else:
+                alpha, beta = params["alpha"], params["beta"]
+                printed = 2**n * factorial(n) * jacobi_poly(n, alpha, beta, x) / pochhammer(alpha + beta + n + 1, n)
+            assert weight(n) == printed, (x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +534,11 @@ def test_tilde_missing_raises():
         q_tilde_function(make_family("hermite"), 0, F(1, 10), ctx)
 
 
-# the printed coefficients c_k(j) of each Bessel sum, and its step
+# the printed coefficients c_0(j), c_1(j), ... of each Bessel sum, and its step
 BESSEL_SUMS = {
-    "q_ultraspherical": (lambda p, j, k: families._qultra_coef(p["beta"], p["q"], j, k), 2),
-    "q_ultraspherical_beta0": (lambda p, j, k: families._qultra_coef(F(0), p["q"], j, k), 2),
-    "askey_wilson_slice": (lambda p, j, k: families._aw_term_factor(p["a"], p["q"], j, k), 1),
+    "q_ultraspherical": (lambda p, j: families._qultra_coef(p["beta"], p["q"], j), 2),
+    "q_ultraspherical_beta0": (lambda p, j: families._qultra_coef(F(0), p["q"], j), 2),
+    "askey_wilson_slice": (lambda p, j: families._aw_term_factor(p["a"], p["q"], j), 1),
 }
 
 
@@ -465,7 +547,7 @@ def test_bessel_sum_matches_mpmath_besseli(family_id):
     # the printed form Q_j(t) = 2^(j+1)/t sum_k c_k(j) I_(j+step k+1)(t),
     # summed with mpmath's own I at 600 bits; its 80th term is below 10^-140
     # of the sum
-    coef, step = BESSEL_SUMS[family_id]
+    coefs, step = BESSEL_SUMS[family_id]
     spec = sample(family_id)
     for j in range(4):
         for t in (F(1, 5), F(1), F(-3, 2), F(3)):
@@ -473,8 +555,7 @@ def test_bessel_sum_matches_mpmath_besseli(family_id):
             with mpmath.workprec(600):
                 tv = mpmath.mpf(t.numerator) / t.denominator
                 terms = []
-                for k in range(80):
-                    c = coef(spec.params, j, k)
+                for k, c in zip(range(80), coefs(spec.params, j)):
                     terms.append(mpmath.mpf(c.numerator) / c.denominator * mpmath.besseli(j + step * k + 1, tv))
                 want = mpmath.mpf(2) ** (j + 1) / tv * mpmath.fsum(terms)
             assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -28, (j, t)
@@ -487,6 +568,36 @@ def test_bessel_sum_out_of_terms_raises():
     with pytest.raises(NonConvergent) as info:
         spec.q_fn(0, F(1, 5), PrecisionContext(max_terms=15))
     assert info.value.terms_used == 15
+
+
+@pytest.mark.parametrize("family_id", sorted(BESSEL_SUMS))
+def test_bessel_sum_steps_each_row_once(monkeypatch, family_id):
+    """Outside a memo scope Q_0's series at degree 40 steps its row's
+    coefficients once, c_0(0)..c_K(0), not from k = 0 for every k."""
+    name = "_aw_term_factor" if family_id == "askey_wilson_slice" else "_qultra_coef"
+    generator, steps = getattr(families, name), []
+
+    def counted(*args):
+        for value in generator(*args):
+            steps.append(value)
+            yield value
+
+    monkeypatch.setattr(families, name, counted)
+    family_moments(sample(family_id), 40)
+    assert len(steps) == 40 // BESSEL_SUMS[family_id][1] + 1
+
+
+def test_exact_q_series_take_the_fraction_product(monkeypatch):
+    """No exact family's Q_j series multiplies through the generic
+    convolution: PowerSeries.one, the empty product of a Term's fixed
+    factors, holds the Fraction 1."""
+
+    def generic(*args):
+        raise AssertionError("generic convolution")
+
+    monkeypatch.setattr(series, "_convolution", generic)
+    for family_id in EXACT_IDS:
+        sample(family_id).q_series_fn(2, 20)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def _first_values(values, count):
 def test_bessel_sum_coefficients_match_the_printed_recurrence(running, reference, first, q, index):
     # first is beta of q-ultraspherical (0 its confluent limit) or a of the
     # Askey-Wilson slice; a zero in a ratio's denominator stops both alike
-    got = _first_values(running.__wrapped__(first, q, index), N_MAX + 1)
+    got = _first_values(running(first, q, index), N_MAX + 1)
     assert got == _first_values(reference(first, q, index), N_MAX + 1)
 
 

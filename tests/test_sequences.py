@@ -3,18 +3,24 @@
 Each oracle below rebuilds its value from index 0, the way the library did
 before its per-index products and polynomial values became sequences.
 Values and types must agree for n <= 30, inside a memo scope, in any reading
-order, and outside one.
+order, and outside one.  The Bessel-sum coefficients are plain generators,
+stepped once per evaluation of a Bessel sum, so x_n is read by stepping
+one from x_0.  The printed Hermite, Gegenbauer, Chebyshev and Jacobi polynomials
+are read as the library reads them, as the monic p_n of their family's
+declared (b_n, lambda_n) in one pass, rescaled to the printed
+normalisation, against the printed recurrence restarted per n.
 """
 
 import contextlib
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from jfrac import families
-from jfrac.families import cq_ultraspherical_poly, gegenbauer_poly, hermite_poly, jacobi_poly
-from jfrac.scalar import memo_scope, pochhammer, q_binomial, q_pochhammer, sequence
+from jfrac.families import cq_ultraspherical_poly, jacobi, make_family, monic_values, ultraspherical
+from jfrac.scalar import factorial, memo_scope, pochhammer, q_binomial, q_pochhammer, sequence
 from jfrac.translation import NonCommutative, QTranslation, monomial_image
 
 N_MAX = 30
@@ -111,6 +117,30 @@ def cq_ultraspherical_restarted(x, beta, q, n):
     return restarted(F(1), lambda: 2 * x * (1 - beta) / (1 - q), step)(n)
 
 
+def nth(gen):
+    """(*point, n) -> the n-th value of the iterator gen(*point)."""
+    return lambda *args: next(itertools.islice(gen(*args[:-1]), args[-1], None))
+
+
+def monic(declared, x, n):
+    """p_n(x) of the declared (Q_j, b_n, lambda_n), in one pass from p_0."""
+    _, b_fn, lambda_fn = declared
+    return monic_values(b_fn, lambda_fn, x, n)[n]
+
+
+def hermite_monic(x, n):
+    hermite = make_family("hermite")
+    return 2**n * monic((None, hermite.b_fn, hermite.lambda_fn), x, n)
+
+
+def gegenbauer_monic(nu, x, n):
+    return 2**n * pochhammer(nu, n) / F(factorial(n)) * monic(ultraspherical(nu), x, n)
+
+
+def jacobi_monic(alpha, beta, x, n):
+    return pochhammer(alpha + beta + n + 1, n) / F(2**n * factorial(n)) * monic(jacobi(alpha, beta), x, n)
+
+
 def monomial_image_per_k(kind, n):
     """The translated x^n with one q-binomial, a whole q-Pascal triangle, per k."""
     q = kind.q
@@ -126,30 +156,31 @@ SEQUENCES = {
     "q_pochhammer": (q_pochhammer, qp_product, [(F(1, 3), F(1, 2)), (F(-2, 5), F(3, 4)), (2, 3), (F(2), F(3))]),
     "pochhammer": (pochhammer, poch_product, [(F(1, 2),), (F(-7, 3),), (3,), (F(3),)]),
     "aw_term_factor": (
-        families._aw_term_factor,
+        nth(families._aw_term_factor),
         aw_product,
         [(F(1, 3), F(1, 2), 0), (F(1, 3), F(1, 2), 2), (F(-3, 2), F(2, 5), 1)],
     ),
     "qultra_coef": (
-        families._qultra_coef,
+        nth(families._qultra_coef),
         qultra_product,
         [(F(1, 3), F(1, 2), 1), (F(-5, 4), F(1, 3), 0), (F(0), F(2, 3), 2)],
     ),
-    "hermite_poly": (lambda x, n: hermite_poly(n, x), hermite_restarted, [(F(1, 2),), (F(-3),)]),
+    # the monic p_n are Fractions, so the polynomials take no int point
+    "hermite_poly": (hermite_monic, hermite_restarted, [(F(1, 2),), (F(-3),)]),
     "gegenbauer_poly": (
-        lambda nu, x, n: gegenbauer_poly(n, nu, x),
+        gegenbauer_monic,
         gegenbauer_restarted,
-        [(F(3, 2), F(1, 2)), (F(-1, 3), F(5, 4)), (1, 2), (F(1), F(2))],
+        [(F(3, 2), F(1, 2)), (F(-1, 3), F(5, 4)), (F(-3, 2), F(1, 3)), (F(1), F(2))],
     ),
-    # U_n = C_n^(1): the Chebyshev plane-wave case runs the Gegenbauer one at nu = 1
-    "chebyshev_u": (lambda x, n: gegenbauer_poly(n, F(1), x), chebyshev_restarted, [(F(1, 2),), (F(-7, 5),)]),
+    # U_n = C_n^(1): the Chebyshev plane-wave case is the Gegenbauer one at nu = 1
+    "chebyshev_u": (lambda x, n: gegenbauer_monic(F(1), x, n), chebyshev_restarted, [(F(1, 2),), (F(-7, 5),)]),
     "jacobi_poly": (
-        lambda alpha, beta, x, n: jacobi_poly(n, alpha, beta, x),
+        jacobi_monic,
         jacobi_restarted,
         [(F(1, 2), F(1, 3), F(1, 2)), (F(-1, 4), F(2), F(-3, 5))],
     ),
     "cq_ultraspherical_poly": (
-        lambda x, beta, q, n: cq_ultraspherical_poly(n, x, beta, q),
+        cq_ultraspherical_poly,
         cq_ultraspherical_restarted,
         [(F(1, 2), F(1, 3), F(1, 2)), (F(3, 2), F(-2, 3), F(3, 4))],
     ),

@@ -389,7 +389,7 @@ def test_memo_lives_for_one_case(monkeypatch):
 
 def test_sequence_tables_live_for_one_case(monkeypatch):
     steps = 0
-    generator = families._aw_term_factor.__wrapped__
+    generator = theorems.pochhammer.__wrapped__
 
     def counted(*args):
         nonlocal steps
@@ -397,7 +397,8 @@ def test_sequence_tables_live_for_one_case(monkeypatch):
             steps += 1
             yield value
 
-    monkeypatch.setattr(families, "_aw_term_factor", sequence(counted))
+    # conf_hyp_1f1's weights read (a)_n and (a)_2n for n <= 25
+    monkeypatch.setattr(theorems, "pochhammer", sequence(counted))
 
     def steps_in(run):
         before = steps
@@ -405,13 +406,13 @@ def test_sequence_tables_live_for_one_case(monkeypatch):
         return steps - before
 
     # a second pass steps as far as the first: no table outlives a case
-    first = steps_in(lambda: run_suite("askey_wilson", ctx=ctx))
-    assert steps_in(lambda: run_suite("askey_wilson", ctx=ctx)) == first
+    first = steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx))
+    assert steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx)) == first
     # outside every scope, each call steps from index 0
-    assert steps_in(lambda: [families._aw_term_factor(F(1, 3), F(1, 2), 0, 5) for _ in range(2)]) == 12
+    assert steps_in(lambda: [theorems.pochhammer(F(1, 3), 5) for _ in range(2)]) == 12
     with monkeypatch.context() as m:
         m.setattr(theorems, "memo_scope", contextlib.nullcontext)
-        assert steps_in(lambda: run_suite("askey_wilson", ctx=ctx)) > 2 * first
+        assert steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx)) > 2 * first
 
 
 def test_memo_changes_no_record(monkeypatch):
