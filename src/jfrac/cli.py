@@ -140,14 +140,22 @@ def _rat_list(text, what):
 
 
 def _parse_params(text):
+    """name=value pieces split on commas; a piece with no "=" after the first
+    continues the value before it, so xs=-3/2,1/3 gives xs the tuple's text
+    "-3/2,1/3"."""
     params = {}
     if not text:
         return params
+    key = None
     for piece in text.split(","):
-        if "=" not in piece:
+        if "=" in piece:
+            key, _, value = piece.partition("=")
+            key = key.strip()
+            params[key] = value.strip()
+        elif key is None:
             raise InvalidParams(f"expected name=value in --params, got {piece!r}")
-        key, _, value = piece.partition("=")
-        params[key.strip()] = value.strip()
+        else:
+            params[key] += "," + piece.strip()
     return params
 
 

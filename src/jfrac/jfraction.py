@@ -16,7 +16,9 @@ common denominator D of all the weights while D is small and the ints stay
 within ``motzkin.INT_LOOP_MAX_BITS``, on the values otherwise.  On Fraction
 weights (the q-families past small depths) a value step builds one Fraction
 per entry from the int numerators and denominators of its terms
-(``scalar.fraction_sum``); on other weights it is plain arithmetic.  A step of
+(``scalar.fraction_sum``); on other weights it is plain arithmetic.  The
+tableau keeps the walk's columns as they come, int ones too, and builds an
+entry's value only where it is read.  A step of
 ``cf_series`` or of the mixed-moment table behind ``jfraction_from_moments``
 and ``hankel`` reads one (b, lambda) pair, so it runs on int rows with one
 scale per row (``_next_int_row``) for any weights or moments that are all
@@ -30,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import NonRegular
-from .motzkin import _value_columns
+from .motzkin import _level_value, _values, _walk
 
 
 class JFraction:
@@ -74,13 +76,22 @@ class JFraction:
 
 
 class StieltjesTableau:
-    """Triangular array H[i][n], 0 <= i <= n <= N, with H[n][n] = 1."""
+    """Triangular array H[i][n], 0 <= i <= n <= N, with H[n][n] = 1.
 
-    __slots__ = ("H", "N")
+    It holds the columns n = 0..N of the Motzkin walk from level 0 as
+    ``motzkin._walk`` yields them, (lo, column, scale) triples with lo = 0,
+    and builds an entry only where ``entry``, ``row0``, ``row`` or ``H``
+    reads it, by ``motzkin._level_value``: on an int column the diagonal is
+    the int 1 and every other entry is a Fraction over the column's scale; a
+    value column holds its values.  The walk itself runs in full when the
+    tableau is made.
+    """
 
-    def __init__(self, H):
-        self.H = tuple(tuple(row) for row in H)
-        self.N = len(self.H) - 1
+    __slots__ = ("_columns", "N")
+
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+        self.N = len(self._columns) - 1
 
     def entry(self, i, n):
         """H[i][n]; zero outside the triangle, IndexError past truncation."""
@@ -88,15 +99,21 @@ class StieltjesTableau:
             raise IndexError(f"column {n} beyond truncation {self.N}")
         if i < 0 or i > n:
             return 0
-        return self.H[i][n]
+        return _level_value(*self._columns[n], n, i)
+
+    @property
+    def H(self):
+        """The rows H[0..N], each through column N, Fraction(0) below the diagonal."""
+        columns = (_values(*column, n) for n, column in enumerate(self._columns))
+        return tuple(itertools.zip_longest(*columns, fillvalue=Fraction(0)))
 
     @property
     def row0(self):
         """The moment sequence mu_n = H[0][n]."""
-        return tuple(self.H[0])
+        return tuple(_level_value(*column, n, 0) for n, column in enumerate(self._columns))
 
     def row(self, i):
-        return tuple(self.H[i][n] if n >= i else 0 for n in range(self.N + 1))
+        return tuple(self.entry(i, n) for n in range(self.N + 1))
 
 
 def tableau_from_jfraction(jf, N):
@@ -112,8 +129,7 @@ def tableau_from_jfraction(jf, N):
         raise ValueError(f"need b_0..b_{N - 1} to fill {N} columns")
     if N >= 2 and len(jf.lam) < N - 1:
         raise ValueError(f"need lambda_1..lambda_{N - 1} to fill {N} columns")
-    columns = _value_columns(jf.b[:N], jf.lam[: max(N - 1, 0)], N)
-    return StieltjesTableau(itertools.zip_longest(*columns, fillvalue=Fraction(0)))
+    return StieltjesTableau(_walk(jf.b[:N], jf.lam[: max(N - 1, 0)], 0, N))
 
 
 def _exact(x):

@@ -6,10 +6,11 @@ weighted count of paths from level 0 to level i in n steps equals the
 tableau entry H[i][n].
 
 One walk, ``_walk``, steps the row vector e_start^T M^k of the Jacobi
-matrix M for both ``path_weight_sum_dp`` and
-``jfraction.tableau_from_jfraction`` (which reads its value columns,
-``_value_columns``).  Each step reads the weight of every level, and is
-one of three:
+matrix M for both ``path_weight_sum_dp``, which reads one level of its last
+column, and ``jfraction.tableau_from_jfraction``, which keeps every column
+as the walk yields it.  Both read a level through one rule,
+``_level_value``.  Each step reads the weight of every level, and is one of
+three:
 
 - on int amounts over one common denominator D of all the weights it reads,
   when ``common_denominator`` accepts them, while the ints stay within
@@ -141,7 +142,7 @@ def path_weight_sum_dp(w, start, end, n):
         return 0
     top = _max_level(start, end, n)
     ((lo, column, scale),) = collections.deque(_walk(w.b[: top + 1], w.lam[:top], start, n, end), maxlen=1)
-    return _values(lo, column, scale, start + n)[end - lo]
+    return _level_value(lo, column, scale, start + n, end)
 
 
 def _walk(b, lam, start, n, end=None):
@@ -251,18 +252,18 @@ def _fraction_step(pairs, v, lo, hi, new_lo, new_hi):
     return out
 
 
-def _value_columns(b, lam, n):
-    """The values of the columns e_0^T M^k, k = 0..n, of ``_walk``."""
-    for k, (lo, column, scale) in enumerate(_walk(b, lam, 0, n)):
-        yield _values(lo, column, scale, k)
+def _level_value(lo, column, scale, top, i):
+    """The value at level i of a column of ``_walk`` whose levels start at
+    ``lo`` and reach at most ``top`` = start + k: a value column's own entry;
+    on an int column, the int 1 at ``top``, which the all-up path alone
+    reaches (as the value loop leaves it), and a Fraction over ``scale`` at
+    every other level."""
+    if scale is None:
+        return column[i - lo]
+    return 1 if i == top else Fraction(column[i - lo], scale)
 
 
 def _values(lo, column, scale, top):
-    """The values of a column of ``_walk``: the top level, which the all-up
-    path alone reaches, holds the int 1, as the value loop leaves it; every
-    other level of an int column is a Fraction."""
-    if scale is None:
-        return column
-    if lo + len(column) - 1 != top:  # the top level, if kept, is the last one
-        return [Fraction(h, scale) for h in column]
-    return [Fraction(h, scale) for h in column[:-1]] + [1]
+    """Every value of a column of ``_walk``: for the walk's hand-over from
+    ints to values, and for a tableau's whole ``H``."""
+    return [_level_value(lo, column, scale, top, i) for i in range(lo, lo + len(column))]

@@ -197,6 +197,18 @@ MUTANTS = [
             _COMMON + "test_walk_keeps_the_levels_that_reach_end[values]",
         ),
     ),
+    # the tableau's entries, built where they are read (motzkin._level_value)
+    Mutant(
+        "diagonal of an int column read as its scale instead of 1",
+        "src/jfrac/motzkin.py",
+        "return 1 if i == top else Fraction(column[i - lo], scale)",
+        "return scale if i == top else Fraction(column[i - lo], scale)",
+        (
+            _JFRACTION + "test_connection_identity",
+            _COMMON + "test_tableau_reads_match_an_eager_fill",
+            _COMMON + "test_tableau_and_series_on_both_sides",
+        ),
+    ),
     # the q-factor products behind the q-families' recurrence data (families._q_factors)
     Mutant(
         "q-factor exponent one too high",

@@ -297,6 +297,15 @@ def test_verify_bad_params_syntax(capsys):
     assert "error:" in err
 
 
+def test_verify_tuple_params_take_the_pieces_after_them(capsys):
+    # a comma piece with no "=" continues the value before it: xs gets two points
+    code, out, _ = run(capsys, "verify", "hermite_convolution", "--params", "m_max=12,xs=-3/2,1/3", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert rec["params"] == {"m_max": 12, "xs": ["-3/2", "1/3"]}
+    assert rec["pass"] is True
+
+
 def test_unknown_family_exit(capsys):
     code, _, err = run(capsys, "tableau", "--family", "nope", "--N", "2")
     assert code == 2

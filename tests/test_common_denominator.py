@@ -11,14 +11,16 @@ otherwise; the plain step stays the reference for the fused one.
 ``cf_series`` steps its convergents on ints with one scale per level, as
 the mixed-moment table steps its rows, for every int or Fraction input.
 ``PowerSeries.__mul__`` sums each coefficient of a product of Fraction
-series with ``fraction_sum``.  On every side of these choices the results
-must equal an oracle, and every value must have the type the plain loop
-gives it.
+series with ``fraction_sum``.  The tableau keeps the walk's columns and
+builds an entry only where it is read.  On every side of these choices the
+results must equal an oracle, and every value must have the type the plain
+loop gives it.
 """
 
 import functools
 import hashlib
 import json
+import sys
 import types
 from fractions import Fraction as F
 from pathlib import Path
@@ -158,6 +160,91 @@ def test_dp_on_both_sides(data, start, end, n):
     assert value == path_weight_sum(w, start, end, n)
     ref = _fraction_loop(path_weight_sum_dp, w, start, end, n)
     assert type(value) is type(ref) and value == ref
+
+
+@st.composite
+def tableau_weights(draw):
+    """(kind, b, lam), DEPTH of each, one kind per path of the walk: "ints"
+    stays on int columns; "handover" shares one odd denominator of half the
+    bound's bits, so the walk starts on ints and hands over to its value loop
+    at column 2; "fused" is refused by ``common_denominator`` and runs the
+    fused step throughout; "plain" mixes ints and mpf for the plain step."""
+    kind = draw(st.sampled_from(("ints", "handover", "fused", "plain")))
+    if kind == "handover":
+        den = 2 ** (INT_LOOP_MAX_BITS // 2) + 2 * draw(st.integers(0, 2**20)) + 1
+        weight = st.sampled_from((-8, -4, -2, -1, 1, 2, 4, 8)).map(lambda k: F(k, den))
+    else:
+        weight = {
+            "ints": _small,
+            "fused": _over(INT_LOOP_MAX_BITS),
+            "plain": st.one_of(_ints, _quarters.map(lambda k: mpmath.mpf(k) / 4)),
+        }[kind]
+    weights = draw(st.lists(weight, min_size=2 * DEPTH, max_size=2 * DEPTH))
+    return kind, tuple(weights[:DEPTH]), tuple(weights[DEPTH:])
+
+
+def _eager_columns(b, lam, N):
+    """Columns 0..N of the tableau, filled at once by the recurrence on the
+    values from the int 1, each term present where its level is."""
+    columns = [[1]]
+    for n in range(N):
+        v = columns[-1]
+        columns.append(
+            [
+                (v[i - 1] if i > 0 else 0) + (b[i] * v[i] if i <= n else 0) + (lam[i] * v[i + 1] if i < n else 0)
+                for i in range(n + 2)
+            ]
+        )
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(tableau_weights(), st.integers(0, DEPTH))
+def test_tableau_reads_match_an_eager_fill(data, N):
+    """``entry``, ``row0``, ``row(i)`` and ``H`` give the eager fill's values
+    and types: the int 1 on the diagonal, the int 0 outside the triangle from
+    ``entry`` and ``row``, and Fraction(0) below the diagonal in ``H``."""
+    kind, b, lam = data
+    on_ints = [scale is not None for _, _, scale in motzkin._walk(b[:N], lam[: max(N - 1, 0)], 0, N)]
+    first_value = {"ints": N + 1, "handover": 2, "fused": 0, "plain": 0}[kind]
+    assert N == 0 or on_ints == [k < first_value for k in range(N + 1)]  # N = 0 reads no weight
+    tab = tableau_from_jfraction(types.SimpleNamespace(b=b, lam=lam), N)
+    columns = _eager_columns(b, lam, N)
+
+    def want(i, n):
+        return columns[n][i] if 0 <= i <= n else 0
+
+    for n in range(N + 1):
+        assert _typed(tab.entry(i, n) for i in range(-1, N + 2)) == _typed(want(i, n) for i in range(-1, N + 2))
+        assert type(tab.entry(n, n)) is int and tab.entry(n, n) == 1
+    assert _typed(tab.row0) == _typed(column[0] for column in columns)
+    for i in range(N + 2):
+        assert _typed(tab.row(i)) == _typed(want(i, n) for n in range(N + 1))
+    rows = [[want(i, n) if n >= i else F(0) for n in range(N + 1)] for i in range(N + 1)]
+    assert [_typed(row) for row in tab.H] == [_typed(row) for row in rows]
+
+
+def test_row0_builds_only_its_own_entries():
+    """Filling a Hermite tableau to N = 200, on int columns throughout, and
+    reading row 0 builds the N Fractions of row 0 (its first entry is the
+    int 1), not a Fraction for each of the N (N + 1) / 2 entries above the
+    diagonal."""
+    N = 200
+    jf = family_jfraction(make_family("hermite", {}), N)
+    new, built = F.__new__.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        mu = tableau_from_jfraction(jf, N).row0
+    finally:
+        sys.setprofile(previous)
+    assert built == N
+    assert mu[:5] == (1, 0, F(1, 2), 0, F(3, 4))
 
 
 @pytest.mark.parametrize(
