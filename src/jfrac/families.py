@@ -82,13 +82,20 @@ def cq_ultraspherical_poly(x, beta, q):
     """Continuous q-ultraspherical C_n(x; beta | q) as printed, read as
     ``cq_ultraspherical_poly(x, beta, q, n)``.  Not a family's monic p_n:
     connection_rogers takes gamma unconstrained, and the monic form has
-    poles at gamma = q^-m that this normalisation cancels."""
+    poles at gamma = q^-m that this normalisation cancels.  Each step of
+    C_{m+1} = (2x (1 - beta q^m) C_m - (1 - beta^2 q^(m-1)) C_{m-1}) / (1 - q^(m+1))
+    is int products with q^m = P / R carried, and one reduction."""
+    xn, xd = 2 * x.numerator, x.denominator  # 2x
+    bn, bd = beta.numerator, beta.denominator
     yield F(1)
-    prev, cur = F(1), 2 * x * (1 - beta) / (1 - q)
+    prev, cur = F(1), F(xn * (bd - bn) * q.denominator, xd * bd * (q.denominator - q.numerator))
+    P0, R0, P, R = 1, 1, q.numerator, q.denominator  # q^(m-1), q^m
     for m in itertools.count(1):
         yield cur
-        top = 2 * x * (1 - beta * q ** m) * cur - (1 - beta * beta * q ** (m - 1)) * prev
-        prev, cur = cur, top / (1 - q ** (m + 1))
+        an, ad = xn * (bd * R - bn * P) * cur.numerator, xd * bd * R * cur.denominator
+        cn, cd = (bd * bd * R0 - bn * bn * P0) * prev.numerator, bd * bd * R0 * prev.denominator
+        P0, R0, P, R = P, R, P * q.numerator, R * q.denominator
+        prev, cur = cur, F((an * cd - cn * ad) * R, ad * cd * (R - P))
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +779,19 @@ def _make_al_salam_carlitz(params):
 
 
 def _bessel_coefs(x, q, j, shift, step):
-    """r_k (j + step k + 1) for k = 0, 1, ..., r_0 = 1 and r_{k+1} / r_k =
-    (x - q^(k+1)) (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k)))."""
+    """c_k = r_k (j + step k + 1) for k = 0, 1, ..., r_0 = 1 and r_{k+1} / r_k =
+    (x - q^(k+1)) (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k))).
+    r_k is an int pair, c_k's numerator over its denominator times
+    (j + step k + 1), stepped by the unreduced pairs of :func:`_q_factors`:
+    each c_k is one reduction."""
     ratio = _q_factors(q, top=((x, 1, 1, 1), (1, 1, 1, shift)), bottom=((1, 1, 1, 1), (1, x, 1, shift)))
-    r = F(1)
+    num, den = 1, 1
     for k in itertools.count():
-        yield r * (j + step * k + 1)
-        r = r * _product(ratio(k))
+        m = j + step * k + 1
+        c = F(num * m, den)
+        yield c
+        f, g = ratio(k)
+        num, den = c.numerator * f, c.denominator * m * g
 
 
 def _qultra_coef(beta, q, j):
@@ -804,7 +817,8 @@ class _BesselSum:
     iterating c_0(j), c_1(j), ...  With n = j + step k, 2^(j+1)/t I_(n+1)(t)
     = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum sum_k w_k(j) U_n(t),
     w_k(j) = c_k(j) / ((n+1) 2^(step k)), of the entire U_n of
-    :func:`_bessel_leaf`, exactly and numerically."""
+    :func:`_bessel_leaf`, exactly and numerically.  Each w_k(j) is c_k(j)'s
+    int pair with its denominator scaled, reduced once."""
 
     __slots__ = ("coefs", "step")
     kind = Classical()
@@ -816,7 +830,7 @@ class _BesselSum:
     def _weights(self, j):
         """w_0(j), w_1(j), ..., stepping row j's coefficients once."""
         for k, c in enumerate(self.coefs(j)):
-            yield c / ((j + self.step * k + 1) * F(2) ** (self.step * k))
+            yield F(c.numerator, (c.denominator * (j + self.step * k + 1)) << (self.step * k))
 
     def value(self, j, t, ctx):
         with ctx.workprec():

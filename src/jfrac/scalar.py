@@ -58,14 +58,13 @@ def rat_str(x):
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
-def fraction_sum(terms):
-    """The sum of ``terms``, (numerator, denominator) int pairs with positive
-    denominators, as one Fraction.  Each term is added over the lcm of the
-    denominators so far and its own, one gcd per term, and only the sum is
-    reduced, with one more (Henrici's rational sum; Knuth, TAOCP vol. 2,
-    4.5.1).  Forming each product and partial sum as a reduced Fraction
-    costs three or four gcds per term.  Terms with a zero numerator add
-    nothing."""
+def pair_sum(terms):
+    """The sum of ``terms``, (numerator, denominator) int pairs with nonzero
+    denominators, as one such pair, not reduced.  Each term is added over
+    the lcm of the denominators so far and its own, one gcd per term
+    (Henrici's rational sum; Knuth, TAOCP vol. 2, 4.5.1), where forming
+    each product and partial sum as a reduced Fraction costs three or four
+    gcds per term.  Terms with a zero numerator add nothing."""
     num, den = 0, 1
     for n, d in terms:
         if n:
@@ -75,7 +74,12 @@ def fraction_sum(terms):
             else:
                 s = den // g
                 num, den = num * (d // g) + n * s, s * d
-    return Fraction(num, den)
+    return num, den
+
+
+def fraction_sum(terms):
+    """The :func:`pair_sum` of ``terms`` as one Fraction: one more gcd."""
+    return Fraction(*pair_sum(terms))
 
 
 class PrecisionContext:

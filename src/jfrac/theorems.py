@@ -40,7 +40,9 @@ from .families import (
     ultraspherical,
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
-from .scalar import PrecisionContext, factorial, int_str, memo_scope, pochhammer, q_pochhammer, rat, rat_str
+from .scalar import (
+    PrecisionContext, factorial, int_str, memo_scope, pair_sum, pochhammer, q_pochhammer, rat, rat_str,
+)
 from .translation import Classical, NonCommutative, translate_series
 
 F = Fraction
@@ -134,16 +136,24 @@ def _sum_report(id, params, ctx, point, lhs, weight, left, right=None, pref=None
         raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
 
 
+# a value's int pair (numerator, denominator): an int has both too
+_pair = attrgetter("numerator", "denominator")
+
+
 def _compare(pairs):
-    """Exact comparison of (lhs, rhs) pairs: (passed, checked, max_dev)."""
+    """Exact comparison of (lhs, rhs) pairs, each side an int pair
+    (numerator, denominator) with a nonzero denominator, not necessarily
+    reduced: (passed, checked, max_dev).  The sides are compared by
+    cross-multiplication, and the deviation |lhs - rhs| is built as a
+    Fraction only where they differ."""
     passed = True
     checked = 0
     max_dev = F(0)
-    for lhs, rhs in pairs:
+    for (a, b), (c, d) in pairs:
         checked += 1
-        if lhs != rhs:
+        if a * d != c * b:
             passed = False
-            max_dev = max(max_dev, abs(lhs - rhs))
+            max_dev = max(max_dev, abs(F(a, b) - F(c, d)))
     return passed, checked, max_dev
 
 
@@ -152,14 +162,16 @@ def _bilinear_check(lhs, weight, rows, degree):
 
     ``lhs`` maps (i, j) to the coefficient of t^i s^j on the left (missing
     keys are zero); the right side is sum_{n <= min(i, j)} w_n c_n(i) c_n(j)
-    with c_n = rows[n].  Every i + j <= degree is compared.
+    with c_n = rows[n].  Every i + j <= degree is compared.  Each right
+    side is one :func:`pair_sum` of int-pair triple products, so no
+    Fraction is built where the sides agree.
     """
-    w = [weight(n) for n in range(degree + 1)]
+    w = [_pair(weight(n)) for n in range(degree + 1)]
+    # column i of the rows, c_0(i)..c_i(i), and the same times w_0..w_i
+    cols = [[_pair(rows[n][i]) for n in range(i + 1)] for i in range(degree + 1)]
+    wcols = [[(p * a, q * b) for (p, q), (a, b) in zip(w, col)] for col in cols]
     return _compare(
-        (
-            lhs.get((i, j), F(0)),
-            sum((w[n] * rows[n][i] * rows[n][j] for n in range(min(i, j) + 1)), F(0)),
-        )
+        (_pair(lhs.get((i, j), 0)), pair_sum((a * c, b * d) for (a, b), (c, d) in zip(wcols[i], cols[j])))
         for i in range(degree + 1)
         for j in range(degree + 1 - i)
     )
@@ -314,20 +326,22 @@ def _hermite_convolution(iid, params, ctx, point):
     """H_{m+n}(x) / (m! n!) = sum_k (-2)^k / (k! (m-k)! (n-k)!) H_{m-k}(x) H_{n-k}(x), with
     H_n(x) = 2^n p_n(x) and p_n the hermite family's monic polynomials."""
     m_max, h = params["m_max"], make_family("hermite")
-    hs = [[2**n * p for n, p in enumerate(monic_values(h.b_fn, h.lambda_fn, x, 2 * m_max))] for x in params["xs"]]
+    hs = [
+        [_pair(2**n * p) for n, p in enumerate(monic_values(h.b_fn, h.lambda_fn, x, 2 * m_max))] for x in params["xs"]
+    ]
 
     def pairs():
         for m in range(m_max + 1):
             for n in range(m_max + 1):
                 # the x-independent factors, once per (m, n)
-                scale = F(factorial(m) * factorial(n))
-                coef = [
-                    F(-2) ** k / F(factorial(k) * factorial(m - k) * factorial(n - k))
-                    for k in range(min(m, n) + 1)
-                ]
+                scale = factorial(m) * factorial(n)
+                coef = [((-2) ** k, factorial(k) * factorial(m - k) * factorial(n - k)) for k in range(min(m, n) + 1)]
                 for h in hs:
-                    rhs = sum((c * h[m - k] * h[n - k] for k, c in enumerate(coef)), F(0))
-                    yield h[m + n] / scale, rhs
+                    a, b = h[m + n]
+                    rhs = pair_sum(
+                        (c * p * r, d * q * s) for (c, d), (p, q), (r, s) in zip(coef, h[m::-1], h[n::-1])
+                    )
+                    yield (a, b * scale), rhs
 
     return _exact_report(iid, params, *_compare(pairs()))
 
@@ -392,7 +406,7 @@ def _hankel_gegenbauer(iid, params, ctx, point):
             )
         return value
 
-    pairs = ((hankel(mu, "D", n), closed(n)) for n in range(n_max + 1))
+    pairs = ((_pair(hankel(mu, "D", n)), _pair(closed(n))) for n in range(n_max + 1))
     return _exact_report(iid, params, *_compare(pairs))
 
 
@@ -406,7 +420,8 @@ def _hankel_affine(iid, params, ctx, point):
     # D_n = w_0 w_1 ... w_n
     expected = list(accumulate(map(family_weights(spec), range(n_max + 1)), mul))
     ratios = tuple(d / e if e != 0 else None for d, e in zip(dets, base_dets, strict=True))
-    return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(zip(dets, expected, strict=True)))
+    pairs = zip(map(_pair, dets), map(_pair, expected), strict=True)
+    return _exact_report(iid, {**params, "det_ratios": ratios}, *_compare(pairs))
 
 
 def _connection_rogers(iid, params, ctx, point):
@@ -417,17 +432,20 @@ def _connection_rogers(iid, params, ctx, point):
         for n in range(n_max + 1):
             # the x-independent coefficient of C_{n-2k}(x; beta | q), once per n
             coef = [
-                F(beta) ** k
-                * F(q_pochhammer(gamma / beta, q, k))
-                * F(q_pochhammer(gamma, q, n - k))
-                / (F(q_pochhammer(q, q, k)) * F(q_pochhammer(q * beta, q, n - k)))
-                * (1 - beta * F(q) ** (n - 2 * k))
-                / (1 - beta)
+                _pair(
+                    beta**k
+                    * q_pochhammer(gamma / beta, q, k)
+                    * q_pochhammer(gamma, q, n - k)
+                    / (q_pochhammer(q, q, k) * q_pochhammer(q * beta, q, n - k))
+                    * (1 - beta * q ** (n - 2 * k))
+                    / (1 - beta)
+                )
                 for k in range(n // 2 + 1)
             ]
             for x in xs:
-                rhs = sum((c * cq_ultraspherical_poly(x, beta, q, n - 2 * k) for k, c in enumerate(coef)), F(0))
-                yield cq_ultraspherical_poly(x, gamma, q, n), rhs
+                cs = [_pair(cq_ultraspherical_poly(x, beta, q, m)) for m in range(n, -1, -2)]  # C_{n-2k}(x; beta | q)
+                rhs = pair_sum((c * p, d * r) for (c, d), (p, r) in zip(coef, cs))
+                yield _pair(cq_ultraspherical_poly(x, gamma, q, n)), rhs
 
     return _exact_report(iid, params, *_compare(pairs()))
 

@@ -247,12 +247,23 @@ MUTANTS = [
     Mutant(
         "Bessel sum weight w_k without its 2^(step k)",
         "src/jfrac/families.py",
-        "/ ((j + self.step * k + 1) * F(2) ** (self.step * k))",
-        "/ (j + self.step * k + 1)",
+        "(c.denominator * (j + self.step * k + 1)) << (self.step * k))",
+        "c.denominator * (j + self.step * k + 1))",
         (
             _FAMILIES + "test_exact_family_outputs_are_pinned",
             _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[q_ultraspherical]",
             _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[askey_wilson_slice]",
+        ),
+    ),
+    Mutant(
+        "Bessel coefficient r_k carried without dividing c_k by j + step k + 1",
+        "src/jfrac/families.py",
+        "num, den = c.numerator * f, c.denominator * m * g",
+        "num, den = c.numerator * f, c.denominator * g",
+        (
+            _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[qultra_coef]",
+            _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[aw_term_factor]",
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
         ),
     ),
     Mutant(
@@ -326,6 +337,67 @@ MUTANTS = [
         "            value = value if pref is None else pref * value\n",
         "",
         (_THEOREMS + "test_numeric_theorems[bessel_plus]", _THEOREMS + "test_identities[bessel_reduction]"),
+    ),
+    # the exact comparisons on int pairs (theorems._compare, _bilinear_check and the identities)
+    Mutant(
+        "exact comparator matching numerators alone",
+        "src/jfrac/theorems.py",
+        "if a * d != c * b:",
+        "if a != c:",
+        (
+            _THEOREMS + "test_int_pair_bilinear_check_matches_the_fraction_reference",
+            _THEOREMS + "test_exact_theorems[hermite_moments]",
+            _THEOREMS + "test_identities[connection_rogers]",
+        ),
+    ),
+    Mutant(
+        "exact deviation read as |lhs| alone",
+        "src/jfrac/theorems.py",
+        "abs(F(a, b) - F(c, d))",
+        "abs(F(a, b))",
+        (_THEOREMS + "test_int_pair_bilinear_check_matches_the_fraction_reference",),
+    ),
+    Mutant(
+        "bilinear product without w_n's denominator",
+        "src/jfrac/theorems.py",
+        "wcols = [[(p * a, q * b) for",
+        "wcols = [[(p * a, b) for",
+        (
+            _THEOREMS + "test_int_pair_bilinear_check_matches_the_fraction_reference",
+            _THEOREMS + "test_exact_theorems[classical_generic]",
+            _THEOREMS + "test_exact_theorems[asc_noncomm]",
+        ),
+    ),
+    Mutant(
+        "hermite_convolution's left side without its m! n!",
+        "src/jfrac/theorems.py",
+        "yield (a, b * scale), rhs",
+        "yield (a, b), rhs",
+        (_THEOREMS + "test_identities[hermite_convolution]", _THEOREMS + "test_identity_parameter_overrides"),
+    ),
+    Mutant(
+        "hermite_convolution's (-2)^k as 2^k",
+        "src/jfrac/theorems.py",
+        "((-2) ** k,",
+        "(2 ** k,",
+        (_THEOREMS + "test_identities[hermite_convolution]", _THEOREMS + "test_identity_parameter_overrides"),
+    ),
+    Mutant(
+        "connection_rogers pairs the coefficient of C_{n-2k} with C_{n mod 2 + 2k}",
+        "src/jfrac/theorems.py",
+        "for m in range(n, -1, -2)]",
+        "for m in range(n % 2, n + 1, 2)]",
+        (_THEOREMS + "test_identities[connection_rogers]", _PINNED),
+    ),
+    Mutant(
+        "Rogers' step with q^(m+1) carried where q^m belongs",
+        "src/jfrac/families.py",
+        "xn * (bd * R - bn * P) * cur.numerator",
+        "xn * (bd * R * q.denominator - bn * P * q.numerator) * cur.numerator",
+        (
+            _THEOREMS + "test_identities[connection_rogers]",
+            "tests/test_sequences.py::test_running_value_equals_its_from_scratch_form[cq_ultraspherical_poly]",
+        ),
     ),
     # hankel_affine's exact comparison, which must not stop at the shorter list
     Mutant(

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -197,16 +198,15 @@ def test_ogf_divided_difference_holds_for_random_data(seed):
 def _bilinear_pair_check(lhs, weight, left, right, degree):
     """The coefficient form of Q_0 translated = sum_n w_n left_n(t) right_n(s):
     the coefficient of t^i s^j on the left against sum_{n <= min(i, j)}
-    w_n left_n[i] right_n[j], for every i + j <= degree."""
+    w_n left_n[i] right_n[j], for every i + j <= degree, summed and compared
+    in plain Fraction arithmetic: (passed, checked, max |lhs - rhs|)."""
     w = [weight(n) for n in range(degree + 1)]
-    return theorems._compare(
-        (
-            lhs.get((i, j), F(0)),
-            sum((w[n] * left[n][i] * right[n][j] for n in range(min(i, j) + 1)), F(0)),
-        )
+    devs = [
+        abs(lhs.get((i, j), F(0)) - sum((w[n] * left[n][i] * right[n][j] for n in range(min(i, j) + 1)), F(0)))
         for i in range(degree + 1)
         for j in range(degree + 1 - i)
-    )
+    ]
+    return not any(devs), len(devs), max(devs, default=F(0))
 
 
 @pytest.mark.parametrize(
@@ -225,6 +225,73 @@ def test_exact_twin_of_the_q_translated_case(cid, family_id):
     lhs = translate_series(rows[0], spec.translation, degree)
     got = _bilinear_pair_check(lhs, families.family_weights(spec), rows, twisted, degree)
     assert got == (True, 91, 0)
+
+
+_rationals = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=50)
+
+
+@st.composite
+def _bilinear_tables(draw):
+    """(lhs, weights, rows, degree, planted deviations): rows of rational or
+    int entries, the left table the exact right side, with ``planted``
+    mismatches added to some coefficients and others dropped from it."""
+    degree = draw(st.integers(0, 5))
+    row = st.lists(_rationals | st.integers(-50, 50) | st.just(F(0)), min_size=degree + 1, max_size=degree + 1)
+    weights = draw(row)
+    rows = draw(st.lists(row, min_size=degree + 1, max_size=degree + 1))
+    lhs = {
+        (i, j): sum((weights[n] * rows[n][i] * rows[n][j] for n in range(min(i, j) + 1)), F(0))
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+    }
+    planted = {}
+    for key in draw(st.lists(st.sampled_from(sorted(lhs)), max_size=3, unique=True)):
+        planted[key] = draw(_rationals.filter(bool))
+        lhs[key] += planted[key]
+    for key in draw(st.lists(st.sampled_from(sorted(lhs)), max_size=2, unique=True)):
+        if key not in planted and draw(st.booleans()):
+            planted[key] = -lhs.pop(key)  # a missing key is a zero coefficient
+    return lhs, weights, rows, degree, {k: v for k, v in planted.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bilinear_tables())
+def test_int_pair_bilinear_check_matches_the_fraction_reference(tables):
+    """The comparator's int-pair sums and cross-multiplication give the
+    plain-Fraction reference's (passed, checked, max_dev), with max_dev the
+    exact Fraction |lhs - rhs|: the largest planted deviation."""
+    lhs, weights, rows, degree, planted = tables
+    got = theorems._bilinear_check(lhs, weights.__getitem__, rows, degree)
+    assert got == _bilinear_pair_check(lhs, weights.__getitem__, rows, rows, degree)
+    passed, checked, max_dev = got
+    assert (passed, checked) == (not planted, (degree + 1) * (degree + 2) // 2)
+    assert type(max_dev) is F and max_dev == max(map(abs, planted.values()), default=0)
+
+
+def test_bilinear_check_builds_two_fractions_per_coefficient_at_most():
+    """hermite_moments' degree-12 check, its rows, weights and left table
+    built beforehand, compares 91 coefficients and builds at most two
+    Fractions for each: the sums and the comparison run on int pairs (a
+    reduced Fraction per product and partial sum makes 939)."""
+    spec = families.make_family("hermite_moments", {"x": F(1)})
+    degree = 12
+    rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
+    weights = list(map(families.family_weights(spec), range(degree + 1)))
+    lhs = translate_series(rows[0], spec.translation, degree)
+    new, built = F.__new__.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        got = theorems._bilinear_check(lhs, weights.__getitem__, rows, degree)
+    finally:
+        sys.setprofile(previous)
+    assert got == (True, 91, 0)
+    assert built <= 2 * 91
 
 
 @pytest.mark.parametrize("iid", identity_ids())
