@@ -163,20 +163,20 @@ class Term:
         return c * self.kind.q ** (j * (j - 1) // 2) if self.twist else c
 
     def value(self, j, t, ctx):
-        """Q_j(t) as a SeriesValue, evaluated under ``ctx``."""
+        """Q_j(t) as a SeriesValue, evaluated under ``ctx``.  The factors
+        that depend on t alone come from :func:`_point_factors`, once per
+        point in a memo scope; c_j t^j, (1 - p t)^(-r_j) and F_j are
+        computed for each j."""
         q = getattr(self.kind, "q", None)
         with ctx.workprec():
-            tv = ctx.number(t)
-            if self.in_u:
-                tv = mpmath.exp(tv) - 1
+            tv, den, num, grow = _point_factors(self, t, ctx)
             if self.twist:
                 pref = ctx.number(self._coef(j)) * tv ** j
             else:
                 pref = tv ** j / ctx.number(self.kind.series_denominator(j))
-            pref = _over_qpochs(pref, [d * tv for d in self.inv_qpochs], q, j, t, ctx)
-            pref = pref * math.prod(q_pochhammer_inf(c * tv, q, ctx) for c in self.qpochs)
-            if self.exp:
-                pref = pref * mpmath.exp(sum(ctx.number(e) * tv ** (k + 1) for k, e in enumerate(self.exp)))
+            if den == 0:
+                raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
+            pref = pref / den * num * grow
             if self.power is not None:
                 p, r = self.power
                 base = 1 - p * tv
@@ -252,6 +252,28 @@ class Term:
             pref = q_pochhammer_inf(dsq, q, ctx) if d != 0 else 1
             pref = pref * sv ** j * ctx.number(F(q) ** (j * (j - 1) // 2) / self.kind.series_denominator(j))
             return inner.scaled(pref)
+
+
+@memoised
+def _point_factors(term, t, ctx):
+    """(tv, den, num, grow): the factors of ``term``'s Q_j at t that do not
+    depend on j, at the working precision.  tv is t (e^t - 1 with
+    ``in_u``), den = prod_d (d tv; q)_inf, num = prod_c (c tv; q)_inf and
+    grow = exp(e_1 tv + e_2 tv^2 + ...), or 1 without ``exp``; num and grow
+    are None where den is 0, a pole of every Q_j at t.  In a memo scope
+    each (Term, point) computes them once, as :func:`_fixed_factors`
+    builds the exact side's once per Term."""
+    q = getattr(term.kind, "q", None)
+    with ctx.workprec():
+        tv = ctx.number(t)
+        if term.in_u:
+            tv = mpmath.exp(tv) - 1
+        den = math.prod(q_pochhammer_inf(d * tv, q, ctx) for d in term.inv_qpochs)
+        if den == 0:
+            return tv, den, None, None
+        num = math.prod(q_pochhammer_inf(c * tv, q, ctx) for c in term.qpochs)
+        grow = mpmath.exp(sum(ctx.number(e) * tv ** (k + 1) for k, e in enumerate(term.exp))) if term.exp else 1
+        return tv, den, num, grow
 
 
 @truncated

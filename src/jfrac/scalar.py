@@ -10,7 +10,6 @@ import decimal
 import functools
 import itertools
 import math
-import operator
 import re
 import sys
 from contextlib import contextmanager
@@ -183,9 +182,14 @@ def _raw_conversions():
 # fixed-point arithmetic for the numeric series loop
 #
 # The pFq / r_phi_s term loop (series._sum, which also sums Euler's series
-# behind (a; q)_inf) converts its inputs once to ints scaled by 2^wp (pairs
-# when some input is complex), computes with int multiply, shift and
-# floor-divide, and rounds each result once to an mpf or mpc.
+# behind (a; q)_inf) converts its inputs once to ints scaled by 2^wp, a
+# complex input to a Gaussian integer, computes with the native int
+# operators (multiply, add, shift, floor-divide), and rounds each result
+# once to an mpf or mpc.  A real value stays an int in a complex sum, and
+# products and quotients with it cost an int operation per part: a real
+# denominator divides each part of a Gaussian numerator by one floor
+# division, which equals the pair division by (b, 0) since
+# floor(floor(x / c) / d) = floor(x / (c d)).
 # wp = working_bits + FIXED_GUARD_BITS + the magnitude deficit of the
 # smallest nonzero input: a binary input converts exactly, a Fraction p/q
 # to floor(p 2^wp / q) with at least working_bits + 19 bits, and 2^-600
@@ -194,35 +198,65 @@ def _raw_conversions():
 FIXED_GUARD_BITS = 20
 
 
-def _div(x, y, k):
-    """floor(x 2^k / y), y != 0; the ints stay the size of the quotient."""
-    if y < 0:
-        x, y = -x, -y
-    return (x << k) // y if k >= 0 else (x >> -k) // y
+class Gaussian:
+    """The Gaussian integer re + im i on Python ints, with the operators the
+    numeric loop applies to its values: + and * with ints and Gaussians (an
+    int factor scales each part), an int minus a Gaussian, unary -, << and
+    >> on each part, // by an int (each part floored), truth, and
+    ``bit_length``, that of the larger part."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, y):
+        if type(y) is int:
+            return Gaussian(self.re + y, self.im)
+        return Gaussian(self.re + y.re, self.im + y.im)
+
+    __radd__ = __add__
+
+    def __rsub__(self, x):
+        return Gaussian(x - self.re, -self.im)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __mul__(self, y):
+        if type(y) is int:
+            return Gaussian(self.re * y, self.im * y)
+        a, b, c, d = self.re, self.im, y.re, y.im
+        return Gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, d):
+        return Gaussian(self.re // d, self.im // d)
+
+    def __lshift__(self, k):
+        return Gaussian(self.re << k, self.im << k)
+
+    def __rshift__(self, k):
+        return Gaussian(self.re >> k, self.im >> k)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def bit_length(self):
+        return max(self.re.bit_length(), self.im.bit_length())
+
+    def norm(self):
+        """The squared modulus re^2 + im^2."""
+        return self.re * self.re + self.im * self.im
+
+    def conjugate(self):
+        return Gaussian(self.re, -self.im)
 
 
-def _cnorm(x):
-    return x[0] * x[0] + x[1] * x[1]
-
-
-def _cdiv(x, y, k):
-    den = _cnorm(y)
-    return _div(x[0] * y[0] + x[1] * y[1], den, k), _div(x[1] * y[0] - x[0] * y[1], den, k)
-
-
-# (mul, add, sub, norm, bit length, right shift, scaled division) on ints
-# and on (re, im) pairs; the norm of an int is its modulus, of a pair the
-# squared modulus
-_INT_OPS = (operator.mul, operator.add, operator.sub, abs, int.bit_length, operator.rshift, _div)
-_PAIR_OPS = (
-    lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
-    lambda x, y: (x[0] + y[0], x[1] + y[1]),
-    lambda x, y: (x[0] - y[0], x[1] - y[1]),
-    _cnorm,
-    lambda x: max(x[0].bit_length(), x[1].bit_length()),
-    lambda x, d: (x[0] >> d, x[1] >> d),
-    _cdiv,
-)
+def _squared_modulus(x):
+    return x.norm() if type(x) is Gaussian else x * x
 
 
 _EXACT_TYPES = (int, Fraction)
@@ -230,48 +264,48 @@ _EXACT_TYPES = (int, Fraction)
 
 class FixedPoint:
     """The fixed-point values of one numeric loop over ``values`` (ints and
-    Fractions taken as they are, others through ``ctx.raw``) and
-    ``mul add sub norm bits shr div`` on them: div(x, y, k) = floor(x 2^k / y),
-    and norm takes no square root, so norm(x 2^-wp) = norm(x) 2^(-power wp).
-    ``inputs`` holds the values scaled by 2^wp, as ints or (re, im) pairs."""
+    Fractions taken as they are, others through ``ctx.raw``).  ``inputs``
+    holds the values scaled by 2^wp: an int for a real value, a
+    :class:`Gaussian` for one with a nonzero imaginary part.  The loop is
+    ``complex`` when any value is an mpc or complex; ``norm`` is then the
+    squared modulus (``power`` 2), else the modulus (``power`` 1), of an int
+    or Gaussian x, so norm(x 2^-wp) = norm(x) 2^(-power wp) with no square
+    root taken."""
 
     def __init__(self, values, ctx):
         values = [v if isinstance(v, _EXACT_TYPES) else ctx.raw(v) for v in values]
-        exact = [v for v in values if isinstance(v, _EXACT_TYPES)]
-        raws = [v for v in values if not isinstance(v, _EXACT_TYPES)]
-        parts = [p for v in raws for p in (v if len(v) == 2 else (v,))]
-        if any(not man and exp for _, man, exp, _ in parts):
-            raise DomainError("numeric series and products need finite inputs")
-        # log2 of each nonzero input, to within 1
-        sizes = [exp + bc for _, man, exp, bc in parts if man]
-        sizes += [v.numerator.bit_length() - v.denominator.bit_length() for v in exact if v]
+        # deficit: -log2 of the smallest nonzero input, to within 1, or 0
+        deficit, self.complex = 0, False
+        for v in values:
+            if isinstance(v, _EXACT_TYPES):
+                if v:
+                    deficit = max(deficit, v.denominator.bit_length() - v.numerator.bit_length())
+                continue
+            if len(v) == 2:
+                self.complex = True
+            for _, man, exp, bc in v if len(v) == 2 else (v,):
+                if man:
+                    deficit = max(deficit, -exp - bc)
+                elif exp:
+                    raise DomainError("numeric series and products need finite inputs")
         self.bits_out = ctx.working_bits
-        self.wp = self.bits_out + FIXED_GUARD_BITS + max([0] + [-size for size in sizes])
-        self.complex = any(len(v) == 2 for v in raws)
-        self.mul, self.add, self.sub, self.norm, self.bits, self.shr, self.div = (
-            _PAIR_OPS if self.complex else _INT_OPS
-        )
-        self.power = 2 if self.complex else 1
-        self.zero = self.const(0)
+        self.wp = self.bits_out + FIXED_GUARD_BITS + deficit
+        self.power, self.norm = (2, _squared_modulus) if self.complex else (1, abs)
         self.inputs = [self._fix(v) for v in values]
-
-    def const(self, n, scale=0):
-        """The int n 2^scale in the loop's kind."""
-        n <<= scale
-        return (n, 0) if self.complex else n
 
     def _fix(self, v):
         if isinstance(v, _EXACT_TYPES):
-            return self.const((v.numerator << self.wp) // v.denominator)
-        parts = v if len(v) == 2 else (v, mpmath.libmp.fzero)
-        re, im = ((-man if sign else man) << (exp + self.wp) for sign, man, exp, _ in parts)
-        return (re, im) if self.complex else re
+            return (v.numerator << self.wp) // v.denominator
+        re, *im = ((-man if sign else man) << (exp + self.wp) for sign, man, exp, _ in (v if len(v) == 2 else (v,)))
+        return Gaussian(re, im[0]) if im and im[0] else re
 
     def value(self, x, exp):
         """x 2^exp as an mpf or mpc, rounded once to the working precision."""
         lib = mpmath.libmp
-        parts = [lib.from_man_exp(p, exp, self.bits_out, lib.round_nearest) for p in (x if self.complex else (x,))]
-        return mpmath.mp.make_mpc(tuple(parts)) if self.complex else mpmath.mp.make_mpf(parts[0])
+        if not self.complex:
+            return mpmath.mp.make_mpf(lib.from_man_exp(x, exp, self.bits_out, lib.round_nearest))
+        parts = (x.re, x.im) if type(x) is Gaussian else (x, 0)
+        return mpmath.mp.make_mpc(tuple(lib.from_man_exp(p, exp, self.bits_out, lib.round_nearest) for p in parts))
 
     def magnitude(self, x, exp):
         """|x| 2^exp as an mpf, rounded once."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import _EXACT_TYPES, FixedPoint, PrecisionContext, fraction_sum
+from .scalar import _EXACT_TYPES, FixedPoint, Gaussian, PrecisionContext, fraction_sum
 
 
 def _as_ring(c):
@@ -340,22 +340,38 @@ def _vanishing_index(a, q):
     nonpositive integer for pFq, a = q^(-m) for r_phi_s; None if none.  A
     float, mpf or real complex a counts as the binary fraction it is."""
     if not isinstance(a, _EXACT_TYPES):
-        if not isinstance(a, (float, complex, mpmath.mpf, mpmath.mpc)) or a.imag or not mpmath.isfinite(a):
+        if isinstance(a, mpmath.mpf) and a._mpf_[1]:
+            # a = man 2^exp with man odd of bc bits: an integer iff exp >= 0,
+            # and |a| < 1 iff exp + bc <= 0
+            sign, _, exp, bc = a._mpf_
+            if (exp < 0 or not sign) if q is None else exp + bc <= 0:
+                return None
+        elif not isinstance(a, (float, complex, mpmath.mpf, mpmath.mpc)) or a.imag or not mpmath.isfinite(a):
             return None
         a = Fraction(a.real) if isinstance(a.real, float) else Fraction(*mpmath.libmp.to_rational(a.real._mpf_))
     if q is None:
-        return 1 - int(a) if a <= 0 and Fraction(a).denominator == 1 else None
-    p, k = Fraction(a), 1
-    while abs(p) >= 1:
-        if p == 1:
+        return 1 - int(a) if a <= 0 and a.denominator == 1 else None
+    k = 1
+    while not -1 < a < 1:
+        if a == 1:
             return k
-        p, k = p * q, k + 1
+        a, k = a * q, k + 1
     return None
 
 
-def _first_vanishing(params, q, exact):
-    """The least such index over the exact parameters, or the inexact ones."""
-    return min(filter(None, (_vanishing_index(a, q) for a in params if isinstance(a, _EXACT_TYPES) == exact)), default=None)
+def _first_vanishing(params, q):
+    """The least such index over the exact parameters and over the inexact
+    ones, in one pass."""
+    exact = inexact = None
+    for a in params:
+        k = _vanishing_index(a, q)
+        if k is None:
+            continue
+        if isinstance(a, _EXACT_TYPES):
+            exact = k if exact is None else min(exact, k)
+        else:
+            inexact = k if inexact is None else min(inexact, k)
+    return exact, inexact
 
 
 def _below(x, y, d):
@@ -368,18 +384,20 @@ def _below(x, y, d):
 
 def _sum(numer, denom, q, z, ctx):
     """The sum behind :func:`eval_pfq` and :func:`eval_rphis` on the
-    :class:`~jfrac.scalar.FixedPoint` kernel.  The term and q^n keep about
-    wp bits with exponents of their own, so neither truncates to 0; the sum
-    sits at 2^(t_shift - wp) with t_shift growing with the largest term, so
-    its error is about n 2^-wp relative to that term.  Only an exactly zero
-    z or upper factor ends the sum; only an exactly zero lower one is a pole."""
+    :class:`~jfrac.scalar.FixedPoint` kernel: one term loop on native int
+    operators, whose values are ints, or :class:`~jfrac.scalar.Gaussian`
+    ints where an input is complex.  The term and q^n keep about wp bits
+    with exponents of their own, so neither truncates to 0; the sum sits at
+    2^(t_shift - wp) with t_shift growing with the largest term, so its
+    error is about n 2^-wp relative to that term.  Only an exactly zero z or
+    upper factor ends the sum; only an exactly zero lower one is a pole."""
     ctx = ctx or PrecisionContext()
     # symbolic termination / pole scan, for exact parameters (and exact q); 1 - a q^n
     # may also vanish for an inexact a, though not for q rounded (mpf(3), q = 1/3):
     # the loop takes such a factor as 0 at its term
     n_stop = p_stop = n_soft = p_soft = None
     if q is None or (isinstance(q, _EXACT_TYPES) and q != 0 and abs(q) < 1):
-        n_stop, p_stop, n_soft, p_soft = (_first_vanishing(p, q, x) for x in (True, False) for p in (numer, denom))
+        (n_stop, n_soft), (p_stop, p_soft) = _first_vanishing(numer, q), _first_vanishing(denom, q)
     if p_stop is not None and (n_stop is None or p_stop < n_stop):
         raise PoleInDenominator(f"denominator parameter hits zero at term {p_stop} before any termination")
     # tol = tm 2^te enters one comparison, not wp: the term keeps wp bits at any size
@@ -387,8 +405,7 @@ def _sum(numer, denom, q, z, ctx):
     if not tm and te:
         raise DomainError("numeric series and products need finite inputs")
     fx = FixedPoint((*numer, *denom, z, *([] if q is None else [q])), ctx)
-    mul, add, sub, norm, bits, shr, div = fx.mul, fx.add, fx.sub, fx.norm, fx.bits, fx.shr, fx.div
-    wp, zero, power = fx.wp, fx.zero, fx.power
+    wp, power, norm = fx.wp, fx.power, fx.norm
     *av, zv = fx.inputs[: len(numer) + len(denom) + 1]
     av, bv = av[: len(numer)], av[len(numer):]
     # scale takes term * ratio back to 2^wp: a + n is at 2^wp, n + 1 at 1, 1 - a q^n at 2^(2 wp)
@@ -396,22 +413,22 @@ def _sum(numer, denom, q, z, ctx):
     scale = wp * (e - 2 if q is None else 2 * e - 1)
     if q is not None:
         qv = fx.inputs[-1]
-        if qv == zero or norm(qv) >= 1 << power * wp:
+        if not qv or norm(qv) >= 1 << power * wp:
             raise DomainError("basic series evaluation needs 0 < |q| < 1")
         # q^n = qn 2^q_exp, with qn cut to wp bits, so q_exp <= -wp
-        unit, qn, q_exp = fx.const(1, 2 * wp), fx.const(1, wp), -wp
+        unit, qn, q_exp = 1 << 2 * wp, 1 << wp, -wp
     tm, te = tm**power, te * power  # tol^power
     # the term is term 2^(shift - wp), kept to about wp bits as it grows or
     # shrinks, and the total is total 2^(t_shift - wp), t_shift only growing
-    total, term, shift, t_shift, small_run = zero, fx.const(1, wp), 0, 0, 0
+    total, term, shift, t_shift, small_run = 0, 1 << wp, 0, 0, 0
     for n in range(ctx.max_terms):
         if shift > t_shift:
-            total, t_shift = shr(total, shift - t_shift), shift
-        total = add(total, shr(term, t_shift - shift))
+            total, t_shift = total >> (shift - t_shift), shift
+        total = total + (term >> (t_shift - shift))
         if n_stop is not None and n + 1 == n_stop:
             return SeriesValue(fx.value(total, t_shift - wp), n + 1, mpmath.mpf(0))
         # |term| < tol |total|, or tol while the total is exactly 0
-        mag, unit_shift = (norm(total), t_shift) if total != zero else (1, wp)
+        mag, unit_shift = (norm(total), t_shift) if total else (1, wp)
         if _below(norm(term), tm * mag, te + power * (unit_shift - shift)):
             small_run += 1
             if small_run >= ctx.consecutive_small:
@@ -422,36 +439,43 @@ def _sum(numer, denom, q, z, ctx):
         # factors over the lower ones, then the normaliser
         top, k = zv, scale
         if q is None:
-            nv = fx.const(n, wp)
+            nv = n << wp
             for a in av:
-                top = mul(top, add(a, nv))
-            bottom = fx.const(n + 1)
+                top = top * (a + nv)
+            bottom = n + 1
             for b in bv:
-                bottom = mul(bottom, add(b, nv))
+                bottom = bottom * (b + nv)
         else:
-            qfix = shr(qn, -q_exp - wp)  # q^n at 2^wp; each 1 - a q^n is exact at 2^(2 wp)
+            qfix = qn >> (-q_exp - wp)  # q^n at 2^wp; each 1 - a q^n is exact at 2^(2 wp)
             for a in av:
-                top = mul(top, sub(unit, mul(a, qfix)))
-            bottom = sub(unit, mul(qv, qfix))
+                top = top * (unit - a * qfix)
+            bottom = unit - qv * qfix
             for b in bv:
-                bottom = mul(bottom, sub(unit, mul(b, qfix)))
-            neg_qn = sub(zero, qn)
+                bottom = bottom * (unit - b * qfix)
+            neg_qn = -qn
             for _ in range(e):
-                top = mul(top, neg_qn)
+                top = top * neg_qn
             for _ in range(-e):
-                bottom = mul(bottom, neg_qn)
+                bottom = bottom * neg_qn
             k += e * q_exp
-            qn = mul(qn, qv)
-            extra = max(0, bits(qn) - wp)
-            qn, q_exp = shr(qn, extra), q_exp - wp + extra
-        if top == zero or n + 1 == n_soft:  # before the pole test, as _ratio orders them
+            qn = qn * qv
+            extra = max(0, qn.bit_length() - wp)
+            qn, q_exp = qn >> extra, q_exp - wp + extra
+        if not top or n + 1 == n_soft:  # before the pole test, as _ratio orders them
             return SeriesValue(fx.value(total, t_shift - wp), n + 1, mpmath.mpf(0))
-        if bottom == zero or n + 1 == p_soft:
+        if not bottom or n + 1 == p_soft:
             raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
-        top = mul(term, top)
-        # the quotient keeps about wp bits; its scale moves instead
-        extra = bits(top) - bits(bottom) + k - wp
-        term, shift = div(top, bottom, k - extra), shift + extra
+        top = term * top
+        # the quotient floor(top 2^k / bottom) keeps about wp bits; its scale
+        # moves instead.  A Gaussian bottom divides as top conj(bottom) /
+        # |bottom|^2, an int one divides each part of top
+        extra = top.bit_length() - bottom.bit_length() + k - wp
+        k, shift = k - extra, shift + extra
+        if type(bottom) is Gaussian:
+            top, bottom = top * bottom.conjugate(), bottom.norm()
+        elif bottom < 0:
+            top, bottom = -top, -bottom
+        term = (top << k) // bottom if k >= 0 else (top >> -k) // bottom
     kind = "pFq" if q is None else "basic series"
     raise NonConvergent(f"{kind} sum did not satisfy the stopping rule", ctx.max_terms, fx.value(total, t_shift - wp))
 

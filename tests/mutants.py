@@ -46,6 +46,7 @@ _COMMON = "tests/test_common_denominator.py::"
 _Q_PRODUCTS = "tests/test_q_products.py::"
 _THEOREMS = "tests/test_theorems.py::"
 _PINNED = _THEOREMS + "test_suite_document_is_deterministic"
+_KERNEL = "tests/test_series_kernel.py::test_kernel_matches_the_op_table_kernel_bit_for_bit"
 
 MUTANTS = [
     # the q-binomial translates of a Q Term (families.Term)
@@ -406,6 +407,43 @@ MUTANTS = [
         "range(n_max + 1)), mul)",
         "range(n_max - 1)), mul)",
         (_THEOREMS + "test_identities[hankel_affine]", _THEOREMS + "test_hankel_affine_reports_ratios"),
+    ),
+    # the numeric term loop (series._sum) and its values (scalar.Gaussian,
+    # scalar.FixedPoint), against the op-table kernel they replaced
+    Mutant(
+        "a negative int denominator made positive without negating the numerator",
+        "src/jfrac/series.py",
+        "top, bottom = -top, -bottom",
+        "bottom = -bottom",
+        (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
+    ),
+    Mutant(
+        "the real-denominator division taken when a lower parameter is complex",
+        "src/jfrac/series.py",
+        "top, bottom = top * bottom.conjugate(), bottom.norm()",
+        "bottom = bottom.re",
+        (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
+    ),
+    Mutant(
+        "q^n never cut back to wp bits",
+        "src/jfrac/series.py",
+        "extra = max(0, qn.bit_length() - wp)",
+        "extra = 0",
+        ("tests/test_series_core.py::test_long_loops_keep_their_ints_small[2phi0]",),
+    ),
+    Mutant(
+        "Gaussian product with the sign of b d flipped",
+        "src/jfrac/scalar.py",
+        "return Gaussian(a * c - b * d, a * d + b * c)",
+        "return Gaussian(a * c + b * d, a * d + b * c)",
+        (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
+    ),
+    Mutant(
+        "a complex input's imaginary part dropped in fixed point",
+        "src/jfrac/scalar.py",
+        "return Gaussian(re, im[0]) if im and im[0] else re",
+        "return re",
+        (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
     ),
 ]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jfrac import families, series, theorems
 from jfrac.errors import InvalidParams, UnknownTheorem
-from jfrac.scalar import PrecisionContext, factorial, memoised, sequence
+from jfrac.scalar import PrecisionContext, factorial, memoised, q_pochhammer_inf, sequence
 from jfrac.theorems import (
     SUITE_VERSION,
     VerificationReport,
@@ -480,6 +480,23 @@ def test_sequence_tables_live_for_one_case(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(theorems, "memo_scope", contextlib.nullcontext)
         assert steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx)) > 2 * first
+
+
+def test_point_factors_are_computed_once_per_term_and_point(monkeypatch):
+    """big_qj evaluates Q_n at t, s and s + t through a Term with one
+    inverse q-product, and its printed companion at s through a Term with
+    one q-product: 4 (Term, point) pairs, each one product in a case, and a
+    second case computes them again."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q_pochhammer_inf(*args)
+
+    monkeypatch.setattr(families, "q_pochhammer_inf", counted)
+    first = verify_theorem("big_qj", ctx=ctx)
+    assert first.passed and len(calls) == 4
+    assert verify_theorem("big_qj", ctx=ctx).passed and len(calls) == 8
 
 
 def test_memo_changes_no_record(monkeypatch):
