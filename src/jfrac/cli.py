@@ -159,14 +159,9 @@ def _parse_params(text):
     return params
 
 
-def fmt_exact(v, ctx=None):
-    """A rational as "p/q" (or "p"), in full; with ``ctx``, an mpmath number
-    at its digits."""
-    if isinstance(v, (int, Fraction)):
-        return rat_str(v)
-    if ctx is not None and isinstance(v, (mpmath.mpf, mpmath.mpc)):
-        return ctx.nstr(v)
-    return str(v)
+def fmt_exact(v):
+    """A rational as "p/q" (or "p"), in full; a Gaussian rational as "22/25-33/50i"."""
+    return rat_str(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
 def _emit(out, text):
@@ -185,19 +180,16 @@ def _tableau_records(tab, N):
 
 
 def _print_tableau(tab, N, cfg, out):
-    ctx = cfg.context()
     if cfg.format == "csv":
         lines = ["i,n,value"]
-        lines += [f"{i},{n},{fmt_exact(v, ctx)}" for i, n, v in _tableau_records(tab, N)]
+        lines += [f"{i},{n},{fmt_exact(v)}" for i, n, v in _tableau_records(tab, N)]
         _emit(out, "\n".join(lines))
     elif cfg.format == "json":
-        records = [
-            {"i": i, "n": n, "value": fmt_exact(v, ctx)} for i, n, v in _tableau_records(tab, N)
-        ]
+        records = [{"i": i, "n": n, "value": fmt_exact(v)} for i, n, v in _tableau_records(tab, N)]
         _emit(out, json.dumps(records, indent=2))
     else:
         for i, n, v in _tableau_records(tab, N):
-            _emit(out, f"H[{i}][{n}] = {fmt_exact(v, ctx)}")
+            _emit(out, f"H[{i}][{n}] = {fmt_exact(v)}")
 
 
 @contextmanager
@@ -217,7 +209,7 @@ def _build_tableau(args, cfg):
 
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
-            return family_tableau(spec, N, cfg.context()), N
+            return family_tableau(spec, N), N
     b = _rat_list(args.b, "b") if args.b else [Fraction(0)] * max(N, 1)
     lam = _rat_list(args.lam, "lambda") if args.lam else [Fraction(1)] * max(N, 1)
     jf = JFraction(tuple(b), tuple(lam))
@@ -233,23 +225,22 @@ def cmd_tableau(args, cfg, explicit, out):
 
 def cmd_moments(args, cfg, explicit, out):
     N = cfg.N if args.N is None else args.N
-    ctx = cfg.context()
     if args.family:
         from .families import family_moments, make_family
 
         spec = make_family(args.family, _parse_params(args.params))
         with _invalid_input():
-            mu = family_moments(spec, N, ctx)
+            mu = family_moments(spec, N)
     else:
         tab, N = _build_tableau(args, cfg)
         mu = [tab.entry(0, n) for n in range(N + 1)]
     if cfg.format == "csv":
-        lines = ["i,n,value"] + [f"0,{n},{fmt_exact(v, ctx)}" for n, v in enumerate(mu)]
+        lines = ["i,n,value"] + [f"0,{n},{fmt_exact(v)}" for n, v in enumerate(mu)]
         _emit(out, "\n".join(lines))
     elif cfg.format == "json":
-        _emit(out, json.dumps({"moments": [fmt_exact(v, ctx) for v in mu]}, indent=2))
+        _emit(out, json.dumps({"moments": [fmt_exact(v) for v in mu]}, indent=2))
     else:
-        _emit(out, "mu: " + ",".join(fmt_exact(v, ctx) for v in mu))
+        _emit(out, "mu: " + ",".join(fmt_exact(v) for v in mu))
     return 0
 
 
@@ -325,23 +316,20 @@ def cmd_catalog(args, cfg, explicit, out):
                 "translation": e.translation,
                 "has_q_tilde": e.has_q_tilde,
                 "has_closed_tableau": e.has_closed_tableau,
-                "exact": e.exact,
             }
             for e in entries
         ]
         _emit(out, json.dumps(doc, indent=2))
     elif cfg.format == "csv":
-        lines = ["id,params,translation,has_q_tilde,has_closed_tableau,exact"]
+        lines = ["id,params,translation,has_q_tilde,has_closed_tableau"]
         for e in entries:
             names = ";".join(e.param_names)
-            lines.append(
-                f"{e.id},{names},{e.translation},{e.has_q_tilde},{e.has_closed_tableau},{e.exact}"
-            )
+            lines.append(f"{e.id},{names},{e.translation},{e.has_q_tilde},{e.has_closed_tableau}")
         _emit(out, "\n".join(lines))
     else:
         for e in entries:
             names = ", ".join(e.param_names)
-            _emit(out, f"{e.id}({names})  translation={e.translation}  exact={e.exact}")
+            _emit(out, f"{e.id}({names})  translation={e.translation}")
     return 0
 
 

@@ -16,15 +16,12 @@ the q-ultraspherical and Askey-Wilson Bessel sums are weighted sums of one
 Term's Q_n (:class:`_BesselSum`).  One constructor, :func:`_term_family`,
 wires either's evaluators into its family.
 
-Exact data is computed over Fractions; the Q_j evaluators compute in
-arbitrary-precision floating point under a PrecisionContext.  A family is
-exactly testable when its parameters are rational and its b_n, lambda_n are
-rational-valued; the Meixner-Pollaczek-as-moments family is the one entry
-whose recurrence data is intrinsically complex, so its scalar functions
-return high-precision complex numbers instead.
+Every family's data are exact: Fractions, or Gaussian rationals
+(:class:`~jfrac.scalar.GaussianRational`) for the complex data of the
+Meixner-Pollaczek-as-moments family.  The Q_j evaluators compute in
+arbitrary-precision floating point under a PrecisionContext.
 """
 
-import contextlib
 import functools
 import itertools
 import math
@@ -35,6 +32,7 @@ from . import _mpmath as mpmath
 from .errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from .jfraction import JFraction, tableau_from_jfraction
 from .scalar import (
+    GaussianRational,
     PrecisionContext,
     factorial,
     fraction_sum,
@@ -140,9 +138,9 @@ class Term:
     companion.  ``hyper(j)`` returns F_j's (upper, lower, z_j); F_j is the
     basic series r_phi_s in the kind's base q when it has one, pFq
     otherwise.  Every factor after c_j t^j is optional.  With ``in_u`` the
-    form is written in u = e^t - 1 in place of t.  ``value`` builds the
-    parameters under the context's working precision, so an inexact family
-    may compute them there with mpmath.
+    form is written in u = e^t - 1 in place of t.  The parameters are
+    exact, Fractions or Gaussian rationals, and ``value`` hands F_j's to the
+    numeric series as they are.
     """
 
     __slots__ = ("kind", "twist", "qpochs", "inv_qpochs", "exp", "power", "hyper", "step", "in_u")
@@ -304,8 +302,8 @@ class FamilySpec:
     n >= 0, lambda_n for n >= 1); the weights w_n = lambda_1...lambda_n of
     the addition formula follow from them (:func:`family_weights`).
     q_fn(j, t, ctx) evaluates Q_j(t); q_tilde_fn evaluates the twisted
-    companion where one exists.  q_series_fn is Q_j's exact counterpart, and
-    a family is ``exact`` when it has one; the moments are read off
+    companion where one exists.  q_series_fn(j, degree) is Q_j's exact
+    counterpart, which every family has; the moments are read off
     q_series_fn(0, N) (:func:`family_moments`).  The companion's exact series
     is not stored: it is Q_j's with coefficient n times q^C(n,2).
     tableau_entry_fn(i, n) is the closed tableau: H_{i,n} for 0 <= i <= n,
@@ -320,18 +318,14 @@ class FamilySpec:
 
     b_fn: object
     lambda_fn: object
+    q_fn: object
+    q_series_fn: object
     translation: object = Classical()
-    q_fn: object = None
     q_tilde_fn: object = None
     tableau_entry_fn: object = None
-    q_series_fn: object = None
     translated_q0_fn: object = None
     id: str = ""
     params: dict = None
-
-    @property
-    def exact(self):
-        return self.q_series_fn is not None
 
     def series_denominator(self, n):
         """n-th normalizer of the Q-series: n! classically, (q;q)_n in q-land."""
@@ -354,56 +348,35 @@ def family_jfraction(spec, depth):
     return JFraction.from_functions(spec.b_fn, spec.lambda_fn, depth)
 
 
-def _working_prec():
-    """The caller's mpmath precision, never below the default context's."""
-    floor = PrecisionContext()
-    return mpmath.workprec(max(mpmath.mp.prec, floor.precision_bits + floor.guard_bits))
-
-
 def family_weights(spec):
-    """n -> w_n = lambda_1 ... lambda_n, the addition formula's weights.
-
-    Each product is taken once and kept, so reading w_0..w_N costs N
-    multiplications.  An inexact family multiplies at the working precision
-    of the caller that first asks for w_n, never below the default context's;
-    an exact one never reads a precision, so it does not import mpmath.
-    """
+    """n -> w_n = lambda_1 ... lambda_n, the addition formula's weights, each
+    product taken once and kept: reading w_0..w_N costs N multiplications."""
     w = [F(1)]
 
     def weight(n):
         while len(w) <= n:
-            with contextlib.nullcontext() if spec.exact else _working_prec():
-                w.append(w[-1] * spec.lambda_fn(len(w)))
+            w.append(w[-1] * spec.lambda_fn(len(w)))
         return w[n]
 
     return weight
 
 
-def family_tableau(spec, N, ctx=None):
-    """Tableau through column N, built under ``ctx``'s working precision
-    (which only an inexact family's data uses)."""
-    with contextlib.nullcontext() if spec.exact else (ctx or PrecisionContext()).workprec():
-        return tableau_from_jfraction(family_jfraction(spec, max(N, 1)), N)
+def family_tableau(spec, N):
+    """Tableau through column N."""
+    return tableau_from_jfraction(family_jfraction(spec, max(N, 1)), N)
 
 
-def family_moments(spec, N, ctx=None):
-    """mu_0..mu_N, row 0 of the tableau.
-
-    Q_0(t) = sum_n mu_n t^n / series_denominator(n), so one exact Q_0
-    series gives them all; a family without one fills its tableau.
-    """
+def family_moments(spec, N):
+    """mu_0..mu_N, row 0 of the tableau, off one exact Q_0 series:
+    Q_0(t) = sum_n mu_n t^n / series_denominator(n)."""
     if N < 0:
         raise ValueError(f"moment count N = {N} is negative")
-    if spec.q_series_fn is None:
-        return list(family_tableau(spec, N, ctx).row0)
     q0 = spec.q_series_fn(0, N)
     return [q0[n] * spec.series_denominator(n) for n in range(N + 1)]
 
 
 def q_function(spec, j, t, ctx=None):
     ctx = ctx or PrecisionContext()
-    if spec.q_fn is None:
-        raise Unsupported(f"family {spec.id} has no closed-form Q_j evaluator")
     if j < 0:
         raise ValueError("Q_j needs j >= 0")
     return spec.q_fn(j, t, ctx)
@@ -545,7 +518,7 @@ def check_domain(owner, rules, params, prefix=""):
         raise InvalidParams(f"{owner}: " + "; ".join(broken))
 
 
-def _recurrence_from_closed_tableau(entry_fn, per_precision=True):
+def _recurrence_from_closed_tableau(entry_fn):
     """(b_fn, lambda_fn) off the first two superdiagonals of a closed tableau.
 
     H_{i,n+1} = H_{i-1,n} + b_i H_{i,n} + lambda_{i+1} H_{i+1,n} with
@@ -553,13 +526,12 @@ def _recurrence_from_closed_tableau(entry_fn, per_precision=True):
     lambda_n = H_{n-1,n+1} - H_{n-2,n} - b_{n-1} H_{n-1,n}.
     """
 
-    read = {}  # each entry once, or once per working precision if per_precision
+    read = {}  # each entry once
 
     def h(i, n):
-        key = (i, n, mpmath.mp.prec if per_precision else None)
-        if i >= 0 and key not in read:
-            read[key] = entry_fn(i, n)
-        return read.get(key, 0)
+        if i >= 0 and (i, n) not in read:
+            read[i, n] = entry_fn(i, n)
+        return read.get((i, n), 0)
 
     def b_fn(n):
         return h(n, n + 1) - h(n - 1, n)
@@ -654,27 +626,20 @@ def _make_meixner_pollaczek(params):
     def lambda_fn(n):
         return F(n * (n + 2 * lam - 1), 1) / (4 * sin_phi * sin_phi)
 
-    # cos(t/2) = 0F1(; 1/2; -t^2/16) and S = sin(t/2) / (t/2) = 0F1(; 3/2; -t^2/16)
+    # cos(t/2) = 0F1(; 1/2; -t^2/16) and S = sin(t/2) / (t/2) = 0F1(; 3/2; -t^2/16);
+    # Q_j = (t S)^j / j! * (sin(t/2 + phi) / sin(phi))^-(2 lam + j), and
+    # sin(t/2 + phi) / sin(phi) = cos(t/2) + cot(phi) t S / 2
     cos_half = Term(Classical(), hyper=lambda j: ([], [F(1, 2)], F(-1, 16)), step=2)
     sinc_half = Term(Classical(), hyper=lambda j: ([], [F(3, 2)], F(-1, 16)), step=2)
 
     def q_fn(j, t, ctx):
         with ctx.workprec():
-            tv = ctx.number(t)
-            sphi = ctx.number(sin_phi)
-            phi = mpmath.atan2(sphi, ctx.number(cos_phi))
-            ratio = sphi / mpmath.sin(tv / 2 + phi)
-            value = (
-                mpmath.mpf(2) ** j
-                / factorial(j)
-                * mpmath.power(ratio, ctx.number(2 * lam + j))
-                * mpmath.sin(tv / 2) ** j
-            )
+            ts = ctx.number(t) * sinc_half.value(0, t, ctx).value
+            base = cos_half.value(0, t, ctx).value + ctx.number(cot / 2) * ts
+            value = ts ** j / factorial(j) * mpmath.power(base, ctx.number(-(2 * lam + j)))
             return SeriesValue(value, 1, mpmath.mpf(0))
 
     def q_series_fn(j, degree):
-        # Q_j = (t S)^j / j! * (sin(t/2 + phi) / sin(phi))^-(2 lam + j), and
-        # sin(t/2 + phi) / sin(phi) = cos(t/2) + cot(phi) t S / 2
         d = degree - j
         if d < 0:
             raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
@@ -683,12 +648,7 @@ def _make_meixner_pollaczek(params):
         body = pow1p(s - 1, j) * pow1p(u, -(2 * lam + j)) * F(1, factorial(j))
         return PowerSeries([F(0)] * j + list(body), degree)
 
-    return FamilySpec(
-        b_fn=b_fn,
-        lambda_fn=lambda_fn,
-        q_fn=q_fn,
-        q_series_fn=q_series_fn,
-    )
+    return FamilySpec(b_fn=b_fn, lambda_fn=lambda_fn, q_fn=q_fn, q_series_fn=q_series_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -924,33 +884,27 @@ def _make_askey_wilson_slice(params):
 # ---------------------------------------------------------------------------
 # polynomials-as-moments families
 
-def _closed_tableau_family(q, exact=True):
+def _closed_tableau_family(q):
     """The family whose closed tableau H_{i,N} = N! [t^N] Q_i(t) is read off
     its Q term ``q``, with b_n and lambda_n off the tableau's first two
-    superdiagonals.
+    superdiagonals, as exact as the Term's parameters.
 
     Q_0(t + s) = sum_n w_n Q_n(t) Q_n(s) makes Q_i the generating function
     of row i.  Each row's series is kept, first through column i + 2, as
     the recurrence reads columns i + 1 and i + 2, and rebuilt to twice its
-    length past i when a later column is asked for.  An inexact family
-    builds it at the working precision, once per precision, and returns an
-    mpc also on the diagonal, where the series gives the Fraction 1; it has
-    no exact series.
+    length past i when a later column is asked for.
     """
     rows = {}
 
     def tableau_entry_fn(i, N):
-        with contextlib.nullcontext() if exact else _working_prec():
-            key = (i, None if exact else mpmath.mp.prec)
-            row = rows.get(key)
-            if row is None or row.truncation_degree < N:
-                reach = i + 2 if row is None else 2 * row.truncation_degree - i
-                row = rows[key] = q.series(i, max(N, reach))
-            h = row[N] * q.kind.series_denominator(N)
-            return h if exact else mpmath.mpc(1) * h
+        row = rows.get(i)
+        if row is None or row.truncation_degree < N:
+            reach = i + 2 if row is None else 2 * row.truncation_degree - i
+            row = rows[i] = q.series(i, max(N, reach))
+        return row[N] * q.kind.series_denominator(N)
 
-    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn, per_precision=not exact)
-    return _term_family(q, b_fn, lambda_fn, tableau_entry_fn=tableau_entry_fn, q_series_fn=q.series if exact else None)
+    b_fn, lambda_fn = _recurrence_from_closed_tableau(tableau_entry_fn)
+    return _term_family(q, b_fn, lambda_fn, tableau_entry_fn=tableau_entry_fn)
 
 
 def _make_hermite_moments(params):
@@ -974,26 +928,13 @@ def _make_meixner_moments(params):
 
 
 def _make_meixner_pollaczek_moments(params):
-    lam, x, phi_over_pi = params["lam"], params["x"], params["phi_over_pi"]
-
-    def _mp(v):
-        return mpmath.mpf(v.numerator) / v.denominator
-
-    w_at = {}
-
-    def _w():
-        # e^{-2 i phi} - 1 with phi = pi * phi_over_pi, once per working precision
-        prec = mpmath.mp.prec
-        if prec not in w_at:
-            w_at[prec] = mpmath.expjpi(-2 * _mp(phi_over_pi)) - 1
-        return w_at[prec]
-
-    q = Term(
-        Classical(),
-        exp=(1,),
-        hyper=lambda n: ([mpmath.mpc(_mp(lam) + n, _mp(x))], [2 * lam + 2 * n], _w()),
-    )
-    return _closed_tableau_family(q, exact=False)
+    # mu_n = 2F1(-n, lam + ix; 2 lam; 1 - e^(-2i phi)), Q_n = e^t t^n / n! 1F1(lam + n + ix; 2 lam + 2n; w t):
+    # w = e^(-2i phi) - 1 = -2 sin phi (sin phi + i cos phi) is in Q(i) at a rational point of the unit circle
+    lam, x, sin_phi, cos_phi = params["lam"], params["x"], params["sin_phi"], params["cos_phi"]
+    i = GaussianRational(0, 1)
+    w = -2 * sin_phi * (sin_phi + i * cos_phi)
+    q = Term(Classical(), exp=(1,), hyper=lambda n: ([lam + n + i * x], [2 * lam + 2 * n], w))
+    return _closed_tableau_family(q)
 
 
 def _make_gegenbauer_moments(params):
@@ -1069,8 +1010,8 @@ _BUILDERS = {
     # lambda_1 is 0/0 at 2 lam = 1
     "meixner_pollaczek_moments": (
         _make_meixner_pollaczek_moments,
-        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
-        (above(0, "lam"), excluded("lam", F(1, 2)), between(0, 1, "phi_over_pi")),
+        {"lam": F(1), "x": F(1, 2), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
+        (above(0, "lam"), excluded("lam", F(1, 2)), nonzero("sin_phi"), unit_circle("sin_phi", "cos_phi")),
     ),
     "gegenbauer_moments": (
         _make_gegenbauer_moments,
@@ -1153,10 +1094,8 @@ def make_affine(base, a, b):
             pref = ctx.mpf(a) ** j * mpmath.exp(-ctx.mpf(b) * ctx.mpf(t) / ctx.mpf(a))
             return inner.scaled(pref)
 
-    q_series = base.q_series_fn
-
     def q_series_fn(j, degree):
-        body = q_series(j, degree).scale_argument(1 / a) * exp_series(-b / a, degree)
+        body = base.q_series_fn(j, degree).scale_argument(1 / a) * exp_series(-b / a, degree)
         return body * a ** j
 
     return FamilySpec(
@@ -1164,22 +1103,21 @@ def make_affine(base, a, b):
         params={"a": a, "b": b, **{f"base.{k}": v for k, v in base.params.items()}},
         b_fn=b_fn,
         lambda_fn=lambda_fn,
-        q_fn=q_fn if base.q_fn is not None else None,
-        q_series_fn=q_series_fn if q_series is not None else None,
+        q_fn=q_fn,
+        q_series_fn=q_series_fn,
     )
 
 
 class CatalogEntry:
-    __slots__ = ("id", "param_names", "constraints", "translation", "has_q_tilde", "has_closed_tableau", "exact")
+    __slots__ = ("id", "param_names", "constraints", "translation", "has_q_tilde", "has_closed_tableau")
 
-    def __init__(self, id, param_names, constraints, translation, has_q_tilde, has_closed_tableau, exact):
+    def __init__(self, id, param_names, constraints, translation, has_q_tilde, has_closed_tableau):
         self.id = id
         self.param_names = param_names
         self.constraints = constraints
         self.translation = translation
         self.has_q_tilde = has_q_tilde
         self.has_closed_tableau = has_closed_tableau
-        self.exact = exact
 
 
 def catalog():
@@ -1197,7 +1135,6 @@ def catalog():
                 translation=type(spec.translation).__name__,
                 has_q_tilde=spec.q_tilde_fn is not None,
                 has_closed_tableau=spec.tableau_entry_fn is not None,
-                exact=spec.exact,
             )
         )
     return rows

@@ -22,8 +22,8 @@ entry's value only where it is read.  A step of
 ``cf_series`` or of the mixed-moment table behind ``jfraction_from_moments``
 and ``hankel`` reads one (b, lambda) pair, so it runs on int rows with one
 scale per row (``_next_int_row``) for any weights or moments that are all
-ints or Fractions, with no bit bound; float, mpf and mpc ones run the value
-loops.  Both give the same values of the same types as the value loops.
+ints or Fractions, with no bit bound; others (float, mpf, mpc, Gaussian
+rational) run the value loops.  Both give the same values of the same types as the value loops.
 """
 
 import contextvars
@@ -197,7 +197,7 @@ class _MomentTable:
     (little q-Jacobi at N = 80: 3391 bits), yet the int rows still run the
     inverse in less than half the Fraction loop's time there and were faster
     on every sample measured, so there is no point at which to hand back.
-    Other moments (float, mpf, mpc) have no int scale: num[k] holds the
+    Other moments (float, mpf, mpc, Gaussian rational) have no int scale: num[k] holds the
     values themselves and ``scale`` is None.
     """
 
@@ -410,7 +410,7 @@ def cf_series(jf, N):
 
 
 def _cf_series_on_values(b, lam, N):
-    """cf_series on the weights as they are (float, mpf and mpc weights)."""
+    """cf_series on the weights as they are (float, mpf, mpc and Gaussian-rational weights)."""
     levels = len(b)
     zero = [Fraction(0)] * (N + 1)
     one = [Fraction(1)] + zero[1:]

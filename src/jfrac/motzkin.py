@@ -19,8 +19,8 @@ three:
   Fraction weights, the fused step ``_fraction_step``: each entry is one sum
   of int (numerator, denominator) pairs (``scalar.fraction_sum``) and one
   Fraction, where Fraction arithmetic would build and reduce four;
-- on any other weights (int, mixed int and Fraction, float, mpf, mpc), the
-  plain step ``_plain_step`` on the values as they are.
+- on any other weights (int, mixed int and Fraction, float, mpf, mpc,
+  Gaussian rational), the plain step ``_plain_step`` on the values as they are.
 
 All three give the same values of the same types.  The depth-first
 ``path_weight_sum`` enumerates the paths one by one, multiplying the

@@ -1,8 +1,9 @@
 """Exact rational and arbitrary-precision scalar helpers.
 
-Exact arithmetic runs on ``fractions.Fraction``; floating arithmetic runs on
-mpmath at a precision chosen through :class:`PrecisionContext`.  Everything
-here is scalar; truncated power series live in :mod:`jfrac.series`.
+Exact arithmetic runs on ``fractions.Fraction`` and :class:`GaussianRational`;
+floating arithmetic runs on mpmath at a precision chosen through
+:class:`PrecisionContext`.  Everything here is scalar; truncated power
+series live in :mod:`jfrac.series`.
 """
 
 import contextvars
@@ -169,8 +170,12 @@ def _raw_conversions():
     since mpmath's types are among the keys."""
     from mpmath.libmp import from_float, from_int, mpc_pos, mpf_div, mpf_pos, round_nearest as rnd
 
+    def ratio(num, den, prec):
+        return mpf_div(mpf_pos(from_int(num), prec, rnd), from_int(den), prec, rnd)
+
     return {
-        Fraction: lambda x, prec: mpf_div(mpf_pos(from_int(x.numerator), prec, rnd), from_int(x.denominator), prec, rnd),
+        Fraction: lambda x, prec: ratio(x.numerator, x.denominator, prec),
+        GaussianRational: lambda x, prec: tuple(ratio(p, x.denominator, prec) for p in _parts(x)[:2]),
         int: lambda x, prec: mpf_pos(from_int(x), prec, rnd),
         float: lambda x, prec: mpf_pos(from_float(x), prec, rnd),
         mpmath.mpf: lambda x, prec: mpf_pos(x._mpf_, prec, rnd),
@@ -201,8 +206,8 @@ FIXED_GUARD_BITS = 20
 class Gaussian:
     """The Gaussian integer re + im i on Python ints, with the operators the
     numeric loop applies to its values: + and * with ints and Gaussians (an
-    int factor scales each part), an int minus a Gaussian, unary -, << and
-    >> on each part, // by an int (each part floored), truth, and
+    int factor scales each part), - with either on either side, unary -, <<
+    and >> on each part, // by an int (each part floored), truth, and
     ``bit_length``, that of the larger part."""
 
     __slots__ = ("re", "im")
@@ -217,6 +222,9 @@ class Gaussian:
         return Gaussian(self.re + y.re, self.im + y.im)
 
     __radd__ = __add__
+
+    def __sub__(self, y):
+        return self + -y
 
     def __rsub__(self, x):
         return Gaussian(x - self.re, -self.im)
@@ -255,31 +263,99 @@ class Gaussian:
         return Gaussian(self.re, -self.im)
 
 
+def _parts(y):
+    """(re, im, den) of an int, a Fraction or a GaussianRational, else None."""
+    if type(y) is GaussianRational:
+        return y.numerator.re, y.numerator.im, y.denominator
+    return (y.numerator, 0, y.denominator) if isinstance(y, (int, Fraction)) else None
+
+
+def _operators(formula):
+    """(a + b i)/d op (c + e i)/f and its reflection, for formula(a, b, d, c, e, f) -> (re, im, den)."""
+    def forward(x, y):
+        p = _parts(y)
+        return NotImplemented if p is None else GaussianRational(*formula(*_parts(x), *p))
+
+    def reflected(x, y):
+        p = _parts(y)
+        return NotImplemented if p is None else GaussianRational(*formula(*p, *_parts(x)))
+
+    return forward, reflected
+
+
+class GaussianRational:
+    """(re + im i) / den in Q(i), in lowest terms on ints: ``numerator`` is
+    the :class:`Gaussian` re + im i and ``denominator`` the int den > 0, read
+    as a Fraction's are.  +, -, *, / with ints, Fractions and Gaussian
+    rationals take one gcd; a real result, or ``GaussianRational(re, 0,
+    den)``, is a Fraction.  It prints as ``22/25-33/50i``; mpmath reads the
+    nearest mpc."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, re, im=0, den=1):
+        if not im:
+            return Fraction(re, den)
+        g = math.gcd(re, im, den) * (-1 if den < 0 else 1)
+        value = object.__new__(cls)
+        value.numerator, value.denominator = Gaussian(re // g, im // g), den // g
+        return value
+
+    __add__, __radd__ = _operators(lambda a, b, d, c, e, f: (a * f + c * d, b * f + e * d, d * f))
+    __sub__, __rsub__ = _operators(lambda a, b, d, c, e, f: (a * f - c * d, b * f - e * d, d * f))
+    __mul__, __rmul__ = _operators(lambda a, b, d, c, e, f: (a * c - b * e, a * e + b * c, d * f))
+    # times the divisor's conjugate c - e i, over its norm
+    __truediv__, __rtruediv__ = _operators(
+        lambda a, b, d, c, e, f: ((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+    )
+
+    def __neg__(self):
+        return GaussianRational(-self.numerator.re, -self.numerator.im, self.denominator)
+
+    def __eq__(self, y):
+        p = _parts(y)
+        return NotImplemented if p is None else _parts(self) == p
+
+    def __hash__(self):
+        return hash(_parts(self))
+
+    def __str__(self):
+        re, im, den = _parts(self)
+        im = rat_str(Fraction(im, den))
+        return f"{rat_str(Fraction(re, den))}{'' if im[0] == '-' else '+'}{im}i"
+    __repr__ = __str__
+
+    def _mpmath_(self, prec, rounding):
+        return mpmath.mp.make_mpc(_raw_conversions()[GaussianRational](self, prec))
+
+
 def _squared_modulus(x):
     return x.norm() if type(x) is Gaussian else x * x
 
 
 _EXACT_TYPES = (int, Fraction)
+_FIXED_EXACT = (*_EXACT_TYPES, GaussianRational)
 
 
 class FixedPoint:
-    """The fixed-point values of one numeric loop over ``values`` (ints and
-    Fractions taken as they are, others through ``ctx.raw``).  ``inputs``
-    holds the values scaled by 2^wp: an int for a real value, a
-    :class:`Gaussian` for one with a nonzero imaginary part.  The loop is
-    ``complex`` when any value is an mpc or complex; ``norm`` is then the
-    squared modulus (``power`` 2), else the modulus (``power`` 1), of an int
-    or Gaussian x, so norm(x 2^-wp) = norm(x) 2^(-power wp) with no square
-    root taken."""
+    """The fixed-point values of one numeric loop over ``values`` (ints,
+    Fractions and GaussianRationals taken as they are, others through
+    ``ctx.raw``).  ``inputs`` holds the values scaled by 2^wp: an int for a
+    real value, a :class:`Gaussian` for one with a nonzero imaginary part.
+    The loop is ``complex`` when any value is a GaussianRational, an mpc or
+    complex; ``norm`` is then the squared modulus (``power`` 2), else the
+    modulus (``power`` 1), of an int or Gaussian x, so norm(x 2^-wp) =
+    norm(x) 2^(-power wp) with no square root taken."""
 
     def __init__(self, values, ctx):
-        values = [v if isinstance(v, _EXACT_TYPES) else ctx.raw(v) for v in values]
+        values = [v if isinstance(v, _FIXED_EXACT) else ctx.raw(v) for v in values]
         # deficit: -log2 of the smallest nonzero input, to within 1, or 0
         deficit, self.complex = 0, False
         for v in values:
-            if isinstance(v, _EXACT_TYPES):
+            if isinstance(v, _FIXED_EXACT):
                 if v:
                     deficit = max(deficit, v.denominator.bit_length() - v.numerator.bit_length())
+                self.complex |= type(v) is GaussianRational
                 continue
             if len(v) == 2:
                 self.complex = True
@@ -294,7 +370,7 @@ class FixedPoint:
         self.inputs = [self._fix(v) for v in values]
 
     def _fix(self, v):
-        if isinstance(v, _EXACT_TYPES):
+        if isinstance(v, _FIXED_EXACT):
             return (v.numerator << self.wp) // v.denominator
         re, *im = ((-man if sign else man) << (exp + self.wp) for sign, man, exp, _ in (v if len(v) == 2 else (v,)))
         return Gaussian(re, im[0]) if im and im[0] else re

@@ -4,9 +4,9 @@ Every registered case compares an independently evaluated left-hand side
 against a truncated right-hand side and returns a structured report.
 Numeric cases run under a PrecisionContext and report relative error plus
 an empirical tail estimate (the magnitude of the last included term).
-Exact cases compare coefficient tables over Fractions and pass only on
-exact equality.  A case reads a family's data where it uses them: the
-plane waves and the Hermite convolution take their polynomials as the
+Exact cases compare coefficient tables of Fractions or Gaussian rationals
+and pass only on equality.  A case reads a family's data where it uses them:
+the plane waves and the Hermite convolution take their polynomials as the
 monic p_n of a family's declared recurrence, not as printed.
 """
 
@@ -41,7 +41,7 @@ from .families import (
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
 from .scalar import (
-    PrecisionContext, factorial, int_str, memo_scope, pair_sum, pochhammer, q_pochhammer, rat, rat_str,
+    Gaussian, PrecisionContext, factorial, int_str, memo_scope, pair_sum, pochhammer, q_pochhammer, rat, rat_str,
 )
 from .translation import Classical, NonCommutative, translate_series
 
@@ -136,24 +136,27 @@ def _sum_report(id, params, ctx, point, lhs, weight, left, right=None, pref=None
         raise InvalidParams(f"{id} at s = {s}, t = {t}: {exc}") from exc
 
 
-# a value's int pair (numerator, denominator): an int has both too
+# a value's pair (numerator, denominator): an int has both too, and a
+# GaussianRational's numerator is a Gaussian integer
 _pair = attrgetter("numerator", "denominator")
 
 
 def _compare(pairs):
-    """Exact comparison of (lhs, rhs) pairs, each side an int pair
-    (numerator, denominator) with a nonzero denominator, not necessarily
-    reduced: (passed, checked, max_dev).  The sides are compared by
-    cross-multiplication, and the deviation |lhs - rhs| is built as a
+    """Exact comparison of (lhs, rhs) pairs, each side an int or Gaussian
+    numerator over a nonzero int denominator, not necessarily reduced:
+    (passed, checked, max_dev).  The sides are compared by cross-multiplying,
+    and the deviation |lhs - rhs|, or max(|Re|, |Im|) of it, is built as a
     Fraction only where they differ."""
     passed = True
     checked = 0
     max_dev = F(0)
     for (a, b), (c, d) in pairs:
         checked += 1
-        if a * d != c * b:
+        gap = a * d - c * b
+        if gap:
             passed = False
-            max_dev = max(max_dev, abs(F(a, b) - F(c, d)))
+            size = max(abs(gap.re), abs(gap.im)) if type(gap) is Gaussian else abs(gap)
+            max_dev = max(max_dev, F(size, abs(b * d)))
     return passed, checked, max_dev
 
 
@@ -228,16 +231,10 @@ def _affine_pair(params):
 
 def _affine_domain(cid, params):
     """a != 0, the base family's domain on the base_* parameters, and their
-    names: both families must build (which only makes closures); returns the pair."""
+    names: both families must build (which only makes closures)."""
     check_domain(cid, (nonzero("a"),), params)
     check_domain(cid, family_domain(params["base"]), params, prefix="base_")
-    return _affine_pair(params)
-
-
-def _exact_affine_domain(cid, params):
-    """The affine domain on an exact base, whose Hankel determinants compare exactly."""
-    if not _affine_domain(cid, params)[0].exact:
-        raise InvalidParams(f"{cid}: base family {params['base']} is not exact")
+    _affine_pair(params)
 
 
 _Q, _Q_TILDE, _KIND = attrgetter("q_fn"), attrgetter("q_tilde_fn"), attrgetter("translation")
@@ -515,7 +512,7 @@ _CASES = {
     ),
     "mp_moments": _family_row(
         "meixner_pollaczek_moments",
-        {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
+        {"lam": F(1), "x": F(1, 2), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
         (F(1, 10), F(1, 5), 25, _TOL28),
     ),
     "ogf_variant": (_ogf_variant, {"seed": 0, "degree": 12}, _EXACT, ()),
@@ -544,7 +541,7 @@ _CASES = {
         _hankel_affine,
         {"base": "laguerre", "base_alpha": F(1, 2), "a": F(3), "b": F(2), "n_max": 5},
         None,
-        _exact_affine_domain,
+        _affine_domain,
     ),
     "hankel_gegenbauer": (
         _hankel_gegenbauer,

@@ -45,6 +45,7 @@ _JFRACTION = "tests/test_jfraction.py::"
 _COMMON = "tests/test_common_denominator.py::"
 _Q_PRODUCTS = "tests/test_q_products.py::"
 _THEOREMS = "tests/test_theorems.py::"
+_SCALAR = "tests/test_scalar.py::"
 _PINNED = _THEOREMS + "test_suite_document_is_deterministic"
 _KERNEL = "tests/test_series_kernel.py::test_kernel_matches_the_op_table_kernel_bit_for_bit"
 
@@ -343,8 +344,8 @@ MUTANTS = [
     Mutant(
         "exact comparator matching numerators alone",
         "src/jfrac/theorems.py",
-        "if a * d != c * b:",
-        "if a != c:",
+        "gap = a * d - c * b",
+        "gap = a - c",
         (
             _THEOREMS + "test_int_pair_bilinear_check_matches_the_fraction_reference",
             _THEOREMS + "test_exact_theorems[hermite_moments]",
@@ -354,9 +355,16 @@ MUTANTS = [
     Mutant(
         "exact deviation read as |lhs| alone",
         "src/jfrac/theorems.py",
-        "abs(F(a, b) - F(c, d))",
-        "abs(F(a, b))",
+        "else abs(gap)",
+        "else abs(a * d)",
         (_THEOREMS + "test_int_pair_bilinear_check_matches_the_fraction_reference",),
+    ),
+    Mutant(
+        "complex deviation read off the real part alone",
+        "src/jfrac/theorems.py",
+        "max(abs(gap.re), abs(gap.im))",
+        "abs(gap.re)",
+        ("tests/test_cli.py::test_complex_mismatch_fails_with_a_rational_deviation",),
     ),
     Mutant(
         "bilinear product without w_n's denominator",
@@ -437,6 +445,41 @@ MUTANTS = [
         "return Gaussian(a * c - b * d, a * d + b * c)",
         "return Gaussian(a * c + b * d, a * d + b * c)",
         (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
+    ),
+    # Meixner-Pollaczek's moments over Q(i) (scalar.GaussianRational and the family's Term)
+    Mutant(
+        "Gaussian-rational product with i^2 = +1",
+        "src/jfrac/scalar.py",
+        "a * c - b * e, a * e + b * c",
+        "a * c + b * e, a * e + b * c",
+        (
+            _SCALAR + "test_gaussian_rationals_follow_pair_arithmetic",
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
+            _THEOREMS + "test_numeric_theorems[mp_moments]",
+        ),
+    ),
+    Mutant(
+        "Gaussian-rational quotient by the divisor, not its conjugate",
+        "src/jfrac/scalar.py",
+        "(a * c + b * e) * f, (b * c - a * e) * f",
+        "(a * c - b * e) * f, (b * c + a * e) * f",
+        # the moment table's ratios divide Gaussian rationals.  test_complex_family_is_exact_through_the_core
+        # would catch it too, but with the divisions inexact its Bareiss entries grow for minutes
+        (
+            _SCALAR + "test_gaussian_rationals_follow_pair_arithmetic",
+            "tests/test_cli.py::test_affine_cases_run_on_a_complex_base",
+        ),
+    ),
+    Mutant(
+        "Meixner-Pollaczek's w = e^(-2i phi) - 1 with the sign of its imaginary part flipped",
+        "src/jfrac/families.py",
+        "(sin_phi + i * cos_phi)",
+        "(sin_phi - i * cos_phi)",
+        (
+            _FAMILIES + "test_moments_match_closed_form[meixner_pollaczek_moments]",
+            _FAMILIES + "test_weight_is_lambda_product[meixner_pollaczek_moments]",
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
+        ),
     ),
     Mutant(
         "a complex input's imaginary part dropped in fixed point",

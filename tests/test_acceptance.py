@@ -227,7 +227,7 @@ def test_criterion_11_polynomials_as_moments():
             problems.append(tid)
     r_mp = verify_theorem(
         "mp_moments",
-        params={"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)},
+        params={"lam": F(1), "x": F(1, 2), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
         ctx=ctx,
         tolerance=F(1, 10 ** 28),
     )
@@ -239,25 +239,16 @@ def test_criterion_11_polynomials_as_moments():
         ("hermite_moments", {"x": F(1)}),
         ("laguerre_moments", {"alpha": F(1, 2), "x": F(1, 2)}),
         ("gegenbauer_moments", {"nu": F(3, 2), "x": F(1, 2)}),
-        ("meixner_pollaczek_moments", {"lam": F(1), "x": F(1, 2), "phi_over_pi": F(1, 3)}),
+        ("meixner_pollaczek_moments", {"lam": F(1), "x": F(1, 2), "sin_phi": F(3, 5), "cos_phi": F(4, 5)}),
     ]
-    with ctx.workprec():
-        bound = ctx.mpf(F(1, 10 ** 28))
-        for fid, params in kernel_families:
-            spec = make_family(fid, params)
-            tab = family_tableau(spec, 12)
-            for i in range(5):
-                for n in range(9):
-                    got = tab.entry(i, i + n)
-                    closed = spec.tableau_entry_fn(i, i + n)
-                    if isinstance(got, (F, int)) and isinstance(closed, (F, int)):
-                        if got != closed:
-                            problems.append(f"{fid}[{i},{i + n}]")
-                    else:
-                        gv, cv = ctx.number(got), ctx.number(closed)
-                        if abs(gv - cv) > bound * max(abs(gv), 1):
-                            problems.append(f"{fid}[{i},{i + n}]")
-    _record(11, not problems, f"3 exact + 1 numeric family, H bands i<=4, n<=8 {problems or ''}")
+    for fid, params in kernel_families:
+        spec = make_family(fid, params)
+        tab = family_tableau(spec, 12)
+        for i in range(5):
+            for n in range(9):
+                if tab.entry(i, i + n) != spec.tableau_entry_fn(i, i + n):
+                    problems.append(f"{fid}[{i},{i + n}]")
+    _record(11, not problems, f"4 exact families, H bands i<=4, n<=8 {problems or ''}")
 
 
 def test_criterion_12_determinant_and_product_formulas():

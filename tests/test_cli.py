@@ -15,8 +15,7 @@ from jfrac import cli, families, scalar, theorems
 from jfrac.cli import MAX_PRECISION_BITS, MAX_SIZE, main
 from jfrac.errors import InvalidParams
 from jfrac.families import catalog, family_moments, family_tableau, make_family
-from jfrac.jfraction import JFraction
-from jfrac.scalar import PrecisionContext
+from jfrac.jfraction import JFraction, hankel
 
 # `jfrac catalog --format json` before the families were rewritten as terms
 PINNED_CATALOG = Path(__file__).parent / "data" / "catalog.json"
@@ -79,23 +78,17 @@ def test_moments_at_degree_60_match_the_tableau(capsys):
     assert out == "mu: " + ",".join(cli.fmt_exact(tab.entry(0, n)) for n in range(61)) + "\n"
 
 
-def test_complex_moments_follow_the_precision(capsys):
-    # the run's context reaches family_moments, and entries print at its digit count
-    params = "lam=1,x=1/2,phi_over_pi=1/3"
+def test_complex_moments_print_exactly(capsys):
+    # Gaussian rationals print as re+imi, each part in full, whatever the precision
+    params = "lam=1,x=1/2,sin_phi=3/5,cos_phi=4/5"
     argv = ["moments", "--family", "meixner_pollaczek_moments", "--params", params, "--N", "3"]
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    code, fine, _ = run(capsys, *argv, "--precision-bits", "1024")
-    assert code == 0
-    assert fine != default
-    ctx = PrecisionContext(precision_bits=1024)
-    spec = make_family("meixner_pollaczek_moments", {"lam": 1, "x": "1/2", "phi_over_pi": "1/3"})
-    mu = family_moments(spec, 3, ctx)
-    assert fine == "mu: " + ",".join(cli.fmt_exact(v, ctx) for v in mu) + "\n"
-    assert len(fine.split(",")[1]) > 300  # 308 digits, not mpmath's default 15
+    assert default == "mu: 1,22/25-33/50i,371/1250-636/625i,-9691/31250-103077/125000i\n"
+    assert run(capsys, *argv, "--precision-bits", "1024")[1] == default
     code, out, _ = run(capsys, "tableau", "--family", "meixner_pollaczek_moments", "--params", params,
-                       "--N", "3", "--precision-bits", "1024", "--format", "json")
-    assert [r["value"] for r in json.loads(out) if r["i"] == 0] == fine.strip()[4:].split(",")
+                       "--N", "3", "--format", "json")
+    assert [r["value"] for r in json.loads(out) if r["i"] == 0] == default.strip()[4:].split(",")
 
 
 def test_moments_from_weights(capsys):
@@ -641,8 +634,10 @@ def test_entire_identity_holds_at_zero(capsys, case, param):
     [
         ("hermite_moments", "x=1/0"),
         ("laguerre", "alpha=x"),
-        # lambda_1 is 0/0 at lam = 1/2
+        # the angle's retired parameter: it takes (sin_phi, cos_phi) instead
         ("meixner_pollaczek_moments", "lam=1/2,x=1/4,phi_over_pi=1/2"),
+        # lambda_1 is 0/0 at lam = 1/2
+        ("meixner_pollaczek_moments", "lam=1/2,x=1/4,sin_phi=3/5,cos_phi=4/5"),
     ],
 )
 def test_bad_family_parameter_is_invalid_input(capsys, family, params):
@@ -920,7 +915,7 @@ def _case_rules(cid):
     row = theorems._CASES[cid]
     if not callable(row[-1]):
         return [(rule, "") for rule in row[-1]]
-    assert row[-1] in (theorems._affine_domain, theorems._exact_affine_domain)
+    assert row[-1] is theorems._affine_domain
     return [(families.nonzero("a"), "")] + [(r, "base_") for r in families.family_domain(row[1]["base"])]
 
 
@@ -972,14 +967,41 @@ def test_affine_cases_run_on_a_base_without_alpha(capsys, base):
     assert out.count("PASS ") == 2
 
 
-def test_hankel_affine_rejects_an_inexact_base_before_any_case(capsys, monkeypatch):
-    monkeypatch.setattr(theorems, "verify_theorem", _no_run)
-    monkeypatch.setattr(theorems, "verify_identity", _no_run)
-    base = "base=meixner_pollaczek_moments,base_lam=1,base_x=1/2,base_phi_over_pi=1/3"
-    code, out, err = run(capsys, "verify", "affine", "hankel_affine", "--params", base)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: hankel_affine: ") and "meixner_pollaczek_moments" in err
+_MP_BASE = "base=meixner_pollaczek_moments,base_lam=1,base_x=1/2,base_sin_phi=3/5,base_cos_phi=4/5"
+
+
+def test_affine_cases_run_on_a_complex_base(capsys):
+    # Meixner-Pollaczek's moments are Gaussian rationals: hankel_affine compares them exactly
+    code, out, err = run(capsys, "verify", "affine", "hankel_affine", "--params", _MP_BASE)
+    assert (code, err) == (0, "")
+    affine, hankel = out.splitlines()
+    assert affine.startswith("PASS affine [numeric] rel_error=")
+    assert hankel == "PASS hankel_affine [exact] checked=6 max_dev=0"
+
+
+def test_complex_mismatch_fails_with_a_rational_deviation(capsys, monkeypatch):
+    # w_2 moved by 1/7: D_n = w_0 ... w_n fails from n = 2 on, by max(|Re|, |Im|) of D_n - w_0 ... w_n,
+    # which the imaginary part sets
+    nudge = F(1, 7)
+    weights = theorems.family_weights
+
+    def nudged(spec):
+        weight = weights(spec)
+        return lambda n: weight(n) + nudge if n == 2 else weight(n)
+
+    monkeypatch.setattr(theorems, "family_weights", nudged)
+    code, out, err = run(capsys, "verify", "hankel_affine", "--params", _MP_BASE, "--format", "json")
+    assert (code, err) == (3, "")
+    [record] = json.loads(out)
+    base, spec = theorems._affine_pair(theorems._case_params("hankel_affine", cli._parse_params(_MP_BASE)))
+    mu, weight = family_moments(spec, 10), nudged(spec)
+    gaps, product = [], F(1)
+    for n in range(6):
+        product = product * weight(n)
+        gap = hankel(mu, "D", n) - product
+        gaps.append(F(0) if gap == 0 else max(abs(F(p, gap.denominator)) for p in (gap.numerator.re, gap.numerator.im)))
+    assert gaps[:2] == [0, 0] and min(gaps[2:]) > 0
+    assert (record["pass"], record["mode"], record["abs_error"]) == (False, "exact", cli.fmt_exact(max(gaps)))
 
 
 @pytest.mark.parametrize("param", ["a=0", "alpha=-3", "nu=0", "z=0", "x=0", "q=2"])

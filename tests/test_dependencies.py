@@ -127,13 +127,12 @@ def _fresh_runs(argvs):
     return json.loads(proc.stdout)
 
 
-def _family_argvs(exact):
+def _family_argvs():
     argvs = []
     for entry in catalog():
-        if entry.exact == exact:
-            params = ",".join(f"{k}={v}" for k, v in families._BUILDERS[entry.id][1].items())
-            for command in ("tableau", "moments"):
-                argvs.append([command, "--family", entry.id, "--N", "8"] + (["--params", params] if params else []))
+        params = ",".join(f"{k}={v}" for k, v in families._BUILDERS[entry.id][1].items())
+        for command in ("tableau", "moments"):
+            argvs.append([command, "--family", entry.id, "--N", "8"] + (["--params", params] if params else []))
     return argvs
 
 
@@ -151,7 +150,7 @@ _CORE_ERROR_ARGVS = [["hankel", "--moments", "1,0,1", "--kind", "D", "--n", "-1"
 _EXACT_ARGVS = (
     _CORE_ARGVS
     + [["catalog", "--format", fmt] for fmt in ("text", "csv", "json")]
-    + _family_argvs(exact=True)
+    + _family_argvs()
     + [["verify", "hankel_affine", "hermite_moments", "asc_noncomm"]]
 )
 _ERROR_ARGVS = _CORE_ERROR_ARGVS + [["tableau", "--family", "little_q_jacobi", "--params", "a=1/3,b=1/4,q=2"]]
@@ -182,7 +181,7 @@ def test_exact_core_commands_load_no_dataclasses_families_or_suite(family_argv):
 
 @pytest.mark.parametrize(
     "argv",
-    _family_argvs(exact=False) + [["verify", "hermite_moments", "little_qj"], ["report", "conf_hyp_1f1"]],
+    [["verify", "hermite_moments", "little_qj"], ["report", "conf_hyp_1f1"]],
     ids=" ".join,
 )
 def test_numeric_commands_import_mpmath_on_first_use(argv, capsys, monkeypatch):

@@ -23,7 +23,9 @@ from jfrac.families import (
     q_function,
     q_tilde_function,
 )
+from jfrac.jfraction import cf_series, det_bareiss, hankel, jfraction_from_moments
 from jfrac.scalar import (
+    GaussianRational,
     PrecisionContext,
     binom,
     factorial,
@@ -45,6 +47,7 @@ from jfrac.series import (
 from jfrac.theorems import _little_qj_alt, verify_identity
 
 ctx = PrecisionContext()
+I = GaussianRational(0, 1)
 PINNED_EXACT = Path(__file__).parent / "data" / "exact_families.json"
 Q_FAMILIES = {"little_q_jacobi", "big_q_jacobi", "al_salam_carlitz"}
 
@@ -139,15 +142,15 @@ def test_gegenbauer_at_one_is_rising_factorial():
         assert gegenbauer_poly(n, F(3, 2), F(1)) == pochhammer(3, n) / factorial(n)
 
 
-EXACT_IDS = [entry.id for entry in catalog() if entry.exact]
+FAMILY_IDS = [entry.id for entry in catalog()]
 
 
-@pytest.mark.parametrize("family_id", EXACT_IDS)
+@pytest.mark.parametrize("family_id", FAMILY_IDS)
 def test_monic_values_meet_the_q_series_in_the_tableau(family_id):
     """x^N / d_N = sum_{n <= N} p_n(x) [t^N] Q_n(t) through degree 12: the
     tableau's column relation x^N = sum_n H_{n,N} p_n(x), with H_{n,N} =
     d_N [t^N] Q_n(t), for the p_n of the declared (b_n, lambda_n)."""
-    assert len(EXACT_IDS) == 18
+    assert len(FAMILY_IDS) == 19
     spec, x, degree = sample(family_id), F(2, 7), 12
     p = monic_values(spec.b_fn, spec.lambda_fn, x, degree)
     rows = [spec.q_series_fn(n, degree) for n in range(degree + 1)]
@@ -212,8 +215,6 @@ def test_generating_function_anchors():
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_series_matches_tableau(entry):
     """q_series coefficients are tableau entries over the kind's denominators."""
-    if not entry.exact:
-        pytest.skip("series comparison is exact-only")
     spec = sample(entry.id)
     tab = family_tableau(spec, 10)
     for j in range(5):
@@ -222,16 +223,20 @@ def test_series_matches_tableau(entry):
             assert ser[n] == tab.entry(j, n) / spec.series_denominator(n), (j, n)
 
 
-def _mp_weight(n, lam, x, phi_over_pi):
-    with ctx.workprec():
-        w = mpmath.expjpi(-2 * ctx.mpf(phi_over_pi)) - 1
-        lv, xv = ctx.mpf(lam), ctx.mpf(x)
-        out = mpmath.mpc(factorial(n))
-        for k in range(n):
-            out *= (lv + 1j * xv + k) * (lv - 1j * xv + k) * (2 * lv - 1 + k)
-        for k in range(2 * n):
-            out /= (2 * lv - 1 + k) * (2 * lv + k)
-        return out * w ** (2 * n)
+def _e2i(sin_phi, cos_phi):
+    """e^(-2i phi) = cos 2phi - i sin 2phi."""
+    return cos_phi * cos_phi - sin_phi * sin_phi - 2 * sin_phi * cos_phi * I
+
+
+def _mp_weight(n, lam, x, sin_phi, cos_phi):
+    out = F(factorial(n))
+    for _ in range(2 * n):  # (e^(-2i phi) - 1)^(2n)
+        out = out * (_e2i(sin_phi, cos_phi) - 1)
+    for k in range(n):
+        out = out * (lam + I * x + k) * (lam - I * x + k) * (2 * lam - 1 + k)
+    for k in range(2 * n):
+        out = out / ((2 * lam - 1 + k) * (2 * lam + k))
+    return out
 
 
 # The weights w_n as the sources print them, with a parameter point besides
@@ -275,7 +280,9 @@ CLOSED_WEIGHTS = {
         / (pochhammer(beta - 1, 2 * n) * pochhammer(beta, 2 * n)),
         {"beta": F(7, 2), "c": F(1, 4), "x": F(-5, 3)},
     ),
-    "meixner_pollaczek_moments": (_mp_weight, {"lam": F(3, 2), "x": F(-1, 3), "phi_over_pi": F(1, 4)}),
+    "meixner_pollaczek_moments": (
+        _mp_weight, {"lam": F(3, 2), "x": F(-1, 3), "sin_phi": F(12, 13), "cos_phi": F(-5, 13)}
+    ),
     "gegenbauer_moments": (
         lambda n, nu, x: (n + nu - F(1, 2)) * (-1) ** n * pochhammer(2 * nu - 1, n) * (1 - x * x) ** n
         * factorial(n) / (F(4) ** n * pochhammer(nu + F(1, 2), n) * pochhammer(nu - F(1, 2), n + 1)),
@@ -296,12 +303,7 @@ def test_weight_is_lambda_product(family_id):
         spec = make_family(family_id, params)
         weight = family_weights(spec)
         for n in range(13):
-            want = closed(n, **spec.params)
-            if spec.exact:
-                assert weight(n) == want, (params, n)
-            else:
-                with ctx.workprec():
-                    assert abs(ctx.number(weight(n)) - want) <= abs(want) * mpmath.mpf(10) ** -55
+            assert weight(n) == closed(n, **spec.params), (params, n)
 
 
 def test_family_weights_take_each_product_once():
@@ -315,15 +317,14 @@ def test_family_weights_take_each_product_once():
     assert calls == list(range(1, 13))
 
 
-def _mp_moment(n, lam, x, phi_over_pi, ctx=ctx):
+def _mp_moment(n, lam, x, sin_phi, cos_phi):
     # 2F1(-n, lam + i x; 2 lam; 1 - e^{-2 i phi}), terminating
-    with ctx.workprec():
-        z = 1 - mpmath.expjpi(-2 * ctx.mpf(phi_over_pi))
-        total, term = mpmath.mpc(0), mpmath.mpc(1)
-        for k in range(n + 1):
-            total += term
-            term *= (k - n) * (ctx.mpf(lam) + 1j * ctx.mpf(x) + k) * z / ((2 * ctx.mpf(lam) + k) * (k + 1))
-        return total
+    z = 1 - _e2i(sin_phi, cos_phi)
+    total, term = F(0), F(1)
+    for k in range(n + 1):
+        total = total + term
+        term = term * (k - n) * (lam + I * x + k) * z / ((2 * lam + k) * (k + 1))
+    return total
 
 
 # The moments as the sources print them, with a parameter point besides the
@@ -355,7 +356,9 @@ CLOSED_MOMENTS = {
         {"alpha": F(5, 2), "x": F(-2, 3)},
     ),
     "meixner_moments": (meixner_poly, {"beta": F(7, 2), "c": F(1, 4), "x": F(-5, 3)}),
-    "meixner_pollaczek_moments": (_mp_moment, {"lam": F(3, 2), "x": F(-1, 3), "phi_over_pi": F(1, 4)}),
+    "meixner_pollaczek_moments": (
+        _mp_moment, {"lam": F(3, 2), "x": F(-1, 3), "sin_phi": F(12, 13), "cos_phi": F(-5, 13)}
+    ),
     "gegenbauer_moments": (
         lambda n, nu, x: factorial(n) * gegenbauer_poly(n, nu, x) / pochhammer(2 * nu, n),
         {"nu": F(5, 2), "x": F(3)},
@@ -377,34 +380,21 @@ def test_moments_match_closed_form(family_id):
         spec = make_family(family_id, params)
         mu = family_moments(spec, 12)
         for n in range(13):
-            want = closed(n, **spec.params)
-            if spec.exact:
-                assert mu[n] == want, (params, n)
-            else:
-                with ctx.workprec():
-                    assert abs(mu[n] - want) <= abs(want) * mpmath.mpf(10) ** -55, (params, n)
+            assert mu[n] == closed(n, **spec.params), (params, n)
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_moment_fn_matches_row0(entry):
     """family_moments, read off Q_0's exact series, is row 0 of the tableau."""
     spec = sample(entry.id)
-    tab = family_tableau(spec, 12, ctx=ctx)
-    mu = family_moments(spec, 12, ctx)
-    if entry.exact:
-        assert mu == [tab.entry(0, n) for n in range(13)]
-    else:
-        with ctx.workprec():
-            for n in range(13):
-                assert abs(mu[n] - tab.entry(0, n)) < mpmath.mpf(10) ** -55
+    tab = family_tableau(spec, 12)
+    assert family_moments(spec, 12) == [tab.entry(0, n) for n in range(13)]
 
 
 def test_family_moments_read_one_q0_series():
     specs = [sample(entry.id) for entry in catalog()]
     specs.append(make_affine(sample("laguerre"), F(3), F(2)))
     for base in specs:
-        if base.q_series_fn is None:
-            continue
         calls = []
         spec = dataclasses.replace(base, q_series_fn=lambda j, d: calls.append((j, d)) or base.q_series_fn(j, d))
         assert family_moments(spec, 20) == family_moments(base, 20)
@@ -416,15 +406,10 @@ def test_closed_tableau_matches_recurrence(entry):
     if not entry.has_closed_tableau:
         pytest.skip("no closed tableau form")
     spec = sample(entry.id)
-    tab = family_tableau(spec, 8, ctx=ctx)
+    tab = family_tableau(spec, 8)
     for i in range(9):
         for n in range(i, 9):
-            closed = spec.tableau_entry_fn(i, n)
-            if entry.exact:
-                assert closed == tab.entry(i, n), (i, n)
-            else:
-                with ctx.workprec():
-                    assert abs(closed - tab.entry(i, n)) < mpmath.mpf(10) ** -55
+            assert spec.tableau_entry_fn(i, n) == tab.entry(i, n), (i, n)
 
 
 # The closed tableaux as the sources print them: H_{i,N} is binom(N, i)
@@ -434,8 +419,8 @@ SHIFTED_BY_ROW = {
     "hermite_moments": lambda i, x: {"x": x},
     "laguerre_moments": lambda i, alpha, x: {"alpha": alpha + 2 * i, "x": x},
     "meixner_moments": lambda i, beta, c, x: {"beta": beta + 2 * i, "c": c, "x": x - i},
-    "meixner_pollaczek_moments": lambda i, lam, x, phi_over_pi: {
-        "lam": lam + i, "x": x, "phi_over_pi": phi_over_pi
+    "meixner_pollaczek_moments": lambda i, lam, x, sin_phi, cos_phi: {
+        "lam": lam + i, "x": x, "sin_phi": sin_phi, "cos_phi": cos_phi
     },
     "gegenbauer_moments": lambda i, nu, x: {"nu": nu + i, "x": x},
 }
@@ -443,44 +428,44 @@ SHIFTED_BY_ROW = {
 
 @pytest.mark.parametrize("family_id", sorted(SHIFTED_BY_ROW))
 def test_closed_tableau_matches_its_printed_form(family_id):
-    """Exact entries equal the printed form in value and type; the complex
-    family's, at the default working precision, agree with it at 1200 bits."""
+    """The entries equal the printed form in value and type."""
     closed, second = CLOSED_MOMENTS[family_id]
-    fine = PrecisionContext(precision_bits=1200)
     for params in (families._BUILDERS[family_id][1], second):
         spec = make_family(family_id, params)
         for N in range(13):
             for i in range(N + 1):
                 got = spec.tableau_entry_fn(i, N)
-                shifted = SHIFTED_BY_ROW[family_id](i, **spec.params)
-                if spec.exact:
-                    want = F(binom(N, i)) * closed(N - i, **shifted)
-                    assert (got, type(got)) == (want, type(want)), (params, i, N)
-                else:
-                    with fine.workprec():
-                        want = binom(N, i) * _mp_moment(N - i, **shifted, ctx=fine)
-                        assert abs(got - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -88, (params, i, N)
+                want = F(binom(N, i)) * closed(N - i, **SHIFTED_BY_ROW[family_id](i, **spec.params))
+                assert (got, type(got)) == (want, type(want)), (params, i, N)
 
 
-def test_complex_closed_tableau_follows_the_working_precision():
+def test_complex_family_is_exact_through_the_core():
+    """Meixner-Pollaczek's moments are Gaussian rationals, and every exact
+    route agrees on them at N = 12: the walk and the closed tableau, the
+    Q_0 series and row 0, the moment inversion and the recurrence, the
+    continued fraction and row 0, and D_n three ways."""
+    N = 12
     spec = sample("meixner_pollaczek_moments")
-    shifted = SHIFTED_BY_ROW[spec.id](2, **spec.params)
-    fine = PrecisionContext(precision_bits=1200)
-    first = [spec.tableau_entry_fn(2, N) for N in range(2, 7)]
-    with mpmath.workprec(1100):
-        again = [spec.tableau_entry_fn(2, N) for N in range(2, 7)]
-    with fine.workprec():
-        for N, low, high in zip(range(2, 7), first, again):
-            want = binom(N, 2) * _mp_moment(N - 2, **shifted, ctx=fine)
-            assert abs(low - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -88
-            assert abs(high - want) <= max(abs(want), 1) * mpmath.mpf(10) ** -300
+    tab = family_tableau(spec, 2 * N)
+    assert all(tab.entry(i, n) == spec.tableau_entry_fn(i, n) for n in range(N + 1) for i in range(n + 1))
+    mu = family_moments(spec, 2 * N)
+    assert mu == list(tab.row0) and type(mu[1]) is GaussianRational
+    jf = family_jfraction(spec, N + 1)
+    assert jfraction_from_moments(mu) == family_jfraction(spec, N)
+    assert cf_series(jf, 2 * N) == tab.row0
+    weight = family_weights(spec)
+    product = F(1)
+    for n in range(N + 1):
+        product = product * weight(n)  # Heilermann: D_n = w_0 w_1 ... w_n
+        rows = [mu[k : k + n + 1] for k in range(n + 1)]
+        assert hankel(mu, "D", n) == det_bareiss(rows) == product, n
 
 
-def test_recurrence_reads_each_closed_entry_once_per_precision():
+def test_recurrence_reads_each_closed_entry_once():
     reads = []
 
     def entry_fn(i, n):
-        reads.append((i, n, mpmath.mp.prec))
+        reads.append((i, n))
         return hermite_poly(n - i, F(1)) * binom(n, i)
 
     b_fn, lambda_fn = families._recurrence_from_closed_tableau(entry_fn)
@@ -491,16 +476,13 @@ def test_recurrence_reads_each_closed_entry_once_per_precision():
     assert len(reads) == count
     # hermite_moments at x = 1: b_n = 2x, lambda_n = -2n
     assert first == [(F(2), F(-2 * n)) for n in range(1, 12)]
-    with mpmath.workprec(mpmath.mp.prec + 64):
-        b_fn(3)
-    assert {key[:2] for key in reads[count:]} == {(3, 4), (2, 3)}
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_numeric_q_fn_sums_the_series(entry):
     spec = sample(entry.id)
     t = F(1, 5)
-    tab = family_tableau(spec, 60, ctx=ctx)
+    tab = family_tableau(spec, 60)
     with ctx.workprec():
         for j in (0, 2):
             got = q_function(spec, j, t, ctx).value
@@ -532,6 +514,28 @@ def test_twisted_partner_series(family_id):
 def test_tilde_missing_raises():
     with pytest.raises(UnsupportedTilde):
         q_tilde_function(make_family("hermite"), 0, F(1, 10), ctx)
+
+
+def _printed_meixner_pollaczek_q(j, t, lam, sin_phi, cos_phi):
+    """Q_j(t) = (2 sin(t/2))^j / j! (sin(phi) / sin(t/2 + phi))^(2 lam + j), as printed."""
+    with ctx.workprec():
+        tv, sphi = ctx.mpf(t), ctx.mpf(sin_phi)
+        ratio = sphi / mpmath.sin(tv / 2 + mpmath.atan2(sphi, ctx.mpf(cos_phi)))
+        return (2 * mpmath.sin(tv / 2)) ** j / factorial(j) * mpmath.power(ratio, ctx.mpf(2 * lam + j))
+
+
+def test_meixner_pollaczek_q_fn_is_the_printed_form():
+    """Q_j from its Terms cos(t/2) and sin(t/2) / (t/2) equals the printed
+    trigonometric form, also where sin(t/2 + phi) < 0 (t = -4)."""
+    second = {"lam": F(5, 2), "sin_phi": F(12, 13), "cos_phi": F(-5, 13)}
+    for params in (families._BUILDERS["meixner_pollaczek"][1], second):
+        spec = make_family("meixner_pollaczek", params)
+        for t in (F(1, 5), F(-3, 2), F(7, 2), F(-4)):
+            for j in (0, 3):
+                got = spec.q_fn(j, t, ctx).value
+                want = _printed_meixner_pollaczek_q(j, t, **spec.params)
+                with ctx.workprec():
+                    assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -30, (params, t, j)
 
 
 # the printed coefficients c_0(j), c_1(j), ... of each Bessel sum, and its step
@@ -588,16 +592,18 @@ def test_bessel_sum_steps_each_row_once(monkeypatch, family_id):
 
 
 def test_exact_q_series_take_the_fraction_product(monkeypatch):
-    """No exact family's Q_j series multiplies through the generic
+    """No rational family's Q_j series multiplies through the generic
     convolution: PowerSeries.one, the empty product of a Term's fixed
-    factors, holds the Fraction 1."""
+    factors, holds the Fraction 1.  Meixner-Pollaczek's moments, Gaussian
+    rationals, take the generic one."""
 
     def generic(*args):
         raise AssertionError("generic convolution")
 
     monkeypatch.setattr(series, "_convolution", generic)
-    for family_id in EXACT_IDS:
-        sample(family_id).q_series_fn(2, 20)
+    for family_id in FAMILY_IDS:
+        if family_id != "meixner_pollaczek_moments":
+            sample(family_id).q_series_fn(2, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +827,8 @@ def _pinned_digests(scope):
     pinned = json.loads(PINNED_EXACT.read_text())
     got = {}
     for e in catalog():
-        if e.exact:
-            with scope():
-                got[e.id] = exact_digest(sample(e.id))
+        with scope():
+            got[e.id] = exact_digest(sample(e.id))
     assert sorted(got) == sorted(pinned)
     assert [fid for fid in got if got[fid] != pinned[fid]] == []
 

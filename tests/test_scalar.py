@@ -4,9 +4,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jfrac.errors import GammaPole
 from jfrac.scalar import (
+    GaussianRational,
     PrecisionContext,
     binom,
     factorial,
@@ -180,3 +183,78 @@ def test_memoised_reuses_a_value_only_inside_its_scope():
         assert len(evaluations) == 8
     square(3, ctx)
     assert len(evaluations) == 9
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals against (Fraction, Fraction) pair arithmetic
+
+_parts = st.builds(F, st.integers(-30, 30), st.integers(1, 30))
+_pairs = st.tuples(_parts, st.one_of(st.just(F(0)), _parts))
+
+
+def _value(pair):
+    re, im = pair
+    den = math.lcm(re.denominator, im.denominator)
+    return GaussianRational(int(re * den), int(im * den), den)
+
+
+def _pair_of(value):
+    if isinstance(value, F):
+        return value, F(0)
+    return F(value.numerator.re, value.denominator), F(value.numerator.im, value.denominator)
+
+
+def _normal(value, pair):
+    """``value`` is ``pair`` in normal form: a Fraction when it is real, else
+    parts in lowest terms over a positive denominator."""
+    if not pair[1]:
+        return type(value) is F and value == pair[0] and hash(value) == hash(pair[0])
+    n, d = value.numerator, value.denominator
+    return type(value) is GaussianRational and d > 0 and math.gcd(n.re, n.im, d) == 1 and _pair_of(value) == pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, _pairs)
+def test_gaussian_rationals_follow_pair_arithmetic(x, y):
+    (a, b), (c, e) = x, y
+    u, v = _value(x), _value(y)
+    assert _normal(u, x) and _normal(v, y)
+    assert _normal(u + v, (a + c, b + e))
+    assert _normal(u - v, (a - c, b - e))
+    assert _normal(u * v, (a * c - b * e, a * e + b * c))
+    norm = c * c + e * e
+    if norm:
+        assert _normal(u / v, ((a * c + b * e) / norm, (b * c - a * e) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u / v
+    assert (u == v) == (x == y) and (u != v) == (x != y)
+    assert bool(u) == bool(a or b)
+    if x == y:
+        assert hash(u) == hash(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs, st.one_of(st.integers(-9, 9), _parts))
+def test_gaussian_rationals_mix_with_ints_and_fractions(x, r):
+    (a, b), u = x, _value(x)
+    assert _normal(u + r, (a + r, b)) and _normal(r + u, (a + r, b))
+    assert _normal(u - r, (a - r, b)) and _normal(r - u, (r - a, -b))
+    assert _normal(u * r, (a * r, b * r)) and _normal(r * u, (a * r, b * r))
+    if r:
+        assert _normal(u / r, (a / r, b / r))
+    if a or b:
+        norm = a * a + b * b
+        assert _normal(r / u, (r * a / norm, -r * b / norm))
+    assert (u == r) == (not b and a == r)
+
+
+def test_gaussian_rational_prints_and_converts():
+    u = GaussianRational(44, -33, 50)
+    assert (str(u), str(-u), str(GaussianRational(0, 3, 4))) == ("22/25-33/50i", "-22/25+33/50i", "0+3/4i")
+    assert GaussianRational(6, 0, 4) == F(3, 2) and type(GaussianRational(6, 0, 4)) is F
+    ctx = PrecisionContext()
+    with ctx.workprec():
+        z = ctx.number(u)
+        assert isinstance(z, mpmath.mpc) and z == mpmath.mpc(ctx.mpf(F(22, 25)), ctx.mpf(F(-33, 50)))
+        assert u * mpmath.mpf(2) == mpmath.mpf(2) * u == 2 * z

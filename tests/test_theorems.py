@@ -516,8 +516,8 @@ def test_memo_changes_no_record(monkeypatch):
 
 
 def test_complex_family_checks_beyond_the_default_precision():
-    # its recurrence data and weights follow the working precision; at a
-    # fixed 320 bits the check stalled at rel_error 2.6e-99
+    # its recurrence data and weights are exact Gaussian rationals, and its
+    # series parameters reach the kernel exactly; only the sums round
     hi = PrecisionContext(precision_bits=512, rel_tolerance=1e-140)
     report = verify_theorem("mp_moments", N=45, ctx=hi, tolerance=F(1, 10 ** 120))
     assert report.passed, report.rel_error
@@ -559,16 +559,19 @@ def _count_series(monkeypatch):
 
 
 def test_suite_series_work_is_pinned(monkeypatch):
-    """One default run_suite() sums 347 pFq series of 5659 terms in all and
+    """One default run_suite() sums 347 pFq series of 5590 terms in all and
     186 basic series of 3149 terms.  A change to the stopping decision, or
     to how often a case evaluates a series, shows here as a failure.
 
     The pFq count was 355 of 5761 terms while a term with a zero weight was
     still evaluated: plane_wave_cheby's weights hold U_n(1/2), which is 0 at
-    n = 2 mod 3, so 8 of its 26 Q_n(y) are no longer summed."""
+    n = 2 mod 3, so 8 of its 26 Q_n(y) are no longer summed.  It was 347 of
+    5659 while mp_moments took its angle as phi = pi/3 rather than at the
+    rational point (sin phi, cos phi) = (3/5, 4/5), where its 1F1 series
+    stop sooner."""
     counts = _count_series(monkeypatch)
     theorems.run_suite()
-    assert counts == {"eval_pfq": (347, 5659), "eval_rphis": (186, 3149)}
+    assert counts == {"eval_pfq": (347, 5590), "eval_rphis": (186, 3149)}
 
 
 @pytest.mark.parametrize("cid", ["conf_hyp_1f1", "bessel_plus"])
