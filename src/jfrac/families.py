@@ -40,21 +40,22 @@ from .scalar import (
     q_pochhammer_inf,
     rat,
     rat_str,
+    scope_table,
     sequence,
     truncated,
 )
 from .series import (
     PowerSeries,
     SeriesValue,
+    _series,
     eval_pfq,
     eval_rphis,
     exp_of,
     exp_series,
     inv_qpoch_series,
-    pfq_series,
     pow1p,
     qpoch_series,
-    rphis_series,
+    vanishing_scan,
 )
 from .translation import Classical, QTranslation
 
@@ -139,8 +140,8 @@ class Term:
     basic series r_phi_s in the kind's base q when it has one, pFq
     otherwise.  Every factor after c_j t^j is optional.  With ``in_u`` the
     form is written in u = e^t - 1 in place of t.  The parameters are
-    exact, Fractions or Gaussian rationals, and ``value`` hands F_j's to the
-    numeric series as they are.
+    exact, Fractions or Gaussian rationals.  Both evaluators, and the
+    q-binomial translates, read Q_j's parts off its :meth:`row`.
     """
 
     __slots__ = ("kind", "twist", "qpochs", "inv_qpochs", "exp", "power", "hyper", "step", "in_u")
@@ -156,57 +157,75 @@ class Term:
         self.step = step
         self.in_u = in_u
 
-    def _coef(self, j):
-        c = 1 / self.kind.series_denominator(j)
-        return c * self.kind.q ** (j * (j - 1) // 2) if self.twist else c
+    def row(self, j):
+        """Row j, a :class:`_Row`: built once per memo scope, in one table per
+        Term (:func:`~jfrac.scalar.scope_table`), so ``hyper(j)`` runs once
+        per scope and nothing outlives it; outside a scope, built per call."""
+        rows = scope_table(self)
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = _Row(self, j)
+        return row
 
     def value(self, j, t, ctx):
         """Q_j(t) as a SeriesValue, evaluated under ``ctx``.  The factors
         that depend on t alone come from :func:`_point_factors`, once per
-        point in a memo scope; c_j t^j, (1 - p t)^(-r_j) and F_j are
-        computed for each j."""
+        point in a memo scope; c_j t^j, (1 - p t)^(-r_j) and F_j come from
+        row j at the working precision.  A factor that is exactly 1 is not
+        applied, which leaves the bits as they are."""
         q = getattr(self.kind, "q", None)
+        row = self.row(j)
         with ctx.workprec():
             tv, den, num, grow = _point_factors(self, t, ctx)
-            if self.twist:
-                pref = ctx.number(self._coef(j)) * tv ** j
-            else:
-                pref = tv ** j / ctx.number(self.kind.series_denominator(j))
             if den == 0:
                 raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
-            pref = pref / den * num * grow
+            c, z, r = row.images(ctx)
+            pref = c * tv ** j if self.twist else tv ** j / c
+            if den != 1:
+                pref = pref / den
+            if num != 1:
+                pref = pref * num
+            if grow != 1:
+                pref = pref * grow
             if self.power is not None:
-                p, r = self.power
-                base = 1 - p * tv
+                base = 1 - self.power[0] * tv
                 if base <= 0:
                     raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
-                pref = pref * mpmath.power(base, ctx.number(-r(j)))
+                pref = pref * mpmath.power(base, r)
             if self.hyper is None:
                 return SeriesValue(pref, 1, mpmath.mpf(0))
-            upper, lower, z = self.hyper(j)
             arg = z * tv ** self.step
-            inner = eval_pfq(upper, lower, arg, ctx) if q is None else eval_rphis(upper, lower, q, arg, ctx)
+            if q is None:
+                inner = eval_pfq(row.upper, row.lower, arg, ctx, row.scan)
+            else:
+                inner = eval_rphis(row.upper, row.lower, q, arg, ctx, row.scan)
             return inner.scaled(pref)
 
     def series(self, j, degree):
-        """Q_j's exact Taylor coefficients in t through t^degree."""
+        """Q_j's exact Taylor coefficients in t through t^degree: F_j's
+        series with c_j as its first pair (:func:`~jfrac.series._series`)
+        times the other factors, or c_j times them without F_j.  Every
+        coefficient from t^j on is a Fraction, or a Gaussian rational where
+        it is not real."""
         if j > degree:
             raise ValueError(f"monomial degree {j} exceeds truncation {degree}")
         q = getattr(self.kind, "q", None)
+        row = self.row(j)
         d = degree - j
-        body = _fixed_factors(self, d)
+        body = _fixed_factors(self, d) if self.qpochs or self.inv_qpochs or self.exp else None
         if self.power is not None:
             p, r = self.power
-            body = body * pow1p(_poly((0, -p), d), -r(j))
-        if self.hyper is not None:
-            upper, lower, z = self.hyper(j)
-            m = d // self.step
-            inner = pfq_series(upper, lower, m, z) if q is None else rphis_series(upper, lower, q, m, z)
+            power = pow1p(_poly((0, -p), d), -r(j))
+            body = power if body is None else body * power
+        if self.hyper is None:
+            coefficients = [row.coef * b for b in (PowerSeries.one(d) if body is None else body)]
+        else:
             spread = [0] * (d + 1)
-            spread[:: self.step] = inner
-            body = body * PowerSeries(spread, d)
-        c = self._coef(j)
-        out = PowerSeries([0] * j + [c * b for b in body], degree)
+            spread[:: self.step] = _series(row.upper, row.lower, q, d // self.step, row.z, row.coef)
+            if body is not None:
+                spread = body * PowerSeries(spread, d)
+            coefficients = [b if b else _ZERO for b in spread]  # the int 0 of a sum with no term
+        out = PowerSeries([0] * j + coefficients, degree)
         return _at_exp_minus_one(out) if self.in_u else out
 
     def _q_binomial_shape(self, j):
@@ -223,8 +242,10 @@ class Term:
         other = self.twist or self.qpochs or self.exp or self.in_u or self.power is not None or self.step != 1
         if other or not isinstance(self.kind, QTranslation) or len(rest) != (self.hyper is None):
             raise Unsupported("this closed form of Q_j has no q-binomial translate")
-        upper, lower, z = ([0], [], rest[0]) if rest else self.hyper(j)
-        return self.kind.q, d, upper, lower, z
+        if rest:
+            return self.kind.q, d, [0], [], rest[0]
+        row = self.row(j)
+        return self.kind.q, d, row.upper, row.lower, row.z
 
     def translated_q0(self, s, t, ctx):
         """E[Q_0], Q_0 translated by s, for t != 0:
@@ -248,8 +269,61 @@ class Term:
             dsq = -ctx.number(d) * sv * ctx.number(q) ** j
             inner = eval_rphis(upper, lower + [dsq], q, -z * sv * q ** j, ctx)
             pref = q_pochhammer_inf(dsq, q, ctx) if d != 0 else 1
-            pref = pref * sv ** j * ctx.number(F(q) ** (j * (j - 1) // 2) / self.kind.series_denominator(j))
+            pref = pref * sv ** j * ctx.number(self.row(j).coef * F(q) ** (j * (j - 1) // 2))
             return inner.scaled(pref)
+
+
+_ZERO = F(0)
+
+
+class _Row:
+    """Row j of a :class:`Term`, what its evaluators read for Q_j: F_j's
+    upper and lower parameters and z_j (None without ``hyper``), and, each
+    built on first use, c_j (:attr:`coef`), F_j's exact
+    :func:`~jfrac.series.vanishing_scan` (:attr:`scan`) and for each working
+    precision the images of c_j, z_j and -r_j (:meth:`images`)."""
+
+    __slots__ = ("upper", "lower", "z", "_term", "_j", "_denominator", "_coef", "_scan", "_images")
+
+    def __init__(self, term, j):
+        self._term, self._j = term, j
+        self._denominator = term.kind.series_denominator(j)
+        self.upper, self.lower, self.z = (None, None, None) if term.hyper is None else term.hyper(j)
+        self._coef = self._scan = None
+        self._images = {}
+
+    @property
+    def coef(self):
+        """c_j; the numeric side of an untwisted form reads
+        series_denominator(j) instead."""
+        if self._coef is None:
+            self._coef = 1 / self._denominator
+            if self._term.twist:
+                self._coef = self._coef * self._term.kind.q ** (self._j * (self._j - 1) // 2)
+        return self._coef
+
+    @property
+    def scan(self):
+        """F_j's :func:`~jfrac.series.vanishing_scan`, which only the
+        numeric side reads."""
+        if self._scan is None and self.upper is not None:
+            self._scan = vanishing_scan(self.upper, self.lower, getattr(self._term.kind, "q", None))
+        return self._scan
+
+    def images(self, ctx):
+        """(c, z, r) at ctx's working precision, read inside ``ctx.workprec()``:
+        c is c_j for a twisted form and series_denominator(j), which Q_j's
+        value divides by, otherwise; z is z_j as mpmath converts it in a
+        product z_j v; r is -r_j, or None without the power factor."""
+        bits = ctx.working_bits
+        images = self._images.get(bits)
+        if images is None:
+            term = self._term
+            c = ctx.number(self.coef if term.twist else self._denominator)
+            z = None if self.z is None else mpmath.mp.convert(self.z)
+            r = None if term.power is None else ctx.number(-term.power[1](self._j))
+            images = self._images[bits] = c, z, r
+        return images
 
 
 @memoised

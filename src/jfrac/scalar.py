@@ -445,6 +445,21 @@ def memoised(fn):
     return wrapper
 
 
+def scope_table(owner):
+    """A dict kept for ``owner`` while the current :func:`memo_scope` lasts,
+    for what ``owner`` computes once per scope and reads by its own keys;
+    outside a scope, a new empty dict on each call."""
+    memo = _memo.get()
+    if memo is None:
+        return {}
+    key = (scope_table, owner)
+    try:
+        return memo[key]
+    except KeyError:
+        table = memo[key] = {}
+        return table
+
+
 def truncated(fn):
     """Turn ``fn(*args, degree)``, a truncated series whose coefficients
     through any degree do not depend on the degree asked for, into one that

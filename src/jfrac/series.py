@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _mpmath as mpmath
 from .errors import DegreeMismatch, DomainError, NonConvergent, PoleInDenominator
-from .scalar import _EXACT_TYPES, FixedPoint, Gaussian, PrecisionContext, fraction_sum
+from .scalar import _EXACT_TYPES, FixedPoint, Gaussian, GaussianRational, PrecisionContext, fraction_sum
 
 
 def _as_ring(c):
@@ -231,53 +231,67 @@ def pow1p(u, r):
 # ---------------------------------------------------------------------------
 # one term-ratio core for pFq and r_phi_s; q is None for the ordinary kind
 
-def _factor(a, n, qn):
-    """Parameter a's factor in the ratio of term n + 1 to term n: a + n, or
-    1 - a q^n."""
-    return a + n if qn is None else 1 - a * qn
+def _reduced(num, den):
+    """num / den in lowest terms, for an int or :class:`~jfrac.scalar.Gaussian`
+    numerator over a nonzero int denominator: a Fraction, or a
+    GaussianRational where the imaginary part is nonzero."""
+    return GaussianRational(num.re, num.im, den) if type(num) is Gaussian else Fraction(num, den)
 
 
-def _ratio(top, numer, lower, denom, n, qn):
-    """Step n of the term recurrence as (top, bottom): ``top`` times the
-    upper factors, over the implicit lower parameter's factor (``lower`` is
-    1 or q) times the lower factors, with r_phi_s's normaliser (-q^n)^e,
-    e = 1 + s - r, on top for e > 0 and below for e < 0.  bottom is None
-    once an upper factor vanishes."""
-    for a in numer:
-        top = top * _factor(a, n, qn)
-    if top == 0:
-        return top, None
-    bottom = _factor(lower, n, qn)
-    for b in denom:
-        bottom = bottom * _factor(b, n, qn)
-    e = 0 if qn is None else 1 + len(denom) - len(numer)
-    if e > 0:
-        top = top * (-qn) ** e
-    elif e < 0:
-        bottom = bottom * (-qn) ** (-e)
-    return top, bottom
+def _series(numer, denom, q, degree, arg, scale=1):
+    """Coefficients 0..degree of ``scale`` times pFq(numer; denom; arg t)
+    (q None) or r_phi_s(numer; denom; q, arg t), for exact parameters:
+    ints, Fractions or Gaussian rationals.
 
-
-def _series(numer, denom, q, degree, arg):
-    numer = [_as_ring(a) for a in numer]
-    denom = [_as_ring(b) for b in denom]
-    arg = _as_ring(arg)
-    one = _as_ring(1)
-    q = _as_ring(q)
-    lower, qn = (one, None) if q is None else (q, one)
-    term = one
+    Each coefficient is the last one's (numerator, denominator) pair times
+    step n of the term ratio, on ints, reduced once (Henrici's rational
+    product; Knuth, TAOCP vol. 2, 4.5.1).  A parameter a = a_n / a_d has the
+    factor a + n = (a_n + n a_d) / a_d, or 1 - a q^n = (a_d R - a_n P) / (a_d R)
+    with q^n = P / R carried; the implicit lower parameter is 1 or q; and
+    r_phi_s's normaliser (-q^n)^e, e = 1 + s - r, goes on top for e > 0 and
+    below for e < 0.  ``scale`` is the first pair, so it costs no reduction
+    of its own.  Once an upper factor vanishes the rest is the int 0; a
+    lower one that vanishes first is a pole."""
+    upper = [(a.numerator, a.denominator) for a in numer]
+    lower = [(b.numerator, b.denominator) for b in denom]
+    zn, zd = arg.numerator, arg.denominator
+    term = _reduced(scale.numerator, scale.denominator)
     coeffs = [term]
+    if q is not None:
+        qn, qd = q.numerator, q.denominator
+        P, R, e = 1, 1, 1 + len(denom) - len(numer)
     for n in range(degree):
-        top, bottom = _ratio(one, numer, lower, denom, n, qn)
-        if bottom is None:
+        top, top_d = 1, 1
+        if q is None:
+            for a, d in upper:
+                top, top_d = top * (a + n * d), top_d * d
+        else:
+            for a, d in upper:
+                top, top_d = top * (d * R - a * P), top_d * d * R
+        if not top:
             coeffs.extend([0] * (degree - n))
             break
-        if bottom == 0:
+        if q is None:
+            bottom, bottom_d = n + 1, 1
+            for b, d in lower:
+                bottom, bottom_d = bottom * (b + n * d), bottom_d * d
+        else:
+            bottom, bottom_d = qd * R - qn * P, qd * R
+            for b, d in lower:
+                bottom, bottom_d = bottom * (d * R - b * P), bottom_d * d * R
+            for _ in range(e):
+                top, top_d = top * -P, top_d * R
+            for _ in range(-e):
+                bottom, bottom_d = bottom * -P, bottom_d * R
+        if not bottom:
             raise PoleInDenominator(f"lower parameter produces a zero factor at term {n + 1}")
-        term = term * top * arg / bottom
+        num, den = term.numerator * top * zn * bottom_d, term.denominator * top_d * zd
+        if type(bottom) is Gaussian:  # times its conjugate, over its norm
+            num, bottom = num * bottom.conjugate(), bottom.norm()
+        term = _reduced(num, den * bottom)
         coeffs.append(term)
-        if qn is not None:
-            qn = qn * q
+        if q is not None:
+            P, R = P * qn, R * qd
     return PowerSeries(coeffs, degree)
 
 
@@ -374,6 +388,19 @@ def _first_vanishing(params, q):
     return exact, inexact
 
 
+def vanishing_scan(numer, denom, q):
+    """(n_stop, n_soft, p_stop, p_soft), the scan :func:`_sum` starts from:
+    the first index at which an upper (n) or lower (p) parameter makes a
+    term vanish, over the exact parameters (stop) and the inexact ones
+    (soft), or None.  All are None unless q is None or exact with
+    0 < |q| < 1; the loop then meets a vanishing factor at its term.  The
+    scan reads only the parameters and q, so a caller that sums one series
+    at many arguments computes it once and passes it on."""
+    if q is None or (isinstance(q, _EXACT_TYPES) and q != 0 and -1 < q < 1):
+        return (*_first_vanishing(numer, q), *_first_vanishing(denom, q))
+    return None, None, None, None
+
+
 def _below(x, y, d):
     """x < y 2^d for ints x, y >= 0, shifting only sides of one bit length."""
     gap = x.bit_length() - y.bit_length() - d
@@ -382,7 +409,7 @@ def _below(x, y, d):
     return x << -d < y if d < 0 else x < y << d
 
 
-def _sum(numer, denom, q, z, ctx):
+def _sum(numer, denom, q, z, ctx, scan=None):
     """The sum behind :func:`eval_pfq` and :func:`eval_rphis` on the
     :class:`~jfrac.scalar.FixedPoint` kernel: one term loop on native int
     operators, whose values are ints, or :class:`~jfrac.scalar.Gaussian`
@@ -390,14 +417,14 @@ def _sum(numer, denom, q, z, ctx):
     with exponents of their own, so neither truncates to 0; the sum sits at
     2^(t_shift - wp) with t_shift growing with the largest term, so its
     error is about n 2^-wp relative to that term.  Only an exactly zero z or
-    upper factor ends the sum; only an exactly zero lower one is a pole."""
+    upper factor ends the sum; only an exactly zero lower one is a pole.
+    ``scan`` is the parameters' :func:`vanishing_scan`, computed here when
+    not given."""
     ctx = ctx or PrecisionContext()
     # symbolic termination / pole scan, for exact parameters (and exact q); 1 - a q^n
     # may also vanish for an inexact a, though not for q rounded (mpf(3), q = 1/3):
     # the loop takes such a factor as 0 at its term
-    n_stop = p_stop = n_soft = p_soft = None
-    if q is None or (isinstance(q, _EXACT_TYPES) and q != 0 and abs(q) < 1):
-        (n_stop, n_soft), (p_stop, p_soft) = _first_vanishing(numer, q), _first_vanishing(denom, q)
+    n_stop, n_soft, p_stop, p_soft = scan or vanishing_scan(numer, denom, q)
     if p_stop is not None and (n_stop is None or p_stop < n_stop):
         raise PoleInDenominator(f"denominator parameter hits zero at term {p_stop} before any termination")
     # tol = tm 2^te enters one comparison, not wp: the term keeps wp bits at any size
@@ -435,8 +462,8 @@ def _sum(numer, denom, q, z, ctx):
                 return SeriesValue(fx.value(total, t_shift - wp), n + 1, fx.magnitude(term, shift - wp))
         else:
             small_run = 0
-        # one step of _ratio on the kernel's values: z times the upper
-        # factors over the lower ones, then the normaliser
+        # one step of the term ratio, as _series takes it, on the kernel's
+        # values: z times the upper factors over the lower ones, then the normaliser
         top, k = zv, scale
         if q is None:
             nv = n << wp
@@ -461,7 +488,7 @@ def _sum(numer, denom, q, z, ctx):
             qn = qn * qv
             extra = max(0, qn.bit_length() - wp)
             qn, q_exp = qn >> extra, q_exp - wp + extra
-        if not top or n + 1 == n_soft:  # before the pole test, as _ratio orders them
+        if not top or n + 1 == n_soft:  # before the pole test, as _series orders them
             return SeriesValue(fx.value(total, t_shift - wp), n + 1, mpmath.mpf(0))
         if not bottom or n + 1 == p_soft:
             raise PoleInDenominator(f"denominator parameter hits zero at term {n + 1}")
@@ -480,28 +507,31 @@ def _sum(numer, denom, q, z, ctx):
     raise NonConvergent(f"{kind} sum did not satisfy the stopping rule", ctx.max_terms, fx.value(total, t_shift - wp))
 
 
-def eval_pfq(numer, denom, z, ctx=None):
+def eval_pfq(numer, denom, z, ctx=None, scan=None):
     """Evaluate pFq(numer; denom; z) by direct summation.
 
     Terminating series (a numerator parameter a nonpositive integer) are
     summed exactly with zero tail.  A denominator parameter that produces a
     zero factor before the numerator terminates raises PoleInDenominator;
-    the numerator-zero check deliberately comes first.
+    the numerator-zero check deliberately comes first.  ``scan``, when
+    given, is the parameters' :func:`vanishing_scan`.
     """
-    return _sum(numer, denom, None, z, ctx)
+    return _sum(numer, denom, None, z, ctx, scan)
 
 
-def eval_rphis(numer, denom, q, z, ctx=None):
+def eval_rphis(numer, denom, q, z, ctx=None, scan=None):
     """Evaluate the basic hypergeometric series r_phi_s(numer; denom; q, z).
 
     Requires 0 < |q| < 1.  Terminating series (a numerator parameter equal
     to q^(-m) for exact rational inputs) are summed exactly with zero tail.
     Each pair of an upper 0 and a lower 0 is dropped first: its factors
     (0; q)_n / (0; q)_n are 1 and r - s, so the normaliser, does not change.
-    A complex 0 is kept, so the sum keeps its kind.
+    A complex 0 is kept, so the sum keeps its kind.  ``scan``, when given,
+    is the parameters' :func:`vanishing_scan`; a 0 adds nothing to it, so
+    it holds before the drop and after.
     """
     zeros = [[i for i, a in enumerate(p) if a == 0 and not isinstance(a, (complex, mpmath.mpc))] for p in (numer, denom)]
     pairs = min(map(len, zeros))
     numer, denom = ([a for i, a in enumerate(p) if i not in at[:pairs]] for p, at in zip((numer, denom), zeros))
-    return _sum(numer, denom, q, z, ctx)
+    return _sum(numer, denom, q, z, ctx, scan)
 

@@ -194,16 +194,38 @@ def _bessel_q(nu):
     return Term(Classical(), hyper=lambda n: ([], [nu + n + 1], F(-1, 4)), step=2)
 
 
-def _conf_hyp_1f1(cid, params, ctx, point):
-    """1F1(alpha+1; alpha+beta+2; s+t) = sum_n w_n Q_n(t) Q_n(s) with
-    Q_n(v) = v^n / n! 1F1(alpha+n+1; alpha+beta+2n+2; v)."""
-    alpha, beta = params["alpha"], params["beta"]
-    q = Term(Classical(), hyper=lambda n: ([alpha + n + 1], [alpha + beta + 2 * n + 2], 1))
+def _ratio_weights(top, bottom):
+    """n -> w_n for w_0 = 1 and w_(n+1) / w_n = prod (u + v n) over the
+    (u, v) in ``top``, over the same product over ``bottom``: u exact and v
+    an int.  Each w_n is w_(n-1)'s int pair times the factors' pairs,
+    reduced once, and is kept, so reading w_0..w_N takes N steps."""
+    top, bottom = ([(u.numerator, u.denominator, v) for u, v in side] for side in (top, bottom))
+    w = [F(1)]
 
     def weight(n):
-        top = pochhammer(alpha + 1, n) * pochhammer(beta + 1, n) * pochhammer(alpha + beta + 1, n) * factorial(n)
-        return top / (pochhammer(alpha + beta + 1, 2 * n) * pochhammer(alpha + beta + 2, 2 * n))
+        while len(w) <= n:
+            m, num, den = len(w) - 1, w[-1].numerator, w[-1].denominator
+            for a, d, v in top:
+                num, den = num * (a + v * m * d), den * d
+            for a, d, v in bottom:
+                num, den = num * d, den * (a + v * m * d)
+            w.append(F(num, den))
+        return w[n]
 
+    return weight
+
+
+def _conf_hyp_1f1(cid, params, ctx, point):
+    """1F1(alpha+1; alpha+beta+2; s+t) = sum_n w_n Q_n(t) Q_n(s) with
+    Q_n(v) = v^n / n! 1F1(alpha+n+1; alpha+beta+2n+2; v) and
+    w_n = (alpha+1)_n (beta+1)_n (alpha+beta+1)_n n! / ((alpha+beta+1)_2n (alpha+beta+2)_2n)."""
+    alpha, beta = params["alpha"], params["beta"]
+    ab = alpha + beta
+    q = Term(Classical(), hyper=lambda n: ([alpha + n + 1], [ab + 2 * n + 2], 1))
+    weight = _ratio_weights(
+        ((alpha + 1, 1), (beta + 1, 1), (ab + 1, 1), (1, 1)),
+        ((ab + 1, 2), (ab + 2, 2), (ab + 2, 2), (ab + 3, 2)),
+    )
     return _sum_report(cid, params, ctx, point, _at_sum(q), weight, q.value, q.value)
 
 
@@ -213,9 +235,7 @@ def _bessel_plus(cid, params, ctx, point):
     of v^nu, no division by v."""
     nu = params["nu"]
     q = _bessel_q(nu)
-
-    def weight(n):
-        return (nu + n) * F(-1) ** n * pochhammer(2 * nu, n) * factorial(n) / (nu * 4**n * pochhammer(nu + 1, n) ** 2)
+    weight = _ratio_weights(((nu + 1, 1), (-1, 0), (2 * nu, 1), (1, 1)), ((nu, 1), (4, 0), (nu + 1, 1), (nu + 1, 1)))
 
     with ctx.workprec():
         c = 1 / (mpmath.power(2, ctx.number(nu)) * ctx.gamma(nu + 1))
@@ -349,10 +369,10 @@ def _bessel_reduction(iid, params, ctx, point):
     Q_m and c_n = (mu+2n) (-1)^n (mu-nu)_n (mu)_n (2n)! / (mu n! (nu+1)_n 4^n (mu+1)_2n)."""
     mu, nu, z = params["mu"], params["nu"], params["z"]
     u = _bessel_q(mu)
-
-    def weight(n):
-        c = (mu + 2 * n) * F(-1) ** n * pochhammer(mu - nu, n) * pochhammer(mu, n) * factorial(2 * n)
-        return c / (mu * factorial(n) * pochhammer(nu + 1, n) * 4**n * pochhammer(mu + 1, 2 * n))
+    weight = _ratio_weights(
+        ((mu + 2, 2), (-1, 0), (mu - nu, 1), (mu, 1), (1, 2), (2, 2)),
+        ((mu, 2), (1, 1), (nu + 1, 1), (4, 0), (mu + 1, 2), (mu + 2, 2)),
+    )
 
     with ctx.workprec():
         C = mpmath.power(ctx.number(z) / 2, ctx.number(mu)) / ctx.gamma(nu + 1)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import Unsupported
 from .scalar import _q_binomial_rows, binom, factorial, q_pochhammer
-from .series import SeriesValue
+from .series import SeriesValue, _reduced
 
 
 # series_denominator(n) is the n-th normaliser of a Q-series under the kind:
@@ -48,26 +48,40 @@ class NonCommutative:
     series_denominator = QTranslation.series_denominator
 
 
-def monomial_image(kind, n):
-    """The translated image of x^n as a coefficient table {(i, k): c}."""
+def _image_pairs(kind, n):
+    """The translated image of x^n as ((i, k), (numerator, denominator))
+    items of int pairs, q^C(k,2) carried as one, so no Fraction is built."""
     if isinstance(kind, Classical):
-        return {(n - k, k): Fraction(binom(n, k)) for k in range(n + 1)}
+        return [((n - k, k), (binom(n, k), 1)) for k in range(n + 1)]
+    if isinstance(kind, NonCommutative):
+        return [((k, n - k), (c.numerator, c.denominator)) for k, c in enumerate(_q_binomial_rows(kind.q, n))]
     if isinstance(kind, QTranslation):
         q = kind.q
-        row = _q_binomial_rows(q, n)
-        return {(n - k, k): row[k] * q ** (k * (k - 1) // 2) for k in range(n + 1)}
-    if isinstance(kind, NonCommutative):
-        row = _q_binomial_rows(kind.q, n)
-        return {(k, n - k): row[k] for k in range(n + 1)}
+        items, P, R, A, B = [], 1, 1, 1, 1  # q^C(k,2) = P / R and q^k = A / B
+        for k, c in enumerate(_q_binomial_rows(q, n)):
+            items.append(((n - k, k), (c.numerator * P, c.denominator * R)))
+            P, R, A, B = P * A, R * B, A * q.numerator, B * q.denominator
+        return items
     raise Unsupported(f"no monomial image for translation kind {type(kind).__name__}")
+
+
+def monomial_image(kind, n):
+    """The translated image of x^n as a coefficient table {(i, k): c}, of
+    Fractions; for the non-commutative kind, of the Gaussian binomials
+    [n, k]_q as :func:`~jfrac.scalar.q_binomial` gives them."""
+    if isinstance(kind, NonCommutative):
+        return {(k, n - k): c for k, c in enumerate(_q_binomial_rows(kind.q, n))}
+    return {key: Fraction(num, den) for key, (num, den) in _image_pairs(kind, n)}
 
 
 def translate_series(p, kind, N):
     """Translate a univariate series into the bivariate (t, s) table.
 
     ``p`` is indexable by exponent (a PowerSeries or plain sequence of
-    coefficients of x^n).  The result is a plain coefficient table {(i, k): c},
-    normal-ordered for the non-commutative kind, with total degree <= N.
+    exact coefficients of x^n).  The result is a plain coefficient table
+    {(i, k): c}, normal-ordered for the non-commutative kind, with total
+    degree <= N.  x^n's image has one key per term, so each c is p_n times
+    one image coefficient: their int pairs' product, reduced once.
     """
     coeffs = list(p)
     if len(coeffs) < N + 1:
@@ -77,9 +91,10 @@ def translate_series(p, kind, N):
         c = coeffs[n]
         if c == 0:
             continue
-        for key, value in monomial_image(kind, n).items():
-            table[key] = table.get(key, 0) + c * value
-    return {key: value for key, value in table.items() if value != 0}
+        for key, (num, den) in _image_pairs(kind, n):
+            if num:
+                table[key] = _reduced(c.numerator * num, c.denominator * den)
+    return table
 
 
 def translate_eval(h_row, kind, s, t, ctx):

@@ -48,6 +48,7 @@ _THEOREMS = "tests/test_theorems.py::"
 _SCALAR = "tests/test_scalar.py::"
 _PINNED = _THEOREMS + "test_suite_document_is_deterministic"
 _KERNEL = "tests/test_series_kernel.py::test_kernel_matches_the_op_table_kernel_bit_for_bit"
+_EXACT_ROWS = "tests/test_exact_series.py::test_int_pair_rows_match_the_fraction_loop"
 
 MUTANTS = [
     # the q-binomial translates of a Q Term (families.Term)
@@ -275,27 +276,35 @@ MUTANTS = [
         "floor = mpmath.mpf(1)",
         (_THEOREMS + "test_suite_series_work_is_pinned",),
     ),
-    # the rational Pochhammer weights of the Bessel and confluent cases (theorems)
+    # the rational Pochhammer weights of the Bessel and confluent cases
+    # (theorems), stepped by their term ratios on int pairs
     Mutant(
         "conf_hyp_1f1's weight without its n!",
         "src/jfrac/theorems.py",
-        "pochhammer(alpha + beta + 1, n) * factorial(n)\n",
-        "pochhammer(alpha + beta + 1, n)\n",
+        "(ab + 1, 1), (1, 1)),",
+        "(ab + 1, 1)),",
         (_PINNED, _THEOREMS + "test_numeric_theorems[conf_hyp_1f1]"),
     ),
     Mutant(
         "bessel_plus's 4^n as 2^n",
         "src/jfrac/theorems.py",
-        "(nu * 4**n * pochhammer(nu + 1, n) ** 2)",
-        "(nu * 2**n * pochhammer(nu + 1, n) ** 2)",
+        "((nu, 1), (4, 0), (nu + 1, 1), (nu + 1, 1))",
+        "((nu, 1), (2, 0), (nu + 1, 1), (nu + 1, 1))",
         (_PINNED, _THEOREMS + "test_numeric_theorems[bessel_plus]"),
     ),
     Mutant(
-        "bessel_reduction's (mu+1)_2n as (mu+1)_(2n+1)",
+        "bessel_reduction's (mu+1)_2n stepped as (mu+2)_2n",
         "src/jfrac/theorems.py",
-        "pochhammer(mu + 1, 2 * n))",
-        "pochhammer(mu + 1, 2 * n + 1))",
+        "(mu + 1, 2), (mu + 2, 2)),",
+        "(mu + 2, 2), (mu + 3, 2)),",
         (_PINNED, _THEOREMS + "test_identities[bessel_reduction]"),
+    ),
+    Mutant(
+        "a stepped weight's factor u + v n read at n + 1",
+        "src/jfrac/theorems.py",
+        "m, num, den = len(w) - 1, w[-1].numerator, w[-1].denominator",
+        "m, num, den = len(w), w[-1].numerator, w[-1].denominator",
+        (_PINNED, _THEOREMS + "test_numeric_theorems[conf_hyp_1f1]", _THEOREMS + "test_numeric_theorems[bessel_plus]"),
     ),
     # the declared recurrence data the plane waves read (families.ultraspherical, families.jacobi)
     Mutant(
@@ -415,6 +424,29 @@ MUTANTS = [
         "range(n_max + 1)), mul)",
         "range(n_max - 1)), mul)",
         (_THEOREMS + "test_identities[hankel_affine]", _THEOREMS + "test_hankel_affine_reports_ratios"),
+    ),
+    # the exact term loop (series._series) on int pairs, against the
+    # reduced-Fraction loop it replaced
+    Mutant(
+        "q^n dropped from an upper factor's denominator",
+        "src/jfrac/series.py",
+        "top, top_d = top * (d * R - a * P), top_d * d * R",
+        "top, top_d = top * (d * R - a * P), top_d * d",
+        (_EXACT_ROWS,),
+    ),
+    Mutant(
+        "the normaliser's exponent with its sign flipped",
+        "src/jfrac/series.py",
+        "P, R, e = 1, 1, 1 + len(denom) - len(numer)",
+        "P, R, e = 1, 1, len(numer) - len(denom) - 1",
+        (_EXACT_ROWS,),
+    ),
+    Mutant(
+        "c_j applied to each reduced coefficient, besides entering the first pair",
+        "src/jfrac/series.py",
+        "term = _reduced(num, den * bottom)",
+        "term = scale * _reduced(num, den * bottom)",
+        (_EXACT_ROWS,),
     ),
     # the numeric term loop (series._sum) and its values (scalar.Gaussian,
     # scalar.FixedPoint), against the op-table kernel they replaced

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import json
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jfrac import families, series, theorems
+from jfrac import families, scalar, series, theorems
 from jfrac.errors import InvalidParams, UnknownTheorem
 from jfrac.scalar import PrecisionContext, factorial, memoised, q_pochhammer_inf, sequence
 from jfrac.theorems import (
@@ -406,7 +407,9 @@ def test_suite_document_is_deterministic():
     assert all(rep["pass"] for rep in doc["reports"])
 
     # every case keeps its defaults and results across versions: exact
-    # records match field for field, numeric sums to a relative 1e-60
+    # records match field for field, numeric sums to a relative 1e-60, and
+    # their errors to |lhs| 1e-60: abs_error to that, rel_error = abs_error
+    # / |lhs| to 1e-60
     pinned = json.loads(PINNED_RECORDS.read_text())
     assert [rep["id"] for rep in doc["reports"]] == [rep["id"] for rep in pinned]
     for got, want in zip(doc["reports"], pinned):
@@ -416,9 +419,10 @@ def test_suite_document_is_deterministic():
             assert got == want
             continue
         with ctx.workprec():
-            for key in ("lhs", "rhs_partial"):
+            lhs, rhs = (abs(mpmath.mpmathify(want[key].replace(" ", ""))) for key in ("lhs", "rhs_partial"))
+            for key, bound in (("lhs", lhs), ("rhs_partial", rhs), ("abs_error", lhs), ("rel_error", 1)):
                 a, b = (mpmath.mpmathify(rec[key].replace(" ", "")) for rec in (got, want))
-                assert abs(a - b) <= abs(b) * mpmath.mpf(10) ** -60, (want["id"], key)
+                assert abs(a - b) <= bound * mpmath.mpf(10) ** -60, (want["id"], key)
 
 
 def test_memo_lives_for_one_case(monkeypatch):
@@ -464,7 +468,7 @@ def test_sequence_tables_live_for_one_case(monkeypatch):
             steps += 1
             yield value
 
-    # conf_hyp_1f1's weights read (a)_n and (a)_2n for n <= 25
+    # hankel_gegenbauer's closed D_n reads (a)_(r-1) and (a)_r for r <= n <= 5
     monkeypatch.setattr(theorems, "pochhammer", sequence(counted))
 
     def steps_in(run):
@@ -473,13 +477,13 @@ def test_sequence_tables_live_for_one_case(monkeypatch):
         return steps - before
 
     # a second pass steps as far as the first: no table outlives a case
-    first = steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx))
-    assert steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx)) == first
+    first = steps_in(lambda: run_suite("hankel_gegenbauer", ctx=ctx))
+    assert first and steps_in(lambda: run_suite("hankel_gegenbauer", ctx=ctx)) == first
     # outside every scope, each call steps from index 0
     assert steps_in(lambda: [theorems.pochhammer(F(1, 3), 5) for _ in range(2)]) == 12
     with monkeypatch.context() as m:
         m.setattr(theorems, "memo_scope", contextlib.nullcontext)
-        assert steps_in(lambda: run_suite("conf_hyp_1f1", ctx=ctx)) > 2 * first
+        assert steps_in(lambda: run_suite("hankel_gegenbauer", ctx=ctx)) > 2 * first
 
 
 def test_point_factors_are_computed_once_per_term_and_point(monkeypatch):
@@ -497,6 +501,54 @@ def test_point_factors_are_computed_once_per_term_and_point(monkeypatch):
     first = verify_theorem("big_qj", ctx=ctx)
     assert first.passed and len(calls) == 4
     assert verify_theorem("big_qj", ctx=ctx).passed and len(calls) == 8
+
+
+def test_each_row_reads_its_hyper_once_per_case(monkeypatch):
+    """A Term's Q_j values at every point, its exact series, its companion
+    and its translate read F_j's parameters off row j, built once per case
+    scope: in one default run_suite() each (Term, j) calls ``hyper`` at most
+    once in a scope.  The slot is read through a property that counts."""
+    slot = families.Term.__dict__["hyper"]
+    calls = collections.Counter()
+    scopes = []  # held, so that no scope's id is reused
+
+    def read(term):
+        hyper = slot.__get__(term, families.Term)
+        if hyper is None:
+            return None
+
+        def counted(j):
+            scopes.append(scalar._memo.get())
+            calls[term, j, id(scopes[-1])] += 1
+            return hyper(j)
+
+        return counted
+
+    monkeypatch.setattr(families.Term, "hyper", property(read, slot.__set__))
+    run_suite()
+    assert None not in scopes and len(calls) > 300
+    assert max(calls.values()) == 1
+
+
+def test_suite_builds_few_fractions():
+    """One default run_suite() builds at most 12,500 Fractions, counted by
+    wrapping Fraction.__new__.  It built 16,913 while the exact series, the
+    translates and the case weights reduced at every operation, and every
+    evaluation of Q_j rebuilt F_j's parameters."""
+    built = 0
+    new = vars(F)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counted)
+    try:
+        run_suite()
+    finally:
+        F.__new__ = new
+    assert 0 < built <= 12_500
 
 
 def test_memo_changes_no_record(monkeypatch):
