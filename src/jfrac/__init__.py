@@ -2,9 +2,17 @@
 
 ``import jfrac`` loads none of its modules: each name below is imported from
 its module on first use (PEP 562), so a process pays only for what it runs.
-The exact core (``jfraction``, ``motzkin``, ``scalar``) loads without
+The exact core (``jfraction``, ``motzkin``, ``scalar``) and the family
+registry (``registry``: ids, samples, domains, the catalog) load without
 ``dataclasses``; the families, the translations, the series evaluators and
 the verification suite load when a name of theirs is first looked up.
+
+So does the ``jfrac`` command, which builds only the named command's
+subparser: ``jfraction``, ``hankel``, ``oracle``, and ``tableau`` and
+``moments`` from --b/--lambda load the exact core; ``catalog`` adds the
+registry; ``tableau`` and ``moments`` with --family load ``families``, with
+``dataclasses``, ``series`` and ``translation``; ``verify`` and ``report``
+load ``theorems``, and mpmath once a numeric case runs.
 """
 
 from importlib import import_module as _import_module
@@ -22,8 +30,9 @@ _EXPORTS = {
         tableau_from_jfraction""",
     "motzkin": "PathWeights path_weight_sum path_weight_sum_dp",
     "translation": "Classical NonCommutative QTranslation monomial_image translate_eval translate_series",
-    "families": """CatalogEntry FamilySpec catalog family_jfraction family_moments family_tableau family_weights
-        make_affine make_family q_function q_tilde_function translate_q0""",
+    "registry": "CatalogEntry catalog",
+    "families": """FamilySpec family_jfraction family_moments family_tableau family_weights make_affine make_family
+        q_function q_tilde_function translate_q0""",
     "theorems": """SUITE_VERSION VerificationReport identity_ids report_record run_suite suite_document theorem_ids
         verify_identity verify_theorem""",
 }

@@ -21,7 +21,6 @@ tolerance= in --params wins.  Each command runs in one memo scope.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -164,6 +163,12 @@ def fmt_exact(v):
     return rat_str(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
+def _json(doc):
+    import json  # on first use: most commands print no JSON
+
+    return json.dumps(doc, indent=2)
+
+
 def _emit(out, text):
     out.write(text)
     if not text.endswith("\n"):
@@ -186,7 +191,7 @@ def _print_tableau(tab, N, cfg, out):
         _emit(out, "\n".join(lines))
     elif cfg.format == "json":
         records = [{"i": i, "n": n, "value": fmt_exact(v)} for i, n, v in _tableau_records(tab, N)]
-        _emit(out, json.dumps(records, indent=2))
+        _emit(out, _json(records))
     else:
         for i, n, v in _tableau_records(tab, N):
             _emit(out, f"H[{i}][{n}] = {fmt_exact(v)}")
@@ -238,7 +243,7 @@ def cmd_moments(args, cfg, explicit, out):
         lines = ["i,n,value"] + [f"0,{n},{fmt_exact(v)}" for n, v in enumerate(mu)]
         _emit(out, "\n".join(lines))
     elif cfg.format == "json":
-        _emit(out, json.dumps({"moments": [fmt_exact(v) for v in mu]}, indent=2))
+        _emit(out, _json({"moments": [fmt_exact(v) for v in mu]}))
     else:
         _emit(out, "mu: " + ",".join(fmt_exact(v) for v in mu))
     return 0
@@ -252,7 +257,7 @@ def cmd_jfraction(args, cfg, explicit, out):
         jf = jfraction_from_moments(mu, depth=args.depth)
     if cfg.format == "json":
         doc = {"b": [fmt_exact(v) for v in jf.b], "lambda": [fmt_exact(v) for v in jf.lam]}
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _json(doc))
     elif cfg.format == "csv":
         lines = ["name,index,value"]
         lines += [f"b,{n},{fmt_exact(v)}" for n, v in enumerate(jf.b)]
@@ -273,7 +278,7 @@ def cmd_hankel(args, cfg, explicit, out):
         doc = {"kind": args.kind, "n": args.n, "value": fmt_exact(value)}
         if args.i is not None:
             doc["i"] = args.i
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _json(doc))
     else:
         _emit(out, fmt_exact(value))
     return 0
@@ -297,14 +302,14 @@ def cmd_oracle(args, cfg, explicit, out):
             "steps": args.steps,
             "value": fmt_exact(value),
         }
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _json(doc))
     else:
         _emit(out, fmt_exact(value))
     return 0
 
 
 def cmd_catalog(args, cfg, explicit, out):
-    from .families import catalog
+    from .registry import catalog
 
     entries = catalog()
     if cfg.format == "json":
@@ -319,7 +324,7 @@ def cmd_catalog(args, cfg, explicit, out):
             }
             for e in entries
         ]
-        _emit(out, json.dumps(doc, indent=2))
+        _emit(out, _json(doc))
     elif cfg.format == "csv":
         lines = ["id,params,translation,has_q_tilde,has_closed_tableau"]
         for e in entries:
@@ -378,7 +383,7 @@ def _print_reports(reports, cfg, ctx, out):
     if cfg.format == "json":
         from .theorems import report_record
 
-        _emit(out, json.dumps([report_record(r, ctx) for r in reports], indent=2))
+        _emit(out, _json([report_record(r, ctx) for r in reports]))
     elif cfg.format == "csv":
         lines = ["id,mode,n_terms,rel_error,pass"]
         for r in reports:
@@ -412,7 +417,7 @@ def cmd_report(args, cfg, explicit, out):
     ctx = cfg.context()
     reports = _run_cases(patterns, args, cfg, explicit, ctx)
     doc = suite_document(reports, {name: getattr(cfg, name) for name in RunConfig.__slots__}, ctx)
-    text = json.dumps(doc, indent=2)
+    text = _json(doc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -446,11 +451,7 @@ def _common_flags():
     return common
 
 
-def build_parser():
-    common = _common_flags()
-    parser = argparse.ArgumentParser(prog="jfrac", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_tableau(sub, common):
     p = sub.add_parser("tableau", parents=[common], help="print tableau entries H[i][n]")
     p.add_argument("--family", default=None)
     p.add_argument("--params", default=None, help="family parameters, name=value pairs")
@@ -458,6 +459,8 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", default=None, help="down-step weights lambda_1,...")
     p.set_defaults(func=cmd_tableau)
 
+
+def _add_moments(sub, common):
     p = sub.add_parser("moments", parents=[common], help="print the moment row H[0][n]")
     p.add_argument("--family", default=None)
     p.add_argument("--params", default=None)
@@ -465,11 +468,15 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", default=None)
     p.set_defaults(func=cmd_moments)
 
+
+def _add_jfraction(sub, common):
     p = sub.add_parser("jfraction", parents=[common], help="recover b and lambda from moments")
     p.add_argument("--moments", required=True)
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_jfraction)
 
+
+def _add_hankel(sub, common):
     p = sub.add_parser("hankel", parents=[common], help="Hankel determinants of a moment list")
     p.add_argument("--moments", required=True)
     p.add_argument("--kind", choices=("D", "chi", "Delta"), required=True)
@@ -477,6 +484,8 @@ def build_parser():
     p.add_argument("--i", type=int, default=None, help="row index i, for --kind Delta only")
     p.set_defaults(func=cmd_hankel)
 
+
+def _add_oracle(sub, common):
     p = sub.add_parser("oracle", parents=[common], help="weighted Motzkin path sum, by the walk that fills the tableau")
     p.add_argument("--b", default=None)
     p.add_argument("--lambda", dest="lam", default=None)
@@ -485,9 +494,13 @@ def build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_oracle)
 
+
+def _add_catalog(sub, common):
     p = sub.add_parser("catalog", parents=[common], help="list the built-in families")
     p.set_defaults(func=cmd_catalog)
 
+
+def _add_verify(sub, common):
     p = sub.add_parser("verify", parents=[common], help="check addition formulas and identities")
     p.add_argument("patterns", nargs="*", help="case ids or glob patterns")
     p.add_argument("--all", action="store_true")
@@ -497,18 +510,63 @@ def build_parser():
     p.add_argument("--tolerance", default=None)
     p.set_defaults(func=cmd_verify)
 
+
+def _add_report(sub, common):
     p = sub.add_parser("report", parents=[common], help="full verification document as JSON")
     p.add_argument("patterns", nargs="*")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
+
+# subcommand -> the function that adds its parser, in --help order
+_SUBCOMMANDS = {
+    "tableau": _add_tableau,
+    "moments": _add_moments,
+    "jfraction": _add_jfraction,
+    "hankel": _add_hankel,
+    "oracle": _add_oracle,
+    "catalog": _add_catalog,
+    "verify": _add_verify,
+    "report": _add_report,
+}
+
+def build_parser(command=None):
+    """The jfrac parser with every subcommand, or with ``command``'s alone.
+
+    A command's parser alone gives the same help, usage, errors and exit
+    codes for an argument list that starts with the command's name: past
+    the name, only that subparser reads the arguments, and a usage line the
+    top-level parser prints still names every command.
+    """
+    parser = argparse.ArgumentParser(prog="jfrac", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    common = _common_flags()
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub, common)
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one jfrac command; the exit code.
+
+    A process loads only what its command runs.  ``import jfrac.cli`` loads
+    the exact core (jfraction, motzkin, scalar) and argparse, and when the
+    first argument names a command, only that command's subparser is built.
+    catalog reads the declared registry (jfrac.registry); tableau and moments
+    from --b/--lambda, jfraction, hankel and oracle run on the exact core;
+    tableau and moments with --family load jfrac.families, and with it
+    dataclasses, the series evaluators and the translations; verify and
+    report load the suite (jfrac.theorems), and mpmath once a numeric case
+    runs.  json is imported when a command first prints JSON.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first needs only its own parser
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         cfg, explicit = resolve_config(args)

@@ -1,4 +1,8 @@
-"""Catalog of orthogonal polynomial families with exact recurrence data.
+"""Orthogonal polynomial families with exact recurrence data.
+
+Each family's id, sample parameters, parameter domain and catalog facts
+are declared in :mod:`jfrac.registry`; this module attaches each id's
+builder (:data:`_BUILDERS`) and builds a family from it (:func:`make_family`).
 
 Each family binds its monic three-term recurrence coefficients (b_n,
 lambda_n), its closed-form generating functions Q_j, and the translation
@@ -31,6 +35,8 @@ from fractions import Fraction
 from . import _mpmath as mpmath
 from .errors import InvalidParams, NonConvergent, Unsupported, UnsupportedTilde
 from .jfraction import JFraction, tableau_from_jfraction
+# catalog, _compiled and nonzero are not used here; they stay importable from families
+from .registry import FAMILIES, _compiled, catalog, check_domain, family_ids, nonzero
 from .scalar import (
     GaussianRational,
     PrecisionContext,
@@ -39,7 +45,6 @@ from .scalar import (
     memoised,
     q_pochhammer_inf,
     rat,
-    rat_str,
     scope_table,
     sequence,
     truncated,
@@ -170,13 +175,21 @@ class Term:
     def value(self, j, t, ctx):
         """Q_j(t) as a SeriesValue, evaluated under ``ctx``.  The factors
         that depend on t alone come from :func:`_point_factors`, once per
-        point in a memo scope; c_j t^j, (1 - p t)^(-r_j) and F_j come from
-        row j at the working precision.  A factor that is exactly 1 is not
-        applied, which leaves the bits as they are."""
+        point and context in a memo scope, kept in the Term's table beside
+        its rows; c_j t^j, (1 - p t)^(-r_j) and F_j come from row j at the
+        working precision.  A factor that is exactly 1 is not applied, which
+        leaves the bits as they are."""
         q = getattr(self.kind, "q", None)
         row = self.row(j)
+        table = scope_table(self)
+        # the context by identity: a case passes one down, and a context is
+        # replaced (PrecisionContext.replace), never changed
+        point = type(t), t, ctx
+        factors = table.get(point)
         with ctx.workprec():
-            tv, den, num, grow = _point_factors(self, t, ctx)
+            if factors is None:
+                factors = table[point] = _point_factors(self, t, ctx)
+            tv, den, num, grow = factors
             if den == 0:
                 raise InvalidParams(f"the closed form of Q_{j} is undefined at t = {t}")
             c, z, r = row.images(ctx)
@@ -326,15 +339,14 @@ class _Row:
         return images
 
 
-@memoised
 def _point_factors(term, t, ctx):
     """(tv, den, num, grow): the factors of ``term``'s Q_j at t that do not
     depend on j, at the working precision.  tv is t (e^t - 1 with
     ``in_u``), den = prod_d (d tv; q)_inf, num = prod_c (c tv; q)_inf and
     grow = exp(e_1 tv + e_2 tv^2 + ...), or 1 without ``exp``; num and grow
     are None where den is 0, a pole of every Q_j at t.  In a memo scope
-    each (Term, point) computes them once, as :func:`_fixed_factors`
-    builds the exact side's once per Term."""
+    :meth:`Term.value` computes them once per (Term, point), as
+    :func:`_fixed_factors` builds the exact side's once per Term."""
     q = getattr(term.kind, "q", None)
     with ctx.workprec():
         tv = ctx.number(t)
@@ -485,111 +497,6 @@ def translate_q0(spec, s, t, ctx):
             return spec.translated_q0_fn(s, t, ctx)
         return q_tilde_function(spec, 0, s, ctx)
     raise Unsupported(f"family {spec.id} has no closed translated form under {type(kind).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# parameter domains
-#
-# A family, or a verification case, declares its admissible parameters once,
-# as a tuple of rules.  The catalog prints the rules, and make_family (for a
-# case, theorems.run_suite) checks them before anything is built.  A rule
-# reads expressions of the parameters, written as printed, with ^ for a
-# power: "alpha + beta", "a*b", "x^2".
-
-@functools.lru_cache(maxsize=None)
-def _compiled(expr):
-    return compile(expr.replace("^", "**"), expr, "eval")
-
-
-class Rule:
-    """One condition on expressions of the parameters: ``text`` is how the
-    catalog prints it, and ``broken(*values)``, given the expressions'
-    exact values, is false when they satisfy it, else true or a note on how
-    they fail."""
-
-    __slots__ = ("text", "exprs", "broken")
-
-    def __init__(self, text, exprs, broken):
-        self.text = text
-        self.exprs = exprs
-        self.broken = broken
-
-
-def above(lo, *exprs):
-    return Rule(f"{', '.join(exprs)} > {lo}", exprs, lambda *v: min(v) <= lo)
-
-
-def between(lo, hi, expr):
-    return Rule(f"{lo} < {expr} < {hi}", (expr,), lambda v: not lo < v < hi)
-
-
-def excluded(expr, value):
-    return Rule(f"{expr} != {value}", (expr,), lambda v: v == value)
-
-
-def nonzero(expr):
-    return excluded(expr, 0)
-
-
-def off_integers(expr, upward=False):
-    """expr not in {0, -1, -2, ...}, a Gamma or lower-series pole; with
-    ``upward``, not in {0, 1, 2, ...}."""
-    sign = 1 if upward else -1
-    return Rule(
-        f"{expr} not in {{0, {sign}, {2 * sign}, ...}}", (expr,), lambda v: v.denominator == 1 and v * sign >= 0
-    )
-
-
-def unit_circle(sin, cos):
-    return Rule(f"{sin}^2 + {cos}^2 = 1", (sin, cos), lambda s, c: s * s + c * c != 1)
-
-
-def _unit_power(v, q):
-    """The m >= 0 with v q^m = 1, or None; q outside (0, 1) has none here."""
-    # With 0 < q = r/s < 1 in lowest terms, v q^m = 1 means v = s^m / r^m
-    # exactly; the size of v's numerator fixes m up to float rounding, so
-    # three exact comparisons decide it for every m, however close q is to 1.
-    if not (0 < q < 1 and v >= 1):
-        return None
-    r, s = q.numerator, q.denominator
-    guess = round(math.log(v.numerator) / math.log(s))
-    for m in (guess - 1, guess, guess + 1):
-        if m >= 0 and v.numerator == s ** m and v.denominator == r ** m:
-            return m
-    return None
-
-
-def no_unit_power(expr):
-    """expr q^m != 1 for every m >= 0: a zero in a recurrence denominator."""
-
-    def broken(v, q):
-        m = _unit_power(v, q)
-        return m is not None and f"{expr} * q^{m} equals 1"
-
-    return Rule(f"{expr.replace('*', '')} q^m != 1", (expr, "q"), broken)
-
-
-def check_domain(owner, rules, params, prefix=""):
-    """Raise InvalidParams unless ``params`` satisfy every rule.
-
-    The rules read the parameters named ``prefix`` + name; a rule that
-    reads one not given is left to the caller's check of the names.  The
-    message names ``owner`` and, for each rule broken, the parameters it
-    reads with their values.
-    """
-    scope = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-    broken = []
-    for rule in rules:
-        names = dict.fromkeys(n for e in rule.exprs for n in _compiled(e).co_names)
-        if not names.keys() <= scope.keys():
-            continue
-        failed = rule.broken(*(F(eval(_compiled(e), {"__builtins__": {}}, scope)) for e in rule.exprs))
-        if failed:
-            got = ", ".join(f"{prefix}{n} = {rat_str(scope[n])}" for n in names)
-            note = f" ({failed})" if isinstance(failed, str) else ""
-            broken.append(f"{got} violates {rule.text}{note}")
-    if broken:
-        raise InvalidParams(f"{owner}: " + "; ".join(broken))
 
 
 def _recurrence_from_closed_tableau(entry_fn):
@@ -834,28 +741,27 @@ def _make_al_salam_carlitz(params):
     return _term_family(q_form, lambda n: _product(b(n)), lambda n: _product(lam(n)))
 
 
-def _bessel_coefs(x, q, j, shift, step):
-    """c_k = r_k (j + step k + 1) for k = 0, 1, ..., r_0 = 1 and r_{k+1} / r_k =
-    (x - q^(k+1)) (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k))).
-    r_k is an int pair, c_k's numerator over its denominator times
-    (j + step k + 1), stepped by the unreduced pairs of :func:`_q_factors`:
-    each c_k is one reduction."""
+def _bessel_coefs(x, q, shift, step):
+    """The Bessel sum's weights w_k = r_k / 2^(step k) for k = 0, 1, ...
+    (:class:`_BesselSum`), r_0 = 1 and r_{k+1} / r_k = (x - q^(k+1))
+    (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k))).  Each w_k is
+    w_(k-1)'s int pair stepped by the unreduced pairs of :func:`_q_factors`
+    and by 2^step, reduced once."""
     ratio = _q_factors(q, top=((x, 1, 1, 1), (1, 1, 1, shift)), bottom=((1, 1, 1, 1), (1, x, 1, shift)))
     num, den = 1, 1
     for k in itertools.count():
-        m = j + step * k + 1
-        c = F(num * m, den)
-        yield c
+        w = F(num, den)
+        yield w
         f, g = ratio(k)
-        num, den = c.numerator * f, c.denominator * m * g
+        num, den = w.numerator * f, (w.denominator * g) << step
 
 
 def _qultra_coef(beta, q, j):
-    # coefficient of I_{j+2k+1} in the Q_j Bessel sum, k = 0, 1, ...:
-    # (j+2k+1) beta^k (q/beta, q^{j+1}; q)_k / (q, beta q^{j+1}; q)_k, where
-    # beta^k (q/beta; q)_k = prod_{i<k} (beta - q^{i+1}) also covers the
-    # confluent limit beta = 0
-    return _bessel_coefs(beta, q, j, j + 1, 2)
+    # weight of U_{j+2k} in the Q_j Bessel sum, k = 0, 1, ...: the printed
+    # coefficient of I_{j+2k+1}, (j+2k+1) beta^k (q/beta, q^{j+1}; q)_k /
+    # (q, beta q^{j+1}; q)_k, over (j+2k+1) 4^k, where beta^k (q/beta; q)_k =
+    # prod_{i<k} (beta - q^{i+1}) also covers the confluent limit beta = 0
+    return _bessel_coefs(beta, q, j + 1, 2)
 
 
 _U = ultraspherical(1)[0]
@@ -869,12 +775,11 @@ def _bessel_leaf(n, t, ctx):
 
 class _BesselSum:
     """Q_j(t) = 2^(j+1)/t sum_k c_k(j) I_(j+step k+1)(t), the form the
-    q-ultraspherical and Askey-Wilson families print, with ``coefs(j)``
-    iterating c_0(j), c_1(j), ...  With n = j + step k, 2^(j+1)/t I_(n+1)(t)
-    = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum sum_k w_k(j) U_n(t),
-    w_k(j) = c_k(j) / ((n+1) 2^(step k)), of the entire U_n of
-    :func:`_bessel_leaf`, exactly and numerically.  Each w_k(j) is c_k(j)'s
-    int pair with its denominator scaled, reduced once."""
+    q-ultraspherical and Askey-Wilson families print.  With n = j + step k,
+    2^(j+1)/t I_(n+1)(t) = 2^(j-n)/(n+1) U_n(t), so Q_j is the weighted sum
+    sum_k w_k(j) U_n(t), w_k(j) = c_k(j) / ((n+1) 2^(step k)), of the entire
+    U_n of :func:`_bessel_leaf`, exactly and numerically; ``coefs(j)``
+    iterates w_0(j), w_1(j), ..., stepping row j once."""
 
     __slots__ = ("coefs", "step")
     kind = Classical()
@@ -882,11 +787,6 @@ class _BesselSum:
     def __init__(self, coefs, step):
         self.coefs = coefs
         self.step = step
-
-    def _weights(self, j):
-        """w_0(j), w_1(j), ..., stepping row j's coefficients once."""
-        for k, c in enumerate(self.coefs(j)):
-            yield F(c.numerator, (c.denominator * (j + self.step * k + 1)) << (self.step * k))
 
     def value(self, j, t, ctx):
         with ctx.workprec():
@@ -897,7 +797,7 @@ class _BesselSum:
             floor = mpmath.mpf(2) ** (j + 1) / abs(tv)
             tol = ctx.mpf(ctx.rel_tolerance)
             total, small = mpmath.mpf(0), 0
-            for k, w in zip(range(ctx.max_terms), self._weights(j)):
+            for k, w in zip(range(ctx.max_terms), self.coefs(j)):
                 term = ctx.number(w) * _bessel_leaf(j + self.step * k, tv, ctx).value
                 total += term
                 small = small + 1 if abs(term) < tol * max(abs(total), floor) else 0
@@ -907,7 +807,7 @@ class _BesselSum:
 
     def series(self, j, degree):
         out = [F(0)] * (degree + 1)
-        for k, w in zip(range((degree - j) // self.step + 1), self._weights(j)):
+        for k, w in zip(range((degree - j) // self.step + 1), self.coefs(j)):
             n = j + self.step * k
             u = _U.series(n, degree)
             for i in range(n, degree + 1, 2):  # U_n is t^n times an even series
@@ -931,11 +831,12 @@ def _make_q_ultraspherical_beta0(params):
 
 
 def _aw_term_factor(a, q, m):
-    # coefficient of I_{n+m+1} in the Q_m Bessel sum, n = 0, 1, ...: a^n (n+m+1)
-    # (q^{m+1}, q/a, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n / (q, a q^{2m+2}, q^{2m+n+2}; q)_n.
+    # weight of U_{n+m} in the Q_m Bessel sum, n = 0, 1, ...: the printed
+    # coefficient of I_{n+m+1}, a^n (n+m+1) (q^{m+1}, q/a, -q^{m+1}; q)_n
+    # (q^{2m+3}; q^2)_n / (q, a q^{2m+2}, q^{2m+n+2}; q)_n, over (n+m+1) 2^n.
     # (q^{m+1}, -q^{m+1}; q)_n (q^{2m+3}; q^2)_n = (q^{2m+2}; q)_{2n}, and the last
     # factor, whose base moves with n, takes it down to (q^{2m+2}; q)_n
-    return _bessel_coefs(a, q, m, 2 * m + 2, 1)
+    return _bessel_coefs(a, q, 2 * m + 2, 1)
 
 
 def _make_askey_wilson_slice(params):
@@ -1029,75 +930,30 @@ def _make_derangement(params):
 # ---------------------------------------------------------------------------
 # registry
 
-# id -> (builder, sample parameters, domain); the sample's keys are the
-# parameter names in order, and the catalog builds each family at its sample
-_BUILDERS = {
-    "ultraspherical": (_make_ultraspherical, {"nu": F(1)}, (above(F(-1, 2), "nu"), nonzero("nu"))),
-    "jacobi": (
-        _make_jacobi,
-        {"alpha": F(1, 2), "beta": F(1, 3)},
-        (above(-1, "alpha", "beta"), excluded("alpha + beta", -1)),
-    ),
-    "hermite": (_make_hermite, {}, ()),
-    "laguerre": (_make_laguerre, {"alpha": F(0)}, (above(-1, "alpha"),)),
-    "meixner": (_make_meixner, {"beta": F(2), "c": F(1, 3)}, (above(0, "beta"), between(0, 1, "c"))),
-    "charlier": (_make_charlier, {"a": F(1)}, (nonzero("a"),)),
-    "meixner_pollaczek": (
-        _make_meixner_pollaczek,
-        {"lam": F(1), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
-        (above(0, "lam"), nonzero("sin_phi"), unit_circle("sin_phi", "cos_phi")),
-    ),
-    "little_q_jacobi": (
-        _make_little_q_jacobi,
-        {"a": F(1, 3), "b": F(1, 4), "q": F(1, 2)},
-        (between(0, 1, "q"), nonzero("a"), no_unit_power("a*b")),
-    ),
-    "big_q_jacobi": (
-        _make_big_q_jacobi,
-        {"a": F(1, 3), "b": F(1, 4), "c": F(1, 5), "q": F(1, 2)},
-        (between(0, 1, "q"), nonzero("a"), nonzero("c"), no_unit_power("a*b")),
-    ),
-    "al_salam_carlitz": (_make_al_salam_carlitz, {"a": F(1, 3), "q": F(1, 2)}, (between(0, 1, "q"), nonzero("a"))),
-    "q_ultraspherical": (
-        _make_q_ultraspherical,
-        {"beta": F(1, 3), "q": F(1, 2)},
-        (between(0, 1, "q"), nonzero("beta"), no_unit_power("beta")),
-    ),
-    "q_ultraspherical_beta0": (_make_q_ultraspherical_beta0, {"q": F(1, 2)}, (between(0, 1, "q"),)),
-    "askey_wilson_slice": (
-        _make_askey_wilson_slice,
-        {"a": F(1, 3), "q": F(1, 2)},
-        (between(0, 1, "q"), nonzero("a"), excluded("a^2", 1), no_unit_power("a")),
-    ),
-    "hermite_moments": (_make_hermite_moments, {"x": F(1)}, ()),
-    "laguerre_moments": (
-        _make_laguerre_moments,
-        {"alpha": F(1, 2), "x": F(1, 2)},
-        (above(0, "alpha"), nonzero("x")),
-    ),
-    # lambda_n vanishes at x = n - 1 or beta + x = 1 - n for some n >= 1
-    "meixner_moments": (
-        _make_meixner_moments,
-        {"beta": F(3), "c": F(1, 3), "x": F(1, 2)},
-        (above(1, "beta"), between(0, 1, "c"), off_integers("x", upward=True), off_integers("beta + x")),
-    ),
-    # lambda_1 is 0/0 at 2 lam = 1
-    "meixner_pollaczek_moments": (
-        _make_meixner_pollaczek_moments,
-        {"lam": F(1), "x": F(1, 2), "sin_phi": F(3, 5), "cos_phi": F(4, 5)},
-        (above(0, "lam"), excluded("lam", F(1, 2)), nonzero("sin_phi"), unit_circle("sin_phi", "cos_phi")),
-    ),
-    "gegenbauer_moments": (
-        _make_gegenbauer_moments,
-        {"nu": F(3, 2), "x": F(1, 2)},
-        (above(F(1, 2), "nu"), excluded("x^2", 1)),
-    ),
-    "derangement": (_make_derangement, {"alpha": F(0), "x": F(1)}, (above(-1, "alpha"), nonzero("x"))),
+# id -> (builder, sample parameters, domain): each builder attached to the
+# family's declared row (jfrac.registry)
+_MAKERS = {
+    "ultraspherical": _make_ultraspherical,
+    "jacobi": _make_jacobi,
+    "hermite": _make_hermite,
+    "laguerre": _make_laguerre,
+    "meixner": _make_meixner,
+    "charlier": _make_charlier,
+    "meixner_pollaczek": _make_meixner_pollaczek,
+    "little_q_jacobi": _make_little_q_jacobi,
+    "big_q_jacobi": _make_big_q_jacobi,
+    "al_salam_carlitz": _make_al_salam_carlitz,
+    "q_ultraspherical": _make_q_ultraspherical,
+    "q_ultraspherical_beta0": _make_q_ultraspherical_beta0,
+    "askey_wilson_slice": _make_askey_wilson_slice,
+    "hermite_moments": _make_hermite_moments,
+    "laguerre_moments": _make_laguerre_moments,
+    "meixner_moments": _make_meixner_moments,
+    "meixner_pollaczek_moments": _make_meixner_pollaczek_moments,
+    "gegenbauer_moments": _make_gegenbauer_moments,
+    "derangement": _make_derangement,
 }
-
-
-def family_ids():
-    return sorted(_BUILDERS)
+_BUILDERS = {fid: (_MAKERS[fid], sample, domain) for fid, (sample, domain, _) in FAMILIES.items()}
 
 
 def _registered(id):
@@ -1180,35 +1036,3 @@ def make_affine(base, a, b):
         q_fn=q_fn,
         q_series_fn=q_series_fn,
     )
-
-
-class CatalogEntry:
-    __slots__ = ("id", "param_names", "constraints", "translation", "has_q_tilde", "has_closed_tableau")
-
-    def __init__(self, id, param_names, constraints, translation, has_q_tilde, has_closed_tableau):
-        self.id = id
-        self.param_names = param_names
-        self.constraints = constraints
-        self.translation = translation
-        self.has_q_tilde = has_q_tilde
-        self.has_closed_tableau = has_closed_tableau
-
-
-def catalog():
-    """One row per registered family, built from a sample instantiation;
-    the constraints are the family's declared domain, rendered."""
-    rows = []
-    for fid in family_ids():
-        _, sample, domain = _BUILDERS[fid]
-        spec = make_family(fid, sample)
-        rows.append(
-            CatalogEntry(
-                id=fid,
-                param_names=tuple(sample),
-                constraints=", ".join(rule.text for rule in domain),
-                translation=type(spec.translation).__name__,
-                has_q_tilde=spec.q_tilde_fn is not None,
-                has_closed_tableau=spec.tableau_entry_fn is not None,
-            )
-        )
-    return rows

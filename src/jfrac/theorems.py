@@ -21,9 +21,6 @@ from . import _mpmath as mpmath
 from .errors import InvalidParams, UnknownTheorem
 from .families import (
     Term,
-    above,
-    between,
-    check_domain,
     cq_ultraspherical_poly,
     family_domain,
     family_moments,
@@ -33,13 +30,11 @@ from .families import (
     make_affine,
     make_family,
     monic_values,
-    no_unit_power,
-    nonzero,
-    off_integers,
     translate_q0,
     ultraspherical,
 )
 from .jfraction import JFraction, hankel, tableau_from_jfraction
+from .registry import above, between, check_domain, no_unit_power, nonzero, off_integers
 from .scalar import (
     Gaussian, PrecisionContext, factorial, int_str, memo_scope, pair_sum, pochhammer, q_pochhammer, rat, rat_str,
 )
@@ -728,7 +723,7 @@ def run_suite(pattern=None, ctx=None, params=None, seed=None, s=None, t=None, N=
     Invalid input raises InvalidParams before any case runs: an unknown
     name, a value of the wrong kind, a negative size, a parameter outside
     the case's declared domain (for a family's addition formula the
-    family's own, see :func:`jfrac.families.check_domain`), and a
+    family's own, see :func:`jfrac.registry.check_domain`), and a
     tolerance below 2^-precision_bits, whether given here, in ``params``
     or as a matched case's own default (the message then names the case).
     The cases declare no rules for ``s`` and ``t``, so a point outside a

@@ -250,23 +250,25 @@ MUTANTS = [
     Mutant(
         "Bessel sum weight w_k without its 2^(step k)",
         "src/jfrac/families.py",
-        "(c.denominator * (j + self.step * k + 1)) << (self.step * k))",
-        "c.denominator * (j + self.step * k + 1))",
+        "(w.denominator * g) << step",
+        "w.denominator * g",
         (
             _FAMILIES + "test_exact_family_outputs_are_pinned",
             _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[q_ultraspherical]",
             _FAMILIES + "test_bessel_sum_matches_mpmath_besseli[askey_wilson_slice]",
+            _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[qultra_coef]",
+            _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[aw_term_factor]",
         ),
     ),
     Mutant(
-        "Bessel coefficient r_k carried without dividing c_k by j + step k + 1",
+        "Bessel sum weight stepped by its ratio upside down",
         "src/jfrac/families.py",
-        "num, den = c.numerator * f, c.denominator * m * g",
-        "num, den = c.numerator * f, c.denominator * g",
+        "num, den = w.numerator * f, (w.denominator * g) << step",
+        "num, den = w.numerator * g, (w.denominator * f) << step",
         (
+            _FAMILIES + "test_exact_family_outputs_are_pinned",
             _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[qultra_coef]",
             _Q_PRODUCTS + "test_bessel_sum_coefficients_match_the_printed_recurrence[aw_term_factor]",
-            _FAMILIES + "test_exact_family_outputs_are_pinned",
         ),
     ),
     Mutant(
@@ -519,6 +521,17 @@ MUTANTS = [
         "return Gaussian(re, im[0]) if im and im[0] else re",
         "return re",
         (_KERNEL, "tests/test_series_core.py::test_shared_core_matches_the_separate_loops"),
+    ),
+    # the catalog facts, declared beside each family's sample (registry.FAMILIES)
+    Mutant(
+        "derangement declared with a twisted companion",
+        "src/jfrac/registry.py",
+        '(above(-1, "alpha"), nonzero("x")), CLASSICAL),',
+        '(above(-1, "alpha"), nonzero("x")), ("Classical", True, False)),',
+        (
+            _FAMILIES + "test_catalog_facts_match_the_built_sample[derangement]",
+            "tests/test_cli.py::test_catalog_json_is_pinned",
+        ),
     ),
 ]
 

@@ -170,6 +170,34 @@ def test_oracle_help_names_the_walk_it_runs(capsys):
     assert "independent" not in out
 
 
+# argument lists that argparse answers itself, with help or a usage error:
+# main builds only the named command's subparser when one comes first, and
+# the full parser otherwise
+_PARSER_ARGVS = (
+    [["--help"]]
+    + [[command, "--help"] for command in cli._SUBCOMMANDS]
+    + [
+        ["nosuch"],
+        ["hankel", "--moments", "1,1,2", "--kind", "X", "--n", "1"],
+        ["hankel", "--moments", "1,1,2", "--kind", "D"],
+        ["catalog", "extra"],
+        [],
+        ["--precision-bits", "64", "catalog"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no command")
+def test_main_parses_as_the_full_parser(capsys, argv):
+    def answer(parse):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        return info.value.code, *capsys.readouterr()
+
+    assert len(cli._SUBCOMMANDS) == 8
+    assert answer(main) == answer(cli.build_parser().parse_args)
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -12,8 +12,9 @@ Hankel determinants, path sums, exact verification cases) never pays for
 importing it.
 
 The package loads its modules on first use too.  ``import jfrac`` loads none
-of them, and the commands on the exact core (``jfraction``, ``hankel``,
-``oracle``, and ``tableau`` and ``moments`` from --b/--lambda) load neither
+of them.  The commands on the exact core (``jfraction``, ``hankel``,
+``oracle``, and ``tableau`` and ``moments`` from --b/--lambda) and
+``catalog``, in every format, which reads the declared registry, load neither
 ``dataclasses`` (nor the ``inspect`` it imports) nor the families, the
 translations, the series evaluators or the suite.  A family command or a
 verification loads ``dataclasses``, for ``FamilySpec``.
@@ -146,10 +147,11 @@ _CORE_ARGVS = [
     ["hankel", "--moments", "1,1,2,5,14,42,132", "--kind", "Delta", "--n", "3", "--i", "2"],
     ["oracle", "--b", "1,2,3", "--lambda", "1,1/2,1/3", "--from", "0", "--to", "1", "--steps", "7"],
 ]
+_CATALOG_ARGVS = [["catalog", "--format", fmt] for fmt in ("text", "csv", "json")]
 _CORE_ERROR_ARGVS = [["hankel", "--moments", "1,0,1", "--kind", "D", "--n", "-1"]]
 _EXACT_ARGVS = (
     _CORE_ARGVS
-    + [["catalog", "--format", fmt] for fmt in ("text", "csv", "json")]
+    + _CATALOG_ARGVS
     + _family_argvs()
     + [["verify", "hankel_affine", "hermite_moments", "asc_noncomm"]]
 )
@@ -167,13 +169,14 @@ def test_exact_commands_never_import_mpmath():
 
 @pytest.mark.parametrize(
     "family_argv",
-    [["catalog"], ["tableau", "--family", "hermite", "--N", "4"], ["verify", "hermite_moments"]],
+    [["tableau", "--family", "hermite", "--N", "4"], ["verify", "hermite_moments"]],
     ids=" ".join,
 )
 def test_exact_core_commands_load_no_dataclasses_families_or_suite(family_argv):
-    runs = _fresh_runs(_CORE_ARGVS + _CORE_ERROR_ARGVS + [family_argv])
+    light = _CORE_ARGVS + _CATALOG_ARGVS
+    runs = _fresh_runs(light + _CORE_ERROR_ARGVS + [family_argv])
     codes = [code for code, _, _ in runs[2:]]
-    assert codes == [0] * len(_CORE_ARGVS) + [2] * len(_CORE_ERROR_ARGVS) + [0]
+    assert codes == [0] * len(light) + [2] * len(_CORE_ERROR_ARGVS) + [0]
     assert [modules for _, _, modules in runs[:-1]] == [[]] * (len(runs) - 1)
     # a family command loads dataclasses, for FamilySpec
     assert "dataclasses" in runs[-1][2] and "jfrac.families" in runs[-1][2]

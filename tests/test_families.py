@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -221,6 +222,15 @@ def test_series_matches_tableau(entry):
         ser = spec.q_series_fn(j, 10)
         for n in range(11):
             assert ser[n] == tab.entry(j, n) / spec.series_denominator(n), (j, n)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_catalog_facts_match_the_built_sample(entry):
+    """The catalog prints the facts each family declares in the registry,
+    with no family built; they are the facts of the family its sample builds."""
+    spec = sample(entry.id)
+    built = type(spec.translation).__name__, spec.q_tilde_fn is not None, spec.tableau_entry_fn is not None
+    assert (entry.translation, entry.has_q_tilde, entry.has_closed_tableau) == built
 
 
 def _e2i(sin_phi, cos_phi):
@@ -538,11 +548,20 @@ def test_meixner_pollaczek_q_fn_is_the_printed_form():
                     assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -30, (params, t, j)
 
 
+def _printed_bessel_coefs(x, q, j, shift, step):
+    """The printed c_k(j) = r_k (j + step k + 1) of a Bessel sum, r_0 = 1 and
+    r_(k+1) / r_k = (x - q^(k+1)) (1 - q^(shift+k)) / ((1 - q^(k+1)) (1 - x q^(shift+k)))."""
+    r = F(1)
+    for k in itertools.count():
+        yield r * (j + step * k + 1)
+        r = r * (x - q ** (k + 1)) * (1 - q ** (shift + k)) / ((1 - q ** (k + 1)) * (1 - x * q ** (shift + k)))
+
+
 # the printed coefficients c_0(j), c_1(j), ... of each Bessel sum, and its step
 BESSEL_SUMS = {
-    "q_ultraspherical": (lambda p, j: families._qultra_coef(p["beta"], p["q"], j), 2),
-    "q_ultraspherical_beta0": (lambda p, j: families._qultra_coef(F(0), p["q"], j), 2),
-    "askey_wilson_slice": (lambda p, j: families._aw_term_factor(p["a"], p["q"], j), 1),
+    "q_ultraspherical": (lambda p, j: _printed_bessel_coefs(p["beta"], p["q"], j, j + 1, 2), 2),
+    "q_ultraspherical_beta0": (lambda p, j: _printed_bessel_coefs(F(0), p["q"], j, j + 1, 2), 2),
+    "askey_wilson_slice": (lambda p, j: _printed_bessel_coefs(p["a"], p["q"], j, 2 * j + 2, 1), 1),
 }
 
 
@@ -577,7 +596,7 @@ def test_bessel_sum_out_of_terms_raises():
 @pytest.mark.parametrize("family_id", sorted(BESSEL_SUMS))
 def test_bessel_sum_steps_each_row_once(monkeypatch, family_id):
     """Outside a memo scope Q_0's series at degree 40 steps its row's
-    coefficients once, c_0(0)..c_K(0), not from k = 0 for every k."""
+    weights once, w_0(0)..w_K(0), not from k = 0 for every k."""
     name = "_aw_term_factor" if family_id == "askey_wilson_slice" else "_qultra_coef"
     generator, steps = getattr(families, name), []
 

@@ -160,16 +160,19 @@ def _first_values(values, count):
 
 
 @pytest.mark.parametrize(
-    "running, reference",
-    [(families._qultra_coef, qultra_coef), (families._aw_term_factor, aw_term_factor)],
+    "running, step, reference",
+    [(families._qultra_coef, 2, qultra_coef), (families._aw_term_factor, 1, aw_term_factor)],
     ids=["qultra_coef", "aw_term_factor"],
 )
 @settings(max_examples=25, deadline=None)
 @given(first=rationals | st.just(F(0)), q=unit_interval, index=st.integers(0, 6))
-def test_bessel_sum_coefficients_match_the_printed_recurrence(running, reference, first, q, index):
+def test_bessel_sum_coefficients_match_the_printed_recurrence(running, step, reference, first, q, index):
     # first is beta of q-ultraspherical (0 its confluent limit) or a of the
-    # Askey-Wilson slice; a zero in a ratio's denominator stops both alike
-    got = _first_values(running(first, q, index), N_MAX + 1)
+    # Askey-Wilson slice; a zero in a ratio's denominator stops both alike.
+    # The weights w_k are the printed c_k over (index + step k + 1) 2^(step k).
+    weights = running(first, q, index)
+    printed = (w * ((index + step * k + 1) << step * k) for k, w in enumerate(weights))
+    got = _first_values(printed, N_MAX + 1)
     assert got == _first_values(reference(first, q, index), N_MAX + 1)
 
 

@@ -122,6 +122,12 @@ def nth(gen):
     return lambda *args: next(itertools.islice(gen(*args[:-1]), args[-1], None))
 
 
+def printed_bessel(weights, step):
+    """(*point, j, k) -> the printed coefficient c_k(j) of a Bessel sum, from
+    its k-th weight w_k(j) = c_k(j) / ((j + step k + 1) 2^(step k))."""
+    return lambda *args: nth(weights)(*args) * ((args[-2] + step * args[-1] + 1) << step * args[-1])
+
+
 def monic(declared, x, n):
     """p_n(x) of the declared (Q_j, b_n, lambda_n), in one pass from p_0."""
     _, b_fn, lambda_fn = declared
@@ -156,12 +162,12 @@ SEQUENCES = {
     "q_pochhammer": (q_pochhammer, qp_product, [(F(1, 3), F(1, 2)), (F(-2, 5), F(3, 4)), (2, 3), (F(2), F(3))]),
     "pochhammer": (pochhammer, poch_product, [(F(1, 2),), (F(-7, 3),), (3,), (F(3),)]),
     "aw_term_factor": (
-        nth(families._aw_term_factor),
+        printed_bessel(families._aw_term_factor, 1),
         aw_product,
         [(F(1, 3), F(1, 2), 0), (F(1, 3), F(1, 2), 2), (F(-3, 2), F(2, 5), 1)],
     ),
     "qultra_coef": (
-        nth(families._qultra_coef),
+        printed_bessel(families._qultra_coef, 2),
         qultra_product,
         [(F(1, 3), F(1, 2), 1), (F(-5, 4), F(1, 3), 0), (F(0), F(2, 3), 2)],
     ),
